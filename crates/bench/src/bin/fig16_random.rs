@@ -5,9 +5,9 @@
 //! [`DetectSession`]: the transaction pairs a round's random moves left
 //! untouched are answered from earlier rounds' warm verdicts. With
 //! `ATROPOS_CACHE_FILE` set (conventionally
-//! `experiments/verdict_cache.v1`), a single session is additionally
-//! loaded from — and saved back to — that file, so repeated invocations
-//! warm-start across processes.
+//! `experiments/verdict_cache.v2`), a single session is additionally
+//! loaded from — and saved back to — that store directory, so repeated
+//! invocations warm-start across processes.
 
 use atropos_bench::{
     cache_file_from_env, engine_from_args, persist_session_from_env, session_from_env, write_csv,

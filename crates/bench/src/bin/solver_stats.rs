@@ -28,7 +28,7 @@ use atropos_bench::reporting::{solver_stats_header, solver_stats_row};
 use atropos_bench::{engine_from_args, thin_slice, write_csv, Table};
 use atropos_detect::{
     summarize_program, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine, InstanceModel,
-    PairSolver, TripleModel, TripleSolver,
+    PairSolver,
 };
 use atropos_sat::Lit;
 use atropos_workloads::all_benchmarks;
@@ -112,8 +112,8 @@ fn detection_cnfs(program: &atropos_dsl::Program, triples: bool) -> Vec<Vec<Vec<
         for i in 0..sums.len() {
             for j in i..sums.len() {
                 for k in j..sums.len() {
-                    let tm = TripleModel::new(&sums[i], &sums[j], &sums[k]);
-                    cnfs.push(TripleSolver::new(&tm).problem_clauses());
+                    let model = InstanceModel::new_multi(&[&sums[i], &sums[j], &sums[k]]);
+                    cnfs.push(PairSolver::new(&model).problem_clauses());
                 }
             }
         }

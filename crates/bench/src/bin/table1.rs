@@ -23,8 +23,8 @@
 //! from a cold cache and timings stay comparable across thread counts.
 //! The exception is the pair-vs-triple table's session, which opts into
 //! cross-process persistence when `ATROPOS_CACHE_FILE` names a verdict
-//! file (conventionally `experiments/verdict_cache.v1`): it loads warm,
-//! and is saved back after the sweep.
+//! store directory (conventionally `experiments/verdict_cache.v2`): it
+//! loads warm, and is saved back after the sweep.
 
 use atropos_bench::reporting::{
     detect_stats_header, detect_stats_row, repair_stats_header, repair_stats_row,
@@ -176,7 +176,7 @@ fn main() {
     // scenarios, through one session — so the triple pass's time is the
     // *marginal* cost of the wider bound (its pair phase replays the pair
     // pass's warm verdicts), and the whole session can warm-start across
-    // processes via ATROPOS_CACHE_FILE (experiments/verdict_cache.v1).
+    // processes via ATROPOS_CACHE_FILE (experiments/verdict_cache.v2).
     let mut triple_table = Table::new(triple_stats_header());
     let mut triple_session = session_from_env();
     let ec = ConsistencyLevel::EventualConsistency;

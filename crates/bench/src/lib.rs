@@ -38,9 +38,10 @@ pub fn engine_from_args() -> atropos_detect::DetectionEngine {
     atropos_detect::DetectionEngine::from_env()
 }
 
-/// The cross-process verdict-cache file the operator opted into via the
-/// `ATROPOS_CACHE_FILE` environment variable (conventionally
-/// `experiments/verdict_cache.v1`), or `None` when unset/empty.
+/// The cross-process verdict store the operator opted into via the
+/// `ATROPOS_CACHE_FILE` environment variable: a `verdict_cache.v2` store
+/// *directory* (conventionally `experiments/verdict_cache.v2`, created on
+/// the first save), or `None` when unset/empty.
 pub fn cache_file_from_env() -> Option<std::path::PathBuf> {
     std::env::var_os("ATROPOS_CACHE_FILE")
         .filter(|v| !v.is_empty())
@@ -48,10 +49,11 @@ pub fn cache_file_from_env() -> Option<std::path::PathBuf> {
 }
 
 /// A [`atropos_detect::DetectSession`] warm-started from the
-/// `ATROPOS_CACHE_FILE` verdict file when the variable is set and the file
-/// loads, or a fresh session otherwise — the cross-process reuse half of
-/// the session persistence satellite. A missing or malformed file is
-/// reported and degrades to a cold session (a benchmark run must not die
+/// `ATROPOS_CACHE_FILE` store directory when the variable is set and the
+/// store loads, or a fresh session otherwise — the cross-process reuse
+/// half of the session persistence satellite. A missing store silently
+/// degrades to a cold session; a malformed one (or a regular file at the
+/// path) is reported and degrades likewise (a benchmark run must not die
 /// on a stale cache).
 pub fn session_from_env() -> atropos_detect::DetectSession {
     let Some(path) = cache_file_from_env() else {
@@ -76,9 +78,10 @@ pub fn session_from_env() -> atropos_detect::DetectSession {
     }
 }
 
-/// Persists `session`'s verdicts back to the `ATROPOS_CACHE_FILE` path, if
-/// configured — the save half of [`session_from_env`]. Errors are reported
-/// and swallowed (persistence is an optimization, never a failure mode).
+/// Union-merges `session`'s verdicts into the `ATROPOS_CACHE_FILE` store,
+/// if configured — the save half of [`session_from_env`]. Errors are
+/// reported and swallowed (persistence is an optimization, never a failure
+/// mode).
 pub fn persist_session_from_env(session: &atropos_detect::DetectSession) {
     let Some(path) = cache_file_from_env() else {
         return;

@@ -191,8 +191,9 @@ pub fn rewrite_exprs(txn: &mut Transaction, f: &impl Fn(&Expr) -> Option<Expr>) 
 /// every cached verdict involving it may be stale. `labels` records the
 /// individual commands that changed (changed, added, or removed), for
 /// diagnostics and step logs. `renames` carries pure relabelings — label
-/// changes on commands whose summaries are otherwise untouched — which the
-/// cache resolves by remapping instead of re-solving.
+/// changes on commands whose summaries are otherwise untouched — which
+/// stay warm in the cache without any action: cached verdicts carry no
+/// labels and are labelled from the current program on every hit.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtySet {
     /// Labels of commands whose printed form changed, appeared, or vanished.
@@ -211,10 +212,10 @@ impl DirtySet {
     }
 
     /// Folds a *subsequent* step's payload into this one (for composite
-    /// rules like redirect-then-merge). Rename maps are applied
-    /// simultaneously by the verdict cache, so `other`'s renames — which
-    /// happened *after* ours — are composed through ours (`a → b` then
-    /// `b → c` yields `a → c`), not merely unioned.
+    /// rules like redirect-then-merge). A rename map describes one
+    /// simultaneous relabeling, so `other`'s renames — which happened
+    /// *after* ours — are composed through ours (`a → b` then `b → c`
+    /// yields `a → c`), not merely unioned.
     pub fn merge(&mut self, other: DirtySet) {
         self.labels.extend(other.labels);
         self.txns.extend(other.txns);

@@ -612,7 +612,6 @@ fn repair_core(
         pre_process(&mut current, &initial, &mut steps);
         let dirty = dirty_between(&before, &current);
         if !dirty.is_empty() {
-            apply_dirty(oracle, &dirty);
             last_verdict = None;
         }
     }
@@ -646,7 +645,6 @@ fn repair_core(
                     if let Some(it) = stats.iterations.last_mut() {
                         it.dirtied_txns = dirty.txns.iter().cloned().collect();
                     }
-                    apply_dirty(oracle, &dirty);
                     progress = true;
                     break;
                 }
@@ -665,7 +663,6 @@ fn repair_core(
     let post = if config.enable_postprocess {
         let (report, dirty) = post_process_tracked(&mut current);
         if !dirty.is_empty() {
-            apply_dirty(oracle, &dirty);
             last_verdict = None;
         }
         report
@@ -695,16 +692,6 @@ fn repair_core(
         post,
         stats,
         seconds: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// Funnels one step's [`DirtySet`] into the session's verdict cache: pure
-/// relabelings are remapped so surviving entries serve current labels.
-/// Eviction needs no driver action — the next detection pass sweeps
-/// stranded entries by fingerprint liveness itself.
-fn apply_dirty(oracle: &mut Oracle<'_, '_>, dirty: &DirtySet) {
-    if let Oracle::Engine { session, .. } = oracle {
-        session.record_renames(&dirty.renames);
     }
 }
 
@@ -1507,6 +1494,40 @@ mod tests {
             cached.stats.detections + cached.stats.detections_skipped,
             scratch.stats.detections + scratch.stats.detections_skipped
         );
+    }
+
+    /// A relabeled twin in one corpus: the twin's fingerprints all match
+    /// the first program's (labels are not hashed), so its detections are
+    /// answered from warm entries the first program's run cached — and
+    /// must still name the twin's own commands, so it repairs exactly like
+    /// an isolated run.
+    #[test]
+    fn repair_corpus_relabeled_twin_repairs_like_isolation() {
+        let counter = "schema C { id: int key, cnt: int }
+             txn bump(k: int) {
+                 @RA x := select cnt from C where id = k;
+                 @WA update C set cnt = x.cnt + 1 where id = k;
+                 return 0;
+             }";
+        let twin = parse(&counter.replace("@RA", "@RB").replace("@WA", "@WB")).unwrap();
+        let corpus = vec![
+            ("a".to_string(), parse(counter).unwrap()),
+            ("b".to_string(), twin.clone()),
+        ];
+        let config = RepairConfig::default();
+        let engine = DetectionEngine::serial();
+        let reports = repair_corpus(&corpus, &config, &engine, &mut DetectSession::new());
+        let shared = &reports[1].1;
+        assert_eq!(shared.stats.cache.misses, 0, "the twin must start warm");
+        let isolated = repair_with_engine(&twin, &config, &engine, &mut DetectSession::new());
+        assert_eq!(shared.initial, isolated.initial);
+        assert_eq!(shared.steps, isolated.steps);
+        assert_eq!(
+            print_program(&shared.repaired),
+            print_program(&isolated.repaired)
+        );
+        assert!(shared.remaining.is_empty(), "{:?}", shared.remaining);
+        assert_eq!(shared.stats.replay_failed, 0);
     }
 
     /// The ablation sweep shares one session: every configuration repairs

@@ -1,23 +1,26 @@
-//! Pair-verdict caching across program edits: the oracle-reuse layer of the
+//! Verdict caching across program edits: the oracle-reuse layer of the
 //! near-incremental repair loop.
 //!
 //! A refactoring step (split / merge / redirect / logging) touches a handful
 //! of commands, yet the Fig. 10 driver re-runs the whole anomaly oracle on
 //! the mutated program. The [`VerdictCache`] closes that gap one level above
-//! the SAT layer: every ordered transaction pair's verdicts ([`AccessPair`]
-//! lists) are memoized under a **canonical fingerprint** of the two
-//! transactions' command summaries, so re-detection after a step only
-//! re-encodes and re-solves the pairs whose fingerprint changed.
+//! the SAT layer: the verdicts of every **instance group** the oracle
+//! analyses — an ordered transaction pair, or in
+//! [`crate::DetectMode::Triples`] an unordered triple — are memoized under
+//! a **canonical fingerprint** of the members' command summaries, so
+//! re-detection after a step only re-encodes and re-solves the groups
+//! whose fingerprints changed.
 //!
 //! # The fingerprint
 //!
-//! [`txn_fingerprint`] hashes everything the two-instance encoding and the
+//! [`txn_fingerprint`] hashes everything the bounded encoding and the
 //! violation templates can observe about a transaction: its name and, per
 //! command in program order, the kind, schema, read/write field sets, key
 //! specification, bound variable, and used variables. Command **labels are
-//! deliberately excluded** — a pure relabeling preserves verdicts, and the
-//! cache remaps labels in cached [`AccessPair`]s through the rename map the
-//! refactoring rules report ([`VerdictCache::record_renames`]). Anything
+//! deliberately excluded** — a pure relabeling preserves verdicts, so a
+//! relabeled program keeps hitting. Cached verdicts therefore store no
+//! labels either: each finding names its commands by (member, command
+//! index), and every hit is labelled from the program it answers. Anything
 //! else a rewrite can change (field sets, filters, schemas, command order)
 //! lands in the fingerprint, so a stale hit is impossible as long as the
 //! fingerprint is *sound*: any mutation that changes a command's access
@@ -25,41 +28,40 @@
 //! property suite in `crates/detect/tests/fingerprint_prop.rs`, not by the
 //! end-to-end tests.
 //!
+//! # The group key
+//!
+//! One `GroupKey` keys verdicts, retained solvers, the [`LearntPool`] and
+//! the persistent store's records: the member fingerprints in **key
+//! orientation** — ordered for a pair (the templates are asymmetric),
+//! sorted for a triple (every role permutation is analysed inside one
+//! entry, so the verdict is independent of which orientation grounded it)
+//! — plus, for a pair, whether the symmetric (lost-update) template ran,
+//! and the consistency level. Retained solvers serve every flag and level
+//! of their group, and pooled lemmas every flag, so those maps use the key
+//! with the parts they ignore normalized (`GroupKey::state`,
+//! `GroupKey::pool`).
+//!
 //! # The invalidation contract
 //!
-//! Soundness never depends on explicit invalidation (a changed pair simply
+//! Soundness never depends on explicit invalidation (a changed group simply
 //! misses), but every refactoring rule still reports the transactions it
-//! dirtied so the driver can call [`VerdictCache::invalidate_txns`]: this
-//! evicts the stale entries (bounding memory across long repair runs) and
-//! keeps the reuse statistics honest. Rules that relabel commands without
-//! changing their summaries must report the relabeling via
-//! [`VerdictCache::record_renames`] instead.
+//! dirtied, so a driver can call [`VerdictCache::invalidate_txns_changed`]:
+//! this evicts the entries whose member fingerprints did not survive the
+//! step (bounding memory across long repair runs) and keeps the reuse
+//! statistics honest.
 //!
 //! # Solver retention
 //!
-//! Besides verdicts, the cache retains each pair's [`PairSolver`] (keyed by
-//! the fingerprint pair), so a pair that is re-queried — e.g. at another
-//! consistency level, or after its verdict entry was evicted while its
-//! fingerprint survived — reuses the already-encoded ordering/visibility
-//! matrix and every learnt clause instead of re-encoding from scratch.
-//! Retained states live in a **sharded map** ([`ShardedStateMap`]):
-//! independent mutex-guarded shards keyed by the fingerprint pair, so the
-//! parallel detection engine's workers can take and return solvers
-//! concurrently without a global lock (retained solvers migrate freely
-//! between workers — [`PairState`] is `Send`).
-//!
-//! # Triple verdicts
-//!
-//! [`crate::DetectMode::Triples`] passes additionally memoize each
-//! transaction triple's chain-anomaly verdicts under the **canonical
-//! 3-fingerprint** — the three fingerprints in sorted order, so the entry
-//! is orientation-normalized (every role permutation is analysed inside
-//! one entry) — with their own retained [`crate::triple::TripleSolver`]s
-//! in a second sharded map. Triple entries follow the same contracts as
-//! pair entries: label renames remap them eagerly
-//! ([`VerdictCache::record_renames`]), liveness sweeps keep an entry only
-//! while all three fingerprints are live, and `invalidate_txns` evicts by
-//! any member transaction's name.
+//! Besides verdicts, the cache retains each group's [`PairSolver`] (keyed by
+//! the members' fingerprints), so a group that is re-queried — e.g. at
+//! another consistency level, or after its verdict entry was evicted while
+//! its fingerprints survived — reuses the already-encoded
+//! ordering/visibility matrix and every learnt clause instead of
+//! re-encoding from scratch. Retained states live in a **sharded map**
+//! (`ShardedStates`): independent mutex-guarded shards, so the parallel
+//! detection engine's workers can take and return solvers concurrently
+//! without a global lock (retained solvers migrate freely between workers
+//! — `GroupState` is `Send`).
 //!
 //! # Multi-run lifetimes
 //!
@@ -76,17 +78,16 @@
 //! cross-run counters of [`CacheStats`].
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 use atropos_dsl::Program;
 use atropos_sat::Lit;
 
-use crate::detect::AccessPair;
+use crate::detect::Finding;
 use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver};
 use crate::model::{summarize_program, CmdSummary, KeySpec, TxnSummary};
-use crate::triple::TripleState;
 
 /// Canonical fingerprint of one transaction's command summaries: the exact
 /// information the pair encoding and the violation templates consume.
@@ -118,7 +119,7 @@ pub fn cmd_fingerprint(c: &CmdSummary) -> u64 {
 }
 
 fn hash_cmd(c: &CmdSummary, h: &mut impl Hasher) {
-    // NOT hashed: c.label — relabelings resolve through the rename map.
+    // NOT hashed: c.label — cached findings are labelled on every hit.
     (c.kind as u8).hash(h);
     c.schema.hash(h);
     c.prog_index.hash(h);
@@ -151,8 +152,9 @@ pub struct CacheStats {
     pub solver_reuses: u64,
     /// Entries evicted — by the fingerprint-liveness sweep each
     /// [`crate::detect_anomalies_cached`] pass runs (stranded by program
-    /// edits), or by an explicit [`VerdictCache::invalidate_txns`] /
-    /// [`VerdictCache::sweep`] call.
+    /// edits), or by an explicit
+    /// [`VerdictCache::invalidate_txns_changed`] / [`VerdictCache::sweep`]
+    /// call.
     pub invalidated: u64,
     /// Lookups performed in any run after the session's first (see
     /// [`VerdictCache::advance_run`]); zero when the cache never crossed a
@@ -214,63 +216,106 @@ impl CacheStats {
     }
 }
 
-/// Key of one verdict entry: the ordered pair's fingerprints, whether the
-/// symmetric (lost-update) template ran for this orientation, and the
-/// consistency level queried.
-pub(crate) type VerdictKey = (u64, u64, bool, ConsistencyLevel);
+/// The largest instance group a key can name (the triple bound).
+pub(crate) const MAX_K: usize = 3;
 
+/// Key of one instance group's verdict (see the module docs): the member
+/// fingerprints in key orientation, whether the symmetric (lost-update)
+/// template ran for this orientation (pairs only), and the consistency
+/// level queried. The field order makes keys sort like the persistent
+/// store's records: pairs before triples, then by fingerprints, flag, and
+/// level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct GroupKey {
+    k: u8,
+    /// Member fingerprints, zero past the first `k`.
+    fps: [u64; MAX_K],
+    pub(crate) symmetric: bool,
+    pub(crate) level: ConsistencyLevel,
+}
+
+impl GroupKey {
+    /// The key of the group whose members have fingerprints `fps`, in key
+    /// orientation.
+    pub(crate) fn new(fps: &[u64], symmetric: bool, level: ConsistencyLevel) -> GroupKey {
+        assert!(
+            (2..=MAX_K).contains(&fps.len()),
+            "instance group size out of range"
+        );
+        let mut padded = [0; MAX_K];
+        padded[..fps.len()].copy_from_slice(fps);
+        GroupKey {
+            k: fps.len() as u8,
+            fps: padded,
+            symmetric,
+            level,
+        }
+    }
+
+    /// The member fingerprints, in key orientation.
+    pub(crate) fn fps(&self) -> &[u64] {
+        &self.fps[..self.k as usize]
+    }
+
+    /// The number of members (2 for a pair, 3 for a triple).
+    pub(crate) fn k(&self) -> usize {
+        self.k as usize
+    }
+
+    /// The key a retained solver is stored under: the members alone, since
+    /// one grounded model serves every flag and level of its group.
+    pub(crate) fn state(&self) -> GroupKey {
+        GroupKey {
+            symmetric: false,
+            level: ConsistencyLevel::EventualConsistency,
+            ..*self
+        }
+    }
+
+    /// The key lemmas are published under: members and level (a solver's
+    /// lemmas do not depend on which templates it ran).
+    pub(crate) fn pool(&self) -> GroupKey {
+        GroupKey {
+            symmetric: false,
+            ..*self
+        }
+    }
+}
+
+/// One cached verdict: the raw template findings of one instance group.
 #[derive(Debug, Clone)]
 pub(crate) struct VerdictEntry {
-    pub(crate) txn1: String,
-    pub(crate) txn2: String,
+    /// Member transaction names, in key orientation.
+    pub(crate) txns: Vec<String>,
     /// Run (see [`VerdictCache::advance_run`]) this entry was inserted in.
     pub(crate) run: u64,
-    /// Raw `analyse_pair` output for this ordered pair (pre-deduplication).
-    pub(crate) pairs: Vec<AccessPair>,
+    /// Raw findings for this group (pre-deduplication), label-free.
+    pub(crate) findings: Vec<Finding>,
     /// Proof certificates of the UNSAT queries behind this verdict
     /// (`atropos_proof` blobs); empty unless the analysing engine had
     /// proof capture on.
     pub(crate) proofs: Vec<Vec<u8>>,
 }
 
-/// Key of one triple-verdict entry: the **canonical 3-fingerprint** — the
-/// three transaction fingerprints in sorted order (orientation-normalized;
-/// every role permutation of the instances is analysed inside one entry,
-/// so the verdict is independent of which orientation grounded it) — plus
-/// the consistency level queried.
-pub(crate) type TripleVerdictKey = (u64, u64, u64, ConsistencyLevel);
-
-#[derive(Debug, Clone)]
-pub(crate) struct TripleEntry {
-    pub(crate) txns: [String; 3],
-    /// Run (see [`VerdictCache::advance_run`]) this entry was inserted in.
-    pub(crate) run: u64,
-    /// Raw `analyse_triple` output for this triple (pre-deduplication).
-    pub(crate) pairs: Vec<AccessPair>,
-    /// Proof certificates of the UNSAT queries behind this verdict.
-    pub(crate) proofs: Vec<Vec<u8>>,
-}
-
-/// Retained per-pair analysis state: the grounded two-instance model and,
+/// Retained per-group analysis state: the grounded bounded model and,
 /// once a query was issued, the incremental solver built on it.
 ///
-/// `PairState` is `Send` (a compile-time guarantee pinned below): the
+/// `GroupState` is `Send` (a compile-time guarantee pinned below): the
 /// parallel detection engine hands retained states to whichever worker
-/// claims the pair, so a solver built on one thread freely migrates to
+/// claims the group, so a solver built on one thread freely migrates to
 /// another between passes.
-pub(crate) struct PairState {
+pub(crate) struct GroupState {
     pub(crate) model: InstanceModel,
     pub(crate) solver: Option<PairSolver>,
-    txns: (String, String),
 }
 
-impl PairState {
-    /// Grounds a fresh analysis state for one ordered transaction pair.
-    pub(crate) fn new(t1: &TxnSummary, t2: &TxnSummary) -> PairState {
-        PairState {
-            model: InstanceModel::new(t1, t2),
+impl GroupState {
+    /// Grounds a fresh analysis state over the members `ts`, in key
+    /// orientation.
+    pub(crate) fn new(ts: &[&TxnSummary]) -> GroupState {
+        GroupState {
+            model: InstanceModel::new_multi(ts),
             solver: None,
-            txns: (t1.name.clone(), t2.name.clone()),
         }
     }
 }
@@ -280,115 +325,91 @@ impl PairState {
 // fail compilation here, not at every use site.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<PairState>();
+    assert_send::<GroupState>();
 };
 
-/// How many independently locked shards a [`ShardedMap`] spreads its
+/// How many independently locked shards [`ShardedStates`] spreads its
 /// retained states over. Sixteen comfortably exceeds the engine's worker
 /// cap, so two workers rarely contend on one mutex.
 const STATE_SHARDS: usize = 16;
 
-/// A solver-retention map: retained analysis states keyed by a fingerprint
-/// tuple, split over [`STATE_SHARDS`] mutex-guarded shards so parallel
-/// workers can `take`/`store` concurrently through a shared reference.
-/// Serial callers go through the same API (an uncontended mutex lock is a
-/// few nanoseconds), keeping one code path. Instantiated for pair states
-/// ([`ShardedStateMap`]) and triple states ([`ShardedTripleMap`]).
-pub(crate) struct ShardedMap<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
+/// The solver-retention map: retained [`GroupState`]s keyed by
+/// [`GroupKey::state`], split over [`STATE_SHARDS`] mutex-guarded shards
+/// so parallel workers can `take`/`store` concurrently through a shared
+/// reference. Serial callers go through the same API (an uncontended
+/// mutex lock is a few nanoseconds), keeping one code path.
+pub(crate) struct ShardedStates {
+    shards: Vec<Mutex<HashMap<GroupKey, GroupState>>>,
 }
 
-/// Retained [`PairState`]s keyed by the ordered fingerprint pair.
-pub(crate) type ShardedStateMap = ShardedMap<(u64, u64), PairState>;
-
-/// Retained [`TripleState`]s keyed by the canonical (sorted) 3-fingerprint.
-pub(crate) type ShardedTripleMap = ShardedMap<(u64, u64, u64), TripleState>;
-
-impl<K: Eq + Hash, V> ShardedMap<K, V> {
-    fn new() -> ShardedMap<K, V> {
-        ShardedMap {
+impl ShardedStates {
+    fn new() -> ShardedStates {
+        ShardedStates {
             shards: (0..STATE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
         }
     }
 
-    fn shard_of(key: &K) -> usize {
-        // The keys are tuples of high-entropy fingerprints; one SipHash
-        // round over them is deterministic and distribution enough.
+    fn shard(&self, key: &GroupKey) -> std::sync::MutexGuard<'_, HashMap<GroupKey, GroupState>> {
+        // The keys carry high-entropy fingerprints; one SipHash round over
+        // them is deterministic and distribution enough.
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() % STATE_SHARDS as u64) as usize
+        self.shards[(h.finish() % STATE_SHARDS as u64) as usize]
+            .lock()
+            .expect("state shard poisoned")
     }
 
     /// Removes and returns the retained state for a key, if any.
-    pub(crate) fn take(&self, key: K) -> Option<V> {
-        self.shards[Self::shard_of(&key)]
-            .lock()
-            .expect("state shard poisoned")
-            .remove(&key)
+    pub(crate) fn take(&self, key: &GroupKey) -> Option<GroupState> {
+        self.shard(key).remove(key)
     }
 
     /// Whether a state is currently retained for `key`.
-    pub(crate) fn contains(&self, key: &K) -> bool {
-        self.shards[Self::shard_of(key)]
-            .lock()
-            .expect("state shard poisoned")
-            .contains_key(key)
+    pub(crate) fn contains(&self, key: &GroupKey) -> bool {
+        self.shard(key).contains_key(key)
     }
 
     /// Returns a state to the map for later reuse.
-    pub(crate) fn store(&self, key: K, state: V) {
-        self.shards[Self::shard_of(&key)]
-            .lock()
-            .expect("state shard poisoned")
-            .insert(key, state);
+    pub(crate) fn store(&self, key: GroupKey, state: GroupState) {
+        self.shard(&key).insert(key, state);
     }
 
-    /// Keeps only the states satisfying `f` (exclusive access, no locking).
-    fn retain(&mut self, mut f: impl FnMut(&K, &V) -> bool) {
+    /// Keeps only the states whose key satisfies `f` (exclusive access, no
+    /// locking).
+    fn retain(&mut self, mut f: impl FnMut(&GroupKey) -> bool) {
         for shard in &mut self.shards {
-            shard.get_mut().expect("state shard poisoned").retain(|k, s| f(k, s));
-        }
-    }
-
-    /// Mutable visit of every retained state (exclusive access).
-    fn for_each_mut(&mut self, mut f: impl FnMut(&mut V)) {
-        for shard in &mut self.shards {
-            for s in shard.get_mut().expect("state shard poisoned").values_mut() {
-                f(s);
-            }
+            shard
+                .get_mut()
+                .expect("state shard poisoned")
+                .retain(|k, _| f(k));
         }
     }
 }
-
-/// Key of one pair entry in the [`LearntPool`]: the ordered fingerprint
-/// pair plus the consistency level whose queries derived the lemmas.
-type PairPoolKey = (u64, u64, ConsistencyLevel);
 
 /// A deterministic pool of learnt clauses shared across
 /// **fingerprint-identical** solvers, owned by a
 /// [`crate::DetectionEngine`] and outliving any one [`VerdictCache`].
 ///
-/// Two [`PairSolver`]s built for the same canonical `(fingerprint,
-/// fingerprint, level)` key ground the same [`InstanceModel`] and emit the
-/// same base encoding over the same variable numbering, so lemmas one of
-/// them derived over **base variables only** (see
-/// `atropos_sat::Solver::retained_learnts` for the soundness argument) are
-/// valid verbatim in the other. The first solve of a key *publishes* its
-/// retained clauses here — at the engine's serial-order merge point, and
-/// only when the solve started from a fresh state and was the key's only
-/// solve of the batch, so the published set is byte-identical at any
-/// thread count. Later solvers built for the same key *seed* from the
-/// published set before their first query instead of re-deriving the
-/// lemmas (duplicated programs in a corpus, scratch-reference passes,
-/// ablation sweeps re-grounding the same shapes).
+/// Two [`PairSolver`]s built for the same group ground the same
+/// [`InstanceModel`] and emit the same base encoding over the same
+/// variable numbering, so lemmas one of them derived over **base variables
+/// only** (see `atropos_sat::Solver::retained_learnts` for the soundness
+/// argument) are valid verbatim in the other. The first solve of a
+/// `GroupKey::pool` key *publishes* its retained clauses here — at the
+/// engine's serial-order merge point, and only when the solve started from
+/// a fresh state and was the group's only solve of the batch, so the
+/// published set is byte-identical at any thread count. Later solvers
+/// built for the same key *seed* from the published set before their first
+/// query instead of re-deriving the lemmas (duplicated programs in a
+/// corpus, scratch-reference passes, ablation sweeps re-grounding the same
+/// shapes).
 ///
 /// The pool is frozen while a batch's workers run — publication happens
 /// strictly between batches — so whether a worker sees a key published is
 /// a plan-time fact, not a race.
 #[derive(Default)]
 pub struct LearntPool {
-    pairs: Mutex<HashMap<PairPoolKey, Arc<Vec<Vec<Lit>>>>>,
-    triples: Mutex<HashMap<TripleVerdictKey, Arc<Vec<Vec<Lit>>>>>,
+    sets: Mutex<HashMap<GroupKey, Arc<Vec<Vec<Lit>>>>>,
 }
 
 impl LearntPool {
@@ -397,81 +418,39 @@ impl LearntPool {
         LearntPool::default()
     }
 
+    fn sets(&self) -> std::sync::MutexGuard<'_, HashMap<GroupKey, Arc<Vec<Vec<Lit>>>>> {
+        self.sets.lock().expect("learnt pool poisoned")
+    }
+
     /// Published clause sets (pair plus triple keys) — for reporting.
     pub fn published(&self) -> usize {
-        self.pairs.lock().expect("learnt pool poisoned").len()
-            + self.triples.lock().expect("learnt pool poisoned").len()
+        self.sets().len()
     }
 
     /// Total clauses across every published set — for reporting.
     pub fn published_clauses(&self) -> usize {
-        let pairs = self.pairs.lock().expect("learnt pool poisoned");
-        let triples = self.triples.lock().expect("learnt pool poisoned");
-        pairs.values().chain(triples.values()).map(|c| c.len()).sum()
+        self.sets().values().map(|c| c.len()).sum()
     }
 
-    pub(crate) fn has_pair(&self, fp1: u64, fp2: u64, level: ConsistencyLevel) -> bool {
-        self.pairs
-            .lock()
-            .expect("learnt pool poisoned")
-            .contains_key(&(fp1, fp2, level))
+    pub(crate) fn has(&self, key: &GroupKey) -> bool {
+        self.sets().contains_key(&key.pool())
     }
 
-    pub(crate) fn pair_seed(
-        &self,
-        fp1: u64,
-        fp2: u64,
-        level: ConsistencyLevel,
-    ) -> Option<Arc<Vec<Vec<Lit>>>> {
-        self.pairs
-            .lock()
-            .expect("learnt pool poisoned")
-            .get(&(fp1, fp2, level))
-            .cloned()
+    pub(crate) fn seed(&self, key: &GroupKey) -> Option<Arc<Vec<Vec<Lit>>>> {
+        self.sets().get(&key.pool()).cloned()
     }
 
     /// Publish-once: the first set wins, later calls are ignored (the
-    /// caller's plan-time `has_pair` check makes them unreachable in the
-    /// engine anyway).
-    pub(crate) fn publish_pair(
-        &self,
-        fp1: u64,
-        fp2: u64,
-        level: ConsistencyLevel,
-        clauses: Vec<Vec<Lit>>,
-    ) {
-        self.pairs
-            .lock()
-            .expect("learnt pool poisoned")
-            .entry((fp1, fp2, level))
-            .or_insert_with(|| Arc::new(clauses));
-    }
-
-    pub(crate) fn has_triple(&self, key: &TripleVerdictKey) -> bool {
-        self.triples
-            .lock()
-            .expect("learnt pool poisoned")
-            .contains_key(key)
-    }
-
-    pub(crate) fn triple_seed(&self, key: &TripleVerdictKey) -> Option<Arc<Vec<Vec<Lit>>>> {
-        self.triples
-            .lock()
-            .expect("learnt pool poisoned")
-            .get(key)
-            .cloned()
-    }
-
-    pub(crate) fn publish_triple(&self, key: TripleVerdictKey, clauses: Vec<Vec<Lit>>) {
-        self.triples
-            .lock()
-            .expect("learnt pool poisoned")
-            .entry(key)
+    /// caller's plan-time [`LearntPool::has`] check makes them unreachable
+    /// in the engine anyway).
+    pub(crate) fn publish(&self, key: &GroupKey, clauses: Vec<Vec<Lit>>) {
+        self.sets()
+            .entry(key.pool())
             .or_insert_with(|| Arc::new(clauses));
     }
 }
 
-/// A cache of per-pair anomaly verdicts and solvers, keyed by transaction
+/// A cache of per-group anomaly verdicts and solvers, keyed by transaction
 /// fingerprints. The repair driver owns one per run — or, via
 /// [`crate::DetectSession`], one per whole benchmark sweep — and threads it
 /// through every detection pass via [`crate::detect_anomalies_cached`] or
@@ -480,11 +459,8 @@ impl LearntPool {
 /// See the [module docs](self) for the fingerprint, invalidation, and
 /// multi-run liveness contracts.
 pub struct VerdictCache {
-    verdicts: HashMap<VerdictKey, VerdictEntry>,
-    states: ShardedStateMap,
-    /// Triple verdicts, keyed by the canonical (sorted) 3-fingerprint.
-    triples: HashMap<TripleVerdictKey, TripleEntry>,
-    triple_states: ShardedTripleMap,
+    verdicts: HashMap<GroupKey, VerdictEntry>,
+    states: ShardedStates,
     stats: CacheStats,
     /// Union of every live transaction fingerprint seen since construction
     /// or the last explicit [`VerdictCache::sweep`] — the liveness set the
@@ -505,9 +481,7 @@ impl VerdictCache {
     pub fn new() -> VerdictCache {
         VerdictCache {
             verdicts: HashMap::new(),
-            states: ShardedStateMap::new(),
-            triples: HashMap::new(),
-            triple_states: ShardedTripleMap::new(),
+            states: ShardedStates::new(),
             stats: CacheStats::default(),
             session_live: BTreeSet::new(),
             run: 0,
@@ -531,14 +505,8 @@ impl VerdictCache {
 
     /// Shared handle to the sharded solver-retention map, for the parallel
     /// engine's workers.
-    pub(crate) fn states(&self) -> &ShardedStateMap {
+    pub(crate) fn states(&self) -> &ShardedStates {
         &self.states
-    }
-
-    /// Shared handle to the sharded triple-state retention map, for the
-    /// engine's triple-phase workers.
-    pub(crate) fn triple_states(&self) -> &ShardedTripleMap {
-        &self.triple_states
     }
 
     /// Mutable access to the lifetime counters, for the engine to merge
@@ -554,91 +522,25 @@ impl VerdictCache {
 
     /// Number of pair-verdict entries currently cached.
     pub fn len(&self) -> usize {
-        self.verdicts.len()
+        self.verdicts.keys().filter(|k| k.k() == 2).count()
     }
 
     /// Number of triple-verdict entries currently cached.
     pub fn triple_len(&self) -> usize {
-        self.triples.len()
+        self.verdicts.keys().filter(|k| k.k() == 3).count()
     }
 
     /// True when no verdicts (pair or triple) are cached.
     pub fn is_empty(&self) -> bool {
-        self.verdicts.is_empty() && self.triples.is_empty()
+        self.verdicts.is_empty()
     }
 
-    /// Records the label renames of one refactoring step that *did not*
-    /// change the renamed commands' summaries (a pure relabeling), applying
-    /// them **eagerly and simultaneously** to every cached verdict and to
-    /// every retained pair model — so a swap batch `{a → b, b → a}` is
-    /// exact, and renames across successive steps compose by construction
-    /// (`a → b` now, `b → c` later, serves `c`). After this call the cache
-    /// speaks only the post-step label language, for hits and for fresh
-    /// analyses through retained state alike.
-    pub fn record_renames(&mut self, renames: &BTreeMap<String, String>) {
-        if renames.is_empty() {
-            return;
-        }
-        let remap = |label: &mut String| {
-            if let Some(to) = renames.get(label.as_str()) {
-                *label = to.clone();
-            }
-        };
-        for e in self.verdicts.values_mut() {
-            for p in &mut e.pairs {
-                remap(&mut p.cmd1.0);
-                remap(&mut p.cmd2.0);
-            }
-        }
-        for e in self.triples.values_mut() {
-            for p in &mut e.pairs {
-                remap(&mut p.cmd1.0);
-                remap(&mut p.cmd2.0);
-            }
-        }
-        self.states.for_each_mut(|s| {
-            for c in s.model.cmds.iter_mut() {
-                remap(&mut c.summary.label.0);
-            }
-        });
-        self.triple_states.for_each_mut(|s| {
-            for c in s.model.model.cmds.iter_mut() {
-                remap(&mut c.summary.label.0);
-            }
-        });
-    }
-
-    /// Evicts every verdict entry and retained solver involving one of the
-    /// named transactions. Returns the number of verdict entries evicted.
-    ///
-    /// This is the coarse, name-keyed form of invalidation — useful when
-    /// the caller knows which transactions changed but no longer has the
-    /// program they belonged to. The repair driver prefers the precise
-    /// [`VerdictCache::sweep`], which keeps entries whose fingerprints
-    /// survived the step. Content-addressed misses make both optional for
-    /// soundness — they bound memory and keep [`CacheStats`] honest.
-    pub fn invalidate_txns(&mut self, txns: &BTreeSet<String>) -> usize {
-        let before = self.verdicts.len() + self.triples.len();
-        self.verdicts
-            .retain(|_, e| !txns.contains(&e.txn1) && !txns.contains(&e.txn2));
-        self.states
-            .retain(|_, s| !txns.contains(&s.txns.0) && !txns.contains(&s.txns.1));
-        self.triples
-            .retain(|_, e| e.txns.iter().all(|t| !txns.contains(t)));
-        self.triple_states
-            .retain(|_, s| s.txns.iter().all(|t| !txns.contains(t)));
-        let evicted = before - self.verdicts.len() - self.triples.len();
-        self.stats.invalidated += evicted as u64;
-        evicted
-    }
-
-    /// Precise, fingerprint-checked eviction: evicts a verdict entry (or
-    /// retained solver) involving one of the named transactions **only if
-    /// that transaction's summary fingerprint actually changed** — i.e. the
-    /// name is absent from `after`, or present with a different
+    /// Precise, fingerprint-checked eviction: evicts the verdict entries
+    /// (and retained solvers) of every group with a member among the named
+    /// transactions **whose summary fingerprint actually changed** — i.e.
+    /// the name is absent from `after`, or present with a different
     /// fingerprint. A pure relabeling leaves every fingerprint intact, so
-    /// (unlike the coarse [`VerdictCache::invalidate_txns`]) this keeps the
-    /// warm entries the rename map already composes lookups through, and a
+    /// this keeps the warm entries a relabeled program still hits, and a
     /// warm re-detection after a rename-only step equals a cold oracle
     /// without re-solving anything. Returns the number of verdict entries
     /// evicted.
@@ -649,25 +551,17 @@ impl VerdictCache {
             .iter()
             .map(|t| (t.name.clone(), txn_fingerprint(t)))
             .collect();
-        let changed = |name: &str, fp: u64| {
-            txns.contains(name) && after_fps.get(name) != Some(&fp)
-        };
-        let before = self.verdicts.len() + self.triples.len();
-        self.verdicts
-            .retain(|k, e| !changed(&e.txn1, k.0) && !changed(&e.txn2, k.1));
-        self.states
-            .retain(|k, s| !changed(&s.txns.0, k.0) && !changed(&s.txns.1, k.1));
-        self.triples.retain(|k, e| {
-            let fps = [k.0, k.1, k.2];
-            e.txns.iter().zip(fps).all(|(t, fp)| !changed(t, fp))
-        });
-        self.triple_states.retain(|k, s| {
-            let fps = [k.0, k.1, k.2];
-            s.txns.iter().zip(fps).all(|(t, fp)| !changed(t, fp))
-        });
-        let evicted = before - self.verdicts.len() - self.triples.len();
-        self.stats.invalidated += evicted as u64;
-        evicted
+        // Member fingerprints name their transaction (the name is hashed),
+        // and every retained solver's group also has an entry, so the
+        // stale fingerprints read off the entries cover the states too.
+        let stale: HashSet<u64> = self
+            .verdicts
+            .iter()
+            .flat_map(|(k, e)| k.fps().iter().zip(&e.txns))
+            .filter(|(fp, name)| txns.contains(*name) && after_fps.get(*name) != Some(fp))
+            .map(|(fp, _)| *fp)
+            .collect();
+        self.retain_groups(|k| k.fps().iter().all(|fp| !stale.contains(fp)))
     }
 
     /// **Resets** liveness to exactly `program` and garbage-collects every
@@ -693,12 +587,11 @@ impl VerdictCache {
 
     /// The per-pass sweep: folds the pass's live transaction fingerprints
     /// into the session's liveness union, then garbage-collects entries
-    /// outside the union. [`crate::detect_anomalies_cached`] and the
-    /// [`crate::DetectionEngine`] call this at the start of every pass with
-    /// the fingerprints they compute anyway. Within a single-program
-    /// lifetime this degenerates to the precise per-program sweep; across a
-    /// session it keeps warm entries of *every* program seen alive (bound
-    /// memory with the explicit [`VerdictCache::sweep`]).
+    /// outside the union. The detection driver calls this at the start of
+    /// every pass with the fingerprints it computes anyway. Within a
+    /// single-program lifetime this degenerates to the precise per-program
+    /// sweep; across a session it keeps warm entries of *every* program
+    /// seen alive (bound memory with the explicit [`VerdictCache::sweep`]).
     pub(crate) fn sweep_live(&mut self, fps: &[u64]) -> usize {
         self.session_live.extend(fps.iter().copied());
         self.retain_session_live()
@@ -716,309 +609,124 @@ impl VerdictCache {
 
     fn retain_session_live(&mut self) -> usize {
         let live = std::mem::take(&mut self.session_live);
-        let before = self.verdicts.len() + self.triples.len();
-        self.verdicts
-            .retain(|k, _| live.contains(&k.0) && live.contains(&k.1));
-        self.states
-            .retain(|k, _| live.contains(&k.0) && live.contains(&k.1));
-        self.triples
-            .retain(|k, _| live.contains(&k.0) && live.contains(&k.1) && live.contains(&k.2));
-        self.triple_states
-            .retain(|k, _| live.contains(&k.0) && live.contains(&k.1) && live.contains(&k.2));
+        let evicted = self.retain_groups(|k| k.fps().iter().all(|fp| live.contains(fp)));
         self.session_live = live;
-        let evicted = before - self.verdicts.len() - self.triples.len();
+        evicted
+    }
+
+    /// Keeps exactly the verdicts and retained solvers whose group
+    /// satisfies `keep`, counting the evicted verdict entries.
+    fn retain_groups(&mut self, keep: impl Fn(&GroupKey) -> bool) -> usize {
+        let before = self.verdicts.len();
+        self.verdicts.retain(|k, _| keep(k));
+        self.states.retain(&keep);
+        let evicted = before - self.verdicts.len();
         self.stats.invalidated += evicted as u64;
         evicted
     }
 
-    /// Looks up the cached verdicts for an ordered pair (already in the
-    /// current label language — see [`VerdictCache::record_renames`]).
-    /// Bumps hit/miss statistics.
-    pub(crate) fn lookup(
-        &mut self,
-        fp1: u64,
-        fp2: u64,
-        symmetric: bool,
-        level: ConsistencyLevel,
-    ) -> Option<Vec<AccessPair>> {
-        self.stats.lookups += 1;
+    /// Looks up the cached verdict of one group, bumping the hit/miss
+    /// statistics of its size and, past the first run boundary, the shared
+    /// cross-run counters.
+    pub(crate) fn lookup(&mut self, key: &GroupKey) -> Option<&VerdictEntry> {
+        let s = &mut self.stats;
+        let (lookups, hits, misses) = if key.k() == 2 {
+            (&mut s.lookups, &mut s.hits, &mut s.misses)
+        } else {
+            (
+                &mut s.triple_lookups,
+                &mut s.triple_hits,
+                &mut s.triple_misses,
+            )
+        };
+        *lookups += 1;
         // Cross-run accounting engages from the second run onwards: only
         // then can a lookup possibly be served by an earlier run's entry.
         let cross = self.run >= 2;
         if cross {
-            self.stats.cross_run_lookups += 1;
+            s.cross_run_lookups += 1;
         }
-        match self.verdicts.get(&(fp1, fp2, symmetric, level)) {
+        match self.verdicts.get(key) {
             Some(e) => {
-                self.stats.hits += 1;
+                *hits += 1;
                 if cross && e.run < self.run {
-                    self.stats.cross_run_hits += 1;
+                    s.cross_run_hits += 1;
                 }
-                Some(e.pairs.clone())
+                Some(e)
             }
             None => {
-                self.stats.misses += 1;
+                *misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts the raw verdicts of one ordered-pair analysis.
-    #[allow(clippy::too_many_arguments)]
+    /// The cached verdict of one group, without touching the statistics.
+    pub(crate) fn entry(&self, key: &GroupKey) -> Option<&VerdictEntry> {
+        self.verdicts.get(key)
+    }
+
+    /// Inserts the raw findings of one group analysis; `ts` are the
+    /// members in key orientation.
     pub(crate) fn insert(
         &mut self,
-        fp1: u64,
-        fp2: u64,
-        symmetric: bool,
-        level: ConsistencyLevel,
-        t1: &TxnSummary,
-        t2: &TxnSummary,
-        pairs: Vec<AccessPair>,
+        key: GroupKey,
+        ts: &[&TxnSummary],
+        findings: Vec<Finding>,
         proofs: Vec<Vec<u8>>,
     ) {
+        let txns = ts.iter().map(|t| t.name.clone()).collect();
         self.verdicts.insert(
-            (fp1, fp2, symmetric, level),
-            VerdictEntry {
-                txn1: t1.name.clone(),
-                txn2: t2.name.clone(),
-                run: self.run,
-                pairs,
-                proofs,
-            },
-        );
-    }
-
-    /// Looks up the cached verdicts for a transaction triple under its
-    /// canonical key (fingerprints sorted — see [`TripleVerdictKey`]).
-    /// Bumps the triple hit/miss statistics and, past the first run
-    /// boundary, the shared cross-run counters.
-    pub(crate) fn lookup_triple(&mut self, key: TripleVerdictKey) -> Option<Vec<AccessPair>> {
-        self.stats.triple_lookups += 1;
-        let cross = self.run >= 2;
-        if cross {
-            self.stats.cross_run_lookups += 1;
-        }
-        match self.triples.get(&key) {
-            Some(e) => {
-                self.stats.triple_hits += 1;
-                if cross && e.run < self.run {
-                    self.stats.cross_run_hits += 1;
-                }
-                Some(e.pairs.clone())
-            }
-            None => {
-                self.stats.triple_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts the raw verdicts of one triple analysis.
-    pub(crate) fn insert_triple(
-        &mut self,
-        key: TripleVerdictKey,
-        txns: [&TxnSummary; 3],
-        pairs: Vec<AccessPair>,
-        proofs: Vec<Vec<u8>>,
-    ) {
-        self.triples.insert(
             key,
-            TripleEntry {
-                txns: [
-                    txns[0].name.clone(),
-                    txns[1].name.clone(),
-                    txns[2].name.clone(),
-                ],
+            VerdictEntry {
+                txns,
                 run: self.run,
-                pairs,
+                findings,
                 proofs,
             },
         );
     }
 
-    /// Serializes every pair and triple verdict entry into the
-    /// `verdict_cache.v1` byte format (see [`persist`]); entries are
-    /// written in sorted key order so equal caches produce equal bytes.
-    /// Retained solvers are transient and not persisted. Returns the
-    /// number of entries written.
-    pub(crate) fn save_entries(&self, out: &mut Vec<u8>) -> usize {
-        out.extend_from_slice(persist::MAGIC);
-        persist::put_u32(out, persist::ENCODER_REVISION);
-        let mut pair_keys: Vec<&VerdictKey> = self.verdicts.keys().collect();
-        pair_keys.sort();
-        persist::put_u64(out, pair_keys.len() as u64);
-        for k in &pair_keys {
-            let e = &self.verdicts[*k];
-            persist::put_u64(out, k.0);
-            persist::put_u64(out, k.1);
-            out.push(u8::from(k.2));
-            out.push(k.3.index() as u8);
-            persist::put_str(out, &e.txn1);
-            persist::put_str(out, &e.txn2);
-            persist::put_pairs(out, &e.pairs);
-            persist::put_blobs(out, &e.proofs);
-        }
-        let mut triple_keys: Vec<&TripleVerdictKey> = self.triples.keys().collect();
-        triple_keys.sort();
-        persist::put_u64(out, triple_keys.len() as u64);
-        for k in &triple_keys {
-            let e = &self.triples[*k];
-            persist::put_u64(out, k.0);
-            persist::put_u64(out, k.1);
-            persist::put_u64(out, k.2);
-            out.push(k.3.index() as u8);
-            for t in &e.txns {
-                persist::put_str(out, t);
-            }
-            persist::put_pairs(out, &e.pairs);
-            persist::put_blobs(out, &e.proofs);
-        }
-        pair_keys.len() + triple_keys.len()
-    }
-
-    /// Reconstructs a cache from [`VerdictCache::save_entries`] bytes.
-    /// Every entry loads into run 0, and the liveness union is seeded with
-    /// every fingerprint occurring in a key — so a later pass over *any*
-    /// of the programs the entries came from answers warm instead of
-    /// sweeping the rest away first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::ErrorKind::InvalidData`] on a bad magic, an
-    /// encoder-revision mismatch, an unknown tag, or a truncated buffer.
-    pub(crate) fn load_entries(bytes: &[u8]) -> std::io::Result<VerdictCache> {
-        let mut r = persist::Reader::new(bytes);
-        r.expect_magic()?;
-        r.expect_revision()?;
-        let mut cache = VerdictCache::new();
-        let n_pairs = r.u64()?;
-        for _ in 0..n_pairs {
-            let fp1 = r.u64()?;
-            let fp2 = r.u64()?;
-            let symmetric = r.u8()? != 0;
-            let level = ConsistencyLevel::from_index(r.u8()? as usize)
-                .ok_or_else(|| persist::bad("unknown consistency-level tag"))?;
-            let txn1 = r.string()?;
-            let txn2 = r.string()?;
-            let pairs = r.pairs()?;
-            let proofs = r.blobs()?;
-            cache.verdicts.insert(
-                (fp1, fp2, symmetric, level),
-                VerdictEntry {
-                    txn1,
-                    txn2,
-                    run: 0,
-                    pairs,
-                    proofs,
-                },
-            );
-            cache.session_live.extend([fp1, fp2]);
-        }
-        let n_triples = r.u64()?;
-        for _ in 0..n_triples {
-            let fp1 = r.u64()?;
-            let fp2 = r.u64()?;
-            let fp3 = r.u64()?;
-            let level = ConsistencyLevel::from_index(r.u8()? as usize)
-                .ok_or_else(|| persist::bad("unknown consistency-level tag"))?;
-            let txns = [r.string()?, r.string()?, r.string()?];
-            let pairs = r.pairs()?;
-            let proofs = r.blobs()?;
-            cache.triples.insert(
-                (fp1, fp2, fp3, level),
-                TripleEntry {
-                    txns,
-                    run: 0,
-                    pairs,
-                    proofs,
-                },
-            );
-            cache.session_live.extend([fp1, fp2, fp3]);
-        }
-        Ok(cache)
-    }
-
-    /// True when a pair verdict is cached under `key`. Unlike
-    /// [`VerdictCache::lookup`] this is a pure probe: no statistics are
-    /// bumped — the corpus planner uses it to dedup dirty pairs across a
-    /// whole corpus without inflating the per-program hit accounting.
-    pub(crate) fn contains_pair(&self, key: &VerdictKey) -> bool {
-        self.verdicts.contains_key(key)
-    }
-
-    /// True when a triple verdict is cached under `key` (pure probe, no
-    /// statistics — see [`VerdictCache::contains_pair`]).
-    pub(crate) fn contains_triple(&self, key: &TripleVerdictKey) -> bool {
-        self.triples.contains_key(key)
-    }
-
-    /// Every pair entry, sorted by key — the deterministic iteration order
-    /// the sharded store encodes records in.
-    pub(crate) fn pair_entries(&self) -> Vec<(&VerdictKey, &VerdictEntry)> {
+    /// Every entry, sorted by key — the deterministic iteration order the
+    /// store encodes records in and the certificates are reported in.
+    pub(crate) fn entries(&self) -> Vec<(&GroupKey, &VerdictEntry)> {
         let mut out: Vec<_> = self.verdicts.iter().collect();
         out.sort_by_key(|(k, _)| **k);
         out
     }
 
-    /// Every triple entry, sorted by key (see
-    /// [`VerdictCache::pair_entries`]).
-    pub(crate) fn triple_entries(&self) -> Vec<(&TripleVerdictKey, &TripleEntry)> {
-        let mut out: Vec<_> = self.triples.iter().collect();
-        out.sort_by_key(|(k, _)| **k);
-        out
-    }
-
-    /// Installs a pair entry loaded from a persistent store, seeding the
-    /// liveness union with its fingerprints (the same contract as
-    /// [`VerdictCache::load_entries`]).
-    pub(crate) fn absorb_pair_entry(&mut self, key: VerdictKey, entry: VerdictEntry) {
-        self.session_live.extend([key.0, key.1]);
+    /// Installs an entry loaded from a persistent store into run 0, seeding
+    /// the liveness union with its fingerprints — so a later pass over
+    /// *any* of the programs the entries came from answers warm instead of
+    /// sweeping the rest away first.
+    pub(crate) fn absorb(&mut self, key: GroupKey, entry: VerdictEntry) {
+        self.session_live.extend(key.fps().iter().copied());
         self.verdicts.insert(key, entry);
     }
 
-    /// Installs a triple entry loaded from a persistent store (see
-    /// [`VerdictCache::absorb_pair_entry`]).
-    pub(crate) fn absorb_triple_entry(&mut self, key: TripleVerdictKey, entry: TripleEntry) {
-        self.session_live.extend([key.0, key.1, key.2]);
-        self.triples.insert(key, entry);
-    }
-
-    /// Every proof certificate blob stored in the cache — pair entries
-    /// first, then triple entries, each section in sorted key order, so
-    /// the sequence is deterministic across runs and thread counts.
+    /// Every proof certificate blob stored in the cache, in sorted key
+    /// order (pair entries before triple entries), so the sequence is
+    /// deterministic across runs and thread counts.
     pub fn proof_blobs(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for (_, e) in self.pair_entries() {
-            out.extend(e.proofs.iter().cloned());
-        }
-        for (_, e) in self.triple_entries() {
-            out.extend(e.proofs.iter().cloned());
-        }
-        out
+        self.entries()
+            .into_iter()
+            .flat_map(|(_, e)| e.proofs.iter().cloned())
+            .collect()
     }
 
-    /// One audit record per cached verdict, pair entries first, then
-    /// triple entries, each section in sorted key order — the raw
-    /// material of the per-benchmark anomaly reports.
+    /// One audit record per cached verdict, in sorted key order (pair
+    /// entries before triple entries) — the raw material of the
+    /// per-benchmark anomaly reports.
     pub fn audits(&self) -> Vec<VerdictAudit> {
-        let mut out = Vec::new();
-        for (k, e) in self.pair_entries() {
-            out.push(VerdictAudit {
-                txns: vec![e.txn1.clone(), e.txn2.clone()],
-                level: k.3,
-                anomalies: e.pairs.len(),
+        self.entries()
+            .into_iter()
+            .map(|(k, e)| VerdictAudit {
+                txns: e.txns.clone(),
+                level: k.level,
+                anomalies: e.findings.len(),
                 proofs: e.proofs.clone(),
-            });
-        }
-        for (k, e) in self.triple_entries() {
-            out.push(VerdictAudit {
-                txns: e.txns.to_vec(),
-                level: k.3,
-                anomalies: e.pairs.len(),
-                proofs: e.proofs.clone(),
-            });
-        }
-        out
+            })
+            .collect()
     }
 }
 
@@ -1036,211 +744,6 @@ pub struct VerdictAudit {
     pub anomalies: usize,
     /// Proof certificate blobs of the verdict's UNSAT queries.
     pub proofs: Vec<Vec<u8>>,
-}
-
-/// The `verdict_cache.v1` on-disk byte format: a magic header, the encoder
-/// revision, then the pair entries, then the triple entries, each section
-/// length-prefixed.
-/// Every integer is little-endian; strings are UTF-8 with a `u32` length
-/// prefix; string sets are a `u32` count followed by the strings in set
-/// order. No external dependency — the format is a few dozen lines of
-/// plain byte plumbing. The sharded `verdict_cache.v2` store
-/// ([`crate::corpus`]) reuses these primitives for its per-record
-/// payloads, so one entry encoding serves both formats.
-pub(crate) mod persist {
-    use std::collections::BTreeSet;
-    use std::io;
-
-    use crate::detect::{AccessPair, AnomalyKind};
-
-    /// Magic + version header (`v1`).
-    pub(crate) const MAGIC: &[u8; 8] = b"ATRVC\x01\0\0";
-
-    /// Revision of the *encoder* that produced the file, written right
-    /// after the magic. The format version (`v1`, in the magic) names the
-    /// byte layout; the encoder revision names the semantics of what the
-    /// verdicts *mean* — bump it whenever the fingerprint function, the
-    /// violation templates, or the anomaly vocabulary changes, so a cache
-    /// persisted by an older build is refused instead of silently trusted
-    /// (stale verdicts would bypass re-detection — unless the record
-    /// carries proof certificates that still check, in which case the
-    /// sharded store salvages it; see `corpus::read_shard`). The value is
-    /// high-entropy on purpose: pre-revision files carry a small entry
-    /// count in these bytes, which can never collide with it.
-    ///
-    /// `0xA750_0002`: verdict entries gained an embedded proof-blob
-    /// section.
-    pub(crate) const ENCODER_REVISION: u32 = 0xA750_0002;
-
-    pub(crate) fn bad(msg: &str) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, format!("verdict_cache.v1: {msg}"))
-    }
-
-    pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    }
-
-    fn put_set(out: &mut Vec<u8>, set: &BTreeSet<String>) {
-        out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-        for s in set {
-            put_str(out, s);
-        }
-    }
-
-    pub(crate) fn put_pairs(out: &mut Vec<u8>, pairs: &[AccessPair]) {
-        put_u64(out, pairs.len() as u64);
-        for p in pairs {
-            put_str(out, &p.cmd1.0);
-            put_set(out, &p.fields1);
-            put_str(out, &p.cmd2.0);
-            put_set(out, &p.fields2);
-            put_str(out, &p.txn1);
-            put_str(out, &p.txn2);
-            put_set(out, &p.witnesses);
-            out.push(p.kind.tag());
-        }
-    }
-
-    /// Proof certificate blobs: a `u32` count, then each blob as a `u32`
-    /// length prefix plus its bytes (the blob itself is an opaque
-    /// `atropos_proof` certificate, checksummed internally).
-    pub(crate) fn put_blobs(out: &mut Vec<u8>, blobs: &[Vec<u8>]) {
-        put_u32(out, blobs.len() as u32);
-        for b in blobs {
-            put_u32(out, b.len() as u32);
-            out.extend_from_slice(b);
-        }
-    }
-
-    pub(crate) struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
-            Reader { bytes, pos: 0 }
-        }
-
-        fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-            let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-            let Some(end) = end else {
-                return Err(bad(&format!(
-                    "truncated: need {n} more bytes at offset {}, file ends after {} \
-                     (clean EOF inside a length-prefixed record)",
-                    self.pos,
-                    self.bytes.len()
-                )));
-            };
-            let s = &self.bytes[self.pos..end];
-            self.pos = end;
-            Ok(s)
-        }
-
-        pub(crate) fn expect_magic(&mut self) -> io::Result<()> {
-            // An empty file is the common crash-before-first-write case;
-            // name it instead of reporting a generic truncation.
-            if self.bytes.is_empty() {
-                return Err(bad("empty file (zero bytes; was the cache ever written?)"));
-            }
-            if self.take(MAGIC.len())? != MAGIC {
-                return Err(bad("bad magic (not a verdict cache, or a future version)"));
-            }
-            Ok(())
-        }
-
-        pub(crate) fn expect_revision(&mut self) -> io::Result<()> {
-            let got = self.u32()?;
-            if got != ENCODER_REVISION {
-                return Err(bad(&format!(
-                    "encoder revision mismatch: file was written by encoder {got:#010x}, \
-                     this build expects {ENCODER_REVISION:#010x} — the cached verdicts may \
-                     not mean what this build thinks; delete the cache file and regenerate it"
-                )));
-            }
-            Ok(())
-        }
-
-        pub(crate) fn u8(&mut self) -> io::Result<u8> {
-            Ok(self.take(1)?[0])
-        }
-
-        pub(crate) fn u64(&mut self) -> io::Result<u64> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-        }
-
-        pub(crate) fn u32(&mut self) -> io::Result<u32> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-        }
-
-        pub(crate) fn string(&mut self) -> io::Result<String> {
-            let len = self.u32()? as usize;
-            let s = self.take(len)?;
-            String::from_utf8(s.to_vec()).map_err(|_| bad("non-UTF-8 string"))
-        }
-
-        fn set(&mut self) -> io::Result<BTreeSet<String>> {
-            let n = self.u32()? as usize;
-            let mut out = BTreeSet::new();
-            for _ in 0..n {
-                out.insert(self.string()?);
-            }
-            Ok(out)
-        }
-
-        /// Smallest possible encoded [`AccessPair`]: seven empty
-        /// strings/sets (4 length bytes each) plus the kind tag — bounds
-        /// how many entries a length prefix can honestly promise.
-        const MIN_ENCODED_PAIR: usize = 29;
-
-        pub(crate) fn pairs(&mut self) -> io::Result<Vec<AccessPair>> {
-            let n = self.u64()? as usize;
-            // A length prefix can't promise more entries than bytes left —
-            // checked against the minimum encoding so a garbage count in a
-            // corrupt file fails here instead of sizing a huge allocation.
-            if n > self.bytes.len().saturating_sub(self.pos) / Self::MIN_ENCODED_PAIR {
-                return Err(bad("truncated"));
-            }
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(AccessPair {
-                    cmd1: atropos_dsl::CmdLabel(self.string()?),
-                    fields1: self.set()?,
-                    cmd2: atropos_dsl::CmdLabel(self.string()?),
-                    fields2: self.set()?,
-                    txn1: self.string()?,
-                    txn2: self.string()?,
-                    witnesses: self.set()?,
-                    kind: AnomalyKind::from_tag(self.u8()?)
-                        .ok_or_else(|| bad("unknown anomaly-kind tag"))?,
-                });
-            }
-            Ok(out)
-        }
-
-        pub(crate) fn blobs(&mut self) -> io::Result<Vec<Vec<u8>>> {
-            let n = self.u32()? as usize;
-            // Each promised blob costs at least its 4-byte length prefix.
-            if n > self.bytes.len().saturating_sub(self.pos) / 4 {
-                return Err(bad("truncated"));
-            }
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                let len = self.u32()? as usize;
-                out.push(self.take(len)?.to_vec());
-            }
-            Ok(out)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1273,78 +776,113 @@ mod tests {
         assert_ne!(txn_fingerprint(&a[0]), txn_fingerprint(&scanned[0]));
     }
 
+    const EC: ConsistencyLevel = ConsistencyLevel::EventualConsistency;
+
+    /// Cached verdicts carry no labels: a relabeled program hits the
+    /// entries its predecessor cached and is answered under its own labels
+    /// — across successive relabelings too (`R → R2`, then `R2 → R3`
+    /// serves `R3`).
     #[test]
     fn renames_apply_to_cached_pairs_and_compose() {
-        let ts = summaries(COUNTER);
-        let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
+        use crate::detect_anomalies_cached;
         let mut cache = VerdictCache::new();
-        let pair = AccessPair {
-            cmd1: "R".into(),
-            fields1: BTreeSet::from(["v".to_owned()]),
-            cmd2: "W".into(),
-            fields2: BTreeSet::from(["v".to_owned()]),
-            txn1: t.name.clone(),
-            txn2: t.name.clone(),
-            witnesses: BTreeSet::new(),
-            kind: crate::AnomalyKind::LostUpdate,
-        };
-        cache.insert(fp, fp, true, ConsistencyLevel::EventualConsistency, t, t, vec![pair], vec![]);
-        cache.record_renames(&BTreeMap::from([("R".to_owned(), "R2".to_owned())]));
-        cache.record_renames(&BTreeMap::from([("R2".to_owned(), "R3".to_owned())]));
-        let got = cache
-            .lookup(fp, fp, true, ConsistencyLevel::EventualConsistency)
-            .unwrap();
-        assert_eq!(got[0].cmd1.0, "R3");
-        assert_eq!(got[0].cmd2.0, "W");
-        assert_eq!(cache.stats().hits, 1);
+        detect_anomalies_cached(&parse(COUNTER).unwrap(), EC, &mut cache);
+        for label in ["R2", "R3"] {
+            let p = parse(&COUNTER.replace("@R ", &format!("@{label} "))).unwrap();
+            let before = cache.stats();
+            let (got, stats) = detect_anomalies_cached(&p, EC, &mut cache);
+            assert_eq!(stats.queries, 0);
+            assert_eq!(cache.stats().since(&before).hits, 1);
+            assert_eq!(
+                (got[0].cmd1.0.as_str(), got[0].cmd2.0.as_str()),
+                (label, "W")
+            );
+        }
     }
 
+    /// Two writes of one transaction observed by a reader: a dirty read
+    /// whose two anchors carry different fields.
+    const TWO_WRITES: &str = "schema T { id: int key, a: int, b: int }
+         txn w(k: int) {
+             @W1 update T set a = 1 where id = k;
+             @W2 update T set b = 2 where id = k;
+             return 0;
+         }
+         txn r(k: int) { @R x := select a, b from T where id = k; return x.a; }";
+
+    /// A relabeling that swaps two commands' labels (`W1 ↔ W2`) is
+    /// answered exactly like a cold pass over the swapped program: the hit
+    /// re-orients the pair by its new labels instead of replaying the old
+    /// ones with the old fields.
     #[test]
     fn a_swap_batch_renames_simultaneously() {
-        // One step that exchanges two summary-identical commands' labels
-        // reports {R → W, W → R}; sequential application would corrupt it.
-        let ts = summaries(COUNTER);
-        let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
+        use crate::{detect_anomalies, detect_anomalies_cached};
         let mut cache = VerdictCache::new();
-        let pair = AccessPair {
-            cmd1: "R".into(),
-            fields1: BTreeSet::new(),
-            cmd2: "W".into(),
-            fields2: BTreeSet::new(),
-            txn1: t.name.clone(),
-            txn2: t.name.clone(),
-            witnesses: BTreeSet::new(),
-            kind: crate::AnomalyKind::LostUpdate,
-        };
-        cache.insert(fp, fp, true, ConsistencyLevel::EventualConsistency, t, t, vec![pair], vec![]);
-        cache.record_renames(&BTreeMap::from([
-            ("R".to_owned(), "W".to_owned()),
-            ("W".to_owned(), "R".to_owned()),
-        ]));
-        let got = cache
-            .lookup(fp, fp, true, ConsistencyLevel::EventualConsistency)
-            .unwrap();
-        assert_eq!(got[0].cmd1.0, "W");
-        assert_eq!(got[0].cmd2.0, "R");
+        detect_anomalies_cached(&parse(TWO_WRITES).unwrap(), EC, &mut cache);
+        let swapped = parse(
+            &TWO_WRITES
+                .replace("@W1 ", "@TMP ")
+                .replace("@W2 ", "@W1 ")
+                .replace("@TMP ", "@W2 "),
+        )
+        .unwrap();
+        let (warm, stats) = detect_anomalies_cached(&swapped, EC, &mut cache);
+        assert_eq!(stats.queries, 0);
+        assert_eq!(warm, detect_anomalies(&swapped, EC));
+        let dirty = warm
+            .iter()
+            .find(|p| p.kind == crate::AnomalyKind::DirtyRead)
+            .expect("the dirty read survives the swap");
+        // `W1` now writes `b`.
+        assert_eq!(dirty.cmd1.0, "W1");
+        assert_eq!(dirty.fields1, BTreeSet::from(["b".to_owned()]));
     }
 
+    /// A retained solver grounded under one program's labels and
+    /// re-queried (here at another level) for a relabeled program reports
+    /// the *current* labels, not the ones it was grounded with.
     #[test]
     fn renames_reach_retained_pair_models() {
-        // A retained state re-analysed after a pure relabeling must emit
-        // the *current* labels, not the ones it was grounded with.
-        let ts = summaries(COUNTER);
-        let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
+        use crate::{detect_anomalies, detect_anomalies_cached};
         let mut cache = VerdictCache::new();
-        cache.states().store((fp, fp), PairState::new(t, t));
-        cache.record_renames(&BTreeMap::from([("R".to_owned(), "R9".to_owned())]));
-        let state = cache.states().take((fp, fp)).expect("retained");
-        let labels: Vec<&str> = state
-            .model
-            .cmds
-            .iter()
-            .map(|c| c.summary.label.0.as_str())
-            .collect();
-        assert_eq!(labels, vec!["R9", "W", "R9", "W"]);
+        detect_anomalies_cached(&parse(TWO_WRITES).unwrap(), EC, &mut cache);
+        let relabeled = parse(&TWO_WRITES.replace("@W1 ", "@W9 ")).unwrap();
+        let cc = ConsistencyLevel::CausalConsistency;
+        let (got, _) = detect_anomalies_cached(&relabeled, cc, &mut cache);
+        assert!(cache.stats().solver_reuses > 0, "{:?}", cache.stats());
+        assert_eq!(got, detect_anomalies(&relabeled, cc));
+        assert!(
+            got.iter()
+                .any(|p| p.kind == crate::AnomalyKind::DirtyRead && p.cmd2.0 == "W9"),
+            "{got:?}"
+        );
+    }
+
+    /// Store records are outside input: a finding naming a command its
+    /// program lacks (which only a forged record can) is dropped on the
+    /// hit instead of panicking.
+    #[test]
+    fn forged_command_index_is_dropped_not_a_panic() {
+        use crate::detect_anomalies_cached;
+        let p = parse(COUNTER).unwrap();
+        let ts = summarize_program(&p);
+        let fp = txn_fingerprint(&ts[0]);
+        let forged = Finding {
+            cmds: [(0, 0), (1, 99)],
+            fields: Default::default(),
+            witness: None,
+            kind: crate::AnomalyKind::LostUpdate,
+        };
+        let mut cache = VerdictCache::new();
+        cache.insert(
+            GroupKey::new(&[fp, fp], true, EC),
+            &[&ts[0], &ts[0]],
+            vec![forged],
+            vec![],
+        );
+        let (got, stats) = detect_anomalies_cached(&p, EC, &mut cache);
+        assert_eq!(stats.queries, 0, "the forged entry was hit");
+        assert!(got.is_empty(), "{got:?}");
     }
 
     /// Satellite regression for multi-run cache lifetimes: a detection pass
@@ -1400,18 +938,22 @@ mod tests {
     fn sharded_state_map_takes_and_stores_through_shared_refs() {
         let ts = summaries(COUNTER);
         let t = &ts[0];
-        let map = ShardedStateMap::new();
-        assert!(map.take((1, 2)).is_none());
-        map.store((1, 2), PairState::new(t, t));
-        map.store((3, 4), PairState::new(t, t));
+        let (a, b) = (
+            GroupKey::new(&[1, 2], true, EC),
+            GroupKey::new(&[3, 4], true, EC),
+        );
+        let map = ShardedStates::new();
+        assert!(map.take(&a).is_none());
+        map.store(a, GroupState::new(&[t, t]));
+        map.store(b, GroupState::new(&[t, t]));
         // Concurrent take/store from scoped workers — the engine's pattern.
         std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| map.take((1, 2)).is_some());
-            let h2 = scope.spawn(|| map.take((3, 4)).is_some());
+            let h1 = scope.spawn(|| map.take(&a).is_some());
+            let h2 = scope.spawn(|| map.take(&b).is_some());
             assert!(h1.join().unwrap());
             assert!(h2.join().unwrap());
         });
-        assert!(map.take((1, 2)).is_none());
+        assert!(map.take(&a).is_none());
     }
 
     /// Satellite pin: with zero cross-run lookups the ratio is *defined*
@@ -1429,7 +971,7 @@ mod tests {
         let mut cache = VerdictCache::new();
         let ts = summaries(COUNTER);
         let fp = txn_fingerprint(&ts[0]);
-        cache.lookup(fp, fp, true, ConsistencyLevel::EventualConsistency);
+        cache.lookup(&GroupKey::new(&[fp, fp], true, EC));
         assert!(cache.stats().lookups > 0);
         assert_eq!(cache.stats().cross_run_hit_ratio(), 0.0);
         assert!(format!("{:.2}", cache.stats().cross_run_hit_ratio()) == "0.00");
@@ -1437,8 +979,8 @@ mod tests {
 
     /// Satellite regression: the precise invalidation keeps entries whose
     /// fingerprints survived the edit (a pure relabeling), evicts entries
-    /// whose fingerprints changed, and composes with the rename map so a
-    /// warm re-detection equals a cold oracle without re-solving.
+    /// whose fingerprints changed, and relabels its hits so a warm
+    /// re-detection equals a cold oracle without re-solving.
     #[test]
     fn precise_invalidation_keeps_rename_only_entries() {
         use crate::detect_anomalies_cached;
@@ -1451,12 +993,8 @@ mod tests {
         assert!(!cold.is_empty());
         assert_eq!(cache.len(), 1, "the one ordered self-pair cached");
 
-        // A rename-only step: the rule reports the relabeling and names the
-        // txn dirty, but no fingerprint changed — nothing may be evicted.
-        cache.record_renames(&BTreeMap::from([
-            ("R".to_owned(), "Rx".to_owned()),
-            ("W".to_owned(), "Wx".to_owned()),
-        ]));
+        // A rename-only step: the rule names the txn dirty, but no
+        // fingerprint changed — nothing may be evicted.
         let dirty = BTreeSet::from(["bump".to_owned()]);
         assert_eq!(cache.invalidate_txns_changed(&dirty, &renamed), 0);
         assert_eq!(cache.len(), 1, "rename-only edit evicted warm entries");
@@ -1482,16 +1020,21 @@ mod tests {
     fn invalidation_evicts_by_transaction_name() {
         let ts = summaries(COUNTER);
         let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
+        let key = GroupKey::new(&[fp, fp], true, EC);
         let mut cache = VerdictCache::new();
-        cache.insert(fp, fp, true, ConsistencyLevel::EventualConsistency, t, t, vec![], vec![]);
+        cache.insert(key, &[t, t], vec![], vec![]);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.invalidate_txns(&BTreeSet::from(["other".to_owned()])), 0);
-        assert_eq!(cache.invalidate_txns(&BTreeSet::from(["bump".to_owned()])), 1);
+        // `bump` widened to a scan: its fingerprint changed, so only naming
+        // it evicts.
+        let widened =
+            parse(&COUNTER.replace("select v from T where id = k", "select v from T")).unwrap();
+        let other = BTreeSet::from(["other".to_owned()]);
+        assert_eq!(cache.invalidate_txns_changed(&other, &widened), 0);
+        let bump = BTreeSet::from(["bump".to_owned()]);
+        assert_eq!(cache.invalidate_txns_changed(&bump, &widened), 1);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidated, 1);
-        assert!(cache
-            .lookup(fp, fp, true, ConsistencyLevel::EventualConsistency)
-            .is_none());
+        assert!(cache.lookup(&key).is_none());
     }
 
     /// The 3-hop relay chain (the `Relay` workload's shape), used by the
@@ -1522,19 +1065,25 @@ mod tests {
         let mut fps: Vec<(u64, &TxnSummary)> =
             ts.iter().map(|t| (txn_fingerprint(t), t)).collect();
         fps.sort_by_key(|(fp, _)| *fp);
-        let key = (fps[0].0, fps[1].0, fps[2].0, ConsistencyLevel::EventualConsistency);
+        let key = GroupKey::new(&[fps[0].0, fps[1].0, fps[2].0], false, EC);
         for victim in ["post", "relay", "timeline"] {
             let mut cache = VerdictCache::new();
-            cache.insert_triple(key, [fps[0].1, fps[1].1, fps[2].1], vec![], vec![]);
+            cache.insert(key, &[fps[0].1, fps[1].1, fps[2].1], vec![], vec![]);
             assert_eq!(cache.triple_len(), 1);
-            assert_eq!(cache.invalidate_txns(&BTreeSet::from(["other".to_owned()])), 0);
+            // The edit renames the victim: its old name is gone from the
+            // program, so its fingerprint did not survive.
+            let after =
+                parse(&CHAIN.replace(&format!("txn {victim}("), &format!("txn {victim}2(")))
+                    .unwrap();
+            let other = BTreeSet::from(["other".to_owned()]);
+            assert_eq!(cache.invalidate_txns_changed(&other, &after), 0);
             assert_eq!(
-                cache.invalidate_txns(&BTreeSet::from([victim.to_owned()])),
+                cache.invalidate_txns_changed(&BTreeSet::from([victim.to_owned()]), &after),
                 1,
                 "stale triple verdict survived invalidating `{victim}`"
             );
             assert_eq!(cache.triple_len(), 0);
-            assert!(cache.lookup_triple(key).is_none());
+            assert!(cache.lookup(&key).is_none());
         }
     }
 
@@ -1544,7 +1093,7 @@ mod tests {
     /// would silently replay pre-edit verdicts).
     #[test]
     fn chain_rule_edit_evicts_stale_triple_verdicts() {
-        use crate::engine::{detect_with_cache, DetectMode};
+        use crate::engine::{detect_with_cache, DetectMode, DetectionEngine};
         let ec = ConsistencyLevel::EventualConsistency;
         let before = parse(CHAIN).unwrap();
         // The relay materialization's output shape: the derived field lives
@@ -1568,18 +1117,31 @@ mod tests {
         )
         .unwrap();
 
+        let engine = DetectionEngine::serial()
+            .with_learnt_pool(false)
+            .with_proofs(false);
+        let detect = |program: &Program, cache: &mut VerdictCache| {
+            detect_with_cache(
+                &engine,
+                program,
+                ec,
+                DetectMode::Triples,
+                cache,
+                &mut Vec::new(),
+            )
+            .0
+        };
         let mut cache = VerdictCache::new();
-        let (dirty, _) = detect_with_cache(1, &before, ec, DetectMode::Triples, &mut cache, None, None, false);
+        let dirty = detect(&before, &mut cache);
         assert_eq!(dirty.len(), 1, "{dirty:?}");
         assert!(cache.triple_len() > 0);
 
         let edited = BTreeSet::from(["post", "relay", "timeline"].map(str::to_owned));
-        assert!(cache.invalidate_txns(&edited) > 0);
+        assert!(cache.invalidate_txns_changed(&edited, &after) > 0);
         assert_eq!(cache.triple_len(), 0, "stale triple verdicts survived the edit");
 
-        let (warm, _) = detect_with_cache(1, &after, ec, DetectMode::Triples, &mut cache, None, None, false);
-        let (cold, _) =
-            detect_with_cache(1, &after, ec, DetectMode::Triples, &mut VerdictCache::new(), None, None, false);
+        let warm = detect(&after, &mut cache);
+        let cold = detect(&after, &mut VerdictCache::new());
         assert_eq!(warm, cold, "invalidated cache must agree with a cold oracle");
         assert!(warm.is_empty(), "{warm:?}");
     }

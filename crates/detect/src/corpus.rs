@@ -1,19 +1,17 @@
 //! Fleet-scale detection: the sharded `verdict_cache.v2` store and the
-//! batch corpus service (ROADMAP item 2).
+//! batch corpus service.
 //!
 //! # The v2 store
 //!
-//! The monolithic `verdict_cache.v1` file is a load-all/save-all snapshot:
-//! two sessions pointed at the same path clobber each other (last writer
-//! wins), and a crash mid-save leaves the truncated file `load_from`
-//! rejects. [`CorpusStore`] replaces it with a **directory** of
+//! A session's verdicts persist in a [`CorpusStore`]: a **directory** of
 //! [`SHARD_COUNT`] shard files keyed by fingerprint prefix (the high
-//! nibble of the entry's first canonical fingerprint picks the shard):
+//! nibble of the entry's first canonical fingerprint picks the shard), so
+//! concurrent sessions merge instead of clobbering one snapshot file:
 //!
 //! * every shard is a record log — a magic/revision header followed by
 //!   length-prefixed records, each carrying an FNV-1a checksum, a
-//!   coarse unix-seconds stamp (the eviction clock), and one pair or
-//!   triple verdict entry in the v1 entry encoding;
+//!   coarse unix-seconds stamp (the eviction clock), and one verdict
+//!   entry (see `encode_payload`);
 //! * shards are written via sibling tempfile + atomic rename, so a crash
 //!   at any point leaves either the old shard or the new one — never a
 //!   truncated hybrid;
@@ -26,12 +24,9 @@
 //!   applying an [`EvictionPolicy`] (max age, max entry count —
 //!   oldest-stamped entries go first).
 //!
-//! [`crate::DetectSession::save_to`] and
-//! [`crate::DetectSession::load_from`] dispatch on the path: a directory
-//! is a v2 store (save = union-merge), a file is the v1 format
-//! (unchanged, now written atomically). [`CorpusStore::open`] pointed at
-//! an existing v1 *file* transparently migrates it into a store
-//! directory at the same path.
+//! [`crate::DetectSession::save_to`] (a union-merge) and
+//! [`crate::DetectSession::load_from`] speak this store; both refuse a
+//! path that is a regular file.
 //!
 //! # The corpus service
 //!
@@ -39,16 +34,17 @@
 //! across programs: millions of users ship near-identical transaction
 //! shapes, so a corpus is mostly repeated fingerprints. [`CorpusService`]
 //! (and the underlying [`analyse_corpus`]) exploit this with a **global
-//! plan**: summarize and fingerprint every program, dedup the dirty
-//! pair/triple keys across the whole corpus, solve each unique key
-//! exactly once on one shared [`crate::DetectionEngine`] worker pool,
-//! then answer every program's verdicts from the warm store. Per-program
-//! verdicts are byte-identical to running each program through
+//! plan**: the detection driver takes the whole corpus as its batch —
+//! one program is simply a corpus of one — so it dedups the dirty
+//! pair/triple keys across every program, solves each unique key exactly
+//! once on one shared [`crate::DetectionEngine`] worker pool, and answers
+//! every program's slots from the merged cache. Per-program verdicts are
+//! byte-identical to running each program through
 //! [`crate::detect_anomalies_cached`] in isolation (pinned by
 //! `tests/corpus_differential.rs` at 1/2/8 threads) — the service only
 //! changes how often the solver runs, never what it concludes.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -57,20 +53,11 @@ use std::time::{Duration, Instant, SystemTime};
 
 use atropos_dsl::Program;
 
-use crate::cache::{
-    persist, txn_fingerprint, PairState, TripleEntry, TripleVerdictKey, VerdictCache,
-    VerdictEntry, VerdictKey,
-};
-use crate::detect::{solve_pair_with_state, AccessPair, DetectStats};
+use crate::cache::{GroupKey, VerdictCache, VerdictEntry};
+use crate::detect::{AccessPair, AnomalyKind, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
-use crate::engine::{
-    canonical_trio, detect_with_cache, merge_outcome_stats, publish_pair_state,
-    publish_trio_state, publishable_flags, run_pool, DetectMode, DetectionEngine, Outcome,
-    WorkerStats,
-};
-use crate::model::{summarize_program, TxnSummary};
+use crate::engine::{detect_batch, DetectMode, DetectionEngine};
 use crate::session::DetectSession;
-use crate::triple::{has_candidates, solve_triple_with_state, TripleState};
 
 /// Number of shard files a v2 store spreads its entries over. An entry's
 /// shard is the high nibble of its first canonical fingerprint, so the
@@ -79,6 +66,24 @@ pub const SHARD_COUNT: usize = 16;
 
 /// Magic + version header of one v2 shard file.
 const SHARD_MAGIC: &[u8; 8] = b"ATRVC\x02\0\0";
+
+/// Revision of the *encoder* that produced a shard, written right after
+/// the magic. The format version (`v2`, in the magic) names the byte
+/// layout; the encoder revision names the semantics of what the verdicts
+/// *mean* — bump it whenever the fingerprint function, the violation
+/// templates, or the anomaly vocabulary changes, so a store persisted by
+/// an older build is not silently trusted (stale verdicts would bypass
+/// re-detection — unless the record carries proof certificates that still
+/// check, in which case [`CorpusStore::read_shard`] salvages it). The
+/// value is high-entropy on purpose, so it cannot collide with a small
+/// count.
+///
+/// `0xA750_0002`: verdict entries gained an embedded proof-blob
+/// section.
+/// `0xA750_0003`: findings name their commands by (member, command
+/// index) instead of by the solving program's labels. A clean record
+/// carries no findings, so its bytes are unchanged and it still salvages.
+pub(crate) const ENCODER_REVISION: u32 = 0xA750_0003;
 
 /// How long a writer waits for a shard lock before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
@@ -120,7 +125,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// never a truncation. The temp name carries the pid and a process-local
 /// sequence number, so concurrent writers in one or many processes never
 /// collide on it.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = tmp_sibling(path);
     if let Err(e) = fs::write(&tmp, bytes) {
         let _ = fs::remove_file(&tmp);
@@ -190,130 +195,221 @@ impl Drop for ShardLock {
     }
 }
 
-/// One decoded store record: a pair or triple verdict entry plus its
-/// eviction stamp.
-enum StoreEntry {
-    Pair(VerdictKey, VerdictEntry),
-    Triple(TripleVerdictKey, TripleEntry),
-}
-
-/// Canonical, totally ordered identity of a record — the union-merge and
-/// shard-write key. Pairs and triples share one keyspace (tag first).
-type RecordKey = (u8, u64, u64, u64, u8, u8);
-
-fn record_key(e: &StoreEntry) -> RecordKey {
-    match e {
-        StoreEntry::Pair((fp1, fp2, symmetric, level), _) => {
-            (0, *fp1, *fp2, 0, u8::from(*symmetric), level.index() as u8)
-        }
-        StoreEntry::Triple((fp1, fp2, fp3, level), _) => {
-            (1, *fp1, *fp2, *fp3, 0, level.index() as u8)
-        }
-    }
-}
-
 /// The shard an entry lives in: the high nibble of its first canonical
 /// fingerprint.
-fn shard_of_fp(fp1: u64) -> usize {
-    ((fp1 >> 60) as usize) % SHARD_COUNT
+fn shard_of(key: &GroupKey) -> usize {
+    ((key.fps()[0] >> 60) as usize) % SHARD_COUNT
 }
 
 /// Whether a record from a revision-stale shard may be trusted anyway: it
 /// must be a **clean** verdict (an anomaly list would rest on uncertified
 /// SAT witnesses) carrying at least one proof certificate, and every
 /// certificate must pass the independent `atropos_proof` checker.
-fn entry_is_certified(e: &StoreEntry) -> bool {
-    let (pairs, proofs) = match e {
-        StoreEntry::Pair(_, entry) => (&entry.pairs, &entry.proofs),
-        StoreEntry::Triple(_, entry) => (&entry.pairs, &entry.proofs),
-    };
-    pairs.is_empty()
-        && !proofs.is_empty()
-        && proofs
+fn entry_is_certified(e: &VerdictEntry) -> bool {
+    e.findings.is_empty()
+        && !e.proofs.is_empty()
+        && e.proofs
             .iter()
             .all(|b| atropos_proof::check_blob(b).is_ok())
 }
 
-fn encode_payload(stamp: u64, e: &StoreEntry) -> Vec<u8> {
-    let mut out = Vec::new();
-    match e {
-        StoreEntry::Pair((fp1, fp2, symmetric, level), entry) => {
-            out.push(0u8);
-            persist::put_u64(&mut out, stamp);
-            persist::put_u64(&mut out, *fp1);
-            persist::put_u64(&mut out, *fp2);
-            out.push(u8::from(*symmetric));
-            out.push(level.index() as u8);
-            persist::put_str(&mut out, &entry.txn1);
-            persist::put_str(&mut out, &entry.txn2);
-            persist::put_pairs(&mut out, &entry.pairs);
-            persist::put_blobs(&mut out, &entry.proofs);
-        }
-        StoreEntry::Triple((fp1, fp2, fp3, level), entry) => {
-            out.push(1u8);
-            persist::put_u64(&mut out, stamp);
-            persist::put_u64(&mut out, *fp1);
-            persist::put_u64(&mut out, *fp2);
-            persist::put_u64(&mut out, *fp3);
-            out.push(level.index() as u8);
-            for t in &entry.txns {
-                persist::put_str(&mut out, t);
-            }
-            persist::put_pairs(&mut out, &entry.pairs);
-            persist::put_blobs(&mut out, &entry.proofs);
-        }
+/// One record's payload. Every integer is little-endian; strings are UTF-8
+/// with a `u32` length prefix; string sets are a `u32` count followed by
+/// the strings in set order. The layout: a tag (`k - 2`: 0 for a pair, 1
+/// for a triple), the stamp, the `k` member fingerprints, the symmetric
+/// flag (pairs only), the level, the `k` member names, the findings, and
+/// the proof blobs.
+fn encode_payload(stamp: u64, key: &GroupKey, e: &VerdictEntry) -> Vec<u8> {
+    let mut out = vec![(key.k() - 2) as u8];
+    put_u64(&mut out, stamp);
+    for &fp in key.fps() {
+        put_u64(&mut out, fp);
+    }
+    if key.k() == 2 {
+        out.push(u8::from(key.symmetric));
+    }
+    out.push(key.level.index() as u8);
+    for t in &e.txns {
+        put_str(&mut out, t);
+    }
+    put_findings(&mut out, &e.findings);
+    put_u32(&mut out, e.proofs.len() as u32);
+    for b in &e.proofs {
+        put_u32(&mut out, b.len() as u32);
+        out.extend_from_slice(b);
     }
     out
 }
 
-fn decode_payload(payload: &[u8]) -> io::Result<(u64, StoreEntry)> {
-    let mut r = persist::Reader::new(payload);
-    let tag = r.u8()?;
-    let stamp = r.u64()?;
-    let entry = match tag {
-        0 => {
-            let fp1 = r.u64()?;
-            let fp2 = r.u64()?;
-            let symmetric = r.u8()? != 0;
-            let level = ConsistencyLevel::from_index(r.u8()? as usize)
-                .ok_or_else(|| bad("unknown consistency-level tag"))?;
-            let txn1 = r.string()?;
-            let txn2 = r.string()?;
-            let pairs = r.pairs()?;
-            let proofs = r.blobs()?;
-            StoreEntry::Pair(
-                (fp1, fp2, symmetric, level),
-                VerdictEntry {
-                    txn1,
-                    txn2,
-                    run: 0,
-                    pairs,
-                    proofs,
-                },
-            )
-        }
-        1 => {
-            let fp1 = r.u64()?;
-            let fp2 = r.u64()?;
-            let fp3 = r.u64()?;
-            let level = ConsistencyLevel::from_index(r.u8()? as usize)
-                .ok_or_else(|| bad("unknown consistency-level tag"))?;
-            let txns = [r.string()?, r.string()?, r.string()?];
-            let pairs = r.pairs()?;
-            let proofs = r.blobs()?;
-            StoreEntry::Triple(
-                (fp1, fp2, fp3, level),
-                TripleEntry {
-                    txns,
-                    run: 0,
-                    pairs,
-                    proofs,
-                },
-            )
-        }
+fn decode_payload(payload: &[u8]) -> io::Result<(u64, GroupKey, VerdictEntry)> {
+    let mut r = Reader::new(payload);
+    let k = match r.u8()? {
+        tag @ 0..=1 => tag as usize + 2,
         t => return Err(bad(&format!("unknown record tag {t}"))),
     };
-    Ok((stamp, entry))
+    let stamp = r.u64()?;
+    let fps = (0..k).map(|_| r.u64()).collect::<io::Result<Vec<u64>>>()?;
+    let symmetric = k == 2 && r.u8()? != 0;
+    let level = ConsistencyLevel::from_index(r.u8()? as usize)
+        .ok_or_else(|| bad("unknown consistency-level tag"))?;
+    let txns = (0..k)
+        .map(|_| r.string())
+        .collect::<io::Result<Vec<String>>>()?;
+    let findings = r.findings(k)?;
+    let proofs = r.blobs()?;
+    let entry = VerdictEntry {
+        txns,
+        run: 0,
+        findings,
+        proofs,
+    };
+    Ok((stamp, GroupKey::new(&fps, symmetric, level), entry))
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// The witness byte of a finding without a witness member.
+const NO_WITNESS: u8 = u8::MAX;
+
+/// Findings: a `u64` count, then per finding each anchor as (member `u8`,
+/// command index `u32`, field set), the witness member (or
+/// [`NO_WITNESS`]), and the kind tag.
+fn put_findings(out: &mut Vec<u8>, findings: &[Finding]) {
+    put_u64(out, findings.len() as u64);
+    for f in findings {
+        for ((member, cmd), fields) in f.cmds.iter().zip(&f.fields) {
+            out.push(*member as u8);
+            put_u32(out, *cmd as u32);
+            put_u32(out, fields.len() as u32);
+            for s in fields {
+                put_str(out, s);
+            }
+        }
+        out.push(f.witness.map_or(NO_WITNESS, |w| w as u8));
+        out.push(f.kind.tag());
+    }
+}
+
+/// A bounds-checked cursor over one record payload: every read past the
+/// end is a typed `InvalidData` error, never a panic.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
+        let Some(end) = end else {
+            return Err(bad(&format!(
+                "truncated: need {n} more bytes at offset {}, record ends after {}",
+                self.pos,
+                self.bytes.len()
+            )));
+        };
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn u8(&mut self) -> io::Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    fn string(&mut self) -> io::Result<String> {
+        let len = self.u32()? as usize;
+        let s = self.take(len)?;
+        String::from_utf8(s.to_vec()).map_err(|_| bad("non-UTF-8 string"))
+    }
+
+    fn set(&mut self) -> io::Result<BTreeSet<String>> {
+        let n = self.u32()? as usize;
+        let mut out = BTreeSet::new();
+        for _ in 0..n {
+            out.insert(self.string()?);
+        }
+        Ok(out)
+    }
+
+    /// Smallest possible encoded [`Finding`]: two anchors of a member
+    /// byte, a command index and an empty field set, plus the witness and
+    /// kind bytes — bounds how many findings a length prefix can honestly
+    /// promise.
+    const MIN_ENCODED_FINDING: usize = 20;
+
+    /// The findings of a `k`-member group; member references outside the
+    /// group are refused.
+    fn findings(&mut self, k: usize) -> io::Result<Vec<Finding>> {
+        let n = self.u64()? as usize;
+        // A length prefix can't promise more entries than bytes left —
+        // checked against the minimum encoding so a garbage count in a
+        // corrupt record fails here instead of sizing a huge allocation.
+        if n > self.bytes.len().saturating_sub(self.pos) / Self::MIN_ENCODED_FINDING {
+            return Err(bad("truncated"));
+        }
+        let member = |m: u8| match usize::from(m) {
+            m if m < k => Ok(m),
+            _ => Err(bad("finding names a member outside its group")),
+        };
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (m1, c1, f1) = (member(self.u8()?)?, self.u32()? as usize, self.set()?);
+            let (m2, c2, f2) = (member(self.u8()?)?, self.u32()? as usize, self.set()?);
+            let witness = match self.u8()? {
+                NO_WITNESS => None,
+                w => Some(member(w)?),
+            };
+            out.push(Finding {
+                cmds: [(m1, c1), (m2, c2)],
+                fields: [f1, f2],
+                witness,
+                kind: AnomalyKind::from_tag(self.u8()?)
+                    .ok_or_else(|| bad("unknown anomaly-kind tag"))?,
+            });
+        }
+        Ok(out)
+    }
+
+    fn blobs(&mut self) -> io::Result<Vec<Vec<u8>>> {
+        let n = self.u32()? as usize;
+        // Each promised blob costs at least its 4-byte length prefix.
+        if n > self.bytes.len().saturating_sub(self.pos) / 4 {
+            return Err(bad("truncated"));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let len = self.u32()? as usize;
+            out.push(self.take(len)?.to_vec());
+        }
+        Ok(out)
+    }
 }
 
 /// Which records a [`CorpusStore::compact`] pass drops. The default
@@ -337,54 +433,36 @@ pub struct CompactionReport {
     pub evicted: usize,
 }
 
+/// The keyed records of a store (or one shard), each with its stamp.
+type Records = BTreeMap<GroupKey, (u64, VerdictEntry)>;
+
 /// A sharded, concurrently mergeable on-disk verdict store — the
 /// `verdict_cache.v2` format (see the [module docs](self) for the
-/// layout, locking, and migration story).
+/// layout and locking story).
 pub struct CorpusStore {
     dir: PathBuf,
 }
 
 impl CorpusStore {
-    /// Opens (creating if necessary) the store directory at `path`. If
-    /// `path` is an existing **v1 cache file**, it is transparently
-    /// migrated: the v1 entries are re-written as a store directory at
-    /// the same path (staged at a sibling, so a crash mid-migration
-    /// cannot destroy the original until the store is complete).
+    /// Opens (creating if necessary) the store directory at `path`.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; a v1 file that fails to parse (corrupt,
-    /// stale encoder revision) fails the migration with its original
-    /// error.
+    /// Propagates I/O errors; a `path` that exists but is not a directory
+    /// (say, a single-file cache of an older build) is refused with
+    /// [`io::ErrorKind::NotADirectory`].
     pub fn open(path: impl AsRef<Path>) -> io::Result<CorpusStore> {
         let path = path.as_ref();
-        if path.is_file() {
-            return Self::migrate_v1(path);
+        if path.exists() && !path.is_dir() {
+            return Err(io::Error::new(
+                io::ErrorKind::NotADirectory,
+                format!(
+                    "verdict_cache.v2: {} is not a store directory",
+                    path.display()
+                ),
+            ));
         }
         fs::create_dir_all(path)?;
-        Ok(CorpusStore {
-            dir: path.to_path_buf(),
-        })
-    }
-
-    /// Migrates a monolithic v1 cache file into a v2 store directory at
-    /// the same path.
-    fn migrate_v1(path: &Path) -> io::Result<CorpusStore> {
-        let bytes = fs::read(path)?;
-        let cache = VerdictCache::load_entries(&bytes)?;
-        let staged = path.with_extension("v2migrate");
-        if staged.exists() {
-            fs::remove_dir_all(&staged)?;
-        }
-        fs::create_dir_all(&staged)?;
-        let store = CorpusStore { dir: staged.clone() };
-        store.merge_cache_stamped(&cache, now_secs())?;
-        // The one non-atomic instant of the migration: the v1 file must
-        // vacate the path before the finished store directory renames
-        // over it. A crash between the two calls leaves the complete
-        // store at the staged sibling; re-opening re-runs the migration.
-        fs::remove_file(path)?;
-        fs::rename(&staged, path)?;
         Ok(CorpusStore {
             dir: path.to_path_buf(),
         })
@@ -405,11 +483,7 @@ impl CorpusStore {
     /// it degrades to per-record salvage, keeping exactly the clean
     /// verdicts whose proof certificates still check (see
     /// [`entry_is_certified`]).
-    fn read_shard(
-        &self,
-        shard: usize,
-        into: &mut BTreeMap<RecordKey, (u64, StoreEntry)>,
-    ) -> io::Result<()> {
+    fn read_shard(&self, shard: usize, into: &mut Records) -> io::Result<()> {
         let bytes = match fs::read(self.shard_path(shard)) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
@@ -431,7 +505,7 @@ impl CorpusStore {
         // stale shard (dirty verdicts — their SAT witnesses carry no
         // certificate — proofless records, and anything malformed) is
         // dropped and will be re-solved.
-        let salvage = revision != persist::ENCODER_REVISION;
+        let salvage = revision != ENCODER_REVISION;
         let idx = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
         let count = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
         if idx != shard || count != SHARD_COUNT {
@@ -465,7 +539,7 @@ impl CorpusStore {
                 }
                 return Err(bad("record checksum mismatch (corrupt shard)"));
             }
-            let (stamp, entry) = match decode_payload(payload) {
+            let (stamp, key, entry) = match decode_payload(payload) {
                 Ok(v) => v,
                 Err(_) if salvage => continue,
                 Err(e) => return Err(e),
@@ -473,7 +547,6 @@ impl CorpusStore {
             if salvage && !entry_is_certified(&entry) {
                 continue;
             }
-            let key = record_key(&entry);
             match into.get(&key) {
                 Some((existing, _)) if *existing >= stamp => {}
                 _ => {
@@ -485,20 +558,16 @@ impl CorpusStore {
     }
 
     /// Rewrites one shard file (atomically) from its keyed records.
-    fn write_shard(
-        &self,
-        shard: usize,
-        records: &BTreeMap<RecordKey, (u64, StoreEntry)>,
-    ) -> io::Result<()> {
+    fn write_shard(&self, shard: usize, records: &Records) -> io::Result<()> {
         let mut out = Vec::new();
         out.extend_from_slice(SHARD_MAGIC);
-        persist::put_u32(&mut out, persist::ENCODER_REVISION);
-        persist::put_u32(&mut out, shard as u32);
-        persist::put_u32(&mut out, SHARD_COUNT as u32);
-        for (stamp, entry) in records.values() {
-            let payload = encode_payload(*stamp, entry);
-            persist::put_u32(&mut out, payload.len() as u32);
-            persist::put_u64(&mut out, fnv1a(&payload));
+        put_u32(&mut out, ENCODER_REVISION);
+        put_u32(&mut out, shard as u32);
+        put_u32(&mut out, SHARD_COUNT as u32);
+        for (key, (stamp, entry)) in records {
+            let payload = encode_payload(*stamp, key, entry);
+            put_u32(&mut out, payload.len() as u32);
+            put_u64(&mut out, fnv1a(&payload));
             out.extend_from_slice(&payload);
         }
         write_atomic(&self.shard_path(shard), &out)
@@ -537,26 +606,19 @@ impl CorpusStore {
     pub fn merge_cache_stamped(&self, cache: &VerdictCache, stamp: u64) -> io::Result<usize> {
         // Bucket the cache's entries by shard first, so each lock is held
         // exactly once.
-        let mut by_shard: BTreeMap<usize, Vec<StoreEntry>> = BTreeMap::new();
-        for (k, e) in cache.pair_entries() {
+        let mut by_shard: BTreeMap<usize, Vec<(GroupKey, VerdictEntry)>> = BTreeMap::new();
+        for (k, e) in cache.entries() {
             by_shard
-                .entry(shard_of_fp(k.0))
+                .entry(shard_of(k))
                 .or_default()
-                .push(StoreEntry::Pair(*k, e.clone()));
-        }
-        for (k, e) in cache.triple_entries() {
-            by_shard
-                .entry(shard_of_fp(k.0))
-                .or_default()
-                .push(StoreEntry::Triple(*k, e.clone()));
+                .push((*k, e.clone()));
         }
         let mut added = 0;
         for (shard, entries) in by_shard {
             let _lock = ShardLock::acquire(&self.dir, shard)?;
-            let mut records = BTreeMap::new();
+            let mut records = Records::new();
             self.read_shard(shard, &mut records)?;
-            for entry in entries {
-                let key = record_key(&entry);
+            for (key, entry) in entries {
                 match records.get(&key) {
                     Some((existing, _)) => {
                         // Same key ⇒ semantically the same verdict (the
@@ -578,8 +640,7 @@ impl CorpusStore {
     }
 
     /// Loads every shard into a fresh [`VerdictCache`]: entries land in
-    /// run 0 (warm for every following run) and seed the liveness union,
-    /// exactly like a v1 load.
+    /// run 0 (warm for every following run) and seed the liveness union.
     ///
     /// # Errors
     ///
@@ -587,16 +648,13 @@ impl CorpusStore {
     /// truncation, unknown tag) or a revision-stale shard is refused
     /// with `InvalidData`.
     pub fn load_cache(&self) -> io::Result<VerdictCache> {
-        let mut records = BTreeMap::new();
+        let mut records = Records::new();
         for shard in 0..SHARD_COUNT {
             self.read_shard(shard, &mut records)?;
         }
         let mut cache = VerdictCache::new();
-        for (_, (_, entry)) in records {
-            match entry {
-                StoreEntry::Pair(key, e) => cache.absorb_pair_entry(key, e),
-                StoreEntry::Triple(key, e) => cache.absorb_triple_entry(key, e),
-            }
+        for (key, (_, entry)) in records {
+            cache.absorb(key, entry);
         }
         Ok(cache)
     }
@@ -607,7 +665,7 @@ impl CorpusStore {
     ///
     /// Propagates the same errors as [`CorpusStore::load_cache`].
     pub fn entry_count(&self) -> io::Result<usize> {
-        let mut records = BTreeMap::new();
+        let mut records = Records::new();
         for shard in 0..SHARD_COUNT {
             self.read_shard(shard, &mut records)?;
         }
@@ -633,7 +691,7 @@ impl CorpusStore {
         let _locks: Vec<ShardLock> = (0..SHARD_COUNT)
             .map(|s| ShardLock::acquire(&self.dir, s))
             .collect::<io::Result<_>>()?;
-        let mut records = BTreeMap::new();
+        let mut records = Records::new();
         for shard in 0..SHARD_COUNT {
             self.read_shard(shard, &mut records)?;
         }
@@ -645,11 +703,10 @@ impl CorpusStore {
             if records.len() > max_entries {
                 // Oldest stamps go first; ties broken by key order so the
                 // cut is deterministic.
-                let mut order: Vec<(u64, RecordKey)> =
+                let mut order: Vec<(u64, GroupKey)> =
                     records.iter().map(|(k, (stamp, _))| (*stamp, *k)).collect();
                 order.sort();
-                let doomed: HashSet<RecordKey> = order
-                    [..records.len() - max_entries]
+                let doomed: HashSet<GroupKey> = order[..records.len() - max_entries]
                     .iter()
                     .map(|&(_, k)| k)
                     .collect();
@@ -657,11 +714,11 @@ impl CorpusStore {
             }
         }
         let kept = records.len();
-        let mut by_shard: BTreeMap<usize, BTreeMap<RecordKey, (u64, StoreEntry)>> =
-            (0..SHARD_COUNT).map(|s| (s, BTreeMap::new())).collect();
+        let mut by_shard: BTreeMap<usize, Records> =
+            (0..SHARD_COUNT).map(|s| (s, Records::new())).collect();
         for (key, rec) in records {
             by_shard
-                .get_mut(&shard_of_fp(key.1))
+                .get_mut(&shard_of(&key))
                 .expect("all shards present")
                 .insert(key, rec);
         }
@@ -692,7 +749,8 @@ pub struct CorpusStats {
     pub triple_slots: u64,
     /// Unique dirty triple keys actually solved.
     pub unique_triples: u64,
-    /// Solver-side statistics of the global solve phase.
+    /// Solver-side statistics of the global solve phase (the counters
+    /// `queries` through `learnt_seeded`).
     pub solve: DetectStats,
     /// Wall-clock seconds of the whole pass (plan + solve + answer).
     pub seconds: f64,
@@ -707,36 +765,24 @@ pub struct CorpusVerdict {
     /// The anomaly verdicts — byte-identical to an isolated
     /// [`crate::detect_anomalies_cached`] run over the same program.
     pub verdicts: Vec<AccessPair>,
-    /// The answering pass's statistics (all warm: zero queries).
+    /// The program's slot counts (`pairs`, `triples`). The solve counters
+    /// stay zero: the corpus-wide solve work is in [`CorpusStats::solve`].
     pub stats: DetectStats,
-}
-
-/// One globally planned dirty pair of the corpus work list.
-struct CorpusPairMiss {
-    prog: usize,
-    i: usize,
-    j: usize,
-    symmetric: bool,
-}
-
-/// One globally planned dirty triple of the corpus work list, in
-/// canonical orientation.
-struct CorpusTrioMiss {
-    prog: usize,
-    idx: [usize; 3],
-    key: TripleVerdictKey,
 }
 
 /// Analyses a whole corpus of programs against one shared session:
 /// fingerprint-dedups the dirty pair/triple keys **across the corpus**,
 /// solves each unique key once on `engine`'s worker pool (merged in plan
 /// order — deterministic at any thread count), and answers every
-/// program's verdicts from the warm store.
+/// program's verdicts from the merged cache. It is the same driver a
+/// single-program [`DetectionEngine::detect_with_mode`] pass runs, over a
+/// corpus instead of a corpus of one.
 ///
 /// Per-program verdicts are byte-identical to running each program
 /// through [`crate::detect_anomalies_cached`] (or, in triple mode, the
 /// engine) in isolation; the corpus pass only changes how often the
-/// solver runs.
+/// solver runs. It looks every slot up once, so the session's cache
+/// statistics count a hit only for a slot cached before the pass.
 pub fn analyse_corpus(
     engine: &DetectionEngine,
     programs: &[(String, Program)],
@@ -744,254 +790,18 @@ pub fn analyse_corpus(
     mode: DetectMode,
     session: &mut DetectSession,
 ) -> (Vec<CorpusVerdict>, CorpusStats) {
-    let started = Instant::now();
-    let threads = engine.threads();
-    let pool = engine.learnt_pool();
-    let proofs = engine.proofs_enabled();
     let (cache, per_worker) = session.cache_and_workers();
-    let mut stats = CorpusStats {
-        programs: programs.len(),
-        ..CorpusStats::default()
-    };
-
-    // Plan (serial): summarize and fingerprint everything, fold the whole
-    // corpus into the liveness union *first* (so no program's pass sweeps
-    // another's entries), then dedup dirty keys corpus-wide.
-    let sums: Vec<Vec<TxnSummary>> = programs.iter().map(|(_, p)| summarize_program(p)).collect();
-    let fps: Vec<Vec<u64>> = sums
-        .iter()
-        .map(|s| s.iter().map(txn_fingerprint).collect())
-        .collect();
-    let all_fps: Vec<u64> = fps.iter().flatten().copied().collect();
-    cache.sweep_live(&all_fps);
-
-    let mut planned: HashSet<VerdictKey> = HashSet::new();
-    let mut misses: Vec<CorpusPairMiss> = Vec::new();
-    for (prog, pfps) in fps.iter().enumerate() {
-        let n = pfps.len();
-        for i in 0..n {
-            for j in 0..n {
-                stats.pair_slots += 1;
-                let symmetric = i <= j;
-                let key = (pfps[i], pfps[j], symmetric, level);
-                if cache.contains_pair(&key) || !planned.insert(key) {
-                    continue;
-                }
-                misses.push(CorpusPairMiss {
-                    prog,
-                    i,
-                    j,
-                    symmetric,
-                });
-            }
-        }
-    }
-    stats.unique_pairs = misses.len() as u64;
-
-    let absorb = |pw: &mut Vec<WorkerStats>, ws: &[WorkerStats]| {
-        if pw.len() < ws.len() {
-            pw.resize(ws.len(), WorkerStats::default());
-        }
-        for (slot, w) in ws.iter().enumerate() {
-            pw[slot].absorb(w);
-        }
-    };
-
-    // Which misses may publish lemmas at the merge point (plan-time, so
-    // the pool's evolution is thread-count blind — see the engine).
-    let pair_publish: Vec<bool> = match pool {
-        Some(p) => {
-            let keys: Vec<(u64, u64)> = misses
-                .iter()
-                .map(|m| (fps[m.prog][m.i], fps[m.prog][m.j]))
-                .collect();
-            publishable_flags(
-                &keys,
-                |k| !cache.states().contains(k),
-                |k| !p.has_pair(k.0, k.1, level),
-            )
-        }
-        None => vec![false; misses.len()],
-    };
-
-    // Solve (parallel): each unique key exactly once, against the shared
-    // retained-state shards.
-    let (outcomes, worker_stats) = run_pool(threads, &misses, |m| {
-        let (t1, t2) = (&sums[m.prog][m.i], &sums[m.prog][m.j]);
-        let key = (fps[m.prog][m.i], fps[m.prog][m.j]);
-        let mut state = cache.states().take(key).unwrap_or_else(|| PairState::new(t1, t2));
-        let solver_reused = state.solver.is_some();
-        let seed = match state.solver {
-            Some(_) => None,
-            None => pool.and_then(|p| p.pair_seed(key.0, key.1, level)),
-        };
-        let (pairs, st, certs) = solve_pair_with_state(
-            t1,
-            t2,
-            m.symmetric,
-            level,
-            &mut state,
-            seed.as_deref().map(Vec::as_slice),
-            proofs,
-        );
-        cache.states().store(key, state);
-        Outcome {
-            pairs,
-            stats: st,
-            solver_reused,
-            proofs: certs,
-        }
-    });
-    absorb(per_worker, &worker_stats);
-
-    // Merge (serial, plan order) — same discipline as the engine, so the
-    // store's contents are thread-count blind.
-    for ((m, o), publish) in misses.iter().zip(outcomes).zip(&pair_publish) {
-        let o = o.expect("every corpus miss was solved");
-        cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-        cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-        merge_outcome_stats(&mut stats.solve, &o);
-        if *publish {
-            publish_pair_state(cache, pool, fps[m.prog][m.i], fps[m.prog][m.j], level);
-        }
-        cache.insert(
-            fps[m.prog][m.i],
-            fps[m.prog][m.j],
-            m.symmetric,
-            level,
-            &sums[m.prog][m.i],
-            &sums[m.prog][m.j],
-            o.pairs,
-            o.proofs,
-        );
-    }
-
-    // The triple plan/solve/merge, same shape (canonical orientation,
-    // static prefilter settles template-free triples during planning).
-    if mode == DetectMode::Triples {
-        let mut planned_t: HashSet<TripleVerdictKey> = HashSet::new();
-        let mut trio_misses: Vec<CorpusTrioMiss> = Vec::new();
-        for (prog, pfps) in fps.iter().enumerate() {
-            let n = pfps.len();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    for k in (j + 1)..n {
-                        stats.triple_slots += 1;
-                        let idx = canonical_trio([i, j, k], pfps);
-                        let key = (pfps[idx[0]], pfps[idx[1]], pfps[idx[2]], level);
-                        if cache.contains_triple(&key) || planned_t.contains(&key) {
-                            continue;
-                        }
-                        planned_t.insert(key);
-                        let ts = [
-                            &sums[prog][idx[0]],
-                            &sums[prog][idx[1]],
-                            &sums[prog][idx[2]],
-                        ];
-                        if has_candidates(ts, [pfps[idx[0]], pfps[idx[1]], pfps[idx[2]]]) {
-                            trio_misses.push(CorpusTrioMiss { prog, idx, key });
-                        } else {
-                            cache.insert_triple(key, ts, Vec::new(), Vec::new());
-                        }
-                    }
-                }
-            }
-        }
-        stats.unique_triples = trio_misses.len() as u64;
-
-        let trio_publish: Vec<bool> = match pool {
-            Some(p) => {
-                let keys: Vec<(u64, u64, u64)> = trio_misses
-                    .iter()
-                    .map(|m| (m.key.0, m.key.1, m.key.2))
-                    .collect();
-                publishable_flags(
-                    &keys,
-                    |k| !cache.triple_states().contains(k),
-                    |k| !p.has_triple(&(k.0, k.1, k.2, level)),
-                )
-            }
-            None => vec![false; trio_misses.len()],
-        };
-
-        let (trio_outcomes, trio_workers) = run_pool(threads, &trio_misses, |m| {
-            let ts = [
-                &sums[m.prog][m.idx[0]],
-                &sums[m.prog][m.idx[1]],
-                &sums[m.prog][m.idx[2]],
-            ];
-            let tfps = [
-                fps[m.prog][m.idx[0]],
-                fps[m.prog][m.idx[1]],
-                fps[m.prog][m.idx[2]],
-            ];
-            let key = (m.key.0, m.key.1, m.key.2);
-            let mut state = cache
-                .triple_states()
-                .take(key)
-                .unwrap_or_else(|| TripleState::new(ts));
-            let solver_reused = state.solver.is_some();
-            let seed = match state.solver {
-                Some(_) => None,
-                None => pool.and_then(|p| p.triple_seed(&m.key)),
-            };
-            let (pairs, st, certs) = solve_triple_with_state(
-                ts,
-                tfps,
-                level,
-                &mut state,
-                seed.as_deref().map(Vec::as_slice),
-                proofs,
-            );
-            cache.triple_states().store(key, state);
-            Outcome {
-                pairs,
-                stats: st,
-                solver_reused,
-                proofs: certs,
-            }
-        });
-        absorb(per_worker, &trio_workers);
-
-        for ((m, o), publish) in trio_misses.iter().zip(trio_outcomes).zip(&trio_publish) {
-            let o = o.expect("every corpus triple miss was solved");
-            cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-            cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-            merge_outcome_stats(&mut stats.solve, &o);
-            if *publish {
-                publish_trio_state(cache, pool, m.key);
-            }
-            cache.insert_triple(
-                m.key,
-                [
-                    &sums[m.prog][m.idx[0]],
-                    &sums[m.prog][m.idx[1]],
-                    &sums[m.prog][m.idx[2]],
-                ],
-                o.pairs,
-                o.proofs,
-            );
-        }
-    }
-
-    // Answer (serial): every program replays entirely from the warm
-    // store — the exact per-program pass an isolated run would make, so
-    // verdicts (and their merge order) are byte-identical to isolation.
+    let batch: Vec<&Program> = programs.iter().map(|(_, p)| p).collect();
+    let (verdicts, stats) = detect_batch(engine, &batch, level, mode, cache, per_worker);
     let verdicts = programs
         .iter()
-        .map(|(name, program)| {
-            // All-warm by construction (zero queries), so no pool: nothing
-            // would be solved, seeded, or published here anyway.
-            let (v, st) = detect_with_cache(1, program, level, mode, cache, None, None, false);
-            CorpusVerdict {
-                name: name.clone(),
-                verdicts: v,
-                stats: st,
-            }
+        .zip(verdicts)
+        .map(|((name, _), (verdicts, stats))| CorpusVerdict {
+            name: name.clone(),
+            verdicts,
+            stats,
         })
         .collect();
-
-    stats.seconds = started.elapsed().as_secs_f64();
     (verdicts, stats)
 }
 
@@ -1187,7 +997,7 @@ mod tests {
         assert_eq!(stats.unique_pairs, 1, "fingerprint dedup across the corpus");
         for v in &verdicts {
             assert_eq!(v.verdicts.len(), 1);
-            assert_eq!(v.stats.queries, 0, "answers replay from the warm store");
+            assert_eq!(v.stats.queries, 0, "solve work is reported corpus-wide");
         }
     }
 

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use atropos_dsl::{CmdLabel, Program};
 
-use crate::cache::VerdictCache;
+use crate::cache::{GroupState, VerdictCache};
 use crate::encode::{
     fresh_query, ConsistencyLevel, InstanceModel, PairSolver, VisRequirement,
 };
@@ -60,7 +60,7 @@ pub enum AnomalyKind {
 }
 
 impl AnomalyKind {
-    /// Stable serialization tag (the `verdict_cache.v1` on-disk format).
+    /// Stable serialization tag (the `verdict_cache.v2` record format).
     pub(crate) fn tag(self) -> u8 {
         match self {
             AnomalyKind::LostUpdate => 0,
@@ -188,6 +188,41 @@ impl std::fmt::Display for AccessPair {
     }
 }
 
+/// One raw template hit, recorded without labels: each anchor command is
+/// addressed as (member, command index) within the analysed instance
+/// group. Fingerprints deliberately ignore labels, so the programs sharing
+/// a cached verdict need not share them; [`Finding::emit`] labels a
+/// finding from whichever program it answers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Finding {
+    /// The two anchor commands as (member, command index).
+    pub(crate) cmds: [(usize, usize); 2],
+    /// Fields of each anchor command involved in the conflict.
+    pub(crate) fields: [BTreeSet<String>; 2],
+    /// The member witnessing the conflict beyond the anchors, if any.
+    pub(crate) witness: Option<usize>,
+    /// Violation template.
+    pub(crate) kind: AnomalyKind,
+}
+
+impl Finding {
+    /// The access pair this finding reports over `members` (the group's
+    /// transactions in key orientation), under their current labels —
+    /// `None` when it names a command the members lack, which only a
+    /// corrupt or forged store record can.
+    pub(crate) fn emit(&self, members: &[&TxnSummary]) -> Option<AccessPair> {
+        let [(m1, c1), (m2, c2)] = self.cmds;
+        let (t1, t2) = (*members.get(m1)?, *members.get(m2)?);
+        let [f1, f2] = self.fields.clone();
+        let witnesses = match self.witness {
+            Some(w) => BTreeSet::from([members.get(w)?.name.clone()]),
+            None => BTreeSet::new(),
+        };
+        let (cmd1, cmd2) = (t1.commands.get(c1)?, t2.commands.get(c2)?);
+        Some(make_pair(t1, cmd1, f1, t2, cmd2, f2, witnesses, self.kind))
+    }
+}
+
 /// Detects every anomalous access pair of `program` under `level`.
 ///
 /// # Examples
@@ -309,8 +344,8 @@ pub fn detect_differential(
 
 /// One incremental pattern query against a (lazily created) [`PairSolver`]:
 /// the solver-creation and fresh-equivalent clause accounting shared by the
-/// one-shot oracle ([`detect_core`]) and the cached oracle
-/// ([`detect_anomalies_cached`]), so the two cannot drift apart.
+/// one-shot oracle ([`detect_core`]) and the cached oracle's solve frame
+/// ([`solve_group`]), so the two cannot drift apart.
 fn pair_query(
     solver: &mut Option<PairSolver>,
     model: &InstanceModel,
@@ -416,7 +451,10 @@ fn detect_core(
                     memo.insert(reqs, r);
                     r
                 };
-                let pairs = analyse_pair(t1, t2, &model, i <= j, &mut sat);
+                let pairs = analyse_pair(t1, t2, &model, i <= j, &mut sat)
+                    .iter()
+                    .map(|f| f.emit(&[t1, t2]).expect("a finding names its own members"))
+                    .collect();
                 accumulate(found.get_mut(&level).expect("level registered"), pairs);
             }
             if let Some(ps) = &pair_solver {
@@ -479,15 +517,19 @@ pub fn detect_anomalies_cached(
     cache: &mut VerdictCache,
 ) -> (Vec<AccessPair>, DetectStats) {
     crate::engine::detect_with_cache(
-        1,
+        &unpooled_serial_engine(),
         program,
         level,
         crate::DetectMode::Pairs,
         cache,
-        None,
-        None,
-        crate::engine::proofs_enabled_from_env(),
+        &mut Vec::new(),
     )
+}
+
+/// The engine behind the free-function oracles: one thread, no learnt
+/// pool, proof capture as `ATROPOS_PROOFS` says.
+fn unpooled_serial_engine() -> crate::DetectionEngine {
+    crate::DetectionEngine::serial().with_learnt_pool(false)
 }
 
 /// Detects every anomaly of `program` under `level` in the bounded
@@ -529,39 +571,39 @@ pub fn detect_anomalies_triples(
     program: &Program,
     level: ConsistencyLevel,
 ) -> (Vec<AccessPair>, DetectStats) {
-    let mut cache = VerdictCache::new();
     crate::engine::detect_with_cache(
-        1,
+        &unpooled_serial_engine(),
         program,
         level,
         crate::DetectMode::Triples,
-        &mut cache,
-        None,
-        None,
-        crate::engine::proofs_enabled_from_env(),
+        &mut VerdictCache::new(),
+        &mut Vec::new(),
     )
 }
 
-/// Analyses one dirty (cache-missed) ordered pair against its retained (or
-/// freshly grounded) [`crate::cache::PairState`], returning the raw
-/// verdicts and this pair's [`DetectStats`] delta. The single solving path
-/// shared by the serial cached oracle and every worker of the parallel
-/// [`crate::DetectionEngine`] — so the two cannot drift apart.
-pub(crate) fn solve_pair_with_state(
-    t1: &TxnSummary,
-    t2: &TxnSummary,
+/// Analyses one dirty (cache-missed) instance group against its retained
+/// (or freshly grounded) [`GroupState`], returning the raw findings, this
+/// group's [`DetectStats`] delta, and the certificates of its UNSAT
+/// queries. `ts` and `fps` are the group's members in key orientation.
+/// This is the one solving frame of every bound — query memo, lazily
+/// built (and pool-seeded) solver, retained-solver statistics delta — and
+/// only the template enumeration depends on the member count:
+/// [`analyse_pair`] for two, [`crate::triple::analyse_triple`] for three.
+pub(crate) fn solve_group(
+    ts: &[&TxnSummary],
+    fps: &[u64],
     symmetric: bool,
     level: ConsistencyLevel,
-    state: &mut crate::cache::PairState,
+    state: &mut GroupState,
     seed: Option<&[Vec<atropos_sat::Lit>]>,
     proofs: bool,
-) -> (Vec<AccessPair>, DetectStats, Vec<Vec<u8>>) {
+) -> (Vec<Finding>, DetectStats, Vec<Vec<u8>>) {
     let mut stats = DetectStats::default();
     let clauses_before = state
         .solver
         .as_ref()
         .map(|s| (s.encoded_clauses(), s.solver_stats()));
-    let pairs = {
+    let findings = {
         let (model, solver) = (&state.model, &mut state.solver);
         let mut memo: HashMap<Vec<VisRequirement>, bool> = HashMap::new();
         let mut sat = |reqs: Vec<VisRequirement>| -> bool {
@@ -577,7 +619,13 @@ pub(crate) fn solve_pair_with_state(
             memo.insert(reqs, r);
             r
         };
-        analyse_pair(t1, t2, model, symmetric, &mut sat)
+        match *ts {
+            [t1, t2] => analyse_pair(t1, t2, model, symmetric, &mut sat),
+            [a, b, c] => {
+                crate::triple::analyse_triple([a, b, c], [fps[0], fps[1], fps[2]], model, &mut sat)
+            }
+            _ => unreachable!("instance groups have two or three members"),
+        }
     };
     let mut certs = Vec::new();
     if let Some(ps) = &mut state.solver {
@@ -591,7 +639,7 @@ pub(crate) fn solve_pair_with_state(
         stats.clauses_encoded += (ps.encoded_clauses() - c0) as u64;
         certs = ps.take_certificates();
     }
-    (pairs, stats, certs)
+    (findings, stats, certs)
 }
 
 /// Canonical dedup key of one verdict: labels in sorted order plus the
@@ -645,18 +693,23 @@ pub(crate) fn make_pair(
 }
 
 /// Analyses one ordered transaction pair against the query oracle `sat`
-/// (which fixes the consistency level and the solving path).
-/// `run_symmetric` gates the symmetric lost-update template so it runs
-/// once per unordered pair.
+/// (which fixes the consistency level and the solving path) — the pair
+/// bound's template enumeration. `run_symmetric` gates the symmetric
+/// lost-update template so it runs once per unordered pair.
 fn analyse_pair(
     t1: &TxnSummary,
     t2: &TxnSummary,
     model: &InstanceModel,
     run_symmetric: bool,
     sat: &mut dyn FnMut(Vec<VisRequirement>) -> bool,
-) -> Vec<AccessPair> {
+) -> Vec<Finding> {
     let n1 = model.n1;
     let mut out = Vec::new();
+    // A model command as (member, command index).
+    let at = |c: usize| {
+        let inst = model.cmds[c].instance as usize;
+        (inst, c - model.starts[inst])
+    };
 
     // ---- Lost update: RMW in both instances on a shared record field. ----
     if run_symmetric {
@@ -690,26 +743,18 @@ fn analyse_pair(
                 let reqs = vec![(a_w2, c1, false), (a_w1, c2, false)];
                 if sat(reqs) {
                     let fs = BTreeSet::from([f.clone()]);
-                    out.push(make_pair(
-                        t1,
-                        &t1.commands[r1],
-                        fs.clone(),
-                        t2,
-                        &t2.commands[w2],
-                        fs.clone(),
-                        BTreeSet::new(),
-                        AnomalyKind::LostUpdate,
-                    ));
-                    out.push(make_pair(
-                        t2,
-                        &t2.commands[r2],
-                        fs.clone(),
-                        t1,
-                        &t1.commands[w1],
-                        fs,
-                        BTreeSet::new(),
-                        AnomalyKind::LostUpdate,
-                    ));
+                    out.push(Finding {
+                        cmds: [(0, r1), (1, w2)],
+                        fields: [fs.clone(), fs.clone()],
+                        witness: None,
+                        kind: AnomalyKind::LostUpdate,
+                    });
+                    out.push(Finding {
+                        cmds: [(1, r2), (0, w1)],
+                        fields: [fs.clone(), fs],
+                        witness: None,
+                        kind: AnomalyKind::LostUpdate,
+                    });
                 }
             }
         }
@@ -773,16 +818,12 @@ fn analyse_pair(
                     let q1 = vec![(a1, d1, true), (a2, d2, false)];
                     let q2 = vec![(a2, d2, true), (a1, d1, false)];
                     if sat(q1) || sat(q2) {
-                        out.push(make_pair(
-                            t1,
-                            &model.cmds[w1].summary,
-                            f1.clone(),
-                            t1,
-                            &model.cmds[w2].summary,
-                            f2,
-                            BTreeSet::from([t2.name.clone()]),
-                            AnomalyKind::DirtyRead,
-                        ));
+                        out.push(Finding {
+                            cmds: [at(w1), at(w2)],
+                            fields: [f1.clone(), f2],
+                            witness: Some(1),
+                            kind: AnomalyKind::DirtyRead,
+                        });
                         break;
                     }
                 }
@@ -853,25 +894,19 @@ fn analyse_pair(
                     let q1 = vec![(a2, c2, true), (a1, c1, false)];
                     let q2 = vec![(a1, c1, true), (a2, c2, false)];
                     if sat(q1) || sat(q2) {
-                        out.push(make_pair(
-                            t1,
-                            &model.cmds[c1].summary,
-                            f1,
-                            t1,
-                            &model.cmds[c2].summary,
-                            f2,
-                            BTreeSet::from([t2.name.clone()]),
-                            AnomalyKind::NonRepeatableRead,
-                        ));
+                        out.push(Finding {
+                            cmds: [at(c1), at(c2)],
+                            fields: [f1, f2],
+                            witness: Some(1),
+                            kind: AnomalyKind::NonRepeatableRead,
+                        });
                         break;
                     }
                 }
                 if out.last().is_some_and(|p| {
                     p.kind == AnomalyKind::NonRepeatableRead
-                        && (p.cmd1 == model.cmds[c1].summary.label
-                            || p.cmd2 == model.cmds[c1].summary.label)
-                        && (p.cmd1 == model.cmds[c2].summary.label
-                            || p.cmd2 == model.cmds[c2].summary.label)
+                        && p.cmds.contains(&at(c1))
+                        && p.cmds.contains(&at(c2))
                 }) {
                     break;
                 }
@@ -915,29 +950,21 @@ fn analyse_pair(
                 }
                 let Some(a) = model.atom(d, dr) else { continue };
                 if !found_nrr && sat(vec![(a, c2, true), (a, c1, false)]) {
-                    out.push(make_pair(
-                        t1,
-                        &model.cmds[c1].summary,
-                        f1.clone(),
-                        t1,
-                        &model.cmds[c2].summary,
-                        f2.clone(),
-                        BTreeSet::from([t2.name.clone()]),
-                        AnomalyKind::NonRepeatableRead,
-                    ));
+                    out.push(Finding {
+                        cmds: [at(c1), at(c2)],
+                        fields: [f1.clone(), f2.clone()],
+                        witness: Some(1),
+                        kind: AnomalyKind::NonRepeatableRead,
+                    });
                     found_nrr = true;
                 }
                 if !found_nmr && sat(vec![(a, c1, true), (a, c2, false)]) {
-                    out.push(make_pair(
-                        t1,
-                        &model.cmds[c1].summary,
-                        f1,
-                        t1,
-                        &model.cmds[c2].summary,
-                        f2,
-                        BTreeSet::from([t2.name.clone()]),
-                        AnomalyKind::NonMonotonicRead,
-                    ));
+                    out.push(Finding {
+                        cmds: [at(c1), at(c2)],
+                        fields: [f1, f2],
+                        witness: Some(1),
+                        kind: AnomalyKind::NonMonotonicRead,
+                    });
                     found_nmr = true;
                 }
                 if found_nrr && found_nmr {

@@ -55,7 +55,7 @@ impl ConsistencyLevel {
     ];
 
     /// Dense index (position in [`ConsistencyLevel::ALL`]) — also the
-    /// stable serialization tag of the `verdict_cache.v1` format.
+    /// stable serialization tag of the `verdict_cache.v2` format.
     pub(crate) fn index(self) -> usize {
         match self {
             ConsistencyLevel::EventualConsistency => 0,
@@ -120,8 +120,7 @@ pub struct InstAtom {
 
 /// The grounded bounded execution skeleton for a tuple of transaction
 /// instances: two in the pair oracle ([`InstanceModel::new`]), three in the
-/// triple oracle ([`InstanceModel::new_multi`] via
-/// [`crate::triple::TripleModel`]).
+/// triple oracle ([`InstanceModel::new_multi`]).
 #[derive(Debug, Clone)]
 pub struct InstanceModel {
     /// Command instances: instance 0's commands, then instance 1's, …

@@ -1,55 +1,58 @@
-//! The parallel detection engine: dirty-pair (and dirty-triple) solving
-//! fanned out over a worker pool, deterministically merged.
+//! The detection driver: one plan/solve/merge loop over a batch of
+//! programs, with the dirty instance groups fanned out over a worker pool
+//! and merged deterministically.
 //!
-//! The paper's detection formulation makes every transaction pair an
-//! independent satisfiability query, so the re-solved ("dirty") pairs of a
-//! cached detection pass are embarrassingly parallel — and the bounded
-//! triples of [`DetectMode::Triples`] are just as independent. A
+//! The paper's detection formulation makes every bounded group of
+//! transaction instances an independent satisfiability query, so the
+//! re-solved ("dirty") groups of a cached detection pass are
+//! embarrassingly parallel — the ordered pairs of the two-instance bound
+//! and the unordered triples of [`DetectMode::Triples`] alike. A
 //! [`DetectionEngine`] owns the parallelism policy — a worker count from
 //! [`DetectionEngine::new`], the `ATROPOS_THREADS` environment variable,
-//! or the machine's available parallelism — and runs each pass in three
-//! phases:
+//! or the machine's available parallelism — and every pass, over one
+//! program ([`DetectionEngine::detect_with_mode`]) or a whole corpus
+//! ([`crate::analyse_corpus`]), runs the same three phases:
 //!
-//! 1. **Plan** (serial): summarize the program, fingerprint every
-//!    transaction, sweep the cache's liveness union, and look every ordered
-//!    pair up in the verdict cache. Hits fill their result slots
-//!    immediately; misses form the dirty-pair work list. In triple mode the
-//!    same planning covers every unordered triple of distinct transactions:
-//!    hits replay, statically template-free triples cache an empty verdict
-//!    without ever grounding a model, and the remainder forms the
-//!    dirty-triple work list.
-//! 2. **Solve** (parallel): `std::thread::scope` workers drain each work
+//! 1. **Plan** (serial): summarize every program, fingerprint every
+//!    transaction, sweep the cache's liveness union, and look every slot —
+//!    each ordered pair and, in triple mode, each unordered triple of
+//!    distinct transactions — up in the verdict cache under its
+//!    `GroupKey`. A miss becomes a work item unless an earlier slot (of
+//!    any program in the batch) already planned its key; statically
+//!    template-free triples are settled with an empty verdict without
+//!    ever grounding a model.
+//! 2. **Solve** (parallel): `std::thread::scope` workers drain the work
 //!    list through an atomic cursor. Each worker takes the item's retained
-//!    state ([`crate::cache::PairState`] / [`crate::triple::TripleState`])
-//!    from the sharded retention maps (states migrate freely between
-//!    workers — they are `Send`), solves with the exact same per-item
-//!    routine as the serial oracle, and returns the state to its shard.
-//! 3. **Merge** (serial, deterministic): verdicts are folded into the
-//!    result map and inserted into the cache **in the serial work order**,
-//!    not in completion order, so the engine's output — verdicts, the
-//!    entire [`DetectStats`] except wall-clock seconds, and every
-//!    downstream repair decision — is byte-identical at any thread count
-//!    (pinned by `tests/parallel_determinism.rs` and
-//!    `tests/triple_vs_pair.rs` on all nine workloads).
+//!    `GroupState` from the sharded retention map (states migrate freely
+//!    between workers — they are `Send`), solves it with the one solve
+//!    frame every bound shares, and returns the state to its shard.
+//! 3. **Merge** (serial, deterministic): verdicts are inserted into the
+//!    cache **in plan order**, not in completion order, and every slot is
+//!    then answered from the cache, labelled by its own program. The
+//!    output — verdicts, the entire [`DetectStats`] except wall-clock
+//!    seconds, and every downstream repair decision — is byte-identical at
+//!    any thread count (pinned by `tests/parallel_determinism.rs` and
+//!    `tests/triple_vs_pair.rs` on all nine workloads) and for a program
+//!    alone or inside any corpus (`tests/corpus_differential.rs`).
 //!
 //! With one thread the scope is skipped and phase 2 runs inline: the
 //! serial cached oracle ([`crate::detect_anomalies_cached`]) is literally
-//! this engine at `threads = 1`, so the paths cannot drift apart.
+//! this driver at `threads = 1`, so the paths cannot drift apart.
 
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use atropos_dsl::Program;
 
-use crate::cache::{
-    txn_fingerprint, LearntPool, PairState, ShardedTripleMap, TripleVerdictKey, VerdictCache,
-};
-use crate::detect::{accumulate, solve_pair_with_state, AccessPair, AnomalyKind, DetectStats};
+use crate::cache::{txn_fingerprint, GroupKey, GroupState, LearntPool, VerdictCache, MAX_K};
+use crate::corpus::CorpusStats;
+use crate::detect::{accumulate, solve_group, AccessPair, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
 use crate::model::{summarize_program, TxnSummary};
 use crate::session::DetectSession;
-use crate::triple::{has_candidates, solve_triple_with_state, TripleState};
+use crate::triple::has_candidates;
 
 /// Which bounded execution skeleton a detection pass grounds its anomaly
 /// queries over.
@@ -101,15 +104,14 @@ impl WorkerStats {
 }
 
 /// Parallelism policy for cached detection passes, plus the engine-scoped
-/// [`LearntPool`]: lemmas published by the first solve of each canonical
-/// `(fingerprint, fingerprint, level)` key, seeded into every later solver
-/// built for the same key — across sessions sharing this engine (clones
-/// share the pool). Cheap to construct and `Clone`-light (a `usize` and an
-/// `Arc`); callers typically build **one engine per sweep** and share it —
-/// the per-run state (verdicts, retained solvers) lives in the
-/// [`DetectSession`], not here. The pool is on by default; set
-/// `ATROPOS_LEARNT_POOL=0` (or call
-/// [`DetectionEngine::with_learnt_pool`]`(false)`) to disable it.
+/// [`LearntPool`]: lemmas published by the first solve of each instance
+/// group at each level, seeded into every later solver built for the same
+/// group — across sessions sharing this engine (clones share the pool).
+/// Cheap to construct and `Clone`-light (a `usize` and an `Arc`); callers
+/// typically build **one engine per sweep** and share it — the per-run
+/// state (verdicts, retained solvers) lives in the [`DetectSession`], not
+/// here. The pool is on by default;
+/// [`DetectionEngine::with_learnt_pool`]`(false)` disables it.
 ///
 /// # Examples
 ///
@@ -153,22 +155,21 @@ impl std::fmt::Debug for DetectionEngine {
 }
 
 impl DetectionEngine {
-    /// An engine solving dirty pairs on `threads` workers (clamped to at
+    /// An engine solving dirty groups on `threads` workers (clamped to at
     /// least 1). Thread count never affects results, only wall-clock —
-    /// and neither does the learnt pool (enabled here unless
-    /// `ATROPOS_LEARNT_POOL` says otherwise): seeded lemmas change how
-    /// fast a verdict is reached, never which verdict.
+    /// and neither does the learnt pool (enabled here): seeded lemmas
+    /// change how fast a verdict is reached, never which verdict.
     pub fn new(threads: usize) -> DetectionEngine {
         DetectionEngine {
             threads: threads.max(1),
-            pool: pool_enabled_from_env().then(|| Arc::new(LearntPool::new())),
+            pool: Some(Arc::new(LearntPool::new())),
             proofs: proofs_enabled_from_env(),
         }
     }
 
-    /// Enables or disables learnt-clause sharing on this engine,
-    /// overriding the `ATROPOS_LEARNT_POOL` default. Disabling drops any
-    /// published lemmas; enabling an already-enabled engine keeps them.
+    /// Enables or disables learnt-clause sharing on this engine (on by
+    /// default). Disabling drops any published lemmas; enabling an
+    /// already-enabled engine keeps them.
     pub fn with_learnt_pool(mut self, enabled: bool) -> DetectionEngine {
         if !enabled {
             self.pool = None;
@@ -252,25 +253,7 @@ impl DetectionEngine {
         session: &mut DetectSession,
     ) -> (Vec<AccessPair>, DetectStats) {
         let (cache, per_worker) = session.cache_and_workers();
-        detect_with_cache(
-            self.threads,
-            program,
-            level,
-            mode,
-            cache,
-            Some(per_worker),
-            self.pool.as_deref(),
-            self.proofs,
-        )
-    }
-}
-
-/// Whether `ATROPOS_LEARNT_POOL` leaves learnt-clause sharing on (the
-/// default): anything but `0` / `false` / `off` does.
-fn pool_enabled_from_env() -> bool {
-    match std::env::var("ATROPOS_LEARNT_POOL") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-        Err(_) => true,
+        detect_with_cache(self, program, level, mode, cache, per_worker)
     }
 }
 
@@ -302,122 +285,43 @@ fn default_threads() -> usize {
         .min(8)
 }
 
-/// One dirty pair of the work list: its slot in the pass's result vector
-/// and the ordered transaction indices.
-struct Miss {
-    slot: usize,
-    i: usize,
-    j: usize,
-    symmetric: bool,
+/// One planned slot of a pass: the transactions of its program that fill
+/// the group's members, in key orientation, and the group's key.
+#[derive(Clone, Copy)]
+struct Slot {
+    members: [usize; MAX_K],
+    key: GroupKey,
 }
 
-/// One dirty triple of the work list: its slot in the triple result
-/// vector, the transaction indices in **canonical (fingerprint-sorted)
-/// orientation** — the orientation the cache key, the grounded model, and
-/// any retained [`TripleState`] all share, so a state retained under one
-/// program is never replayed under a differently-ordered sibling — and
-/// the canonical cache key.
-struct TrioMiss {
-    slot: usize,
-    idx: [usize; 3],
-    key: TripleVerdictKey,
-}
+impl Slot {
+    /// The slot's members as summaries of its program, in key orientation.
+    fn members<'a>(&self, sums: &'a [TxnSummary]) -> Vec<&'a TxnSummary> {
+        self.members[..self.key.k()]
+            .iter()
+            .map(|&i| &sums[i])
+            .collect()
+    }
 
-/// Reorders a triple of transaction indices into the canonical
-/// orientation: ascending by fingerprint (ties — only possible between
-/// identical summaries — broken by index, keeping the order total).
-pub(crate) fn canonical_trio(idx: [usize; 3], fps: &[u64]) -> [usize; 3] {
-    let mut c = idx;
-    c.sort_unstable_by_key(|&i| (fps[i], i));
-    c
+    /// The slot's raw verdicts: its group's `findings` labelled by the
+    /// slot's own program.
+    fn answer(&self, findings: &[Finding], sums: &[TxnSummary]) -> Vec<AccessPair> {
+        let ts = self.members.map(|i| &sums[i]);
+        findings
+            .iter()
+            .filter_map(|f| f.emit(&ts[..self.key.k()]))
+            .collect()
+    }
 }
 
 /// The outcome of solving one dirty work item, produced on whatever worker
 /// claimed it and merged on the coordinating thread.
-pub(crate) struct Outcome {
-    pub(crate) pairs: Vec<AccessPair>,
-    pub(crate) stats: DetectStats,
-    pub(crate) solver_reused: bool,
+struct Outcome {
+    findings: Vec<Finding>,
+    stats: DetectStats,
+    solver_reused: bool,
     /// Proof certificates of this item's UNSAT queries (empty when proof
     /// capture is off), stored with the verdict at the merge point.
-    pub(crate) proofs: Vec<Vec<u8>>,
-}
-
-fn solve_miss(
-    summaries: &[TxnSummary],
-    fps: &[u64],
-    level: ConsistencyLevel,
-    states: &crate::cache::ShardedStateMap,
-    pool: Option<&LearntPool>,
-    proofs: bool,
-    m: &Miss,
-) -> Outcome {
-    let (t1, t2) = (&summaries[m.i], &summaries[m.j]);
-    let key = (fps[m.i], fps[m.j]);
-    let mut state = states.take(key).unwrap_or_else(|| PairState::new(t1, t2));
-    let solver_reused = state.solver.is_some();
-    // A state without a solver seeds published lemmas at its (lazy) solver
-    // construction; the pool is frozen while the batch runs, so the seed is
-    // the same whichever worker claims this item.
-    let seed = match state.solver {
-        Some(_) => None,
-        None => pool.and_then(|p| p.pair_seed(key.0, key.1, level)),
-    };
-    let (pairs, stats, certs) = solve_pair_with_state(
-        t1,
-        t2,
-        m.symmetric,
-        level,
-        &mut state,
-        seed.as_deref().map(Vec::as_slice),
-        proofs,
-    );
-    states.store(key, state);
-    Outcome {
-        pairs,
-        stats,
-        solver_reused,
-        proofs: certs,
-    }
-}
-
-fn solve_trio(
-    summaries: &[TxnSummary],
-    fps: &[u64],
-    level: ConsistencyLevel,
-    states: &ShardedTripleMap,
-    pool: Option<&LearntPool>,
-    proofs: bool,
-    m: &TrioMiss,
-) -> Outcome {
-    let ts = [
-        &summaries[m.idx[0]],
-        &summaries[m.idx[1]],
-        &summaries[m.idx[2]],
-    ];
-    let tfps = [fps[m.idx[0]], fps[m.idx[1]], fps[m.idx[2]]];
-    let key = (m.key.0, m.key.1, m.key.2);
-    let mut state = states.take(key).unwrap_or_else(|| TripleState::new(ts));
-    let solver_reused = state.solver.is_some();
-    let seed = match state.solver {
-        Some(_) => None,
-        None => pool.and_then(|p| p.triple_seed(&m.key)),
-    };
-    let (pairs, stats, certs) = solve_triple_with_state(
-        ts,
-        tfps,
-        level,
-        &mut state,
-        seed.as_deref().map(Vec::as_slice),
-        proofs,
-    );
-    states.store(key, state);
-    Outcome {
-        pairs,
-        stats,
-        solver_reused,
-        proofs: certs,
-    }
+    proofs: Vec<Vec<u8>>,
 }
 
 /// Drains `items` through an atomic work cursor on up to `threads` scoped
@@ -426,7 +330,7 @@ fn solve_trio(
 /// a spawn/join round-trip for them would hand the serial driver a
 /// regression). Returns the outcomes indexed like `items` plus per-worker
 /// counters. Outcome order is by item index, never completion order.
-pub(crate) fn run_pool<T: Sync>(
+fn run_pool<T: Sync>(
     threads: usize,
     items: &[T],
     solve: impl Fn(&T) -> Outcome + Sync,
@@ -489,17 +393,18 @@ pub(crate) fn run_pool<T: Sync>(
     (outcomes, worker_stats)
 }
 
-/// Folds one solved outcome's counters into the pass statistics.
-pub(crate) fn merge_outcome_stats(stats: &mut DetectStats, o: &Outcome) {
-    stats.queries += o.stats.queries;
-    stats.sat_queries += o.stats.sat_queries;
-    stats.memo_hits += o.stats.memo_hits;
-    stats.clauses_encoded += o.stats.clauses_encoded;
-    stats.clauses_fresh_equivalent += o.stats.clauses_fresh_equivalent;
-    stats.conflicts += o.stats.conflicts;
-    stats.propagations += o.stats.propagations;
-    stats.decisions += o.stats.decisions;
-    stats.learnt_seeded += o.stats.learnt_seeded;
+/// Folds one solve's counters (`queries` through `learnt_seeded`) into
+/// `stats`.
+fn add_solve_stats(stats: &mut DetectStats, o: &DetectStats) {
+    stats.queries += o.queries;
+    stats.sat_queries += o.sat_queries;
+    stats.memo_hits += o.memo_hits;
+    stats.clauses_encoded += o.clauses_encoded;
+    stats.clauses_fresh_equivalent += o.clauses_fresh_equivalent;
+    stats.conflicts += o.conflicts;
+    stats.propagations += o.propagations;
+    stats.decisions += o.decisions;
+    stats.learnt_seeded += o.learnt_seeded;
 }
 
 /// Decides, at plan time, which misses may publish their retained lemmas
@@ -509,261 +414,261 @@ pub(crate) fn merge_outcome_stats(stats: &mut DetectStats, o: &Outcome) {
 /// no retained state existed when the batch was planned (a retained
 /// solver's lemmas depend on its whole query history), and the state key
 /// is solved exactly once in this batch (sibling misses sharing a state —
-/// the symmetric/asymmetric orientations of a self-pair, duplicate
+/// the symmetric and asymmetric orientations of one pair of transactions
+/// declared in different orders by two programs, or duplicate
 /// fingerprints inside one program — race on take/store, so whichever
 /// solver survives is a scheduling accident).
-pub(crate) fn publishable_flags<K: std::hash::Hash + Eq + Copy>(
-    state_keys: &[K],
-    fresh: impl Fn(&K) -> bool,
-    pool_lacks: impl Fn(&K) -> bool,
+fn publishable_flags(
+    misses: &[(usize, Slot)],
+    cache: &VerdictCache,
+    pool: Option<&LearntPool>,
 ) -> Vec<bool> {
-    let mut count: std::collections::HashMap<K, u32> = std::collections::HashMap::new();
-    for k in state_keys {
-        *count.entry(*k).or_insert(0) += 1;
+    let Some(pool) = pool else {
+        return vec![false; misses.len()];
+    };
+    let mut count: HashMap<GroupKey, u32> = HashMap::new();
+    for (_, m) in misses {
+        *count.entry(m.key.state()).or_insert(0) += 1;
     }
-    state_keys
+    misses
         .iter()
-        .map(|k| count[k] == 1 && fresh(k) && pool_lacks(k))
+        .map(|(_, m)| {
+            let state = m.key.state();
+            count[&state] == 1 && !cache.states().contains(&state) && !pool.has(&m.key)
+        })
         .collect()
 }
 
-/// Publishes the lemmas retained by one pair state's solver (if it built
-/// one) to the engine's pool — called at the serial merge point, after the
+/// Publishes the lemmas retained by one group's solver (if it built one)
+/// to the engine's pool — called at the serial merge point, after the
 /// batch's workers have all returned their states.
-pub(crate) fn publish_pair_state(
-    cache: &VerdictCache,
-    pool: Option<&LearntPool>,
-    fp1: u64,
-    fp2: u64,
+fn publish_state(cache: &VerdictCache, pool: &LearntPool, key: &GroupKey) {
+    if let Some(state) = cache.states().take(&key.state()) {
+        if let Some(solver) = &state.solver {
+            let exported = solver.export_learnts();
+            if !exported.is_empty() {
+                pool.publish(key, exported);
+            }
+        }
+        cache.states().store(key.state(), state);
+    }
+}
+
+/// Every slot of one program in plan order: each ordered pair (the
+/// symmetric template runs for `i <= j`), then — in triple mode — each
+/// unordered triple of distinct transactions, its members reordered into
+/// key orientation (ascending fingerprint; ties, only possible between
+/// identical summaries, broken by index). Everything downstream — the
+/// cache key, the static prefilter, the grounded model, retained states —
+/// works in that one orientation, so a state keyed here can never be
+/// replayed against members in a different order.
+fn plan_slots(fps: &[u64], level: ConsistencyLevel, mode: DetectMode) -> Vec<Slot> {
+    let n = fps.len();
+    let mut slots = Vec::with_capacity(n * n);
+    for i in 0..n {
+        for j in 0..n {
+            let key = GroupKey::new(&[fps[i], fps[j]], i <= j, level);
+            slots.push(Slot {
+                members: [i, j, 0],
+                key,
+            });
+        }
+    }
+    if mode == DetectMode::Triples {
+        for i in 0..n {
+            for j in (i + 1)..n {
+                for k in (j + 1)..n {
+                    let mut idx = [i, j, k];
+                    idx.sort_unstable_by_key(|&x| (fps[x], x));
+                    let key = GroupKey::new(&idx.map(|x| fps[x]), false, level);
+                    slots.push(Slot { members: idx, key });
+                }
+            }
+        }
+    }
+    slots
+}
+
+/// The one detection driver behind [`DetectionEngine::detect_with_mode`]
+/// and [`crate::analyse_corpus`]: plans every program's slots against one
+/// group keyspace, dedups the misses across the whole batch, solves them
+/// in one worker-pool batch, merges in plan order, and answers every slot
+/// from the cache under its own program's labels. Returns each program's
+/// verdicts with its slot counts (`pairs`, `triples`; the solve counters
+/// stay zero) and the batch statistics, whose `solve` carries the solve
+/// counters of the whole batch.
+pub(crate) fn detect_batch(
+    engine: &DetectionEngine,
+    programs: &[&Program],
     level: ConsistencyLevel,
-) {
-    let Some(pool) = pool else { return };
-    if let Some(state) = cache.states().take((fp1, fp2)) {
-        if let Some(ps) = &state.solver {
-            let exported = ps.export_learnts();
-            if !exported.is_empty() {
-                pool.publish_pair(fp1, fp2, level, exported);
+    mode: DetectMode,
+    cache: &mut VerdictCache,
+    per_worker: &mut Vec<WorkerStats>,
+) -> (Vec<(Vec<AccessPair>, DetectStats)>, CorpusStats) {
+    let started = Instant::now();
+    let pool = engine.learnt_pool();
+    let mut batch = CorpusStats {
+        programs: programs.len(),
+        ..CorpusStats::default()
+    };
+
+    // Plan (serial): summarize and fingerprint everything and fold the
+    // whole batch into the liveness union *first* (so no program's slots
+    // sweep another's entries) — an entry the sweep keeps is guaranteed to
+    // hit below. Then one lookup per slot: a hit is answered on the spot,
+    // a miss once its key is solved (each key is planned once).
+    let sums: Vec<Vec<TxnSummary>> = programs.iter().map(|p| summarize_program(p)).collect();
+    let fps: Vec<Vec<u64>> = sums
+        .iter()
+        .map(|s| s.iter().map(txn_fingerprint).collect())
+        .collect();
+    cache.sweep_live(&fps.concat());
+    let mut planned: HashSet<GroupKey> = HashSet::new();
+    // The first slot (with its program) of every planned key.
+    let mut misses: Vec<(usize, Slot)> = Vec::new();
+    // Statically template-free triples: settled empty, never grounded.
+    let mut settled: Vec<(usize, Slot)> = Vec::new();
+    // Per program, every slot with its answer if it hit.
+    let mut slots: Vec<Vec<(Slot, Option<Vec<AccessPair>>)>> = Vec::with_capacity(programs.len());
+    for (prog, pfps) in fps.iter().enumerate() {
+        let mut plan = Vec::new();
+        for slot in plan_slots(pfps, level, mode) {
+            let hit = cache
+                .lookup(&slot.key)
+                .map(|e| slot.answer(&e.findings, &sums[prog]));
+            let first_miss = hit.is_none() && planned.insert(slot.key);
+            plan.push((slot, hit));
+            if !first_miss {
+                continue;
+            }
+            let free = slot.key.k() == 3 && {
+                let ts = slot.members(&sums[prog]);
+                let f = slot.key.fps();
+                !has_candidates([ts[0], ts[1], ts[2]], [f[0], f[1], f[2]])
+            };
+            if free {
+                settled.push((prog, slot));
+            } else {
+                misses.push((prog, slot));
             }
         }
-        cache.states().store((fp1, fp2), state);
+        slots.push(plan);
     }
-}
+    batch.unique_pairs = misses.iter().filter(|(_, m)| m.key.k() == 2).count() as u64;
+    batch.unique_triples = misses.len() as u64 - batch.unique_pairs;
 
-/// The triple sibling of [`publish_pair_state`].
-pub(crate) fn publish_trio_state(
-    cache: &VerdictCache,
-    pool: Option<&LearntPool>,
-    key: TripleVerdictKey,
-) {
-    let Some(pool) = pool else { return };
-    if let Some(state) = cache.triple_states().take((key.0, key.1, key.2)) {
-        if let Some(ts) = &state.solver {
-            let exported = ts.export_learnts();
-            if !exported.is_empty() {
-                pool.publish_triple(key, exported);
-            }
+    // Which misses may publish lemmas at the merge point — a plan-time
+    // fact, so the pool's evolution is byte-identical at any thread count.
+    let publish = publishable_flags(&misses, cache, pool);
+
+    // Solve (parallel): each unique key exactly once, against the shared
+    // retained-state shards.
+    let (outcomes, worker_stats) = run_pool(engine.threads(), &misses, |(prog, m)| {
+        let ts = m.members(&sums[*prog]);
+        let states = cache.states();
+        let mut state = states
+            .take(&m.key.state())
+            .unwrap_or_else(|| GroupState::new(&ts));
+        let solver_reused = state.solver.is_some();
+        // A state without a solver seeds published lemmas at its (lazy)
+        // solver construction; the pool is frozen while the batch runs,
+        // so the seed is the same whichever worker claims this item.
+        let seed = match state.solver {
+            Some(_) => None,
+            None => pool.and_then(|p| p.seed(&m.key)),
+        };
+        let (findings, stats, proofs) = solve_group(
+            &ts,
+            m.key.fps(),
+            m.key.symmetric,
+            level,
+            &mut state,
+            seed.as_deref().map(Vec::as_slice),
+            engine.proofs_enabled(),
+        );
+        states.store(m.key.state(), state);
+        Outcome {
+            findings,
+            stats,
+            solver_reused,
+            proofs,
         }
-        cache.triple_states().store((key.0, key.1, key.2), state);
+    });
+    if per_worker.len() < worker_stats.len() {
+        per_worker.resize(worker_stats.len(), WorkerStats::default());
     }
+    for (slot, ws) in worker_stats.iter().enumerate() {
+        per_worker[slot].absorb(ws);
+    }
+
+    // Merge (serial, plan order): insert verdicts and publish lemmas in
+    // the serial work order, whatever order the workers finished in.
+    for (((prog, m), o), publish) in misses.iter().zip(outcomes).zip(publish) {
+        let o = o.expect("every miss was solved");
+        cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
+        cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
+        add_solve_stats(&mut batch.solve, &o.stats);
+        if let (true, Some(pool)) = (publish, pool) {
+            publish_state(cache, pool, &m.key);
+        }
+        cache.insert(m.key, &m.members(&sums[*prog]), o.findings, o.proofs);
+    }
+    for (prog, m) in settled {
+        cache.insert(m.key, &m.members(&sums[prog]), Vec::new(), Vec::new());
+    }
+
+    // Answer (serial): the missed slots from the merged cache, each
+    // labelled by its own program, and every slot folded in slot order —
+    // merge order is part of the oracle's observable behaviour (see
+    // `accumulate`).
+    let verdicts: Vec<(Vec<AccessPair>, DetectStats)> = slots
+        .into_iter()
+        .enumerate()
+        .map(|(prog, plan)| {
+            let pairs = plan.iter().filter(|(s, _)| s.key.k() == 2).count() as u64;
+            let stats = DetectStats {
+                pairs,
+                triples: plan.len() as u64 - pairs,
+                ..DetectStats::default()
+            };
+            let mut found = BTreeMap::new();
+            for (slot, hit) in plan {
+                let pairs = hit.unwrap_or_else(|| {
+                    let e = cache.entry(&slot.key).expect("every missed key was solved");
+                    slot.answer(&e.findings, &sums[prog])
+                });
+                accumulate(&mut found, pairs);
+            }
+            (found.into_values().collect(), stats)
+        })
+        .collect();
+    batch.pair_slots = verdicts.iter().map(|(_, s)| s.pairs).sum();
+    batch.triple_slots = verdicts.iter().map(|(_, s)| s.triples).sum();
+    batch.seconds = started.elapsed().as_secs_f64();
+    (verdicts, batch)
 }
 
-/// The shared implementation behind [`DetectionEngine::detect_with_mode`]
-/// and the serial [`crate::detect_anomalies_cached`]: plan serially, solve
-/// the misses on up to `threads` workers, merge deterministically.
-#[allow(clippy::too_many_arguments)]
+/// One program through [`detect_batch`]: its verdicts with the complete
+/// pass statistics (slot counts, the solve counters, wall-clock seconds).
 pub(crate) fn detect_with_cache(
-    threads: usize,
+    engine: &DetectionEngine,
     program: &Program,
     level: ConsistencyLevel,
     mode: DetectMode,
     cache: &mut VerdictCache,
-    per_worker: Option<&mut Vec<WorkerStats>>,
-    pool: Option<&LearntPool>,
-    proofs: bool,
+    per_worker: &mut Vec<WorkerStats>,
 ) -> (Vec<AccessPair>, DetectStats) {
-    let started = Instant::now();
-    let summaries = summarize_program(program);
-    let fps: Vec<u64> = summaries.iter().map(txn_fingerprint).collect();
-    // Fold this program into the session's liveness union and prune entries
-    // outside it; an entry the sweep keeps is guaranteed to hit below (this
-    // pass or a later one over a program already seen).
-    cache.sweep_live(&fps);
-    let n = summaries.len();
-    let mut stats = DetectStats::default();
-    let mut all_workers: Vec<WorkerStats> = Vec::new();
-    let absorb = |all: &mut Vec<WorkerStats>, ws: &[WorkerStats]| {
-        if all.len() < ws.len() {
-            all.resize(ws.len(), WorkerStats::default());
-        }
-        for (slot, w) in ws.iter().enumerate() {
-            all[slot].absorb(w);
-        }
-    };
-
-    // Phase 1 (serial): verdict lookups. Hits fill their slots; misses
-    // become the dirty-pair work list.
-    let mut slots: Vec<Option<Vec<AccessPair>>> = Vec::with_capacity(n * n);
-    let mut misses: Vec<Miss> = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
-            stats.pairs += 1;
-            let symmetric = i <= j;
-            let slot = slots.len();
-            match cache.lookup(fps[i], fps[j], symmetric, level) {
-                Some(pairs) => slots.push(Some(pairs)),
-                None => {
-                    slots.push(None);
-                    misses.push(Miss {
-                        slot,
-                        i,
-                        j,
-                        symmetric,
-                    });
-                }
-            }
-        }
-    }
-
-    // Which misses may publish lemmas at the merge point — a plan-time
-    // fact, so the pool's evolution is byte-identical at any thread count.
-    let pair_publish: Vec<bool> = match pool {
-        Some(p) => {
-            let keys: Vec<(u64, u64)> = misses.iter().map(|m| (fps[m.i], fps[m.j])).collect();
-            publishable_flags(
-                &keys,
-                |k| !cache.states().contains(k),
-                |k| !p.has_pair(k.0, k.1, level),
-            )
-        }
-        None => vec![false; misses.len()],
-    };
-
-    // Phase 2: solve the dirty pairs on the pool.
-    let (outcomes, worker_stats) = run_pool(threads, &misses, |m| {
-        solve_miss(&summaries, &fps, level, cache.states(), pool, proofs, m)
-    });
-    absorb(&mut all_workers, &worker_stats);
-
-    // Phase 3 (serial, deterministic): insert verdicts and fold results in
-    // the serial pair order, whatever order the workers finished in.
-    for ((m, o), publish) in misses.iter().zip(outcomes).zip(&pair_publish) {
-        let o = o.expect("every miss was solved");
-        cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-        cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-        merge_outcome_stats(&mut stats, &o);
-        if *publish {
-            publish_pair_state(cache, pool, fps[m.i], fps[m.j], level);
-        }
-        cache.insert(
-            fps[m.i],
-            fps[m.j],
-            m.symmetric,
-            level,
-            &summaries[m.i],
-            &summaries[m.j],
-            o.pairs.clone(),
-            o.proofs,
-        );
-        slots[m.slot] = Some(o.pairs);
-    }
-
-    // The triple phases: same plan/solve/merge shape over every unordered
-    // triple of distinct transactions. Statically template-free triples
-    // are settled during planning (an empty verdict, no model, no solver).
-    let mut trio_slots: Vec<Option<Vec<AccessPair>>> = Vec::new();
-    if mode == DetectMode::Triples {
-        let mut trio_misses: Vec<TrioMiss> = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                for k in (j + 1)..n {
-                    stats.triples += 1;
-                    // Everything downstream — the cache key, the static
-                    // prefilter, the grounded model, retained states —
-                    // works in the one canonical orientation, so a state
-                    // keyed here can never be replayed against summaries
-                    // in a different instance order.
-                    let idx = canonical_trio([i, j, k], &fps);
-                    let key = (fps[idx[0]], fps[idx[1]], fps[idx[2]], level);
-                    let slot = trio_slots.len();
-                    match cache.lookup_triple(key) {
-                        Some(pairs) => trio_slots.push(Some(pairs)),
-                        None => {
-                            let ts =
-                                [&summaries[idx[0]], &summaries[idx[1]], &summaries[idx[2]]];
-                            if has_candidates(ts, [fps[idx[0]], fps[idx[1]], fps[idx[2]]]) {
-                                trio_slots.push(None);
-                                trio_misses.push(TrioMiss { slot, idx, key });
-                            } else {
-                                cache.insert_triple(key, ts, Vec::new(), Vec::new());
-                                trio_slots.push(Some(Vec::new()));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let trio_publish: Vec<bool> = match pool {
-            Some(p) => {
-                let keys: Vec<(u64, u64, u64)> =
-                    trio_misses.iter().map(|m| (m.key.0, m.key.1, m.key.2)).collect();
-                publishable_flags(
-                    &keys,
-                    |k| !cache.triple_states().contains(k),
-                    |k| !p.has_triple(&(k.0, k.1, k.2, level)),
-                )
-            }
-            None => vec![false; trio_misses.len()],
-        };
-
-        let (trio_outcomes, trio_workers) = run_pool(threads, &trio_misses, |m| {
-            solve_trio(&summaries, &fps, level, cache.triple_states(), pool, proofs, m)
-        });
-        absorb(&mut all_workers, &trio_workers);
-
-        for ((m, o), publish) in trio_misses.iter().zip(trio_outcomes).zip(&trio_publish) {
-            let o = o.expect("every triple miss was solved");
-            cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-            cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-            merge_outcome_stats(&mut stats, &o);
-            if *publish {
-                publish_trio_state(cache, pool, m.key);
-            }
-            cache.insert_triple(
-                m.key,
-                [
-                    &summaries[m.idx[0]],
-                    &summaries[m.idx[1]],
-                    &summaries[m.idx[2]],
-                ],
-                o.pairs.clone(),
-                o.proofs,
-            );
-            trio_slots[m.slot] = Some(o.pairs);
-        }
-    }
-
-    let mut found: std::collections::BTreeMap<(String, String, AnomalyKind), AccessPair> =
-        std::collections::BTreeMap::new();
-    for pairs in slots.into_iter().chain(trio_slots) {
-        accumulate(&mut found, pairs.expect("every slot was filled"));
-    }
-    if let Some(pw) = per_worker {
-        if pw.len() < all_workers.len() {
-            pw.resize(all_workers.len(), WorkerStats::default());
-        }
-        for (slot, ws) in all_workers.iter().enumerate() {
-            pw[slot].absorb(ws);
-        }
-    }
-    stats.seconds = started.elapsed().as_secs_f64();
-    (found.into_values().collect(), stats)
+    let (mut out, batch) = detect_batch(engine, &[program], level, mode, cache, per_worker);
+    let (verdicts, mut stats) = out.pop().expect("one program in, one verdict out");
+    add_solve_stats(&mut stats, &batch.solve);
+    stats.seconds = batch.seconds;
+    (verdicts, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::detect_anomalies;
+    use crate::detect::{detect_anomalies, AnomalyKind};
     use atropos_dsl::parse;
 
     const TWO_TXNS: &str = "schema T { id: int key, v: int, w: int }
@@ -860,7 +765,7 @@ mod tests {
         assert!(session.cache_stats().triple_hits > 0);
     }
 
-    /// A retained `TripleState` is keyed (and grounded) in the canonical
+    /// A retained triple `GroupState` is keyed (and grounded) in the canonical
     /// fingerprint orientation, so a session shared across two programs
     /// that declare the same three transactions in *different order* must
     /// replay the state correctly — not against reshuffled instance spans.

@@ -6,31 +6,40 @@
 //! The paper reduces anomaly detection to the satisfiability of an FOL
 //! formula over transactional dependencies, visibility, and global
 //! timestamps, discharged with Z3. This crate grounds the same queries over
-//! a bounded two-instance execution skeleton and decides them with the
-//! workspace's own CDCL solver (`atropos-sat`):
+//! a bounded execution skeleton of two (or, in triple mode, three)
+//! transaction instances and decides them with the workspace's own CDCL
+//! solver (`atropos-sat`):
 //!
 //! * [`model`] — static command summaries (read/write sets, key specs);
 //! * [`encode`] — witness records, atoms, and the CNF encoding of `ord`,
-//!   `vis`, and the per-level axioms (EC / CC / RR / SC), shared by the
-//!   fresh reference path ([`pattern_satisfiable`]) and the incremental
-//!   [`PairSolver`] (one solver per transaction pair, level axioms as
-//!   activation-literal-guarded groups, queries via assumptions);
-//! * [`detect`] — the four violation templates, the public oracle
+//!   `vis`, and the per-level axioms (EC / CC / RR / SC) over any number
+//!   of instances, shared by the fresh reference path
+//!   ([`pattern_satisfiable`]) and the incremental [`PairSolver`] (one
+//!   solver per instance group, level axioms as activation-literal-guarded
+//!   groups, queries via assumptions);
+//! * [`detect`] — the four pair templates, the public oracle
 //!   [`detect_anomalies`] (plus multi-level, instrumented, fresh, and
-//!   differential variants), and [`DetectStats`];
-//! * [`cache`] — transaction-pair fingerprinting and the [`VerdictCache`]
+//!   differential variants), the solve frame every bound shares, and
+//!   [`DetectStats`];
+//! * [`triple`] — the three-instance chain templates of
+//!   [`DetectMode::Triples`];
+//! * [`cache`] — transaction fingerprinting and the [`VerdictCache`]
 //!   behind [`detect_anomalies_cached`], the near-incremental oracle the
-//!   repair loop re-invokes after every refactoring step;
-//! * [`engine`] — the [`DetectionEngine`]: the same cached oracle with the
-//!   dirty pairs solved on a scoped-thread worker pool
-//!   (`ATROPOS_THREADS`-controlled) and merged deterministically;
+//!   repair loop re-invokes after every refactoring step: verdicts,
+//!   retained solvers and the [`LearntPool`] keyed by one instance-group
+//!   key;
+//! * [`engine`] — the [`DetectionEngine`] and the one detection driver:
+//!   plan a batch of programs against the cache, solve the deduplicated
+//!   misses on a scoped-thread worker pool (`ATROPOS_THREADS`-controlled),
+//!   and merge deterministically;
 //! * [`session`] — the [`DetectSession`]: a verdict cache with a session
 //!   lifetime, shared across repair runs so common transaction shapes hit
-//!   warm verdicts (cross-run counters in [`CacheStats`]);
+//!   warm verdicts (cross-run counters in [`CacheStats`]), persisted to
+//!   and loaded from a store directory;
 //! * [`corpus`] — fleet scale: the sharded `verdict_cache.v2` store
 //!   (per-shard advisory locks, checksummed record logs, union merge,
-//!   compaction/eviction) and the [`CorpusService`] that fingerprint-dedups
-//!   a whole directory of programs before solving;
+//!   compaction/eviction) and the [`CorpusService`] that runs the driver
+//!   over a whole directory of programs at once;
 //! * [`replay`] — witness replay: the satisfying assignment behind a dirty
 //!   verdict is decoded ([`decode_witness`]) into a concrete
 //!   [`atropos_sim::ConcreteSchedule`] and executed deterministically on
@@ -85,4 +94,3 @@ pub use detect::{
 pub use encode::{pattern_satisfiable, ConsistencyLevel, InstanceModel, PairSolver, WitnessTruth};
 pub use replay::{decode_witness, decode_witness_marked, replay_verdict};
 pub use model::{summarize_program, summarize_txn, CmdKind, CmdSummary, KeySpec, TxnSummary};
-pub use triple::{TripleModel, TripleSolver};

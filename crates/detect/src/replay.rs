@@ -5,7 +5,7 @@
 //! satisfiable pattern query. The satisfying assignment behind that verdict
 //! is a full bounded execution (an arbitration order over every command
 //! instance and a visibility relation over every atom), which this module
-//! extracts ([`PairSolver::witness`] / [`TripleSolver::witness`]) and
+//! extracts ([`PairSolver::witness`], for pairs and triples alike) and
 //! decodes into an [`atropos_sim::ConcreteSchedule`]: a total order of
 //! per-instance commands with session and replica placement, explicit
 //! replication steps realizing the model's read-from edges, and the
@@ -50,8 +50,7 @@ use crate::detect::{pair_key, AccessPair, AnomalyKind};
 use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver, VisRequirement, WitnessTruth};
 use crate::model::{summarize_program, CmdKind, TxnSummary};
 use crate::triple::{
-    anomaly as triple_anomaly, collect_candidates, requirements as triple_requirements,
-    TripleModel, TripleSolver,
+    collect_candidates, finding as triple_finding, requirements as triple_requirements,
 };
 
 /// A realizable witness found for a verdict: the grounded model, the
@@ -550,20 +549,22 @@ fn find_triple_witness(
                 marked,
                 &[&ts[0].name, &ts[1].name, &ts[2].name],
             );
-            let mut state: Option<(TripleModel, TripleSolver)> = None;
+            let mut state: Option<(InstanceModel, PairSolver)> = None;
             for (_, cand) in collect_candidates(ts, fps, usize::MAX) {
-                let produced = triple_anomaly(ts, &cand);
-                if !anchored(verdict, &produced, strict) {
+                let produced = triple_finding(ts, &cand).emit(&ts);
+                if !produced.is_some_and(|p| anchored(verdict, &p, strict)) {
                     continue;
                 }
-                let (tm, solver) = state.get_or_insert_with(|| {
-                    let tm = TripleModel::new(ts[0], ts[1], ts[2]);
-                    let solver = TripleSolver::new(&tm);
-                    (tm, solver)
+                let (model, solver) = state.get_or_insert_with(|| {
+                    let model = InstanceModel::new_multi(&ts);
+                    let solver = PairSolver::new(&model);
+                    (model, solver)
                 });
-                let Some(reqs) = triple_requirements(tm, &cand) else { continue };
-                if let Some(truth) = solver.witness(tm, eff, &reqs) {
-                    let model = state.expect("state grounded above").0.model;
+                let Some(reqs) = triple_requirements(model, &cand) else {
+                    continue;
+                };
+                if let Some(truth) = solver.witness(model, eff, &reqs) {
+                    let model = state.expect("state grounded above").0;
                     return Some(Found {
                         model,
                         txns: ts.iter().map(|t| t.name.clone()).collect(),

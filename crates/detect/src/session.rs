@@ -14,11 +14,11 @@
 //! [`crate::cache`]).
 
 use atropos_dsl::Program;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
 use crate::cache::{CacheStats, VerdictCache};
+use crate::corpus::CorpusStore;
 use crate::engine::WorkerStats;
 
 /// A verdict cache with a session lifetime, plus the per-worker counters
@@ -114,12 +114,6 @@ impl DetectSession {
         self.cache.audits()
     }
 
-    /// Forwards a refactoring step's pure relabelings to the cache (see
-    /// [`VerdictCache::record_renames`]).
-    pub fn record_renames(&mut self, renames: &BTreeMap<String, String>) {
-        self.cache.record_renames(renames);
-    }
-
     /// Explicit between-runs sweep: resets liveness to exactly `program`
     /// and evicts everything else (see [`VerdictCache::sweep`]). Returns
     /// the number of verdict entries evicted.
@@ -187,65 +181,53 @@ impl DetectSession {
         }
     }
 
-    /// Persists every pair and triple verdict entry to `path`, dispatching
-    /// on what `path` is:
-    ///
-    /// * an existing **directory** is treated as a sharded
-    ///   `verdict_cache.v2` store ([`crate::corpus::CorpusStore`]): this
-    ///   session's verdicts are **union-merged** in under per-shard
-    ///   advisory locks, so concurrent sessions saving to one store
-    ///   combine instead of clobbering each other;
-    /// * any other path gets the monolithic length-prefixed
-    ///   `verdict_cache.v1` file (conventionally
-    ///   `experiments/verdict_cache.v1`; the bench bins wire this behind
-    ///   the `ATROPOS_CACHE_FILE` environment variable), written via a
-    ///   sibling tempfile and an atomic rename so a crash mid-save leaves
-    ///   the previous file intact — never the truncated files
-    ///   [`DetectSession::load_from`] rejects.
+    /// Persists every pair and triple verdict entry into the sharded
+    /// `verdict_cache.v2` store at `dir` ([`crate::corpus::CorpusStore`]),
+    /// creating the directory if it is missing. This session's verdicts
+    /// are **union-merged** in under per-shard advisory locks, so
+    /// concurrent sessions saving to one store combine instead of
+    /// clobbering each other, and every shard lands via a sibling
+    /// tempfile and an atomic rename, so a crash mid-save leaves the
+    /// previous shard intact. The bench bins wire this behind the
+    /// `ATROPOS_CACHE_FILE` environment variable.
     ///
     /// Retained solvers are transient and not persisted — a loaded
     /// session re-encodes on its first miss but never re-solves a
-    /// persisted verdict. Returns the number of entries written (for a v2
-    /// store: the number this session contributed, merged or already
-    /// present).
+    /// persisted verdict. Returns the number of entries this session
+    /// contributed (merged or already present).
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from writing `path`.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> io::Result<usize> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            crate::corpus::CorpusStore::open(path)?.merge_cache(&self.cache)?;
-            return Ok(self.cache.len() + self.cache.triple_len());
-        }
-        let mut bytes = Vec::new();
-        let entries = self.cache.save_entries(&mut bytes);
-        crate::corpus::write_atomic(path, &bytes)?;
-        Ok(entries)
+    /// Propagates I/O errors from writing the store; a `dir` that is a
+    /// regular file is refused with [`io::ErrorKind::NotADirectory`].
+    pub fn save_to(&self, dir: impl AsRef<Path>) -> io::Result<usize> {
+        CorpusStore::open(dir)?.merge_cache(&self.cache)?;
+        Ok(self.cache.len() + self.cache.triple_len())
     }
 
-    /// Reconstructs a session from a [`DetectSession::save_to`] path — a
-    /// `verdict_cache.v1` file or a `verdict_cache.v2` store directory.
-    /// All entries load into run 0 (warm for every following run), and the
-    /// liveness union is seeded with every persisted fingerprint so a pass
-    /// over one program does not sweep away another program's entries.
+    /// Reconstructs a session from a [`DetectSession::save_to`] store
+    /// directory. All entries load into run 0 (warm for every following
+    /// run), and the liveness union is seeded with every persisted
+    /// fingerprint so a pass over one program does not sweep away another
+    /// program's entries.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; returns
-    /// [`std::io::ErrorKind::InvalidData`] on a malformed or
-    /// version-incompatible file.
-    pub fn load_from(path: impl AsRef<Path>) -> io::Result<DetectSession> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            let cache = crate::corpus::CorpusStore::open(path)?.load_cache()?;
-            return Ok(DetectSession::from_cache(cache));
+    /// Propagates I/O errors ([`io::ErrorKind::NotFound`] when `dir` does
+    /// not exist); a `dir` that is a regular file is refused with
+    /// [`io::ErrorKind::NotADirectory`], and a malformed store with
+    /// [`io::ErrorKind::InvalidData`].
+    pub fn load_from(dir: impl AsRef<Path>) -> io::Result<DetectSession> {
+        let dir = dir.as_ref();
+        if !dir.exists() {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("verdict_cache.v2: no store at {}", dir.display()),
+            ));
         }
-        let bytes = std::fs::read(path)?;
-        Ok(DetectSession {
-            cache: VerdictCache::load_entries(&bytes)?,
-            per_worker: Vec::new(),
-        })
+        Ok(DetectSession::from_cache(
+            CorpusStore::open(dir)?.load_cache()?,
+        ))
     }
 }
 
@@ -254,6 +236,7 @@ mod tests {
     use super::*;
     use crate::engine::{DetectMode, DetectionEngine};
     use crate::ConsistencyLevel;
+    use std::path::PathBuf;
 
     const RELAY: &str = "schema MSG { m_id: int key, m_body: string }
          schema FEED { f_id: int key, f_body: string }
@@ -272,6 +255,36 @@ mod tests {
              return 0;
          }";
 
+    /// A fresh, absent path under the temp dir.
+    fn scratch(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("atropos_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// The store's shard files, sorted.
+    fn shards(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("read store dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "v2"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A store holding the Relay program's EC pair verdicts.
+    fn saved_store(tag: &str) -> (PathBuf, Vec<crate::AccessPair>) {
+        let p = atropos_dsl::parse(RELAY).unwrap();
+        let mut session = DetectSession::new();
+        let ec = ConsistencyLevel::EventualConsistency;
+        let (pairs, _) = DetectionEngine::serial().detect(&p, ec, &mut session);
+        let dir = scratch(tag);
+        assert!(session.save_to(&dir).expect("save") > 0);
+        (dir, pairs)
+    }
+
     #[test]
     fn verdicts_roundtrip_across_processes() {
         let p = atropos_dsl::parse(RELAY).unwrap();
@@ -282,15 +295,12 @@ mod tests {
         let mut first = DetectSession::new();
         let (pairs, _) = engine.detect(&p, ec, &mut first);
         let (triples, _) = engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut first);
-        let path = std::env::temp_dir().join(format!(
-            "atropos_verdict_cache_{}.v1",
-            std::process::id()
-        ));
-        let entries = first.save_to(&path).expect("save");
+        let dir = scratch("verdict_cache");
+        let entries = first.save_to(&dir).expect("save");
         assert!(entries > 0);
 
         // "Process two": load and re-detect — same verdicts, zero queries.
-        let mut second = DetectSession::load_from(&path).expect("load");
+        let mut second = DetectSession::load_from(&dir).expect("load");
         let before = second.cache_stats();
         let (again_pairs, sp) = engine.detect(&p, ec, &mut second);
         let (again_triples, st) =
@@ -302,105 +312,108 @@ mod tests {
         assert_eq!(delta.misses + delta.triple_misses, 0, "{delta:?}");
 
         // Corrupt data is refused, not misread.
-        std::fs::write(&path, b"not a verdict cache").expect("overwrite");
-        assert!(DetectSession::load_from(&path).is_err());
-        let _ = std::fs::remove_file(&path);
+        for shard in shards(&dir) {
+            std::fs::write(&shard, b"not a verdict cache").expect("overwrite");
+        }
+        assert!(DetectSession::load_from(&dir).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A zero-length cache file (crash before the first write, or an
-    /// `ATROPOS_CACHE_FILE` created by `touch`) must be refused with a
-    /// clear `InvalidData` error, not misread as an empty cache.
+    /// A zero-length regular file where the store should be (a crash
+    /// before the first write, or an `ATROPOS_CACHE_FILE` created by
+    /// `touch`) must be refused with a typed error by both ends, not
+    /// misread as an empty store or clobbered.
     #[test]
     fn zero_length_cache_file_is_refused() {
-        let path = std::env::temp_dir().join(format!(
-            "atropos_zero_length_{}.v1",
-            std::process::id()
-        ));
+        let path = scratch("zero_length");
         std::fs::write(&path, b"").expect("write");
         let err = match DetectSession::load_from(&path) {
             Err(e) => e,
             Ok(_) => panic!("zero-length file accepted"),
         };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("empty file"), "{err}");
+        assert_eq!(err.kind(), io::ErrorKind::NotADirectory);
+        assert!(err.to_string().contains("not a store directory"), "{err}");
+        let err = DetectSession::new()
+            .save_to(&path)
+            .expect_err("saved over a file");
+        assert_eq!(err.kind(), io::ErrorKind::NotADirectory);
+        assert!(path.is_file(), "the file is left alone");
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A file cut off *inside* a length-prefixed record — valid magic,
-    /// valid revision, clean EOF mid-entry (a partial write or copy) —
-    /// must be refused with a clear `InvalidData` error rather than loading
-    /// a silently incomplete cache.
+    /// A shard cut off *inside* a length-prefixed record — valid magic,
+    /// valid revision, clean EOF mid-record (a partial write or copy) —
+    /// must be refused with a clear `InvalidData` error rather than
+    /// loading a silently incomplete session.
     #[test]
     fn mid_record_truncation_is_refused() {
-        let p = atropos_dsl::parse(RELAY).unwrap();
-        let engine = DetectionEngine::serial();
-        let mut session = DetectSession::new();
-        engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
-        let path = std::env::temp_dir().join(format!(
-            "atropos_truncated_{}.v1",
-            std::process::id()
-        ));
-        session.save_to(&path).expect("save");
-
-        let bytes = std::fs::read(&path).expect("read");
-        // Cut off mid-record at several depths: just past the header (the
-        // entry count promises records the bytes can't hold), and a few
-        // bytes short of the end (EOF inside the final record).
-        for cut in [13, bytes.len() - 5, bytes.len() - 1] {
+        let (dir, _) = saved_store("truncated");
+        let shard = shards(&dir).pop().expect("at least one shard");
+        let bytes = std::fs::read(&shard).expect("read");
+        // Cut off mid-record at several depths: inside the first record
+        // header, inside its payload, and a few bytes short of the end
+        // (EOF inside the final record).
+        for cut in [24, 40, bytes.len() - 5, bytes.len() - 1] {
             assert!(cut < bytes.len(), "fixture large enough");
-            std::fs::write(&path, &bytes[..cut]).expect("write");
-            let err = match DetectSession::load_from(&path) {
+            std::fs::write(&shard, &bytes[..cut]).expect("write");
+            let err = match DetectSession::load_from(&dir) {
                 Err(e) => e,
-                Ok(_) => panic!("file truncated at {cut} accepted"),
+                Ok(_) => panic!("shard truncated at {cut} accepted"),
             };
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut at {cut}");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
             assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A crash mid-`save_to` must never damage the previously saved file:
-    /// the write stages into a sibling tempfile and lands via atomic
-    /// rename. The test replays the kill by planting exactly the partial
-    /// bytes a writer killed partway would leave at the staging path —
-    /// the original file must still load, byte-for-byte warm.
+    /// A crash mid-`save_to` must never damage the previously saved
+    /// shard: the write stages into a sibling tempfile and lands via
+    /// atomic rename. The test replays the kill by planting exactly the
+    /// partial bytes a writer killed partway would leave at the staging
+    /// path — the store must still load, byte-for-byte warm.
     #[test]
     fn killed_save_leaves_previous_file_loadable() {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let engine = DetectionEngine::serial();
-        let mut session = DetectSession::new();
-        let (pairs, _) = engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
-        let path = std::env::temp_dir().join(format!(
-            "atropos_crash_save_{}.v1",
-            std::process::id()
-        ));
-        let entries = session.save_to(&path).expect("first save");
-        assert!(entries > 0);
-        let good = std::fs::read(&path).expect("read saved file");
+        let (dir, pairs) = saved_store("crash_save");
+        let shard = shards(&dir).pop().expect("at least one shard");
+        let good = std::fs::read(&shard).expect("read saved shard");
 
         // "Kill" a second save partway: the staging sibling holds a
         // truncated prefix, but no rename ever happens.
-        let staged = crate::corpus::tmp_sibling(&path);
+        let staged = crate::corpus::tmp_sibling(&shard);
         std::fs::write(&staged, &good[..good.len() / 2]).expect("partial write");
 
-        // The real file is untouched and still loads to the same verdicts.
-        assert_eq!(std::fs::read(&path).expect("reread"), good);
-        let mut reloaded = DetectSession::load_from(&path).expect("load survives the crash");
+        // The real shard is untouched and still loads to the same verdicts.
+        assert_eq!(std::fs::read(&shard).expect("reread"), good);
+        let mut reloaded = DetectSession::load_from(&dir).expect("load survives the crash");
         let (again, stats) =
             engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut reloaded);
         assert_eq!(again, pairs);
         assert_eq!(stats.queries, 0, "reloaded verdicts replay warm");
 
-        // And a completed save atomically replaces the file, leaving no
-        // staging debris behind at its own sibling.
-        session.save_to(&path).expect("second save");
-        assert_eq!(std::fs::read(&path).expect("reread"), good);
-        let _ = std::fs::remove_file(&staged);
-        let _ = std::fs::remove_file(&path);
+        // And a completed save atomically replaces the shard, leaving no
+        // staging debris or locks of its own behind.
+        reloaded.save_to(&dir).expect("second save");
+        let mut left: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|f| f != &staged && f.extension().is_none_or(|e| e != "v2"))
+            .collect();
+        left.sort();
+        assert!(left.is_empty(), "debris: {left:?}");
+        let (again, stats) = engine.detect(
+            &p,
+            ConsistencyLevel::EventualConsistency,
+            &mut DetectSession::load_from(&dir).expect("load after resave"),
+        );
+        assert_eq!((again, stats.queries), (pairs, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `save_to`/`load_from` pointed at a *directory* speak the sharded
-    /// v2 store format: saving union-merges, loading replays warm.
+    /// `save_to` creates a missing store directory and `load_from` replays
+    /// it warm in both modes; loading a path that does not exist is a
+    /// `NotFound` error, not an empty session.
     #[test]
     fn directory_paths_dispatch_to_the_v2_store() {
         let p = atropos_dsl::parse(RELAY).unwrap();
@@ -410,12 +423,13 @@ mod tests {
         let (pairs, _) = engine.detect(&p, ec, &mut first);
         let (triples, _) = engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut first);
 
-        let dir = std::env::temp_dir().join(format!(
-            "atropos_session_store_{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let entries = first.save_to(&dir).expect("save to store");
+        let dir = scratch("session_store").join("nested");
+        let Err(err) = DetectSession::load_from(&dir) else {
+            panic!("loaded a store that was never saved")
+        };
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let entries = first.save_to(&dir).expect("save creates the store");
+        assert!(dir.is_dir());
         assert_eq!(entries, first.len() + first.triple_len());
 
         let mut second = DetectSession::load_from(&dir).expect("load from store");
@@ -424,37 +438,42 @@ mod tests {
         assert_eq!(again_pairs, pairs);
         assert_eq!(again_triples, triples);
         assert_eq!(sp.queries + st.queries, 0, "store verdicts replay warm");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.parent().expect("scratch root"));
     }
 
-    /// A cache persisted by a different encoder revision must be refused
-    /// with a clear error, not silently trusted: its verdicts may not mean
-    /// what this build thinks (stale-verdict replay would bypass
-    /// re-detection entirely).
+    /// A store persisted by a different encoder revision must not be
+    /// silently trusted: its verdicts may not mean what this build thinks
+    /// (stale-verdict replay would bypass re-detection entirely), so its
+    /// uncertified records are refused and re-solved.
     #[test]
     fn stale_encoder_revision_is_refused() {
+        let (dir, pairs) = saved_store("stale_revision");
+        // Rewind every shard's encoder-revision field (the 4 bytes after
+        // the magic) to a foreign value, leaving everything else
+        // byte-identical.
+        for shard in shards(&dir) {
+            let mut bytes = std::fs::read(&shard).expect("read");
+            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+            std::fs::write(&shard, &bytes).expect("write");
+        }
+
+        let mut session = DetectSession::load_from(&dir).expect("stale store loads");
+        assert!(
+            session.is_empty(),
+            "proofless stale records must be refused"
+        );
         let p = atropos_dsl::parse(RELAY).unwrap();
-        let engine = DetectionEngine::serial();
-        let mut session = DetectSession::new();
-        engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
-        let path = std::env::temp_dir().join(format!(
-            "atropos_stale_revision_{}.v1",
-            std::process::id()
-        ));
-        session.save_to(&path).expect("save");
-
-        // Rewind the encoder-revision field (the 4 bytes after the magic)
-        // to a foreign value, leaving everything else byte-identical.
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("write");
-
-        let err = match DetectSession::load_from(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("stale revision accepted"),
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("encoder revision"), "{err}");
-        let _ = std::fs::remove_file(&path);
+        let (again, stats) = DetectionEngine::serial().detect(
+            &p,
+            ConsistencyLevel::EventualConsistency,
+            &mut session,
+        );
+        assert_eq!(again, pairs);
+        assert_eq!(
+            session.cache_stats().misses,
+            stats.pairs,
+            "refused verdicts are re-solved"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

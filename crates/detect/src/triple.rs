@@ -8,14 +8,13 @@
 //! directed testing surfaces in real applications. This module widens the
 //! bound by one instance:
 //!
-//! * [`TripleModel`] — the three-instance execution skeleton, grounded by
-//!   the same multi-instance builder as the pair model
-//!   ([`InstanceModel::new_multi`]), so `ord`/`vis` and every per-level
-//!   axiom group generalize without a second encoder;
-//! * [`TripleSolver`] — the incremental solver for one triple: a thin
-//!   wrapper over the assumption-based [`PairSolver`] machinery (lazily
-//!   installed, activation-literal-guarded level groups, queries via
-//!   assumptions, learnt-clause retention);
+//! * the three-instance execution skeleton is the pair model's
+//!   instance-count-generic builder ([`InstanceModel::new_multi`]) over
+//!   the trio, so `ord`/`vis` and every per-level axiom group generalize
+//!   without a second encoder, and it is solved by the same incremental
+//!   [`crate::PairSolver`] in the same solve frame as a pair
+//!   (`detect::solve_group`) — this module contributes only the
+//!   template enumeration (`analyse_triple`);
 //! * three **chain templates**, each placing visibility requirements on
 //!   commands of all three instances — so none of them is expressible in
 //!   the two-instance skeleton *by construction*:
@@ -55,145 +54,31 @@
 
 use std::collections::BTreeSet;
 
-use crate::detect::{make_pair, AccessPair, AnomalyKind};
-use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver, VisRequirement};
+use crate::detect::{AnomalyKind, Finding};
+use crate::encode::{InstanceModel, VisRequirement};
 use crate::model::{may_alias, CmdKind, CmdSummary, TxnSummary};
-use atropos_sat::SolverStats;
 
-/// The grounded three-instance execution skeleton for a transaction triple.
-///
-/// A thin, purpose-named wrapper over the instance-count-generic
-/// [`InstanceModel`]: the triple templates address commands as
-/// `(instance, local index)` pairs through [`TripleModel::cmd`].
-#[derive(Debug, Clone)]
-pub struct TripleModel {
-    /// The underlying three-instance model.
-    pub model: InstanceModel,
+/// Global command index of a template command in the grounded model.
+fn cmd(model: &InstanceModel, c: Cmd) -> usize {
+    model.cmd_index(c.inst, c.local)
 }
 
-impl TripleModel {
-    /// Grounds the skeleton over three transaction instances.
-    pub fn new(t0: &TxnSummary, t1: &TxnSummary, t2: &TxnSummary) -> TripleModel {
-        TripleModel {
-            model: InstanceModel::new_multi(&[t0, t1, t2]),
+/// The atom of `w`'s events on the first of its witness records that may
+/// alias a record `reader` touches — the record pair a chain requirement
+/// is grounded on (see the module docs' cost model).
+fn write_atom(model: &InstanceModel, w: Cmd, reader: Cmd) -> Option<usize> {
+    let (wm, rm) = (cmd(model, w), cmd(model, reader));
+    for &rw in &model.cmds[wm].records {
+        if model.cmds[rm]
+            .records
+            .iter()
+            .any(|&dr| model.may_alias_records(rw, dr))
+        {
+            return model.atom(wm, rw);
         }
     }
-
-    /// Global command index of instance `inst`'s `local`-th command.
-    fn cmd(&self, c: Cmd) -> usize {
-        self.model.cmd_index(c.inst, c.local)
-    }
-
-    /// The atom of `w`'s events on the first of its witness records that
-    /// may alias a record `reader` touches — the record pair a chain
-    /// requirement is grounded on (see the module docs' cost model).
-    fn write_atom(&self, w: Cmd, reader: Cmd) -> Option<usize> {
-        let (wm, rm) = (self.cmd(w), self.cmd(reader));
-        for &rw in &self.model.cmds[wm].records {
-            if self.model.cmds[rm]
-                .records
-                .iter()
-                .any(|&dr| self.model.may_alias_records(rw, dr))
-            {
-                return self.model.atom(wm, rw);
-            }
-        }
-        None
-    }
+    None
 }
-
-/// An incremental anomaly oracle for one transaction triple: the
-/// [`PairSolver`] machinery (shared base encoding, guarded level groups,
-/// assumption-dispatched queries) over the three-instance skeleton.
-pub struct TripleSolver {
-    inner: PairSolver,
-}
-
-impl TripleSolver {
-    /// Builds the level-independent three-instance encoding; each level's
-    /// axiom group is added lazily on first query.
-    pub fn new(tm: &TripleModel) -> TripleSolver {
-        TripleSolver::with_proofs(tm, false)
-    }
-
-    /// Like [`TripleSolver::new`], but with `proofs` on every UNSAT chain
-    /// query yields a checkable certificate blob (see
-    /// [`PairSolver::with_proofs`]).
-    pub fn with_proofs(tm: &TripleModel, proofs: bool) -> TripleSolver {
-        TripleSolver {
-            inner: PairSolver::with_proofs(&tm.model, proofs),
-        }
-    }
-
-    /// Drains the certificates captured since the last call (see
-    /// [`PairSolver::take_certificates`]).
-    pub fn take_certificates(&mut self) -> Vec<Vec<u8>> {
-        self.inner.take_certificates()
-    }
-
-    /// Decides one chain query under `level` via assumptions. `tm` must be
-    /// the very model this solver was built from.
-    pub fn satisfiable(
-        &mut self,
-        tm: &TripleModel,
-        level: ConsistencyLevel,
-        requirements: &[VisRequirement],
-    ) -> bool {
-        self.inner.satisfiable(&tm.model, level, requirements)
-    }
-
-    /// Decides the same query as [`TripleSolver::satisfiable`] and, when
-    /// satisfiable, decodes the solver's model into the three-instance
-    /// [`crate::encode::WitnessTruth`] (see [`PairSolver::witness`]).
-    pub fn witness(
-        &mut self,
-        tm: &TripleModel,
-        level: ConsistencyLevel,
-        requirements: &[VisRequirement],
-    ) -> Option<crate::encode::WitnessTruth> {
-        self.inner.witness(&tm.model, level, requirements)
-    }
-
-    /// Clauses this triple's shared encoding holds (excluding learnt ones).
-    pub fn encoded_clauses(&self) -> usize {
-        self.inner.encoded_clauses()
-    }
-
-    /// Clauses a fresh per-query encoding would have emitted for `level`.
-    pub fn fresh_equivalent_clauses(&self, level: ConsistencyLevel) -> usize {
-        self.inner.fresh_equivalent_clauses(level)
-    }
-
-    /// Cumulative statistics of the underlying solver.
-    pub fn solver_stats(&self) -> SolverStats {
-        self.inner.solver_stats()
-    }
-
-    /// The triple's stored CNF (see [`PairSolver::problem_clauses`]).
-    pub fn problem_clauses(&self) -> Vec<Vec<atropos_sat::Lit>> {
-        self.inner.problem_clauses()
-    }
-
-    /// Imports lemmas published by a fingerprint-identical triple solve
-    /// (see [`PairSolver::seed_learnts`]).
-    pub(crate) fn seed_learnts(&mut self, clauses: &[Vec<atropos_sat::Lit>]) -> usize {
-        self.inner.seed_learnts(clauses)
-    }
-
-    /// Exports this solver's base-variable-only lemmas (see
-    /// [`PairSolver::export_learnts`]).
-    pub(crate) fn export_learnts(&self) -> Vec<Vec<atropos_sat::Lit>> {
-        self.inner.export_learnts()
-    }
-}
-
-// Retained triple solvers migrate between the detection engine's workers
-// exactly like pair solvers do.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<TripleSolver>();
-    assert_send::<TripleModel>();
-};
 
 /// A command addressed as (instance, local index) — local index doubles as
 /// the program position, so `a.local < b.local` is program order.
@@ -429,186 +314,117 @@ pub(crate) fn has_candidates(ts: [&TxnSummary; 3], fps: [u64; 3]) -> bool {
 
 /// The visibility requirements of one candidate, or `None` when a required
 /// witness record pair does not alias in the grounded model.
-pub(crate) fn requirements(tm: &TripleModel, cand: &Candidate) -> Option<Vec<VisRequirement>> {
+pub(crate) fn requirements(model: &InstanceModel, cand: &Candidate) -> Option<Vec<VisRequirement>> {
+    let req = |w: Cmd, r: Cmd, seen: bool| Some((write_atom(model, w, r)?, cmd(model, r), seen));
     Some(match *cand {
-        Candidate::Chain { w1, r2, w2, r3a, r3b } => vec![
-            (tm.write_atom(w1, r2)?, tm.cmd(r2), true),
-            (tm.write_atom(w2, r3a)?, tm.cmd(r3a), true),
-            (tm.write_atom(w1, r3b)?, tm.cmd(r3b), false),
-        ],
-        Candidate::Skew { r, w } => vec![
-            (tm.write_atom(w[0], r[1])?, tm.cmd(r[1]), false),
-            (tm.write_atom(w[1], r[2])?, tm.cmd(r[2]), false),
-            (tm.write_atom(w[2], r[0])?, tm.cmd(r[0]), false),
-        ],
-        Candidate::Fractured { wa1, wa2, rb, wb, rc1, rc2 } => vec![
-            (tm.write_atom(wa1, rb)?, tm.cmd(rb), true),
-            (tm.write_atom(wb, rc1)?, tm.cmd(rc1), true),
-            (tm.write_atom(wa2, rc2)?, tm.cmd(rc2), false),
-        ],
+        Candidate::Chain {
+            w1,
+            r2,
+            w2,
+            r3a,
+            r3b,
+        } => {
+            vec![
+                req(w1, r2, true)?,
+                req(w2, r3a, true)?,
+                req(w1, r3b, false)?,
+            ]
+        }
+        Candidate::Skew { r, w } => {
+            vec![
+                req(w[0], r[1], false)?,
+                req(w[1], r[2], false)?,
+                req(w[2], r[0], false)?,
+            ]
+        }
+        Candidate::Fractured {
+            wa1,
+            wa2,
+            rb,
+            wb,
+            rc1,
+            rc2,
+        } => {
+            vec![
+                req(wa1, rb, true)?,
+                req(wb, rc1, true)?,
+                req(wa2, rc2, false)?,
+            ]
+        }
     })
 }
 
-/// The reported anomaly of one satisfiable candidate: anchored on the
+/// The reported finding of one satisfiable candidate: anchored on the
 /// broken edge's (write, missing read) commands, with the relaying
-/// transaction(s) as witnesses — so [`crate::AccessPair::witnesses`] names
+/// transaction as witness — so [`crate::AccessPair::witnesses`] names
 /// exactly the coordination set a repair would have to cover.
-pub(crate) fn anomaly(ts: [&TxnSummary; 3], cand: &Candidate) -> AccessPair {
-    let cmd = |c: Cmd| -> &CmdSummary { &ts[c.inst].commands[c.local] };
-    let shared = |w: &CmdSummary, r: &CmdSummary| -> BTreeSet<String> {
-        w.writes.intersection(&r.reads).cloned().collect()
-    };
-    match *cand {
+pub(crate) fn finding(ts: [&TxnSummary; 3], cand: &Candidate) -> Finding {
+    // (reported anchors, broken edge as (write, read), relay, template)
+    let ([a, b], (w, r), relay, kind) = match *cand {
         Candidate::Chain { w1, r3b, r2, .. } => {
-            let (wc, rc) = (cmd(w1), cmd(r3b));
-            let fields = shared(wc, rc);
-            make_pair(
-                ts[w1.inst],
-                wc,
-                fields.clone(),
-                ts[r3b.inst],
-                rc,
-                fields,
-                BTreeSet::from([ts[r2.inst].name.clone()]),
-                AnomalyKind::ObserverChain,
-            )
+            ([w1, r3b], (w1, r3b), r2, AnomalyKind::ObserverChain)
         }
-        Candidate::Skew { r, w } => {
-            let (wc, rc) = (cmd(w[2]), cmd(r[0]));
-            let fields = shared(wc, rc);
-            make_pair(
-                ts[r[0].inst],
-                rc,
-                fields.clone(),
-                ts[w[2].inst],
-                wc,
-                fields,
-                BTreeSet::from([ts[r[1].inst].name.clone()]),
-                AnomalyKind::WriteSkewCycle,
-            )
-        }
+        Candidate::Skew { r, w } => (
+            [r[0], w[2]],
+            (w[2], r[0]),
+            r[1],
+            AnomalyKind::WriteSkewCycle,
+        ),
         Candidate::Fractured { wa2, rc2, rb, .. } => {
-            let (wc, rc) = (cmd(wa2), cmd(rc2));
-            let fields = shared(wc, rc);
-            make_pair(
-                ts[wa2.inst],
-                wc,
-                fields.clone(),
-                ts[rc2.inst],
-                rc,
-                fields,
-                BTreeSet::from([ts[rb.inst].name.clone()]),
-                AnomalyKind::FracturedRead,
-            )
+            ([wa2, rc2], (wa2, rc2), rb, AnomalyKind::FracturedRead)
         }
+    };
+    let summary = |c: Cmd| -> &CmdSummary { &ts[c.inst].commands[c.local] };
+    let fields: BTreeSet<String> = summary(w)
+        .writes
+        .intersection(&summary(r).reads)
+        .cloned()
+        .collect();
+    Finding {
+        cmds: [(a.inst, a.local), (b.inst, b.local)],
+        fields: [fields.clone(), fields],
+        witness: Some(relay.inst),
+        kind,
     }
 }
 
-/// Retained per-triple analysis state: the grounded three-instance model
-/// and, once a query was issued, the incremental solver built on it —
-/// the triple sibling of [`crate::cache::PairState`], held in the verdict
-/// cache's sharded retention map and migrating freely between workers.
-pub(crate) struct TripleState {
-    pub(crate) model: TripleModel,
-    pub(crate) solver: Option<TripleSolver>,
-    pub(crate) txns: [String; 3],
-}
-
-impl TripleState {
-    /// Grounds a fresh analysis state for one transaction triple.
-    pub(crate) fn new(ts: [&TxnSummary; 3]) -> TripleState {
-        TripleState {
-            model: TripleModel::new(ts[0], ts[1], ts[2]),
-            solver: None,
-            txns: [ts[0].name.clone(), ts[1].name.clone(), ts[2].name.clone()],
-        }
-    }
-}
-
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<TripleState>();
-};
-
-/// Analyses one dirty (cache-missed) transaction triple against its
-/// retained (or freshly grounded) [`TripleState`], returning the raw
-/// verdicts and this triple's [`crate::DetectStats`] delta — the single
-/// solving path shared by every worker of the engine's triple phase.
-pub(crate) fn solve_triple_with_state(
+/// The triple bound's template enumeration: every chain candidate of the
+/// trio `ts` (members in key orientation, `fps` their fingerprints),
+/// discharged against the query oracle `sat` over `model`, the trio's
+/// grounded skeleton.
+pub(crate) fn analyse_triple(
     ts: [&TxnSummary; 3],
     fps: [u64; 3],
-    level: ConsistencyLevel,
-    state: &mut TripleState,
-    seed: Option<&[Vec<atropos_sat::Lit>]>,
-    proofs: bool,
-) -> (Vec<AccessPair>, crate::DetectStats, Vec<Vec<u8>>) {
-    use std::collections::HashMap;
-    let mut stats = crate::DetectStats::default();
-    let clauses_before = state
-        .solver
-        .as_ref()
-        .map(|s| (s.encoded_clauses(), s.solver_stats()));
-    let candidates = collect_candidates(ts, fps, usize::MAX);
+    model: &InstanceModel,
+    sat: &mut dyn FnMut(Vec<VisRequirement>) -> bool,
+) -> Vec<Finding> {
     let mut out = Vec::new();
-    {
-        let (tm, solver) = (&state.model, &mut state.solver);
-        let mut memo: HashMap<Vec<VisRequirement>, bool> = HashMap::new();
-        // First witness per (template, role permutation): once a template
-        // found a realizable chain under one role assignment, later
-        // candidates of the same shape are redundant witnesses.
-        let mut done: Vec<(u8, u8)> = Vec::new();
-        for (perm, cand) in &candidates {
-            let key = (cand.template(), *perm);
-            if done.contains(&key) {
-                continue;
-            }
-            let Some(reqs) = requirements(tm, cand) else { continue };
-            let sat = match memo.get(&reqs) {
-                Some(&r) => {
-                    stats.memo_hits += 1;
-                    r
-                }
-                None => {
-                    stats.queries += 1;
-                    let s = solver.get_or_insert_with(|| {
-                        let mut s = TripleSolver::with_proofs(tm, proofs);
-                        if let Some(seed) = seed {
-                            s.seed_learnts(seed);
-                            stats.learnt_seeded += seed.len() as u64;
-                        }
-                        s
-                    });
-                    let r = s.satisfiable(tm, level, &reqs);
-                    stats.clauses_fresh_equivalent += s.fresh_equivalent_clauses(level) as u64;
-                    if r {
-                        stats.sat_queries += 1;
-                    }
-                    memo.insert(reqs, r);
-                    r
-                }
-            };
-            if sat {
-                out.push(anomaly(ts, cand));
-                done.push(key);
-            }
+    // First witness per (template, role permutation): once a template
+    // found a realizable chain under one role assignment, later
+    // candidates of the same shape are redundant witnesses.
+    let mut done: Vec<(u8, u8)> = Vec::new();
+    for (perm, cand) in collect_candidates(ts, fps, usize::MAX) {
+        let key = (cand.template(), perm);
+        if done.contains(&key) {
+            continue;
+        }
+        let Some(reqs) = requirements(model, &cand) else {
+            continue;
+        };
+        if sat(reqs) {
+            out.push(finding(ts, &cand));
+            done.push(key);
         }
     }
-    let mut certs = Vec::new();
-    if let Some(s) = &mut state.solver {
-        let (c0, s0) = clauses_before.unwrap_or_default();
-        let st = s.solver_stats();
-        stats.conflicts += st.conflicts - s0.conflicts;
-        stats.propagations += st.propagations - s0.propagations;
-        stats.decisions += st.decisions - s0.decisions;
-        stats.clauses_encoded += (s.encoded_clauses() - c0) as u64;
-        certs = s.take_certificates();
-    }
-    (out, stats, certs)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::GroupState;
+    use crate::detect::{solve_group, AccessPair};
+    use crate::encode::ConsistencyLevel;
     use crate::model::summarize_program;
     use atropos_dsl::parse;
 
@@ -626,8 +442,9 @@ mod tests {
 
     fn solve(ts: &[TxnSummary], level: ConsistencyLevel) -> Vec<AccessPair> {
         let trio = [&ts[0], &ts[1], &ts[2]];
-        let mut state = TripleState::new(trio);
-        solve_triple_with_state(trio, fps(ts), level, &mut state, None, false).0
+        let mut state = GroupState::new(&trio);
+        let (findings, _, _) = solve_group(&trio, &fps(ts), false, level, &mut state, None, false);
+        findings.iter().filter_map(|f| f.emit(&trio)).collect()
     }
 
     /// The canonical 3-hop relay: post writes, relay reads-then-derives,

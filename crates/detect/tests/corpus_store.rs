@@ -1,16 +1,14 @@
 //! Integration coverage for the sharded `verdict_cache.v2` store: two
 //! concurrent sessions union-merge (no lost verdicts), corrupt shards
 //! are refused by byte surgery, revision-stale shards degrade to
-//! per-record salvage (only certified clean verdicts survive), v1 files
-//! migrate transparently, and the compaction pass enforces the eviction
-//! policy.
+//! per-record salvage (only certified clean verdicts survive), and the
+//! compaction pass enforces the eviction policy.
 
 use std::path::{Path, PathBuf};
 
 use atropos_detect::corpus::{CorpusStore, EvictionPolicy};
 use atropos_detect::{
-    detect_anomalies_cached, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
-    VerdictCache,
+    detect_anomalies_cached, ConsistencyLevel, DetectSession, DetectionEngine, VerdictCache,
 };
 
 const COUNTER: &str = "schema C { id: int key, cnt: int }
@@ -60,8 +58,8 @@ fn shard_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 /// Two sessions merging concurrently into one store must produce the
-/// union of their verdicts — the exact clobber the monolithic v1 file
-/// suffered (last writer wins) must not reproduce.
+/// union of their verdicts — the clobber a single snapshot file suffers
+/// (last writer wins) must not reproduce.
 #[test]
 fn concurrent_sessions_union_merge_without_losing_verdicts() {
     let dir = scratch("union");
@@ -131,7 +129,8 @@ fn corrupt_shard_byte_is_refused_by_checksum() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A shard cut off mid-record is refused as truncated.
+/// A shard cut off mid-record — or left zero-length by a crash before its
+/// first write — is refused as truncated.
 #[test]
 fn truncated_shard_is_refused() {
     let dir = scratch("truncated");
@@ -140,21 +139,21 @@ fn truncated_shard_is_refused() {
 
     let shard = shard_files(&dir).pop().expect("at least one shard");
     let bytes = std::fs::read(&shard).expect("read shard");
-    std::fs::write(&shard, &bytes[..bytes.len() - 3]).expect("truncate shard");
-
-    let err = match store.load_cache() {
-        Err(e) => e,
-        Ok(_) => panic!("truncated shard accepted"),
-    };
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("truncated"), "{err}");
+    for cut in [bytes.len() - 3, 0] {
+        std::fs::write(&shard, &bytes[..cut]).expect("truncate shard");
+        let err = match store.load_cache() {
+            Err(e) => e,
+            Ok(_) => panic!("shard truncated to {cut} bytes accepted"),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut at {cut}");
+        assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Rewrites every shard's encoder-revision field (bytes 8..12, right
-/// after the magic — same layout as v1), leaving everything else
-/// byte-identical — the surgery simulating a store written by an older
-/// build.
+/// after the magic), leaving everything else byte-identical — the surgery
+/// simulating a store written by an older build.
 fn stale_all_shards(dir: &Path) {
     for shard in shard_files(dir) {
         let mut bytes = std::fs::read(&shard).expect("read shard");
@@ -234,33 +233,6 @@ fn stale_shard_salvages_certified_clean_verdicts() {
     let (pairs, _) = engine.detect(&p, EC, &mut reloaded);
     assert!(!pairs.is_empty(), "the lost update is re-found");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Opening a store at an existing v1 cache *file* migrates it in place:
-/// the path becomes a store directory holding the same verdicts, and the
-/// session-level loader replays them warm in both detection modes.
-#[test]
-fn v1_file_migrates_to_a_store_directory() {
-    let path = scratch("migrate");
-    let p = atropos_dsl::parse(BANK).unwrap();
-    let engine = DetectionEngine::serial();
-    let mut session = DetectSession::new();
-    let (pairs, _) = engine.detect(&p, EC, &mut session);
-    let (triples, _) = engine.detect_with_mode(&p, EC, DetectMode::Triples, &mut session);
-    let entries = session.save_to(&path).expect("save v1 file");
-    assert!(path.is_file(), "v1 save produces a monolithic file");
-
-    let store = CorpusStore::open(&path).expect("open migrates");
-    assert!(path.is_dir(), "migration replaced the file with a store dir");
-    assert_eq!(store.entry_count().expect("count"), entries);
-
-    let mut reloaded = DetectSession::load_from(&path).expect("load store");
-    let (again_pairs, sp) = engine.detect(&p, EC, &mut reloaded);
-    let (again_triples, st) = engine.detect_with_mode(&p, EC, DetectMode::Triples, &mut reloaded);
-    assert_eq!(again_pairs, pairs);
-    assert_eq!(again_triples, triples);
-    assert_eq!(sp.queries + st.queries, 0, "migrated verdicts replay warm");
-    let _ = std::fs::remove_dir_all(&path);
 }
 
 /// Compaction enforces the eviction policy deterministically: age evicts

@@ -198,8 +198,8 @@ proptest! {
         prop_assert_eq!(txn_fingerprint(&t2), fp2);
     }
 
-    /// Label blindness: a pure relabeling (the rename-map case) keeps the
-    /// fingerprint, so relabeled-but-unchanged pairs still hit the cache.
+    /// Label blindness: a pure relabeling keeps the fingerprint, so
+    /// relabeled-but-unchanged pairs still hit the cache.
     #[test]
     fn pure_relabelings_preserve_the_fingerprint(
         raw in prop::collection::vec(raw_cmd(), 1..5),

@@ -2,15 +2,17 @@
 //! the per-program verdicts `CorpusService` answers from one global
 //! fingerprint-deduped plan must be byte-identical to running each
 //! program through an isolated per-program detection — in pair mode and
-//! triple mode, at 1, 2, and 8 engine threads. The batch service is an
-//! optimization (solve each unique transaction shape once across the
-//! fleet), never a different oracle; this suite pins that contract.
+//! triple mode, at 1, 2, and 8 engine threads, and for relabeled variants
+//! that share every fingerprint with the originals. The batch service is
+//! an optimization (solve each unique transaction shape once across the
+//! fleet), never a different oracle; this suite pins that contract, and
+//! that a single program is exactly a corpus of one.
 
 use atropos::detect::{
-    analyse_corpus, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
+    analyse_corpus, ConsistencyLevel, DetectMode, DetectSession, DetectStats, DetectionEngine,
 };
 use atropos::workloads::{all_benchmarks, chain_scenarios};
-use atropos_dsl::Program;
+use atropos_dsl::{parse, print_program, Program, Stmt};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -65,11 +67,11 @@ fn assert_corpus_matches_isolation(level: ConsistencyLevel, mode: DetectMode) {
         for ((name, _), (got, want)) in programs.iter().zip(rendered.iter().zip(&iso)) {
             assert_eq!(got, want, "{name} at {threads} threads ({level:?}, {mode:?})");
         }
-        // Every per-program answer replays from the global store.
+        // Solve work is reported corpus-wide, never per program.
         for v in &verdicts {
             assert_eq!(
                 v.stats.queries, 0,
-                "{}: answering pass must be all hits",
+                "{}: per-program stats carry no solve counters",
                 v.name
             );
         }
@@ -138,5 +140,139 @@ fn duplicated_corpus_dedups_and_answers_all_copies() {
             v.name,
             twin.name
         );
+    }
+}
+
+/// `p` with every command label suffixed: a pure relabeling, so every
+/// fingerprint (label-blind by design) survives while the labels — and
+/// some of their relative orders (`S10x` sorts before `S1x`) — change.
+fn suffixed(p: &Program) -> Program {
+    fn relabel(body: &mut [Stmt]) {
+        for s in body {
+            match s {
+                Stmt::Select(c) => c.label.0.push('x'),
+                Stmt::Update(c) => c.label.0.push('x'),
+                Stmt::Insert(c) => c.label.0.push('x'),
+                Stmt::Delete(c) => c.label.0.push('x'),
+                Stmt::If { body, .. } | Stmt::Iterate { body, .. } => relabel(body),
+            }
+        }
+    }
+    let mut p = p.clone();
+    for t in &mut p.transactions {
+        relabel(&mut t.body);
+    }
+    p
+}
+
+/// A transaction sharing nothing with any workload.
+const UNRELATED: &str = "schema ZZ_NOTE { zz_id: int key, zz_n: int }
+     txn zz_note(k: int) {
+         x := select zz_n from ZZ_NOTE where zz_id = k;
+         update ZZ_NOTE set zz_n = x.zz_n + 1 where zz_id = k;
+         return 0;
+     }";
+
+/// `p` under default labels with [`UNRELATED`] declared first: default
+/// labels are numbered per program in source order, so every command's
+/// label shifts while every original transaction keeps its fingerprint.
+fn prepended(p: &Program) -> Program {
+    let printed = print_program(p);
+    let unlabeled: Vec<&str> = printed.split(' ').filter(|w| !w.starts_with('@')).collect();
+    parse(&format!("{UNRELATED}\n{}", unlabeled.join(" "))).expect("prepended variant parses")
+}
+
+/// Every workload, plus its suffixed and prepended variants after it: the
+/// variants' transactions hit the entries the originals' solved
+/// (fingerprints ignore labels), yet each must be answered under its own
+/// labels — in a corpus pass, and in a session shared program by program.
+fn assert_label_variants_match_isolation(level: ConsistencyLevel, mode: DetectMode) {
+    let base = corpus();
+    let programs: Vec<(String, Program)> = base
+        .iter()
+        .cloned()
+        .chain(
+            base.iter()
+                .map(|(n, p)| (format!("{n}+suffixed"), suffixed(p))),
+        )
+        .chain(
+            base.iter()
+                .map(|(n, p)| (format!("{n}+prepended"), prepended(p))),
+        )
+        .collect();
+    let iso = isolated(&programs, level, mode, 2);
+    let engine = DetectionEngine::new(2);
+    let (verdicts, _) = analyse_corpus(&engine, &programs, level, mode, &mut DetectSession::new());
+    let mut shared = DetectSession::new();
+    for (((name, p), v), want) in programs.iter().zip(&verdicts).zip(&iso) {
+        assert_eq!(
+            &format!("{:?}", v.verdicts),
+            want,
+            "{name}: corpus ({level:?}, {mode:?})"
+        );
+        let (got, _) = engine.detect_with_mode(p, level, mode, &mut shared);
+        assert_eq!(
+            &format!("{got:?}"),
+            want,
+            "{name}: shared session ({level:?}, {mode:?})"
+        );
+    }
+}
+
+#[test]
+fn label_variants_match_isolation_pairs_ec() {
+    assert_label_variants_match_isolation(ConsistencyLevel::EventualConsistency, DetectMode::Pairs);
+}
+
+#[test]
+fn label_variants_match_isolation_triples_ec() {
+    assert_label_variants_match_isolation(
+        ConsistencyLevel::EventualConsistency,
+        DetectMode::Triples,
+    );
+}
+
+/// The solve counters of a pass, `queries` through `learnt_seeded`.
+fn solve_counters(s: &DetectStats) -> [u64; 9] {
+    [
+        s.queries,
+        s.sat_queries,
+        s.memo_hits,
+        s.clauses_encoded,
+        s.clauses_fresh_equivalent,
+        s.conflicts,
+        s.propagations,
+        s.decisions,
+        s.learnt_seeded,
+    ]
+}
+
+/// A program is a corpus of one: `analyse_corpus` over `[p]` and
+/// `detect_with_mode(p)`, each with a fresh engine and session, give the
+/// same verdicts, the same cache statistics, and the same solve work.
+#[test]
+fn a_program_is_a_corpus_of_one() {
+    let ec = ConsistencyLevel::EventualConsistency;
+    for mode in [DetectMode::Pairs, DetectMode::Triples] {
+        for (name, p) in corpus() {
+            let mut alone = DetectSession::new();
+            let (want, stats) = DetectionEngine::new(2).detect_with_mode(&p, ec, mode, &mut alone);
+            let mut one = DetectSession::new();
+            let batch = [(name.clone(), p)];
+            let (got, corpus_stats) =
+                analyse_corpus(&DetectionEngine::new(2), &batch, ec, mode, &mut one);
+            assert_eq!(got[0].verdicts, want, "{name} ({mode:?})");
+            assert_eq!(one.cache_stats(), alone.cache_stats(), "{name} ({mode:?})");
+            assert_eq!(
+                solve_counters(&corpus_stats.solve),
+                solve_counters(&stats),
+                "{name} ({mode:?})"
+            );
+            assert_eq!(
+                (got[0].stats.pairs, got[0].stats.triples),
+                (stats.pairs, stats.triples),
+                "{name} ({mode:?})"
+            );
+        }
     }
 }
