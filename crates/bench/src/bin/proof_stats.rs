@@ -33,9 +33,9 @@ use atropos_bench::reporting::{
 };
 use atropos_bench::{engine_from_args, thin_slice, write_csv, Table};
 use atropos_detect::{
-    replay_verdict, AccessPair, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
+    AccessPair, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine, WitnessDecoder,
 };
-use atropos_sim::{ConcreteSchedule, ScheduleEvent};
+use atropos_sim::{run_schedule, ConcreteSchedule, ScheduleEvent};
 use atropos_workloads::{all_benchmarks, chain_scenarios, Benchmark};
 
 /// The timed (and CSV-reported) sweep mirrors `tests/proof_certificates.rs`
@@ -185,6 +185,7 @@ fn render_report(b: &Benchmark, outcome: &SweepOutcome, generated: &str) -> Stri
     }
     let mut rows = Vec::new();
     let mut traces = Vec::new();
+    let mut decoder = WitnessDecoder::new(&b.program);
     for audit in outcome.session.audits() {
         let subject = audit.txns.join(" × ");
         let mode = if audit.txns.len() > 2 {
@@ -211,12 +212,8 @@ fn render_report(b: &Benchmark, outcome: &SweepOutcome, generated: &str) -> Stri
                     if !tuple.iter().all(|t| audited.contains(t)) {
                         continue;
                     }
-                    if let Some(schedule) =
-                        atropos_detect::decode_witness(&b.program, v, audit.level)
-                    {
-                        if replay_verdict(&b.program, v, audit.level)
-                            .is_some_and(|o| o.manifested)
-                        {
+                    if let Some(schedule) = decoder.decode(v, audit.level) {
+                        if run_schedule(&schedule).manifested {
                             trace = true;
                             traces.push((
                                 format!("{subject} @ {} — {}", level_name(audit.level), v.kind),

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use atropos_detect::{
     detect_anomalies_triples, detect_anomalies_with_stats, AccessPair, AnomalyKind, CacheStats,
-    ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
+    ConsistencyLevel, DetectMode, DetectSession, DetectionEngine, WitnessDecoder,
 };
 use atropos_dsl::{check_program, CmdLabel, Expr, Program, Stmt, Transaction, UpdateCmd};
 use atropos_semantics::{ThetaMap, ValueCorrespondence};
@@ -400,30 +400,40 @@ pub fn repair_with_engine(
 
 /// Witness replay: proves each initial dirty verdict on the cluster and
 /// checks the repair killed it. Every verdict of `report.initial` is
-/// decoded ([`atropos_detect::decode_witness`]) into a concrete schedule
-/// and run on the simulated replica set against the original program
-/// (counting [`RepairStats::replay_manifested`] /
+/// decoded ([`atropos_detect::WitnessDecoder::decode`]) into a concrete
+/// schedule and run on the simulated replica set against the original
+/// program (counting [`RepairStats::replay_manifested`] /
 /// [`RepairStats::replay_failed`]); then the *repaired* program is
-/// searched for a surviving witness of the same anomaly — loosely
-/// anchored, since repair rewrites command labels, and with
+/// searched for a surviving witness of the same anomaly
+/// ([`atropos_detect::WitnessDecoder::decode_marked`]) — loosely anchored,
+/// since repair rewrites command labels, and with
 /// [`RepairReport::unsafe_transactions`] as the AT-SC marked set
 /// (counting [`RepairStats::replay_suppressed`] /
-/// [`RepairStats::replay_surviving`]). Replay is deterministic, so these
-/// counters are independent of the engine's thread count.
+/// [`RepairStats::replay_surviving`]). Each program gets one decoder, the
+/// original's dropped before the repaired one's is built, and each visits
+/// the verdicts grouped by first tuple, so a tuple is grounded once per
+/// program and at most one grounded tuple is live. Every schedule is
+/// byte-identical to a one-shot decode of its verdict, and replay is
+/// deterministic, so these counters are independent of the engine's
+/// thread count.
 fn replay_initial_verdicts(program: &Program, config: &RepairConfig, report: &mut RepairReport) {
-    let marked = report.unsafe_transactions();
-    for verdict in &report.initial {
-        match atropos_detect::replay_verdict(program, verdict, config.level) {
-            Some(outcome) if outcome.manifested => report.stats.replay_manifested += 1,
+    let verdicts = &report.initial;
+    let mut decoder = WitnessDecoder::new(program);
+    for i in decoder.visit_order(verdicts) {
+        match decoder.decode(&verdicts[i], config.level) {
+            Some(s) if atropos_sim::run_schedule(&s).manifested => {
+                report.stats.replay_manifested += 1
+            }
             _ => report.stats.replay_failed += 1,
         }
-        let surviving = atropos_detect::decode_witness_marked(
-            &report.repaired,
-            verdict,
-            config.level,
-            &marked,
-        )
-        .is_some_and(|s| atropos_sim::run_schedule(&s).manifested);
+    }
+    drop(decoder);
+    let marked = report.unsafe_transactions();
+    let mut decoder = WitnessDecoder::new(&report.repaired);
+    for i in decoder.visit_order(verdicts) {
+        let surviving = decoder
+            .decode_marked(&verdicts[i], config.level, &marked)
+            .is_some_and(|s| atropos_sim::run_schedule(&s).manifested);
         if surviving {
             report.stats.replay_surviving += 1;
         } else {

@@ -30,7 +30,7 @@ fn dimacs_lit(l: Lit) -> i32 {
 /// answering `q` UNSAT queries re-encodes the whole log `q` times — on
 /// TPC-C that alone pushed proof logging past the benchmarked overhead
 /// ceiling.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Certifier {
     writer: ProofWriter,
     /// Events already encoded into `writer`.

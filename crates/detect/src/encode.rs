@@ -326,6 +326,7 @@ impl WitnessTruth {
 }
 
 /// The ord/vis literal layout produced by [`encode_base`].
+#[derive(Clone)]
 struct PairEncoding {
     /// `ord[i][j]`: "command i is arbitrated before command j" (None on the
     /// diagonal).
@@ -621,6 +622,11 @@ pub(crate) fn fresh_query(
 /// them across refactoring steps) keep the model alongside it and pass the
 /// same model back into [`PairSolver::satisfiable`], which needs it only
 /// when a consistency level's axiom group is installed on first query.
+///
+/// A clone is an independent solver in the identical state; the
+/// [`crate::replay::WitnessDecoder`] encodes a tuple once and runs each
+/// witness search on a clone.
+#[derive(Clone)]
 pub struct PairSolver {
     solver: Solver,
     enc: PairEncoding,
@@ -732,8 +738,10 @@ impl PairSolver {
         self.solver.retained_learnts(self.base_vars)
     }
 
-    /// Installs `level`'s guarded axiom group if it is not present yet.
-    fn ensure_level(&mut self, model: &InstanceModel, level: ConsistencyLevel) {
+    /// Installs `level`'s guarded axiom group if it is not present yet
+    /// (a query does so itself; the witness decoder installs it before
+    /// cloning, so its clones skip the encoding).
+    pub(crate) fn ensure_level(&mut self, model: &InstanceModel, level: ConsistencyLevel) {
         let idx = level.index();
         if self.built[idx] {
             return;

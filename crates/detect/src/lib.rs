@@ -44,7 +44,8 @@
 //!   verdict is decoded ([`decode_witness`]) into a concrete
 //!   [`atropos_sim::ConcreteSchedule`] and executed deterministically on
 //!   the simulated cluster, proving the anomaly observable (and, after
-//!   repair, suppressed).
+//!   repair, suppressed). A [`WitnessDecoder`] decodes a whole report,
+//!   encoding each transaction tuple once, byte-identically.
 //!
 //! # Examples
 //!
@@ -92,5 +93,5 @@ pub use detect::{
     DifferentialReport,
 };
 pub use encode::{pattern_satisfiable, ConsistencyLevel, InstanceModel, PairSolver, WitnessTruth};
-pub use replay::{decode_witness, decode_witness_marked, replay_verdict};
+pub use replay::{decode_witness, decode_witness_marked, replay_verdict, WitnessDecoder};
 pub use model::{summarize_program, summarize_txn, CmdKind, CmdSummary, KeySpec, TxnSummary};

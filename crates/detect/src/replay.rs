@@ -17,18 +17,30 @@
 //!
 //! Verdicts do not store their requirement vectors (they travel through
 //! the verdict cache and across processes), so the decoder re-derives
-//! them: it re-enumerates exactly the template candidates the detector
-//! enumerates, keeps those whose reported pair matches the verdict's
-//! canonical key, and asks the solver for a witness of the first
-//! realizable one. The solver is deterministic, so the same verdict always
-//! decodes to the byte-identical schedule.
+//! them. A verdict names the *tuples* it may have been analysed on (a pair
+//! ordering, or a rotation of a trio); per tuple, the decoder
+//! re-enumerates exactly the template candidates the detector enumerates,
+//! keeps those whose reported pair matches the verdict's anchor, and asks
+//! the solver for a witness of the first realizable one.
+//!
+//! A [`WitnessDecoder`] decodes many verdicts of one program for the cost
+//! of few. It summarizes the program once, grounds and encodes each tuple
+//! once into a pristine [`InstanceModel`] and [`PairSolver`], enumerates
+//! each (kind, tuple)'s candidates once, and runs every search on a clone
+//! of the pristine solver. A clone is a fresh solver in the identical
+//! state, and the solver is deterministic, so a verdict decodes to the
+//! byte-identical schedule whatever the decoder decoded before it. The
+//! decoder keeps at most one grounded tuple live; decoding verdicts in
+//! [`WitnessDecoder::visit_order`] grounds each tuple once.
+//! [`decode_witness`], [`decode_witness_marked`] and [`replay_verdict`]
+//! are decoders of one.
 //!
 //! Two anchoring modes serve the two ends of a repair run:
 //!
-//! * **strict** ([`decode_witness`]) — the candidate must reproduce the
-//!   verdict's exact command labels; used on the *original* program, where
-//!   every initial dirty verdict must decode and manifest;
-//! * **loose** ([`decode_witness_marked`]) — any candidate of the
+//! * **strict** ([`WitnessDecoder::decode`]) — the candidate must
+//!   reproduce the verdict's exact command labels; used on the *original*
+//!   program, where every initial dirty verdict must decode and manifest;
+//! * **loose** ([`WitnessDecoder::decode_marked`]) — any candidate of the
 //!   verdict's template over the same transaction roles counts; used on
 //!   the *repaired* program, whose refactored statements carry fresh
 //!   labels. Transactions in the marked set are analysed under
@@ -36,6 +48,8 @@
 //!   (the AT-SC rule of the detector), so a verdict whose participants the
 //!   repair left to runtime coordination counts as suppressed. `None`
 //!   means *suppressed*: no realizable witness of the anomaly survives.
+//!   A loose search reads only the verdict's kind, the tuple and the
+//!   effective level, so its result is memoized per such triple.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -53,30 +67,253 @@ use crate::triple::{
     collect_candidates, finding as triple_finding, requirements as triple_requirements,
 };
 
-/// A realizable witness found for a verdict: the grounded model, the
-/// instance-to-transaction assignment, the requirement vector that was
-/// satisfiable, and the decoded truth assignment.
-struct Found {
-    model: InstanceModel,
-    txns: Vec<String>,
-    reqs: Vec<VisRequirement>,
-    truth: WitnessTruth,
+/// Transaction instances a verdict may be witnessed on: indices into the
+/// decoder's summaries in instance order — a pair ordering or a rotation
+/// of a trio.
+type Tuple = Vec<usize>;
+
+/// One template candidate of a tuple: the verdict(s) the detector would
+/// report for it and the queries to try in template order (the first
+/// satisfiable one wins).
+struct Candidate {
+    pairs: Vec<AccessPair>,
+    queries: Vec<Vec<VisRequirement>>,
 }
 
-/// One template candidate of a pair search: the queries to try in template
-/// order (first satisfiable one wins) and the verdict(s) the detector
-/// would report for it.
-struct PairCandidate {
-    queries: Vec<Vec<VisRequirement>>,
-    pairs: Vec<AccessPair>,
+/// The tuple a decoder keeps grounded: its model, its candidates per kind,
+/// and its pristine solver per queried level — the base encoding plus that
+/// level's axiom group, encoded at the tuple's first query under it.
+struct Grounded {
+    tuple: Tuple,
+    model: InstanceModel,
+    candidates: BTreeMap<AnomalyKind, Vec<Candidate>>,
+    pristine: BTreeMap<ConsistencyLevel, PairSolver>,
+}
+
+/// Decodes the verdicts of one program into concrete schedules (see the
+/// module docs): each schedule is byte-identical to a one-shot
+/// [`decode_witness`] / [`decode_witness_marked`] of the same verdict, in
+/// any decoding order.
+///
+/// # Examples
+///
+/// ```
+/// use atropos_detect::{detect_anomalies, decode_witness, ConsistencyLevel, WitnessDecoder};
+///
+/// let p = atropos_dsl::parse(
+///     "schema T { id: int key, v: int }
+///      txn bump(k: int) {
+///          x := select v from T where id = k;
+///          update T set v = x.v + 1 where id = k;
+///          return 0;
+///      }",
+/// ).unwrap();
+/// let ec = ConsistencyLevel::EventualConsistency;
+/// let verdicts = detect_anomalies(&p, ec);
+/// let mut decoder = WitnessDecoder::new(&p);
+/// for i in decoder.visit_order(&verdicts) {
+///     let schedule = decoder.decode(&verdicts[i], ec);
+///     assert!(schedule.is_some());
+///     assert_eq!(schedule, decode_witness(&p, &verdicts[i], ec));
+/// }
+/// ```
+pub struct WitnessDecoder {
+    summaries: Vec<TxnSummary>,
+    live: Option<Grounded>,
+    loose: BTreeMap<(AnomalyKind, Tuple, ConsistencyLevel), Option<ConcreteSchedule>>,
+}
+
+impl WitnessDecoder {
+    /// A decoder for the verdicts of `program`.
+    pub fn new(program: &Program) -> WitnessDecoder {
+        WitnessDecoder {
+            summaries: summarize_program(program),
+            live: None,
+            loose: BTreeMap::new(),
+        }
+    }
+
+    /// Decodes `verdict` into a concrete schedule, strictly anchored: the
+    /// witness search only accepts template candidates that reproduce the
+    /// verdict's exact command labels. Returns `None` when no such
+    /// candidate is realizable under `level` — which, for a verdict the
+    /// detector just reported at that level, indicates a detector/replay
+    /// divergence (the differential harness asserts it never happens).
+    pub fn decode(
+        &mut self,
+        verdict: &AccessPair,
+        level: ConsistencyLevel,
+    ) -> Option<ConcreteSchedule> {
+        self.tuples(verdict)
+            .into_iter()
+            .find_map(|tuple| self.search(&tuple, verdict, level, true))
+    }
+
+    /// Decodes `verdict` against a (typically repaired) program, loosely
+    /// anchored: any realizable candidate of the verdict's template over
+    /// the same transaction roles counts, regardless of command labels
+    /// (repair rewrites statements, so labels do not survive). Tuples
+    /// entirely inside `marked` are queried under
+    /// [`ConsistencyLevel::Serializable`] — the detector's AT-SC rule for
+    /// transactions the repair left to runtime coordination. Returns
+    /// `None` when the anomaly is **suppressed**: no realizable witness
+    /// exists.
+    pub fn decode_marked(
+        &mut self,
+        verdict: &AccessPair,
+        level: ConsistencyLevel,
+        marked: &BTreeSet<String>,
+    ) -> Option<ConcreteSchedule> {
+        self.tuples(verdict).into_iter().find_map(|tuple| {
+            let eff = effective_level(
+                level,
+                marked,
+                tuple.iter().map(|&i| &self.summaries[i].name),
+            );
+            let key = (verdict.kind, tuple, eff);
+            if let Some(hit) = self.loose.get(&key) {
+                return hit.clone();
+            }
+            let found = self.search(&key.1, verdict, eff, false);
+            self.loose.insert(key, found.clone());
+            found
+        })
+    }
+
+    /// The order to decode `verdicts` in: their indices grouped by first
+    /// tuple (report order within a group), so the tuple each group shares
+    /// is grounded once.
+    pub fn visit_order(&self, verdicts: &[AccessPair]) -> Vec<usize> {
+        let mut keyed: Vec<(Option<Tuple>, usize)> = verdicts
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (self.tuples(v).into_iter().next(), i))
+            .collect();
+        keyed.sort();
+        keyed.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// The tuples the detector could have analysed `verdict` on, in search
+    /// order (the per-k part, with [`candidates`]).
+    ///
+    /// * Pairs: lost update anchors its pair across the two instances
+    ///   (either orientation); the read-instability templates put both
+    ///   anchor commands in instance 0 and the interfering transaction —
+    ///   recorded as a witness — in instance 1.
+    /// * Triples: every rotation of each witness's trio, its members in
+    ///   program order (the engine's enumeration order). The write-skew
+    ///   enumeration pins the cycle's first role to instance 0 (rotations
+    ///   of a cycle are deduplicated), so the engine's reported `txn1`
+    ///   depends on which transaction its canonical orientation put first;
+    ///   rotating gives every transaction a turn at instance 0, so the
+    ///   anchor can match whatever orientation produced the verdict.
+    fn tuples(&self, verdict: &AccessPair) -> Vec<Tuple> {
+        let by_name = |n: &str| self.summaries.iter().position(|s| s.name == n);
+        match verdict.kind {
+            AnomalyKind::LostUpdate => {
+                let (Some(a), Some(b)) = (by_name(&verdict.txn1), by_name(&verdict.txn2)) else {
+                    return Vec::new();
+                };
+                if verdict.txn1 == verdict.txn2 {
+                    vec![vec![a, b]]
+                } else {
+                    vec![vec![a, b], vec![b, a]]
+                }
+            }
+            AnomalyKind::DirtyRead
+            | AnomalyKind::NonRepeatableRead
+            | AnomalyKind::NonMonotonicRead => {
+                let Some(a) = by_name(&verdict.txn1) else {
+                    return Vec::new();
+                };
+                verdict
+                    .witnesses
+                    .iter()
+                    .filter_map(|w| Some(vec![a, by_name(w)?]))
+                    .collect()
+            }
+            AnomalyKind::ObserverChain
+            | AnomalyKind::WriteSkewCycle
+            | AnomalyKind::FracturedRead => {
+                let mut out = Vec::new();
+                for w in &verdict.witnesses {
+                    let names =
+                        BTreeSet::from([verdict.txn1.as_str(), verdict.txn2.as_str(), w.as_str()]);
+                    if names.len() != 3 {
+                        continue;
+                    }
+                    let trio: Vec<usize> = (0..self.summaries.len())
+                        .filter(|&i| names.contains(self.summaries[i].name.as_str()))
+                        .collect();
+                    if trio.len() != 3 {
+                        continue;
+                    }
+                    for rot in 0..3 {
+                        out.push(vec![trio[rot], trio[(rot + 1) % 3], trio[(rot + 2) % 3]]);
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// Searches one tuple for a witness of `verdict` under `level`: every
+    /// anchored candidate's queries, in order, on one clone of the tuple's
+    /// pristine solver — the very queries, from the very state, of a
+    /// solver built for this search alone. Grounds the tuple first,
+    /// evicting the previously live one.
+    fn search(
+        &mut self,
+        tuple: &[usize],
+        verdict: &AccessPair,
+        level: ConsistencyLevel,
+        strict: bool,
+    ) -> Option<ConcreteSchedule> {
+        let ts: Vec<&TxnSummary> = tuple.iter().map(|&i| &self.summaries[i]).collect();
+        if self.live.as_ref().is_none_or(|g| g.tuple != tuple) {
+            self.live = Some(Grounded {
+                tuple: tuple.to_vec(),
+                model: InstanceModel::new_multi(&ts),
+                candidates: BTreeMap::new(),
+                pristine: BTreeMap::new(),
+            });
+        }
+        let Grounded {
+            model,
+            pristine,
+            candidates: by_kind,
+            ..
+        } = self.live.as_mut().expect("grounded above");
+        let cands = by_kind
+            .entry(verdict.kind)
+            .or_insert_with(|| candidates(verdict.kind, &ts, model));
+        let mut solver: Option<PairSolver> = None;
+        for cand in cands.iter() {
+            if !cand.pairs.iter().any(|p| anchored(verdict, p, strict)) {
+                continue;
+            }
+            for reqs in &cand.queries {
+                let solver = solver.get_or_insert_with(|| {
+                    let pristine = pristine.entry(level).or_insert_with(|| {
+                        let mut s = PairSolver::new(model);
+                        s.ensure_level(model, level);
+                        s
+                    });
+                    pristine.clone()
+                });
+                if let Some(truth) = solver.witness(model, level, reqs) {
+                    return Some(build_schedule(model, &ts, reqs, &truth, verdict.kind));
+                }
+            }
+        }
+        None
+    }
 }
 
 /// Decodes `verdict` into a concrete schedule on `program`, strictly
-/// anchored: the witness search only accepts template candidates that
-/// reproduce the verdict's exact command labels. Returns `None` when no
-/// such candidate is realizable under `level` — which, for a verdict the
-/// detector just reported at that level, indicates a detector/replay
-/// divergence (the differential harness asserts it never happens).
+/// anchored: a decoder of one ([`WitnessDecoder::decode`]). Returns `None`
+/// when no candidate reproducing the verdict's labels is realizable under
+/// `level`.
 ///
 /// # Examples
 ///
@@ -101,24 +338,20 @@ pub fn decode_witness(
     verdict: &AccessPair,
     level: ConsistencyLevel,
 ) -> Option<ConcreteSchedule> {
-    decode(program, verdict, level, &BTreeSet::new(), true)
+    WitnessDecoder::new(program).decode(verdict, level)
 }
 
 /// Decodes `verdict` against a (typically repaired) program, loosely
-/// anchored: any realizable candidate of the verdict's template over the
-/// same transaction roles counts, regardless of command labels (repair
-/// rewrites statements, so labels do not survive). Transaction tuples
-/// entirely inside `marked` are queried under
-/// [`ConsistencyLevel::Serializable`] — the detector's AT-SC rule for
-/// transactions the repair left to runtime coordination. Returns `None`
-/// when the anomaly is **suppressed**: no realizable witness exists.
+/// anchored with `marked` as the AT-SC set: a decoder of one
+/// ([`WitnessDecoder::decode_marked`]). Returns `None` when the anomaly is
+/// **suppressed**: no realizable witness exists.
 pub fn decode_witness_marked(
     program: &Program,
     verdict: &AccessPair,
     level: ConsistencyLevel,
     marked: &BTreeSet<String>,
 ) -> Option<ConcreteSchedule> {
-    decode(program, verdict, level, marked, false)
+    WitnessDecoder::new(program).decode_marked(verdict, level, marked)
 }
 
 /// Strictly decodes `verdict` ([`decode_witness`]) and runs the schedule
@@ -131,38 +364,14 @@ pub fn replay_verdict(
     Some(run_schedule(&decode_witness(program, verdict, level)?))
 }
 
-fn decode(
-    program: &Program,
-    verdict: &AccessPair,
-    level: ConsistencyLevel,
-    marked: &BTreeSet<String>,
-    strict: bool,
-) -> Option<ConcreteSchedule> {
-    let summaries = summarize_program(program);
-    let found = match verdict.kind {
-        AnomalyKind::LostUpdate
-        | AnomalyKind::DirtyRead
-        | AnomalyKind::NonRepeatableRead
-        | AnomalyKind::NonMonotonicRead => {
-            find_pair_witness(&summaries, verdict, level, marked, strict)
-        }
-        AnomalyKind::ObserverChain
-        | AnomalyKind::WriteSkewCycle
-        | AnomalyKind::FracturedRead => {
-            find_triple_witness(&summaries, verdict, level, marked, strict)
-        }
-    }?;
-    Some(build_schedule(found, verdict.kind))
-}
-
 /// The detector's AT-SC rule: a tuple whose instances are all marked runs
 /// under serializability; anything else runs at the base level.
-fn effective_level(
+fn effective_level<'a>(
     level: ConsistencyLevel,
     marked: &BTreeSet<String>,
-    participants: &[&str],
+    mut participants: impl Iterator<Item = &'a String>,
 ) -> ConsistencyLevel {
-    if !marked.is_empty() && participants.iter().all(|t| marked.contains(*t)) {
+    if !marked.is_empty() && participants.all(|t| marked.contains(t)) {
         ConsistencyLevel::Serializable
     } else {
         level
@@ -178,59 +387,26 @@ fn anchored(verdict: &AccessPair, produced: &AccessPair, strict: bool) -> bool {
     }
 }
 
-fn find_pair_witness(
-    summaries: &[TxnSummary],
-    verdict: &AccessPair,
-    level: ConsistencyLevel,
-    marked: &BTreeSet<String>,
-    strict: bool,
-) -> Option<Found> {
-    let by_name = |n: &str| summaries.iter().find(|s| s.name == n);
-    // The (instance 0, instance 1) assignments the detector could have
-    // analysed this verdict under: lost update anchors its pair across the
-    // two instances (either orientation), the read-instability templates
-    // put both anchor commands in instance 0 and the interfering
-    // transaction — recorded as a witness — in instance 1.
-    let orderings: Vec<(&TxnSummary, &TxnSummary)> = match verdict.kind {
-        AnomalyKind::LostUpdate => {
-            let s1 = by_name(&verdict.txn1)?;
-            let s2 = by_name(&verdict.txn2)?;
-            if verdict.txn1 == verdict.txn2 {
-                vec![(s1, s2)]
-            } else {
-                vec![(s1, s2), (s2, s1)]
-            }
-        }
-        _ => {
-            let s1 = by_name(&verdict.txn1)?;
-            verdict
-                .witnesses
-                .iter()
-                .filter_map(|w| Some((s1, by_name(w)?)))
-                .collect()
-        }
+/// The template candidates of `kind` over the tuple `ts` (the per-k part,
+/// with [`WitnessDecoder::tuples`]), in the detector's enumeration order.
+/// Triples: the chain candidates of `kind` and their requirement vectors.
+/// Pairs: see [`pair_candidates`].
+fn candidates(kind: AnomalyKind, ts: &[&TxnSummary], model: &InstanceModel) -> Vec<Candidate> {
+    let &[t1, t2, t3] = ts else {
+        return pair_candidates(kind, ts[0], ts[1], model);
     };
-    for (t1, t2) in orderings {
-        let model = InstanceModel::new(t1, t2);
-        let eff = effective_level(level, marked, &[&t1.name, &t2.name]);
-        let mut solver = PairSolver::new(&model);
-        for cand in pair_candidates(verdict.kind, t1, t2, &model) {
-            if !cand.pairs.iter().any(|p| anchored(verdict, p, strict)) {
-                continue;
-            }
-            for reqs in cand.queries {
-                if let Some(truth) = solver.witness(&model, eff, &reqs) {
-                    return Some(Found {
-                        model,
-                        txns: vec![t1.name.clone(), t2.name.clone()],
-                        reqs,
-                        truth,
-                    });
-                }
-            }
-        }
-    }
-    None
+    let trio = [t1, t2, t3];
+    let fps = trio.map(txn_fingerprint);
+    collect_candidates(trio, fps, usize::MAX)
+        .into_iter()
+        .filter_map(|(_, cand)| {
+            let found = triple_finding(trio, &cand);
+            (found.kind == kind).then(|| Candidate {
+                pairs: found.emit(&trio).into_iter().collect(),
+                queries: triple_requirements(model, &cand).into_iter().collect(),
+            })
+        })
+        .collect()
 }
 
 /// Re-enumerates the pair template candidates of one kind, mirroring the
@@ -242,7 +418,7 @@ fn pair_candidates(
     t1: &TxnSummary,
     t2: &TxnSummary,
     model: &InstanceModel,
-) -> Vec<PairCandidate> {
+) -> Vec<Candidate> {
     let n1 = model.n1;
     let mut out = Vec::new();
 
@@ -286,7 +462,7 @@ fn pair_candidates(
                         continue;
                     };
                     let fs = BTreeSet::from([f.clone()]);
-                    out.push(PairCandidate {
+                    out.push(Candidate {
                         queries: vec![vec![(a_w2, c1, false), (a_w1, c2, false)]],
                         pairs: vec![
                             crate::detect::make_pair(
@@ -356,7 +532,7 @@ fn pair_candidates(
                             else {
                                 continue;
                             };
-                            out.push(PairCandidate {
+                            out.push(Candidate {
                                 queries: vec![
                                     vec![(a1, d1, true), (a2, d2, false)],
                                     vec![(a2, d2, true), (a1, d1, false)],
@@ -427,7 +603,7 @@ fn pair_candidates(
                                 else {
                                     continue;
                                 };
-                                out.push(PairCandidate {
+                                out.push(Candidate {
                                     queries: vec![
                                         vec![(a2, c2, true), (a1, c1, false)],
                                         vec![(a1, c1, true), (a2, c2, false)],
@@ -485,7 +661,7 @@ fn pair_candidates(
                         } else {
                             vec![(a, c1, true), (a, c2, false)]
                         };
-                        out.push(PairCandidate {
+                        out.push(Candidate {
                             queries: vec![query],
                             pairs: vec![crate::detect::make_pair(
                                 t1,
@@ -502,80 +678,9 @@ fn pair_candidates(
                 }
             }
         }
-        _ => unreachable!("triple kinds are handled by find_triple_witness"),
+        _ => unreachable!("triple kinds enumerate their chain candidates"),
     }
     out
-}
-
-fn find_triple_witness(
-    summaries: &[TxnSummary],
-    verdict: &AccessPair,
-    level: ConsistencyLevel,
-    marked: &BTreeSet<String>,
-    strict: bool,
-) -> Option<Found> {
-    for w in &verdict.witnesses {
-        let names = BTreeSet::from([
-            verdict.txn1.as_str(),
-            verdict.txn2.as_str(),
-            w.as_str(),
-        ]);
-        if names.len() != 3 {
-            continue;
-        }
-        // Summaries in program order, matching the engine's enumeration.
-        let trio: Vec<&TxnSummary> = summaries
-            .iter()
-            .filter(|s| names.contains(s.name.as_str()))
-            .collect();
-        if trio.len() != 3 {
-            continue;
-        }
-        // All three rotations of the trio: the write-skew enumeration pins
-        // the cycle's first role to instance 0 (rotations of a cycle are
-        // deduplicated), so the engine's reported `txn1` depends on which
-        // transaction its canonical orientation put first — rotating here
-        // guarantees every transaction gets a turn at instance 0 and the
-        // anchor can match whatever orientation produced the verdict.
-        for rot in 0..3 {
-            let ts = [trio[rot], trio[(rot + 1) % 3], trio[(rot + 2) % 3]];
-            let fps = [
-                txn_fingerprint(ts[0]),
-                txn_fingerprint(ts[1]),
-                txn_fingerprint(ts[2]),
-            ];
-            let eff = effective_level(
-                level,
-                marked,
-                &[&ts[0].name, &ts[1].name, &ts[2].name],
-            );
-            let mut state: Option<(InstanceModel, PairSolver)> = None;
-            for (_, cand) in collect_candidates(ts, fps, usize::MAX) {
-                let produced = triple_finding(ts, &cand).emit(&ts);
-                if !produced.is_some_and(|p| anchored(verdict, &p, strict)) {
-                    continue;
-                }
-                let (model, solver) = state.get_or_insert_with(|| {
-                    let model = InstanceModel::new_multi(&ts);
-                    let solver = PairSolver::new(&model);
-                    (model, solver)
-                });
-                let Some(reqs) = triple_requirements(model, &cand) else {
-                    continue;
-                };
-                if let Some(truth) = solver.witness(model, eff, &reqs) {
-                    let model = state.expect("state grounded above").0;
-                    return Some(Found {
-                        model,
-                        txns: ts.iter().map(|t| t.name.clone()).collect(),
-                        reqs,
-                        truth,
-                    });
-                }
-            }
-        }
-    }
-    None
 }
 
 /// Union-find over witness-record indices: requirement-involved record
@@ -614,7 +719,9 @@ impl RecordUnion {
     }
 }
 
-/// Decodes one found witness into a concrete schedule.
+/// Decodes one found witness — the satisfied requirement vector `reqs`
+/// and its truth assignment over the model of the tuple `ts` — into a
+/// concrete schedule.
 ///
 /// * **Sessions**: one per transaction instance; a session's commands are
 ///   its ops in program order (the `cmds` vector is already grouped that
@@ -630,8 +737,13 @@ impl RecordUnion {
 /// * **Checks**: the satisfied requirement vector verbatim — each `(atom,
 ///   command, polarity)` becomes "read *command* must (not) have observed
 ///   the atom's producer".
-fn build_schedule(found: Found, kind: AnomalyKind) -> ConcreteSchedule {
-    let model = &found.model;
+fn build_schedule(
+    model: &InstanceModel,
+    ts: &[&TxnSummary],
+    reqs: &[VisRequirement],
+    truth: &WitnessTruth,
+    kind: AnomalyKind,
+) -> ConcreteSchedule {
     let n = model.cmds.len();
     let sessions = model.instances();
 
@@ -639,7 +751,7 @@ fn build_schedule(found: Found, kind: AnomalyKind) -> ConcreteSchedule {
     // observing command's first aliasing record, then hand every class a
     // dense id.
     let mut uf = RecordUnion::new(model.records.len());
-    for &(a, c, _) in &found.reqs {
+    for &(a, c, _) in reqs {
         let ar = model.atoms[a].record;
         if model.cmds[c].records.contains(&ar) {
             continue;
@@ -686,7 +798,7 @@ fn build_schedule(found: Found, kind: AnomalyKind) -> ConcreteSchedule {
             .collect();
         ops.push(ScheduledOp {
             session: cmd.instance as usize,
-            txn: found.txns[cmd.instance as usize].clone(),
+            txn: ts[cmd.instance as usize].name.clone(),
             label: cmd.summary.label.0.clone(),
             is_write,
             replica,
@@ -699,14 +811,14 @@ fn build_schedule(found: Found, kind: AnomalyKind) -> ConcreteSchedule {
     // producer": never replicate that producer to c's serving replica,
     // even if another of its atoms is model-visible to c.
     let mut banned: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for &(a, c, polarity) in &found.reqs {
+    for &(a, c, polarity) in reqs {
         if !polarity {
             banned.entry(c).or_default().insert(model.atoms[a].cmd);
         }
     }
 
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&c| found.truth.arbitration_position(c));
+    order.sort_by_key(|&c| truth.arbitration_position(c));
 
     let mut events = Vec::new();
     for &c in &order {
@@ -715,7 +827,7 @@ fn build_schedule(found: Found, kind: AnomalyKind) -> ConcreteSchedule {
             let mut replicated: BTreeSet<usize> = BTreeSet::new();
             for (ai, atom) in model.atoms.iter().enumerate() {
                 let w = atom.cmd;
-                if !ops[w].is_write || !found.truth.vis[ai][c] {
+                if !ops[w].is_write || !truth.vis[ai][c] {
                     continue;
                 }
                 if ban.is_some_and(|b| b.contains(&w)) {
@@ -732,8 +844,7 @@ fn build_schedule(found: Found, kind: AnomalyKind) -> ConcreteSchedule {
         events.push(ScheduleEvent::Invoke(c));
     }
 
-    let checks = found
-        .reqs
+    let checks = reqs
         .iter()
         .map(|&(a, c, polarity)| VisibilityCheck {
             read: c,
@@ -852,22 +963,23 @@ mod tests {
         }
     }
 
+    const MIXED: &str = "schema A { id: int key, x: int, y: int }
+         txn wr(k: int) {
+             @WX update A set x = 1 where id = k;
+             @WY update A set y = 2 where id = k;
+             return 0;
+         }
+         txn rd(k: int) {
+             @RX a := select x from A where id = k;
+             @RY b := select x, y from A where id = k;
+             return 0;
+         }";
+
     /// Every pair-mode verdict of a program with dirty reads and
     /// non-repeatable reads decodes into a schedule that manifests.
     #[test]
     fn mixed_pair_verdicts_all_replay() {
-        let src = "schema A { id: int key, x: int, y: int }
-             txn wr(k: int) {
-                 @WX update A set x = 1 where id = k;
-                 @WY update A set y = 2 where id = k;
-                 return 0;
-             }
-             txn rd(k: int) {
-                 @RX a := select x from A where id = k;
-                 @RY b := select x, y from A where id = k;
-                 return 0;
-             }";
-        let p = parse(src).unwrap();
+        let p = parse(MIXED).unwrap();
         let ec = ConsistencyLevel::EventualConsistency;
         let verdicts = detect_anomalies(&p, ec);
         assert!(!verdicts.is_empty());
@@ -875,5 +987,73 @@ mod tests {
             let out = replay_verdict(&p, v, ec).unwrap_or_else(|| panic!("{v} must decode"));
             assert!(out.manifested, "{v}: {out:?}");
         }
+    }
+
+    /// The tuple a decoder holds grounded, if any.
+    fn live(d: &WitnessDecoder) -> Option<Tuple> {
+        d.live.as_ref().map(|g| g.tuple.clone())
+    }
+
+    /// A decoder that moved on to another tuple and comes back grounds the
+    /// first tuple again, and the re-grounded search reproduces a fresh
+    /// decoder's schedule.
+    #[test]
+    fn an_evicted_tuple_regrounds_to_the_fresh_schedule() {
+        let p = parse(MIXED).unwrap();
+        let ec = ConsistencyLevel::EventualConsistency;
+        let verdicts = detect_anomalies(&p, ec);
+        let mut d = WitnessDecoder::new(&p);
+        let first = &verdicts[0];
+        let fresh = decode_witness(&p, first, ec);
+        assert!(fresh.is_some(), "{first}");
+        assert_eq!(d.decode(first, ec), fresh);
+        let home = live(&d).expect("a search grounds its tuple");
+        let other = verdicts
+            .iter()
+            .find(|v| !d.tuples(v).contains(&home))
+            .expect("a verdict on other tuples");
+        assert_eq!(d.decode(other, ec), decode_witness(&p, other, ec));
+        assert_ne!(live(&d).as_ref(), Some(&home), "{other} evicted {home:?}");
+        assert_eq!(d.decode(first, ec), fresh);
+        assert_eq!(live(&d), Some(home));
+    }
+
+    /// Two lost updates of one transaction share their kind and tuple, so
+    /// the loose search for the second is a memo hit, and the hit is the
+    /// schedule a fresh loose decode of the second verdict finds.
+    #[test]
+    fn a_loose_memo_hit_reproduces_the_fresh_schedule() {
+        let p = parse(
+            "schema T { id: int key, v: int, w: int }
+             txn bump(k: int) {
+                 @R x := select v, w from T where id = k;
+                 @WV update T set v = x.v + 1 where id = k;
+                 @WW update T set w = x.w + 1 where id = k;
+                 return 0;
+             }",
+        )
+        .unwrap();
+        let ec = ConsistencyLevel::EventualConsistency;
+        let verdicts = detect_anomalies(&p, ec);
+        let lost: Vec<&AccessPair> = verdicts
+            .iter()
+            .filter(|v| v.kind == AnomalyKind::LostUpdate)
+            .collect();
+        assert_eq!(lost.len(), 2, "{verdicts:?}");
+        let marked = BTreeSet::from(["other".to_owned()]);
+        let mut d = WitnessDecoder::new(&p);
+        for v in &lost {
+            let fresh = decode_witness_marked(&p, v, ec, &marked);
+            assert!(fresh.is_some(), "{v}");
+            assert_eq!(d.decode_marked(v, ec, &marked), fresh, "{v}");
+            assert_eq!(d.loose.len(), 1, "one (kind, tuple, level) searched");
+        }
+        // The memo is keyed by the effective level: the same kind and
+        // tuple under serializability, asked for or marked, is suppressed.
+        let sc = ConsistencyLevel::Serializable;
+        assert_eq!(d.decode_marked(lost[0], sc, &marked), None);
+        let all = BTreeSet::from(["bump".to_owned()]);
+        assert_eq!(d.decode_marked(lost[1], ec, &all), None);
+        assert_eq!(d.loose.len(), 2);
     }
 }

@@ -24,7 +24,7 @@ use crate::proof::ProofEvent;
 
 pub use crate::solver::{SolveResult, SolverStats};
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Clause {
     lits: Vec<Lit>,
     learnt: bool,
@@ -43,7 +43,7 @@ type ClauseRef = usize;
 /// skipped (and dropped) at [`OrderHeap::pop_max`] time; backtracking
 /// re-inserts the unassigned ones. Ties in activity break towards the lower
 /// variable index, keeping decisions fully deterministic.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct OrderHeap {
     heap: Vec<Var>,
     /// `pos[v]` is the index of `v` in `heap`, or `ABSENT`.
@@ -142,7 +142,9 @@ impl OrderHeap {
 /// `Send` — a compile-time guarantee pinned below that the detection
 /// engine relies on to migrate retained pair solvers between its workers.
 /// It is *not* concurrency-safe (`&mut` access only); parallelism is the
-/// callers' business, one solver per worker at a time.
+/// callers' business, one solver per worker at a time. It is `Clone` like
+/// the arena solver, so the `baseline-solver` feature swap stays
+/// source-compatible.
 ///
 /// # Examples
 ///
@@ -158,7 +160,7 @@ impl OrderHeap {
 /// let model = s.solve().model().unwrap().to_vec();
 /// assert!(!model[a.index()] && model[b.index()]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Solver {
     clauses: Vec<Clause>,
     watches: Vec<Vec<ClauseRef>>, // indexed by Lit::index

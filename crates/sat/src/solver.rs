@@ -63,7 +63,7 @@ const RELOC_BIT: u32 = 4;
 /// packed back to back in one `u32` buffer. Literals are stored as their
 /// [`Lit::index`] encoding, which is already a dense `u32`; learnt
 /// clauses carry one trailing word holding their activity as `f32` bits.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Arena {
     data: Vec<u32>,
     /// Words occupied by marked (deleted) records.
@@ -181,7 +181,7 @@ struct Watcher {
 /// skipped (and dropped) at [`OrderHeap::pop_max`] time; backtracking
 /// re-inserts the unassigned ones. Ties in activity break towards the lower
 /// variable index, keeping decisions fully deterministic.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct OrderHeap {
     heap: Vec<Var>,
     /// `pos[v]` is the index of `v` in `heap`, or `ABSENT`.
@@ -298,6 +298,11 @@ pub struct SolverStats {
 /// It is *not* concurrency-safe (`&mut` access only); parallelism is the
 /// callers' business, one solver per worker at a time.
 ///
+/// Cloning copies the whole search state (clause database, learnt
+/// clauses, activities, saved phases and statistics), so a clone answers
+/// every later query exactly as its original would: encode once, then
+/// search many times from the same state.
+///
 /// # Examples
 ///
 /// ```
@@ -311,7 +316,7 @@ pub struct SolverStats {
 /// let model = s.solve().model().unwrap().to_vec();
 /// assert!(!model[a.index()] && model[b.index()]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Solver {
     arena: Arena,
     /// Live original clauses, in insertion order.

@@ -1,7 +1,7 @@
 //! Deterministic unit tests for the CDCL solver on small canonical
 //! instances — complementing the randomized property tests in `prop.rs`.
 
-use atropos_sat::{CnfBuilder, Lit, SolveResult, Solver, Var};
+use atropos_sat::{CnfBuilder, Lit, SolveResult, Solver, SolverStats, Var};
 
 /// Builds the pigeonhole instance PHP(p, h): p pigeons, h holes, each pigeon
 /// in some hole, no two pigeons sharing a hole. UNSAT iff p > h.
@@ -323,4 +323,76 @@ fn dimacs_round_trip_solves_identically() {
         panic!("instance is SAT")
     };
     assert!(model[1] && model[2], "b and c are forced");
+}
+
+/// Adds PHP(pigeons, holes) guarded by `act` (each clause weakened by
+/// `¬act`), returning the `at[pigeon][hole]` variables.
+fn guarded_pigeonhole(s: &mut Solver, act: Var, pigeons: usize, holes: usize) -> Vec<Vec<Var>> {
+    let at: Vec<Vec<Var>> = (0..pigeons)
+        .map(|_| (0..holes).map(|_| s.new_var()).collect())
+        .collect();
+    for row in &at {
+        let mut c: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+        c.push(act.negative());
+        s.add_clause(c);
+    }
+    for h in 0..holes {
+        for p1 in 0..pigeons {
+            for p2 in (p1 + 1)..pigeons {
+                s.add_clause([act.negative(), at[p1][h].negative(), at[p2][h].negative()]);
+            }
+        }
+    }
+    at
+}
+
+/// Answers each assumption query in turn, recording its result, its
+/// failed core and the solver's statistics after it.
+fn answer(s: &mut Solver, queries: &[Vec<Lit>]) -> Vec<(SolveResult, Vec<Lit>, SolverStats)> {
+    queries
+        .iter()
+        .map(|q| {
+            let result = s.solve_with_assumptions(q);
+            (result, s.failed_assumptions().to_vec(), s.stats())
+        })
+        .collect()
+}
+
+#[test]
+fn clones_answer_assumptions_exactly_like_their_original() {
+    // Two guarded pigeonhole groups: PHP(5, 4) is UNSAT once its guard is
+    // on, PHP(4, 4) is SAT unless the assumptions crowd a hole.
+    let mut s = Solver::new();
+    let (hard, easy) = (s.new_var(), s.new_var());
+    guarded_pigeonhole(&mut s, hard, 5, 4);
+    let at = guarded_pigeonhole(&mut s, easy, 4, 4);
+    let crowd = |h: usize| vec![easy.positive(), at[0][h].positive(), at[1][h].positive()];
+    let queries: Vec<Vec<Lit>> = vec![
+        vec![hard.positive()],
+        vec![hard.negative(), easy.positive()],
+        crowd(0),
+        vec![easy.positive(), at[2][3].positive(), at[0][0].negative()],
+        vec![hard.positive(), easy.positive()],
+        crowd(2),
+        vec![hard.negative(), easy.positive(), at[3][1].positive()],
+        vec![hard.positive()],
+    ];
+    let pristine = s.clone();
+    let head = answer(&mut s, &queries[..4]);
+    assert!(
+        s.stats().conflicts > 0,
+        "the warm clone below must inherit learnt clauses"
+    );
+    let warm = s.clone();
+    let tail = answer(&mut s, &queries[4..]);
+    let all: Vec<_> = head.iter().chain(&tail).cloned().collect();
+    assert!(all.iter().any(|(r, _, _)| r.is_sat()));
+    assert!(all.iter().any(|(r, core, _)| !r.is_sat() && core.len() > 1));
+
+    // Cloned before any query: the whole sequence, answer for answer.
+    assert_eq!(answer(&mut pristine.clone(), &queries), all);
+    // Cloned after four queries: the rest of the sequence.
+    assert_eq!(answer(&mut warm.clone(), &queries[4..]), tail);
+    // A clone is independent: querying it left its source untouched.
+    assert_eq!(answer(&mut pristine.clone(), &queries[..4]), head);
 }

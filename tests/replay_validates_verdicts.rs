@@ -15,6 +15,11 @@
 //!    every participant moved under SC) or one that no longer manifests —
 //!    the repair actually **suppresses** the concrete interleaving.
 //!
+//! The batched decoder is pinned against the one-shot one: over the ten
+//! committed `examples/corpus` programs, decoding every initial verdict
+//! through one [`atropos::detect::WitnessDecoder`] per program, in any
+//! order, yields the byte-identical schedules.
+//!
 //! SmallBank's triple mode doubles as the regression pin for the
 //! orientation bug replay flushed out: its three `WriteSkewCycle`
 //! verdicts carry *two* witnesses each (merged from two canonical trio
@@ -22,12 +27,15 @@
 //! trio, because the skew enumeration pins the cycle's first role to
 //! instance 0.
 
+use std::collections::BTreeSet;
+
 use atropos::detect::{
-    decode_witness_marked, replay_verdict, ConsistencyLevel, DetectMode, DetectSession,
-    DetectionEngine,
+    decode_witness, decode_witness_marked, replay_verdict, AccessPair, ConsistencyLevel,
+    DetectMode, DetectSession, DetectionEngine, WitnessDecoder,
 };
+use atropos::dsl::parse;
 use atropos::repair::{repair_with_engine, RepairConfig};
-use atropos::sim::run_schedule;
+use atropos::sim::{run_schedule, ConcreteSchedule};
 use atropos::workloads::benchmark;
 
 const LEVELS: [ConsistencyLevel; 2] = [
@@ -138,4 +146,124 @@ fn smallbank_triple_verdicts_replay_across_rotations() {
         assert!(outcome.manifested, "{}~{}", verdict.txn1, verdict.txn2);
     }
     assert_replay_validates("SmallBank", DetectMode::Triples);
+}
+
+/// The orders a decoder visits a report's verdicts in: report order,
+/// reversed, and the decoder's own grouped visit order.
+fn orders(decoder: &WitnessDecoder, verdicts: &[AccessPair]) -> [Vec<usize>; 3] {
+    let forward: Vec<usize> = (0..verdicts.len()).collect();
+    let reversed = forward.iter().rev().copied().collect();
+    [forward, reversed, decoder.visit_order(verdicts)]
+}
+
+/// Decodes every verdict through one fresh decoder per order and checks
+/// each schedule against the one-shot decode in `expected`.
+fn assert_decoder_matches(
+    what: &str,
+    expected: &[Option<ConcreteSchedule>],
+    new_decoder: impl Fn() -> WitnessDecoder,
+    verdicts: &[AccessPair],
+    mut decode: impl FnMut(&mut WitnessDecoder, &AccessPair) -> Option<ConcreteSchedule>,
+) {
+    for order in orders(&new_decoder(), verdicts) {
+        let mut decoder = new_decoder();
+        for i in order {
+            assert_eq!(
+                decode(&mut decoder, &verdicts[i]),
+                expected[i],
+                "{what}: verdict {i} {:?} {}~{}",
+                verdicts[i].kind,
+                verdicts[i].txn1,
+                verdicts[i].txn2
+            );
+        }
+    }
+}
+
+/// One committed corpus program, pairs and triples at EC and CC: every
+/// initial verdict decodes through one decoder per program exactly as
+/// one-shot — strictly on the original program ([`decode_witness`]) and
+/// loosely on the repaired program with the unsafe set marked
+/// ([`decode_witness_marked`]). Repaired programs suppress every verdict,
+/// so the loose search is also checked on the original program with no
+/// marks, where every verdict decodes and the memo hits return schedules.
+fn assert_batched_decode_matches_one_shot(file: &str) {
+    let path = format!("{}/examples/corpus/{file}", env!("CARGO_MANIFEST_DIR"));
+    let program = parse(&std::fs::read_to_string(&path).expect("corpus file")).expect("parses");
+    let engine = DetectionEngine::new(2);
+    for mode in [DetectMode::Pairs, DetectMode::Triples] {
+        for level in LEVELS {
+            let config = RepairConfig {
+                level,
+                mode,
+                ..RepairConfig::default()
+            };
+            let mut session = DetectSession::new();
+            let report = repair_with_engine(&program, &config, &engine, &mut session);
+            let verdicts = &report.initial;
+            let marked = report.unsafe_transactions();
+            let unmarked = BTreeSet::new();
+            let what = |end: &str| format!("{file} @ {level} ({mode}), {end}");
+
+            let strict: Vec<_> = verdicts
+                .iter()
+                .map(|v| decode_witness(&program, v, level))
+                .collect();
+            assert!(strict.iter().all(Option::is_some), "{}", what("strict"));
+            assert_decoder_matches(
+                &what("strict"),
+                &strict,
+                || WitnessDecoder::new(&program),
+                verdicts,
+                |d, v| d.decode(v, level),
+            );
+
+            let repaired: Vec<_> = verdicts
+                .iter()
+                .map(|v| decode_witness_marked(&report.repaired, v, level, &marked))
+                .collect();
+            assert_decoder_matches(
+                &what("loose on the repaired program"),
+                &repaired,
+                || WitnessDecoder::new(&report.repaired),
+                verdicts,
+                |d, v| d.decode_marked(v, level, &marked),
+            );
+
+            let original: Vec<_> = verdicts
+                .iter()
+                .map(|v| decode_witness_marked(&program, v, level, &unmarked))
+                .collect();
+            assert!(original.iter().all(Option::is_some), "{}", what("loose"));
+            assert_decoder_matches(
+                &what("loose on the original program"),
+                &original,
+                || WitnessDecoder::new(&program),
+                verdicts,
+                |d, v| d.decode_marked(v, level, &unmarked),
+            );
+        }
+    }
+}
+
+macro_rules! batched_matches_one_shot {
+    ($($test:ident => $file:literal),+ $(,)?) => {$(
+        #[test]
+        fn $test() {
+            assert_batched_decode_matches_one_shot($file);
+        }
+    )+};
+}
+
+batched_matches_one_shot! {
+    courseware_batched_decode_matches_one_shot => "courseware.dsl",
+    fmke_batched_decode_matches_one_shot => "fmke.dsl",
+    killrchat_batched_decode_matches_one_shot => "killrchat.dsl",
+    relay_batched_decode_matches_one_shot => "relay.dsl",
+    seats_batched_decode_matches_one_shot => "seats.dsl",
+    sibench_batched_decode_matches_one_shot => "sibench.dsl",
+    smallbank_batched_decode_matches_one_shot => "smallbank.dsl",
+    tpcc_batched_decode_matches_one_shot => "tpcc.dsl",
+    twitter_batched_decode_matches_one_shot => "twitter.dsl",
+    wikipedia_batched_decode_matches_one_shot => "wikipedia.dsl",
 }
