@@ -33,10 +33,44 @@
 //! derivation must reach). The binary format ([`Proof::encode`]) carries
 //! a magic header and a trailing FNV-1a checksum so corrupted blobs are
 //! rejected before checking begins ([`Proof::decode`]).
+//!
+//! ## Decoding bounds
+//!
+//! Blobs come from outside the process (the persistent verdict store
+//! checks the certificates of stale shards on load), so one validating
+//! pass stands between the bytes and every allocation. [`Proof::decode`]
+//! and [`check_blob`] share it; it checks the magic, the checksum, every
+//! tag, length and literal, and rejects what it cannot bound:
+//!
+//! * a step's declared length is never trusted for an allocation: at most
+//!   the words left in the payload are read, then the step is
+//!   [`DecodeError::Truncated`];
+//! * `i32::MIN`, which has no negation, is [`DecodeError::Malformed`];
+//! * so is any variable larger than the payload's byte length, which keeps
+//!   the checker's per-variable tables linear in the blob (real
+//!   certificates name a few thousand variables in megabytes);
+//! * so is a blob over 4 GiB, whose offsets would overflow the checker's
+//!   `u32` arena.
+//!
+//! The pass yields one flat literal buffer plus a `(kind, start, len)`
+//! record per step; [`Proof::decode`] materializes [`Step`]s from it,
+//! while [`check_blob`] checks it in place.
+//!
+//! ## Checker layout
+//!
+//! [`check`] and [`check_blob`] drive one clause database that allocates
+//! nothing per clause. Literals are coded `2·var + sign`, so negation flips
+//! bit 0 and sorting codes sorts by variable. Stored clauses sit back to
+//! back in one `u32` arena behind a three-word header (length, content
+//! hash, next clause in its hash chain). Watch lists carry a blocker
+//! literal, so a satisfied clause is skipped without touching the arena.
+//! Values live in one array indexed by literal code, and every clause is
+//! normalized (sorted, deduplicated, tautology-checked) in one reused
+//! buffer. Deletions find their clause through the content-hash chains,
+//! comparing full contents, so colliding hashes never delete the wrong
+//! clause.
 
 #![warn(missing_docs)]
-
-use std::collections::HashMap;
 
 /// One step of a proof certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,10 +159,39 @@ pub struct CheckReport {
 /// Magic header of the binary proof format (`ATRPF`, version 1).
 pub const MAGIC: &[u8; 8] = b"ATRPF\x01\0\0";
 
-const TAG_INPUT: u8 = 0;
-const TAG_ADD: u8 = 1;
-const TAG_DELETE: u8 = 2;
-const TAG_ASSUME: u8 = 3;
+/// A step's kind; the discriminant is its wire tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Kind {
+    Input = 0,
+    Add = 1,
+    Delete = 2,
+    Assume = 3,
+}
+
+impl Kind {
+    fn from_tag(tag: u8) -> Option<Kind> {
+        match tag {
+            0 => Some(Kind::Input),
+            1 => Some(Kind::Add),
+            2 => Some(Kind::Delete),
+            3 => Some(Kind::Assume),
+            _ => None,
+        }
+    }
+}
+
+impl Step {
+    /// The step's kind and literals; an assumption is one literal.
+    fn parts(&self) -> (Kind, &[i32]) {
+        match self {
+            Step::Input(l) => (Kind::Input, l),
+            Step::Add(l) => (Kind::Add, l),
+            Step::Delete(l) => (Kind::Delete, l),
+            Step::Assume(a) => (Kind::Assume, std::slice::from_ref(a)),
+        }
+    }
+}
 
 /// The checksum of the binary format: FNV-1a folded over little-endian
 /// `u64` words (then the remainder bytes) instead of single bytes, so
@@ -170,13 +233,8 @@ pub fn proof_hash(blob: &[u8]) -> u64 {
 /// Appends one step's wire encoding (`tag u8, len u32, len × i32`, all
 /// little-endian) to `out`.
 fn encode_step(out: &mut Vec<u8>, step: &Step) {
-    let (tag, lits): (u8, &[i32]) = match step {
-        Step::Input(l) => (TAG_INPUT, l),
-        Step::Add(l) => (TAG_ADD, l),
-        Step::Delete(l) => (TAG_DELETE, l),
-        Step::Assume(a) => (TAG_ASSUME, std::slice::from_ref(a)),
-    };
-    out.push(tag);
+    let (kind, lits) = step.parts();
+    out.push(kind as u8);
     out.extend_from_slice(&(lits.len() as u32).to_le_bytes());
     for &l in lits {
         out.extend_from_slice(&l.to_le_bytes());
@@ -211,23 +269,23 @@ impl ProofWriter {
 
     /// Appends an input-clause step without materializing a [`Step`].
     pub fn push_input<I: IntoIterator<Item = i32>>(&mut self, lits: I) {
-        self.push_tagged(TAG_INPUT, lits);
+        self.push_tagged(Kind::Input, lits);
     }
 
     /// Appends a deduced-clause step without materializing a [`Step`].
     pub fn push_add<I: IntoIterator<Item = i32>>(&mut self, lits: I) {
-        self.push_tagged(TAG_ADD, lits);
+        self.push_tagged(Kind::Add, lits);
     }
 
     /// Appends a deletion step without materializing a [`Step`].
     pub fn push_delete<I: IntoIterator<Item = i32>>(&mut self, lits: I) {
-        self.push_tagged(TAG_DELETE, lits);
+        self.push_tagged(Kind::Delete, lits);
     }
 
     /// Encodes `tag, len u32, lits` in place, backpatching the length
     /// once the iterator is drained.
-    fn push_tagged<I: IntoIterator<Item = i32>>(&mut self, tag: u8, lits: I) {
-        self.body.push(tag);
+    fn push_tagged<I: IntoIterator<Item = i32>>(&mut self, kind: Kind, lits: I) {
+        self.body.push(kind as u8);
         let at = self.body.len();
         self.body.extend_from_slice(&0u32.to_le_bytes());
         let mut n = 0u32;
@@ -287,8 +345,38 @@ impl Proof {
     /// # Errors
     ///
     /// Rejects wrong magic, checksum mismatches (any corrupted payload
-    /// byte), truncation, unknown tags, zero literals, and trailing bytes.
+    /// byte), truncation, unknown tags, zero literals, `i32::MIN`,
+    /// variables larger than the payload's byte length, trailing bytes,
+    /// and blobs over 4 GiB.
     pub fn decode(blob: &[u8]) -> Result<Proof, DecodeError> {
+        let flat = Flat::decode(blob)?;
+        let steps = flat
+            .steps()
+            .map(|(kind, lits)| match kind {
+                Kind::Input => Step::Input(lits.to_vec()),
+                Kind::Add => Step::Add(lits.to_vec()),
+                Kind::Delete => Step::Delete(lits.to_vec()),
+                Kind::Assume => Step::Assume(lits[0]),
+            })
+            .collect();
+        Ok(Proof { steps })
+    }
+}
+
+/// A validated blob: every step's literals back to back, plus one
+/// `(kind, start, len)` record per step indexing them.
+struct Flat {
+    lits: Vec<i32>,
+    steps: Vec<(Kind, u32, u32)>,
+    /// The largest variable any literal names.
+    max_var: u32,
+}
+
+impl Flat {
+    /// The one validating pass behind [`Proof::decode`] and
+    /// [`check_blob`]. Errors come in the order a front-to-back reader
+    /// meets them: a step's literals are validated before its tag.
+    fn decode(blob: &[u8]) -> Result<Flat, DecodeError> {
         if blob.len() < MAGIC.len() + 4 + 8 {
             return Err(DecodeError::Truncated);
         }
@@ -300,45 +388,68 @@ impl Proof {
         if checksum(payload) != declared {
             return Err(DecodeError::BadChecksum);
         }
+        // Arena offsets and literal indices are `u32`s. A stored clause
+        // takes fewer arena words than its step takes payload bytes, so
+        // this bound keeps every offset in range.
+        if u32::try_from(payload.len()).is_err() {
+            return Err(DecodeError::Malformed("blob over 4 GiB"));
+        }
         let mut pos = MAGIC.len();
         let take_u32 = |pos: &mut usize| -> Result<u32, DecodeError> {
-            let bytes = payload
-                .get(*pos..*pos + 4)
-                .ok_or(DecodeError::Truncated)?;
+            let bytes = payload.get(*pos..*pos + 4).ok_or(DecodeError::Truncated)?;
             *pos += 4;
             Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
         };
         let count = take_u32(&mut pos)? as usize;
-        let mut steps = Vec::with_capacity(count.min(payload.len() / 5));
+        let mut flat = Flat {
+            lits: Vec::with_capacity((payload.len() - pos) / 4),
+            steps: Vec::with_capacity(count.min(payload.len() / 5)),
+            max_var: 0,
+        };
         for _ in 0..count {
             let tag = *payload.get(pos).ok_or(DecodeError::Truncated)?;
             pos += 1;
             let len = take_u32(&mut pos)? as usize;
-            let mut lits = Vec::with_capacity(len);
-            for _ in 0..len {
-                let l = take_u32(&mut pos)? as i32;
+            let start = flat.lits.len();
+            // Read only the words the payload holds; a longer declared
+            // length is truncation, found after them.
+            let words = len.min((payload.len() - pos) / 4);
+            for word in payload[pos..pos + 4 * words].chunks_exact(4) {
+                let l = i32::from_le_bytes(word.try_into().expect("4 bytes"));
                 if l == 0 {
                     return Err(DecodeError::Malformed("zero literal"));
                 }
-                lits.push(l);
-            }
-            steps.push(match tag {
-                TAG_INPUT => Step::Input(lits),
-                TAG_ADD => Step::Add(lits),
-                TAG_DELETE => Step::Delete(lits),
-                TAG_ASSUME => {
-                    if lits.len() != 1 {
-                        return Err(DecodeError::Malformed("assume arity"));
-                    }
-                    Step::Assume(lits[0])
+                if l == i32::MIN {
+                    return Err(DecodeError::Malformed("unnegatable literal"));
                 }
-                _ => return Err(DecodeError::Malformed("unknown tag")),
-            });
+                let var = l.unsigned_abs();
+                if var as usize > payload.len() {
+                    return Err(DecodeError::Malformed("variable out of range"));
+                }
+                flat.max_var = flat.max_var.max(var);
+                flat.lits.push(l);
+            }
+            pos += 4 * words;
+            if words < len {
+                return Err(DecodeError::Truncated);
+            }
+            let kind = Kind::from_tag(tag).ok_or(DecodeError::Malformed("unknown tag"))?;
+            if kind == Kind::Assume && len != 1 {
+                return Err(DecodeError::Malformed("assume arity"));
+            }
+            flat.steps.push((kind, start as u32, len as u32));
         }
         if pos != payload.len() {
             return Err(DecodeError::Malformed("trailing bytes"));
         }
-        Ok(Proof { steps })
+        Ok(flat)
+    }
+
+    fn steps(&self) -> impl ExactSizeIterator<Item = (Kind, &[i32])> {
+        self.steps.iter().map(|&(kind, start, len)| {
+            let start = start as usize;
+            (kind, &self.lits[start..start + len as usize])
+        })
     }
 }
 
@@ -350,8 +461,8 @@ impl Proof {
 /// Returns the decode error or the check rejection, stringified (callers
 /// only branch on accept/reject; the message is for diagnostics).
 pub fn check_blob(blob: &[u8]) -> Result<CheckReport, String> {
-    let proof = Proof::decode(blob).map_err(|e| e.to_string())?;
-    check(&proof).map_err(|e| e.to_string())
+    let flat = Flat::decode(blob).map_err(|e| e.to_string())?;
+    run(flat.steps(), flat.max_var).map_err(|e| e.to_string())
 }
 
 /// Verifies a certificate by reverse unit propagation.
@@ -361,17 +472,33 @@ pub fn check_blob(blob: &[u8]) -> Result<CheckReport, String> {
 /// Rejects the first `Add` step that is not RUP over the live database,
 /// and certificates that never add the empty clause.
 pub fn check(proof: &Proof) -> Result<CheckReport, CheckError> {
-    let mut db = Db::default();
+    let max_var = proof
+        .steps
+        .iter()
+        .flat_map(|s| s.parts().1)
+        .map(|l| l.unsigned_abs())
+        .max()
+        .unwrap_or(0);
+    run(proof.steps.iter().map(Step::parts), max_var)
+}
+
+/// The checking loop behind [`check`] and [`check_blob`]: `steps` in
+/// order over one database sized for them and `max_var`.
+fn run<'a>(
+    steps: impl ExactSizeIterator<Item = (Kind, &'a [i32])>,
+    max_var: u32,
+) -> Result<CheckReport, CheckError> {
+    let mut db = Db::new(max_var, steps.len());
     let mut report = CheckReport::default();
     let mut empty_added = false;
-    for (idx, step) in proof.steps.iter().enumerate() {
+    for (idx, (kind, lits)) in steps.enumerate() {
         report.steps += 1;
-        match step {
-            Step::Input(lits) => {
+        match kind {
+            Kind::Input => {
                 report.inputs += 1;
                 db.add_clause(lits);
             }
-            Step::Add(lits) => {
+            Kind::Add => {
                 if !db.rup(lits) {
                     return Err(CheckError::NotRup { step: idx });
                 }
@@ -382,12 +509,12 @@ pub fn check(proof: &Proof) -> Result<CheckReport, CheckError> {
                     db.add_clause(lits);
                 }
             }
-            Step::Delete(lits) => {
+            Kind::Delete => {
                 report.deletions += usize::from(db.delete_clause(lits));
             }
-            Step::Assume(a) => {
+            Kind::Assume => {
                 report.assumptions += 1;
-                db.assume(*a);
+                db.assume(lits[0]);
             }
         }
     }
@@ -398,142 +525,168 @@ pub fn check(proof: &Proof) -> Result<CheckReport, CheckError> {
     }
 }
 
-/// Truth value of a literal under the current assignment.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Val {
-    Undef,
-    True,
-    False,
+// Literal values in `Db::vals`.
+const UNDEF: i8 = 0;
+const TRUE: i8 = 1;
+const FALSE: i8 = -1;
+
+/// Arena words before a stored clause's literals: its length, its content
+/// hash, and the next clause in its hash chain.
+const HEADER: usize = 3;
+/// Set in a deleted clause's length word.
+const DELETED: u32 = 1 << 31;
+/// The end of a hash chain.
+const NIL: u32 = u32::MAX;
+
+/// A literal's code: `2·var` when positive, `2·var + 1` when negated.
+fn code(l: i32) -> u32 {
+    (l.unsigned_abs() << 1) | u32::from(l < 0)
+}
+
+/// FxHash-style multiply-rotate over a normalized clause's codes: the
+/// deletion index's key. It is unkeyed, so a crafted blob can make its
+/// chains long, but such a blob can force quadratic work through its RUP
+/// steps anyway; a keyed hash would not lower that bound.
+fn content_hash(codes: &[u32]) -> u32 {
+    let mut h = 0u64;
+    for &c in codes {
+        h = (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    (h >> 32) as u32
+}
+
+/// A watch-list entry: a clause watching this literal, and another of its
+/// literals whose truth satisfies the clause.
+#[derive(Clone, Copy)]
+struct Watch {
+    cref: u32,
+    blocker: u32,
 }
 
 /// The checker's clause database: two-watched-literal unit propagation
 /// with a persistent root trail (inputs, deduced units, assumptions) and
-/// rollback-able scratch assignments for RUP checks.
-#[derive(Default)]
+/// rollback-able scratch assignments for RUP checks. Only clauses of two
+/// or more literals are stored; units live on the trail.
 struct Db {
-    /// `None` = deleted. Clauses are stored normalized (sorted, deduped).
-    clauses: Vec<Option<Vec<i32>>>,
-    /// Live clause indices by normalized content, for deletion matching.
-    by_content: HashMap<Vec<i32>, Vec<usize>>,
-    /// Watch lists indexed by watched-literal encoding; entries may be
-    /// stale (deleted or re-watched clauses) and are dropped on traversal.
-    watches: Vec<Vec<usize>>,
-    /// Assignment per variable index (1-based DIMACS variables).
-    assign: Vec<Val>,
-    trail: Vec<i32>,
+    /// Stored clauses back to back, each `[len, hash, next, lits…]` with
+    /// the watched literals at positions 0 and 1. Deleted clauses keep
+    /// their words (flagged [`DELETED`]).
+    arena: Vec<u32>,
+    /// Watch lists by watched literal code; entries for deleted clauses
+    /// go stale and are dropped on traversal.
+    watches: Vec<Vec<Watch>>,
+    /// Value per literal code.
+    vals: Vec<i8>,
+    trail: Vec<u32>,
     prop_head: usize,
     /// A conflict reached by *persistent* propagation (root or assumption
     /// level) — the formula plus assumptions is refuted from here on.
     conflict: bool,
-}
-
-fn widx(l: i32) -> usize {
-    let v = l.unsigned_abs() as usize;
-    2 * v + usize::from(l < 0)
+    /// The clause being normalized: sorted, deduplicated codes.
+    buf: Vec<u32>,
+    /// Deletion index: the head of each hash chain of live clauses.
+    buckets: Vec<u32>,
 }
 
 impl Db {
-    fn ensure_var(&mut self, l: i32) {
-        let v = l.unsigned_abs() as usize;
-        if self.assign.len() <= v {
-            self.assign.resize(v + 1, Val::Undef);
-        }
-        let w = widx(l).max(widx(-l));
-        if self.watches.len() <= w {
-            self.watches.resize_with(w + 1, Vec::new);
-        }
-    }
-
-    fn val(&self, l: i32) -> Val {
-        match self.assign[l.unsigned_abs() as usize] {
-            Val::Undef => Val::Undef,
-            Val::True => {
-                if l > 0 {
-                    Val::True
-                } else {
-                    Val::False
-                }
-            }
-            Val::False => {
-                if l > 0 {
-                    Val::False
-                } else {
-                    Val::True
-                }
-            }
+    fn new(max_var: u32, steps: usize) -> Db {
+        let codes = 2 * (max_var as usize + 1);
+        Db {
+            arena: Vec::new(),
+            watches: vec![Vec::new(); codes],
+            vals: vec![UNDEF; codes],
+            trail: Vec::new(),
+            prop_head: 0,
+            conflict: false,
+            buf: Vec::new(),
+            buckets: vec![NIL; steps.next_power_of_two()],
         }
     }
 
-    /// Pushes `l` as true. Caller guarantees `l` is currently undefined.
-    fn push(&mut self, l: i32) {
-        self.assign[l.unsigned_abs() as usize] = if l > 0 { Val::True } else { Val::False };
-        self.trail.push(l);
+    fn val(&self, c: u32) -> i8 {
+        self.vals[c as usize]
+    }
+
+    /// Makes `c` true. Caller guarantees it is currently undefined.
+    fn assign(&mut self, c: u32) {
+        self.vals[c as usize] = TRUE;
+        self.vals[(c ^ 1) as usize] = FALSE;
+        self.trail.push(c);
+    }
+
+    /// Normalizes `lits` into `buf`; false for a tautology.
+    fn normalize(&mut self, lits: &[i32]) -> bool {
+        self.buf.clear();
+        self.buf.extend(lits.iter().map(|&l| code(l)));
+        self.buf.sort_unstable();
+        self.buf.dedup();
+        !self.buf.windows(2).any(|w| w[0] ^ 1 == w[1])
     }
 
     /// Propagates from the current head; returns `false` on conflict (the
     /// head is left where the conflict was found).
     fn propagate(&mut self) -> bool {
         while self.prop_head < self.trail.len() {
-            let p = self.trail[self.prop_head];
+            let falsified = self.trail[self.prop_head] ^ 1;
             self.prop_head += 1;
-            // Clauses watching ¬p may have become unit or false.
-            let mut ws = std::mem::take(&mut self.watches[widx(-p)]);
-            let mut keep = 0;
+            let mut ws = std::mem::take(&mut self.watches[falsified as usize]);
+            let (mut i, mut keep) = (0, 0);
             let mut conflict = false;
-            let mut i = 0;
             while i < ws.len() {
-                let ci = ws[i];
+                let w = ws[i];
                 i += 1;
-                if conflict {
-                    // Keep un-traversed entries verbatim so the watch
-                    // lists survive the rolled-back scratch conflict.
-                    ws[keep] = ci;
+                if self.val(w.blocker) == TRUE {
+                    ws[keep] = w;
                     keep += 1;
                     continue;
                 }
-                let Some(clause) = self.clauses[ci].as_ref() else {
+                let c = w.cref as usize;
+                let len = self.arena[c];
+                if len & DELETED != 0 {
                     continue; // stale entry for a deleted clause
+                }
+                let lits = c + HEADER;
+                // Keep the falsified watch at position 1.
+                if self.arena[lits] == falsified {
+                    self.arena.swap(lits, lits + 1);
+                }
+                let other = self.arena[lits];
+                let w = Watch {
+                    cref: w.cref,
+                    blocker: other,
                 };
-                // Find a replacement watch: a non-false literal other
-                // than the two current watches (positions 0 and 1 by the
-                // convention below).
-                let (w0, w1) = (clause[0], clause[1]);
-                let other = if w0 == -p { w1 } else { w0 };
-                if self.val(other) == Val::True {
-                    ws[keep] = ci;
+                if self.val(other) == TRUE {
+                    ws[keep] = w;
                     keep += 1;
                     continue;
                 }
-                let mut moved = false;
-                for k in 2..clause.len() {
-                    if self.val(clause[k]) != Val::False {
-                        let clause = self.clauses[ci].as_mut().expect("live");
-                        let new_watch = clause[k];
-                        // Keep watches at positions 0/1.
-                        if clause[0] == -p {
-                            clause.swap(0, k);
-                        } else {
-                            clause.swap(1, k);
-                        }
-                        self.watches[widx(new_watch)].push(ci);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                // Find a replacement watch: a non-false literal other
+                // than the two current watches.
+                let end = lits + len as usize;
+                if let Some(k) = (lits + 2..end).find(|&k| self.val(self.arena[k]) != FALSE) {
+                    let new_watch = self.arena[k];
+                    self.arena.swap(lits + 1, k);
+                    self.watches[new_watch as usize].push(w);
                     continue;
                 }
                 // No replacement: the clause is unit (other) or false.
-                ws[keep] = ci;
+                ws[keep] = w;
                 keep += 1;
                 match self.val(other) {
-                    Val::Undef => self.push(other),
-                    Val::False => conflict = true,
-                    Val::True => {}
+                    UNDEF => self.assign(other),
+                    FALSE => {
+                        // Keep un-traversed entries verbatim so the watch
+                        // lists survive the rolled-back scratch conflict.
+                        conflict = true;
+                        ws.copy_within(i.., keep);
+                        keep += ws.len() - i;
+                        break;
+                    }
+                    _ => {}
                 }
             }
             ws.truncate(keep);
-            self.watches[widx(-p)] = ws;
+            self.watches[falsified as usize] = ws;
             if conflict {
                 return false;
             }
@@ -541,99 +694,101 @@ impl Db {
         true
     }
 
-    /// Installs a normalized clause and performs persistent propagation
-    /// of any resulting units. Empty or all-false clauses set the
-    /// persistent conflict flag.
+    /// Installs a clause and performs persistent propagation of any
+    /// resulting units. Empty or all-false clauses set the persistent
+    /// conflict flag; units go on the trail without being stored.
     fn add_clause(&mut self, lits: &[i32]) {
-        let Some(norm) = normalize(lits) else {
-            return; // tautology: never propagates, safe to skip
-        };
-        for &l in &norm {
-            self.ensure_var(l);
+        if !self.normalize(lits) || self.conflict {
+            return; // a tautology never propagates, safe to skip
         }
-        if self.conflict {
+        let mut free = self.buf.iter().filter(|&&c| self.val(c) != FALSE);
+        let Some(&first) = free.next() else {
+            self.conflict = true; // empty, or every literal false
             return;
+        };
+        if free.next().is_none() && self.val(first) == UNDEF {
+            self.assign(first); // unit under the persistent trail
         }
-        // Order a clause so the two most-assignable literals lead: true
-        // or undefined literals first — required for the watch invariant
-        // under the already-established persistent assignment.
-        let mut clause = norm.clone();
-        clause.sort_by_key(|&l| match self.val(l) {
-            Val::True | Val::Undef => 0,
-            Val::False => 1,
-        });
-        match clause.len() {
-            0 => {
-                self.conflict = true;
-            }
-            1 => match self.val(clause[0]) {
-                Val::False => {
-                    self.conflict = true;
-                }
-                Val::Undef => {
-                    self.push(clause[0]);
-                    self.conflict = !self.propagate();
-                }
-                Val::True => {}
-            },
-            _ => {
-                if self.val(clause[0]) == Val::False {
-                    // Every literal false under the persistent trail.
-                    self.conflict = true;
-                    return;
-                }
-                if self.val(clause[1]) == Val::False && self.val(clause[0]) == Val::Undef {
-                    // Unit under the persistent trail: propagate now;
-                    // the watches stay valid because clause[1..] are all
-                    // false only while clause[0] is true.
-                    self.push(clause[0]);
-                }
-                let ci = self.clauses.len();
-                self.watches[widx(clause[0])].push(ci);
-                self.watches[widx(clause[1])].push(ci);
-                self.clauses.push(Some(clause));
-                self.by_content.entry(norm).or_default().push(ci);
-                if !self.propagate() {
-                    self.conflict = true;
-                }
-            }
+        if self.buf.len() >= 2 {
+            self.store();
+        }
+        if !self.propagate() {
+            self.conflict = true;
         }
     }
 
-    /// Deletes one clause matching `lits` (normalized). Unit and empty
-    /// deletions are ignored (drat-trim convention — they may be reasons
-    /// of the persistent trail). Returns whether a clause was removed.
+    /// Appends the clause in `buf` to the arena, true or undefined
+    /// literals first — the watch invariant under the established
+    /// persistent assignment — and indexes it for deletion.
+    fn store(&mut self) {
+        let cref =
+            u32::try_from(self.arena.len()).expect("arena offsets are bounded by the blob size");
+        let hash = content_hash(&self.buf);
+        let bucket = hash as usize & (self.buckets.len() - 1);
+        let vals = &self.vals;
+        self.arena
+            .extend([self.buf.len() as u32, hash, self.buckets[bucket]]);
+        self.arena
+            .extend(self.buf.iter().filter(|&&c| vals[c as usize] != FALSE));
+        self.arena
+            .extend(self.buf.iter().filter(|&&c| vals[c as usize] == FALSE));
+        self.buckets[bucket] = cref;
+        let at = cref as usize + HEADER;
+        let (w0, w1) = (self.arena[at], self.arena[at + 1]);
+        self.watches[w0 as usize].push(Watch { cref, blocker: w1 });
+        self.watches[w1 as usize].push(Watch { cref, blocker: w0 });
+    }
+
+    /// Deletes one live clause matching `lits` (normalized). Unit and
+    /// empty deletions are ignored (drat-trim convention — they may be
+    /// reasons of the persistent trail). Returns whether a clause was
+    /// removed.
     fn delete_clause(&mut self, lits: &[i32]) -> bool {
-        let Some(norm) = normalize(lits) else {
-            return false;
-        };
-        if norm.len() < 2 {
+        if !self.normalize(lits) || self.buf.len() < 2 {
             return false;
         }
-        let Some(indices) = self.by_content.get_mut(&norm) else {
-            return false;
-        };
-        let Some(ci) = indices.pop() else {
-            return false;
-        };
-        if indices.is_empty() {
-            self.by_content.remove(&norm);
+        let hash = content_hash(&self.buf);
+        let bucket = hash as usize & (self.buckets.len() - 1);
+        let mut prev = None;
+        let mut cur = self.buckets[bucket];
+        while cur != NIL {
+            let c = cur as usize;
+            let next = self.arena[c + 2];
+            if self.arena[c + 1] == hash && self.holds_buf(c) {
+                match prev {
+                    None => self.buckets[bucket] = next,
+                    Some(p) => self.arena[p + 2] = next,
+                }
+                self.arena[c] |= DELETED; // watch entries go stale
+                return true;
+            }
+            prev = Some(c);
+            cur = next;
         }
-        self.clauses[ci] = None; // watch entries go stale; dropped lazily
-        true
+        false
+    }
+
+    /// Whether the clause at `c` has exactly `buf`'s content. Both sides
+    /// are duplicate-free, so equal lengths plus containment suffice.
+    fn holds_buf(&self, c: usize) -> bool {
+        let len = self.arena[c] as usize;
+        len == self.buf.len()
+            && self.arena[c + HEADER..c + HEADER + len]
+                .iter()
+                .all(|l| self.buf.binary_search(l).is_ok())
     }
 
     /// Installs a query assumption as a permanent unit (no clause).
     fn assume(&mut self, a: i32) {
-        self.ensure_var(a);
         if self.conflict {
             return;
         }
-        match self.val(a) {
-            Val::False => self.conflict = true,
-            Val::True => {}
-            Val::Undef => {
-                self.push(a);
+        let c = code(a);
+        match self.val(c) {
+            FALSE => self.conflict = true,
+            TRUE => {}
+            _ => {
+                self.assign(c);
                 self.conflict = !self.propagate();
             }
         }
@@ -647,48 +802,34 @@ impl Db {
         if self.conflict {
             return true; // ⊥ already derived; anything follows
         }
-        let Some(norm) = normalize(lits) else {
+        if !self.normalize(lits) {
             return true; // tautologies are trivially implied
-        };
-        for &l in &norm {
-            self.ensure_var(l);
         }
         let mark = self.trail.len();
         let mut proved = false;
-        for &l in &norm {
-            match self.val(l) {
-                Val::True => {
-                    proved = true; // ¬l contradicts the trail immediately
+        for i in 0..self.buf.len() {
+            let c = self.buf[i];
+            match self.val(c) {
+                TRUE => {
+                    proved = true; // ¬c contradicts the trail immediately
                     break;
                 }
-                Val::False => {}
-                Val::Undef => self.push(-l),
+                FALSE => {}
+                _ => self.assign(c ^ 1),
             }
         }
         if !proved {
             proved = !self.propagate();
         }
         // Roll back the scratch assignments.
-        for &l in &self.trail[mark..] {
-            self.assign[l.unsigned_abs() as usize] = Val::Undef;
+        for &c in &self.trail[mark..] {
+            self.vals[c as usize] = UNDEF;
+            self.vals[(c ^ 1) as usize] = UNDEF;
         }
         self.trail.truncate(mark);
         self.prop_head = mark;
         proved
     }
-}
-
-/// Sorts by variable then sign, dedups; `None` for tautologies.
-fn normalize(lits: &[i32]) -> Option<Vec<i32>> {
-    let mut v = lits.to_vec();
-    v.sort_unstable_by_key(|&l| (l.unsigned_abs(), l < 0));
-    v.dedup();
-    for w in v.windows(2) {
-        if w[0] == -w[1] {
-            return None;
-        }
-    }
-    Some(v)
 }
 
 #[cfg(test)]
@@ -816,8 +957,8 @@ mod tests {
     fn unmatched_and_unit_deletions_are_ignored() {
         assert!(accepts(vec![
             Step::Input(vec![1]),
-            Step::Delete(vec![1]),     // unit: ignored
-            Step::Delete(vec![5, 6]),  // never added: ignored
+            Step::Delete(vec![1]),    // unit: ignored
+            Step::Delete(vec![5, 6]), // never added: ignored
             Step::Input(vec![-1]),
             Step::Add(vec![]),
         ]));
@@ -866,19 +1007,204 @@ mod tests {
         assert!(Proof::decode(&truncated).is_err());
     }
 
-    #[test]
-    fn zero_literal_is_malformed() {
-        // Hand-build a payload with a zero literal and a valid checksum.
-        let mut payload = MAGIC.to_vec();
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.push(TAG_INPUT);
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&0i32.to_le_bytes());
+    /// Seals a hand-built payload with a valid checksum.
+    fn seal(mut payload: Vec<u8>) -> Vec<u8> {
         let sum = checksum(&payload);
         payload.extend_from_slice(&sum.to_le_bytes());
+        payload
+    }
+
+    /// A one-step blob declaring `len` literals and carrying `words`.
+    fn one_step(tag: u8, len: u32, words: &[i32]) -> Vec<u8> {
+        let mut payload = MAGIC.to_vec();
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.push(tag);
+        payload.extend_from_slice(&len.to_le_bytes());
+        for w in words {
+            payload.extend_from_slice(&w.to_le_bytes());
+        }
+        seal(payload)
+    }
+
+    #[test]
+    fn zero_literal_is_malformed() {
         assert_eq!(
-            Proof::decode(&payload),
+            Proof::decode(&one_step(Kind::Input as u8, 1, &[0])),
             Err(DecodeError::Malformed("zero literal"))
+        );
+    }
+
+    #[test]
+    fn oversized_step_length_is_truncated() {
+        // A declared length of u32::MAX must not size an allocation.
+        let blob = one_step(Kind::Input as u8, u32::MAX, &[1, -2]);
+        assert_eq!(Proof::decode(&blob), Err(DecodeError::Truncated));
+        assert_eq!(check_blob(&blob), Err("proof blob truncated".to_string()));
+        // The words present are still validated first, front to back.
+        assert_eq!(
+            Proof::decode(&one_step(Kind::Input as u8, u32::MAX, &[1, 0])),
+            Err(DecodeError::Malformed("zero literal"))
+        );
+    }
+
+    #[test]
+    fn unnegatable_literal_is_malformed() {
+        let blob = one_step(Kind::Input as u8, 1, &[i32::MIN]);
+        assert_eq!(
+            Proof::decode(&blob),
+            Err(DecodeError::Malformed("unnegatable literal"))
+        );
+        assert_eq!(
+            check_blob(&blob),
+            Err("malformed proof: unnegatable literal".to_string())
+        );
+    }
+
+    #[test]
+    fn variable_beyond_blob_size_is_malformed() {
+        let blob = one_step(Kind::Input as u8, 1, &[-(1 << 30)]);
+        assert_eq!(
+            Proof::decode(&blob),
+            Err(DecodeError::Malformed("variable out of range"))
+        );
+        assert_eq!(
+            check_blob(&blob),
+            Err("malformed proof: variable out of range".to_string())
+        );
+        // The bound is the payload's byte length, inclusive.
+        let payload_len = (blob.len() - 8) as i32;
+        let at_bound = one_step(Kind::Input as u8, 1, &[payload_len]);
+        assert_eq!(
+            Proof::decode(&at_bound),
+            Ok(Proof {
+                steps: vec![Step::Input(vec![payload_len])]
+            })
+        );
+        assert_eq!(
+            Proof::decode(&one_step(Kind::Input as u8, 1, &[payload_len + 1])),
+            Err(DecodeError::Malformed("variable out of range"))
+        );
+    }
+
+    /// Certificates the solver emits: a root refutation of the pigeonhole
+    /// principle (5 pigeons, 4 holes) and a refutation under assumptions
+    /// (an implication chain with its ends assumed apart).
+    fn solver_certificates() -> Vec<Vec<u8>> {
+        use atropos_sat::solver::Solver;
+        use atropos_sat::{Lit, ProofEvent};
+        let dimacs = |l: Lit| {
+            let v = l.var().0 as i32 + 1;
+            if l.is_positive() {
+                v
+            } else {
+                -v
+            }
+        };
+        let certify = |s: &Solver| {
+            let lits = |c: &[Lit]| c.iter().map(|&l| dimacs(l)).collect();
+            let mut steps: Vec<Step> = s
+                .proof_events()
+                .iter()
+                .map(|e| match e {
+                    ProofEvent::Input(c) => Step::Input(lits(c)),
+                    ProofEvent::Add(c) => Step::Add(lits(c)),
+                    ProofEvent::Delete(c) => Step::Delete(lits(c)),
+                })
+                .collect();
+            let core = s.failed_assumptions();
+            if !core.is_empty() {
+                steps.push(Step::Add(core.iter().map(|&l| dimacs(!l)).collect()));
+                steps.extend(core.iter().map(|&l| Step::Assume(dimacs(l))));
+            }
+            steps.push(Step::Add(vec![]));
+            Proof { steps }.encode()
+        };
+
+        let (pigeons, holes) = (5, 4);
+        let mut php = Solver::new();
+        php.set_proof_logging(true);
+        let sits: Vec<Vec<Lit>> = (0..pigeons)
+            .map(|_| (0..holes).map(|_| Lit::new(php.new_var(), true)).collect())
+            .collect();
+        for row in &sits {
+            php.add_clause(row.iter().copied());
+        }
+        for h in 0..holes {
+            for p in 0..pigeons {
+                for q in p + 1..pigeons {
+                    php.add_clause([!sits[p][h], !sits[q][h]]);
+                }
+            }
+        }
+        assert!(!php.solve().is_sat());
+
+        let mut chain = Solver::new();
+        chain.set_proof_logging(true);
+        let xs: Vec<Lit> = (0..8).map(|_| Lit::new(chain.new_var(), true)).collect();
+        for w in xs.windows(2) {
+            chain.add_clause([!w[0], w[1]]);
+        }
+        assert!(!chain.solve_with_assumptions(&[xs[0], !xs[7]]).is_sat());
+
+        vec![certify(&php), certify(&chain)]
+    }
+
+    /// Byte offset of every literal word in an encoded certificate.
+    fn literal_offsets(proof: &Proof) -> Vec<usize> {
+        let mut offsets = Vec::new();
+        let mut pos = MAGIC.len() + 4;
+        for step in &proof.steps {
+            let n = step.parts().1.len();
+            offsets.extend((0..n).map(|j| pos + 5 + 4 * j));
+            pos += 5 + 4 * n;
+        }
+        offsets
+    }
+
+    #[test]
+    fn resealed_byte_mutations_never_panic() {
+        // Corrupt real certificates and re-seal the checksum, so the
+        // mutants reach the validator and the checker instead of stopping
+        // at the checksum. Half the mutants flip one to three payload
+        // bytes; the other half rewrite one to three literals with small
+        // ones, which mostly still decode and so exercise the checker.
+        let mut rng = proptest::rng::TestRng::seed_from_u64(0xA7_2025);
+        let (mut decoded, mut rejected) = (0, 0);
+        for blob in solver_certificates() {
+            assert!(check_blob(&blob).is_ok());
+            let offsets = literal_offsets(&Proof::decode(&blob).unwrap());
+            let payload = &blob[..blob.len() - 8];
+            for _ in 0..600 {
+                let mut bad = payload.to_vec();
+                let rewrite = rng.bool();
+                for _ in 0..=rng.below(3) {
+                    if rewrite {
+                        let at = offsets[rng.below(offsets.len() as u64) as usize];
+                        let var = 1 + rng.below(48) as i32;
+                        let lit = if rng.bool() { var } else { -var };
+                        bad[at..at + 4].copy_from_slice(&lit.to_le_bytes());
+                    } else {
+                        let at = rng.below(payload.len() as u64) as usize;
+                        bad[at] ^= (1 + rng.below(255)) as u8;
+                    }
+                }
+                let bad = seal(bad);
+                let checked = check_blob(&bad);
+                match Proof::decode(&bad) {
+                    Ok(proof) => {
+                        decoded += 1;
+                        assert_eq!(checked, check(&proof).map_err(|e| e.to_string()));
+                    }
+                    Err(e) => {
+                        rejected += 1;
+                        assert_eq!(checked, Err(e.to_string()));
+                    }
+                }
+            }
+        }
+        assert!(
+            decoded > 300 && rejected > 300,
+            "{decoded} decoded, {rejected} rejected"
         );
     }
 }
