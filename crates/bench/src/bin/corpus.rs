@@ -1,8 +1,8 @@
-//! The batch corpus experiment: ingest the DSL programs under
+//! The batch corpus experiment: parse the DSL programs under
 //! `examples/corpus/`, duplicate them (a fleet ships near-identical
-//! transaction shapes), and measure the `CorpusService`'s programs/sec
+//! transaction shapes), and measure `analyse_corpus`'s programs/sec
 //! against the cold program-at-a-time baseline — the headline throughput
-//! number of ROADMAP item 2, written to `experiments/corpus_stats.csv`.
+//! number of the corpus pass, written to `experiments/corpus_stats.csv`.
 //!
 //! The bin also exercises the sharded `verdict_cache.v2` store end to
 //! end: the warm session's verdicts are union-merged into
@@ -13,8 +13,10 @@ use std::time::Instant;
 
 use atropos_bench::reporting::{corpus_stats_header, corpus_stats_row};
 use atropos_bench::{engine_from_args, thin_slice, write_csv, Table};
-use atropos_detect::corpus::{CorpusService, CorpusStore, EvictionPolicy};
-use atropos_detect::{ConsistencyLevel, DetectMode, DetectSession};
+use atropos_detect::{
+    analyse_corpus, ConsistencyLevel, CorpusStore, DetectMode, DetectSession, EvictionPolicy,
+};
+use atropos_dsl::Program;
 
 /// The committed corpus inputs, from the workspace root (bins run there;
 /// walk ancestors for `Cargo.lock` like the CSV writer does, so the bin
@@ -36,24 +38,30 @@ fn main() {
     let level = ConsistencyLevel::EventualConsistency;
     let thin = thin_slice();
 
-    // Parse the committed corpus once (the service re-clones per run).
-    let mut seed = CorpusService::new(engine.clone());
+    // Parse the committed corpus once, sorted by file name, each program
+    // named by its file stem. Thin mode keeps the shape of the experiment
+    // on a smoke-sized slice: the three smallest workloads instead of all
+    // ten.
     let dir = corpus_dir();
-    let ingested = seed
-        .ingest_dir(&dir)
-        .unwrap_or_else(|e| panic!("ingest {}: {e}", dir.display()));
-    assert!(ingested > 0, "no .dsl programs under {}", dir.display());
-    // Thin mode keeps the shape of the experiment on a smoke-sized slice:
-    // the three smallest workloads instead of all ten.
-    let base: Vec<(String, atropos_dsl::Program)> = if thin {
-        seed.programs()
-            .iter()
-            .filter(|(n, _)| ["sibench", "courseware", "relay"].contains(&n.as_str()))
-            .cloned()
-            .collect()
-    } else {
-        seed.programs().to_vec()
-    };
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "dsl"))
+        .collect();
+    files.sort();
+    let base: Vec<(String, Program)> = files
+        .iter()
+        .map(|path| {
+            let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+            let src =
+                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let program =
+                atropos_dsl::parse(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            (stem.into_owned(), program)
+        })
+        .filter(|(n, _)| !thin || ["sibench", "courseware", "relay"].contains(&n.as_str()))
+        .collect();
+    assert!(!base.is_empty(), "no .dsl programs under {}", dir.display());
     println!(
         "corpus: {} programs from {} ({} threads{})",
         base.len(),
@@ -63,10 +71,10 @@ fn main() {
     );
 
     let mut table = Table::new(corpus_stats_header());
-    let mut warm_session_for_store: Option<CorpusService> = None;
+    let mut warm_session_for_store: Option<DetectSession> = None;
     for dup in [1usize, 4] {
         // A fleet corpus: `dup` near-identical copies of every program.
-        let corpus: Vec<(String, atropos_dsl::Program)> = (0..dup)
+        let corpus: Vec<(String, Program)> = (0..dup)
             .flat_map(|i| {
                 base.iter()
                     .map(move |(n, p)| (format!("{n}#{i}"), p.clone()))
@@ -80,20 +88,20 @@ fn main() {
             .iter()
             .map(|(_, p)| {
                 let mut session = DetectSession::new();
-                engine.detect(p, level, &mut session).0
+                engine
+                    .detect_with_mode(p, level, DetectMode::Pairs, &mut session)
+                    .0
             })
             .collect();
         let cold_seconds = cold_started.elapsed().as_secs_f64();
 
-        // Warm service: one global plan, each unique shape solved once.
-        let mut service = CorpusService::new(engine.clone());
-        for (n, p) in &corpus {
-            service.add_program(n.clone(), p.clone());
-        }
-        let report = service.analyse(level, DetectMode::Pairs).expect("analyse");
+        // Warm corpus pass: one global plan, each unique shape solved once.
+        let mut session = DetectSession::new();
+        let (verdicts, stats) =
+            analyse_corpus(&engine, &corpus, level, DetectMode::Pairs, &mut session);
 
-        // The service is an optimization, never a different oracle.
-        for (isolated, v) in cold.iter().zip(&report.verdicts) {
+        // The corpus pass is an optimization, never a different oracle.
+        for (isolated, v) in cold.iter().zip(&verdicts) {
             assert_eq!(
                 format!("{isolated:?}"),
                 format!("{:?}", v.verdicts),
@@ -102,22 +110,18 @@ fn main() {
             );
         }
 
-        let verdicts: usize = report.verdicts.iter().map(|v| v.verdicts.len()).sum();
+        let found: usize = verdicts.iter().map(|v| v.verdicts.len()).sum();
         table.row(corpus_stats_row(
             &format!("Corpus x{dup}"),
-            &report.stats,
-            verdicts,
+            &stats,
+            found,
             cold_seconds,
         ));
         println!(
             "x{dup}: {} programs, {} pair slots -> {} unique solves, cold {:.3}s, warm {:.3}s",
-            report.stats.programs,
-            report.stats.pair_slots,
-            report.stats.unique_pairs,
-            cold_seconds,
-            report.stats.seconds,
+            stats.programs, stats.pair_slots, stats.unique_pairs, cold_seconds, stats.seconds,
         );
-        warm_session_for_store = Some(service);
+        warm_session_for_store = Some(session);
     }
 
     // Store roundtrip: merge the warm verdicts into the sharded v2 store,
@@ -130,11 +134,9 @@ fn main() {
     if let Some(parent) = store_path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    let service = warm_session_for_store.expect("at least one run");
+    let session = warm_session_for_store.expect("at least one run");
     let store = CorpusStore::open(&store_path).expect("open v2 store");
-    let added = store
-        .merge_session(service.session())
-        .expect("merge into store");
+    let added = store.merge_cache(&session).expect("merge into store");
     let compaction = store
         .compact(&EvictionPolicy::default())
         .expect("compact store");

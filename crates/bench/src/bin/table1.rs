@@ -36,8 +36,7 @@ use atropos_core::{
     RepairReport,
 };
 use atropos_detect::{
-    detect_anomalies_at_levels, detect_anomalies_fresh, ConsistencyLevel, DetectSession,
-    DetectionEngine,
+    detect_anomalies_fresh, ConsistencyLevel, DetectSession, DetectStats, DetectionEngine,
 };
 use atropos_workloads::{all_benchmarks, chain_scenarios, Benchmark};
 
@@ -86,12 +85,20 @@ fn main() {
     let mut tpcc_repair_speedup = 0.0f64;
     let mut tpcc_scratch_seconds = f64::INFINITY;
     let mut cross_run_ratios: Vec<(String, f64)> = Vec::new();
+    // The incremental side of the detector-statistics table: serial and
+    // pool-less, like the fresh-solver reference it is timed against.
+    let oracle = DetectionEngine::serial().with_learnt_pool(false);
     for b in all_benchmarks() {
-        // One shared-solver pass produces all three consistency columns.
-        let (by_level, stats) = detect_anomalies_at_levels(&b.program, &levels);
-        let ec = &by_level[&ConsistencyLevel::EventualConsistency];
-        let cc = &by_level[&ConsistencyLevel::CausalConsistency];
-        let rr = &by_level[&ConsistencyLevel::RepeatableRead];
+        // Three passes over one session produce the three consistency
+        // columns; the later levels reuse the first pass's retained solvers.
+        let mut session = DetectSession::new();
+        let mut stats = DetectStats::default();
+        let [ec, cc, rr] = levels.map(|level| {
+            let (verdicts, s) =
+                oracle.detect_with_mode(&b.program, level, DetectMode::Pairs, &mut session);
+            stats += s;
+            verdicts
+        });
         cc_below_ec += usize::from(cc.len() < ec.len());
         // Reference path, for the headline speedup (full runs only).
         if !thin {
@@ -183,7 +190,8 @@ fn main() {
     let mut chain_extras = 0usize;
     for b in all_benchmarks().into_iter().chain(chain_scenarios()) {
         let t0 = std::time::Instant::now();
-        let (pair, _) = engine.detect(&b.program, ec, &mut triple_session);
+        let (pair, _) =
+            engine.detect_with_mode(&b.program, ec, DetectMode::Pairs, &mut triple_session);
         let pair_seconds = t0.elapsed().as_secs_f64();
         let t0 = std::time::Instant::now();
         let (triple, tstats) =

@@ -343,7 +343,7 @@ pub fn triple_stats_row(
 /// Header of the corpus-throughput table emitted by the `corpus` bin
 /// (`experiments/corpus_stats.csv`): per corpus configuration, how far
 /// corpus-wide fingerprint dedup collapses the pair work list, and the
-/// headline programs/sec of the batch service against the cold
+/// headline programs/sec of a corpus pass against the cold
 /// program-at-a-time baseline.
 pub fn corpus_stats_header() -> Vec<String> {
     [

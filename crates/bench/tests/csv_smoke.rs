@@ -368,7 +368,7 @@ fn corpus_stats_rows_match_their_header() {
 
     // Validate the generated artifact when a `corpus` run produced it: the
     // duplicated-program corpus (the x4 row) must report at least the 2x
-    // warm-vs-cold programs/sec the batch service promises — duplicates
+    // warm-vs-cold programs/sec a corpus pass promises — duplicates
     // answer from the global store without touching the solver.
     for candidate in [
         "../../experiments/corpus_stats.csv",

@@ -183,7 +183,7 @@ pub fn rewrite_exprs(txn: &mut Transaction, f: &impl Fn(&Expr) -> Option<Expr>) 
 /// What one refactoring step invalidated: the invalidation payload every
 /// rule (split, merge, redirect, logging, post-processing) reports so the
 /// repair driver can evict the affected entries from its
-/// [`atropos_detect::VerdictCache`] and attribute per-iteration reuse
+/// [`atropos_detect::DetectSession`] and attribute per-iteration reuse
 /// statistics.
 ///
 /// `txns` is the authoritative field for cache eviction — a transaction is

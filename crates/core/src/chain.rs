@@ -523,10 +523,19 @@ fn fuse_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atropos_detect::{detect_anomalies, detect_anomalies_triples, ConsistencyLevel};
+    use atropos_detect::{
+        detect_anomalies, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
+    };
     use atropos_dsl::{parse, print_program};
 
     const EC: ConsistencyLevel = ConsistencyLevel::EventualConsistency;
+
+    /// One EC triple-mode pass of the serial engine over a fresh session.
+    fn detect_triples(p: &Program) -> Vec<AccessPair> {
+        DetectionEngine::serial()
+            .detect_with_mode(p, EC, DetectMode::Triples, &mut DetectSession::new())
+            .0
+    }
 
     // The Relay workload's source (`atropos_workloads::relay`), inlined —
     // `atropos_workloads` depends on this crate, so the workload registry
@@ -555,7 +564,7 @@ mod tests {
     }
 
     fn chain_pair(p: &Program) -> AccessPair {
-        let (anoms, _) = detect_anomalies_triples(p, EC);
+        let anoms = detect_triples(p);
         anoms
             .into_iter()
             .find(|a| a.kind == AnomalyKind::ObserverChain)
@@ -587,7 +596,7 @@ mod tests {
 
         // The rewritten program is pair-clean *and* triple-clean at EC.
         assert!(detect_anomalies(&out, EC).is_empty());
-        let (triples, _) = detect_anomalies_triples(&out, EC);
+        let triples = detect_triples(&out);
         assert!(triples.is_empty(), "{triples:?}");
     }
 
@@ -654,7 +663,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let (anoms, _) = detect_anomalies_triples(&p, EC);
+        let anoms = detect_triples(&p);
         let pair = anoms
             .iter()
             .find(|a| a.kind == AnomalyKind::FracturedRead)
@@ -678,7 +687,7 @@ mod tests {
 
         // The fracture is gone; what remains is pair-visible (the writer's
         // sibling writes observed non-atomically — a dirty read).
-        let (triples, _) = detect_anomalies_triples(&out, EC);
+        let triples = detect_triples(&out);
         assert!(
             triples.iter().all(|a| a.kind != AnomalyKind::FracturedRead),
             "{triples:?}"
@@ -708,7 +717,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let (anoms, _) = detect_anomalies_triples(&p, EC);
+        let anoms = detect_triples(&p);
         let pair = anoms
             .iter()
             .find(|a| a.kind == AnomalyKind::WriteSkewCycle)
@@ -720,7 +729,7 @@ mod tests {
         assert!(text.contains("x_t := select"), "{text}");
         assert!(text.contains("x_t.v"), "{text}");
         // The cycle needs a hop in all three transactions; one is now empty.
-        let (triples, _) = detect_anomalies_triples(&out, EC);
+        let triples = detect_triples(&out);
         assert!(
             triples.iter().all(|a| a.kind != AnomalyKind::WriteSkewCycle),
             "{triples:?}"
@@ -752,7 +761,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let (anoms, _) = detect_anomalies_triples(&p, EC);
+        let anoms = detect_triples(&p);
         if let Some(pair) = anoms.iter().find(|a| a.kind == AnomalyKind::FracturedRead) {
             assert!(chain_cut(&p, pair).is_none());
         }

@@ -7,7 +7,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use atropos_detect::{detect_anomalies, ConsistencyLevel, DetectSession, DetectionEngine};
+use atropos_detect::{
+    detect_anomalies, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
+};
 use atropos_dsl::Program;
 use atropos_semantics::ThetaMap;
 
@@ -58,7 +60,8 @@ pub fn random_refactor_with_session(
     // the source of cross-round reuse — stay warm.
     session.sweep(program);
     session.begin_run();
-    let (pairs, _) = engine.detect(&current, ConsistencyLevel::EventualConsistency, session);
+    let ec = ConsistencyLevel::EventualConsistency;
+    let (pairs, _) = engine.detect_with_mode(&current, ec, DetectMode::Pairs, session);
     RandomSearchOutcome {
         program: current,
         applied,

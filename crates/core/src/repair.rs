@@ -6,8 +6,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use atropos_detect::{
-    detect_anomalies_triples, detect_anomalies_with_stats, AccessPair, AnomalyKind, CacheStats,
-    ConsistencyLevel, DetectMode, DetectSession, DetectionEngine, WitnessDecoder,
+    AccessPair, AnomalyKind, CacheStats, ConsistencyLevel, DetectMode, DetectSession,
+    DetectionEngine, WitnessDecoder,
 };
 use atropos_dsl::{check_program, CmdLabel, Expr, Program, Stmt, Transaction, UpdateCmd};
 use atropos_semantics::{ThetaMap, ValueCorrespondence};
@@ -478,7 +478,7 @@ pub fn ablation_sweep(
 
 /// Repairs a whole corpus of programs through **one shared engine and
 /// session** — the repair-side analogue of
-/// [`atropos_detect::CorpusService`]: the session is swept once to the
+/// [`atropos_detect::analyse_corpus`]: the session is swept once to the
 /// union of every corpus program (so no program's run strands another's
 /// warm entries), then each program repairs in corpus order, answering
 /// every transaction shape the corpus shares from warm verdicts. Returns
@@ -576,12 +576,11 @@ fn run_detection(
             pairs
         }
         Oracle::Scratch => {
-            // The Fig. 10 reference pays a full fresh oracle every pass —
-            // in triple mode that is a cold triple oracle per pass too.
-            let (pairs, d) = match mode {
-                DetectMode::Pairs => detect_anomalies_with_stats(program, level),
-                DetectMode::Triples => detect_anomalies_triples(program, level),
-            };
+            // The Fig. 10 reference pays a full cold oracle every pass: a
+            // serial, pool-less engine over a fresh session.
+            let (pairs, d) = DetectionEngine::serial()
+                .with_learnt_pool(false)
+                .detect_with_mode(program, level, mode, &mut DetectSession::new());
             stats.iterations.push(RepairIteration {
                 pairs: d.pairs,
                 pairs_reused: 0,

@@ -1,11 +1,11 @@
-//! Verdict caching across program edits: the oracle-reuse layer of the
-//! near-incremental repair loop.
+//! Verdict caching across program edits: what the oracle-reuse layer of
+//! the near-incremental repair loop caches, and under which key.
 //!
 //! A refactoring step (split / merge / redirect / logging) touches a handful
 //! of commands, yet the Fig. 10 driver re-runs the whole anomaly oracle on
-//! the mutated program. The [`VerdictCache`] closes that gap one level above
-//! the SAT layer: the verdicts of every **instance group** the oracle
-//! analyses — an ordered transaction pair, or in
+//! the mutated program. The [`crate::DetectSession`] closes that gap one
+//! level above the SAT layer: the verdicts of every **instance group** the
+//! oracle analyses — an ordered transaction pair, or in
 //! [`crate::DetectMode::Triples`] an unordered triple — are memoized under
 //! a **canonical fingerprint** of the members' command summaries, so
 //! re-detection after a step only re-encodes and re-solves the groups
@@ -41,19 +41,10 @@
 //! with the parts they ignore normalized (`GroupKey::state`,
 //! `GroupKey::pool`).
 //!
-//! # The invalidation contract
-//!
-//! Soundness never depends on explicit invalidation (a changed group simply
-//! misses), but every refactoring rule still reports the transactions it
-//! dirtied, so a driver can call [`VerdictCache::invalidate_txns_changed`]:
-//! this evicts the entries whose member fingerprints did not survive the
-//! step (bounding memory across long repair runs) and keeps the reuse
-//! statistics honest.
-//!
 //! # Solver retention
 //!
-//! Besides verdicts, the cache retains each group's [`PairSolver`] (keyed by
-//! the members' fingerprints), so a group that is re-queried — e.g. at
+//! Besides verdicts, a session retains each group's [`PairSolver`] (keyed
+//! by the members' fingerprints), so a group that is re-queried — e.g. at
 //! another consistency level, or after its verdict entry was evicted while
 //! its fingerprints survived — reuses the already-encoded
 //! ordering/visibility matrix and every learnt clause instead of
@@ -62,32 +53,17 @@
 //! detection engine's workers can take and return solvers concurrently
 //! without a global lock (retained solvers migrate freely between workers
 //! — `GroupState` is `Send`).
-//!
-//! # Multi-run lifetimes
-//!
-//! A cache may outlive one repair run: a [`crate::DetectSession`] shares it
-//! across an ablation sweep or a whole benchmark suite. Liveness for the
-//! per-pass garbage sweep is therefore computed against the **union of all
-//! programs seen** since construction (or since the last explicit
-//! [`VerdictCache::sweep`]), so warm entries from a prior run are neither
-//! stranded behind a narrower program nor prematurely dropped before that
-//! run's program comes back. Callers that want memory bounded between runs
-//! call [`VerdictCache::sweep`] explicitly, which resets liveness to exactly
-//! one program. Run boundaries ([`VerdictCache::advance_run`]) additionally
-//! let the cache attribute hits to entries born in earlier runs — the
-//! cross-run counters of [`CacheStats`].
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use atropos_dsl::Program;
 use atropos_sat::Lit;
 
 use crate::detect::Finding;
 use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver};
-use crate::model::{summarize_program, CmdSummary, KeySpec, TxnSummary};
+use crate::model::{CmdSummary, KeySpec, TxnSummary};
 
 /// Canonical fingerprint of one transaction's command summaries: the exact
 /// information the pair encoding and the violation templates consume.
@@ -138,7 +114,8 @@ fn hash_cmd(c: &CmdSummary, h: &mut impl Hasher) {
     }
 }
 
-/// Counters describing how much oracle work a [`VerdictCache`] saved.
+/// Counters describing how much oracle work a [`crate::DetectSession`]
+/// saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Verdict lookups performed (one per ordered pair per detection pass).
@@ -150,15 +127,14 @@ pub struct CacheStats {
     /// Misses that nevertheless reused a retained [`PairSolver`] (and its
     /// encoded clauses and learnt clauses) instead of re-encoding.
     pub solver_reuses: u64,
-    /// Entries evicted — by the fingerprint-liveness sweep each
-    /// [`crate::detect_anomalies_cached`] pass runs (stranded by program
-    /// edits), or by an explicit
-    /// [`VerdictCache::invalidate_txns_changed`] / [`VerdictCache::sweep`]
-    /// call.
+    /// Entries evicted — by the fingerprint-liveness sweep each detection
+    /// pass runs (stranded by program edits), or by an explicit
+    /// [`crate::DetectSession::invalidate_txns_changed`] /
+    /// [`crate::DetectSession::sweep`] call.
     pub invalidated: u64,
     /// Lookups performed in any run after the session's first (see
-    /// [`VerdictCache::advance_run`]); zero when the cache never crossed a
-    /// run boundary. Counts pair and triple lookups alike.
+    /// [`crate::DetectSession::begin_run`]); zero when the session never
+    /// crossed a run boundary. Counts pair and triple lookups alike.
     pub cross_run_lookups: u64,
     /// Of those, lookups answered by an entry inserted in an *earlier* run —
     /// the warm verdicts one repair run hands the next.
@@ -172,7 +148,7 @@ pub struct CacheStats {
     pub triple_misses: u64,
     /// Learnt clauses seeded into freshly built solvers from the engine's
     /// [`LearntPool`] — lemmas a fingerprint-identical earlier solve
-    /// published, offered to this cache's misses at solver construction
+    /// published, offered to this session's misses at solver construction
     /// (root facts the sibling re-derives on its own are absorbed for
     /// free during import).
     pub learnt_seeded: u64,
@@ -287,7 +263,8 @@ impl GroupKey {
 pub(crate) struct VerdictEntry {
     /// Member transaction names, in key orientation.
     pub(crate) txns: Vec<String>,
-    /// Run (see [`VerdictCache::advance_run`]) this entry was inserted in.
+    /// Run (see [`crate::DetectSession::begin_run`]) this entry was
+    /// inserted in.
     pub(crate) run: u64,
     /// Raw findings for this group (pre-deduplication), label-free.
     pub(crate) findings: Vec<Finding>,
@@ -343,7 +320,7 @@ pub(crate) struct ShardedStates {
 }
 
 impl ShardedStates {
-    fn new() -> ShardedStates {
+    pub(crate) fn new() -> ShardedStates {
         ShardedStates {
             shards: (0..STATE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
         }
@@ -376,7 +353,7 @@ impl ShardedStates {
 
     /// Keeps only the states whose key satisfies `f` (exclusive access, no
     /// locking).
-    fn retain(&mut self, mut f: impl FnMut(&GroupKey) -> bool) {
+    pub(crate) fn retain(&mut self, mut f: impl FnMut(&GroupKey) -> bool) {
         for shard in &mut self.shards {
             shard
                 .get_mut()
@@ -388,7 +365,8 @@ impl ShardedStates {
 
 /// A deterministic pool of learnt clauses shared across
 /// **fingerprint-identical** solvers, owned by a
-/// [`crate::DetectionEngine`] and outliving any one [`VerdictCache`].
+/// [`crate::DetectionEngine`] and outliving any one
+/// [`crate::DetectSession`].
 ///
 /// Two [`PairSolver`]s built for the same group ground the same
 /// [`InstanceModel`] and emit the same base encoding over the same
@@ -450,287 +428,7 @@ impl LearntPool {
     }
 }
 
-/// A cache of per-group anomaly verdicts and solvers, keyed by transaction
-/// fingerprints. The repair driver owns one per run — or, via
-/// [`crate::DetectSession`], one per whole benchmark sweep — and threads it
-/// through every detection pass via [`crate::detect_anomalies_cached`] or
-/// the [`crate::DetectionEngine`].
-///
-/// See the [module docs](self) for the fingerprint, invalidation, and
-/// multi-run liveness contracts.
-pub struct VerdictCache {
-    verdicts: HashMap<GroupKey, VerdictEntry>,
-    states: ShardedStates,
-    stats: CacheStats,
-    /// Union of every live transaction fingerprint seen since construction
-    /// or the last explicit [`VerdictCache::sweep`] — the liveness set the
-    /// per-pass garbage sweep checks entries against.
-    session_live: BTreeSet<u64>,
-    /// Current run number; 0 until [`VerdictCache::advance_run`] is called.
-    run: u64,
-}
-
-impl Default for VerdictCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl VerdictCache {
-    /// Creates an empty cache.
-    pub fn new() -> VerdictCache {
-        VerdictCache {
-            verdicts: HashMap::new(),
-            states: ShardedStates::new(),
-            stats: CacheStats::default(),
-            session_live: BTreeSet::new(),
-            run: 0,
-        }
-    }
-
-    /// Marks the boundary between two runs sharing this cache (e.g. two
-    /// `repair` calls of an ablation sweep). Hits on entries inserted
-    /// before the boundary count as *cross-run* hits in [`CacheStats`];
-    /// the entries themselves stay warm — eviction is the business of
-    /// [`VerdictCache::sweep`], not of run accounting.
-    pub fn advance_run(&mut self) {
-        self.run += 1;
-    }
-
-    /// Runs started on this cache (0 until the first
-    /// [`VerdictCache::advance_run`]).
-    pub fn runs(&self) -> u64 {
-        self.run
-    }
-
-    /// Shared handle to the sharded solver-retention map, for the parallel
-    /// engine's workers.
-    pub(crate) fn states(&self) -> &ShardedStates {
-        &self.states
-    }
-
-    /// Mutable access to the lifetime counters, for the engine to merge
-    /// worker-local statistics after a parallel pass.
-    pub(crate) fn stats_mut(&mut self) -> &mut CacheStats {
-        &mut self.stats
-    }
-
-    /// Cumulative statistics of this cache's lifetime.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Number of pair-verdict entries currently cached.
-    pub fn len(&self) -> usize {
-        self.verdicts.keys().filter(|k| k.k() == 2).count()
-    }
-
-    /// Number of triple-verdict entries currently cached.
-    pub fn triple_len(&self) -> usize {
-        self.verdicts.keys().filter(|k| k.k() == 3).count()
-    }
-
-    /// True when no verdicts (pair or triple) are cached.
-    pub fn is_empty(&self) -> bool {
-        self.verdicts.is_empty()
-    }
-
-    /// Precise, fingerprint-checked eviction: evicts the verdict entries
-    /// (and retained solvers) of every group with a member among the named
-    /// transactions **whose summary fingerprint actually changed** — i.e.
-    /// the name is absent from `after`, or present with a different
-    /// fingerprint. A pure relabeling leaves every fingerprint intact, so
-    /// this keeps the warm entries a relabeled program still hits, and a
-    /// warm re-detection after a rename-only step equals a cold oracle
-    /// without re-solving anything. Returns the number of verdict entries
-    /// evicted.
-    pub fn invalidate_txns_changed(&mut self, txns: &BTreeSet<String>, after: &Program) -> usize {
-        // Fingerprints the post-edit program assigns to each txn name; a
-        // dirtied name keeps its entries only if its fingerprint survived.
-        let after_fps: HashMap<String, u64> = summarize_program(after)
-            .iter()
-            .map(|t| (t.name.clone(), txn_fingerprint(t)))
-            .collect();
-        // Member fingerprints name their transaction (the name is hashed),
-        // and every retained solver's group also has an entry, so the
-        // stale fingerprints read off the entries cover the states too.
-        let stale: HashSet<u64> = self
-            .verdicts
-            .iter()
-            .flat_map(|(k, e)| k.fps().iter().zip(&e.txns))
-            .filter(|(fp, name)| txns.contains(*name) && after_fps.get(*name) != Some(fp))
-            .map(|(fp, _)| *fp)
-            .collect();
-        self.retain_groups(|k| k.fps().iter().all(|fp| !stale.contains(fp)))
-    }
-
-    /// **Resets** liveness to exactly `program` and garbage-collects every
-    /// verdict and retained solver whose fingerprints do not occur in it.
-    ///
-    /// This is the explicit between-runs sweep of a multi-run cache: the
-    /// per-pass sweep ([`VerdictCache::sweep_live`]) only ever checks
-    /// against the *union* of programs seen — so a sweep over benchmark B
-    /// never strands or prematurely drops benchmark A's warm entries — and
-    /// it is this call that a session uses to bound memory once a run's
-    /// entries are genuinely dead. An entry the sweep keeps is guaranteed
-    /// to hit again on the next detection pass over `program` (its
-    /// transactions' summaries are unchanged), so sweeping never converts a
-    /// would-be hit into a re-solve. Returns the number of verdict entries
-    /// evicted.
-    pub fn sweep(&mut self, program: &Program) -> usize {
-        self.session_live = summarize_program(program)
-            .iter()
-            .map(txn_fingerprint)
-            .collect();
-        self.retain_session_live()
-    }
-
-    /// The per-pass sweep: folds the pass's live transaction fingerprints
-    /// into the session's liveness union, then garbage-collects entries
-    /// outside the union. The detection driver calls this at the start of
-    /// every pass with the fingerprints it computes anyway. Within a
-    /// single-program lifetime this degenerates to the precise per-program
-    /// sweep; across a session it keeps warm entries of *every* program
-    /// seen alive (bound memory with the explicit [`VerdictCache::sweep`]).
-    pub(crate) fn sweep_live(&mut self, fps: &[u64]) -> usize {
-        self.session_live.extend(fps.iter().copied());
-        self.retain_session_live()
-    }
-
-    /// **Resets** liveness to exactly the given fingerprint set — the
-    /// corpus-driver variant of [`VerdictCache::sweep`]: a batch run over
-    /// many programs bounds memory to the whole corpus at once, so no
-    /// program's pass strands another's warm entries. Returns the number
-    /// of verdict entries evicted.
-    pub(crate) fn sweep_fps(&mut self, fps: BTreeSet<u64>) -> usize {
-        self.session_live = fps;
-        self.retain_session_live()
-    }
-
-    fn retain_session_live(&mut self) -> usize {
-        let live = std::mem::take(&mut self.session_live);
-        let evicted = self.retain_groups(|k| k.fps().iter().all(|fp| live.contains(fp)));
-        self.session_live = live;
-        evicted
-    }
-
-    /// Keeps exactly the verdicts and retained solvers whose group
-    /// satisfies `keep`, counting the evicted verdict entries.
-    fn retain_groups(&mut self, keep: impl Fn(&GroupKey) -> bool) -> usize {
-        let before = self.verdicts.len();
-        self.verdicts.retain(|k, _| keep(k));
-        self.states.retain(&keep);
-        let evicted = before - self.verdicts.len();
-        self.stats.invalidated += evicted as u64;
-        evicted
-    }
-
-    /// Looks up the cached verdict of one group, bumping the hit/miss
-    /// statistics of its size and, past the first run boundary, the shared
-    /// cross-run counters.
-    pub(crate) fn lookup(&mut self, key: &GroupKey) -> Option<&VerdictEntry> {
-        let s = &mut self.stats;
-        let (lookups, hits, misses) = if key.k() == 2 {
-            (&mut s.lookups, &mut s.hits, &mut s.misses)
-        } else {
-            (
-                &mut s.triple_lookups,
-                &mut s.triple_hits,
-                &mut s.triple_misses,
-            )
-        };
-        *lookups += 1;
-        // Cross-run accounting engages from the second run onwards: only
-        // then can a lookup possibly be served by an earlier run's entry.
-        let cross = self.run >= 2;
-        if cross {
-            s.cross_run_lookups += 1;
-        }
-        match self.verdicts.get(key) {
-            Some(e) => {
-                *hits += 1;
-                if cross && e.run < self.run {
-                    s.cross_run_hits += 1;
-                }
-                Some(e)
-            }
-            None => {
-                *misses += 1;
-                None
-            }
-        }
-    }
-
-    /// The cached verdict of one group, without touching the statistics.
-    pub(crate) fn entry(&self, key: &GroupKey) -> Option<&VerdictEntry> {
-        self.verdicts.get(key)
-    }
-
-    /// Inserts the raw findings of one group analysis; `ts` are the
-    /// members in key orientation.
-    pub(crate) fn insert(
-        &mut self,
-        key: GroupKey,
-        ts: &[&TxnSummary],
-        findings: Vec<Finding>,
-        proofs: Vec<Vec<u8>>,
-    ) {
-        let txns = ts.iter().map(|t| t.name.clone()).collect();
-        self.verdicts.insert(
-            key,
-            VerdictEntry {
-                txns,
-                run: self.run,
-                findings,
-                proofs,
-            },
-        );
-    }
-
-    /// Every entry, sorted by key — the deterministic iteration order the
-    /// store encodes records in and the certificates are reported in.
-    pub(crate) fn entries(&self) -> Vec<(&GroupKey, &VerdictEntry)> {
-        let mut out: Vec<_> = self.verdicts.iter().collect();
-        out.sort_by_key(|(k, _)| **k);
-        out
-    }
-
-    /// Installs an entry loaded from a persistent store into run 0, seeding
-    /// the liveness union with its fingerprints — so a later pass over
-    /// *any* of the programs the entries came from answers warm instead of
-    /// sweeping the rest away first.
-    pub(crate) fn absorb(&mut self, key: GroupKey, entry: VerdictEntry) {
-        self.session_live.extend(key.fps().iter().copied());
-        self.verdicts.insert(key, entry);
-    }
-
-    /// Every proof certificate blob stored in the cache, in sorted key
-    /// order (pair entries before triple entries), so the sequence is
-    /// deterministic across runs and thread counts.
-    pub fn proof_blobs(&self) -> Vec<Vec<u8>> {
-        self.entries()
-            .into_iter()
-            .flat_map(|(_, e)| e.proofs.iter().cloned())
-            .collect()
-    }
-
-    /// One audit record per cached verdict, in sorted key order (pair
-    /// entries before triple entries) — the raw material of the
-    /// per-benchmark anomaly reports.
-    pub fn audits(&self) -> Vec<VerdictAudit> {
-        self.entries()
-            .into_iter()
-            .map(|(k, e)| VerdictAudit {
-                txns: e.txns.clone(),
-                level: k.level,
-                anomalies: e.findings.len(),
-                proofs: e.proofs.clone(),
-            })
-            .collect()
-    }
-}
-
-/// One auditable verdict of a session's cache: the transactions, the
+/// One auditable verdict of a session: the transactions, the
 /// consistency level it was decided under, the anomaly count, and the
 /// proof certificates captured for its UNSAT queries (empty when proof
 /// capture was off).
@@ -749,8 +447,23 @@ pub struct VerdictAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DetectMode, DetectionEngine};
     use crate::model::summarize_program;
-    use atropos_dsl::parse;
+    use crate::{AccessPair, DetectSession, DetectStats};
+    use atropos_dsl::{parse, Program};
+    use std::collections::BTreeSet;
+
+    /// One pair-mode pass of the serial, pool-less engine: the oracle the
+    /// repair loop re-invokes after every step.
+    fn detect(
+        p: &Program,
+        level: ConsistencyLevel,
+        session: &mut DetectSession,
+    ) -> (Vec<AccessPair>, DetectStats) {
+        DetectionEngine::serial()
+            .with_learnt_pool(false)
+            .detect_with_mode(p, level, DetectMode::Pairs, session)
+    }
 
     fn summaries(src: &str) -> Vec<TxnSummary> {
         summarize_program(&parse(src).unwrap())
@@ -784,15 +497,14 @@ mod tests {
     /// serves `R3`).
     #[test]
     fn renames_apply_to_cached_pairs_and_compose() {
-        use crate::detect_anomalies_cached;
-        let mut cache = VerdictCache::new();
-        detect_anomalies_cached(&parse(COUNTER).unwrap(), EC, &mut cache);
+        let mut session = DetectSession::new();
+        detect(&parse(COUNTER).unwrap(), EC, &mut session);
         for label in ["R2", "R3"] {
             let p = parse(&COUNTER.replace("@R ", &format!("@{label} "))).unwrap();
-            let before = cache.stats();
-            let (got, stats) = detect_anomalies_cached(&p, EC, &mut cache);
+            let before = session.cache_stats();
+            let (got, stats) = detect(&p, EC, &mut session);
             assert_eq!(stats.queries, 0);
-            assert_eq!(cache.stats().since(&before).hits, 1);
+            assert_eq!(session.cache_stats().since(&before).hits, 1);
             assert_eq!(
                 (got[0].cmd1.0.as_str(), got[0].cmd2.0.as_str()),
                 (label, "W")
@@ -816,9 +528,9 @@ mod tests {
     /// ones with the old fields.
     #[test]
     fn a_swap_batch_renames_simultaneously() {
-        use crate::{detect_anomalies, detect_anomalies_cached};
-        let mut cache = VerdictCache::new();
-        detect_anomalies_cached(&parse(TWO_WRITES).unwrap(), EC, &mut cache);
+        use crate::detect_anomalies;
+        let mut session = DetectSession::new();
+        detect(&parse(TWO_WRITES).unwrap(), EC, &mut session);
         let swapped = parse(
             &TWO_WRITES
                 .replace("@W1 ", "@TMP ")
@@ -826,7 +538,7 @@ mod tests {
                 .replace("@TMP ", "@W2 "),
         )
         .unwrap();
-        let (warm, stats) = detect_anomalies_cached(&swapped, EC, &mut cache);
+        let (warm, stats) = detect(&swapped, EC, &mut session);
         assert_eq!(stats.queries, 0);
         assert_eq!(warm, detect_anomalies(&swapped, EC));
         let dirty = warm
@@ -843,13 +555,14 @@ mod tests {
     /// the *current* labels, not the ones it was grounded with.
     #[test]
     fn renames_reach_retained_pair_models() {
-        use crate::{detect_anomalies, detect_anomalies_cached};
-        let mut cache = VerdictCache::new();
-        detect_anomalies_cached(&parse(TWO_WRITES).unwrap(), EC, &mut cache);
+        use crate::detect_anomalies;
+        let mut session = DetectSession::new();
+        detect(&parse(TWO_WRITES).unwrap(), EC, &mut session);
         let relabeled = parse(&TWO_WRITES.replace("@W1 ", "@W9 ")).unwrap();
         let cc = ConsistencyLevel::CausalConsistency;
-        let (got, _) = detect_anomalies_cached(&relabeled, cc, &mut cache);
-        assert!(cache.stats().solver_reuses > 0, "{:?}", cache.stats());
+        let (got, _) = detect(&relabeled, cc, &mut session);
+        let stats = session.cache_stats();
+        assert!(stats.solver_reuses > 0, "{stats:?}");
         assert_eq!(got, detect_anomalies(&relabeled, cc));
         assert!(
             got.iter()
@@ -863,7 +576,6 @@ mod tests {
     /// hit instead of panicking.
     #[test]
     fn forged_command_index_is_dropped_not_a_panic() {
-        use crate::detect_anomalies_cached;
         let p = parse(COUNTER).unwrap();
         let ts = summarize_program(&p);
         let fp = txn_fingerprint(&ts[0]);
@@ -873,14 +585,14 @@ mod tests {
             witness: None,
             kind: crate::AnomalyKind::LostUpdate,
         };
-        let mut cache = VerdictCache::new();
-        cache.insert(
+        let mut session = DetectSession::new();
+        session.insert(
             GroupKey::new(&[fp, fp], true, EC),
             &[&ts[0], &ts[0]],
             vec![forged],
             vec![],
         );
-        let (got, stats) = detect_anomalies_cached(&p, EC, &mut cache);
+        let (got, stats) = detect(&p, EC, &mut session);
         assert_eq!(stats.queries, 0, "the forged entry was hit");
         assert!(got.is_empty(), "{got:?}");
     }
@@ -888,11 +600,10 @@ mod tests {
     /// Satellite regression for multi-run cache lifetimes: a detection pass
     /// over program B must not strand or prematurely drop warm entries of a
     /// previously seen program A — liveness is the union of programs seen —
-    /// while the explicit [`VerdictCache::sweep`] resets liveness to one
+    /// while the explicit [`DetectSession::sweep`] resets liveness to one
     /// program and evicts the rest.
     #[test]
     fn per_pass_sweep_keeps_warm_entries_of_earlier_runs() {
-        use crate::{detect_anomalies_cached, ConsistencyLevel};
         let prog_a = atropos_dsl::parse(COUNTER).unwrap();
         let prog_b = atropos_dsl::parse(
             "schema U { id: int key, n: int }
@@ -903,35 +614,43 @@ mod tests {
         )
         .unwrap();
         let ec = ConsistencyLevel::EventualConsistency;
-        let mut cache = VerdictCache::new();
+        let mut session = DetectSession::new();
 
-        cache.advance_run();
-        let (a1, _) = detect_anomalies_cached(&prog_a, ec, &mut cache);
+        session.begin_run();
+        let (a1, _) = detect(&prog_a, ec, &mut session);
         // A different program's pass must not evict A's entries…
-        cache.advance_run();
-        detect_anomalies_cached(&prog_b, ec, &mut cache);
-        assert_eq!(cache.stats().invalidated, 0, "{:?}", cache.stats());
+        session.begin_run();
+        detect(&prog_b, ec, &mut session);
+        let stats = session.cache_stats();
+        assert_eq!(stats.invalidated, 0, "{stats:?}");
         // …so returning to A answers every pair warm, across two runs.
-        cache.advance_run();
-        let before = cache.stats();
-        let (a2, s) = detect_anomalies_cached(&prog_a, ec, &mut cache);
+        session.begin_run();
+        let before = session.cache_stats();
+        let (a2, s) = detect(&prog_a, ec, &mut session);
         assert_eq!(a2, a1);
         assert_eq!(s.queries, 0, "warm re-run must not touch a solver");
-        let delta = cache.stats().since(&before);
+        let delta = session.cache_stats().since(&before);
         assert_eq!(delta.misses, 0, "premature drop: {delta:?}");
         assert!(delta.cross_run_hits > 0, "{delta:?}");
-        assert!(cache.stats().cross_run_hit_ratio() > 0.0);
+        assert!(session.cache_stats().cross_run_hit_ratio() > 0.0);
 
         // The explicit between-runs sweep resets liveness to one program:
         // A's entries go, B's stay warm.
-        let evicted = cache.sweep(&prog_b);
+        let evicted = session.sweep(&prog_b);
         assert!(evicted > 0);
-        let before = cache.stats();
-        detect_anomalies_cached(&prog_b, ec, &mut cache);
-        assert_eq!(cache.stats().since(&before).misses, 0, "B stayed warm");
-        let before = cache.stats();
-        detect_anomalies_cached(&prog_a, ec, &mut cache);
-        assert!(cache.stats().since(&before).misses > 0, "A was swept");
+        let before = session.cache_stats();
+        detect(&prog_b, ec, &mut session);
+        assert_eq!(
+            session.cache_stats().since(&before).misses,
+            0,
+            "B stayed warm"
+        );
+        let before = session.cache_stats();
+        detect(&prog_a, ec, &mut session);
+        assert!(
+            session.cache_stats().since(&before).misses > 0,
+            "A was swept"
+        );
     }
 
     #[test]
@@ -968,13 +687,13 @@ mod tests {
         // Same for the plain hit ratio, and for a cache that did work but
         // never crossed a run boundary.
         assert_eq!(fresh.hit_ratio(), 0.0);
-        let mut cache = VerdictCache::new();
+        let mut session = DetectSession::new();
         let ts = summaries(COUNTER);
         let fp = txn_fingerprint(&ts[0]);
-        cache.lookup(&GroupKey::new(&[fp, fp], true, EC));
-        assert!(cache.stats().lookups > 0);
-        assert_eq!(cache.stats().cross_run_hit_ratio(), 0.0);
-        assert!(format!("{:.2}", cache.stats().cross_run_hit_ratio()) == "0.00");
+        session.lookup(&GroupKey::new(&[fp, fp], true, EC));
+        assert!(session.cache_stats().lookups > 0);
+        assert_eq!(session.cache_stats().cross_run_hit_ratio(), 0.0);
+        assert!(format!("{:.2}", session.cache_stats().cross_run_hit_ratio()) == "0.00");
     }
 
     /// Satellite regression: the precise invalidation keeps entries whose
@@ -983,37 +702,36 @@ mod tests {
     /// re-detection equals a cold oracle without re-solving.
     #[test]
     fn precise_invalidation_keeps_rename_only_entries() {
-        use crate::detect_anomalies_cached;
         let ec = ConsistencyLevel::EventualConsistency;
         let before = parse(COUNTER).unwrap();
         let renamed = parse(&COUNTER.replace("@R", "@Rx").replace("@W", "@Wx")).unwrap();
 
-        let mut cache = VerdictCache::new();
-        let (cold, _) = detect_anomalies_cached(&before, ec, &mut cache);
+        let mut session = DetectSession::new();
+        let (cold, _) = detect(&before, ec, &mut session);
         assert!(!cold.is_empty());
-        assert_eq!(cache.len(), 1, "the one ordered self-pair cached");
+        assert_eq!(session.len(), 1, "the one ordered self-pair cached");
 
         // A rename-only step: the rule names the txn dirty, but no
         // fingerprint changed — nothing may be evicted.
         let dirty = BTreeSet::from(["bump".to_owned()]);
-        assert_eq!(cache.invalidate_txns_changed(&dirty, &renamed), 0);
-        assert_eq!(cache.len(), 1, "rename-only edit evicted warm entries");
+        assert_eq!(session.invalidate_txns_changed(&dirty, &renamed), 0);
+        assert_eq!(session.len(), 1, "rename-only edit evicted warm entries");
 
         // Warm ≡ cold on the renamed program, with zero solver work.
-        let before_stats = cache.stats();
-        let (warm, stats) = detect_anomalies_cached(&renamed, ec, &mut cache);
+        let before_stats = session.cache_stats();
+        let (warm, stats) = detect(&renamed, ec, &mut session);
         assert_eq!(stats.queries, 0, "warm pass touched a solver");
-        assert_eq!(cache.stats().since(&before_stats).misses, 0);
-        let (cold2, _) = detect_anomalies_cached(&renamed, ec, &mut VerdictCache::new());
+        assert_eq!(session.cache_stats().since(&before_stats).misses, 0);
+        let (cold2, _) = detect(&renamed, ec, &mut DetectSession::new());
         assert_eq!(format!("{warm:?}"), format!("{cold2:?}"));
 
         // A summary-changing edit to the same txn *is* evicted — the
         // precise form degenerates to the coarse one when work changed.
         let widened = parse(&COUNTER.replace("select v from T where id = k", "select v from T"))
             .unwrap();
-        assert_eq!(cache.invalidate_txns_changed(&dirty, &widened), 1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidated, 1);
+        assert_eq!(session.invalidate_txns_changed(&dirty, &widened), 1);
+        assert!(session.is_empty());
+        assert_eq!(session.cache_stats().invalidated, 1);
     }
 
     #[test]
@@ -1021,20 +739,20 @@ mod tests {
         let ts = summaries(COUNTER);
         let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
         let key = GroupKey::new(&[fp, fp], true, EC);
-        let mut cache = VerdictCache::new();
-        cache.insert(key, &[t, t], vec![], vec![]);
-        assert_eq!(cache.len(), 1);
+        let mut session = DetectSession::new();
+        session.insert(key, &[t, t], vec![], vec![]);
+        assert_eq!(session.len(), 1);
         // `bump` widened to a scan: its fingerprint changed, so only naming
         // it evicts.
         let widened =
             parse(&COUNTER.replace("select v from T where id = k", "select v from T")).unwrap();
         let other = BTreeSet::from(["other".to_owned()]);
-        assert_eq!(cache.invalidate_txns_changed(&other, &widened), 0);
+        assert_eq!(session.invalidate_txns_changed(&other, &widened), 0);
         let bump = BTreeSet::from(["bump".to_owned()]);
-        assert_eq!(cache.invalidate_txns_changed(&bump, &widened), 1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidated, 1);
-        assert!(cache.lookup(&key).is_none());
+        assert_eq!(session.invalidate_txns_changed(&bump, &widened), 1);
+        assert!(session.is_empty());
+        assert_eq!(session.cache_stats().invalidated, 1);
+        assert!(session.lookup(&key).is_none());
     }
 
     /// The 3-hop relay chain (the `Relay` workload's shape), used by the
@@ -1067,23 +785,23 @@ mod tests {
         fps.sort_by_key(|(fp, _)| *fp);
         let key = GroupKey::new(&[fps[0].0, fps[1].0, fps[2].0], false, EC);
         for victim in ["post", "relay", "timeline"] {
-            let mut cache = VerdictCache::new();
-            cache.insert(key, &[fps[0].1, fps[1].1, fps[2].1], vec![], vec![]);
-            assert_eq!(cache.triple_len(), 1);
+            let mut session = DetectSession::new();
+            session.insert(key, &[fps[0].1, fps[1].1, fps[2].1], vec![], vec![]);
+            assert_eq!(session.triple_len(), 1);
             // The edit renames the victim: its old name is gone from the
             // program, so its fingerprint did not survive.
             let after =
                 parse(&CHAIN.replace(&format!("txn {victim}("), &format!("txn {victim}2(")))
                     .unwrap();
             let other = BTreeSet::from(["other".to_owned()]);
-            assert_eq!(cache.invalidate_txns_changed(&other, &after), 0);
+            assert_eq!(session.invalidate_txns_changed(&other, &after), 0);
             assert_eq!(
-                cache.invalidate_txns_changed(&BTreeSet::from([victim.to_owned()]), &after),
+                session.invalidate_txns_changed(&BTreeSet::from([victim.to_owned()]), &after),
                 1,
                 "stale triple verdict survived invalidating `{victim}`"
             );
-            assert_eq!(cache.triple_len(), 0);
-            assert!(cache.lookup(&key).is_none());
+            assert_eq!(session.triple_len(), 0);
+            assert!(session.lookup(&key).is_none());
         }
     }
 
@@ -1093,7 +811,6 @@ mod tests {
     /// would silently replay pre-edit verdicts).
     #[test]
     fn chain_rule_edit_evicts_stale_triple_verdicts() {
-        use crate::engine::{detect_with_cache, DetectMode, DetectionEngine};
         let ec = ConsistencyLevel::EventualConsistency;
         let before = parse(CHAIN).unwrap();
         // The relay materialization's output shape: the derived field lives
@@ -1117,32 +834,31 @@ mod tests {
         )
         .unwrap();
 
-        let engine = DetectionEngine::serial()
-            .with_learnt_pool(false)
-            .with_proofs(false);
-        let detect = |program: &Program, cache: &mut VerdictCache| {
-            detect_with_cache(
-                &engine,
-                program,
-                ec,
-                DetectMode::Triples,
-                cache,
-                &mut Vec::new(),
-            )
-            .0
+        let engine = DetectionEngine::serial().with_learnt_pool(false);
+        let detect = |program: &Program, session: &mut DetectSession| {
+            engine
+                .detect_with_mode(program, ec, DetectMode::Triples, session)
+                .0
         };
-        let mut cache = VerdictCache::new();
-        let dirty = detect(&before, &mut cache);
+        let mut session = DetectSession::new();
+        let dirty = detect(&before, &mut session);
         assert_eq!(dirty.len(), 1, "{dirty:?}");
-        assert!(cache.triple_len() > 0);
+        assert!(session.triple_len() > 0);
 
         let edited = BTreeSet::from(["post", "relay", "timeline"].map(str::to_owned));
-        assert!(cache.invalidate_txns_changed(&edited, &after) > 0);
-        assert_eq!(cache.triple_len(), 0, "stale triple verdicts survived the edit");
+        assert!(session.invalidate_txns_changed(&edited, &after) > 0);
+        assert_eq!(
+            session.triple_len(),
+            0,
+            "stale triple verdicts survived the edit"
+        );
 
-        let warm = detect(&after, &mut cache);
-        let cold = detect(&after, &mut VerdictCache::new());
-        assert_eq!(warm, cold, "invalidated cache must agree with a cold oracle");
+        let warm = detect(&after, &mut session);
+        let cold = detect(&after, &mut DetectSession::new());
+        assert_eq!(
+            warm, cold,
+            "invalidated cache must agree with a cold oracle"
+        );
         assert!(warm.is_empty(), "{warm:?}");
     }
 }

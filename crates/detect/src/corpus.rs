@@ -1,5 +1,5 @@
-//! Fleet-scale detection: the sharded `verdict_cache.v2` store and the
-//! batch corpus service.
+//! Fleet-scale detection: the sharded `verdict_cache.v2` store and
+//! [`analyse_corpus`], the detection driver over a whole corpus.
 //!
 //! # The v2 store
 //!
@@ -28,20 +28,19 @@
 //! [`crate::DetectSession::load_from`] speak this store; both refuse a
 //! path that is a regular file.
 //!
-//! # The corpus service
+//! # Corpus passes
 //!
 //! The paper's detection phase is embarrassingly fingerprint-dedupable
 //! across programs: millions of users ship near-identical transaction
-//! shapes, so a corpus is mostly repeated fingerprints. [`CorpusService`]
-//! (and the underlying [`analyse_corpus`]) exploit this with a **global
-//! plan**: the detection driver takes the whole corpus as its batch —
-//! one program is simply a corpus of one — so it dedups the dirty
-//! pair/triple keys across every program, solves each unique key exactly
-//! once on one shared [`crate::DetectionEngine`] worker pool, and answers
-//! every program's slots from the merged cache. Per-program verdicts are
-//! byte-identical to running each program through
-//! [`crate::detect_anomalies_cached`] in isolation (pinned by
-//! `tests/corpus_differential.rs` at 1/2/8 threads) — the service only
+//! shapes, so a corpus is mostly repeated fingerprints. [`analyse_corpus`]
+//! exploits this with a **global plan**: the detection driver takes the
+//! whole corpus as its batch — one program is simply a corpus of one — so
+//! it dedups the dirty pair/triple keys across every program, solves each
+//! unique key exactly once on one shared [`crate::DetectionEngine`] worker
+//! pool, and answers every program's slots from the merged session.
+//! Per-program verdicts are byte-identical to running each program through
+//! [`DetectionEngine::detect_with_mode`] in isolation (pinned by
+//! `tests/corpus_differential.rs` at 1/2/8 threads): a corpus pass only
 //! changes how often the solver runs, never what it concludes.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -53,7 +52,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use atropos_dsl::Program;
 
-use crate::cache::{GroupKey, VerdictCache, VerdictEntry};
+use crate::cache::{GroupKey, VerdictEntry};
 use crate::detect::{AccessPair, AnomalyKind, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
 use crate::engine::{detect_batch, DetectMode, DetectionEngine};
@@ -573,7 +572,7 @@ impl CorpusStore {
         write_atomic(&self.shard_path(shard), &out)
     }
 
-    /// Union-merges every verdict entry of `cache` into the store,
+    /// Union-merges every verdict entry of `session` into the store,
     /// stamping new records with the current wall clock. Each touched
     /// shard is read, merged, and atomically rewritten under its
     /// advisory lock, so concurrent sessions merging into one store
@@ -586,28 +585,17 @@ impl CorpusStore {
     /// `InvalidData` (nothing is overwritten). A revision-stale shard is
     /// salvaged per record instead — certified clean verdicts survive
     /// the merge, everything else is dropped.
-    pub fn merge_cache(&self, cache: &VerdictCache) -> io::Result<usize> {
-        self.merge_cache_stamped(cache, now_secs())
-    }
-
-    /// Union-merges a whole session's verdicts into the store — the
-    /// public entry point behind [`crate::DetectSession::save_to`] on a
-    /// directory path (see [`CorpusStore::merge_cache`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`CorpusStore::merge_cache`].
-    pub fn merge_session(&self, session: &DetectSession) -> io::Result<usize> {
-        self.merge_cache(session.cache())
+    pub fn merge_cache(&self, session: &DetectSession) -> io::Result<usize> {
+        self.merge_cache_stamped(session, now_secs())
     }
 
     /// [`CorpusStore::merge_cache`] with an explicit stamp — the
     /// deterministic variant the eviction tests drive the clock with.
-    pub fn merge_cache_stamped(&self, cache: &VerdictCache, stamp: u64) -> io::Result<usize> {
-        // Bucket the cache's entries by shard first, so each lock is held
-        // exactly once.
+    pub fn merge_cache_stamped(&self, session: &DetectSession, stamp: u64) -> io::Result<usize> {
+        // Bucket the session's entries by shard first, so each lock is
+        // held exactly once.
         let mut by_shard: BTreeMap<usize, Vec<(GroupKey, VerdictEntry)>> = BTreeMap::new();
-        for (k, e) in cache.entries() {
+        for (k, e) in session.entries() {
             by_shard
                 .entry(shard_of(k))
                 .or_default()
@@ -639,24 +627,24 @@ impl CorpusStore {
         Ok(added)
     }
 
-    /// Loads every shard into a fresh [`VerdictCache`]: entries land in
+    /// Loads every shard into a fresh [`DetectSession`]: entries land in
     /// run 0 (warm for every following run) and seed the liveness union.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; a corrupt record (checksum mismatch,
-    /// truncation, unknown tag) or a revision-stale shard is refused
-    /// with `InvalidData`.
-    pub fn load_cache(&self) -> io::Result<VerdictCache> {
+    /// truncation, unknown tag) is refused with `InvalidData`. A
+    /// revision-stale shard is salvaged per record instead.
+    pub fn load_cache(&self) -> io::Result<DetectSession> {
         let mut records = Records::new();
         for shard in 0..SHARD_COUNT {
             self.read_shard(shard, &mut records)?;
         }
-        let mut cache = VerdictCache::new();
+        let mut session = DetectSession::new();
         for (key, (_, entry)) in records {
-            cache.absorb(key, entry);
+            session.absorb(key, entry);
         }
-        Ok(cache)
+        Ok(session)
     }
 
     /// Number of records currently in the store.
@@ -759,11 +747,10 @@ pub struct CorpusStats {
 /// One program's verdicts out of a corpus pass.
 #[derive(Debug, Clone)]
 pub struct CorpusVerdict {
-    /// The program's corpus name (its file stem, for ingested
-    /// directories).
+    /// The program's name in the corpus.
     pub name: String,
     /// The anomaly verdicts — byte-identical to an isolated
-    /// [`crate::detect_anomalies_cached`] run over the same program.
+    /// [`DetectionEngine::detect_with_mode`] pass over the same program.
     pub verdicts: Vec<AccessPair>,
     /// The program's slot counts (`pairs`, `triples`). The solve counters
     /// stay zero: the corpus-wide solve work is in [`CorpusStats::solve`].
@@ -774,14 +761,13 @@ pub struct CorpusVerdict {
 /// fingerprint-dedups the dirty pair/triple keys **across the corpus**,
 /// solves each unique key once on `engine`'s worker pool (merged in plan
 /// order — deterministic at any thread count), and answers every
-/// program's verdicts from the merged cache. It is the same driver a
+/// program's verdicts from the merged session. It is the same driver a
 /// single-program [`DetectionEngine::detect_with_mode`] pass runs, over a
 /// corpus instead of a corpus of one.
 ///
 /// Per-program verdicts are byte-identical to running each program
-/// through [`crate::detect_anomalies_cached`] (or, in triple mode, the
-/// engine) in isolation; the corpus pass only changes how often the
-/// solver runs. It looks every slot up once, so the session's cache
+/// through the engine in isolation; the corpus pass only changes how often
+/// the solver runs. It looks every slot up once, so the session's cache
 /// statistics count a hit only for a slot cached before the pass.
 pub fn analyse_corpus(
     engine: &DetectionEngine,
@@ -790,9 +776,8 @@ pub fn analyse_corpus(
     mode: DetectMode,
     session: &mut DetectSession,
 ) -> (Vec<CorpusVerdict>, CorpusStats) {
-    let (cache, per_worker) = session.cache_and_workers();
     let batch: Vec<&Program> = programs.iter().map(|(_, p)| p).collect();
-    let (verdicts, stats) = detect_batch(engine, &batch, level, mode, cache, per_worker);
+    let (verdicts, stats) = detect_batch(engine, &batch, level, mode, session);
     let verdicts = programs
         .iter()
         .zip(verdicts)
@@ -803,167 +788,6 @@ pub fn analyse_corpus(
         })
         .collect();
     (verdicts, stats)
-}
-
-/// The result of one [`CorpusService::analyse`] pass.
-#[derive(Debug, Clone)]
-pub struct CorpusReport {
-    /// Per-program verdicts, in ingestion order.
-    pub verdicts: Vec<CorpusVerdict>,
-    /// Corpus-wide dedup statistics.
-    pub stats: CorpusStats,
-}
-
-/// The batch corpus driver: ingest a directory (or stream) of DSL
-/// programs, analyse them with corpus-wide fingerprint dedup on one
-/// shared engine, and (optionally) persist the verdicts through a
-/// [`CorpusStore`] so the next batch starts warm.
-///
-/// # Examples
-///
-/// ```
-/// use atropos_detect::{ConsistencyLevel, DetectMode, DetectionEngine};
-/// use atropos_detect::corpus::CorpusService;
-///
-/// let p = atropos_dsl::parse(
-///     "schema T { id: int key, v: int }
-///      txn bump(k: int) {
-///          x := select v from T where id = k;
-///          update T set v = x.v + 1 where id = k;
-///          return 0;
-///      }",
-/// ).unwrap();
-/// let mut service = CorpusService::new(DetectionEngine::new(2));
-/// // Ten fingerprint-identical programs: one solve, ten answers.
-/// for i in 0..10 {
-///     service.add_program(format!("copy-{i}"), p.clone());
-/// }
-/// let report = service
-///     .analyse(ConsistencyLevel::EventualConsistency, DetectMode::Pairs)
-///     .unwrap();
-/// assert_eq!(report.verdicts.len(), 10);
-/// assert_eq!(report.stats.unique_pairs, 1);
-/// for v in &report.verdicts {
-///     assert_eq!(v.verdicts.len(), 1); // the lost update, every copy
-/// }
-/// ```
-pub struct CorpusService {
-    engine: DetectionEngine,
-    session: DetectSession,
-    store: Option<CorpusStore>,
-    programs: Vec<(String, Program)>,
-}
-
-impl CorpusService {
-    /// A service with no backing store: verdicts live in the in-memory
-    /// session only.
-    pub fn new(engine: DetectionEngine) -> CorpusService {
-        CorpusService {
-            engine,
-            session: DetectSession::new(),
-            store: None,
-            programs: Vec::new(),
-        }
-    }
-
-    /// A service backed by a v2 store: the store's entries are loaded
-    /// into the session up front (warm start), and every
-    /// [`CorpusService::analyse`] pass union-merges its verdicts back.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O and validation errors.
-    pub fn with_store(engine: DetectionEngine, store: CorpusStore) -> io::Result<CorpusService> {
-        let session = DetectSession::from_cache(store.load_cache()?);
-        Ok(CorpusService {
-            engine,
-            session,
-            store: Some(store),
-            programs: Vec::new(),
-        })
-    }
-
-    /// Adds one program to the corpus under `name`.
-    pub fn add_program(&mut self, name: impl Into<String>, program: Program) {
-        self.programs.push((name.into(), program));
-    }
-
-    /// Ingests every `*.dsl` file of `dir` (sorted by file name, so
-    /// ingestion order is deterministic), naming each program by its file
-    /// stem. Returns the number of programs ingested.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; a file that fails to parse is reported as
-    /// `InvalidData` naming the file.
-    pub fn ingest_dir(&mut self, dir: impl AsRef<Path>) -> io::Result<usize> {
-        let mut files: Vec<PathBuf> = fs::read_dir(dir.as_ref())?
-            .collect::<io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "dsl"))
-            .collect();
-        files.sort();
-        let mut ingested = 0;
-        for path in files {
-            let src = fs::read_to_string(&path)?;
-            let program = atropos_dsl::parse(&src).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: {e:?}", path.display()),
-                )
-            })?;
-            let name = path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            self.programs.push((name, program));
-            ingested += 1;
-        }
-        Ok(ingested)
-    }
-
-    /// Programs currently in the corpus.
-    pub fn len(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// The ingested programs, in ingestion order.
-    pub fn programs(&self) -> &[(String, Program)] {
-        &self.programs
-    }
-
-    /// True when no programs have been ingested yet.
-    pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
-    }
-
-    /// The shared session (for statistics inspection).
-    pub fn session(&self) -> &DetectSession {
-        &self.session
-    }
-
-    /// One corpus pass at `level` under `mode`: global plan, one shared
-    /// solve, per-program answers — then a union-merge back into the
-    /// backing store, when there is one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O errors from the merge-back (the in-memory
-    /// analysis itself cannot fail).
-    pub fn analyse(
-        &mut self,
-        level: ConsistencyLevel,
-        mode: DetectMode,
-    ) -> io::Result<CorpusReport> {
-        self.session.begin_run();
-        let (verdicts, stats) =
-            analyse_corpus(&self.engine, &self.programs, level, mode, &mut self.session);
-        if let Some(store) = &self.store {
-            store.merge_cache(self.session.cache())?;
-        }
-        Ok(CorpusReport { verdicts, stats })
-    }
 }
 
 #[cfg(test)]
@@ -1005,10 +829,11 @@ mod tests {
     fn corpus_store_roundtrips_and_counts() {
         let p = parse(COUNTER).unwrap();
         let mut session = DetectSession::new();
-        crate::detect_anomalies_cached(
+        DetectionEngine::serial().detect_with_mode(
             &p,
             ConsistencyLevel::EventualConsistency,
-            session.cache_mut(),
+            DetectMode::Pairs,
+            &mut session,
         );
         let dir = std::env::temp_dir().join(format!(
             "atropos_corpus_unit_{}_{}",
@@ -1017,12 +842,127 @@ mod tests {
         ));
         let store = CorpusStore::open(&dir).expect("open");
         assert_eq!(store.entry_count().unwrap(), 0);
-        let added = store.merge_cache(session.cache()).expect("merge");
+        let added = store.merge_cache(&session).expect("merge");
         assert_eq!(added, 1);
         // Re-merging the same entries adds nothing (stamp refresh only).
-        assert_eq!(store.merge_cache(session.cache()).unwrap(), 0);
+        assert_eq!(store.merge_cache(&session).unwrap(), 0);
         let loaded = store.load_cache().expect("load");
         assert_eq!(loaded.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The relay chain plus a read-modify-write: at EC the store holds
+    /// dirty pair and triple records, at SER certified clean ones.
+    const RELAY_BUMP: &str = "schema MSG { m_id: int key, m_body: int }
+         schema FEED { f_id: int key, f_body: int }
+         txn post(m: int, body: int) {
+             update MSG set m_body = body where m_id = m;
+             return 0;
+         }
+         txn relay(m: int, f: int) {
+             x := select m_body from MSG where m_id = m;
+             update FEED set f_body = x.m_body where f_id = f;
+             return 0;
+         }
+         txn timeline(f: int, m: int) {
+             y := select f_body from FEED where f_id = f;
+             z := select m_body from MSG where m_id = m;
+             return 0;
+         }
+         txn bump(m: int) {
+             v := select m_body from MSG where m_id = m;
+             update MSG set m_body = v.m_body + 1 where m_id = m;
+             return 0;
+         }";
+
+    /// Shard records are outside input. Byte mutations inside one record,
+    /// re-sealed with a recomputed checksum so they reach the payload
+    /// decoder (and, with the revision rewound in half the cases, the
+    /// salvage path and the certificate checker), must load or fail with
+    /// `InvalidData`, never panic; a loaded session must answer detection
+    /// passes in both modes.
+    #[test]
+    fn resealed_record_mutations_load_or_fail_typed() {
+        let p = parse(RELAY_BUMP).unwrap();
+        let mut session = DetectSession::new();
+        let certifying = DetectionEngine::serial().with_proofs(true);
+        for level in [
+            ConsistencyLevel::EventualConsistency,
+            ConsistencyLevel::Serializable,
+        ] {
+            certifying.detect_with_mode(&p, level, DetectMode::Triples, &mut session);
+        }
+        // Pair and triple records, each both dirty and certified clean.
+        let audits = session.audits();
+        for k in [2, 3] {
+            let of_k = || audits.iter().filter(move |a| a.txns.len() == k);
+            assert!(of_k().any(|a| a.anomalies > 0), "no dirty {k}-record");
+            assert!(
+                of_k().any(|a| a.anomalies == 0 && !a.proofs.is_empty()),
+                "no certified clean {k}-record"
+            );
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "atropos_corpus_fuzz_{}_{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        session.save_to(&dir).expect("save");
+        let store = CorpusStore::open(&dir).expect("open");
+        let shards: Vec<(PathBuf, Vec<u8>)> = (0..SHARD_COUNT)
+            .filter_map(|i| {
+                fs::read(store.shard_path(i))
+                    .ok()
+                    .map(|b| (store.shard_path(i), b))
+            })
+            .collect();
+        // Every record as (shard, offset of its length prefix, payload length).
+        let mut records = Vec::new();
+        for (s, (_, bytes)) in shards.iter().enumerate() {
+            let mut pos = 20;
+            while pos < bytes.len() {
+                let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+                records.push((s, pos, len));
+                pos += 12 + len;
+            }
+        }
+
+        let engine = DetectionEngine::serial();
+        let mut rng = proptest::rng::TestRng::seed_from_u64(0xA7_5707);
+        let (mut loaded, mut refused) = (0, 0);
+        for case in 0..2000 {
+            let (s, at, len) = records[rng.below(records.len() as u64) as usize];
+            let (path, pristine) = &shards[s];
+            let mut bytes = pristine.clone();
+            let payload = at + 12..at + 12 + len;
+            for _ in 0..=rng.below(3) {
+                bytes[payload.start + rng.below(len as u64) as usize] ^= (1 + rng.below(255)) as u8;
+            }
+            let sum = fnv1a(&bytes[payload]);
+            bytes[at + 4..at + 12].copy_from_slice(&sum.to_le_bytes());
+            if case % 2 == 1 {
+                bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+            }
+            fs::write(path, &bytes).expect("write mutant");
+            match store.load_cache() {
+                Ok(mut session) => {
+                    loaded += 1;
+                    for mode in [DetectMode::Pairs, DetectMode::Triples] {
+                        let ec = ConsistencyLevel::EventualConsistency;
+                        engine.detect_with_mode(&p, ec, mode, &mut session);
+                    }
+                }
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "case {case}: {e}");
+                    refused += 1;
+                }
+            }
+            fs::write(path, pristine).expect("restore shard");
+        }
+        assert!(
+            loaded > 500 && refused > 100,
+            "{loaded} loaded, {refused} refused"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -15,23 +15,28 @@
 //!   that a later read of the same transaction no longer sees (a causal
 //!   session violation: the observed state moved backwards).
 //!
-//! Queries are discharged incrementally: one [`PairSolver`] per
-//! transaction pair carries the ordering/visibility encoding across every
-//! pattern and consistency level, and each query travels as an assumption
-//! set. The fresh-solver reference path ([`detect_anomalies_fresh`]) and
-//! the CLOTHO-style differential runner ([`detect_differential`]) guard
-//! the equivalence of the two paths.
+//! Queries are discharged incrementally: one [`PairSolver`] per instance
+//! group carries the ordering/visibility encoding across every pattern and
+//! consistency level, and each query travels as an assumption set. The
+//! group solve frame (`solve_group`) is driven by the
+//! [`crate::DetectionEngine`]; [`detect_anomalies`] is that engine,
+//! serial and pool-less, over a fresh session. The fresh-solver reference
+//! oracle ([`detect_anomalies_fresh`]) and the CLOTHO-style differential
+//! runner ([`detect_differential`]) guard the equivalence of the two
+//! solving paths.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 use atropos_dsl::{CmdLabel, Program};
 
-use crate::cache::{GroupState, VerdictCache};
+use crate::cache::GroupState;
 use crate::encode::{
     fresh_query, ConsistencyLevel, InstanceModel, PairSolver, VisRequirement,
 };
+use crate::engine::{DetectMode, DetectionEngine};
 use crate::model::{summarize_program, CmdKind, TxnSummary};
+use crate::session::DetectSession;
 
 /// The anomaly template a pair was confirmed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -153,6 +158,25 @@ impl DetectStats {
     }
 }
 
+/// Counter-wise sum, wall-clock seconds included: the statistics of two
+/// spans of detection work taken together.
+impl std::ops::AddAssign for DetectStats {
+    fn add_assign(&mut self, o: DetectStats) {
+        self.pairs += o.pairs;
+        self.triples += o.triples;
+        self.queries += o.queries;
+        self.sat_queries += o.sat_queries;
+        self.memo_hits += o.memo_hits;
+        self.clauses_encoded += o.clauses_encoded;
+        self.clauses_fresh_equivalent += o.clauses_fresh_equivalent;
+        self.conflicts += o.conflicts;
+        self.propagations += o.propagations;
+        self.decisions += o.decisions;
+        self.learnt_seeded += o.learnt_seeded;
+        self.seconds += o.seconds;
+    }
+}
+
 /// An anomalous access pair χ = (c1, f̄1, c2, f̄2) (§3.2), labelled with the
 /// transactions containing the commands and the violation template.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -223,7 +247,11 @@ impl Finding {
     }
 }
 
-/// Detects every anomalous access pair of `program` under `level`.
+/// Detects every anomalous access pair of `program` under `level`: one
+/// pair-mode pass of a serial [`DetectionEngine`] without a learnt pool,
+/// over a fresh [`DetectSession`]. Callers that detect repeatedly, in
+/// triple mode, in parallel or with proofs drive an engine and a session
+/// of their own.
 ///
 /// # Examples
 ///
@@ -244,66 +272,20 @@ impl Finding {
 /// assert!(sc.is_empty());
 /// ```
 pub fn detect_anomalies(program: &Program, level: ConsistencyLevel) -> Vec<AccessPair> {
-    detect_anomalies_marked(program, level, &BTreeSet::new())
+    DetectionEngine::serial()
+        .with_learnt_pool(false)
+        .detect_with_mode(program, level, DetectMode::Pairs, &mut DetectSession::new())
+        .0
 }
 
-/// Like [`detect_anomalies`], but transactions named in `serializable_txns`
-/// are analysed under [`ConsistencyLevel::Serializable`] when paired with
-/// each other (the AT-SC configuration of §7.2).
-pub fn detect_anomalies_marked(
-    program: &Program,
-    level: ConsistencyLevel,
-    serializable_txns: &BTreeSet<String>,
-) -> Vec<AccessPair> {
-    let (mut by_level, _) = detect_core(
-        program,
-        &[level],
-        serializable_txns,
-        SolvePath::Incremental,
-        None,
-    );
-    by_level.remove(&level).unwrap_or_default()
-}
-
-/// [`detect_anomalies`] plus the run's [`DetectStats`].
-pub fn detect_anomalies_with_stats(
-    program: &Program,
-    level: ConsistencyLevel,
-) -> (Vec<AccessPair>, DetectStats) {
-    let (mut by_level, stats) = detect_core(
-        program,
-        &[level],
-        &BTreeSet::new(),
-        SolvePath::Incremental,
-        None,
-    );
-    (by_level.remove(&level).unwrap_or_default(), stats)
-}
-
-/// Detects anomalies under several consistency levels in one pass, sharing
-/// each transaction pair's incremental solver across all of them — the
-/// cheap way to produce Table 1's EC/CC/RR columns.
-pub fn detect_anomalies_at_levels(
-    program: &Program,
-    levels: &[ConsistencyLevel],
-) -> (BTreeMap<ConsistencyLevel, Vec<AccessPair>>, DetectStats) {
-    detect_core(program, levels, &BTreeSet::new(), SolvePath::Incremental, None)
-}
-
-/// The reference implementation: identical templates, but every query goes
-/// to a freshly constructed solver ([`crate::pattern_satisfiable`]). Slow;
+/// The reference oracle: identical templates, but every query goes to a
+/// freshly constructed solver ([`crate::pattern_satisfiable`]). Slow;
 /// kept for differential testing and speedup accounting.
 pub fn detect_anomalies_fresh(
     program: &Program,
     level: ConsistencyLevel,
 ) -> (Vec<AccessPair>, DetectStats) {
-    let (mut by_level, stats) = detect_core(
-        program,
-        &[level],
-        &BTreeSet::new(),
-        SolvePath::Fresh,
-        None,
-    );
+    let (mut by_level, stats) = detect_core(program, &[level], None);
     (by_level.remove(&level).unwrap_or_default(), stats)
 }
 
@@ -328,13 +310,7 @@ pub fn detect_differential(
     levels: &[ConsistencyLevel],
 ) -> DifferentialReport {
     let mut mismatches = Vec::new();
-    let (by_level, stats) = detect_core(
-        program,
-        levels,
-        &BTreeSet::new(),
-        SolvePath::Differential,
-        Some(&mut mismatches),
-    );
+    let (by_level, stats) = detect_core(program, levels, Some(&mut mismatches));
     DifferentialReport {
         by_level,
         stats,
@@ -344,7 +320,7 @@ pub fn detect_differential(
 
 /// One incremental pattern query against a (lazily created) [`PairSolver`]:
 /// the solver-creation and fresh-equivalent clause accounting shared by the
-/// one-shot oracle ([`detect_core`]) and the cached oracle's solve frame
+/// differential oracle ([`detect_core`]) and the engine's solve frame
 /// ([`solve_group`]), so the two cannot drift apart.
 fn pair_query(
     solver: &mut Option<PairSolver>,
@@ -368,22 +344,15 @@ fn pair_query(
     r
 }
 
-/// How queries are discharged.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SolvePath {
-    /// One incremental solver per pair, queries via assumptions.
-    Incremental,
-    /// A fresh solver per query (the paper's Z3-per-query shape).
-    Fresh,
-    /// Both, with verdict comparison.
-    Differential,
-}
-
+/// The reference oracle behind [`detect_anomalies_fresh`] and
+/// [`detect_differential`]: every ordered pair is analysed at each of
+/// `levels`, every query on a fresh solver. With `mismatches`, each query
+/// is also answered by the pair's incremental [`PairSolver`] (shared
+/// across the levels); its verdict and statistics are the ones reported,
+/// and every disagreement is logged.
 fn detect_core(
     program: &Program,
     levels: &[ConsistencyLevel],
-    serializable_txns: &BTreeSet<String>,
-    path: SolvePath,
     mut mismatches: Option<&mut Vec<String>>,
 ) -> (BTreeMap<ConsistencyLevel, Vec<AccessPair>>, DetectStats) {
     let started = Instant::now();
@@ -396,19 +365,9 @@ fn detect_core(
         for (j, t2) in summaries.iter().enumerate() {
             let model = InstanceModel::new(t1, t2);
             stats.pairs += 1;
-            // The incremental solver is shared across every level queried
-            // for this pair; built lazily so the fresh path never pays.
+            // Built lazily, so the fresh path never pays.
             let mut pair_solver: Option<PairSolver> = None;
             for &level in levels {
-                // A pair is only analysed as serializable when *both*
-                // instances of the bounded execution coordinate.
-                let eff = if serializable_txns.contains(&t1.name)
-                    && serializable_txns.contains(&t2.name)
-                {
-                    ConsistencyLevel::Serializable
-                } else {
-                    level
-                };
                 // Memoize SAT calls on their requirement signature.
                 let mut memo: HashMap<Vec<VisRequirement>, bool> = HashMap::new();
                 let mut sat = |reqs: Vec<VisRequirement>| -> bool {
@@ -417,34 +376,37 @@ fn detect_core(
                         return r;
                     }
                     stats.queries += 1;
-                    let incremental = (path != SolvePath::Fresh)
-                        .then(|| {
-                            pair_query(&mut pair_solver, &model, eff, &reqs, &mut stats, None, false)
-                        });
-                    let fresh = if path != SolvePath::Incremental {
-                        let (r, s, clauses) = fresh_query(&model, eff, &reqs);
-                        if path == SolvePath::Fresh {
+                    let r = match mismatches.as_deref_mut() {
+                        Some(log) => {
+                            let incremental = pair_query(
+                                &mut pair_solver,
+                                &model,
+                                level,
+                                &reqs,
+                                &mut stats,
+                                None,
+                                false,
+                            );
+                            let (fresh, _, _) = fresh_query(&model, level, &reqs);
+                            if incremental != fresh {
+                                log.push(format!(
+                                    "{} × {} @ {level}: reqs {reqs:?}: \
+                                     incremental={incremental} fresh={fresh}",
+                                    t1.name, t2.name
+                                ));
+                            }
+                            incremental
+                        }
+                        None => {
+                            let (r, s, clauses) = fresh_query(&model, level, &reqs);
                             stats.conflicts += s.conflicts;
                             stats.propagations += s.propagations;
                             stats.decisions += s.decisions;
                             stats.clauses_encoded += clauses as u64;
                             stats.clauses_fresh_equivalent += clauses as u64;
+                            r
                         }
-                        Some(r)
-                    } else {
-                        None
                     };
-                    if let (Some(a), Some(b)) = (incremental, fresh) {
-                        if a != b {
-                            if let Some(log) = mismatches.as_deref_mut() {
-                                log.push(format!(
-                                    "{} × {} @ {eff}: reqs {reqs:?}: incremental={a} fresh={b}",
-                                    t1.name, t2.name
-                                ));
-                            }
-                        }
-                    }
-                    let r = incremental.or(fresh).expect("some path ran");
                     if r {
                         stats.sat_queries += 1;
                     }
@@ -494,91 +456,6 @@ pub(crate) fn accumulate(
             })
             .or_insert(p);
     }
-}
-
-/// Detects every anomalous access pair of `program` under `level`,
-/// answering untouched transaction pairs from `cache` (and refreshing it
-/// with everything analysed) — the oracle the near-incremental repair
-/// driver calls after each refactoring step. This is the serial form; the
-/// [`crate::DetectionEngine`] runs the same pass (one shared
-/// implementation) with the dirty pairs fanned out over a worker pool.
-///
-/// Equivalent to [`detect_anomalies`] on every input (the
-/// `repair_incremental_vs_scratch` differential suite pins this on all nine
-/// workloads); the only difference is how much work is re-done. A pair is
-/// answered from the cache when both transactions' [`txn_fingerprint`]s
-/// match a previous analysis at this level; otherwise the pair is analysed
-/// with its retained [`PairSolver`] if its fingerprints survived (e.g. the
-/// verdict entry was evicted or another level is being queried), or from
-/// scratch if not.
-pub fn detect_anomalies_cached(
-    program: &Program,
-    level: ConsistencyLevel,
-    cache: &mut VerdictCache,
-) -> (Vec<AccessPair>, DetectStats) {
-    crate::engine::detect_with_cache(
-        &unpooled_serial_engine(),
-        program,
-        level,
-        crate::DetectMode::Pairs,
-        cache,
-        &mut Vec::new(),
-    )
-}
-
-/// The engine behind the free-function oracles: one thread, no learnt
-/// pool, proof capture as `ATROPOS_PROOFS` says.
-fn unpooled_serial_engine() -> crate::DetectionEngine {
-    crate::DetectionEngine::serial().with_learnt_pool(false)
-}
-
-/// Detects every anomaly of `program` under `level` in the bounded
-/// **three-instance** mode ([`crate::DetectMode::Triples`]): the pair
-/// oracle's verdicts plus the chain templates of [`crate::triple`]. The
-/// result is a superset of [`detect_anomalies`] by construction.
-///
-/// # Examples
-///
-/// ```
-/// use atropos_detect::{detect_anomalies, detect_anomalies_triples, ConsistencyLevel};
-///
-/// // A 3-hop relay: post → relay → timeline. Pairwise clean, yet the
-/// // observer chain is realizable under eventual consistency.
-/// let p = atropos_dsl::parse(
-///     "schema MSG { m_id: int key, m_body: string }
-///      schema FEED { f_id: int key, f_body: string }
-///      txn post(m: int, body: string) {
-///          update MSG set m_body = body where m_id = m;
-///          return 0;
-///      }
-///      txn relay(m: int, f: int) {
-///          x := select m_body from MSG where m_id = m;
-///          update FEED set f_body = x.m_body where f_id = f;
-///          return 0;
-///      }
-///      txn timeline(f: int, m: int) {
-///          y := select f_body from FEED where f_id = f;
-///          z := select m_body from MSG where m_id = m;
-///          return 0;
-///      }",
-/// ).unwrap();
-/// let ec = ConsistencyLevel::EventualConsistency;
-/// assert!(detect_anomalies(&p, ec).is_empty());
-/// let (triples, _) = detect_anomalies_triples(&p, ec);
-/// assert_eq!(triples.len(), 1); // the relayed causality violation
-/// ```
-pub fn detect_anomalies_triples(
-    program: &Program,
-    level: ConsistencyLevel,
-) -> (Vec<AccessPair>, DetectStats) {
-    crate::engine::detect_with_cache(
-        &unpooled_serial_engine(),
-        program,
-        level,
-        crate::DetectMode::Triples,
-        &mut VerdictCache::new(),
-        &mut Vec::new(),
-    )
 }
 
 /// Analyses one dirty (cache-missed) instance group against its retained
@@ -1078,24 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_level_pass_matches_single_level_runs() {
-        let p = parse(COURSEWARE).unwrap();
-        let (by_level, stats) = detect_anomalies_at_levels(&p, &ConsistencyLevel::ALL);
-        for level in ConsistencyLevel::ALL {
-            assert_eq!(
-                by_level[&level],
-                detect_anomalies(&p, level),
-                "shared-solver pass diverged at {level}"
-            );
-        }
-        assert!(stats.queries > 0);
-        assert!(
-            stats.reused_clause_ratio() > 0.5,
-            "per-pair reuse should dominate: {stats:?}"
-        );
-    }
-
-    #[test]
     fn differential_paths_agree_on_courseware() {
         let p = parse(COURSEWARE).unwrap();
         let report = detect_differential(&p, &ConsistencyLevel::ALL);
@@ -1115,23 +974,26 @@ mod tests {
     fn cached_detection_matches_plain_and_reuses_across_edits() {
         let p = parse(COURSEWARE).unwrap();
         let ec = ConsistencyLevel::EventualConsistency;
-        let mut cache = VerdictCache::new();
-        let (first, _) = detect_anomalies_cached(&p, ec, &mut cache);
-        assert_eq!(first, detect_anomalies(&p, ec));
-        assert_eq!(cache.stats().hits, 0);
+        let engine = DetectionEngine::serial();
+        let mut session = DetectSession::new();
+        let (first, _) = engine.detect_with_mode(&p, ec, DetectMode::Pairs, &mut session);
+        assert_eq!(first, detect_anomalies_fresh(&p, ec).0);
+        assert_eq!(session.cache_stats().hits, 0);
 
         // Same program again: all 9 ordered pairs answered from the cache,
         // not a single SAT query issued.
-        let (second, s2) = detect_anomalies_cached(&p, ec, &mut cache);
+        let (second, s2) = engine.detect_with_mode(&p, ec, DetectMode::Pairs, &mut session);
         assert_eq!(second, first);
         assert_eq!(s2.queries, 0);
-        assert_eq!(cache.stats().hits, 9);
+        assert_eq!(session.cache_stats().hits, 9);
 
         // Another level misses the verdict cache but reuses the retained
         // pair solvers (no re-grounding, no base re-encoding).
-        let (cc, _) = detect_anomalies_cached(&p, ConsistencyLevel::CausalConsistency, &mut cache);
-        assert_eq!(cc, detect_anomalies(&p, ConsistencyLevel::CausalConsistency));
-        assert!(cache.stats().solver_reuses > 0, "{:?}", cache.stats());
+        let cc = ConsistencyLevel::CausalConsistency;
+        let (got, _) = engine.detect_with_mode(&p, cc, DetectMode::Pairs, &mut session);
+        assert_eq!(got, detect_anomalies(&p, cc));
+        let stats = session.cache_stats();
+        assert!(stats.solver_reuses > 0, "{stats:?}");
 
         // Editing one transaction re-solves only the pairs that touch it:
         // 4 of the 9 ordered pairs (setSt × regSt combinations) still hit.
@@ -1140,13 +1002,12 @@ mod tests {
             "",
         ))
         .unwrap();
-        let before = cache.stats();
-        let (after_edit, _) = detect_anomalies_cached(&edited, ec, &mut cache);
+        let before = session.cache_stats();
+        let (after_edit, _) = engine.detect_with_mode(&edited, ec, DetectMode::Pairs, &mut session);
         assert_eq!(after_edit, detect_anomalies(&edited, ec));
-        let delta_hits = cache.stats().hits - before.hits;
-        let delta_misses = cache.stats().misses - before.misses;
-        assert_eq!(delta_hits, 4, "{:?}", cache.stats());
-        assert_eq!(delta_misses, 5, "{:?}", cache.stats());
+        let delta = session.cache_stats().since(&before);
+        assert_eq!(delta.hits, 4, "{delta:?}");
+        assert_eq!(delta.misses, 5, "{delta:?}");
     }
 
     #[test]
@@ -1174,25 +1035,6 @@ mod tests {
         let p = parse(src).unwrap();
         let pairs = detect_anomalies(&p, ConsistencyLevel::EventualConsistency);
         assert!(pairs.is_empty(), "expected no anomalies, got {pairs:?}");
-    }
-
-    #[test]
-    fn marking_transactions_serializable_suppresses_their_pairs() {
-        let p = parse(
-            "schema T { id: int key, v: int }
-             txn bump(k: int) {
-                 x := select v from T where id = k;
-                 update T set v = x.v + 1 where id = k;
-                 return 0;
-             }",
-        )
-        .unwrap();
-        let all: BTreeSet<String> = BTreeSet::from(["bump".to_owned()]);
-        let pairs = detect_anomalies_marked(&p, ConsistencyLevel::EventualConsistency, &all);
-        assert!(pairs.is_empty());
-        let none = detect_anomalies(&p, ConsistencyLevel::EventualConsistency);
-        assert_eq!(none.len(), 1);
-        assert_eq!(none[0].kind, AnomalyKind::LostUpdate);
     }
 
     #[test]

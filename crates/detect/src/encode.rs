@@ -618,7 +618,7 @@ pub(crate) fn fresh_query(
 /// clauses) across all patterns and levels.
 ///
 /// The solver does **not** retain its [`InstanceModel`] — callers that keep
-/// a `PairSolver` alive (the repair driver's [`crate::VerdictCache`] retains
+/// a `PairSolver` alive (a [`crate::DetectSession`] retains
 /// them across refactoring steps) keep the model alongside it and pass the
 /// same model back into [`PairSolver::satisfiable`], which needs it only
 /// when a consistency level's axiom group is installed on first query.

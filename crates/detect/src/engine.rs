@@ -35,9 +35,10 @@
 //!    `tests/triple_vs_pair.rs` on all nine workloads) and for a program
 //!    alone or inside any corpus (`tests/corpus_differential.rs`).
 //!
-//! With one thread the scope is skipped and phase 2 runs inline: the
-//! serial cached oracle ([`crate::detect_anomalies_cached`]) is literally
-//! this driver at `threads = 1`, so the paths cannot drift apart.
+//! With one thread the scope is skipped and phase 2 runs inline. This
+//! driver is the only way detection runs: [`crate::detect_anomalies`] is
+//! a serial, pool-less engine over a fresh session, and the repair loop's
+//! from-scratch reference is the same engine with a fresh session per pass.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,7 +47,7 @@ use std::time::Instant;
 
 use atropos_dsl::Program;
 
-use crate::cache::{txn_fingerprint, GroupKey, GroupState, LearntPool, VerdictCache, MAX_K};
+use crate::cache::{txn_fingerprint, GroupKey, GroupState, LearntPool, MAX_K};
 use crate::corpus::CorpusStats;
 use crate::detect::{accumulate, solve_group, AccessPair, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
@@ -59,7 +60,7 @@ use crate::triple::has_candidates;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DetectMode {
     /// The paper's **two-instance** bound: the four pair templates only.
-    /// The default — every existing oracle entry point runs here.
+    /// The default, and the bound of [`crate::detect_anomalies`].
     #[default]
     Pairs,
     /// The two-instance bound *plus* the bounded **three-instance** chain
@@ -79,30 +80,6 @@ impl std::fmt::Display for DetectMode {
     }
 }
 
-/// Per-worker counters of one engine's lifetime, indexed by worker slot
-/// (worker 0 is also the inline path of a single-threaded pass).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WorkerStats {
-    /// Dirty work items (transaction pairs — and triples, in triple mode)
-    /// this worker re-solved.
-    pub pairs_solved: u64,
-    /// SAT queries those items issued.
-    pub queries: u64,
-    /// Items that reused a retained solver taken from a sharded map.
-    pub solver_reuses: u64,
-    /// Wall-clock seconds this worker spent solving.
-    pub seconds: f64,
-}
-
-impl WorkerStats {
-    pub(crate) fn absorb(&mut self, other: &WorkerStats) {
-        self.pairs_solved += other.pairs_solved;
-        self.queries += other.queries;
-        self.solver_reuses += other.solver_reuses;
-        self.seconds += other.seconds;
-    }
-}
-
 /// Parallelism policy for cached detection passes, plus the engine-scoped
 /// [`LearntPool`]: lemmas published by the first solve of each instance
 /// group at each level, seeded into every later solver built for the same
@@ -116,7 +93,7 @@ impl WorkerStats {
 /// # Examples
 ///
 /// ```
-/// use atropos_detect::{ConsistencyLevel, DetectionEngine, DetectSession};
+/// use atropos_detect::{ConsistencyLevel, DetectMode, DetectionEngine, DetectSession};
 ///
 /// let p = atropos_dsl::parse(
 ///     "schema T { id: int key, v: int }
@@ -126,12 +103,12 @@ impl WorkerStats {
 ///          return 0;
 ///      }",
 /// ).unwrap();
-/// let engine = DetectionEngine::new(2);
+/// let (engine, ec) = (DetectionEngine::new(2), ConsistencyLevel::EventualConsistency);
 /// let mut session = DetectSession::new();
-/// let (first, _) = engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
+/// let (first, _) = engine.detect_with_mode(&p, ec, DetectMode::Pairs, &mut session);
 /// assert_eq!(first.len(), 1); // the lost update
 /// // Same program again: answered entirely from the session's warm cache.
-/// let (again, stats) = engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
+/// let (again, stats) = engine.detect_with_mode(&p, ec, DetectMode::Pairs, &mut session);
 /// assert_eq!(again, first);
 /// assert_eq!(stats.queries, 0);
 /// ```
@@ -156,14 +133,15 @@ impl std::fmt::Debug for DetectionEngine {
 
 impl DetectionEngine {
     /// An engine solving dirty groups on `threads` workers (clamped to at
-    /// least 1). Thread count never affects results, only wall-clock —
-    /// and neither does the learnt pool (enabled here): seeded lemmas
-    /// change how fast a verdict is reached, never which verdict.
+    /// least 1), with proof capture off. Thread count never affects
+    /// results, only wall-clock — and neither does the learnt pool
+    /// (enabled here): seeded lemmas change how fast a verdict is reached,
+    /// never which verdict.
     pub fn new(threads: usize) -> DetectionEngine {
         DetectionEngine {
             threads: threads.max(1),
             pool: Some(Arc::new(LearntPool::new())),
-            proofs: proofs_enabled_from_env(),
+            proofs: false,
         }
     }
 
@@ -179,12 +157,12 @@ impl DetectionEngine {
         self
     }
 
-    /// Enables or disables proof-certificate capture on this engine,
-    /// overriding the `ATROPOS_PROOFS` default (off). With proofs on,
-    /// every UNSAT query behind a verdict is logged and certified; the
-    /// blobs are stored alongside the verdict entries in the session's
-    /// cache (see [`VerdictCache::proof_blobs`]). Like the thread count
-    /// and the learnt pool, certificates never change verdicts.
+    /// Enables or disables proof-certificate capture on this engine (off
+    /// for a new engine); this is the only switch. With proofs on, every
+    /// UNSAT query behind a verdict is logged and certified; the blobs are
+    /// stored alongside the verdict entries in the session (see
+    /// [`DetectSession::proof_blobs`]). Like the thread count and the
+    /// learnt pool, certificates never change verdicts.
     pub fn with_proofs(mut self, enabled: bool) -> DetectionEngine {
         self.proofs = enabled;
         self
@@ -200,8 +178,7 @@ impl DetectionEngine {
         self.pool.as_deref()
     }
 
-    /// The strictly serial engine (`threads = 1`); what
-    /// [`crate::detect_anomalies_cached`] runs under the hood.
+    /// The strictly serial engine (`threads = 1`).
     pub fn serial() -> DetectionEngine {
         DetectionEngine::new(1)
     }
@@ -223,18 +200,6 @@ impl DetectionEngine {
         self.threads
     }
 
-    /// One cached detection pass over `program` at `level` under the
-    /// default [`DetectMode::Pairs`] bound; see
-    /// [`DetectionEngine::detect_with_mode`].
-    pub fn detect(
-        &self,
-        program: &Program,
-        level: ConsistencyLevel,
-        session: &mut DetectSession,
-    ) -> (Vec<AccessPair>, DetectStats) {
-        self.detect_with_mode(program, level, DetectMode::Pairs, session)
-    }
-
     /// One cached detection pass over `program` at `level` under `mode`,
     /// answering untouched pairs (and, in triple mode, triples) from the
     /// session's verdict cache and fanning the dirty remainder out over
@@ -244,7 +209,9 @@ impl DetectionEngine {
     /// [`crate::detect_anomalies`]; in [`DetectMode::Triples`] the result
     /// is a superset of the pair verdicts. Both are byte-identical to
     /// themselves at every thread count; see the module docs for the
-    /// three-phase structure and the determinism argument.
+    /// three-phase structure and the determinism argument. The statistics
+    /// carry the slot counts, the solve counters and the wall-clock
+    /// seconds of the pass.
     pub fn detect_with_mode(
         &self,
         program: &Program,
@@ -252,22 +219,11 @@ impl DetectionEngine {
         mode: DetectMode,
         session: &mut DetectSession,
     ) -> (Vec<AccessPair>, DetectStats) {
-        let (cache, per_worker) = session.cache_and_workers();
-        detect_with_cache(self, program, level, mode, cache, per_worker)
-    }
-}
-
-/// Whether `ATROPOS_PROOFS` switches proof-certificate capture on: unset
-/// (the default) means off — proof logging is strictly opt-in, so the
-/// plain detection paths stay zero-cost — and anything but `0` / `false` /
-/// `off` enables it.
-pub(crate) fn proofs_enabled_from_env() -> bool {
-    match std::env::var("ATROPOS_PROOFS") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "false" | "off"
-        ),
-        Err(_) => false,
+        let (mut out, batch) = detect_batch(self, &[program], level, mode, session);
+        let (verdicts, mut stats) = out.pop().expect("one program in, one verdict out");
+        stats += batch.solve;
+        stats.seconds = batch.seconds;
+        (verdicts, stats)
     }
 }
 
@@ -328,83 +284,46 @@ struct Outcome {
 /// workers (inline when the batch is too small to feed more than one —
 /// incremental repair's later passes dirty a handful of items, and paying
 /// a spawn/join round-trip for them would hand the serial driver a
-/// regression). Returns the outcomes indexed like `items` plus per-worker
-/// counters. Outcome order is by item index, never completion order.
+/// regression). Returns the outcomes indexed like `items`, never in
+/// completion order.
 fn run_pool<T: Sync>(
     threads: usize,
     items: &[T],
     solve: impl Fn(&T) -> Outcome + Sync,
-) -> (Vec<Option<Outcome>>, Vec<WorkerStats>) {
+) -> Vec<Outcome> {
     let workers = threads.min(items.len() / MIN_PAIRS_PER_WORKER).max(1);
+    if workers <= 1 {
+        return items.iter().map(solve).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (solve, next) = (&solve, &next);
     let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(items.len());
     outcomes.resize_with(items.len(), || None);
-    let mut worker_stats = vec![WorkerStats::default(); workers];
-    if workers <= 1 {
-        let w = &mut worker_stats[0];
-        let t0 = Instant::now();
-        for (k, item) in items.iter().enumerate() {
-            let o = solve(item);
-            w.pairs_solved += 1;
-            w.queries += o.stats.queries;
-            w.solver_reuses += u64::from(o.solver_reused);
-            outcomes[k] = Some(o);
-        }
-        w.seconds += t0.elapsed().as_secs_f64();
-    } else {
-        let next = AtomicUsize::new(0);
-        let solve = &solve;
-        let produced: Vec<(usize, WorkerStats, Vec<(usize, Outcome)>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let t0 = Instant::now();
-                            let mut ws = WorkerStats::default();
-                            let mut out = Vec::new();
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= items.len() {
-                                    break;
-                                }
-                                let o = solve(&items[k]);
-                                ws.pairs_solved += 1;
-                                ws.queries += o.stats.queries;
-                                ws.solver_reuses += u64::from(o.solver_reused);
-                                out.push((k, o));
-                            }
-                            ws.seconds = t0.elapsed().as_secs_f64();
-                            (w, ws, out)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("detection worker panicked"))
-                    .collect()
-            });
-        for (w, ws, out) in produced {
-            worker_stats[w] = ws;
-            for (k, o) in out {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= items.len() {
+                            return out;
+                        }
+                        out.push((k, solve(&items[k])));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            for (k, o) in h.join().expect("detection worker panicked") {
                 outcomes[k] = Some(o);
             }
         }
-    }
-    (outcomes, worker_stats)
-}
-
-/// Folds one solve's counters (`queries` through `learnt_seeded`) into
-/// `stats`.
-fn add_solve_stats(stats: &mut DetectStats, o: &DetectStats) {
-    stats.queries += o.queries;
-    stats.sat_queries += o.sat_queries;
-    stats.memo_hits += o.memo_hits;
-    stats.clauses_encoded += o.clauses_encoded;
-    stats.clauses_fresh_equivalent += o.clauses_fresh_equivalent;
-    stats.conflicts += o.conflicts;
-    stats.propagations += o.propagations;
-    stats.decisions += o.decisions;
-    stats.learnt_seeded += o.learnt_seeded;
+    });
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every item was solved"))
+        .collect()
 }
 
 /// Decides, at plan time, which misses may publish their retained lemmas
@@ -420,7 +339,7 @@ fn add_solve_stats(stats: &mut DetectStats, o: &DetectStats) {
 /// solver survives is a scheduling accident).
 fn publishable_flags(
     misses: &[(usize, Slot)],
-    cache: &VerdictCache,
+    session: &DetectSession,
     pool: Option<&LearntPool>,
 ) -> Vec<bool> {
     let Some(pool) = pool else {
@@ -434,7 +353,7 @@ fn publishable_flags(
         .iter()
         .map(|(_, m)| {
             let state = m.key.state();
-            count[&state] == 1 && !cache.states().contains(&state) && !pool.has(&m.key)
+            count[&state] == 1 && !session.states().contains(&state) && !pool.has(&m.key)
         })
         .collect()
 }
@@ -442,15 +361,15 @@ fn publishable_flags(
 /// Publishes the lemmas retained by one group's solver (if it built one)
 /// to the engine's pool — called at the serial merge point, after the
 /// batch's workers have all returned their states.
-fn publish_state(cache: &VerdictCache, pool: &LearntPool, key: &GroupKey) {
-    if let Some(state) = cache.states().take(&key.state()) {
+fn publish_state(session: &DetectSession, pool: &LearntPool, key: &GroupKey) {
+    if let Some(state) = session.states().take(&key.state()) {
         if let Some(solver) = &state.solver {
             let exported = solver.export_learnts();
             if !exported.is_empty() {
                 pool.publish(key, exported);
             }
         }
-        cache.states().store(key.state(), state);
+        session.states().store(key.state(), state);
     }
 }
 
@@ -493,17 +412,16 @@ fn plan_slots(fps: &[u64], level: ConsistencyLevel, mode: DetectMode) -> Vec<Slo
 /// and [`crate::analyse_corpus`]: plans every program's slots against one
 /// group keyspace, dedups the misses across the whole batch, solves them
 /// in one worker-pool batch, merges in plan order, and answers every slot
-/// from the cache under its own program's labels. Returns each program's
-/// verdicts with its slot counts (`pairs`, `triples`; the solve counters
-/// stay zero) and the batch statistics, whose `solve` carries the solve
-/// counters of the whole batch.
+/// from the session under its own program's labels. Returns each
+/// program's verdicts with its slot counts (`pairs`, `triples`; the solve
+/// counters stay zero) and the batch statistics, whose `solve` carries the
+/// solve counters of the whole batch.
 pub(crate) fn detect_batch(
     engine: &DetectionEngine,
     programs: &[&Program],
     level: ConsistencyLevel,
     mode: DetectMode,
-    cache: &mut VerdictCache,
-    per_worker: &mut Vec<WorkerStats>,
+    session: &mut DetectSession,
 ) -> (Vec<(Vec<AccessPair>, DetectStats)>, CorpusStats) {
     let started = Instant::now();
     let pool = engine.learnt_pool();
@@ -522,7 +440,7 @@ pub(crate) fn detect_batch(
         .iter()
         .map(|s| s.iter().map(txn_fingerprint).collect())
         .collect();
-    cache.sweep_live(&fps.concat());
+    session.sweep_live(&fps.concat());
     let mut planned: HashSet<GroupKey> = HashSet::new();
     // The first slot (with its program) of every planned key.
     let mut misses: Vec<(usize, Slot)> = Vec::new();
@@ -533,7 +451,7 @@ pub(crate) fn detect_batch(
     for (prog, pfps) in fps.iter().enumerate() {
         let mut plan = Vec::new();
         for slot in plan_slots(pfps, level, mode) {
-            let hit = cache
+            let hit = session
                 .lookup(&slot.key)
                 .map(|e| slot.answer(&e.findings, &sums[prog]));
             let first_miss = hit.is_none() && planned.insert(slot.key);
@@ -559,13 +477,13 @@ pub(crate) fn detect_batch(
 
     // Which misses may publish lemmas at the merge point — a plan-time
     // fact, so the pool's evolution is byte-identical at any thread count.
-    let publish = publishable_flags(&misses, cache, pool);
+    let publish = publishable_flags(&misses, session, pool);
 
     // Solve (parallel): each unique key exactly once, against the shared
     // retained-state shards.
-    let (outcomes, worker_stats) = run_pool(engine.threads(), &misses, |(prog, m)| {
+    let outcomes = run_pool(engine.threads(), &misses, |(prog, m)| {
         let ts = m.members(&sums[*prog]);
-        let states = cache.states();
+        let states = session.states();
         let mut state = states
             .take(&m.key.state())
             .unwrap_or_else(|| GroupState::new(&ts));
@@ -594,30 +512,23 @@ pub(crate) fn detect_batch(
             proofs,
         }
     });
-    if per_worker.len() < worker_stats.len() {
-        per_worker.resize(worker_stats.len(), WorkerStats::default());
-    }
-    for (slot, ws) in worker_stats.iter().enumerate() {
-        per_worker[slot].absorb(ws);
-    }
 
     // Merge (serial, plan order): insert verdicts and publish lemmas in
     // the serial work order, whatever order the workers finished in.
     for (((prog, m), o), publish) in misses.iter().zip(outcomes).zip(publish) {
-        let o = o.expect("every miss was solved");
-        cache.stats_mut().solver_reuses += u64::from(o.solver_reused);
-        cache.stats_mut().learnt_seeded += o.stats.learnt_seeded;
-        add_solve_stats(&mut batch.solve, &o.stats);
+        session.stats_mut().solver_reuses += u64::from(o.solver_reused);
+        session.stats_mut().learnt_seeded += o.stats.learnt_seeded;
+        batch.solve += o.stats;
         if let (true, Some(pool)) = (publish, pool) {
-            publish_state(cache, pool, &m.key);
+            publish_state(session, pool, &m.key);
         }
-        cache.insert(m.key, &m.members(&sums[*prog]), o.findings, o.proofs);
+        session.insert(m.key, &m.members(&sums[*prog]), o.findings, o.proofs);
     }
     for (prog, m) in settled {
-        cache.insert(m.key, &m.members(&sums[prog]), Vec::new(), Vec::new());
+        session.insert(m.key, &m.members(&sums[prog]), Vec::new(), Vec::new());
     }
 
-    // Answer (serial): the missed slots from the merged cache, each
+    // Answer (serial): the missed slots from the merged session, each
     // labelled by its own program, and every slot folded in slot order —
     // merge order is part of the oracle's observable behaviour (see
     // `accumulate`).
@@ -634,7 +545,9 @@ pub(crate) fn detect_batch(
             let mut found = BTreeMap::new();
             for (slot, hit) in plan {
                 let pairs = hit.unwrap_or_else(|| {
-                    let e = cache.entry(&slot.key).expect("every missed key was solved");
+                    let e = session
+                        .entry(&slot.key)
+                        .expect("every missed key was solved");
                     slot.answer(&e.findings, &sums[prog])
                 });
                 accumulate(&mut found, pairs);
@@ -648,27 +561,10 @@ pub(crate) fn detect_batch(
     (verdicts, batch)
 }
 
-/// One program through [`detect_batch`]: its verdicts with the complete
-/// pass statistics (slot counts, the solve counters, wall-clock seconds).
-pub(crate) fn detect_with_cache(
-    engine: &DetectionEngine,
-    program: &Program,
-    level: ConsistencyLevel,
-    mode: DetectMode,
-    cache: &mut VerdictCache,
-    per_worker: &mut Vec<WorkerStats>,
-) -> (Vec<AccessPair>, DetectStats) {
-    let (mut out, batch) = detect_batch(engine, &[program], level, mode, cache, per_worker);
-    let (verdicts, mut stats) = out.pop().expect("one program in, one verdict out");
-    add_solve_stats(&mut stats, &batch.solve);
-    stats.seconds = batch.seconds;
-    (verdicts, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::{detect_anomalies, AnomalyKind};
+    use crate::detect::{detect_anomalies_fresh, AnomalyKind};
     use atropos_dsl::parse;
 
     const TWO_TXNS: &str = "schema T { id: int key, v: int, w: int }
@@ -687,32 +583,21 @@ mod tests {
     fn engine_matches_plain_detection_at_every_thread_count() {
         let p = parse(TWO_TXNS).unwrap();
         for level in ConsistencyLevel::ALL {
-            let reference = detect_anomalies(&p, level);
+            let (reference, _) = detect_anomalies_fresh(&p, level);
             for threads in [1, 2, 8] {
                 let engine = DetectionEngine::new(threads);
                 let mut session = DetectSession::new();
-                let (got, stats) = engine.detect(&p, level, &mut session);
+                let (got, stats) =
+                    engine.detect_with_mode(&p, level, DetectMode::Pairs, &mut session);
                 assert_eq!(got, reference, "{threads} threads @ {level}");
                 assert_eq!(stats.pairs, 4);
                 // Warm second pass: zero queries, same verdicts.
-                let (again, warm) = engine.detect(&p, level, &mut session);
+                let (again, warm) =
+                    engine.detect_with_mode(&p, level, DetectMode::Pairs, &mut session);
                 assert_eq!(again, reference);
                 assert_eq!(warm.queries, 0);
             }
         }
-    }
-
-    #[test]
-    fn per_worker_counters_cover_all_dirty_pairs() {
-        let p = parse(TWO_TXNS).unwrap();
-        let engine = DetectionEngine::new(2);
-        let mut session = DetectSession::new();
-        let (_, stats) = engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
-        let solved: u64 = session.per_worker().iter().map(|w| w.pairs_solved).sum();
-        assert_eq!(solved, stats.pairs, "all 4 pairs were dirty on a cold cache");
-        let queries: u64 = session.per_worker().iter().map(|w| w.queries).sum();
-        assert_eq!(queries, stats.queries);
-        assert!(session.per_worker().len() <= 2);
     }
 
     #[test]
@@ -747,7 +632,7 @@ mod tests {
         let ec = ConsistencyLevel::EventualConsistency;
         let engine = DetectionEngine::serial();
         let mut session = DetectSession::new();
-        let (pairs_only, _) = engine.detect(&p, ec, &mut session);
+        let (pairs_only, _) = engine.detect_with_mode(&p, ec, DetectMode::Pairs, &mut session);
         assert!(pairs_only.is_empty(), "pair oracle is blind here: {pairs_only:?}");
         let (with_triples, stats) =
             engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut session);

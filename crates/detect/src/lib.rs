@@ -17,35 +17,38 @@
 //!   ([`pattern_satisfiable`]) and the incremental [`PairSolver`] (one
 //!   solver per instance group, level axioms as activation-literal-guarded
 //!   groups, queries via assumptions);
-//! * [`detect`] — the four pair templates, the public oracle
-//!   [`detect_anomalies`] (plus multi-level, instrumented, fresh, and
-//!   differential variants), the solve frame every bound shares, and
-//!   [`DetectStats`];
+//! * [`detect`] — the four pair templates, the convenience oracle
+//!   [`detect_anomalies`], the fresh-solver reference oracle and the
+//!   differential runner tests compare against, the solve frame every
+//!   bound shares, and [`DetectStats`];
 //! * [`triple`] — the three-instance chain templates of
 //!   [`DetectMode::Triples`];
-//! * [`cache`] — transaction fingerprinting and the [`VerdictCache`]
-//!   behind [`detect_anomalies_cached`], the near-incremental oracle the
-//!   repair loop re-invokes after every refactoring step: verdicts,
-//!   retained solvers and the [`LearntPool`] keyed by one instance-group
-//!   key;
+//! * [`cache`] — transaction fingerprinting and what a session caches:
+//!   verdicts, retained solvers and the [`LearntPool`], keyed by one
+//!   instance-group key;
 //! * [`engine`] — the [`DetectionEngine`] and the one detection driver:
-//!   plan a batch of programs against the cache, solve the deduplicated
+//!   plan a batch of programs against the session, solve the deduplicated
 //!   misses on a scoped-thread worker pool (`ATROPOS_THREADS`-controlled),
 //!   and merge deterministically;
-//! * [`session`] — the [`DetectSession`]: a verdict cache with a session
-//!   lifetime, shared across repair runs so common transaction shapes hit
-//!   warm verdicts (cross-run counters in [`CacheStats`]), persisted to
-//!   and loaded from a store directory;
+//! * [`session`] — the [`DetectSession`], the only cache handle: verdicts,
+//!   retained solvers, counters and liveness with a session lifetime,
+//!   shared across repair runs so common transaction shapes hit warm
+//!   verdicts (cross-run counters in [`CacheStats`]), persisted to and
+//!   loaded from a store directory;
 //! * [`corpus`] — fleet scale: the sharded `verdict_cache.v2` store
 //!   (per-shard advisory locks, checksummed record logs, union merge,
-//!   compaction/eviction) and the [`CorpusService`] that runs the driver
-//!   over a whole directory of programs at once;
+//!   compaction/eviction) and [`analyse_corpus`], the driver over a whole
+//!   corpus of programs at once;
 //! * [`replay`] — witness replay: the satisfying assignment behind a dirty
 //!   verdict is decoded ([`decode_witness`]) into a concrete
 //!   [`atropos_sim::ConcreteSchedule`] and executed deterministically on
 //!   the simulated cluster, proving the anomaly observable (and, after
 //!   repair, suppressed). A [`WitnessDecoder`] decodes a whole report,
 //!   encoding each transaction tuple once, byte-identically.
+//!
+//! Detection runs three ways: [`DetectionEngine::detect_with_mode`] over
+//! one program, [`analyse_corpus`] over a corpus, and [`detect_anomalies`]
+//! as a one-shot serial pass.
 //!
 //! # Examples
 //!
@@ -77,20 +80,15 @@ pub mod replay;
 pub mod session;
 pub mod triple;
 
-pub use cache::{
-    cmd_fingerprint, txn_fingerprint, CacheStats, LearntPool, VerdictAudit, VerdictCache,
-};
+pub use cache::{cmd_fingerprint, txn_fingerprint, CacheStats, LearntPool, VerdictAudit};
 pub use corpus::{
-    analyse_corpus, CompactionReport, CorpusReport, CorpusService, CorpusStats, CorpusStore,
-    CorpusVerdict, EvictionPolicy,
+    analyse_corpus, CompactionReport, CorpusStats, CorpusStore, CorpusVerdict, EvictionPolicy,
 };
-pub use engine::{DetectMode, DetectionEngine, WorkerStats};
+pub use engine::{DetectMode, DetectionEngine};
 pub use session::DetectSession;
 pub use detect::{
-    detect_anomalies, detect_anomalies_at_levels, detect_anomalies_cached,
-    detect_anomalies_fresh, detect_anomalies_marked, detect_anomalies_triples,
-    detect_anomalies_with_stats, detect_differential, AccessPair, AnomalyKind, DetectStats,
-    DifferentialReport,
+    detect_anomalies, detect_anomalies_fresh, detect_differential, AccessPair, AnomalyKind,
+    DetectStats, DifferentialReport,
 };
 pub use encode::{pattern_satisfiable, ConsistencyLevel, InstanceModel, PairSolver, WitnessTruth};
 pub use replay::{decode_witness, decode_witness_marked, replay_verdict, WitnessDecoder};

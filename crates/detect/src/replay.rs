@@ -866,8 +866,16 @@ fn build_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::{detect_anomalies, detect_anomalies_triples};
+    use crate::detect::detect_anomalies;
+    use crate::{DetectMode, DetectSession, DetectionEngine};
     use atropos_dsl::parse;
+
+    /// One triple-mode pass of the serial engine over a fresh session.
+    fn detect_triples(p: &Program, level: ConsistencyLevel) -> Vec<AccessPair> {
+        DetectionEngine::serial()
+            .detect_with_mode(p, level, DetectMode::Triples, &mut DetectSession::new())
+            .0
+    }
 
     const COUNTER: &str = "schema T { id: int key, v: int }
          txn bump(k: int) {
@@ -934,7 +942,7 @@ mod tests {
     fn observer_chain_decodes_and_manifests() {
         let p = parse(RELAY).unwrap();
         let ec = ConsistencyLevel::EventualConsistency;
-        let (verdicts, _) = detect_anomalies_triples(&p, ec);
+        let verdicts = detect_triples(&p, ec);
         let chain = verdicts
             .iter()
             .find(|v| v.kind == AnomalyKind::ObserverChain)
@@ -953,7 +961,7 @@ mod tests {
     fn decoding_is_deterministic() {
         let p = parse(RELAY).unwrap();
         let ec = ConsistencyLevel::EventualConsistency;
-        let (verdicts, _) = detect_anomalies_triples(&p, ec);
+        let verdicts = detect_triples(&p, ec);
         for v in &verdicts {
             assert_eq!(
                 decode_witness(&p, v, ec),

@@ -1,35 +1,64 @@
-//! Session-scoped detection state: one [`VerdictCache`] (plus per-worker
-//! accounting) shared across many detection passes *and many repair runs*.
+//! The verdict cache with a session lifetime: one [`DetectSession`] holds
+//! every cached verdict, the retained solvers, the cache counters and the
+//! liveness union, and is shared across many detection passes *and many
+//! repair runs*.
 //!
-//! PR 3's verdict cache lived and died with a single `repair_with_config`
-//! call. A [`DetectSession`] promotes it to a session lifetime: an ablation
-//! sweep, a random-search baseline, or a whole benchmark suite constructs
-//! one session and hands it to every run, so transaction shapes shared
-//! between runs (CLOTHO-style sweeps re-analyse the same workloads under
-//! many configurations) are answered from warm verdicts instead of
-//! re-solved. Run boundaries are explicit ([`DetectSession::begin_run`]);
-//! the cache attributes hits crossing a boundary to its cross-run counters,
-//! and [`DetectSession::sweep`] bounds memory between runs by resetting
-//! liveness to a single program (see the liveness-union contract in
-//! [`crate::cache`]).
+//! An ablation sweep, a random-search baseline, or a whole benchmark suite
+//! constructs one session and hands it to every run, so transaction shapes
+//! shared between runs (CLOTHO-style sweeps re-analyse the same workloads
+//! under many configurations) are answered from warm verdicts instead of
+//! re-solved. Run boundaries are explicit ([`DetectSession::begin_run`]):
+//! hits crossing a boundary count towards the cross-run counters of
+//! [`CacheStats`].
+//!
+//! # The invalidation contract
+//!
+//! Soundness never depends on explicit invalidation (a changed group simply
+//! misses; see the fingerprint in [`crate::cache`]), but every refactoring
+//! rule still reports the transactions it dirtied, so a driver can call
+//! [`DetectSession::invalidate_txns_changed`]: this evicts the entries
+//! whose member fingerprints did not survive the step (bounding memory
+//! across long repair runs) and keeps the reuse statistics honest.
+//!
+//! # Multi-run lifetimes
+//!
+//! Liveness for the per-pass garbage sweep is computed against the **union
+//! of all programs seen** since construction (or since the last explicit
+//! [`DetectSession::sweep`]), so warm entries from a prior run are neither
+//! stranded behind a narrower program nor prematurely dropped before that
+//! run's program comes back. Callers that want memory bounded between runs
+//! call [`DetectSession::sweep`] (one program) or
+//! [`DetectSession::sweep_corpus`] (a corpus) explicitly, which resets
+//! liveness.
 
-use atropos_dsl::Program;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io;
 use std::path::Path;
 
-use crate::cache::{CacheStats, VerdictCache};
-use crate::corpus::CorpusStore;
-use crate::engine::WorkerStats;
+use atropos_dsl::Program;
 
-/// A verdict cache with a session lifetime, plus the per-worker counters
-/// of every [`crate::DetectionEngine`] pass run against it.
+use crate::cache::{
+    txn_fingerprint, CacheStats, GroupKey, ShardedStates, VerdictAudit, VerdictEntry,
+};
+use crate::corpus::CorpusStore;
+use crate::detect::Finding;
+use crate::model::{summarize_program, TxnSummary};
+
+/// Per-group anomaly verdicts and retained solvers, keyed by transaction
+/// fingerprints, with a session lifetime. Every
+/// [`crate::DetectionEngine`] pass and [`crate::analyse_corpus`] batch
+/// reads and refreshes one; the repair driver owns one per run or, across
+/// runs, one per whole benchmark sweep.
+///
+/// See the [module docs](self) for the invalidation and multi-run liveness
+/// contracts, and [`crate::cache`] for the fingerprint and the group key.
 ///
 /// # Examples
 ///
 /// Sharing one session across two repair-style runs of the same program:
 ///
 /// ```
-/// use atropos_detect::{ConsistencyLevel, DetectionEngine, DetectSession};
+/// use atropos_detect::{ConsistencyLevel, DetectMode, DetectionEngine, DetectSession};
 ///
 /// let p = atropos_dsl::parse(
 ///     "schema T { id: int key, v: int }
@@ -39,146 +68,278 @@ use crate::engine::WorkerStats;
 ///          return 0;
 ///      }",
 /// ).unwrap();
-/// let engine = DetectionEngine::serial();
+/// let (engine, ec) = (DetectionEngine::serial(), ConsistencyLevel::EventualConsistency);
 /// let mut session = DetectSession::new();
 /// session.begin_run();
-/// engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
+/// engine.detect_with_mode(&p, ec, DetectMode::Pairs, &mut session);
 /// session.begin_run(); // a second run: same shapes hit warm
-/// engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut session);
+/// engine.detect_with_mode(&p, ec, DetectMode::Pairs, &mut session);
 /// assert!(session.cache_stats().cross_run_hit_ratio() > 0.99);
 /// ```
-#[derive(Default)]
 pub struct DetectSession {
-    cache: VerdictCache,
-    per_worker: Vec<WorkerStats>,
+    verdicts: HashMap<GroupKey, VerdictEntry>,
+    states: ShardedStates,
+    stats: CacheStats,
+    /// Union of every live transaction fingerprint seen since construction
+    /// or the last explicit sweep: the liveness set the per-pass garbage
+    /// sweep checks entries against.
+    live: BTreeSet<u64>,
+    /// Current run number; 0 until [`DetectSession::begin_run`] is called.
+    run: u64,
+}
+
+impl Default for DetectSession {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl DetectSession {
     /// Creates an empty session.
     pub fn new() -> DetectSession {
         DetectSession {
-            cache: VerdictCache::new(),
-            per_worker: Vec::new(),
+            verdicts: HashMap::new(),
+            states: ShardedStates::new(),
+            stats: CacheStats::default(),
+            live: BTreeSet::new(),
+            run: 0,
         }
     }
 
     /// Marks the start of one run (a repair call, one sweep configuration,
     /// one random-search round). Warm entries stay; hits on entries from
-    /// earlier runs count towards [`CacheStats::cross_run_hits`].
+    /// earlier runs count towards [`CacheStats::cross_run_hits`]. Eviction
+    /// is the business of [`DetectSession::sweep`], not of run accounting.
     pub fn begin_run(&mut self) {
-        self.cache.advance_run();
+        self.run += 1;
     }
 
     /// Runs started on this session.
     pub fn runs(&self) -> u64 {
-        self.cache.runs()
+        self.run
     }
 
-    /// The session cache's lifetime counters.
+    /// The session's lifetime counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.stats
     }
 
     /// Cached pair-verdict entries currently held.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        self.verdicts.keys().filter(|k| k.k() == 2).count()
     }
 
     /// Cached triple-verdict entries currently held.
     pub fn triple_len(&self) -> usize {
-        self.cache.triple_len()
+        self.verdicts.keys().filter(|k| k.k() == 3).count()
     }
 
-    /// True when no verdicts are cached yet.
+    /// True when no verdicts (pair or triple) are cached.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.verdicts.is_empty()
     }
 
-    /// Cumulative per-worker counters across every engine pass this
-    /// session served, indexed by worker slot.
-    pub fn per_worker(&self) -> &[WorkerStats] {
-        &self.per_worker
-    }
-
-    /// Every proof certificate blob stored in the session's cache, in
-    /// deterministic entry order (see [`VerdictCache::proof_blobs`]).
-    /// Empty unless a proof-capturing engine ran against this session.
+    /// Every proof certificate blob stored in the session, in sorted key
+    /// order (pair entries before triple entries), so the sequence is
+    /// deterministic across runs and thread counts. Empty unless a
+    /// proof-capturing engine ran against this session.
     pub fn proof_blobs(&self) -> Vec<Vec<u8>> {
-        self.cache.proof_blobs()
+        self.entries()
+            .into_iter()
+            .flat_map(|(_, e)| e.proofs.iter().cloned())
+            .collect()
     }
 
-    /// One audit record per cached verdict, in deterministic entry order
-    /// (see [`VerdictCache::audits`]) — the raw material of the anomaly
+    /// One audit record per cached verdict, in sorted key order (pair
+    /// entries before triple entries): the raw material of the anomaly
     /// reports.
-    pub fn audits(&self) -> Vec<crate::cache::VerdictAudit> {
-        self.cache.audits()
+    pub fn audits(&self) -> Vec<VerdictAudit> {
+        self.entries()
+            .into_iter()
+            .map(|(k, e)| VerdictAudit {
+                txns: e.txns.clone(),
+                level: k.level,
+                anomalies: e.findings.len(),
+                proofs: e.proofs.clone(),
+            })
+            .collect()
     }
 
-    /// Explicit between-runs sweep: resets liveness to exactly `program`
-    /// and evicts everything else (see [`VerdictCache::sweep`]). Returns
+    /// Explicit between-runs sweep: **resets** liveness to exactly
+    /// `program` and garbage-collects every verdict and retained solver
+    /// whose fingerprints do not occur in it. The per-pass sweep only ever
+    /// checks against the *union* of programs seen, so this is the call
+    /// that bounds memory once a run's entries are genuinely dead. An
+    /// entry the sweep keeps is guaranteed to hit again on the next pass
+    /// over `program` (its transactions' summaries are unchanged). Returns
     /// the number of verdict entries evicted.
     pub fn sweep(&mut self, program: &Program) -> usize {
-        self.cache.sweep(program)
+        self.sweep_corpus([program])
     }
 
-    /// Between-runs sweep for corpus drivers: resets liveness to the
-    /// **union** of every program in `programs` (rather than the single
-    /// program of [`DetectSession::sweep`]), evicting entries stranded by
-    /// intermediate refactoring states while keeping every corpus
+    /// [`DetectSession::sweep`] for corpus drivers: resets liveness to the
+    /// **union** of every program in `programs`, evicting entries stranded
+    /// by intermediate refactoring states while keeping every corpus
     /// program's shapes warm. Returns the number of verdict entries
     /// evicted.
-    pub fn sweep_corpus<'a>(
-        &mut self,
-        programs: impl IntoIterator<Item = &'a Program>,
-    ) -> usize {
-        let fps = programs
+    pub fn sweep_corpus<'a>(&mut self, programs: impl IntoIterator<Item = &'a Program>) -> usize {
+        self.live = programs
             .into_iter()
             .flat_map(|p| {
-                crate::model::summarize_program(p)
+                summarize_program(p)
                     .iter()
-                    .map(crate::cache::txn_fingerprint)
+                    .map(txn_fingerprint)
                     .collect::<Vec<_>>()
             })
             .collect();
-        self.cache.sweep_fps(fps)
+        self.retain_live()
     }
 
-    /// Evicts exactly the cached verdicts whose transactions *changed
-    /// shape* in `after` — a renamed-but-identical transaction (its
-    /// summary fingerprint is label-blind) keeps its entries, so a
-    /// rename-only refactoring step stays fully warm (see
-    /// [`VerdictCache::invalidate_txns_changed`]). Returns the number of
-    /// verdict entries evicted.
-    pub fn invalidate_txns_changed(
-        &mut self,
-        txns: &std::collections::BTreeSet<String>,
-        after: &Program,
-    ) -> usize {
-        self.cache.invalidate_txns_changed(txns, after)
+    /// Precise, fingerprint-checked eviction: evicts the verdict entries
+    /// (and retained solvers) of every group with a member among the named
+    /// transactions **whose summary fingerprint actually changed**, i.e.
+    /// the name is absent from `after`, or present with a different
+    /// fingerprint. A pure relabeling leaves every fingerprint intact, so
+    /// this keeps the warm entries a relabeled program still hits, and a
+    /// warm re-detection after a rename-only step equals a cold oracle
+    /// without re-solving anything. Returns the number of verdict entries
+    /// evicted.
+    pub fn invalidate_txns_changed(&mut self, txns: &BTreeSet<String>, after: &Program) -> usize {
+        // Fingerprints the post-edit program assigns to each txn name; a
+        // dirtied name keeps its entries only if its fingerprint survived.
+        let after_fps: HashMap<String, u64> = summarize_program(after)
+            .iter()
+            .map(|t| (t.name.clone(), txn_fingerprint(t)))
+            .collect();
+        // Member fingerprints name their transaction (the name is hashed),
+        // and every retained solver's group also has an entry, so the
+        // stale fingerprints read off the entries cover the states too.
+        let stale: HashSet<u64> = self
+            .verdicts
+            .iter()
+            .flat_map(|(k, e)| k.fps().iter().zip(&e.txns))
+            .filter(|(fp, name)| txns.contains(*name) && after_fps.get(*name) != Some(fp))
+            .map(|(fp, _)| *fp)
+            .collect();
+        self.retain_groups(|k| k.fps().iter().all(|fp| !stale.contains(fp)))
     }
 
-    /// Split borrow for the engine: the cache and the per-worker counters.
-    pub(crate) fn cache_and_workers(&mut self) -> (&mut VerdictCache, &mut Vec<WorkerStats>) {
-        (&mut self.cache, &mut self.per_worker)
+    /// Shared handle to the sharded solver-retention map, for the engine's
+    /// workers.
+    pub(crate) fn states(&self) -> &ShardedStates {
+        &self.states
     }
 
-    /// The session's cache (the corpus store merges from it).
-    pub(crate) fn cache(&self) -> &VerdictCache {
-        &self.cache
+    /// Mutable access to the lifetime counters, for the engine's merge.
+    pub(crate) fn stats_mut(&mut self) -> &mut CacheStats {
+        &mut self.stats
     }
 
-    /// Mutable access for in-crate callers that drive the cache directly.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn cache_mut(&mut self) -> &mut VerdictCache {
-        &mut self.cache
+    /// The per-pass sweep: folds the pass's live transaction fingerprints
+    /// into the liveness union, then garbage-collects entries outside the
+    /// union. The detection driver calls this at the start of every pass
+    /// with the fingerprints it computes anyway. Within a single-program
+    /// lifetime this degenerates to the precise per-program sweep.
+    pub(crate) fn sweep_live(&mut self, fps: &[u64]) -> usize {
+        self.live.extend(fps.iter().copied());
+        self.retain_live()
     }
 
-    /// Wraps an already-loaded cache (the v2 store's load path).
-    pub(crate) fn from_cache(cache: VerdictCache) -> DetectSession {
-        DetectSession {
-            cache,
-            per_worker: Vec::new(),
+    fn retain_live(&mut self) -> usize {
+        let live = std::mem::take(&mut self.live);
+        let evicted = self.retain_groups(|k| k.fps().iter().all(|fp| live.contains(fp)));
+        self.live = live;
+        evicted
+    }
+
+    /// Keeps exactly the verdicts and retained solvers whose group
+    /// satisfies `keep`, counting the evicted verdict entries.
+    fn retain_groups(&mut self, keep: impl Fn(&GroupKey) -> bool) -> usize {
+        let before = self.verdicts.len();
+        self.verdicts.retain(|k, _| keep(k));
+        self.states.retain(&keep);
+        let evicted = before - self.verdicts.len();
+        self.stats.invalidated += evicted as u64;
+        evicted
+    }
+
+    /// Looks up the cached verdict of one group, bumping the hit/miss
+    /// statistics of its size and, past the first run boundary, the shared
+    /// cross-run counters.
+    pub(crate) fn lookup(&mut self, key: &GroupKey) -> Option<&VerdictEntry> {
+        let s = &mut self.stats;
+        let (lookups, hits, misses) = if key.k() == 2 {
+            (&mut s.lookups, &mut s.hits, &mut s.misses)
+        } else {
+            (
+                &mut s.triple_lookups,
+                &mut s.triple_hits,
+                &mut s.triple_misses,
+            )
+        };
+        *lookups += 1;
+        // Cross-run accounting engages from the second run onwards: only
+        // then can a lookup possibly be served by an earlier run's entry.
+        let cross = self.run >= 2;
+        if cross {
+            s.cross_run_lookups += 1;
         }
+        match self.verdicts.get(key) {
+            Some(e) => {
+                *hits += 1;
+                if cross && e.run < self.run {
+                    s.cross_run_hits += 1;
+                }
+                Some(e)
+            }
+            None => {
+                *misses += 1;
+                None
+            }
+        }
+    }
+
+    /// The cached verdict of one group, without touching the statistics.
+    pub(crate) fn entry(&self, key: &GroupKey) -> Option<&VerdictEntry> {
+        self.verdicts.get(key)
+    }
+
+    /// Inserts the raw findings of one group analysis; `ts` are the
+    /// members in key orientation.
+    pub(crate) fn insert(
+        &mut self,
+        key: GroupKey,
+        ts: &[&TxnSummary],
+        findings: Vec<Finding>,
+        proofs: Vec<Vec<u8>>,
+    ) {
+        let txns = ts.iter().map(|t| t.name.clone()).collect();
+        self.verdicts.insert(
+            key,
+            VerdictEntry {
+                txns,
+                run: self.run,
+                findings,
+                proofs,
+            },
+        );
+    }
+
+    /// Every entry, sorted by key: the deterministic iteration order the
+    /// store encodes records in and the certificates are reported in.
+    pub(crate) fn entries(&self) -> Vec<(&GroupKey, &VerdictEntry)> {
+        let mut out: Vec<_> = self.verdicts.iter().collect();
+        out.sort_by_key(|(k, _)| **k);
+        out
+    }
+
+    /// Installs an entry loaded from a persistent store into run 0, seeding
+    /// the liveness union with its fingerprints, so a later pass over
+    /// *any* of the programs the entries came from answers warm instead of
+    /// sweeping the rest away first.
+    pub(crate) fn absorb(&mut self, key: GroupKey, entry: VerdictEntry) {
+        self.live.extend(key.fps().iter().copied());
+        self.verdicts.insert(key, entry);
     }
 
     /// Persists every pair and triple verdict entry into the sharded
@@ -201,8 +362,8 @@ impl DetectSession {
     /// Propagates I/O errors from writing the store; a `dir` that is a
     /// regular file is refused with [`io::ErrorKind::NotADirectory`].
     pub fn save_to(&self, dir: impl AsRef<Path>) -> io::Result<usize> {
-        CorpusStore::open(dir)?.merge_cache(&self.cache)?;
-        Ok(self.cache.len() + self.cache.triple_len())
+        CorpusStore::open(dir)?.merge_cache(self)?;
+        Ok(self.len() + self.triple_len())
     }
 
     /// Reconstructs a session from a [`DetectSession::save_to`] store
@@ -225,9 +386,7 @@ impl DetectSession {
                 format!("verdict_cache.v2: no store at {}", dir.display()),
             ));
         }
-        Ok(DetectSession::from_cache(
-            CorpusStore::open(dir)?.load_cache()?,
-        ))
+        CorpusStore::open(dir)?.load_cache()
     }
 }
 
@@ -235,8 +394,19 @@ impl DetectSession {
 mod tests {
     use super::*;
     use crate::engine::{DetectMode, DetectionEngine};
-    use crate::ConsistencyLevel;
+    use crate::{AccessPair, ConsistencyLevel, DetectStats};
     use std::path::PathBuf;
+
+    const EC: ConsistencyLevel = ConsistencyLevel::EventualConsistency;
+
+    /// One EC pass in pair mode.
+    fn pairs(
+        engine: &DetectionEngine,
+        p: &Program,
+        session: &mut DetectSession,
+    ) -> (Vec<AccessPair>, DetectStats) {
+        engine.detect_with_mode(p, EC, DetectMode::Pairs, session)
+    }
 
     const RELAY: &str = "schema MSG { m_id: int key, m_body: string }
          schema FEED { f_id: int key, f_body: string }
@@ -275,26 +445,24 @@ mod tests {
     }
 
     /// A store holding the Relay program's EC pair verdicts.
-    fn saved_store(tag: &str) -> (PathBuf, Vec<crate::AccessPair>) {
+    fn saved_store(tag: &str) -> (PathBuf, Vec<AccessPair>) {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let mut session = DetectSession::new();
-        let ec = ConsistencyLevel::EventualConsistency;
-        let (pairs, _) = DetectionEngine::serial().detect(&p, ec, &mut session);
+        let (verdicts, _) = pairs(&DetectionEngine::serial(), &p, &mut session);
         let dir = scratch(tag);
         assert!(session.save_to(&dir).expect("save") > 0);
-        (dir, pairs)
+        (dir, verdicts)
     }
 
     #[test]
     fn verdicts_roundtrip_across_processes() {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let engine = DetectionEngine::serial();
-        let ec = ConsistencyLevel::EventualConsistency;
 
         // "Process one": detect in both modes and persist.
         let mut first = DetectSession::new();
-        let (pairs, _) = engine.detect(&p, ec, &mut first);
-        let (triples, _) = engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut first);
+        let (verdicts, _) = pairs(&engine, &p, &mut first);
+        let (triples, _) = engine.detect_with_mode(&p, EC, DetectMode::Triples, &mut first);
         let dir = scratch("verdict_cache");
         let entries = first.save_to(&dir).expect("save");
         assert!(entries > 0);
@@ -302,10 +470,9 @@ mod tests {
         // "Process two": load and re-detect — same verdicts, zero queries.
         let mut second = DetectSession::load_from(&dir).expect("load");
         let before = second.cache_stats();
-        let (again_pairs, sp) = engine.detect(&p, ec, &mut second);
-        let (again_triples, st) =
-            engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut second);
-        assert_eq!(again_pairs, pairs);
+        let (again_pairs, sp) = pairs(&engine, &p, &mut second);
+        let (again_triples, st) = engine.detect_with_mode(&p, EC, DetectMode::Triples, &mut second);
+        assert_eq!(again_pairs, verdicts);
         assert_eq!(again_triples, triples);
         assert_eq!(sp.queries + st.queries, 0, "persisted verdicts must replay");
         let delta = second.cache_stats().since(&before);
@@ -375,7 +542,7 @@ mod tests {
     fn killed_save_leaves_previous_file_loadable() {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let engine = DetectionEngine::serial();
-        let (dir, pairs) = saved_store("crash_save");
+        let (dir, verdicts) = saved_store("crash_save");
         let shard = shards(&dir).pop().expect("at least one shard");
         let good = std::fs::read(&shard).expect("read saved shard");
 
@@ -387,9 +554,8 @@ mod tests {
         // The real shard is untouched and still loads to the same verdicts.
         assert_eq!(std::fs::read(&shard).expect("reread"), good);
         let mut reloaded = DetectSession::load_from(&dir).expect("load survives the crash");
-        let (again, stats) =
-            engine.detect(&p, ConsistencyLevel::EventualConsistency, &mut reloaded);
-        assert_eq!(again, pairs);
+        let (again, stats) = pairs(&engine, &p, &mut reloaded);
+        assert_eq!(again, verdicts);
         assert_eq!(stats.queries, 0, "reloaded verdicts replay warm");
 
         // And a completed save atomically replaces the shard, leaving no
@@ -402,12 +568,12 @@ mod tests {
             .collect();
         left.sort();
         assert!(left.is_empty(), "debris: {left:?}");
-        let (again, stats) = engine.detect(
+        let (again, stats) = pairs(
+            &engine,
             &p,
-            ConsistencyLevel::EventualConsistency,
             &mut DetectSession::load_from(&dir).expect("load after resave"),
         );
-        assert_eq!((again, stats.queries), (pairs, 0));
+        assert_eq!((again, stats.queries), (verdicts, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -418,10 +584,9 @@ mod tests {
     fn directory_paths_dispatch_to_the_v2_store() {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let engine = DetectionEngine::serial();
-        let ec = ConsistencyLevel::EventualConsistency;
         let mut first = DetectSession::new();
-        let (pairs, _) = engine.detect(&p, ec, &mut first);
-        let (triples, _) = engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut first);
+        let (verdicts, _) = pairs(&engine, &p, &mut first);
+        let (triples, _) = engine.detect_with_mode(&p, EC, DetectMode::Triples, &mut first);
 
         let dir = scratch("session_store").join("nested");
         let Err(err) = DetectSession::load_from(&dir) else {
@@ -433,9 +598,9 @@ mod tests {
         assert_eq!(entries, first.len() + first.triple_len());
 
         let mut second = DetectSession::load_from(&dir).expect("load from store");
-        let (again_pairs, sp) = engine.detect(&p, ec, &mut second);
-        let (again_triples, st) = engine.detect_with_mode(&p, ec, DetectMode::Triples, &mut second);
-        assert_eq!(again_pairs, pairs);
+        let (again_pairs, sp) = pairs(&engine, &p, &mut second);
+        let (again_triples, st) = engine.detect_with_mode(&p, EC, DetectMode::Triples, &mut second);
+        assert_eq!(again_pairs, verdicts);
         assert_eq!(again_triples, triples);
         assert_eq!(sp.queries + st.queries, 0, "store verdicts replay warm");
         let _ = std::fs::remove_dir_all(dir.parent().expect("scratch root"));
@@ -447,7 +612,7 @@ mod tests {
     /// uncertified records are refused and re-solved.
     #[test]
     fn stale_encoder_revision_is_refused() {
-        let (dir, pairs) = saved_store("stale_revision");
+        let (dir, verdicts) = saved_store("stale_revision");
         // Rewind every shard's encoder-revision field (the 4 bytes after
         // the magic) to a foreign value, leaving everything else
         // byte-identical.
@@ -463,12 +628,8 @@ mod tests {
             "proofless stale records must be refused"
         );
         let p = atropos_dsl::parse(RELAY).unwrap();
-        let (again, stats) = DetectionEngine::serial().detect(
-            &p,
-            ConsistencyLevel::EventualConsistency,
-            &mut session,
-        );
-        assert_eq!(again, pairs);
+        let (again, stats) = pairs(&DetectionEngine::serial(), &p, &mut session);
+        assert_eq!(again, verdicts);
         assert_eq!(
             session.cache_stats().misses,
             stats.pairs,

@@ -7,9 +7,8 @@
 use std::path::{Path, PathBuf};
 
 use atropos_detect::corpus::{CorpusStore, EvictionPolicy};
-use atropos_detect::{
-    detect_anomalies_cached, ConsistencyLevel, DetectSession, DetectionEngine, VerdictCache,
-};
+use atropos_detect::{ConsistencyLevel, DetectMode, DetectSession, DetectionEngine};
+use atropos_dsl::Program;
 
 const COUNTER: &str = "schema C { id: int key, cnt: int }
      txn bump(k: int) {
@@ -39,11 +38,17 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn warm_cache(src: &str) -> VerdictCache {
+/// One pair-mode pass of `engine` at `level`.
+fn detect(engine: &DetectionEngine, p: &Program, level: ConsistencyLevel, s: &mut DetectSession) {
+    engine.detect_with_mode(p, level, DetectMode::Pairs, s);
+}
+
+/// A session holding `src`'s EC pair verdicts.
+fn warm_cache(src: &str) -> DetectSession {
     let p = atropos_dsl::parse(src).unwrap();
-    let mut cache = VerdictCache::new();
-    detect_anomalies_cached(&p, EC, &mut cache);
-    cache
+    let mut session = DetectSession::new();
+    detect(&DetectionEngine::serial(), &p, EC, &mut session);
+    session
 }
 
 /// Every shard file currently in a store directory.
@@ -91,13 +96,12 @@ fn concurrent_sessions_union_merge_without_losing_verdicts() {
     );
 
     // The union answers both programs entirely warm.
-    let loaded = store.load_cache().expect("load");
-    let mut session_cache = loaded;
+    let mut loaded = store.load_cache().expect("load");
     for src in [COUNTER, BANK] {
         let p = atropos_dsl::parse(src).unwrap();
-        let before = session_cache.stats();
-        detect_anomalies_cached(&p, EC, &mut session_cache);
-        let delta = session_cache.stats().since(&before);
+        let before = loaded.cache_stats();
+        detect(&DetectionEngine::serial(), &p, EC, &mut loaded);
+        let delta = loaded.cache_stats().since(&before);
         assert_eq!(
             delta.misses + delta.triple_misses,
             0,
@@ -200,8 +204,8 @@ fn stale_shard_salvages_certified_clean_verdicts() {
     let p = atropos_dsl::parse(BANK).unwrap();
     let engine = DetectionEngine::serial().with_proofs(true);
     let mut session = DetectSession::new();
-    engine.detect(&p, SER, &mut session);
-    engine.detect(&p, EC, &mut session);
+    detect(&engine, &p, SER, &mut session);
+    detect(&engine, &p, EC, &mut session);
     let certified = session
         .audits()
         .iter()
@@ -225,12 +229,12 @@ fn stale_shard_salvages_certified_clean_verdicts() {
     // The survivors replay warm: a SER pass re-solves only the dropped
     // (proofless) entries, never a salvaged certified one.
     let before = reloaded.cache_stats();
-    engine.detect(&p, SER, &mut reloaded);
+    detect(&engine, &p, SER, &mut reloaded);
     let delta = reloaded.cache_stats().since(&before);
     assert!(delta.hits > 0, "salvaged verdicts answer warm: {delta:?}");
     assert!(delta.misses > 0, "dropped verdicts are re-solved: {delta:?}");
     // And the dropped dirty EC verdicts are genuinely re-found.
-    let (pairs, _) = engine.detect(&p, EC, &mut reloaded);
+    let (pairs, _) = engine.detect_with_mode(&p, EC, DetectMode::Pairs, &mut reloaded);
     assert!(!pairs.is_empty(), "the lost update is re-found");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 //! [`CnfBuilder`] accumulates clauses and fresh variables, offering gate
 //! constructors (`and`, `or`, `implies`, `iff`, …) that introduce definition
 //! variables, plus cardinality helpers. Finished formulas are handed to the
-//! [`Solver`](crate::Solver) via [`CnfBuilder::into_solver`].
+//! [`Solver`] via [`CnfBuilder::into_solver`].
 
 use crate::lit::{Lit, Var};
 use crate::solver::{SolveResult, Solver};

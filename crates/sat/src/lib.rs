@@ -23,7 +23,7 @@
 //!
 //! [`Solver`] stores clauses in a flat arena (`[header | len | lits...]`
 //! records in one `u32` buffer) and propagates over blocker-literal
-//! watcher lists; [`reference`] retains the previous `Vec<Clause>`
+//! watcher lists; [`mod@reference`] retains the previous `Vec<Clause>`
 //! implementation as a differential-testing oracle and throughput
 //! baseline. Building with the `baseline-solver` cargo feature swaps the
 //! crate's `Solver` re-export to the reference implementation, so the

@@ -1,9 +1,9 @@
-//! Corpus-service differential: over **all nine workloads plus Relay**,
-//! the per-program verdicts `CorpusService` answers from one global
+//! Corpus-pass differential: over **all nine workloads plus Relay**,
+//! the per-program verdicts `analyse_corpus` answers from one global
 //! fingerprint-deduped plan must be byte-identical to running each
 //! program through an isolated per-program detection — in pair mode and
 //! triple mode, at 1, 2, and 8 engine threads, and for relabeled variants
-//! that share every fingerprint with the originals. The batch service is
+//! that share every fingerprint with the originals. The corpus pass is
 //! an optimization (solve each unique transaction shape once across the
 //! fleet), never a different oracle; this suite pins that contract, and
 //! that a single program is exactly a corpus of one.

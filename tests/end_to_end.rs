@@ -48,41 +48,40 @@ fn at_least_half_of_all_anomalies_are_repaired() {
 #[test]
 fn serializable_marking_silences_the_remaining_anomalies() {
     // The AT-SC configuration is provably safe: marking the still-anomalous
-    // transactions serializable leaves nothing behind.
+    // transactions serializable leaves nothing behind. Every pair finding
+    // names both members of its pair (a lost update anchors in each; a read
+    // anomaly names the partner as witness), so a marked pass could only
+    // report a pair with an unmarked member. It suffices that the repaired
+    // program's anomalies are exactly `remaining`, and that every
+    // transaction they name is marked.
     for b in all_benchmarks() {
-        let report = repair_program(&b.program, ConsistencyLevel::EventualConsistency);
-        let marked = report.unsafe_transactions();
-        let residual = atropos::detect::detect_anomalies_marked(
-            &report.repaired,
-            ConsistencyLevel::EventualConsistency,
-            &marked,
-        );
-        let still: Vec<_> = residual
-            .iter()
-            .filter(|p| marked.contains(&p.txn1) && marked.contains(&p.txn2))
-            .collect();
-        assert!(
-            still.is_empty(),
-            "{}: SC-marked transactions still anomalous: {still:?}",
+        let ec = ConsistencyLevel::EventualConsistency;
+        let report = repair_program(&b.program, ec);
+        let mut redetected = detect_anomalies(&report.repaired, ec);
+        redetected.sort();
+        assert_eq!(
+            redetected, report.remaining,
+            "{}: remaining diverged",
             b.name
         );
+        let marked = report.unsafe_transactions();
+        for p in &report.remaining {
+            for t in [&p.txn1, &p.txn2].into_iter().chain(&p.witnesses) {
+                assert!(marked.contains(t), "{}: {t} of {p} is not marked", b.name);
+            }
+        }
     }
 }
 
 #[test]
 fn stronger_isolation_levels_differentiate() {
-    use atropos::detect::detect_anomalies_at_levels;
     // RR ≤ EC and CC ≤ EC everywhere; SC is anomaly-free; and the levels
     // genuinely differ — CC must count *strictly fewer* anomalies than EC
     // on at least one benchmark (the causal session axioms prune
     // non-monotonic reads; Table 1's CC column must not collapse into EC).
     let mut cc_strictly_below_ec = 0usize;
     for b in all_benchmarks() {
-        let (by_level, _) = detect_anomalies_at_levels(&b.program, &ConsistencyLevel::ALL);
-        let ec = by_level[&ConsistencyLevel::EventualConsistency].len();
-        let cc = by_level[&ConsistencyLevel::CausalConsistency].len();
-        let rr = by_level[&ConsistencyLevel::RepeatableRead].len();
-        let sc = by_level[&ConsistencyLevel::Serializable].len();
+        let [ec, cc, rr, sc] = ConsistencyLevel::ALL.map(|l| detect_anomalies(&b.program, l).len());
         assert!(cc <= ec, "{}: CC {} > EC {}", b.name, cc, ec);
         assert!(rr <= ec, "{}: RR {} > EC {}", b.name, rr, ec);
         assert_eq!(sc, 0, "{}: serializability must be anomaly-free", b.name);

@@ -45,7 +45,8 @@ fn assert_thread_count_invariant(workload: &str) {
         // Raw detection: byte-identical verdicts at every level.
         let mut session = DetectSession::new();
         for level in ConsistencyLevel::ALL {
-            let (got, _) = engine.detect(&b.program, level, &mut session);
+            let (got, _) =
+                engine.detect_with_mode(&b.program, level, DetectMode::Pairs, &mut session);
             assert_eq!(
                 format!("{got:?}"),
                 format!("{:?}", detect_anomalies(&b.program, level)),
