@@ -1,7 +1,7 @@
 //! Program analysis utilities shared by the refactoring engine: command
-//! lookup, variable usage, in-place AST traversal, and the [`DirtySet`]
-//! invalidation payload every refactoring rule reports to the repair
-//! driver's verdict cache.
+//! lookup, variable usage, in-place AST traversal and splicing, and the
+//! repair loop's check of what a step changed in detection's view of a
+//! program.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -41,6 +41,20 @@ pub fn retain_commands(body: &mut Vec<Stmt>, pred: &impl Fn(&Stmt) -> bool) {
     for s in body.iter_mut() {
         if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
             retain_commands(body, pred);
+        }
+    }
+}
+
+/// Inserts `stmts` right after the command labelled `after`, at whatever
+/// nesting depth it sits.
+pub(crate) fn splice_after(body: &mut Vec<Stmt>, after: &CmdLabel, stmts: &[Stmt]) {
+    if let Some(pos) = body.iter().position(|s| s.label() == Some(after)) {
+        body.splice(pos + 1..pos + 1, stmts.iter().cloned());
+        return;
+    }
+    for s in body.iter_mut() {
+        if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
+            splice_after(body, after, stmts);
         }
     }
 }
@@ -180,142 +194,39 @@ pub fn rewrite_exprs(txn: &mut Transaction, f: &impl Fn(&Expr) -> Option<Expr>) 
     go_expr(&mut txn.ret, f);
 }
 
-/// What one refactoring step invalidated: the invalidation payload every
-/// rule (split, merge, redirect, logging, post-processing) reports so the
-/// repair driver can evict the affected entries from its
-/// [`atropos_detect::DetectSession`] and attribute per-iteration reuse
-/// statistics.
+/// What one repair step changed in detection's view of a program — each
+/// transaction's name mapped to its [`atropos_detect::txn_fingerprint`]
+/// and its command labels: the transactions whose fingerprint changed, or
+/// that appeared or vanished, and whether the view changed at all.
 ///
-/// `txns` is the authoritative field for cache eviction — a transaction is
-/// dirty when any of its commands (or a schema it accesses) changed, since
-/// every cached verdict involving it may be stale. `labels` records the
-/// individual commands that changed (changed, added, or removed), for
-/// diagnostics and step logs. `renames` carries pure relabelings — label
-/// changes on commands whose summaries are otherwise untouched — which
-/// stay warm in the cache without any action: cached verdicts carry no
-/// labels and are labelled from the current program on every hit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DirtySet {
-    /// Labels of commands whose printed form changed, appeared, or vanished.
-    pub labels: BTreeSet<String>,
-    /// Names of transactions containing a dirty command or accessing a
-    /// changed schema.
-    pub txns: BTreeSet<String>,
-    /// Pure relabelings (old label → new label) with unchanged summaries.
-    pub renames: BTreeMap<String, String>,
-}
-
-impl DirtySet {
-    /// True when the step changed nothing the detector can observe.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty() && self.txns.is_empty() && self.renames.is_empty()
-    }
-
-    /// Folds a *subsequent* step's payload into this one (for composite
-    /// rules like redirect-then-merge). A rename map describes one
-    /// simultaneous relabeling, so `other`'s renames — which happened
-    /// *after* ours — are composed through ours (`a → b` then `b → c`
-    /// yields `a → c`), not merely unioned.
-    pub fn merge(&mut self, other: DirtySet) {
-        self.labels.extend(other.labels);
-        self.txns.extend(other.txns);
-        for target in self.renames.values_mut() {
-            if let Some(next) = other.renames.get(target) {
-                *target = next.clone();
-            }
-        }
-        for (from, to) in other.renames {
-            self.renames.entry(from).or_insert(to);
-        }
-    }
-}
-
-/// Computes the [`DirtySet`] between two program versions by diffing the
-/// **detector-visible summaries** of every transaction and command (the
-/// same [`atropos_detect::txn_fingerprint`] / `cmd_fingerprint` canon the
-/// verdict cache is keyed by). A transaction is dirty when its summary
-/// fingerprint changed or it appeared/vanished; a label is dirty when its
-/// command's summary changed or the label appeared/vanished.
-///
-/// A transaction whose fingerprint is *unchanged* but whose labels moved is
-/// a **pure relabeling**: its command sequence is detector-identical, so
-/// the differing labels are paired positionally and reported as `renames`
-/// instead of dirt — the verdict cache serves such pairs from memory with
-/// the labels remapped rather than re-solving them.
-///
-/// Summaries absorb schema declarations (a `select *` expands through the
-/// declared fields) and deliberately ignore detector-invisible edits — a
-/// rewritten assignment *expression* with unchanged field/variable sets
-/// produces an empty dirty set, because no anomaly verdict can depend on
-/// it. This is the shared engine behind each rule's `_tracked` variant; a
-/// rule may extend the result but must never shrink it.
-pub fn dirty_between(before: &Program, after: &Program) -> DirtySet {
-    /// Per transaction: its fingerprint and its `(label, cmd fingerprint)`
-    /// sequence in program order.
-    type TxnInfo = (u64, Vec<(String, u64)>);
-    let info = |p: &Program| -> BTreeMap<String, TxnInfo> {
+/// The repair loop re-detects only after a step that changed the view.
+/// A pure relabeling changes it without changing a fingerprint, so the
+/// next pass runs and answers every group from the cache under the new
+/// labels. An edit the detector cannot see (a rewritten assignment
+/// expression with unchanged field and variable sets) or a dropped table
+/// no command accesses leaves the view, and so every verdict, unchanged.
+pub(crate) fn view_change(before: &Program, after: &Program) -> (BTreeSet<String>, bool) {
+    let view = |p: &Program| -> BTreeMap<String, (u64, Vec<String>)> {
         atropos_detect::summarize_program(p)
             .into_iter()
             .map(|t| {
-                let fp = atropos_detect::txn_fingerprint(&t);
-                let cmds = t
-                    .commands
-                    .iter()
-                    .map(|c| (c.label.0.clone(), atropos_detect::cmd_fingerprint(c)))
-                    .collect();
-                (t.name.clone(), (fp, cmds))
+                let labels = t.commands.iter().map(|c| c.label.0.clone()).collect();
+                (
+                    t.name.clone(),
+                    (atropos_detect::txn_fingerprint(&t), labels),
+                )
             })
             .collect()
     };
-    let (ib, ia) = (info(before), info(after));
-
-    let mut dirty = DirtySet::default();
-    for (name, (fp_b, cmds_b)) in &ib {
-        match ia.get(name) {
-            // Unchanged summaries: same length by fingerprint equality, so
-            // label differences pair up positionally as pure relabelings.
-            Some((fp_a, cmds_a)) if fp_a == fp_b => {
-                for ((old, _), (new, _)) in cmds_b.iter().zip(cmds_a) {
-                    if old != new {
-                        dirty.renames.insert(old.clone(), new.clone());
-                    }
-                }
-            }
-            _ => {
-                dirty.txns.insert(name.clone());
-            }
-        }
-    }
-    for name in ia.keys() {
-        if !ib.contains_key(name) {
-            dirty.txns.insert(name.clone());
-        }
-    }
-
-    // Label dirt: command-level fingerprint diff across the whole program,
-    // minus the labels accounted for as renames.
-    let labels = |m: &BTreeMap<String, TxnInfo>| -> BTreeMap<String, u64> {
-        m.values()
-            .flat_map(|(_, cmds)| cmds.iter().cloned())
-            .collect()
-    };
-    let (lb, la) = (labels(&ib), labels(&ia));
-    let renamed: BTreeSet<&String> = dirty
-        .renames
-        .iter()
-        .flat_map(|(from, to)| [from, to])
+    let (vb, va) = (view(before), view(after));
+    let fp = |v: &BTreeMap<String, (u64, Vec<String>)>, name: &String| v.get(name).map(|e| e.0);
+    let txns = vb
+        .keys()
+        .chain(va.keys())
+        .filter(|name| fp(&vb, name) != fp(&va, name))
+        .cloned()
         .collect();
-    for (label, fp) in &lb {
-        if la.get(label) != Some(fp) && !renamed.contains(label) {
-            dirty.labels.insert(label.clone());
-        }
-    }
-    for label in la.keys() {
-        if !lb.contains_key(label) && !renamed.contains(label) {
-            dirty.labels.insert(label.clone());
-        }
-    }
-    dirty
+    (txns, vb != va)
 }
 
 /// True if any command of the program accesses `schema`.
@@ -476,50 +387,51 @@ mod tests {
     }
 
     #[test]
-    fn dirty_between_reports_changed_commands_and_txns() {
+    fn view_change_reports_changed_txns() {
         let before = parse(SRC).unwrap();
-        assert!(dirty_between(&before, &before).is_empty());
+        assert_eq!(view_change(&before, &before), (BTreeSet::new(), false));
 
-        // Touch one command's write set: its label and transaction are dirty.
+        // Touch one command's write set: its transaction is dirty.
         let after = parse(&SRC.replace("set z = x.v", "set z = x.v, id = k")).unwrap();
-        let dirty = dirty_between(&before, &after);
-        assert_eq!(dirty.labels, BTreeSet::from(["U1".to_owned()]));
-        assert_eq!(dirty.txns, BTreeSet::from(["t".to_owned()]));
+        assert_eq!(
+            view_change(&before, &after),
+            (BTreeSet::from(["t".to_owned()]), true)
+        );
 
-        // Removing a command dirties its label and transaction too.
+        // Removing a command dirties its transaction too.
         let removed = parse(&SRC.replace("@S2 y := select w from T where id = k;", "")).unwrap();
-        let dirty = dirty_between(&before, &removed);
-        assert!(dirty.labels.contains("S2"));
-        assert!(dirty.txns.contains("t"));
+        assert_eq!(
+            view_change(&before, &removed),
+            (BTreeSet::from(["t".to_owned()]), true)
+        );
+
+        // So does a transaction that appears or vanishes.
+        let renamed = parse(&SRC.replace("txn t(", "txn t2(")).unwrap();
+        let both = BTreeSet::from(["t".to_owned(), "t2".to_owned()]);
+        assert_eq!(view_change(&before, &renamed), (both, true));
     }
 
     #[test]
-    fn dirty_between_reports_pure_relabelings_as_renames() {
-        // A label change on an otherwise untouched command is a rename, not
-        // dirt: the verdict cache remaps instead of re-solving.
+    fn view_change_counts_pure_relabelings() {
+        // A label change on an otherwise untouched command dirties no
+        // transaction, but it changes the view: the next detection pass
+        // runs and answers every group from the cache under the new label.
         let before = parse(SRC).unwrap();
         let after = parse(&SRC.replace("@U1", "@U9")).unwrap();
-        let dirty = dirty_between(&before, &after);
-        assert!(dirty.txns.is_empty(), "{dirty:?}");
-        assert!(dirty.labels.is_empty(), "{dirty:?}");
-        assert_eq!(
-            dirty.renames,
-            BTreeMap::from([("U1".to_owned(), "U9".to_owned())])
-        );
-        assert!(!dirty.is_empty());
+        assert_eq!(view_change(&before, &after), (BTreeSet::new(), true));
     }
 
     #[test]
-    fn dirty_between_ignores_detector_invisible_edits() {
+    fn view_change_ignores_detector_invisible_edits() {
         // Rewriting an assignment expression without changing any field or
-        // variable set cannot affect a verdict, so the diff stays empty.
+        // variable set cannot affect a verdict, so the view is unchanged.
         let before = parse(SRC).unwrap();
         let after = parse(&SRC.replace("set z = x.v", "set z = x.v + 1")).unwrap();
-        assert!(dirty_between(&before, &after).is_empty());
+        assert_eq!(view_change(&before, &after), (BTreeSet::new(), false));
     }
 
     #[test]
-    fn dirty_between_schema_change_dirties_star_selects() {
+    fn view_change_schema_change_dirties_star_selects() {
         // `select *` summaries expand through the declaration: adding a
         // field must dirty the selecting transaction even though its
         // command text is unchanged.
@@ -534,46 +446,22 @@ mod tests {
             "schema T { id: int key, v: int, extra: int }",
         ))
         .unwrap();
-        let dirty = dirty_between(&before, &after);
-        assert!(dirty.txns.contains("t"), "{dirty:?}");
-        assert!(dirty.labels.contains("S1"), "{dirty:?}");
+        assert_eq!(
+            view_change(&before, &after),
+            (BTreeSet::from(["t".to_owned()]), true)
+        );
     }
 
     #[test]
-    fn dirty_set_merge_unions_payloads() {
-        let mut a = DirtySet {
-            labels: BTreeSet::from(["L1".to_owned()]),
-            txns: BTreeSet::from(["t1".to_owned()]),
-            renames: BTreeMap::new(),
-        };
-        let b = DirtySet {
-            labels: BTreeSet::from(["L2".to_owned()]),
-            txns: BTreeSet::from(["t2".to_owned()]),
-            renames: BTreeMap::from([("old".to_owned(), "new".to_owned())]),
-        };
-        a.merge(b);
-        assert_eq!(a.labels.len(), 2);
-        assert_eq!(a.txns.len(), 2);
-        assert_eq!(a.renames.get("old").map(String::as_str), Some("new"));
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn dirty_set_merge_composes_sequential_renames() {
-        // Step 1 renamed a → b; step 2 renamed b → c. The composite map is
-        // applied simultaneously by the cache, so it must read a → c.
-        let mut first = DirtySet {
-            renames: BTreeMap::from([("a".to_owned(), "b".to_owned())]),
-            ..DirtySet::default()
-        };
-        let second = DirtySet {
-            renames: BTreeMap::from([("b".to_owned(), "c".to_owned())]),
-            ..DirtySet::default()
-        };
-        first.merge(second);
-        assert_eq!(first.renames.get("a").map(String::as_str), Some("c"));
-        // The second step's own entry survives for labels that were
-        // already `b` before step 1 ran (if any).
-        assert_eq!(first.renames.get("b").map(String::as_str), Some("c"));
+    fn splice_after_inserts_at_any_depth() {
+        let p = parse(SRC).unwrap();
+        let mut t = p.transactions[0].clone();
+        let s2 = commands_of(&t)[2].clone();
+        splice_after(&mut t.body, &CmdLabel("U1".into()), &[s2.clone(), s2]);
+        let labels: Vec<_> = commands_of(&t)
+            .iter()
+            .map(|s| s.label().unwrap().0.clone())
+            .collect();
+        assert_eq!(labels, vec!["S1", "U1", "S2", "S2", "S2"]);
     }
 }

@@ -28,9 +28,9 @@
 //!   dirty-read pair.
 //!
 //! Like the pair rules in [`crate::rewrite`], both return `None` when their
-//! preconditions fail, re-run the type checker as a safety net, and report
-//! the [`DirtySet`] the driver funnels into the verdict cache — so
-//! triple-mode repair stays exactly as incremental as pair-mode repair.
+//! preconditions fail and re-run the type checker as a safety net. The
+//! repair loop works out what a step changed itself, so triple-mode
+//! repair stays exactly as incremental as pair-mode repair.
 
 use std::collections::BTreeSet;
 
@@ -41,15 +41,14 @@ use atropos_dsl::{
 };
 use atropos_semantics::{Aggregator, ThetaMap, ValueCorrespondence};
 
-use crate::analysis::{commands_of, dirty_between, rewrite_exprs, used_vars, var_bindings,
-    visit_stmts_mut, DirtySet};
-use crate::merge::{rename_var_in_txn, try_merging_tracked};
+use crate::analysis::{commands_of, rewrite_exprs, used_vars, var_bindings, visit_stmts_mut};
+use crate::merge::{rename_var_in_txn, try_merging};
 use crate::repair::RepairStep;
 use crate::rewrite::{fresh_field_name, well_formed_key_filter};
 
 /// A successful chain rule: the rewritten program, the introduced value
-/// correspondences, the applied steps, and the rule's [`DirtySet`].
-pub type ChainOutcome = (Program, Vec<ValueCorrespondence>, Vec<RepairStep>, DirtySet);
+/// correspondences, and the applied steps.
+pub type ChainOutcome = (Program, Vec<ValueCorrespondence>, Vec<RepairStep>);
 
 /// Fields a select observes: its projection (all fields for `*`).
 fn select_reads(c: &SelectCmd, schema: &Schema) -> BTreeSet<String> {
@@ -328,21 +327,19 @@ fn materialize_via(
         field: g.clone(),
         into: new_field.clone(),
     }];
-    let mut dirty = dirty_between(program, &out);
 
     // Collapse the observer's two origin-row reads into one atomic select:
     // with a single read there is no r3a/r3b split for a chain to fracture.
     if merge_enabled {
-        if let Some((merged, mdirty)) = try_merging_tracked(&out, &r3a_new, &r3b.label) {
+        if let Some(merged) = try_merging(&out, &r3a_new, &r3b.label) {
             steps.push(RepairStep::Merge {
                 kept: r3a_new.0.clone(),
                 removed: r3b.label.0.clone(),
             });
-            dirty.merge(mdirty);
             out = merged;
         }
     }
-    Some((out, vcs, steps, dirty))
+    Some((out, vcs, steps))
 }
 
 /// **Chain-cut merge** (fractured reads, write-skew cycles, and observer
@@ -516,13 +513,13 @@ fn fuse_hop(
         host: host.name.clone(),
         moved: moved_labels,
     }];
-    let dirty = dirty_between(program, &out);
-    Some((out, vcs, steps, dirty))
+    Some((out, vcs, steps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::view_change;
     use atropos_detect::{
         detect_anomalies, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
     };
@@ -575,7 +572,7 @@ mod tests {
     fn materialization_collapses_the_relay_chain() {
         let p = relay_program();
         let pair = chain_pair(&p);
-        let (out, vcs, steps, dirty) = materialize_relay(&p, &pair, true).unwrap();
+        let (out, vcs, steps) = materialize_relay(&p, &pair, true).unwrap();
         let text = print_program(&out);
         // The derived field moved onto the origin row under a .T label…
         assert!(text.contains("update MSG set m_f_body = x.m_body where m_id = m"), "{text}");
@@ -592,7 +589,11 @@ mod tests {
         assert_eq!(vcs[0].dst_schema, "MSG");
         assert_eq!(vcs[0].dst_field, "m_f_body");
         // All three chain transactions were rewritten or re-addressed.
-        assert!(dirty.txns.contains("relay") && dirty.txns.contains("timeline"), "{dirty:?}");
+        let (dirty, _) = view_change(&p, &out);
+        assert!(
+            dirty.contains("relay") && dirty.contains("timeline"),
+            "{dirty:?}"
+        );
 
         // The rewritten program is pair-clean *and* triple-clean at EC.
         assert!(detect_anomalies(&out, EC).is_empty());
@@ -604,7 +605,7 @@ mod tests {
     fn materialization_without_merge_leaves_two_reads() {
         let p = relay_program();
         let pair = chain_pair(&p);
-        let (out, _, steps, _) = materialize_relay(&p, &pair, false).unwrap();
+        let (out, _, steps) = materialize_relay(&p, &pair, false).unwrap();
         assert!(steps.iter().all(|s| !matches!(s, RepairStep::Merge { .. })));
         let timeline = out.transaction("timeline").unwrap();
         assert_eq!(commands_of(timeline).len(), 2);
@@ -668,7 +669,7 @@ mod tests {
             .iter()
             .find(|a| a.kind == AnomalyKind::FracturedRead)
             .expect("fractured read at EC");
-        let (out, vcs, steps, dirty) = chain_cut(&p, pair).unwrap();
+        let (out, vcs, steps) = chain_cut(&p, pair).unwrap();
         let text = print_program(&out);
         // The hop moved into the writer under .T labels, inheriting the
         // relay's extra parameter…
@@ -683,7 +684,11 @@ mod tests {
         assert!(matches!(steps[0], RepairStep::ChainCut { .. }));
         assert_eq!(vcs[0].src_field, "a_v");
         assert_eq!(vcs[0].dst_field, "c_v");
-        assert!(dirty.txns.contains("writer") && dirty.txns.contains("relay"), "{dirty:?}");
+        let (dirty, _) = view_change(&p, &out);
+        assert!(
+            dirty.contains("writer") && dirty.contains("relay"),
+            "{dirty:?}"
+        );
 
         // The fracture is gone; what remains is pair-visible (the writer's
         // sibling writes observed non-atomically — a dirty read).
@@ -722,7 +727,7 @@ mod tests {
             .iter()
             .find(|a| a.kind == AnomalyKind::WriteSkewCycle)
             .expect("write skew at EC");
-        let (out, _, steps, _) = chain_cut(&p, pair).unwrap();
+        let (out, _, steps) = chain_cut(&p, pair).unwrap();
         let text = print_program(&out);
         assert!(matches!(steps[0], RepairStep::ChainCut { .. }));
         // The fused hop reads through a freshened binding.

@@ -3,9 +3,7 @@
 
 use atropos_dsl::{Program, Stmt};
 
-use crate::analysis::{
-    commands_of, dirty_between, retain_commands, schema_accessed, used_vars, DirtySet,
-};
+use crate::analysis::{commands_of, retain_commands, schema_accessed, used_vars};
 use crate::merge::try_merging;
 
 /// Removes selects whose bound variable is never read, iterating to a fixed
@@ -91,17 +89,6 @@ pub fn post_process(program: &mut Program) -> PostProcessReport {
         merged_pairs: merged,
         dropped_tables: dropped,
     }
-}
-
-/// [`post_process`] plus the pipeline's [`DirtySet`] (dead-select removal
-/// and final merges both change transaction bodies; dropped tables change
-/// the schema list), so the repair driver can evict the affected
-/// verdict-cache entries before the final re-detection.
-pub fn post_process_tracked(program: &mut Program) -> (PostProcessReport, DirtySet) {
-    let before = program.clone();
-    let report = post_process(program);
-    let dirty = dirty_between(&before, program);
-    (report, dirty)
 }
 
 /// What post-processing did, for the repair log.

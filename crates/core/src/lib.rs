@@ -6,7 +6,7 @@
 //! Schema Refactoring* (PLDI 2021).
 //!
 //! * [`analysis`] — AST traversal, variable liveness, field-access analysis,
-//!   and the [`DirtySet`] invalidation payload of the verdict cache;
+//!   and the repair loop's check of what a step changed in detection's view;
 //! * [`rewrite`] — the `⟦·⟧_v` rewrite function: the **redirect** and
 //!   **logger** rule instantiations of `intro v`;
 //! * [`merge`] — `try_merging`: fusing commands into single-row atomic ops;
@@ -53,10 +53,9 @@ pub mod random_search;
 pub mod repair;
 pub mod rewrite;
 
-pub use analysis::{dirty_between, DirtySet};
 pub use chain::{chain_cut, materialize_relay};
-pub use dce::{post_process, post_process_tracked, PostProcessReport};
-pub use merge::{try_merging, try_merging_tracked};
+pub use dce::{post_process, PostProcessReport};
+pub use merge::try_merging;
 pub use random_search::{random_refactor, random_refactor_with_session, RandomSearchOutcome};
 pub use repair::{
     ablation_sweep, repair_corpus, repair_program, repair_with_config,
@@ -68,7 +67,4 @@ pub use repair::{
 // ([`RepairConfig::mode`]); re-exported so callers need not depend on
 // `atropos_detect` directly to opt into triple mode.
 pub use atropos_detect::DetectMode;
-pub use rewrite::{
-    apply_logging, apply_logging_tracked, apply_redirect, apply_redirect_tracked,
-    fresh_field_name,
-};
+pub use rewrite::{apply_logging, apply_redirect, fresh_field_name};

@@ -4,8 +4,6 @@
 
 use atropos_dsl::{check_program, CmdLabel, CmpOp, Expr, Program, Stmt, Transaction, Where};
 
-use crate::analysis::{dirty_between, DirtySet};
-
 fn where_key(w: &Where) -> String {
     atropos_dsl::print_where(w)
 }
@@ -124,21 +122,6 @@ pub fn try_merging(program: &Program, l1: &CmdLabel, l2: &CmdLabel) -> Option<Pr
         return None;
     }
     Some(out)
-}
-
-/// [`try_merging`] plus this rule's contribution to the verdict-cache
-/// invalidation protocol: the [`DirtySet`] naming the transaction whose
-/// commands were fused (and every label whose printed form changed — the
-/// surviving command, the removed one, and any command rewritten by the
-/// variable rename).
-pub fn try_merging_tracked(
-    program: &Program,
-    l1: &CmdLabel,
-    l2: &CmdLabel,
-) -> Option<(Program, DirtySet)> {
-    let next = try_merging(program, l1, l2)?;
-    let dirty = dirty_between(program, &next);
-    Some((next, dirty))
 }
 
 fn visit_block(

@@ -12,10 +12,10 @@ use atropos_detect::{
 use atropos_dsl::{check_program, CmdLabel, Expr, Program, Stmt, Transaction, UpdateCmd};
 use atropos_semantics::{ThetaMap, ValueCorrespondence};
 
-use crate::analysis::{commands_of, dirty_between, var_bindings, visit_stmts_mut, DirtySet};
-use crate::dce::{post_process_tracked, PostProcessReport};
-use crate::merge::try_merging_tracked;
-use crate::rewrite::{apply_logging_tracked, apply_redirect_tracked, find_command};
+use crate::analysis::{commands_of, splice_after, var_bindings, view_change, visit_stmts_mut};
+use crate::dce::{post_process, PostProcessReport};
+use crate::merge::try_merging;
+use crate::rewrite::{apply_logging, apply_redirect, find_command};
 
 /// One applied refactoring, for the repair log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,7 +181,8 @@ pub struct RepairIteration {
     /// SAT queries issued by the re-solved pairs.
     pub queries: u64,
     /// Transactions dirtied by the step applied on the strength of this
-    /// pass's verdicts (empty when they drove no repair). When the loop
+    /// pass's verdicts: those whose detector fingerprint the step changed,
+    /// added or removed (empty when they drove no repair). When the loop
     /// reuses a pass's verdicts instead of re-detecting, the step still
     /// attributes here — to the pass that produced the verdicts — so each
     /// entry carries at most one step.
@@ -619,8 +620,7 @@ fn repair_core(
     if config.enable_split {
         let before = current.clone();
         pre_process(&mut current, &initial, &mut steps);
-        let dirty = dirty_between(&before, &current);
-        if !dirty.is_empty() {
+        if view_change(&before, &current).1 {
             last_verdict = None;
         }
     }
@@ -647,13 +647,13 @@ fn repair_core(
                 continue;
             }
             match try_repair(&current, pair, config) {
-                Some((next, new_vcs, new_steps, dirty)) => {
+                Some((next, new_vcs, new_steps)) => {
+                    if let Some(it) = stats.iterations.last_mut() {
+                        it.dirtied_txns = view_change(&current, &next).0.into_iter().collect();
+                    }
                     current = next;
                     vcs.extend(new_vcs);
                     steps.extend(new_steps);
-                    if let Some(it) = stats.iterations.last_mut() {
-                        it.dirtied_txns = dirty.txns.iter().cloned().collect();
-                    }
                     progress = true;
                     break;
                 }
@@ -670,8 +670,9 @@ fn repair_core(
     }
 
     let post = if config.enable_postprocess {
-        let (report, dirty) = post_process_tracked(&mut current);
-        if !dirty.is_empty() {
+        let before = current.clone();
+        let report = post_process(&mut current);
+        if view_change(&before, &current).1 {
             last_verdict = None;
         }
         report
@@ -722,95 +723,71 @@ fn pre_process(program: &mut Program, pairs: &[AccessPair], steps: &mut Vec<Repa
         // several disjoint anomalies is divided into one select per group,
         // with fresh variables substituted into all later reads.
         split_selects_in_txn(t, &demand, &snapshot, steps);
+        // Each split update's first fragment replaces it in place; the rest
+        // are spliced in after the traversal.
+        let mut pending: Vec<(CmdLabel, Vec<Stmt>)> = Vec::new();
         visit_stmts_mut(&mut t.body, &mut |s| {
             let Stmt::Update(c) = s else { return };
             let Some(groups) = demand.get(&c.label.0) else { return };
-            if c.assigns.len() < 2 {
+            let fields = c.assigns.iter().map(|(f, _)| f.clone()).collect();
+            let Some(parts) = split_parts(&fields, groups, &snapshot, &c.schema, &c.label) else {
                 return;
-            }
-            // Partition assigned fields by the anomaly groups that need them.
-            let mut parts: Vec<BTreeSet<String>> = Vec::new();
-            for g in groups {
-                let mine: BTreeSet<String> = c
-                    .assigns
-                    .iter()
-                    .map(|(f, _)| f.clone())
-                    .filter(|f| g.contains(f))
-                    .collect();
-                if mine.is_empty() {
-                    continue;
-                }
-                if !parts.iter().any(|p| p == &mine) {
-                    parts.push(mine);
-                }
-            }
-            // Need at least two disjoint groups for a split to help.
-            if parts.len() < 2 || !pairwise_disjoint(&parts) {
-                return;
-            }
-            // Leftover fields go to the first group.
-            let covered: BTreeSet<String> = parts.iter().flatten().cloned().collect();
-            for (f, _) in &c.assigns {
-                if !covered.contains(f) {
-                    parts[0].insert(f.clone());
-                }
-            }
-            // Safety: no other command may access fields of two groups.
-            if !split_safe(&snapshot, &c.schema, &c.label, &parts) {
-                return;
-            }
-            let mut fragments = Vec::new();
-            for (k, group) in parts.iter().enumerate() {
-                let assigns: Vec<(String, Expr)> = c
-                    .assigns
-                    .iter()
-                    .filter(|(f, _)| group.contains(f))
-                    .cloned()
-                    .collect();
-                fragments.push(UpdateCmd {
+            };
+            let fragments: Vec<UpdateCmd> = parts
+                .iter()
+                .enumerate()
+                .map(|(k, group)| UpdateCmd {
                     label: CmdLabel(format!("{}.{}", c.label.0, k + 1)),
                     schema: c.schema.clone(),
-                    assigns,
+                    assigns: c
+                        .assigns
+                        .iter()
+                        .filter(|(f, _)| group.contains(f))
+                        .cloned()
+                        .collect(),
                     where_: c.where_.clone(),
-                });
-            }
-            let old_label = c.label.0.clone();
+                })
+                .collect();
             steps.push(RepairStep::Split {
-                label: old_label.clone(),
+                label: c.label.0.clone(),
                 into: fragments.iter().map(|f| f.label.0.clone()).collect(),
             });
-            // Replace in place: first fragment here; the rest are spliced in
-            // after the traversal.
+            let rest = fragments[1..].iter().cloned().map(Stmt::Update).collect();
+            pending.push((fragments[0].label.clone(), rest));
             *s = Stmt::Update(fragments[0].clone());
-            PENDING.with(|p| p.borrow_mut().push((old_label, fragments)));
         });
-        // Splice remaining fragments after their first part.
-        PENDING.with(|p| {
-            let mut pending = p.borrow_mut();
-            for (_, fragments) in pending.drain(..) {
-                splice_after(&mut t.body, &fragments[0].label, &fragments[1..]);
-            }
-        });
+        for (first, rest) in pending {
+            splice_after(&mut t.body, &first, &rest);
+        }
     }
 }
 
-thread_local! {
-    static PENDING: std::cell::RefCell<Vec<(String, Vec<UpdateCmd>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn splice_after(body: &mut Vec<Stmt>, after: &CmdLabel, rest: &[UpdateCmd]) {
-    if let Some(pos) = body.iter().position(|s| s.label() == Some(after)) {
-        for (k, frag) in rest.iter().enumerate() {
-            body.insert(pos + 1 + k, Stmt::Update(frag.clone()));
+/// The field groups a command over `fields` splits into for the anomaly
+/// `groups` demanding it, or `None` when a split would not help or is not
+/// safe. Each group is restricted to the command's fields; empty and
+/// duplicate parts are dropped; at least two pairwise-disjoint parts must
+/// remain; leftover fields go to the first part; and no other command of
+/// `program` may access fields of two parts ([`split_safe`]).
+fn split_parts(
+    fields: &BTreeSet<String>,
+    groups: &[BTreeSet<String>],
+    program: &Program,
+    schema: &str,
+    label: &CmdLabel,
+) -> Option<Vec<BTreeSet<String>>> {
+    let mut parts: Vec<BTreeSet<String>> = Vec::new();
+    for g in groups {
+        let mine: BTreeSet<String> = fields.intersection(g).cloned().collect();
+        if !mine.is_empty() && !parts.contains(&mine) {
+            parts.push(mine);
         }
-        return;
     }
-    for s in body.iter_mut() {
-        if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
-            splice_after(body, after, rest);
-        }
+    if parts.len() < 2 || !pairwise_disjoint(&parts) {
+        return None;
     }
+    let covered: BTreeSet<String> = parts.iter().flatten().cloned().collect();
+    parts[0].extend(fields.difference(&covered).cloned());
+    split_safe(program, schema, label, &parts).then_some(parts)
 }
 
 /// Splits selects demanded by several disjoint anomaly groups. Each group
@@ -832,37 +809,13 @@ fn split_selects_in_txn(
         let Stmt::Select(c) = s else { continue };
         let Some(groups) = demand.get(&c.label.0) else { continue };
         let Some(fields) = &c.fields else { continue };
-        if fields.len() < 2 {
-            continue;
+        let fields = fields.iter().cloned().collect();
+        if let Some(parts) = split_parts(&fields, groups, snapshot, &c.schema, &c.label) {
+            splits.push(SelSplit {
+                label: c.label.0.clone(),
+                parts,
+            });
         }
-        let mut parts: Vec<BTreeSet<String>> = Vec::new();
-        for g in groups {
-            let mine: BTreeSet<String> = fields
-                .iter()
-                .filter(|f| g.contains(*f))
-                .cloned()
-                .collect();
-            if mine.is_empty() || parts.iter().any(|p| p == &mine) {
-                continue;
-            }
-            parts.push(mine);
-        }
-        if parts.len() < 2 || !pairwise_disjoint(&parts) {
-            continue;
-        }
-        let covered: BTreeSet<String> = parts.iter().flatten().cloned().collect();
-        for f in fields {
-            if !covered.contains(f) {
-                parts[0].insert(f.clone());
-            }
-        }
-        if !split_safe(snapshot, &c.schema, &c.label, &parts) {
-            continue;
-        }
-        splits.push(SelSplit {
-            label: c.label.0.clone(),
-            parts,
-        });
     }
     for sp in splits {
         let mut var_of_field: Vec<(String, String)> = Vec::new(); // field -> fragment var
@@ -905,8 +858,7 @@ fn split_selects_in_txn(
         });
         // Splice remaining fragments after the first.
         if let Some(first_label) = fragments[0].label().cloned() {
-            let rest: Vec<Stmt> = fragments[1..].to_vec();
-            splice_stmts_after(&mut t.body, &first_label, &rest);
+            splice_after(&mut t.body, &first_label, &fragments[1..]);
         }
         // Rewrite accesses through the old variable to the fragment vars.
         let var_map = var_of_field.clone();
@@ -922,20 +874,6 @@ fn split_selects_in_txn(
                 .map(|(_, nv)| Expr::Agg(*op, nv.clone(), f.clone())),
             _ => None,
         });
-    }
-}
-
-fn splice_stmts_after(body: &mut Vec<Stmt>, after: &CmdLabel, rest: &[Stmt]) {
-    if let Some(pos) = body.iter().position(|s| s.label() == Some(after)) {
-        for (k, frag) in rest.iter().enumerate() {
-            body.insert(pos + 1 + k, frag.clone());
-        }
-        return;
-    }
-    for s in body.iter_mut() {
-        if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
-            splice_stmts_after(body, after, rest);
-        }
     }
 }
 
@@ -985,12 +923,12 @@ fn split_safe(
     true
 }
 
-type RepairOutcome = (Program, Vec<ValueCorrespondence>, Vec<RepairStep>, DirtySet);
+type RepairOutcome = (Program, Vec<ValueCorrespondence>, Vec<RepairStep>);
 
 /// `try_repair` (Fig. 10): merge, redirect+merge, or logging — extended
-/// with the `.T` chain rules for the triple-mode anomaly kinds. Besides
-/// the rewritten program, every successful branch returns the union of the
-/// applied rules' [`DirtySet`]s for the driver's verdict cache.
+/// with the `.T` chain rules for the triple-mode anomaly kinds. A
+/// successful branch returns the rewritten program, the introduced value
+/// correspondences and the applied steps.
 fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Option<RepairOutcome> {
     // Chain anomalies carry their relay in `witnesses` and never fit the
     // pair rules' (c1, c2) shapes — dispatch them to the chain rules.
@@ -1026,7 +964,7 @@ fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Op
         let (s1, s2) = (c1.schema()?, c2.schema()?);
         if s1 == s2 {
             if config.enable_merge {
-                if let Some((next, dirty)) = try_merging_tracked(program, &pair.cmd1, &pair.cmd2) {
+                if let Some(next) = try_merging(program, &pair.cmd1, &pair.cmd2) {
                     return Some((
                         next,
                         vec![],
@@ -1034,7 +972,6 @@ fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Op
                             kept: pair.cmd1.0.clone(),
                             removed: pair.cmd2.0.clone(),
                         }],
-                        dirty,
                     ));
                 }
             }
@@ -1054,10 +991,10 @@ fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Op
 
     if config.enable_logging && pair.kind == AnomalyKind::LostUpdate {
         // The pair is (read, write) on a shared field; log the written field.
-        let (write_cmd, read_cmd, read_txn) = if matches!(c2, Stmt::Update(_)) {
-            (c2, c1, t1)
+        let (write_cmd, read_cmd) = if matches!(c2, Stmt::Update(_)) {
+            (c2, c1)
         } else {
-            (c1, c2, t2)
+            (c1, c2)
         };
         if let Stmt::Update(u) = write_cmd {
             let field = pair
@@ -1066,9 +1003,7 @@ fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Op
                 .next()
                 .cloned()
                 .or_else(|| pair.fields2.iter().next().cloned())?;
-            if let Some((mut next, new_vcs, mut dirty)) =
-                apply_logging_tracked(program, &u.schema, &field)
-            {
+            if let Some((mut next, new_vcs)) = apply_logging(program, &u.schema, &field) {
                 // Fig. 10's success condition: the select involved in the
                 // anomaly must become obsolete (dead code) — otherwise the
                 // residual read still races the functional inserts. Remove
@@ -1078,10 +1013,6 @@ fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Op
                     if !remove_if_dead_select(&mut next, read_label) {
                         return None;
                     }
-                    // The removal's dirt is known exactly: the dead select's
-                    // label and its transaction (whose later commands shift).
-                    dirty.labels.insert(read_label.0.clone());
-                    dirty.txns.insert(read_txn.name.clone());
                 }
                 let log = format!("{}_{}_LOG", u.schema, field.to_uppercase());
                 return Some((
@@ -1092,7 +1023,6 @@ fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Op
                         field,
                         log,
                     }],
-                    dirty,
                 ));
             }
         }
@@ -1150,7 +1080,7 @@ fn redirect_then_merge(
     if moved.is_empty() {
         return None;
     }
-    let (next, new_vcs, mut dirty) = apply_redirect_tracked(program, from, into, &moved, &theta)?;
+    let (next, new_vcs) = apply_redirect(program, from, into, &moved, &theta)?;
     let mut steps = vec![RepairStep::Redirect {
         src: from.to_owned(),
         dst: into.to_owned(),
@@ -1160,16 +1090,15 @@ fn redirect_then_merge(
     // itself fails (the pair may already be single-record safe).
     let (l1, l2) = (into_cmd.label()?, from_cmd.label()?);
     if config.enable_merge {
-        if let Some((merged, merge_dirty)) = try_merging_tracked(&next, l1, l2) {
+        if let Some(merged) = try_merging(&next, l1, l2) {
             steps.push(RepairStep::Merge {
                 kept: l1.0.clone(),
                 removed: l2.0.clone(),
             });
-            dirty.merge(merge_dirty);
-            return Some((merged, new_vcs, steps, dirty));
+            return Some((merged, new_vcs, steps));
         }
     }
-    Some((next, new_vcs, steps, dirty))
+    Some((next, new_vcs, steps))
 }
 
 /// Derives the lifted record correspondence `θ̂ : pk(from) → fields(into)`

@@ -24,7 +24,7 @@ use atropos_dsl::{
 };
 use atropos_semantics::{Aggregator, ThetaMap, ValueCorrespondence};
 
-use crate::analysis::{dirty_between, rewrite_exprs, visit_stmts_mut, DirtySet};
+use crate::analysis::{rewrite_exprs, splice_after, visit_stmts_mut};
 
 /// Mints a field name for `src_field` moved into `dst`: reuses the target
 /// schema's leading prefix (`st` for `st_id`, …) when one exists.
@@ -528,7 +528,7 @@ pub fn apply_logging(
             break;
         }
         for (after, stmt) in pending {
-            splice_stmt_after(&mut t.body, &after, stmt);
+            splice_after(&mut t.body, &after, &[stmt]);
         }
         // Accesses through redirected variables become sums over the log;
         // accesses through split variables aggregate the fresh log binding.
@@ -574,46 +574,6 @@ pub fn apply_logging(
         alpha: Aggregator::Sum,
     }];
     Some((out, vcs))
-}
-
-/// [`apply_redirect`] plus this rule's [`DirtySet`]: the redirect rewrites
-/// *every* access to the source schema program-wide and mutates both schema
-/// declarations, so the payload typically spans several transactions.
-pub fn apply_redirect_tracked(
-    program: &Program,
-    src_name: &str,
-    dst_name: &str,
-    moved: &BTreeSet<String>,
-    theta: &ThetaMap,
-) -> Option<(Program, Vec<ValueCorrespondence>, DirtySet)> {
-    let (next, vcs) = apply_redirect(program, src_name, dst_name, moved, theta)?;
-    let dirty = dirty_between(program, &next);
-    Some((next, vcs, dirty))
-}
-
-/// [`apply_logging`] plus this rule's [`DirtySet`]: covers the rewritten
-/// increments, the redirected reads, and every transaction touching the
-/// source schema or the fresh logging schema.
-pub fn apply_logging_tracked(
-    program: &Program,
-    schema_name: &str,
-    field: &str,
-) -> Option<(Program, Vec<ValueCorrespondence>, DirtySet)> {
-    let (next, vcs) = apply_logging(program, schema_name, field)?;
-    let dirty = dirty_between(program, &next);
-    Some((next, vcs, dirty))
-}
-
-fn splice_stmt_after(body: &mut Vec<Stmt>, after: &CmdLabel, stmt: Stmt) {
-    if let Some(pos) = body.iter().position(|s| s.label() == Some(after)) {
-        body.insert(pos + 1, stmt);
-        return;
-    }
-    for s in body.iter_mut() {
-        if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
-            splice_stmt_after(body, after, stmt.clone());
-        }
-    }
 }
 
 /// Looks up the transaction and statement for a command label.

@@ -84,10 +84,8 @@ pub fn txn_fingerprint(txn: &TxnSummary) -> u64 {
     h.finish()
 }
 
-/// Canonical fingerprint of one command summary (the same detector-visible
-/// fields [`txn_fingerprint`] folds per command, label excluded) — the
-/// command-granular building block `dirty_between`-style diffs use to name
-/// exactly which commands a refactoring step changed.
+/// Canonical fingerprint of one command summary: the same detector-visible
+/// fields [`txn_fingerprint`] folds per command, label excluded.
 pub fn cmd_fingerprint(c: &CmdSummary) -> u64 {
     let mut h = DefaultHasher::new();
     hash_cmd(c, &mut h);
@@ -129,8 +127,8 @@ pub struct CacheStats {
     pub solver_reuses: u64,
     /// Entries evicted — by the fingerprint-liveness sweep each detection
     /// pass runs (stranded by program edits), or by an explicit
-    /// [`crate::DetectSession::invalidate_txns_changed`] /
-    /// [`crate::DetectSession::sweep`] call.
+    /// [`crate::DetectSession::sweep`] /
+    /// [`crate::DetectSession::sweep_corpus`] call.
     pub invalidated: u64,
     /// Lookups performed in any run after the session's first (see
     /// [`crate::DetectSession::begin_run`]); zero when the session never
@@ -696,10 +694,11 @@ mod tests {
         assert!(format!("{:.2}", session.cache_stats().cross_run_hit_ratio()) == "0.00");
     }
 
-    /// Satellite regression: the precise invalidation keeps entries whose
-    /// fingerprints survived the edit (a pure relabeling), evicts entries
-    /// whose fingerprints changed, and relabels its hits so a warm
-    /// re-detection equals a cold oracle without re-solving.
+    /// A pure relabeling keeps every fingerprint, so its warm entries stay
+    /// and answer the relabeled program under its own labels: a warm
+    /// re-detection equals a cold oracle without re-solving. A
+    /// summary-changing edit misses the cache instead, and the liveness
+    /// sweep evicts the entry it stranded.
     #[test]
     fn precise_invalidation_keeps_rename_only_entries() {
         let ec = ConsistencyLevel::EventualConsistency;
@@ -711,52 +710,29 @@ mod tests {
         assert!(!cold.is_empty());
         assert_eq!(session.len(), 1, "the one ordered self-pair cached");
 
-        // A rename-only step: the rule names the txn dirty, but no
-        // fingerprint changed — nothing may be evicted.
-        let dirty = BTreeSet::from(["bump".to_owned()]);
-        assert_eq!(session.invalidate_txns_changed(&dirty, &renamed), 0);
-        assert_eq!(session.len(), 1, "rename-only edit evicted warm entries");
-
         // Warm ≡ cold on the renamed program, with zero solver work.
         let before_stats = session.cache_stats();
         let (warm, stats) = detect(&renamed, ec, &mut session);
         assert_eq!(stats.queries, 0, "warm pass touched a solver");
         assert_eq!(session.cache_stats().since(&before_stats).misses, 0);
+        assert_eq!(session.len(), 1, "rename-only edit evicted warm entries");
         let (cold2, _) = detect(&renamed, ec, &mut DetectSession::new());
         assert_eq!(format!("{warm:?}"), format!("{cold2:?}"));
 
-        // A summary-changing edit to the same txn *is* evicted — the
-        // precise form degenerates to the coarse one when work changed.
-        let widened = parse(&COUNTER.replace("select v from T where id = k", "select v from T"))
-            .unwrap();
-        assert_eq!(session.invalidate_txns_changed(&dirty, &widened), 1);
-        assert!(session.is_empty());
-        assert_eq!(session.cache_stats().invalidated, 1);
-    }
-
-    #[test]
-    fn invalidation_evicts_by_transaction_name() {
-        let ts = summaries(COUNTER);
-        let (fp, t) = (txn_fingerprint(&ts[0]), &ts[0]);
-        let key = GroupKey::new(&[fp, fp], true, EC);
-        let mut session = DetectSession::new();
-        session.insert(key, &[t, t], vec![], vec![]);
-        assert_eq!(session.len(), 1);
-        // `bump` widened to a scan: its fingerprint changed, so only naming
-        // it evicts.
+        // A summary-changing edit to the same txn misses and re-solves.
         let widened =
             parse(&COUNTER.replace("select v from T where id = k", "select v from T")).unwrap();
-        let other = BTreeSet::from(["other".to_owned()]);
-        assert_eq!(session.invalidate_txns_changed(&other, &widened), 0);
-        let bump = BTreeSet::from(["bump".to_owned()]);
-        assert_eq!(session.invalidate_txns_changed(&bump, &widened), 1);
-        assert!(session.is_empty());
+        let before_stats = session.cache_stats();
+        let (warm, _) = detect(&widened, ec, &mut session);
+        let delta = session.cache_stats().since(&before_stats);
+        assert_eq!((delta.hits, delta.misses), (0, 1), "{delta:?}");
+        assert_eq!(warm, detect(&widened, ec, &mut DetectSession::new()).0);
+        assert_eq!(session.sweep(&widened), 1, "the stranded entry is swept");
         assert_eq!(session.cache_stats().invalidated, 1);
-        assert!(session.lookup(&key).is_none());
     }
 
     /// The 3-hop relay chain (the `Relay` workload's shape), used by the
-    /// triple-eviction tests below.
+    /// triple-eviction test below.
     const CHAIN: &str = "schema MSG { m_id: int key, m_body: int }
          schema FEED { f_id: int key, f_body: int }
          txn post(m: int, body: int) {
@@ -774,41 +750,10 @@ mod tests {
              return y.f_body + z.m_body;
          }";
 
-    #[test]
-    fn invalidation_evicts_triples_by_any_member_name() {
-        let ts = summaries(CHAIN);
-        // The canonical triple key sorts fingerprints, so the invalidated
-        // transaction can land in any of the key's three slots — name-keyed
-        // eviction must reach all of them.
-        let mut fps: Vec<(u64, &TxnSummary)> =
-            ts.iter().map(|t| (txn_fingerprint(t), t)).collect();
-        fps.sort_by_key(|(fp, _)| *fp);
-        let key = GroupKey::new(&[fps[0].0, fps[1].0, fps[2].0], false, EC);
-        for victim in ["post", "relay", "timeline"] {
-            let mut session = DetectSession::new();
-            session.insert(key, &[fps[0].1, fps[1].1, fps[2].1], vec![], vec![]);
-            assert_eq!(session.triple_len(), 1);
-            // The edit renames the victim: its old name is gone from the
-            // program, so its fingerprint did not survive.
-            let after =
-                parse(&CHAIN.replace(&format!("txn {victim}("), &format!("txn {victim}2(")))
-                    .unwrap();
-            let other = BTreeSet::from(["other".to_owned()]);
-            assert_eq!(session.invalidate_txns_changed(&other, &after), 0);
-            assert_eq!(
-                session.invalidate_txns_changed(&BTreeSet::from([victim.to_owned()]), &after),
-                1,
-                "stale triple verdict survived invalidating `{victim}`"
-            );
-            assert_eq!(session.triple_len(), 0);
-            assert!(session.lookup(&key).is_none());
-        }
-    }
-
-    /// A chain-rule edit dirties all three chain transactions; name-keyed
-    /// invalidation must evict their stale triple verdicts so re-detection
-    /// over the rewritten program equals a cold oracle (a stale hit here
-    /// would silently replay pre-edit verdicts).
+    /// A chain-rule edit rewrites the chain transactions, so re-detection
+    /// over the rewritten program misses every stale triple verdict and
+    /// equals a cold oracle (a stale hit here would silently replay
+    /// pre-edit verdicts).
     #[test]
     fn chain_rule_edit_evicts_stale_triple_verdicts() {
         let ec = ConsistencyLevel::EventualConsistency;
@@ -845,20 +790,21 @@ mod tests {
         assert_eq!(dirty.len(), 1, "{dirty:?}");
         assert!(session.triple_len() > 0);
 
-        let edited = BTreeSet::from(["post", "relay", "timeline"].map(str::to_owned));
-        assert!(session.invalidate_txns_changed(&edited, &after) > 0);
-        assert_eq!(
-            session.triple_len(),
-            0,
-            "stale triple verdicts survived the edit"
-        );
-
+        let before_stats = session.cache_stats();
         let warm = detect(&after, &mut session);
-        let cold = detect(&after, &mut DetectSession::new());
+        let delta = session.cache_stats().since(&before_stats);
         assert_eq!(
-            warm, cold,
-            "invalidated cache must agree with a cold oracle"
+            delta.triple_hits, 0,
+            "stale triple verdicts answered: {delta:?}"
         );
+        let cold = detect(&after, &mut DetectSession::new());
+        assert_eq!(warm, cold, "a warm cache must agree with a cold oracle");
         assert!(warm.is_empty(), "{warm:?}");
+
+        // Sweeping to the rewritten program evicts the stranded verdicts.
+        assert!(
+            session.sweep(&after) > 0,
+            "stale verdicts survived the sweep"
+        );
     }
 }

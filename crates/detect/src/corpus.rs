@@ -70,18 +70,19 @@ const SHARD_MAGIC: &[u8; 8] = b"ATRVC\x02\0\0";
 /// the magic. The format version (`v2`, in the magic) names the byte
 /// layout; the encoder revision names the semantics of what the verdicts
 /// *mean* — bump it whenever the fingerprint function, the violation
-/// templates, or the anomaly vocabulary changes, so a store persisted by
-/// an older build is not silently trusted (stale verdicts would bypass
-/// re-detection — unless the record carries proof certificates that still
-/// check, in which case [`CorpusStore::read_shard`] salvages it). The
-/// value is high-entropy on purpose, so it cannot collide with a small
-/// count.
+/// templates, the encoding, or the anomaly vocabulary changes. A shard
+/// written under another revision reads as empty
+/// ([`CorpusStore::read_shard`]): its verdicts are re-solved, and the next
+/// merge rewrites the shard under this revision. Not even a certified
+/// clean verdict survives, because a certificate refutes the clauses its
+/// own solver logged, not the queries the current encoder issues for the
+/// group. The value is high-entropy on purpose, so it cannot collide with
+/// a small count.
 ///
 /// `0xA750_0002`: verdict entries gained an embedded proof-blob
 /// section.
 /// `0xA750_0003`: findings name their commands by (member, command
-/// index) instead of by the solving program's labels. A clean record
-/// carries no findings, so its bytes are unchanged and it still salvages.
+/// index) instead of by the solving program's labels.
 pub(crate) const ENCODER_REVISION: u32 = 0xA750_0003;
 
 /// How long a writer waits for a shard lock before giving up.
@@ -198,18 +199,6 @@ impl Drop for ShardLock {
 /// fingerprint.
 fn shard_of(key: &GroupKey) -> usize {
     ((key.fps()[0] >> 60) as usize) % SHARD_COUNT
-}
-
-/// Whether a record from a revision-stale shard may be trusted anyway: it
-/// must be a **clean** verdict (an anomaly list would rest on uncertified
-/// SAT witnesses) carrying at least one proof certificate, and every
-/// certificate must pass the independent `atropos_proof` checker.
-fn entry_is_certified(e: &VerdictEntry) -> bool {
-    e.findings.is_empty()
-        && !e.proofs.is_empty()
-        && e.proofs
-            .iter()
-            .all(|b| atropos_proof::check_blob(b).is_ok())
 }
 
 /// One record's payload. Every integer is little-endian; strings are UTF-8
@@ -477,11 +466,9 @@ impl CorpusStore {
     }
 
     /// Reads and validates one shard file into `into` (keyed records,
-    /// newest stamp wins). A missing shard is an empty shard. A shard
-    /// written by a different encoder revision is not refused wholesale:
-    /// it degrades to per-record salvage, keeping exactly the clean
-    /// verdicts whose proof certificates still check (see
-    /// [`entry_is_certified`]).
+    /// newest stamp wins). A missing shard is an empty shard, and so is a
+    /// shard written by a different encoder revision (see
+    /// [`ENCODER_REVISION`]).
     fn read_shard(&self, shard: usize, into: &mut Records) -> io::Result<()> {
         let bytes = match fs::read(self.shard_path(shard)) {
             Ok(b) => b,
@@ -495,16 +482,9 @@ impl CorpusStore {
             return Err(bad("bad shard magic (not a v2 shard, or a future version)"));
         }
         let revision = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        // A revision mismatch used to refuse the shard wholesale — a stale
-        // verdict means "decided by a build whose templates/fingerprints
-        // may differ", and trusting it would bypass re-detection. Proof
-        // certificates relax this per record: a **clean** verdict whose
-        // refutations all still pass the independent checker is evidence
-        // in its own right, so it is salvaged; everything else in the
-        // stale shard (dirty verdicts — their SAT witnesses carry no
-        // certificate — proofless records, and anything malformed) is
-        // dropped and will be re-solved.
-        let salvage = revision != ENCODER_REVISION;
+        if revision != ENCODER_REVISION {
+            return Ok(());
+        }
         let idx = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
         let count = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
         if idx != shard || count != SHARD_COUNT {
@@ -515,9 +495,6 @@ impl CorpusStore {
         let mut pos = 20;
         while pos < bytes.len() {
             if bytes.len() - pos < 12 {
-                if salvage {
-                    break;
-                }
                 return Err(bad("truncated record header"));
             }
             let len =
@@ -525,27 +502,14 @@ impl CorpusStore {
             let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
             pos += 12;
             if bytes.len() - pos < len {
-                if salvage {
-                    break;
-                }
                 return Err(bad("truncated record payload"));
             }
             let payload = &bytes[pos..pos + len];
             pos += len;
             if fnv1a(payload) != sum {
-                if salvage {
-                    continue;
-                }
                 return Err(bad("record checksum mismatch (corrupt shard)"));
             }
-            let (stamp, key, entry) = match decode_payload(payload) {
-                Ok(v) => v,
-                Err(_) if salvage => continue,
-                Err(e) => return Err(e),
-            };
-            if salvage && !entry_is_certified(&entry) {
-                continue;
-            }
+            let (stamp, key, entry) = decode_payload(payload)?;
             match into.get(&key) {
                 Some((existing, _)) if *existing >= stamp => {}
                 _ => {
@@ -582,9 +546,9 @@ impl CorpusStore {
     /// # Errors
     ///
     /// Propagates I/O errors; a corrupt shard fails the merge with
-    /// `InvalidData` (nothing is overwritten). A revision-stale shard is
-    /// salvaged per record instead — certified clean verdicts survive
-    /// the merge, everything else is dropped.
+    /// `InvalidData` (nothing is overwritten). A revision-stale shard
+    /// reads as empty, so the merge rewrites it under the current
+    /// revision with only this session's verdicts.
     pub fn merge_cache(&self, session: &DetectSession) -> io::Result<usize> {
         self.merge_cache_stamped(session, now_secs())
     }
@@ -634,7 +598,7 @@ impl CorpusStore {
     ///
     /// Propagates I/O errors; a corrupt record (checksum mismatch,
     /// truncation, unknown tag) is refused with `InvalidData`. A
-    /// revision-stale shard is salvaged per record instead.
+    /// revision-stale shard reads as empty.
     pub fn load_cache(&self) -> io::Result<DetectSession> {
         let mut records = Records::new();
         for shard in 0..SHARD_COUNT {
@@ -877,10 +841,8 @@ mod tests {
 
     /// Shard records are outside input. Byte mutations inside one record,
     /// re-sealed with a recomputed checksum so they reach the payload
-    /// decoder (and, with the revision rewound in half the cases, the
-    /// salvage path and the certificate checker), must load or fail with
-    /// `InvalidData`, never panic; a loaded session must answer detection
-    /// passes in both modes.
+    /// decoder, must load or fail with `InvalidData`, never panic; a
+    /// loaded session must answer detection passes in both modes.
     #[test]
     fn resealed_record_mutations_load_or_fail_typed() {
         let p = parse(RELAY_BUMP).unwrap();
@@ -940,9 +902,6 @@ mod tests {
             }
             let sum = fnv1a(&bytes[payload]);
             bytes[at + 4..at + 12].copy_from_slice(&sum.to_le_bytes());
-            if case % 2 == 1 {
-                bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-            }
             fs::write(path, &bytes).expect("write mutant");
             match store.load_cache() {
                 Ok(mut session) => {

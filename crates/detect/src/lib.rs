@@ -17,10 +17,13 @@
 //!   ([`pattern_satisfiable`]) and the incremental [`PairSolver`] (one
 //!   solver per instance group, level axioms as activation-literal-guarded
 //!   groups, queries via assumptions);
-//! * [`detect`] — the four pair templates, the convenience oracle
-//!   [`detect_anomalies`], the fresh-solver reference oracle and the
-//!   differential runner tests compare against, the solve frame every
-//!   bound shares, and [`DetectStats`];
+//! * [`detect`] — the one template table: a candidate stream per
+//!   instance group (the four pair templates here, the chain templates of
+//!   [`triple`] for three members) that detection, the fresh-solver
+//!   reference oracle and witness replay all read; the convenience oracle
+//!   [`detect_anomalies`], the reference oracle and the differential
+//!   runner tests compare against, the solve frame every bound shares,
+//!   and [`DetectStats`];
 //! * [`triple`] — the three-instance chain templates of
 //!   [`DetectMode::Triples`];
 //! * [`cache`] — transaction fingerprinting and what a session caches:
@@ -43,8 +46,9 @@
 //!   verdict is decoded ([`decode_witness`]) into a concrete
 //!   [`atropos_sim::ConcreteSchedule`] and executed deterministically on
 //!   the simulated cluster, proving the anomaly observable (and, after
-//!   repair, suppressed). A [`WitnessDecoder`] decodes a whole report,
-//!   encoding each transaction tuple once, byte-identically.
+//!   repair, suppressed). The decoder reads detection's own candidate
+//!   stream. A [`WitnessDecoder`] decodes a whole report, encoding each
+//!   transaction tuple once, byte-identically.
 //!
 //! Detection runs three ways: [`DetectionEngine::detect_with_mode`] over
 //! one program, [`analyse_corpus`] over a corpus, and [`detect_anomalies`]

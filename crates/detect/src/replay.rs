@@ -18,16 +18,18 @@
 //! Verdicts do not store their requirement vectors (they travel through
 //! the verdict cache and across processes), so the decoder re-derives
 //! them. A verdict names the *tuples* it may have been analysed on (a pair
-//! ordering, or a rotation of a trio); per tuple, the decoder
-//! re-enumerates exactly the template candidates the detector enumerates,
-//! keeps those whose reported pair matches the verdict's anchor, and asks
-//! the solver for a witness of the first realizable one.
+//! ordering, or a rotation of a trio); per tuple, the decoder reads the
+//! detector's own candidate stream ([`crate::detect`]'s `candidates`,
+//! which `solve_group` reads too) with no candidate realized, so it sees
+//! every candidate of every template unbounded. It keeps those whose
+//! reported pair matches the verdict's anchor and asks the solver for a
+//! witness of the first realizable one.
 //!
 //! A [`WitnessDecoder`] decodes many verdicts of one program for the cost
 //! of few. It summarizes the program once, grounds and encodes each tuple
 //! once into a pristine [`InstanceModel`] and [`PairSolver`], enumerates
-//! each (kind, tuple)'s candidates once, and runs every search on a clone
-//! of the pristine solver. A clone is a fresh solver in the identical
+//! each tuple's candidates once for every kind, and runs every search on a
+//! clone of the pristine solver. A clone is a fresh solver in the identical
 //! state, and the solver is deterministic, so a verdict decodes to the
 //! byte-identical schedule whatever the decoder decoded before it. The
 //! decoder keeps at most one grounded tuple live; decoding verdicts in
@@ -60,33 +62,25 @@ use atropos_sim::{
 };
 
 use crate::cache::txn_fingerprint;
-use crate::detect::{pair_key, AccessPair, AnomalyKind};
+use crate::detect::{candidates, pair_key, AccessPair, AnomalyKind, PairKey};
 use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver, VisRequirement, WitnessTruth};
 use crate::model::{summarize_program, CmdKind, TxnSummary};
-use crate::triple::{
-    collect_candidates, finding as triple_finding, requirements as triple_requirements,
-};
 
 /// Transaction instances a verdict may be witnessed on: indices into the
 /// decoder's summaries in instance order — a pair ordering or a rotation
 /// of a trio.
 type Tuple = Vec<usize>;
 
-/// One template candidate of a tuple: the verdict(s) the detector would
-/// report for it and the queries to try in template order (the first
-/// satisfiable one wins).
-struct Candidate {
-    pairs: Vec<AccessPair>,
-    queries: Vec<Vec<VisRequirement>>,
-}
-
-/// The tuple a decoder keeps grounded: its model, its candidates per kind,
-/// and its pristine solver per queried level — the base encoding plus that
-/// level's axiom group, encoded at the tuple's first query under it.
+/// The tuple a decoder keeps grounded: its model, every template
+/// candidate of the tuple in detection order (the [`pair_key`]s of the
+/// verdicts it reports and its queries, the first satisfiable one
+/// winning), and its pristine solver per queried level — the base
+/// encoding plus that level's axiom group, encoded at the tuple's first
+/// query under it.
 struct Grounded {
     tuple: Tuple,
     model: InstanceModel,
-    candidates: BTreeMap<AnomalyKind, Vec<Candidate>>,
+    candidates: Vec<(Vec<PairKey>, Vec<Vec<VisRequirement>>)>,
     pristine: BTreeMap<ConsistencyLevel, PairSolver>,
 }
 
@@ -194,7 +188,7 @@ impl WitnessDecoder {
     }
 
     /// The tuples the detector could have analysed `verdict` on, in search
-    /// order (the per-k part, with [`candidates`]).
+    /// order.
     ///
     /// * Pairs: lost update anchors its pair across the two instances
     ///   (either orientation); the read-instability templates put both
@@ -271,28 +265,47 @@ impl WitnessDecoder {
     ) -> Option<ConcreteSchedule> {
         let ts: Vec<&TxnSummary> = tuple.iter().map(|&i| &self.summaries[i]).collect();
         if self.live.as_ref().is_none_or(|g| g.tuple != tuple) {
+            let model = InstanceModel::new_multi(&ts);
+            let fps: Vec<u64> = ts.iter().map(|t| txn_fingerprint(t)).collect();
+            // Detection's own stream with no candidate realized: every
+            // candidate of every template, unbounded.
+            let mut cands = Vec::new();
+            candidates(&ts, &fps, true, &model, &mut |c| {
+                let keys = c
+                    .findings
+                    .iter()
+                    .filter_map(|f| Some(pair_key(&f.emit(&ts)?)));
+                cands.push((keys.collect(), c.queries));
+                false
+            });
             self.live = Some(Grounded {
                 tuple: tuple.to_vec(),
-                model: InstanceModel::new_multi(&ts),
-                candidates: BTreeMap::new(),
+                model,
+                candidates: cands,
                 pristine: BTreeMap::new(),
             });
         }
         let Grounded {
             model,
             pristine,
-            candidates: by_kind,
+            candidates: cands,
             ..
         } = self.live.as_mut().expect("grounded above");
-        let cands = by_kind
-            .entry(verdict.kind)
-            .or_insert_with(|| candidates(verdict.kind, &ts, model));
+        // The anchor: the verdict's exact key when strict, its kind when
+        // loose.
+        let anchor = pair_key(verdict);
         let mut solver: Option<PairSolver> = None;
-        for cand in cands.iter() {
-            if !cand.pairs.iter().any(|p| anchored(verdict, p, strict)) {
+        for (keys, queries) in cands.iter() {
+            if !keys.iter().any(|k| {
+                if strict {
+                    *k == anchor
+                } else {
+                    k.2 == anchor.2
+                }
+            }) {
                 continue;
             }
-            for reqs in &cand.queries {
+            for reqs in queries {
                 let solver = solver.get_or_insert_with(|| {
                     let pristine = pristine.entry(level).or_insert_with(|| {
                         let mut s = PairSolver::new(model);
@@ -376,311 +389,6 @@ fn effective_level<'a>(
     } else {
         level
     }
-}
-
-/// Does a candidate's reported pair satisfy the anchor?
-fn anchored(verdict: &AccessPair, produced: &AccessPair, strict: bool) -> bool {
-    if strict {
-        pair_key(produced) == pair_key(verdict)
-    } else {
-        produced.kind == verdict.kind
-    }
-}
-
-/// The template candidates of `kind` over the tuple `ts` (the per-k part,
-/// with [`WitnessDecoder::tuples`]), in the detector's enumeration order.
-/// Triples: the chain candidates of `kind` and their requirement vectors.
-/// Pairs: see [`pair_candidates`].
-fn candidates(kind: AnomalyKind, ts: &[&TxnSummary], model: &InstanceModel) -> Vec<Candidate> {
-    let &[t1, t2, t3] = ts else {
-        return pair_candidates(kind, ts[0], ts[1], model);
-    };
-    let trio = [t1, t2, t3];
-    let fps = trio.map(txn_fingerprint);
-    collect_candidates(trio, fps, usize::MAX)
-        .into_iter()
-        .filter_map(|(_, cand)| {
-            let found = triple_finding(trio, &cand);
-            (found.kind == kind).then(|| Candidate {
-                pairs: found.emit(&trio).into_iter().collect(),
-                queries: triple_requirements(model, &cand).into_iter().collect(),
-            })
-        })
-        .collect()
-}
-
-/// Re-enumerates the pair template candidates of one kind, mirroring the
-/// enumeration order of the detector's `analyse_pair` — without the
-/// first-hit breaks (anchor matching replaces them) and without issuing
-/// queries (the caller solves the matching candidates).
-fn pair_candidates(
-    kind: AnomalyKind,
-    t1: &TxnSummary,
-    t2: &TxnSummary,
-    model: &InstanceModel,
-) -> Vec<Candidate> {
-    let n1 = model.n1;
-    let mut out = Vec::new();
-
-    let cmd_records = |range: std::ops::Range<usize>| -> Vec<(usize, usize)> {
-        range
-            .flat_map(|c| {
-                model.cmds[c]
-                    .records
-                    .iter()
-                    .map(move |&r| (c, r))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
-
-    match kind {
-        AnomalyKind::LostUpdate => {
-            for &(r1, w1, ref f) in &t1.rmw_pairs() {
-                for &(r2, w2, ref f2) in &t2.rmw_pairs() {
-                    if f != f2 || t1.commands[w1].schema != t2.commands[w2].schema {
-                        continue;
-                    }
-                    let (c1, cw1, c2, cw2) = (r1, w1, n1 + r2, n1 + w2);
-                    let rec1 = model.cmds[c1]
-                        .records
-                        .iter()
-                        .copied()
-                        .find(|r| model.cmds[cw1].records.contains(r));
-                    let rec2 = model.cmds[c2]
-                        .records
-                        .iter()
-                        .copied()
-                        .find(|r| model.cmds[cw2].records.contains(r));
-                    let (Some(rec1), Some(rec2)) = (rec1, rec2) else { continue };
-                    if !model.may_alias_records(rec1, rec2) {
-                        continue;
-                    }
-                    let (Some(a_w1), Some(a_w2)) =
-                        (model.atom(cw1, rec1), model.atom(cw2, rec2))
-                    else {
-                        continue;
-                    };
-                    let fs = BTreeSet::from([f.clone()]);
-                    out.push(Candidate {
-                        queries: vec![vec![(a_w2, c1, false), (a_w1, c2, false)]],
-                        pairs: vec![
-                            crate::detect::make_pair(
-                                t1,
-                                &t1.commands[r1],
-                                fs.clone(),
-                                t2,
-                                &t2.commands[w2],
-                                fs.clone(),
-                                BTreeSet::new(),
-                                AnomalyKind::LostUpdate,
-                            ),
-                            crate::detect::make_pair(
-                                t2,
-                                &t2.commands[r2],
-                                fs.clone(),
-                                t1,
-                                &t1.commands[w1],
-                                fs,
-                                BTreeSet::new(),
-                                AnomalyKind::LostUpdate,
-                            ),
-                        ],
-                    });
-                }
-            }
-        }
-        AnomalyKind::DirtyRead => {
-            let writes1: Vec<(usize, usize)> = cmd_records(0..n1)
-                .into_iter()
-                .filter(|&(c, _)| !model.cmds[c].summary.writes.is_empty())
-                .collect();
-            let reads2: Vec<(usize, usize)> = cmd_records(n1..model.cmds.len())
-                .into_iter()
-                .filter(|&(c, _)| model.cmds[c].summary.kind == CmdKind::Select)
-                .collect();
-            for (wi, &(w1, r1)) in writes1.iter().enumerate() {
-                for &(w2, r2) in &writes1[wi + 1..] {
-                    for &(d1, dr1) in &reads2 {
-                        if !model.may_alias_records(dr1, r1) {
-                            continue;
-                        }
-                        let f1: BTreeSet<String> = model.cmds[w1]
-                            .summary
-                            .writes
-                            .intersection(&model.cmds[d1].summary.reads)
-                            .cloned()
-                            .collect();
-                        if f1.is_empty() {
-                            continue;
-                        }
-                        for &(d2, dr2) in &reads2 {
-                            if !model.may_alias_records(dr2, r2) {
-                                continue;
-                            }
-                            let f2: BTreeSet<String> = model.cmds[w2]
-                                .summary
-                                .writes
-                                .intersection(&model.cmds[d2].summary.reads)
-                                .cloned()
-                                .collect();
-                            if f2.is_empty() {
-                                continue;
-                            }
-                            let (Some(a1), Some(a2)) =
-                                (model.atom(w1, r1), model.atom(w2, r2))
-                            else {
-                                continue;
-                            };
-                            out.push(Candidate {
-                                queries: vec![
-                                    vec![(a1, d1, true), (a2, d2, false)],
-                                    vec![(a2, d2, true), (a1, d1, false)],
-                                ],
-                                pairs: vec![crate::detect::make_pair(
-                                    t1,
-                                    &model.cmds[w1].summary,
-                                    f1.clone(),
-                                    t1,
-                                    &model.cmds[w2].summary,
-                                    f2,
-                                    BTreeSet::from([t2.name.clone()]),
-                                    AnomalyKind::DirtyRead,
-                                )],
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        AnomalyKind::NonRepeatableRead | AnomalyKind::NonMonotonicRead => {
-            let reads1: Vec<(usize, usize)> = cmd_records(0..n1)
-                .into_iter()
-                .filter(|&(c, _)| model.cmds[c].summary.kind == CmdKind::Select)
-                .collect();
-            let writes2: Vec<(usize, usize)> = cmd_records(n1..model.cmds.len())
-                .into_iter()
-                .filter(|&(c, _)| !model.cmds[c].summary.writes.is_empty())
-                .collect();
-            // Two-writes instability (non-repeatable read only).
-            if kind == AnomalyKind::NonRepeatableRead {
-                for (ri, &(c1, r1)) in reads1.iter().enumerate() {
-                    for &(c2, r2) in &reads1[ri..] {
-                        if c1 == c2 && r1 == r2 {
-                            continue;
-                        }
-                        for &(d1, dr1) in &writes2 {
-                            if !model.may_alias_records(dr1, r1) {
-                                continue;
-                            }
-                            let f1: BTreeSet<String> = model.cmds[d1]
-                                .summary
-                                .writes
-                                .intersection(&model.cmds[c1].summary.reads)
-                                .cloned()
-                                .collect();
-                            if f1.is_empty() {
-                                continue;
-                            }
-                            for &(d2, dr2) in &writes2 {
-                                if !model.may_alias_records(dr2, r2) {
-                                    continue;
-                                }
-                                if d1 == d2 && dr1 == dr2 {
-                                    continue;
-                                }
-                                let f2: BTreeSet<String> = model.cmds[d2]
-                                    .summary
-                                    .writes
-                                    .intersection(&model.cmds[c2].summary.reads)
-                                    .cloned()
-                                    .collect();
-                                if f2.is_empty() {
-                                    continue;
-                                }
-                                let (Some(a1), Some(a2)) =
-                                    (model.atom(d1, r1), model.atom(d2, r2))
-                                else {
-                                    continue;
-                                };
-                                out.push(Candidate {
-                                    queries: vec![
-                                        vec![(a2, c2, true), (a1, c1, false)],
-                                        vec![(a1, c1, true), (a2, c2, false)],
-                                    ],
-                                    pairs: vec![crate::detect::make_pair(
-                                        t1,
-                                        &model.cmds[c1].summary,
-                                        f1.clone(),
-                                        t1,
-                                        &model.cmds[c2].summary,
-                                        f2,
-                                        BTreeSet::from([t2.name.clone()]),
-                                        AnomalyKind::NonRepeatableRead,
-                                    )],
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            // Single-write instability: the seen-late orientation is a
-            // non-repeatable read, the seen-then-lost orientation a
-            // non-monotonic read.
-            for (ri, &(c1, r1)) in reads1.iter().enumerate() {
-                for &(c2, r2) in &reads1[ri + 1..] {
-                    if !model.prog_before(c1, c2) {
-                        continue;
-                    }
-                    for &(d, dr) in &writes2 {
-                        if !model.may_alias_records(dr, r1) || !model.may_alias_records(dr, r2)
-                        {
-                            continue;
-                        }
-                        let f1: BTreeSet<String> = model.cmds[d]
-                            .summary
-                            .writes
-                            .intersection(&model.cmds[c1].summary.reads)
-                            .cloned()
-                            .collect();
-                        if f1.is_empty() {
-                            continue;
-                        }
-                        let f2: BTreeSet<String> = model.cmds[d]
-                            .summary
-                            .writes
-                            .intersection(&model.cmds[c2].summary.reads)
-                            .cloned()
-                            .collect();
-                        if f2.is_empty() {
-                            continue;
-                        }
-                        let Some(a) = model.atom(d, dr) else { continue };
-                        let query = if kind == AnomalyKind::NonRepeatableRead {
-                            vec![(a, c2, true), (a, c1, false)]
-                        } else {
-                            vec![(a, c1, true), (a, c2, false)]
-                        };
-                        out.push(Candidate {
-                            queries: vec![query],
-                            pairs: vec![crate::detect::make_pair(
-                                t1,
-                                &model.cmds[c1].summary,
-                                f1,
-                                t1,
-                                &model.cmds[c2].summary,
-                                f2,
-                                BTreeSet::from([t2.name.clone()]),
-                                kind,
-                            )],
-                        });
-                    }
-                }
-            }
-        }
-        _ => unreachable!("triple kinds enumerate their chain candidates"),
-    }
-    out
 }
 
 /// Union-find over witness-record indices: requirement-involved record

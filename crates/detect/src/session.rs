@@ -11,14 +11,13 @@
 //! hits crossing a boundary count towards the cross-run counters of
 //! [`CacheStats`].
 //!
-//! # The invalidation contract
+//! # No invalidation
 //!
-//! Soundness never depends on explicit invalidation (a changed group simply
-//! misses; see the fingerprint in [`crate::cache`]), but every refactoring
-//! rule still reports the transactions it dirtied, so a driver can call
-//! [`DetectSession::invalidate_txns_changed`]: this evicts the entries
-//! whose member fingerprints did not survive the step (bounding memory
-//! across long repair runs) and keeps the reuse statistics honest.
+//! Verdicts are keyed by member fingerprints, so an edited group simply
+//! misses and a stale entry can never answer (see the fingerprint in
+//! [`crate::cache`]). Nothing is invalidated explicitly: the liveness
+//! sweep every detection pass runs evicts the entries a program edit
+//! stranded.
 //!
 //! # Multi-run lifetimes
 //!
@@ -31,7 +30,7 @@
 //! [`DetectSession::sweep_corpus`] (a corpus) explicitly, which resets
 //! liveness.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::path::Path;
 
@@ -50,8 +49,9 @@ use crate::model::{summarize_program, TxnSummary};
 /// reads and refreshes one; the repair driver owns one per run or, across
 /// runs, one per whole benchmark sweep.
 ///
-/// See the [module docs](self) for the invalidation and multi-run liveness
-/// contracts, and [`crate::cache`] for the fingerprint and the group key.
+/// See the [module docs](self) for why nothing is invalidated and for the
+/// multi-run liveness contract, and [`crate::cache`] for the fingerprint
+/// and the group key.
 ///
 /// # Examples
 ///
@@ -193,35 +193,6 @@ impl DetectSession {
             })
             .collect();
         self.retain_live()
-    }
-
-    /// Precise, fingerprint-checked eviction: evicts the verdict entries
-    /// (and retained solvers) of every group with a member among the named
-    /// transactions **whose summary fingerprint actually changed**, i.e.
-    /// the name is absent from `after`, or present with a different
-    /// fingerprint. A pure relabeling leaves every fingerprint intact, so
-    /// this keeps the warm entries a relabeled program still hits, and a
-    /// warm re-detection after a rename-only step equals a cold oracle
-    /// without re-solving anything. Returns the number of verdict entries
-    /// evicted.
-    pub fn invalidate_txns_changed(&mut self, txns: &BTreeSet<String>, after: &Program) -> usize {
-        // Fingerprints the post-edit program assigns to each txn name; a
-        // dirtied name keeps its entries only if its fingerprint survived.
-        let after_fps: HashMap<String, u64> = summarize_program(after)
-            .iter()
-            .map(|t| (t.name.clone(), txn_fingerprint(t)))
-            .collect();
-        // Member fingerprints name their transaction (the name is hashed),
-        // and every retained solver's group also has an entry, so the
-        // stale fingerprints read off the entries cover the states too.
-        let stale: HashSet<u64> = self
-            .verdicts
-            .iter()
-            .flat_map(|(k, e)| k.fps().iter().zip(&e.txns))
-            .filter(|(fp, name)| txns.contains(*name) && after_fps.get(*name) != Some(fp))
-            .map(|(fp, _)| *fp)
-            .collect();
-        self.retain_groups(|k| k.fps().iter().all(|fp| !stale.contains(fp)))
     }
 
     /// Shared handle to the sharded solver-retention map, for the engine's

@@ -14,7 +14,8 @@
 //!   without a second encoder, and it is solved by the same incremental
 //!   [`crate::PairSolver`] in the same solve frame as a pair
 //!   (`detect::solve_group`) — this module contributes only the
-//!   template enumeration (`analyse_triple`);
+//!   triple part of the candidate stream (`detect::candidates`) that
+//!   detection, the fresh reference oracle and witness replay all read;
 //! * three **chain templates**, each placing visibility requirements on
 //!   commands of all three instances — so none of them is expressible in
 //!   the two-instance skeleton *by construction*:
@@ -44,7 +45,7 @@
 //! instance, since rotations describe the same cycle). Candidate tuples are
 //! enumerated statically from the command summaries; a triple with no
 //! candidate never grounds a model or touches a solver. Per (template,
-//! role) the search stops at the **first satisfiable witness**, the
+//! role) the stream stops at the **first realized candidate**, the
 //! nested-loop enumeration keeps one tuple per outermost anchor command,
 //! and each candidate's witness record pair is the first aliasing pair in
 //! model order — deliberate bounds (part of the template definitions, like
@@ -54,7 +55,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::detect::{AnomalyKind, Finding};
+use crate::detect::{self, AnomalyKind, Finding};
 use crate::encode::{InstanceModel, VisRequirement};
 use crate::model::{may_alias, CmdKind, CmdSummary, TxnSummary};
 
@@ -83,7 +84,7 @@ fn write_atom(model: &InstanceModel, w: Cmd, reader: Cmd) -> Option<usize> {
 /// A command addressed as (instance, local index) — local index doubles as
 /// the program position, so `a.local < b.local` is program order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Cmd {
+struct Cmd {
     inst: usize,
     local: usize,
 }
@@ -91,7 +92,7 @@ pub(crate) struct Cmd {
 /// One statically enumerated chain-template candidate, with its commands
 /// bound to model instances by the role permutation that produced it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Candidate {
+enum Candidate {
     /// Observer chain: origin write, relay read, relay write, observer's
     /// chain read, observer's missing read.
     Chain { w1: Cmd, r2: Cmd, w2: Cmd, r3a: Cmd, r3b: Cmd },
@@ -166,11 +167,7 @@ fn dep_pairs(t: &TxnSummary, inst: usize) -> Vec<(Cmd, Cmd)> {
 /// prefilter passes `cap = 1` to decide whether the triple is worth
 /// grounding at all. Role permutations equivalent under equal fingerprints
 /// are visited once.
-pub(crate) fn collect_candidates(
-    ts: [&TxnSummary; 3],
-    fps: [u64; 3],
-    cap: usize,
-) -> Vec<(u8, Candidate)> {
+fn collect_candidates(ts: [&TxnSummary; 3], fps: [u64; 3], cap: usize) -> Vec<(u8, Candidate)> {
     let mut out: Vec<(u8, Candidate)> = Vec::new();
     let mut seen: Vec<[u64; 3]> = Vec::new();
     for (pi, perm) in PERMS.iter().enumerate() {
@@ -314,7 +311,7 @@ pub(crate) fn has_candidates(ts: [&TxnSummary; 3], fps: [u64; 3]) -> bool {
 
 /// The visibility requirements of one candidate, or `None` when a required
 /// witness record pair does not alias in the grounded model.
-pub(crate) fn requirements(model: &InstanceModel, cand: &Candidate) -> Option<Vec<VisRequirement>> {
+fn requirements(model: &InstanceModel, cand: &Candidate) -> Option<Vec<VisRequirement>> {
     let req = |w: Cmd, r: Cmd, seen: bool| Some((write_atom(model, w, r)?, cmd(model, r), seen));
     Some(match *cand {
         Candidate::Chain {
@@ -358,7 +355,7 @@ pub(crate) fn requirements(model: &InstanceModel, cand: &Candidate) -> Option<Ve
 /// broken edge's (write, missing read) commands, with the relaying
 /// transaction as witness — so [`crate::AccessPair::witnesses`] names
 /// exactly the coordination set a repair would have to cover.
-pub(crate) fn finding(ts: [&TxnSummary; 3], cand: &Candidate) -> Finding {
+fn finding(ts: [&TxnSummary; 3], cand: &Candidate) -> Finding {
     // (reported anchors, broken edge as (write, read), relay, template)
     let ([a, b], (w, r), relay, kind) = match *cand {
         Candidate::Chain { w1, r3b, r2, .. } => {
@@ -388,35 +385,33 @@ pub(crate) fn finding(ts: [&TxnSummary; 3], cand: &Candidate) -> Finding {
     }
 }
 
-/// The triple bound's template enumeration: every chain candidate of the
-/// trio `ts` (members in key orientation, `fps` their fingerprints),
-/// discharged against the query oracle `sat` over `model`, the trio's
-/// grounded skeleton.
-pub(crate) fn analyse_triple(
+/// The triple bound's part of [`detect::candidates`]: every chain candidate
+/// of the trio `ts` (members in model instance order, `fps` their
+/// fingerprints) with its requirement vector over `model`, the trio's
+/// grounded skeleton — none when a witness record pair does not alias, so
+/// such a candidate is never realized. Once `hit` realizes a candidate,
+/// later candidates of the same (template, role permutation) are skipped:
+/// they would only be redundant witnesses.
+pub(crate) fn candidates(
     ts: [&TxnSummary; 3],
     fps: [u64; 3],
     model: &InstanceModel,
-    sat: &mut dyn FnMut(Vec<VisRequirement>) -> bool,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    // First witness per (template, role permutation): once a template
-    // found a realizable chain under one role assignment, later
-    // candidates of the same shape are redundant witnesses.
+    hit: &mut dyn FnMut(detect::Candidate) -> bool,
+) {
     let mut done: Vec<(u8, u8)> = Vec::new();
     for (perm, cand) in collect_candidates(ts, fps, usize::MAX) {
         let key = (cand.template(), perm);
         if done.contains(&key) {
             continue;
         }
-        let Some(reqs) = requirements(model, &cand) else {
-            continue;
-        };
-        if sat(reqs) {
-            out.push(finding(ts, &cand));
+        let realized = hit(detect::Candidate {
+            findings: vec![finding(ts, &cand)],
+            queries: requirements(model, &cand).into_iter().collect(),
+        });
+        if realized {
             done.push(key);
         }
     }
-    out
 }
 
 #[cfg(test)]

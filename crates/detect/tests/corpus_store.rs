@@ -187,20 +187,20 @@ fn stale_shard_without_proofs_is_dropped_wholesale() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The revision refusal downgrades to per-record salvage when a record
-/// can vouch for itself: a **clean** verdict whose proof certificates
-/// still pass the independent checker survives the encoder-revision bump
-/// without a re-solve; dirty verdicts (uncertified SAT witnesses) are
-/// still dropped.
+/// A revision-stale shard reads as empty even when its clean verdicts
+/// carry certificates that still check: a certificate refutes the clauses
+/// its own solver logged, not the queries the current encoder issues. So
+/// every verdict is re-solved, and saving rewrites the store under the
+/// current revision.
 #[test]
-fn stale_shard_salvages_certified_clean_verdicts() {
+fn stale_certified_shard_is_re_solved_and_rewritten() {
     const SER: ConsistencyLevel = ConsistencyLevel::Serializable;
     let dir = scratch("stale_certified");
     let _ = CorpusStore::open(&dir).expect("create store");
     // Warm BANK with proof capture on, at two levels: under SER every
     // candidate anomaly is refuted, so the write-touching pairs are clean
     // *with* checking certificates; under EC the deposit pairs are dirty
-    // (lost update), so those verdicts rest on uncertified SAT witnesses.
+    // (lost update).
     let p = atropos_dsl::parse(BANK).unwrap();
     let engine = DetectionEngine::serial().with_proofs(true);
     let mut session = DetectSession::new();
@@ -213,29 +213,33 @@ fn stale_shard_salvages_certified_clean_verdicts() {
         .count();
     assert!(certified > 0, "at least one clean verdict is certified");
     session.save_to(&dir).expect("merge into store");
-    let store = CorpusStore::open(&dir).expect("reopen");
-    let total = store.entry_count().expect("count");
+    let total = CorpusStore::open(&dir)
+        .expect("reopen")
+        .entry_count()
+        .expect("count");
 
     stale_all_shards(&dir);
 
-    let mut reloaded = DetectSession::load_from(&dir).expect("stale store salvages, not errors");
-    let kept = reloaded.len() + reloaded.triple_len();
+    let mut reloaded = DetectSession::load_from(&dir).expect("a stale store loads, not errors");
     assert_eq!(
-        kept, certified,
-        "exactly the certified clean verdicts survive the revision bump"
+        reloaded.len() + reloaded.triple_len(),
+        0,
+        "no stale record is trusted, certified or not"
     );
-    assert!(kept < total, "everything else is dropped for re-solving");
 
-    // The survivors replay warm: a SER pass re-solves only the dropped
-    // (proofless) entries, never a salvaged certified one.
+    // Every group is re-solved, and the dirty EC verdicts are re-found.
     let before = reloaded.cache_stats();
     detect(&engine, &p, SER, &mut reloaded);
     let delta = reloaded.cache_stats().since(&before);
-    assert!(delta.hits > 0, "salvaged verdicts answer warm: {delta:?}");
-    assert!(delta.misses > 0, "dropped verdicts are re-solved: {delta:?}");
-    // And the dropped dirty EC verdicts are genuinely re-found.
+    assert_eq!(delta.hits, 0, "a stale verdict answered: {delta:?}");
+    assert!(delta.misses > 0, "{delta:?}");
     let (pairs, _) = engine.detect_with_mode(&p, EC, DetectMode::Pairs, &mut reloaded);
     assert!(!pairs.is_empty(), "the lost update is re-found");
+
+    // Saving rewrites the stale shards under the current revision.
+    reloaded.save_to(&dir).expect("merge over the stale store");
+    let again = DetectSession::load_from(&dir).expect("reload");
+    assert_eq!(again.len() + again.triple_len(), total);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -37,10 +37,11 @@
 //! ## Decoding bounds
 //!
 //! Blobs come from outside the process (the persistent verdict store
-//! checks the certificates of stale shards on load), so one validating
-//! pass stands between the bytes and every allocation. [`Proof::decode`]
-//! and [`check_blob`] share it; it checks the magic, the checksum, every
-//! tag, length and literal, and rejects what it cannot bound:
+//! carries them between processes, and audits re-check them), so one
+//! validating pass stands between the bytes and every allocation.
+//! [`Proof::decode`] and [`check_blob`] share it; it checks the magic, the
+//! checksum, every tag, length and literal, and rejects what it cannot
+//! bound:
 //!
 //! * a step's declared length is never trusted for an allocation: at most
 //!   the words left in the payload are read, then the step is
@@ -453,7 +454,7 @@ impl Flat {
     }
 }
 
-/// Decodes and checks a blob in one call — the corpus salvage path and the
+/// Decodes and checks a blob in one call — the certificate audits' and the
 /// test harnesses' entry point.
 ///
 /// # Errors
