@@ -83,7 +83,10 @@ const SHARD_MAGIC: &[u8; 8] = b"ATRVC\x02\0\0";
 /// section.
 /// `0xA750_0003`: findings name their commands by (member, command
 /// index) instead of by the solving program's labels.
-pub(crate) const ENCODER_REVISION: u32 = 0xA750_0003;
+/// `0xA750_0004`: the base encoding emits program order before
+/// transitivity. Certificates keep the same `Input` clauses, in a new
+/// order, and root simplification no longer adds `Delete` steps.
+pub(crate) const ENCODER_REVISION: u32 = 0xA750_0004;
 
 /// How long a writer waits for a shard lock before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);

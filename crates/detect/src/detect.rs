@@ -130,7 +130,9 @@ pub struct DetectStats {
     pub sat_queries: u64,
     /// Queries answered from the per-pair memo without touching a solver.
     pub memo_hits: u64,
-    /// Clauses actually encoded into solvers.
+    /// Clauses the solvers store. A clause the root facts (program order,
+    /// session visibility) already satisfy is never stored, so it is not
+    /// counted.
     pub clauses_encoded: u64,
     /// Clauses a fresh-solver-per-query strategy would have encoded.
     pub clauses_fresh_equivalent: u64,

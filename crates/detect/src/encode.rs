@@ -10,6 +10,11 @@
 //! commands, and the CDCL solver decides satisfiability — exactly the role
 //! Z3 plays in the paper.
 //!
+//! The encoder emits program order as root facts before the transitivity
+//! clauses they decide, on purpose: a solver then stores only what the root
+//! assignment leaves open, and no clone of a never-solved solver deletes
+//! those clauses again (see `encode_base`).
+//!
 //! Two solving paths share one encoder so their clause streams cannot
 //! diverge:
 //!
@@ -359,9 +364,16 @@ fn emit(s: &mut Solver, guard: Option<Lit>, lits: impl IntoIterator<Item = Lit>)
 }
 
 /// Encodes the level-independent skeleton: the total arbitration order
-/// (antisymmetric by construction, transitive by clauses, containing each
-/// instance's program order), the visibility variables with the session
-/// guarantee, and visibility-implies-arbitration.
+/// (antisymmetric by construction, containing each instance's program
+/// order, transitive by clauses), the visibility variables with the
+/// session guarantee, and visibility-implies-arbitration.
+///
+/// Program order is emitted as root facts *before* the transitivity
+/// clauses, so the solver never stores a clause those facts satisfy nor a
+/// literal they falsify. Every clause the solver keeps mentions only
+/// variables the root assignment leaves open, and root simplification
+/// has nothing left to delete. The proof log still holds every clause as
+/// given.
 fn encode_base(s: &mut Solver, model: &InstanceModel) -> PairEncoding {
     let n = model.cmds.len();
     // ord[i][j] (i < j): literal meaning "i is arbitrated before j".
@@ -375,24 +387,28 @@ fn encode_base(s: &mut Solver, model: &InstanceModel) -> PairEncoding {
     }
     let ord_lit = |i: usize, j: usize| ord[i][j].expect("i != j");
 
+    // Program order within each instance: root facts, first on purpose
+    // (see above).
+    for i in 0..n {
+        for j in 0..n {
+            if i != j && model.prog_before(i, j) {
+                s.add_clause([ord_lit(i, j)]);
+            }
+        }
+    }
     // Transitivity. Because ord(j, i) is the same literal as ¬ord(i, j),
     // the six permutations of a triple collapse to two distinct clauses —
     // one per forbidden 3-cycle orientation — so emitting them once per
     // unordered triple {i < j < k} cuts the dominant clause group to a
-    // third without weakening the encoding.
+    // third without weakening the encoding. After the program-order facts
+    // a triple inside one instance stores neither clause, and a triple
+    // with two commands in one instance stores at most one, without their
+    // literal.
     for i in 0..n {
         for j in (i + 1)..n {
             for k in (j + 1)..n {
                 s.add_clause([!ord_lit(i, j), !ord_lit(j, k), ord_lit(i, k)]);
                 s.add_clause([ord_lit(i, j), ord_lit(j, k), !ord_lit(i, k)]);
-            }
-        }
-    }
-    // Program order within each instance.
-    for i in 0..n {
-        for j in 0..n {
-            if i != j && model.prog_before(i, j) {
-                s.add_clause([ord_lit(i, j)]);
             }
         }
     }
@@ -681,6 +697,9 @@ impl PairSolver {
         let mut solver = Solver::new();
         solver.set_proof_logging(proofs);
         let enc = encode_base(&mut solver, model);
+        // Reach the root state the first solve would, so clones start
+        // there instead of each simplifying again.
+        solver.simplify();
         let base_clauses = solver.num_clauses();
         let base_vars = solver.num_vars();
         PairSolver {
@@ -1024,6 +1043,48 @@ mod tests {
         assert!(s.satisfiable(&m, ConsistencyLevel::EventualConsistency, &reqs));
         // UNSAT queries decode to no witness.
         assert!(s.witness(&m, ConsistencyLevel::Serializable, &reqs).is_none());
+    }
+
+    #[test]
+    fn no_stored_clause_mentions_a_root_assigned_variable() {
+        let src = "schema T { id: int key, v: int }
+             schema U { id: int key, w: int }
+             txn move(k: int) {
+                 @R x := select v from T where id = k;
+                 @W update T set v = x.v + 1 where id = k;
+                 @L update U set w = 1 where id = k;
+                 return 0;
+             }
+             txn peek(k: int) {
+                 @A a := select v from T where id = k;
+                 @B b := select w from U where id = k;
+                 @C c := select v from T where id = k;
+                 return a.v + b.w + c.v;
+             }";
+        let sums = summarize_program(&parse(src).unwrap());
+        let txn = |name: &str| sums.iter().find(|s| s.name == name).unwrap();
+        let (mv, peek) = (txn("move"), txn("peek"));
+        for model in [
+            InstanceModel::new(mv, peek),
+            InstanceModel::new_multi(&[mv, peek, mv]),
+        ] {
+            assert_eq!(model.cmds.len(), 3 * model.instances());
+            let mut s = PairSolver::new(&model);
+            for level in ConsistencyLevel::ALL {
+                s.ensure_level(&model, level);
+            }
+            let clauses = s.problem_clauses();
+            let (units, stored): (Vec<_>, Vec<_>) = clauses.iter().partition(|c| c.len() == 1);
+            let root: std::collections::HashSet<_> = units.iter().map(|c| c[0].var()).collect();
+            assert!(!root.is_empty() && !stored.is_empty());
+            for c in stored {
+                assert!(
+                    c.iter().all(|l| !root.contains(&l.var())),
+                    "{} instances: stored clause {c:?} mentions a root-assigned variable",
+                    model.instances()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic unit tests for the CDCL solver on small canonical
 //! instances — complementing the randomized property tests in `prop.rs`.
 
-use atropos_sat::{CnfBuilder, Lit, SolveResult, Solver, SolverStats, Var};
+use atropos_sat::{CnfBuilder, Lit, ProofEvent, SolveResult, Solver, SolverStats, Var};
 
 /// Builds the pigeonhole instance PHP(p, h): p pigeons, h holes, each pigeon
 /// in some hole, no two pigeons sharing a hole. UNSAT iff p > h.
@@ -276,6 +276,40 @@ fn clauses_added_between_solves_take_effect() {
 }
 
 #[test]
+fn clauses_after_a_root_unit_are_logged_as_given_and_stored_reduced() {
+    let mut s = Solver::new();
+    s.set_proof_logging(true);
+    let (a, b, c) = (s.new_var(), s.new_var(), s.new_var());
+    let sorted = |mut lits: Vec<Lit>| {
+        lits.sort();
+        lits
+    };
+    s.add_clause([a.positive()]);
+    // Satisfied by the unit: logged as given, never attached.
+    let satisfied = sorted(vec![c.positive(), a.positive(), b.positive()]);
+    s.add_clause(satisfied.iter().copied());
+    assert_eq!(s.num_clauses(), 0);
+    // One literal falsified by the unit: logged as given, stored without it.
+    let reduced = sorted(vec![b.positive(), a.negative(), c.negative()]);
+    s.add_clause(reduced.iter().copied());
+    assert_eq!(s.num_clauses(), 1);
+    assert_eq!(
+        s.problem_clauses(),
+        vec![vec![a.positive()], sorted(vec![b.positive(), c.negative()])]
+    );
+    // A solve has nothing to delete: the log holds the three inputs only.
+    assert!(s.solve().is_sat());
+    assert_eq!(
+        s.proof_events(),
+        &[
+            ProofEvent::Input(vec![a.positive()]),
+            ProofEvent::Input(satisfied),
+            ProofEvent::Input(reduced),
+        ]
+    );
+}
+
+#[test]
 fn learnt_clauses_survive_between_assumption_calls() {
     // Solving the same hard query twice must not redo all the work: the
     // second call reuses the learnt clauses and finishes with fewer
@@ -366,6 +400,11 @@ fn clones_answer_assumptions_exactly_like_their_original() {
     let (hard, easy) = (s.new_var(), s.new_var());
     guarded_pigeonhole(&mut s, hard, 5, 4);
     let at = guarded_pigeonhole(&mut s, easy, 4, 4);
+    // A clause a later root unit satisfies: stored until the first
+    // simplification, which an explicitly simplified clone has done.
+    let (x, y) = (s.new_var(), s.new_var());
+    s.add_clause([x.positive(), y.positive()]);
+    s.add_clause([x.positive()]);
     let crowd = |h: usize| vec![easy.positive(), at[0][h].positive(), at[1][h].positive()];
     let queries: Vec<Vec<Lit>> = vec![
         vec![hard.positive()],
@@ -378,6 +417,9 @@ fn clones_answer_assumptions_exactly_like_their_original() {
         vec![hard.positive()],
     ];
     let pristine = s.clone();
+    let mut simplified = s.clone();
+    simplified.simplify();
+    assert_eq!(simplified.num_clauses() + 1, pristine.num_clauses());
     let head = answer(&mut s, &queries[..4]);
     assert!(
         s.stats().conflicts > 0,
@@ -389,8 +431,10 @@ fn clones_answer_assumptions_exactly_like_their_original() {
     assert!(all.iter().any(|(r, _, _)| r.is_sat()));
     assert!(all.iter().any(|(r, core, _)| !r.is_sat() && core.len() > 1));
 
-    // Cloned before any query: the whole sequence, answer for answer.
+    // Cloned before any query: the whole sequence, answer for answer —
+    // also when the clone's source had already simplified at the root.
     assert_eq!(answer(&mut pristine.clone(), &queries), all);
+    assert_eq!(answer(&mut simplified, &queries), all);
     // Cloned after four queries: the rest of the sequence.
     assert_eq!(answer(&mut warm.clone(), &queries[4..]), tail);
     // A clone is independent: querying it left its source untouched.

@@ -8,10 +8,10 @@
 //! One line per program and pass (pairs at EC, CC, RR and SC; triples at
 //! EC and CC) holds the verdict count, an FNV-1a digest of the verdicts'
 //! `Debug` rendering, the `queries`, `sat_queries` and `memo_hits`
-//! counters and, at EC, a digest of every verdict's strict
-//! [`WitnessDecoder`] schedule in [`WitnessDecoder::visit_order`]. Each pass
-//! runs on a fresh session, and these counters do not depend on the
-//! engine's thread count.
+//! counters and, at every level with dirty verdicts (all but SC), a digest
+//! of every verdict's strict [`WitnessDecoder`] schedule in
+//! [`WitnessDecoder::visit_order`]. Each pass runs on a fresh session, and
+//! these counters do not depend on the engine's thread count.
 //!
 //! A template or solver change may legitimately move this table. When it
 //! does, replace `tests/golden/oracle.txt` with the table the failing
@@ -65,7 +65,7 @@ fn table() -> String {
                 stats.sat_queries,
                 stats.memo_hits
             );
-            if level == ConsistencyLevel::EventualConsistency {
+            if level != ConsistencyLevel::Serializable {
                 let mut decoder = WitnessDecoder::new(&program);
                 let mut schedules = String::new();
                 for i in decoder.visit_order(&verdicts) {
