@@ -14,9 +14,10 @@
 //! 2. **`experiments/reports/<benchmark>.md`** — one markdown anomaly
 //!    report per benchmark: each transaction tuple's verdict per level
 //!    with its audit trail (✅ `Trace` when a dirty verdict's decoded
-//!    witness manifested on the simulated cluster, ✅ `Proof Cert` when a
-//!    clean verdict's refutations all check), plus the witness schedules
-//!    themselves.
+//!    witness manifested on the simulated cluster; `Proof Cert` ✅ with
+//!    the number of core input clauses when a clean verdict's refutations
+//!    all check, `static` when a clean verdict needed no query), plus the
+//!    witness schedules themselves.
 //!
 //! The timed sweep is the certificate harness's scope: pair mode at EC
 //! and CC, triple mode at EC. The reports additionally run pairs at SER
@@ -29,7 +30,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use atropos_bench::reporting::{
-    anomaly_report_markdown, proof_stats_header, proof_stats_row, write_report, ReportRow,
+    anomaly_report_markdown, proof_stats_header, proof_stats_row, write_report, ProofCert,
+    ReportRow,
 };
 use atropos_bench::{engine_from_args, thin_slice, write_csv, Table};
 use atropos_detect::{
@@ -38,8 +40,10 @@ use atropos_detect::{
 use atropos_sim::{run_schedule, ConcreteSchedule, ScheduleEvent};
 use atropos_workloads::{all_benchmarks, chain_scenarios, Benchmark};
 
-/// The timed (and CSV-reported) sweep mirrors `tests/proof_certificates.rs`
-/// exactly: pairs at EC and CC, triples at EC.
+/// The timed (and CSV-reported) sweep mirrors the `SWEEP` of
+/// `tests/proof_certificates.rs` exactly: pairs at EC and CC, triples at
+/// EC. (That harness's wider all-level sweep pins core minimality and is
+/// not timed.)
 const TIMED_SWEEP: [(ConsistencyLevel, DetectMode); 3] = [
     (ConsistencyLevel::EventualConsistency, DetectMode::Pairs),
     (ConsistencyLevel::CausalConsistency, DetectMode::Pairs),
@@ -49,10 +53,9 @@ const TIMED_SWEEP: [(ConsistencyLevel, DetectMode); 3] = [
 /// The markdown reports additionally run pairs at SER — the repair target,
 /// where clean verdicts rest on real refutations rather than the static
 /// prefilter, so the `Proof Cert` column has certified rows to show. Kept
-/// out of the timed sweep: at SER nearly every query is UNSAT, and each
-/// certificate embeds its full input CNF, so TPC-C alone banks hundreds of
-/// megabytes of blobs there — an audit artifact, not an overhead
-/// benchmark.
+/// out of the timed sweep so the CSV's overhead ratio stays the one
+/// measured on the certificate harness's sweep; SER certificates are
+/// refutation cores like every other, not copies of a solver's log.
 const REPORT_SWEEP: [(ConsistencyLevel, DetectMode); 4] = [
     (ConsistencyLevel::EventualConsistency, DetectMode::Pairs),
     (ConsistencyLevel::CausalConsistency, DetectMode::Pairs),
@@ -224,12 +227,23 @@ fn render_report(b: &Benchmark, outcome: &SweepOutcome, generated: &str) -> Stri
                 }
             }
         }
-        let certified = clean
-            && !audit.proofs.is_empty()
-            && audit
+        let proof = if !clean {
+            ProofCert::NotApplicable
+        } else if audit.proofs.is_empty() {
+            ProofCert::Static
+        } else {
+            let checked: Result<Vec<_>, _> = audit
                 .proofs
                 .iter()
-                .all(|blob| atropos_proof::check_blob(blob).is_ok());
+                .map(|blob| atropos_proof::check_blob(blob))
+                .collect();
+            match checked {
+                Ok(reports) => ProofCert::Checked {
+                    core_inputs: reports.iter().map(|r| r.inputs).sum(),
+                },
+                Err(_) => ProofCert::Rejected,
+            }
+        };
         rows.push(ReportRow {
             subject,
             level: level_name(audit.level).to_owned(),
@@ -239,7 +253,7 @@ fn render_report(b: &Benchmark, outcome: &SweepOutcome, generated: &str) -> Stri
                 .copied()
                 .unwrap_or(0.0),
             trace,
-            certified,
+            proof,
         });
     }
     anomaly_report_markdown(b.name, generated, &rows, &traces)

@@ -505,16 +505,44 @@ pub struct ReportRow {
     /// Dirty verdicts only: the decoded witness schedule manifested its
     /// anomaly on the simulated cluster.
     pub trace: bool,
-    /// Clean verdicts only: the tuple's refutations carry certificates
-    /// the independent checker accepts.
-    pub certified: bool,
+    /// What backs the verdict in the `Proof Cert` column.
+    pub proof: ProofCert,
+}
+
+/// The `Proof Cert` cell of a report row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProofCert {
+    /// A dirty verdict: a certificate does not apply (`N/A`).
+    NotApplicable,
+    /// A clean verdict no query reached: no candidate pattern, so nothing
+    /// was refuted and no certificate exists (`static`).
+    Static,
+    /// A clean verdict whose certificates all check; carries the number
+    /// of input clauses their cores name in total (`✅ n`).
+    Checked {
+        /// Core inputs across the tuple's certificates.
+        core_inputs: usize,
+    },
+    /// A clean verdict with a certificate the checker rejects (`❌`).
+    Rejected,
+}
+
+impl std::fmt::Display for ProofCert {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProofCert::NotApplicable => write!(f, "N/A"),
+            ProofCert::Static => write!(f, "static"),
+            ProofCert::Checked { core_inputs } => write!(f, "✅ {core_inputs}"),
+            ProofCert::Rejected => write!(f, "❌"),
+        }
+    }
 }
 
 /// Renders one benchmark's anomaly report as markdown: a verdict table in
 /// the style of the serializability-report exemplar (`Trace` ✅ for
-/// replayed dirty verdicts, `Proof Cert` ✅ for certified clean ones,
-/// `N/A` where the column does not apply), followed by one fenced witness
-/// trace per manifested anomaly.
+/// replayed dirty verdicts, `N/A` where it does not apply; `Proof Cert`
+/// per [`ProofCert`]), followed by one fenced witness trace per
+/// manifested anomaly.
 pub fn anomaly_report_markdown(
     bench: &str,
     generated: &str,
@@ -541,7 +569,7 @@ pub fn anomaly_report_markdown(
             },
             r.pass_seconds,
             mark(r.trace),
-            mark(r.certified),
+            r.proof,
         );
     }
     if !traces.is_empty() {
@@ -629,5 +657,30 @@ mod tests {
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["x,y"]);
         assert!(t.to_csv().contains("\"x,y\""));
+    }
+
+    #[test]
+    fn proof_cert_column_tells_static_from_certified() {
+        let row = |serializable, proof| ReportRow {
+            subject: "a × b".to_owned(),
+            level: "SER".to_owned(),
+            serializable,
+            pass_seconds: 0.0,
+            trace: false,
+            proof,
+        };
+        let rows = [
+            row(false, ProofCert::NotApplicable),
+            row(true, ProofCert::Static),
+            row(true, ProofCert::Checked { core_inputs: 7 }),
+            row(true, ProofCert::Rejected),
+        ];
+        let md = anomaly_report_markdown("demo", "now", &rows, &[]);
+        let cells: Vec<&str> = md
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .map(|l| l.trim_end_matches('|').rsplit('|').next().unwrap())
+            .collect();
+        assert_eq!(cells, ["N/A", "static", "✅ 7", "❌"]);
     }
 }

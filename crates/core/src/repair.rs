@@ -386,14 +386,14 @@ pub fn repair_with_engine(
     session.begin_run();
     let before = session.cache_stats();
     let certs_before = if engine.proofs_enabled() {
-        session.proof_blobs().len()
+        session.proof_count()
     } else {
         0
     };
     let mut report = repair_core(program, config, &mut Oracle::Engine { engine, session });
     report.stats.cache = session.cache_stats().since(&before);
     if engine.proofs_enabled() {
-        report.stats.proof_certs = session.proof_blobs().len().saturating_sub(certs_before) as u64;
+        report.stats.proof_certs = session.proof_count().saturating_sub(certs_before) as u64;
     }
     replay_initial_verdicts(program, config, &mut report);
     report
@@ -1231,6 +1231,7 @@ mod tests {
         assert!(report.stats.proof_certs > 0, "{:?}", report.stats);
         let blobs = session.proof_blobs();
         assert_eq!(report.stats.proof_certs as usize, blobs.len());
+        assert_eq!(session.proof_count(), blobs.len());
         for blob in &blobs {
             atropos_proof::check_blob(blob).expect("certificate checks");
         }

@@ -372,8 +372,8 @@ fn emit(s: &mut Solver, guard: Option<Lit>, lits: impl IntoIterator<Item = Lit>)
 /// clauses, so the solver never stores a clause those facts satisfy nor a
 /// literal they falsify. Every clause the solver keeps mentions only
 /// variables the root assignment leaves open, and root simplification
-/// has nothing left to delete. The proof log still holds every clause as
-/// given.
+/// has nothing left to delete. A certificate's core still names every
+/// clause as given.
 fn encode_base(s: &mut Solver, model: &InstanceModel) -> PairEncoding {
     let n = model.cmds.len();
     // ord[i][j] (i < j): literal meaning "i is arbitrated before j".
@@ -659,15 +659,10 @@ pub struct PairSolver {
     /// allocated above it, so learnt clauses entirely below `base_vars`
     /// transfer verbatim between such solvers.
     base_vars: usize,
-    /// Whether UNSAT queries capture proof certificates.
-    proofs: bool,
-    /// Incremental certificate encoder over the solver's cumulative proof
-    /// log — each event is encoded once, however many queries snapshot it.
-    certifier: crate::certify::Certifier,
     /// Certificates of UNSAT queries since the last
     /// [`PairSolver::take_certificates`], in query order. Each blob is the
-    /// solver's cumulative proof log plus the failed-core trailer, encoded
-    /// in the `atropos_proof` binary format.
+    /// core the solver names for the query plus the failed-core trailer,
+    /// encoded in the `atropos_proof` binary format.
     pending: Vec<Vec<u8>>,
 }
 
@@ -687,15 +682,17 @@ impl PairSolver {
         PairSolver::with_proofs(model, false)
     }
 
-    /// Like [`PairSolver::new`], but with `proofs` on the solver logs
-    /// every clause addition/deletion and each UNSAT query yields a
-    /// certificate blob (collected via [`PairSolver::take_certificates`])
-    /// that the independent `atropos_proof` checker accepts. Logging must
-    /// be switched on before the base encoding so the certificate's input
-    /// section is complete.
+    /// Like [`PairSolver::new`], but with `proofs` on the solver keeps a
+    /// core record and each UNSAT query yields a certificate blob
+    /// (collected via [`PairSolver::take_certificates`]) that the
+    /// independent `atropos_proof` checker accepts: the input clauses and
+    /// lemmas its refutation reaches, plus the failed-core trailer.
     pub fn with_proofs(model: &InstanceModel, proofs: bool) -> PairSolver {
-        let mut solver = Solver::new();
-        solver.set_proof_logging(proofs);
+        let mut solver = if proofs {
+            Solver::with_proofs()
+        } else {
+            Solver::new()
+        };
         let enc = encode_base(&mut solver, model);
         // Reach the root state the first solve would, so clones start
         // there instead of each simplifying again.
@@ -710,8 +707,6 @@ impl PairSolver {
             base_clauses,
             level_clauses: [0usize; 4],
             base_vars,
-            proofs,
-            certifier: crate::certify::Certifier::default(),
             pending: Vec::new(),
         }
     }
@@ -728,9 +723,9 @@ impl PairSolver {
     /// [`PairSolver::satisfiable`] and [`PairSolver::witness`].
     fn solve(&mut self, assumptions: &[Lit]) -> atropos_sat::SolveResult {
         let result = self.solver.solve_with_assumptions(assumptions);
-        if self.proofs && !result.is_sat() {
-            let blob = self.certifier.certificate_blob(
-                self.solver.proof_events(),
+        if self.solver.proof_logging() && !result.is_sat() {
+            let blob = crate::certify::certificate_blob(
+                &self.solver.refutation(),
                 self.solver.failed_assumptions(),
             );
             self.pending.push(blob);

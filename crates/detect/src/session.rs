@@ -150,6 +150,12 @@ impl DetectSession {
             .collect()
     }
 
+    /// How many proof certificates the session holds — the length of
+    /// [`DetectSession::proof_blobs`], without copying a blob.
+    pub fn proof_count(&self) -> usize {
+        self.verdicts.values().map(|e| e.proofs.len()).sum()
+    }
+
     /// One audit record per cached verdict, in sorted key order (pair
     /// entries before triple entries): the raw material of the anomaly
     /// reports.

@@ -5,18 +5,22 @@
 //!
 //! Every clean verdict the detector emits rests on UNSAT answers from the
 //! workspace's own CDCL solver (`atropos_sat`). This crate closes that
-//! trust gap: the solver logs DRAT-style events while it runs, the detect
-//! layer assembles them into self-contained certificates, and this crate
-//! re-verifies each certificate by **reverse unit propagation** — a
-//! deliberately separate implementation that shares no code (not even the
-//! literal type) with the solver. Literals here are DIMACS-style `i32`s:
-//! variable `v` is `v` (positive) or `-v` (negated), never `0`.
+//! trust gap: on each UNSAT answer the solver names the core of its
+//! refutation (the input clauses and lemmas the final conflict reaches),
+//! the detect layer assembles that core into a self-contained
+//! certificate, and this crate re-verifies each certificate by **reverse
+//! unit propagation** — a deliberately separate implementation that
+//! shares no code (not even the literal type) with the solver. Literals
+//! here are DIMACS-style `i32`s: variable `v` is `v` (positive) or `-v`
+//! (negated), never `0`.
 //!
 //! A certificate is a sequence of [`Step`]s:
 //!
 //! * [`Step::Input`] — an original problem clause. The inputs embedded in
-//!   the certificate *are* the CNF being refuted, making the blob
-//!   self-contained (checkable without re-running the encoder).
+//!   the certificate *are* the CNF being refuted — for the solver's
+//!   certificates, only the part of the problem formula the refutation
+//!   needs — making the blob self-contained (checkable without re-running
+//!   the encoder).
 //! * [`Step::Add`] — a deduced clause. The checker verifies it is RUP:
 //!   asserting the negation of every literal and unit-propagating over
 //!   the live clause database must yield a conflict.
@@ -239,89 +243,6 @@ fn encode_step(out: &mut Vec<u8>, step: &Step) {
     out.extend_from_slice(&(lits.len() as u32).to_le_bytes());
     for &l in lits {
         out.extend_from_slice(&l.to_le_bytes());
-    }
-}
-
-/// An incremental certificate encoder for producers whose step prefix
-/// grows monotonically across many certificates — a solver's cumulative
-/// proof log, snapshotted at each UNSAT answer. Steps are encoded once,
-/// when pushed; [`ProofWriter::snapshot_with`] then assembles a complete
-/// blob (byte-identical to [`Proof::encode`] over the same steps) without
-/// re-encoding the shared prefix.
-#[derive(Debug, Clone, Default)]
-pub struct ProofWriter {
-    /// Encoded step section (no header, no checksum).
-    body: Vec<u8>,
-    /// Steps encoded into `body`.
-    steps: u32,
-}
-
-impl ProofWriter {
-    /// An empty writer.
-    pub fn new() -> ProofWriter {
-        ProofWriter::default()
-    }
-
-    /// Appends one step to the retained prefix.
-    pub fn push(&mut self, step: &Step) {
-        encode_step(&mut self.body, step);
-        self.steps += 1;
-    }
-
-    /// Appends an input-clause step without materializing a [`Step`].
-    pub fn push_input<I: IntoIterator<Item = i32>>(&mut self, lits: I) {
-        self.push_tagged(Kind::Input, lits);
-    }
-
-    /// Appends a deduced-clause step without materializing a [`Step`].
-    pub fn push_add<I: IntoIterator<Item = i32>>(&mut self, lits: I) {
-        self.push_tagged(Kind::Add, lits);
-    }
-
-    /// Appends a deletion step without materializing a [`Step`].
-    pub fn push_delete<I: IntoIterator<Item = i32>>(&mut self, lits: I) {
-        self.push_tagged(Kind::Delete, lits);
-    }
-
-    /// Encodes `tag, len u32, lits` in place, backpatching the length
-    /// once the iterator is drained.
-    fn push_tagged<I: IntoIterator<Item = i32>>(&mut self, kind: Kind, lits: I) {
-        self.body.push(kind as u8);
-        let at = self.body.len();
-        self.body.extend_from_slice(&0u32.to_le_bytes());
-        let mut n = 0u32;
-        for l in lits {
-            self.body.extend_from_slice(&l.to_le_bytes());
-            n += 1;
-        }
-        self.body[at..at + 4].copy_from_slice(&n.to_le_bytes());
-        self.steps += 1;
-    }
-
-    /// Steps pushed so far.
-    pub fn len(&self) -> usize {
-        self.steps as usize
-    }
-
-    /// True when no step has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.steps == 0
-    }
-
-    /// Assembles a complete encoded certificate: the retained prefix plus
-    /// `trailer` (not retained), headed and checksummed like
-    /// [`Proof::encode`].
-    pub fn snapshot_with(&self, trailer: &[Step]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.body.len() + trailer.len() * 8);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(self.steps + trailer.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.body);
-        for step in trailer {
-            encode_step(&mut out, step);
-        }
-        let sum = checksum(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
     }
 }
 
@@ -1104,7 +1025,7 @@ mod tests {
         let certify = |s: &Solver| {
             let lits = |c: &[Lit]| c.iter().map(|&l| dimacs(l)).collect();
             let mut steps: Vec<Step> = s
-                .proof_events()
+                .refutation()
                 .iter()
                 .map(|e| match e {
                     ProofEvent::Input(c) => Step::Input(lits(c)),
@@ -1122,8 +1043,7 @@ mod tests {
         };
 
         let (pigeons, holes) = (5, 4);
-        let mut php = Solver::new();
-        php.set_proof_logging(true);
+        let mut php = Solver::with_proofs();
         let sits: Vec<Vec<Lit>> = (0..pigeons)
             .map(|_| (0..holes).map(|_| Lit::new(php.new_var(), true)).collect())
             .collect();
@@ -1139,8 +1059,7 @@ mod tests {
         }
         assert!(!php.solve().is_sat());
 
-        let mut chain = Solver::new();
-        chain.set_proof_logging(true);
+        let mut chain = Solver::with_proofs();
         let xs: Vec<Lit> = (0..8).map(|_| Lit::new(chain.new_var(), true)).collect();
         for w in xs.windows(2) {
             chain.add_clause([!w[0], w[1]]);

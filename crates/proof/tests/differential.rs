@@ -1,16 +1,20 @@
 //! Differential fuzz of the certificate pipeline: random CNFs are solved
 //! by both the arena solver and the retained reference implementation with
 //! proof logging on; every UNSAT verdict must yield a certificate this
-//! crate's independent checker accepts, and mutated certificates
-//! (corrupted bytes, a dropped final empty clause, a reordered empty
-//! clause) must be rejected.
+//! crate's independent checker accepts — from the arena solver's core
+//! ([`Solver::refutation`]), whose every `Input` must be a clause the
+//! solver was given, and from the reference solver's cumulative log — and
+//! mutated certificates (corrupted bytes, a dropped final empty clause, a
+//! reordered empty clause) must be rejected.
+//!
+//! [`Solver::refutation`]: atropos_sat::Solver::refutation
 //!
 //! The `Lit` → DIMACS bridge is deliberately re-implemented here: the
 //! checker library itself must stay independent of the solver stack, so
 //! the only shared vocabulary is the `i32` literal convention.
 
 use atropos_proof::{check, check_blob, proof_hash, Proof, Step};
-use atropos_sat::{reference, Lit, ProofEvent, SolveResult, Var};
+use atropos_sat::{reference, Lit, ProofEvent, SolveResult, Solver, Var};
 use proptest::prelude::*;
 
 fn to_dimacs_lit(l: Lit) -> i32 {
@@ -33,8 +37,8 @@ fn to_steps(events: &[ProofEvent]) -> Vec<Step> {
         .collect()
 }
 
-/// Assembles the full certificate for an UNSAT answer: the cumulative
-/// event log, then the trailer — `Add(¬core)` justified by the final
+/// Assembles the full certificate for an UNSAT answer: the core (or the
+/// cumulative event log), then the trailer — `Add(¬core)` justified by the final
 /// conflict analysis, one `Assume` per failed assumption, and the empty
 /// clause. A root refutation (empty core) needs only the empty clause.
 fn certificate(events: &[ProofEvent], core: &[Lit]) -> Proof {
@@ -61,9 +65,26 @@ fn to_clauses(raw: &[Vec<(u32, bool)>], num_vars: usize) -> Vec<Vec<Lit>> {
         .collect()
 }
 
-fn arena_solver(num_vars: usize, clauses: &[Vec<Lit>]) -> atropos_sat::solver::Solver {
-    let mut s = atropos_sat::solver::Solver::new();
-    s.set_proof_logging(true);
+/// Whether every `Input` of an arena core is one of `clauses` as the
+/// solver stores a given clause: sorted and deduplicated.
+fn inputs_were_given(core: &[ProofEvent], clauses: &[Vec<Lit>]) -> bool {
+    let given: Vec<Vec<Lit>> = clauses
+        .iter()
+        .map(|c| {
+            let mut c = c.clone();
+            c.sort();
+            c.dedup();
+            c
+        })
+        .collect();
+    core.iter().all(|e| match e {
+        ProofEvent::Input(l) => given.contains(l),
+        _ => true,
+    })
+}
+
+fn arena_solver(num_vars: usize, clauses: &[Vec<Lit>]) -> Solver {
+    let mut s = Solver::with_proofs();
     for _ in 0..num_vars {
         s.new_var();
     }
@@ -134,10 +155,9 @@ proptest! {
         let r = refr.solve();
         prop_assert_eq!(a.is_sat(), r.is_sat(), "verdicts diverge");
         if !a.is_sat() {
-            for (name, events) in [
-                ("arena", arena.proof_events()),
-                ("reference", refr.proof_events()),
-            ] {
+            let core = arena.refutation();
+            prop_assert!(inputs_were_given(&core, &clauses), "core names an ungiven input");
+            for (name, events) in [("arena", &core[..]), ("reference", refr.proof_events())] {
                 let proof = certificate(events, &[]);
                 let report = check(&proof);
                 prop_assert!(report.is_ok(), "{} proof rejected: {:?}", name, report);
@@ -150,8 +170,8 @@ proptest! {
     }
 
     /// Incremental solving under assumption sequences: each UNSAT call's
-    /// cumulative log plus the failed-core trailer certifies, in both
-    /// implementations, across retained learnts and re-entrant solves.
+    /// core (arena) or cumulative log (reference) plus the failed-core
+    /// trailer certifies, across retained learnts and re-entrant solves.
     #[test]
     fn assumption_refutations_certify(
         num_vars in 1usize..10,
@@ -178,8 +198,9 @@ proptest! {
             if a.is_sat() {
                 continue;
             }
-            let arena_proof =
-                certificate(arena.proof_events(), arena.failed_assumptions());
+            let core = arena.refutation();
+            prop_assert!(inputs_were_given(&core, &clauses), "core names an ungiven input");
+            let arena_proof = certificate(&core, arena.failed_assumptions());
             let ref_proof =
                 certificate(refr.proof_events(), refr.failed_assumptions());
             for (name, proof) in [("arena", &arena_proof), ("reference", &ref_proof)] {
@@ -217,8 +238,9 @@ proptest! {
         let s = seeded.solve_with_assumptions(&probe);
         prop_assert_eq!(s.is_sat(), donor_sat, "seeding changed the verdict");
         if !s.is_sat() {
-            let proof =
-                certificate(seeded.proof_events(), seeded.failed_assumptions());
+            let core = seeded.refutation();
+            prop_assert!(inputs_were_given(&core, &clauses), "core names an ungiven input");
+            let proof = certificate(&core, seeded.failed_assumptions());
             let report = check(&proof);
             prop_assert!(report.is_ok(), "seeded proof rejected: {:?}", report);
         }
@@ -236,4 +258,59 @@ proptest! {
             prop_assert!(report.is_ok(), "seeded reference proof rejected: {:?}", report);
         }
     }
+}
+
+/// A refutation long enough to reduce the learnt database and compact
+/// the arena: guarded PHP(8, 7), every clause also carrying `¬u` for a
+/// root unit `u` added first, so the solver stores each clause without
+/// `¬u` and every lemma's derivation rests on that root fact. Lemmas
+/// deleted mid-search stay nameable through the core record, and the core
+/// certifies on both askings of the query — the second one answered from
+/// the lemmas the first one learnt.
+#[test]
+fn cores_survive_learnt_deletion_and_compaction() {
+    let mut s = Solver::with_proofs();
+    let (u, act) = (s.new_var(), s.new_var());
+    let at: Vec<Vec<Var>> = (0..8)
+        .map(|_| (0..7).map(|_| s.new_var()).collect())
+        .collect();
+    let mut clauses = vec![vec![u.positive()]];
+    for row in &at {
+        let mut c: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+        c.extend([act.negative(), u.negative()]);
+        clauses.push(c);
+    }
+    for h in 0..7 {
+        for p1 in 0..8 {
+            for p2 in (p1 + 1)..8 {
+                clauses.push(vec![
+                    u.negative(),
+                    act.negative(),
+                    at[p1][h].negative(),
+                    at[p2][h].negative(),
+                ]);
+            }
+        }
+    }
+    for c in &clauses {
+        s.add_clause(c.iter().copied());
+    }
+    for asking in 0..2 {
+        assert!(!s.solve_with_assumptions(&[act.positive()]).is_sat());
+        let core = s.refutation();
+        assert!(inputs_were_given(&core, &clauses));
+        let lemmas = core
+            .iter()
+            .filter(|e| matches!(e, ProofEvent::Add(_)))
+            .count();
+        assert!(
+            lemmas > 0,
+            "asking {asking}: a pigeonhole refutation needs lemmas"
+        );
+        let report = check(&certificate(&core, s.failed_assumptions()))
+            .unwrap_or_else(|e| panic!("asking {asking}: core rejected: {e}"));
+        assert_eq!(report.rup_checks, lemmas + 2);
+    }
+    let stats = s.stats();
+    assert!(stats.deleted > 0 && stats.compactions > 0, "{stats:?}");
 }

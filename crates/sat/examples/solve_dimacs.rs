@@ -7,9 +7,10 @@
 //! ```
 //!
 //! Prints `SATISFIABLE` or `UNSATISFIABLE`. With `--proof-out`, the
-//! solver runs with proof logging on and writes its clause-addition/
-//! deletion log in DRAT text format; on UNSAT the dump is closed with the
-//! empty clause, so `drat-trim problem.cnf problem.drat` verifies it.
+//! solver runs with proof logging on and, on UNSAT, writes the lemmas its
+//! refutation reaches in DRAT text format, closed with the empty clause,
+//! so `drat-trim problem.cnf problem.drat` verifies it. A SAT answer
+//! writes an empty proof.
 
 use std::process::ExitCode;
 
@@ -56,7 +57,7 @@ fn main() -> ExitCode {
     let sat = solver.solve().is_sat();
     println!("{}", if sat { "SATISFIABLE" } else { "UNSATISFIABLE" });
     if let Some(path) = proof_out {
-        let mut drat = to_drat(solver.proof_events());
+        let mut drat = to_drat(&solver.refutation());
         if !sat {
             drat.push_str("0\n");
         }

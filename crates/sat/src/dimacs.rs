@@ -1,7 +1,8 @@
 //! DIMACS CNF serialization, for debugging encodings against external
-//! solvers, plus the textual DRAT dump of a solver's proof log — with the
-//! matching [`to_dimacs`] CNF file, [`to_drat`] output can be fed straight
-//! to external checkers such as drat-trim.
+//! solvers, plus the textual DRAT dump of a proof — with the matching
+//! [`to_dimacs`] CNF file, [`to_drat`] over a solver's
+//! [`Solver::refutation`] can be fed straight to external checkers such
+//! as drat-trim.
 
 use std::fmt::Write as _;
 
@@ -23,7 +24,7 @@ pub fn to_dimacs(num_vars: usize, clauses: &[Vec<Lit>]) -> String {
     out
 }
 
-/// Renders a proof log in textual DRAT format: one line per deduced
+/// Renders proof events in textual DRAT format: one line per deduced
 /// clause (`lits... 0`) or deletion (`d lits... 0`). [`ProofEvent::Input`]
 /// records are skipped — in the DRAT convention the problem CNF travels in
 /// its own DIMACS file ([`to_dimacs`]), the proof file holds only the
@@ -103,16 +104,19 @@ pub fn parse_dimacs(text: &str) -> Result<Solver, String> {
     parse_dimacs_with_proofs(text, false)
 }
 
-/// [`parse_dimacs`], optionally with proof logging enabled *before* the
-/// clauses are added — the entry point of the `solve_dimacs` example
-/// harness's `--proof-out` flag.
+/// [`parse_dimacs`], optionally into a proof-logging solver
+/// ([`Solver::with_proofs`]) — the entry point of the `solve_dimacs`
+/// example harness's `--proof-out` flag.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed line.
 pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Solver, String> {
-    let mut solver = Solver::new();
-    solver.set_proof_logging(proofs);
+    let mut solver = if proofs {
+        Solver::with_proofs()
+    } else {
+        Solver::new()
+    };
     let mut declared_vars: Option<usize> = None;
     let mut clause: Vec<Lit> = Vec::new();
     for line in text.lines() {
@@ -224,7 +228,7 @@ mod tests {
         let mut s = parse_dimacs_with_proofs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n", true)
             .unwrap();
         assert_eq!(s.solve(), SolveResult::Unsat);
-        let text = to_drat(s.proof_events());
+        let text = to_drat(&s.refutation());
         let parsed = parse_drat(&text).unwrap();
         assert!(!parsed.is_empty());
         assert!(parsed

@@ -15,19 +15,18 @@
 //! * [`CnfBuilder`] — fresh variables, raw clauses, Tseitin gates
 //!   (`and`/`or`/`iff`/`implies`) and cardinality constraints;
 //! * [`dimacs`] — DIMACS CNF import/export plus a textual DRAT dump of a
-//!   solver's proof log for cross-checking with external tools;
-//! * [`proof`] — the DRAT-style [`ProofEvent`] log both solver
-//!   implementations emit when [`Solver::set_proof_logging`] is on, from
-//!   which self-contained UNSAT certificates are assembled (checked by
-//!   the independent `atropos_proof` crate).
+//!   refutation for cross-checking with external tools;
+//! * [`proof`] — the DRAT-style [`ProofEvent`]s of a refutation. A solver
+//!   built by [`Solver::with_proofs`] keeps a core record and, on UNSAT,
+//!   [`Solver::refutation`] names only the input clauses and lemmas the
+//!   refutation reaches, from which self-contained UNSAT certificates are
+//!   assembled (checked by the independent `atropos_proof` crate).
 //!
 //! [`Solver`] stores clauses in a flat arena (`[header | len | lits...]`
 //! records in one `u32` buffer) and propagates over blocker-literal
 //! watcher lists; [`mod@reference`] retains the previous `Vec<Clause>`
-//! implementation as a differential-testing oracle and throughput
-//! baseline. Building with the `baseline-solver` cargo feature swaps the
-//! crate's `Solver` re-export to the reference implementation, so the
-//! whole stack can be benchmarked pre-arena without code changes.
+//! implementation, with its cumulative proof log, as a
+//! differential-testing oracle and throughput baseline.
 //!
 //! # Examples
 //!
@@ -56,8 +55,4 @@ pub mod solver;
 pub use cnf::CnfBuilder;
 pub use lit::{LBool, Lit, Var};
 pub use proof::ProofEvent;
-#[cfg(feature = "baseline-solver")]
-pub use reference::Solver;
-pub use solver::{SolveResult, SolverStats};
-#[cfg(not(feature = "baseline-solver"))]
-pub use solver::Solver;
+pub use solver::{SolveResult, Solver, SolverStats};

@@ -7,11 +7,9 @@
 //!    arena solver against this one on random CNFs: SAT/UNSAT verdicts
 //!    must agree, models must satisfy the formula, and each solver's
 //!    failed-assumption core must refute in the other.
-//! 2. **Throughput baseline** — the `baseline-solver` cargo feature swaps
-//!    the crate's default `Solver` export to this module so the whole
-//!    detection stack can be measured pre-arena; the `solver_stats` bench
-//!    bin also measures it directly for the `experiments/solver_stats.csv`
-//!    speedup ratio.
+//! 2. **Throughput baseline** — the `solver_stats` bench bin replays
+//!    identical detection CNFs through both layouts for the
+//!    `experiments/solver_stats.csv` speedup ratio.
 //!
 //! Semantics are identical to [`crate::solver::Solver`] (same decision
 //! heuristic, same learning, same assumption handling); only the memory
@@ -143,8 +141,7 @@ impl OrderHeap {
 /// engine relies on to migrate retained pair solvers between its workers.
 /// It is *not* concurrency-safe (`&mut` access only); parallelism is the
 /// callers' business, one solver per worker at a time. It is `Clone` like
-/// the arena solver, so the `baseline-solver` feature swap stays
-/// source-compatible.
+/// the arena solver.
 ///
 /// # Examples
 ///
@@ -228,13 +225,18 @@ impl Solver {
         }
     }
 
-    /// Turns DRAT-style proof logging on or off; mirrors the arena
-    /// solver's [`crate::solver::Solver::set_proof_logging`] so the
-    /// `baseline-solver` feature swap (and the proof differential suite)
-    /// stays source-compatible. Must be enabled before the first clause.
+    /// Turns DRAT-style proof logging on or off. Unlike the arena solver,
+    /// which names only a refutation's core, this solver keeps the
+    /// cumulative log of every clause entering or leaving its database —
+    /// the proof differential suite's oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics when enabled on a solver that already holds clauses or root
+    /// facts: the log would miss their inputs.
     pub fn set_proof_logging(&mut self, on: bool) {
         if on {
-            debug_assert!(
+            assert!(
                 self.clauses.is_empty() && self.trail.is_empty(),
                 "proof logging must be enabled before the first clause"
             );
@@ -302,7 +304,7 @@ impl Solver {
 
     /// Imports learnt clauses exported by a fingerprint-identical solver
     /// (see [`Solver::retained_learnts`]); mirrors the arena solver's API
-    /// so the `baseline-solver` feature swap stays source-compatible.
+    /// so the differential suites can transfer lemmas between the two.
     pub fn import_learnts<'a, I>(&mut self, clauses: I) -> usize
     where
         I: IntoIterator<Item = &'a [Lit]>,
@@ -389,8 +391,7 @@ impl Solver {
 
     /// Exports the stored problem (root facts as units, then every
     /// original clause) — the baseline counterpart of the arena solver's
-    /// [`crate::solver::Solver::problem_clauses`], kept so the
-    /// `baseline-solver` feature swap stays source-compatible.
+    /// [`crate::solver::Solver::problem_clauses`].
     pub fn problem_clauses(&self) -> Vec<Vec<Lit>> {
         debug_assert!(self.trail_lim.is_empty(), "export happens at the root");
         let mut out = Vec::new();

@@ -20,9 +20,15 @@
 //! records as garbage; when enough of the buffer is dead the arena is
 //! compacted with a relocation pass (watches and reasons are remapped
 //! through forwarding offsets).
+//!
+//! With proofs on ([`Solver::with_proofs`]) the solver also keeps a core
+//! record ([`crate::proof`]): each clause it attaches carries the id of
+//! the input or lemma it came from in the unused bits of its arena header,
+//! and every UNSAT answer names the clauses its refutation reaches
+//! ([`Solver::refutation`]).
 
 use crate::lit::{LBool, Lit, Var};
-use crate::proof::ProofEvent;
+use crate::proof::{clause_code, ClauseCode, CoreLog, ProofEvent, NO_CLAUSE};
 
 /// Outcome of [`Solver::solve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +64,9 @@ const MARK_BIT: u32 = 2;
 /// Header flag: the record was relocated; the length word holds the
 /// forwarding offset into the new buffer (compaction-internal).
 const RELOC_BIT: u32 = 4;
+/// The header's remaining bits hold the clause's input or lemma id when
+/// proofs are on (zero otherwise).
+const TAG_SHIFT: u32 = 3;
 
 /// The flat clause store: `[header | len | lits... | activity?]` records
 /// packed back to back in one `u32` buffer. Literals are stored as their
@@ -71,10 +80,11 @@ struct Arena {
 }
 
 impl Arena {
-    fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+    fn alloc(&mut self, lits: &[Lit], learnt: bool, tag: u32) -> ClauseRef {
         let cref = self.data.len() as ClauseRef;
         self.data.reserve(2 + lits.len() + usize::from(learnt));
-        self.data.push(if learnt { LEARNT_BIT } else { 0 });
+        self.data
+            .push((tag << TAG_SHIFT) | if learnt { LEARNT_BIT } else { 0 });
         self.data.push(lits.len() as u32);
         self.data.extend(lits.iter().map(|l| l.index() as u32));
         if learnt {
@@ -102,6 +112,11 @@ impl Arena {
     #[inline]
     fn is_learnt(&self, cref: ClauseRef) -> bool {
         self.data[cref as usize] & LEARNT_BIT != 0
+    }
+
+    /// The core-record code of the clause at `cref` (proofs on).
+    fn code(&self, cref: ClauseRef) -> ClauseCode {
+        clause_code(self.data[cref as usize] >> TAG_SHIFT, self.is_learnt(cref))
     }
 
     fn activity(&self, cref: ClauseRef) -> f32 {
@@ -343,8 +358,10 @@ pub struct Solver {
     simplified_at: usize,
     /// Scratch for conflict analysis (avoids a per-conflict allocation).
     analyze_scratch: Vec<Lit>,
-    /// DRAT-style event log; `None` (the default) makes logging a no-op.
-    proof: Option<Vec<ProofEvent>>,
+    /// The clauses the current conflict analysis resolved (proofs on).
+    ante_scratch: Vec<ClauseCode>,
+    /// The core record; `None` (the default) keeps no proof at all.
+    proof: Option<Box<CoreLog>>,
 }
 
 // A retained solver must be able to migrate between detection workers; any
@@ -395,29 +412,25 @@ impl Solver {
             failed: Vec::new(),
             simplified_at: 0,
             analyze_scratch: Vec::new(),
+            ante_scratch: Vec::new(),
             proof: None,
         }
     }
 
-    /// Turns DRAT-style proof logging on or off. Logging costs nothing
-    /// when off (the default). Enabling must happen before the first
-    /// clause is added: the event log reconstructs the problem CNF from
-    /// its [`ProofEvent::Input`] records, so clauses added while logging
-    /// was off would leave unverifiable holes.
+    /// Creates an empty solver that keeps a core record, so every UNSAT
+    /// answer can name the clauses its refutation reaches
+    /// ([`Solver::refutation`]). Proof logging is chosen here, at
+    /// construction, because a clause attached without an input id could
+    /// never be named — there is no switch to turn it on later:
     ///
-    /// # Panics
-    ///
-    /// Panics (debug) when enabled on a solver that already holds clauses
-    /// or root facts.
-    pub fn set_proof_logging(&mut self, on: bool) {
-        if on {
-            debug_assert!(
-                self.clauses.is_empty() && self.learnts.is_empty() && self.trail.is_empty(),
-                "proof logging must be enabled before the first clause"
-            );
-            self.proof.get_or_insert_with(Vec::new);
-        } else {
-            self.proof = None;
+    /// ```compile_fail
+    /// let mut s = atropos_sat::Solver::new();
+    /// s.set_proof_logging(true);
+    /// ```
+    pub fn with_proofs() -> Solver {
+        Solver {
+            proof: Some(Box::default()),
+            ..Solver::new()
         }
     }
 
@@ -426,16 +439,16 @@ impl Solver {
         self.proof.is_some()
     }
 
-    /// The DRAT-style events logged so far (empty when logging is off).
-    pub fn proof_events(&self) -> &[ProofEvent] {
-        self.proof.as_deref().unwrap_or(&[])
-    }
-
-    #[inline]
-    fn log_proof(&mut self, event: impl FnOnce() -> ProofEvent) {
-        if let Some(log) = self.proof.as_mut() {
-            log.push(event());
-        }
+    /// The core of the most recent UNSAT answer: the input clauses its
+    /// refutation reaches, as given and in input order, then the lemmas
+    /// it reaches, in learning order. Each lemma is RUP over the inputs
+    /// plus the lemmas before it, and the failed assumptions (or, with
+    /// none, the empty clause) are RUP over the whole core. Empty when
+    /// proofs are off or the last answer was SAT.
+    pub fn refutation(&self) -> Vec<ProofEvent> {
+        self.proof
+            .as_ref()
+            .map_or_else(Vec::new, |log| log.refutation())
     }
 
     /// Allocates a fresh variable.
@@ -451,6 +464,9 @@ impl Solver {
         self.watches.push(Vec::new());
         self.order.push_var();
         self.order.insert(v, &self.activity);
+        if let Some(log) = self.proof.as_mut() {
+            log.root_reason.push(NO_CLAUSE);
+        }
         v
     }
 
@@ -513,26 +529,57 @@ impl Solver {
                 return;
             }
         }
-        // Log the clause as given (sorted, deduplicated) *before* the
-        // root-level simplifications below: the proof log's input events
-        // must reconstruct the problem formula, not its current residue.
-        self.log_proof(|| ProofEvent::Input(lits.clone()));
-        // Remove root-level falsified literals; detect satisfied clauses.
-        lits.retain(|&l| self.value(l) != LBool::False);
+        // A clause the root facts satisfy can take no part in any
+        // refutation: it is neither stored nor named.
         if lits.iter().any(|&l| self.value(l) == LBool::True) {
             return;
         }
+        // Name the clause as given (sorted, deduplicated) *before* the
+        // root-falsified literals are stripped: a core must name clauses
+        // of the problem formula, not of its current residue.
+        let id = match self.proof.as_mut() {
+            Some(log) => log.push_input(&lits),
+            None => 0,
+        };
+        lits.retain(|&l| self.value(l) != LBool::False);
+        self.install(&lits, false, id);
+    }
+
+    /// Installs a clause whose root-falsified literals are already gone:
+    /// an empty one refutes the formula, a unit becomes a root fact, and
+    /// anything longer is attached. `id` names it in the core record.
+    fn install(&mut self, lits: &[Lit], learnt: bool, id: u32) {
+        let code = clause_code(id, learnt);
         match lits.len() {
-            0 => self.unsat = true,
+            0 => self.refute_at_root(code),
             1 => {
-                if !self.enqueue(lits[0], None) || self.propagate().is_some() {
-                    self.unsat = true;
+                if !self.enqueue(lits[0], None) {
+                    self.refute_at_root(code);
+                    return;
+                }
+                if let Some(log) = self.proof.as_mut() {
+                    log.root_reason[lits[0].var().index()] = code;
+                }
+                if let Some(conflict) = self.propagate() {
+                    let code = self.arena.code(conflict);
+                    self.refute_at_root(code);
                 }
             }
             _ => {
-                self.attach(&lits, false);
+                self.attach(lits, learnt, id);
             }
         }
+    }
+
+    /// Marks the formula itself unsatisfiable, `code` naming a clause the
+    /// root facts falsify. The first refutation sticks: every later answer
+    /// is UNSAT for the same reason.
+    fn refute_at_root(&mut self, code: ClauseCode) {
+        if self.unsat {
+            return;
+        }
+        self.unsat = true;
+        self.name_refutation(Seed::Clause(code));
     }
 
     /// Imports clauses a fingerprint-identical solver learnt over the same
@@ -564,32 +611,24 @@ impl Solver {
             if lits.iter().any(|&l| self.value(l) == LBool::True) {
                 continue;
             }
-            // With proof logging on, every imported lemma must be
-            // re-derivable by the checker at this point in the event log.
-            // Pool lemmas were learnt against a *different* solver's event
-            // order (intermediate lemmas may have been deleted there), so
-            // each one is re-verified by reverse unit propagation against
-            // this solver's live database; seeds that fail the gate are
+            // With proofs on, every imported lemma must be re-derivable
+            // from this solver's own clauses. Pool lemmas were learnt by a
+            // *different* solver, so each one is re-verified by reverse
+            // unit propagation against this solver's live database, which
+            // also yields its antecedents; seeds that fail the gate are
             // skipped — always sound, since a seed is only ever a hint.
+            let mut id = 0;
             if self.proof.is_some() {
-                if !self.seed_is_rup(&lits) {
+                let Some((ante, roots)) = self.rup_antecedents(&lits) else {
                     continue;
-                }
-                self.log_proof(|| ProofEvent::Add(lits.clone()));
+                };
+                let log = self.proof.as_mut().expect("proofs are on");
+                id = log.push_lemma(&lits, &ante, &roots);
             }
-            match lits.len() {
-                0 => self.unsat = true,
-                1 => {
-                    installed += 1;
-                    if !self.enqueue(lits[0], None) || self.propagate().is_some() {
-                        self.unsat = true;
-                    }
-                }
-                _ => {
-                    installed += 1;
-                    self.attach(&lits, true);
-                }
+            if !lits.is_empty() {
+                installed += 1;
             }
+            self.install(&lits, true, id);
         }
         installed
     }
@@ -597,21 +636,35 @@ impl Solver {
     /// Reverse-unit-propagation check of one candidate clause against the
     /// live database: open a scratch decision level, assert the negation
     /// of every literal, and propagate. A conflict (or an unenqueueable
-    /// negation — the clause is satisfied by forced literals) proves the
-    /// clause; the scratch level is always rolled back.
-    fn seed_is_rup(&mut self, lits: &[Lit]) -> bool {
+    /// negation — the clause is a tautology) proves the clause; the
+    /// antecedents of that proof (the clauses reached walking back from
+    /// the conflict, and the root facts they rest on) are returned. The
+    /// scratch level is always rolled back.
+    fn rup_antecedents(&mut self, lits: &[Lit]) -> Option<(Vec<ClauseCode>, Vec<Var>)> {
         debug_assert!(self.trail_lim.is_empty(), "RUP gate runs at the root");
         self.trail_lim.push(self.trail.len());
-        let mut proved = false;
+        let mut seed = None;
         for &l in lits {
             if !self.enqueue(!l, None) {
-                proved = true;
+                seed = Some(Seed::Lit(l));
                 break;
             }
         }
-        if !proved {
-            proved = self.propagate().is_some();
+        if seed.is_none() {
+            seed = self
+                .propagate()
+                .map(|conflict| Seed::Clause(self.arena.code(conflict)));
         }
+        let proved = seed.map(|seed| {
+            let (mut ante, mut roots) = (Vec::new(), Vec::new());
+            let log = self.proof.take().expect("proofs are on");
+            self.walk_above_root(&log, seed, &mut ante, &mut roots);
+            self.proof = Some(log);
+            for v in &roots {
+                self.seen[v.index()] = false;
+            }
+            (ante, roots)
+        });
         self.backtrack(0);
         proved
     }
@@ -663,9 +716,11 @@ impl Solver {
         out
     }
 
-    fn attach(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+    /// Attaches a clause of two or more literals; `id` is its input or
+    /// lemma id in the core record (zero with proofs off).
+    fn attach(&mut self, lits: &[Lit], learnt: bool, id: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.arena.alloc(lits, learnt);
+        let cref = self.arena.alloc(lits, learnt, id);
         self.watches[(!lits[0]).index()].push(Watcher {
             cref,
             blocker: lits[1],
@@ -684,11 +739,6 @@ impl Solver {
 
     /// Detaches the clause from its two watch lists and frees its record.
     fn remove_clause(&mut self, cref: ClauseRef) {
-        if self.proof.is_some() {
-            let len = self.arena.len(cref);
-            let lits: Vec<Lit> = (0..len).map(|i| self.arena.lit(cref, i)).collect();
-            self.log_proof(|| ProofEvent::Delete(lits));
-        }
         let (l0, l1) = (self.arena.lit(cref, 0), self.arena.lit(cref, 1));
         self.watches[(!l0).index()].retain(|w| w.cref != cref);
         self.watches[(!l1).index()].retain(|w| w.cref != cref);
@@ -830,6 +880,9 @@ impl Solver {
 
         loop {
             self.bump_clause(cref);
+            if self.proof.is_some() {
+                self.ante_scratch.push(self.arena.code(cref));
+            }
             let len = self.arena.len(cref);
             let skip_first = usize::from(p.is_some());
             for k in skip_first..len {
@@ -948,7 +1001,8 @@ impl Solver {
     /// removes every clause the root assignment already satisfies (it can
     /// never participate in propagation or conflicts again) and clears the
     /// reason pointers of root facts (they are permanent; conflict
-    /// analysis skips level 0). Runs automatically at the start of every
+    /// analysis skips level 0; with proofs on, the core record keeps which
+    /// clause forced each). Runs automatically at the start of every
     /// solve once new root facts have appeared; [`Solver::num_clauses`]
     /// only counts what survives.
     pub fn simplify(&mut self) {
@@ -958,7 +1012,12 @@ impl Solver {
             return;
         }
         for i in 0..self.trail.len() {
-            self.reason[self.trail[i].var().index()] = None;
+            let v = self.trail[i].var().index();
+            if let Some(cref) = self.reason[v].take() {
+                if let Some(log) = self.proof.as_mut() {
+                    log.root_reason[v] = self.arena.code(cref);
+                }
+            }
         }
         for learnt_list in [true, false] {
             let old = std::mem::take(if learnt_list {
@@ -1054,6 +1113,130 @@ impl Solver {
         self.seen[p.var().index()] = false;
     }
 
+    /// Records a learnt clause in the core record together with the
+    /// clauses its analysis resolved and the root facts that falsify
+    /// literals of those clauses (analysis skips them; a checker needs
+    /// them). Returns the lemma id, zero with proofs off.
+    fn record_lemma(&mut self, learnt: &[Lit]) -> u32 {
+        let mut ante = std::mem::take(&mut self.ante_scratch);
+        let Some(log) = self.proof.as_mut() else {
+            return 0;
+        };
+        let mut roots = Vec::new();
+        for &code in &ante {
+            for &l in log.lits(code) {
+                let v = l.var().index();
+                if self.level[v] == 0 && self.assign[v] != LBool::Undef && !self.seen[v] {
+                    self.seen[v] = true;
+                    roots.push(l.var());
+                }
+            }
+        }
+        for v in &roots {
+            self.seen[v.index()] = false;
+        }
+        let id = log.push_lemma(learnt, &ante, &roots);
+        ante.clear();
+        self.ante_scratch = ante;
+        id
+    }
+
+    /// Marks `v` for a core walk; a root fact also goes onto `roots`.
+    fn mark_for_core(&mut self, v: Var, roots: &mut Vec<Var>) {
+        if !self.seen[v.index()] {
+            self.seen[v.index()] = true;
+            if self.level[v.index()] == 0 {
+                roots.push(v);
+            }
+        }
+    }
+
+    /// Walks the implication graph back from `seed` through the levels
+    /// above the root, as [`Solver::analyze_final`] does: every reason
+    /// clause met goes onto `ante`, every root fact met stays marked in
+    /// `seen` and goes onto `roots`. Decisions — assumptions, or the
+    /// negated literals of a RUP check — end their branch.
+    fn walk_above_root(
+        &mut self,
+        log: &CoreLog,
+        seed: Seed,
+        ante: &mut Vec<ClauseCode>,
+        roots: &mut Vec<Var>,
+    ) {
+        match seed {
+            Seed::Lit(l) => self.mark_for_core(l.var(), roots),
+            Seed::Clause(code) => {
+                ante.push(code);
+                for &l in log.lits(code) {
+                    self.mark_for_core(l.var(), roots);
+                }
+            }
+        }
+        let Some(&bottom) = self.trail_lim.first() else {
+            return;
+        };
+        for i in (bottom..self.trail.len()).rev() {
+            let v = self.trail[i].var();
+            if !self.seen[v.index()] {
+                continue;
+            }
+            self.seen[v.index()] = false;
+            if let Some(cref) = self.reason[v.index()] {
+                let code = self.arena.code(cref);
+                ante.push(code);
+                // The clause as given: literals stripped when it was added
+                // were root facts then, and the checker needs them too.
+                for &l in log.lits(code) {
+                    if l.var() != v {
+                        self.mark_for_core(l.var(), roots);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Names the core of the current UNSAT answer in the core record:
+    /// walk back from `seed` above the root, then down the root trail
+    /// through the clause behind each root fact, closing over every
+    /// lemma's antecedents. A no-op with proofs off.
+    fn name_refutation(&mut self, seed: Seed) {
+        let Some(mut log) = self.proof.take() else {
+            return;
+        };
+        let (mut ante, mut roots) = (Vec::new(), Vec::new());
+        self.walk_above_root(&log, seed, &mut ante, &mut roots);
+        let mut walk = CoreWalk::new(log.num_lemmas());
+        for code in ante {
+            walk.reach(code);
+        }
+        walk.close(&log, &mut self.seen);
+        // Root facts are visited latest first; everything a root fact rests
+        // on was assigned before it, so one backward pass marks it in time.
+        let bottom = self.trail_lim.first().copied().unwrap_or(self.trail.len());
+        for i in (0..bottom).rev() {
+            let v = self.trail[i].var();
+            if !self.seen[v.index()] {
+                continue;
+            }
+            self.seen[v.index()] = false;
+            let code = match self.reason[v.index()] {
+                Some(cref) => self.arena.code(cref),
+                None => log.root_reason[v.index()],
+            };
+            debug_assert_ne!(code, NO_CLAUSE, "every root fact has a recorded reason");
+            walk.reach(code);
+            walk.close(&log, &mut self.seen);
+            for &l in log.lits(code) {
+                if l.var() != v {
+                    self.seen[l.var().index()] = true;
+                }
+            }
+        }
+        debug_assert!(self.seen.iter().all(|&s| !s), "a core walk left a mark");
+        log.core = walk.finish();
+        self.proof = Some(log);
+    }
+
     /// Runs the CDCL loop to completion with no assumptions.
     ///
     /// Equivalent to `solve_with_assumptions(&[])`; the solver may be
@@ -1081,13 +1264,18 @@ impl Solver {
             assert!(l.var().index() < self.num_vars(), "unallocated assumption");
         }
         if self.unsat {
+            // The root refutation named when the formula fell stays the core.
             return SolveResult::Unsat;
+        }
+        if let Some(log) = self.proof.as_mut() {
+            log.core.clear();
         }
         self.backtrack(0);
         // Re-run root propagation: clauses added since the last call may
         // have enqueued new root facts.
-        if self.propagate().is_some() {
-            self.unsat = true;
+        if let Some(conflict) = self.propagate() {
+            let code = self.arena.code(conflict);
+            self.refute_at_root(code);
             return SolveResult::Unsat;
         }
         // Drop clauses the accumulated root facts already satisfy.
@@ -1100,21 +1288,24 @@ impl Solver {
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
                 if self.decision_level() == 0 {
-                    self.unsat = true;
+                    let code = self.arena.code(conflict);
+                    self.refute_at_root(code);
                     return SolveResult::Unsat;
                 }
                 let (learnt, bt) = self.analyze(conflict);
-                // First-UIP clauses are RUP over the live database by
-                // construction (they are resolution-derived from the
-                // conflict and its reason clauses), so the log stays
-                // independently checkable.
-                self.log_proof(|| ProofEvent::Add(learnt.clone()));
+                // First-UIP clauses are RUP over the clauses they were
+                // resolved from plus the root facts analysis skipped, so
+                // the lemma is recorded with exactly those antecedents.
+                let id = self.record_lemma(&learnt);
                 self.backtrack(bt);
                 if learnt.len() == 1 {
                     let ok = self.enqueue(learnt[0], None);
                     debug_assert!(ok, "asserting literal must be enqueueable");
+                    if let Some(log) = self.proof.as_mut() {
+                        log.root_reason[learnt[0].var().index()] = clause_code(id, true);
+                    }
                 } else {
-                    let cref = self.attach(&learnt, true);
+                    let cref = self.attach(&learnt, true, id);
                     self.bump_clause(cref);
                     let ok = self.enqueue(learnt[0], Some(cref));
                     debug_assert!(ok, "asserting literal must be enqueueable");
@@ -1144,6 +1335,7 @@ impl Solver {
                         LBool::True => self.trail_lim.push(self.trail.len()),
                         LBool::False => {
                             self.analyze_final(p);
+                            self.name_refutation(Seed::Lit(p));
                             self.backtrack(0);
                             return SolveResult::Unsat;
                         }
@@ -1172,6 +1364,68 @@ impl Solver {
                 debug_assert!(ok, "decision variable was unassigned");
             }
         }
+    }
+}
+
+/// Where a core walk starts.
+#[derive(Debug, Clone, Copy)]
+enum Seed {
+    /// An assigned literal to explain: a failed assumption, or the
+    /// literal a RUP check found already forced.
+    Lit(Lit),
+    /// A clause whose every literal is false.
+    Clause(ClauseCode),
+}
+
+/// The clauses a core walk has reached so far.
+struct CoreWalk {
+    inputs: Vec<ClauseCode>,
+    lemmas: Vec<bool>,
+    /// Reached lemmas whose antecedents are not reached yet.
+    open: Vec<usize>,
+}
+
+impl CoreWalk {
+    fn new(num_lemmas: usize) -> CoreWalk {
+        CoreWalk {
+            inputs: Vec::new(),
+            lemmas: vec![false; num_lemmas],
+            open: Vec::new(),
+        }
+    }
+
+    fn reach(&mut self, code: ClauseCode) {
+        let id = (code >> 1) as usize;
+        if code & 1 == 0 {
+            self.inputs.push(code);
+        } else if !self.lemmas[id] {
+            self.lemmas[id] = true;
+            self.open.push(id);
+        }
+    }
+
+    /// Reaches the antecedents of every open lemma, transitively, and
+    /// marks the root facts they rest on in `seen`.
+    fn close(&mut self, log: &CoreLog, seen: &mut [bool]) {
+        while let Some(id) = self.open.pop() {
+            for &code in log.antecedents(id) {
+                self.reach(code);
+            }
+            for v in log.root_facts(id) {
+                seen[v.index()] = true;
+            }
+        }
+    }
+
+    /// The core: input codes ascending, then lemma codes ascending.
+    fn finish(mut self) -> Vec<ClauseCode> {
+        self.inputs.sort_unstable();
+        self.inputs.dedup();
+        let lemmas = self.lemmas.iter().enumerate().filter(|(_, &r)| r);
+        self.inputs
+            .into_iter()
+            .chain(lemmas.map(|(id, _)| clause_code(id as u32, true)))
+            .collect()
     }
 }
 

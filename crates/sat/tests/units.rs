@@ -277,34 +277,36 @@ fn clauses_added_between_solves_take_effect() {
 
 #[test]
 fn clauses_after_a_root_unit_are_logged_as_given_and_stored_reduced() {
-    let mut s = Solver::new();
-    s.set_proof_logging(true);
+    let mut s = Solver::with_proofs();
     let (a, b, c) = (s.new_var(), s.new_var(), s.new_var());
     let sorted = |mut lits: Vec<Lit>| {
         lits.sort();
         lits
     };
     s.add_clause([a.positive()]);
-    // Satisfied by the unit: logged as given, never attached.
-    let satisfied = sorted(vec![c.positive(), a.positive(), b.positive()]);
-    s.add_clause(satisfied.iter().copied());
+    // Satisfied by the unit: never attached, so no core can name it.
+    s.add_clause([c.positive(), a.positive(), b.positive()]);
     assert_eq!(s.num_clauses(), 0);
-    // One literal falsified by the unit: logged as given, stored without it.
-    let reduced = sorted(vec![b.positive(), a.negative(), c.negative()]);
-    s.add_clause(reduced.iter().copied());
+    // One literal falsified by the unit: stored without it.
+    let given = sorted(vec![b.positive(), a.negative(), c.negative()]);
+    s.add_clause(given.iter().copied());
     assert_eq!(s.num_clauses(), 1);
     assert_eq!(
         s.problem_clauses(),
         vec![vec![a.positive()], sorted(vec![b.positive(), c.negative()])]
     );
-    // A solve has nothing to delete: the log holds the three inputs only.
     assert!(s.solve().is_sat());
+    assert!(s.refutation().is_empty(), "a SAT answer names no core");
+    // Refuted under ¬b, c by the stored residue (b ∨ ¬c). The core names
+    // the clause as given plus the unit that stripped ¬a from it.
+    assert!(!s
+        .solve_with_assumptions(&[b.negative(), c.positive()])
+        .is_sat());
     assert_eq!(
-        s.proof_events(),
-        &[
+        s.refutation(),
+        vec![
             ProofEvent::Input(vec![a.positive()]),
-            ProofEvent::Input(satisfied),
-            ProofEvent::Input(reduced),
+            ProofEvent::Input(given),
         ]
     );
 }
