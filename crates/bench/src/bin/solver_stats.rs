@@ -2,16 +2,12 @@
 //! TPC-C and SmallBank detection, written to
 //! `experiments/solver_stats.csv`.
 //!
-//! Three measurements per benchmark:
+//! Two measurements per benchmark:
 //!
 //! 1. **Detection rates** — a full pair-mode detection pass through a
 //!    `DetectionEngine`, reporting propagations/sec and conflicts/sec of
 //!    the real oracle.
-//! 2. **Learnt-pool hit ratio** — a second pass through the *same* engine
-//!    in a fresh session rebuilds every solver; the ratio of clauses it
-//!    seeded from the engine's [`atropos_detect::LearntPool`] to the
-//!    clauses the first pass published (1.00 = full reuse).
-//! 3. **Arena vs. baseline** — the benchmark's *actual* pair (and, in
+//! 2. **Arena vs. baseline** — the benchmark's *actual* pair (and, in
 //!    full mode, triple) detection CNFs are exported with
 //!    `problem_clauses` and replayed through the arena solver and the
 //!    retained pre-arena baseline (`atropos_sat::reference`) under
@@ -27,8 +23,7 @@ use std::time::Instant;
 use atropos_bench::reporting::{solver_stats_header, solver_stats_row};
 use atropos_bench::{engine_from_args, thin_slice, write_csv, Table};
 use atropos_detect::{
-    summarize_program, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine, InstanceModel,
-    PairSolver,
+    summarize_program, ConsistencyLevel, DetectMode, DetectSession, InstanceModel, PairSolver,
 };
 use atropos_sat::Lit;
 use atropos_workloads::all_benchmarks;
@@ -141,25 +136,13 @@ fn main() {
 
     let mut table = Table::new(solver_stats_header());
     for b in &benchmarks {
-        // Detection rates, then the pool hit ratio of a rebuilt second
-        // pass through the same engine (fresh session: every solver is
-        // reconstructed, so all reuse flows through the learnt pool).
-        let bench_engine = DetectionEngine::new(engine.threads());
-        let mut first = DetectSession::new();
-        let (_, detect) =
-            bench_engine.detect_with_mode(&b.program, level, DetectMode::Pairs, &mut first);
-        let mut second = DetectSession::new();
-        let (_, rebuilt) =
-            bench_engine.detect_with_mode(&b.program, level, DetectMode::Pairs, &mut second);
-        let published = bench_engine
-            .learnt_pool()
-            .map(|p| p.published_clauses())
-            .unwrap_or(0);
-        let pool_hit = if published == 0 {
-            0.0
-        } else {
-            rebuilt.learnt_seeded as f64 / published as f64
-        };
+        // Detection rates of one cold pass.
+        let (_, detect) = engine.detect_with_mode(
+            &b.program,
+            level,
+            DetectMode::Pairs,
+            &mut DetectSession::new(),
+        );
 
         // Identical CNF streams, identical assumption schedules, two
         // memory layouts. Triple encodings stay in thin mode: they are
@@ -192,9 +175,7 @@ fn main() {
             base_rate,
             arena_rate / base_rate.max(1e-9),
         );
-        table.row(solver_stats_row(
-            b.name, &detect, pool_hit, arena_rate, base_rate,
-        ));
+        table.row(solver_stats_row(b.name, &detect, arena_rate, base_rate));
     }
 
     println!("{}", table.render());

@@ -85,9 +85,9 @@ fn main() {
     let mut tpcc_repair_speedup = 0.0f64;
     let mut tpcc_scratch_seconds = f64::INFINITY;
     let mut cross_run_ratios: Vec<(String, f64)> = Vec::new();
-    // The incremental side of the detector-statistics table: serial and
-    // pool-less, like the fresh-solver reference it is timed against.
-    let oracle = DetectionEngine::serial().with_learnt_pool(false);
+    // The incremental side of the detector-statistics table: serial, like
+    // the fresh-solver reference it is timed against.
+    let oracle = DetectionEngine::serial();
     for b in all_benchmarks() {
         // Three passes over one session produce the three consistency
         // columns; the later levels reuse the first pass's retained solvers.

@@ -1,9 +1,8 @@
 //! # atropos-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! `DESIGN.md` §6 for the experiment index) plus Criterion micro-benchmarks
-//! of every substrate. Results are printed as aligned text tables and also
-//! written as CSV under `experiments/`.
+//! The experiment harness: one binary per table/figure of the paper.
+//! Results are printed as aligned text tables and also written as CSV
+//! under `experiments/`.
 
 #![warn(missing_docs)]
 
@@ -90,24 +89,4 @@ pub fn persist_session_from_env(session: &atropos_detect::DetectSession) {
         Ok(entries) => println!("persisted {entries} verdict entries to {}", path.display()),
         Err(e) => eprintln!("could not persist verdict cache {}: {e}", path.display()),
     }
-}
-
-/// Declares `main` for a `harness = false` bench target: runs the given
-/// criterion groups, then emits the drained measurements as
-/// `experiments/bench_<name>.csv` through [`reporting::write_bench_csv`] —
-/// the same CSV pipeline the figure bins use. Test-mode smoke runs record
-/// no measurements and write nothing.
-#[macro_export]
-macro_rules! criterion_main_with_csv {
-    ($name:literal, $($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-            let results = ::criterion::take_results();
-            match $crate::reporting::write_bench_csv($name, &results) {
-                Ok(Some(p)) => println!("wrote {}", p.display()),
-                Ok(None) => {}
-                Err(e) => eprintln!("could not write CSV: {e}"),
-            }
-        }
-    };
 }

@@ -1,11 +1,9 @@
-//! Minimal text-table and CSV reporting for the experiment binaries and
-//! Criterion micro-benchmarks.
+//! Minimal text-table and CSV reporting for the experiment binaries.
 //!
 //! Every CSV in `experiments/` follows one shape: a header row whose first
 //! column is `Benchmark`, then one data row per subject, all rows with the
 //! header's arity. [`parse_csv`] round-trips that shape so tests can pin
-//! it across the figure bins, the bench targets, and the detector-stats
-//! table alike.
+//! it across the figure bins and the detector-stats table alike.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -13,7 +11,6 @@ use std::path::PathBuf;
 
 use atropos_core::RepairReport;
 use atropos_detect::DetectStats;
-use criterion::BenchResult;
 
 /// An aligned text table with a header row.
 #[derive(Debug, Clone)]
@@ -95,8 +92,8 @@ impl Table {
 }
 
 /// The `experiments/` directory of the workspace root: binaries run from
-/// the root already, while `cargo test`/`cargo bench` targets start in the
-/// crate directory — so walk ancestors until the workspace `Cargo.lock`.
+/// the root already, while `cargo test` targets start in the crate
+/// directory — so walk ancestors until the workspace `Cargo.lock`.
 fn experiments_dir() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
@@ -152,44 +149,6 @@ pub fn parse_csv(text: &str) -> Vec<Vec<String>> {
         rows.push(row);
     }
     rows
-}
-
-/// Builds the per-subject table of Criterion measurements, matching the
-/// figure bins' CSV conventions (leading `Benchmark` column).
-pub fn bench_results_table(results: &[BenchResult]) -> Table {
-    let mut t = Table::new(vec![
-        "Benchmark", "Min (s)", "Median (s)", "Mean (s)", "Max (s)", "Samples", "Iters",
-    ]);
-    for r in results {
-        t.row(vec![
-            r.id.clone(),
-            format!("{:.9}", r.min),
-            format!("{:.9}", r.median),
-            format!("{:.9}", r.mean),
-            format!("{:.9}", r.max),
-            format!("{}", r.samples),
-            format!("{}", r.iters),
-        ]);
-    }
-    t
-}
-
-/// Writes a bench target's drained measurements as
-/// `experiments/bench_<name>.csv`. Returns `None` without touching the
-/// filesystem when there are no measurements (test-mode smoke runs).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_bench_csv(
-    name: &str,
-    results: &[BenchResult],
-) -> std::io::Result<Option<PathBuf>> {
-    if results.is_empty() {
-        return Ok(None);
-    }
-    let table = bench_results_table(results);
-    write_csv(&format!("bench_{name}"), &table).map(Some)
 }
 
 /// Header of the detector-statistics table emitted by `table1`.
@@ -389,8 +348,7 @@ pub fn corpus_stats_row(
 
 /// Header of the solver-throughput table emitted by `solver_stats`
 /// (`experiments/solver_stats.csv`): per benchmark, the detection pass's
-/// raw solver rates, the learnt-pool hit ratio of a repeated pass through
-/// the same engine, and the arena-vs-baseline replay of the *same*
+/// raw solver rates and the arena-vs-baseline replay of the *same*
 /// detection CNF under identical assumption schedules.
 pub fn solver_stats_header() -> Vec<String> {
     [
@@ -399,7 +357,6 @@ pub fn solver_stats_header() -> Vec<String> {
         "Propagations",
         "Props/s",
         "Conflicts/s",
-        "Pool hit",
         "Arena props/s",
         "Baseline props/s",
         "Speedup",
@@ -409,13 +366,11 @@ pub fn solver_stats_header() -> Vec<String> {
 }
 
 /// One row of the solver-throughput table. `detect` is the detection
-/// pass's [`DetectStats`]; `pool_hit` the seeded-over-published clause
-/// ratio of the second pass; the remaining pair the raw propagation
+/// pass's [`DetectStats`]; the remaining pair the raw propagation
 /// throughputs of the arena and baseline solvers on the replayed CNF.
 pub fn solver_stats_row(
     name: &str,
     detect: &DetectStats,
-    pool_hit: f64,
     arena_props_per_sec: f64,
     baseline_props_per_sec: f64,
 ) -> Vec<String> {
@@ -425,7 +380,6 @@ pub fn solver_stats_row(
         format!("{}", detect.propagations),
         format!("{:.0}", detect.propagations as f64 / detect.seconds.max(1e-9)),
         format!("{:.2}", detect.conflicts as f64 / detect.seconds.max(1e-9)),
-        format!("{pool_hit:.2}"),
         format!("{arena_props_per_sec:.0}"),
         format!("{baseline_props_per_sec:.0}"),
         format!(

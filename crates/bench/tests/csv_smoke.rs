@@ -1,18 +1,16 @@
 //! Smoke tests pinning the one CSV shape every experiment artifact shares:
 //! a header row led by `Benchmark`, and data rows matching the header's
-//! arity — whether the file comes from the figure bins (`Table::to_csv`),
-//! the Criterion micro-benches (`write_bench_csv`), or the detector-stats
-//! table `table1` emits.
+//! arity — whether the file comes from the figure bins (`Table::to_csv`)
+//! or the detector-stats table `table1` emits.
 
 use atropos_bench::reporting::{
-    bench_results_table, corpus_stats_header, corpus_stats_row, detect_stats_header,
-    detect_stats_row, parse_csv, proof_stats_header, proof_stats_row, repair_stats_header,
-    repair_stats_row, replay_stats_header, replay_stats_row, solver_stats_header,
-    solver_stats_row, triple_stats_header, triple_stats_row, write_bench_csv,
+    corpus_stats_header, corpus_stats_row, detect_stats_header, detect_stats_row, parse_csv,
+    proof_stats_header, proof_stats_row, repair_stats_header, repair_stats_row,
+    replay_stats_header, replay_stats_row, solver_stats_header, solver_stats_row,
+    triple_stats_header, triple_stats_row,
 };
 use atropos_bench::Table;
 use atropos_detect::DetectStats;
-use criterion::BenchResult;
 
 fn assert_csv_shape(rows: &[Vec<String>], what: &str) {
     assert!(rows.len() >= 2, "{what}: want header + data, got {rows:?}");
@@ -24,45 +22,10 @@ fn assert_csv_shape(rows: &[Vec<String>], what: &str) {
     }
 }
 
-fn sample_results() -> Vec<BenchResult> {
-    vec![
-        BenchResult {
-            id: "detect/smallbank-ec".into(),
-            min: 1.25e-3,
-            median: 1.4e-3,
-            mean: 1.5e-3,
-            max: 2.0e-3,
-            samples: 10,
-            iters: 4,
-        },
-        BenchResult {
-            id: "detect, with commas".into(),
-            min: 2.0e-6,
-            median: 2.5e-6,
-            mean: 3.0e-6,
-            max: 4.0e-6,
-            samples: 20,
-            iters: 1024,
-        },
-    ]
-}
-
 #[test]
 fn bench_csv_matches_table1_shape() {
-    let bench = bench_results_table(&sample_results());
-    let parsed = parse_csv(&bench.to_csv());
-    assert_csv_shape(&parsed, "bench CSV");
-    assert_eq!(parsed[1][0], "detect/smallbank-ec");
-    assert_eq!(parsed[2][0], "detect, with commas", "quoted cells round-trip");
-    // The criterion shim's median lands between Min and Mean — part of the
-    // CSV contract since the shim learned to report it.
-    let header: Vec<&str> = parsed[0].iter().map(String::as_str).collect();
-    assert_eq!(header[1..4], ["Min (s)", "Median (s)", "Mean (s)"], "{header:?}");
-    assert_eq!(parsed[1][2], "0.001400000");
-
-    // The same invariant table1 itself satisfies (the header is the
-    // contract; the committed artifact lives under the gitignored
-    // experiments/, so validate the generated file when present).
+    // The header is the contract; the artifact lives under the gitignored
+    // experiments/, so validate the generated file when present.
     let mut table1 = Table::new(vec!["Benchmark", "#Txns", "EC", "AT"]);
     table1.row(vec!["TPC-C", "5", "87", "15"]);
     assert_csv_shape(&parse_csv(&table1.to_csv()), "table1-shaped CSV");
@@ -107,11 +70,10 @@ fn solver_stats_rows_match_their_header() {
         seconds: 0.02,
         ..DetectStats::default()
     };
-    t.row(solver_stats_row("TPC-C", &stats, 1.0, 9.0e6, 4.5e6));
+    t.row(solver_stats_row("TPC-C", &stats, 9.0e6, 4.5e6));
     let parsed = parse_csv(&t.to_csv());
     assert_csv_shape(&parsed, "solver-stats CSV");
     assert_eq!(parsed[1][1], "101");
-    assert_eq!(parsed[1][5], "1.00");
     assert_eq!(parsed[1].last().unwrap(), "2.00x");
 
     // The generated artifact, when present (CI runs the `solver_stats`
@@ -463,12 +425,4 @@ fn proof_stats_rows_match_their_header() {
             );
         }
     }
-}
-
-#[test]
-fn empty_bench_run_writes_nothing() {
-    // Test-mode smoke runs drain zero measurements; the writer must not
-    // clobber experiments/ with an empty file.
-    let written = write_bench_csv("smoke_empty", &[]).expect("io");
-    assert!(written.is_none());
 }

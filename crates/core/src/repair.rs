@@ -578,9 +578,8 @@ fn run_detection(
         }
         Oracle::Scratch => {
             // The Fig. 10 reference pays a full cold oracle every pass: a
-            // serial, pool-less engine over a fresh session.
+            // serial engine over a fresh session.
             let (pairs, d) = DetectionEngine::serial()
-                .with_learnt_pool(false)
                 .detect_with_mode(program, level, mode, &mut DetectSession::new());
             stats.iterations.push(RepairIteration {
                 pairs: d.pairs,

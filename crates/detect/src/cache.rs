@@ -30,16 +30,15 @@
 //!
 //! # The group key
 //!
-//! One `GroupKey` keys verdicts, retained solvers, the [`LearntPool`] and
-//! the persistent store's records: the member fingerprints in **key
+//! One `GroupKey` keys verdicts, retained solvers and the persistent
+//! store's records: the member fingerprints in **key
 //! orientation** — ordered for a pair (the templates are asymmetric),
 //! sorted for a triple (every role permutation is analysed inside one
 //! entry, so the verdict is independent of which orientation grounded it)
 //! — plus, for a pair, whether the symmetric (lost-update) template ran,
 //! and the consistency level. Retained solvers serve every flag and level
-//! of their group, and pooled lemmas every flag, so those maps use the key
-//! with the parts they ignore normalized (`GroupKey::state`,
-//! `GroupKey::pool`).
+//! of their group, so the retention map uses the key with those parts
+//! normalized (`GroupKey::state`).
 //!
 //! # Solver retention
 //!
@@ -57,9 +56,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
-
-use atropos_sat::Lit;
+use std::sync::Mutex;
 
 use crate::detect::Finding;
 use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver};
@@ -144,11 +141,9 @@ pub struct CacheStats {
     pub triple_hits: u64,
     /// Triple lookups that had to re-analyse the triple.
     pub triple_misses: u64,
-    /// Learnt clauses seeded into freshly built solvers from the engine's
-    /// [`LearntPool`] — lemmas a fingerprint-identical earlier solve
-    /// published, offered to this session's misses at solver construction
-    /// (root facts the sibling re-derives on its own are absorbed for
-    /// free during import).
+    /// Always 0: solvers share no learnt clauses, so none is seeded. An
+    /// inert field, kept only because the pipeline benchmark still reads
+    /// it.
     pub learnt_seeded: u64,
 }
 
@@ -185,7 +180,7 @@ impl CacheStats {
             triple_lookups: self.triple_lookups - earlier.triple_lookups,
             triple_hits: self.triple_hits - earlier.triple_hits,
             triple_misses: self.triple_misses - earlier.triple_misses,
-            learnt_seeded: self.learnt_seeded - earlier.learnt_seeded,
+            learnt_seeded: 0,
         }
     }
 }
@@ -242,15 +237,6 @@ impl GroupKey {
         GroupKey {
             symmetric: false,
             level: ConsistencyLevel::EventualConsistency,
-            ..*self
-        }
-    }
-
-    /// The key lemmas are published under: members and level (a solver's
-    /// lemmas do not depend on which templates it ran).
-    pub(crate) fn pool(&self) -> GroupKey {
-        GroupKey {
-            symmetric: false,
             ..*self
         }
     }
@@ -339,11 +325,6 @@ impl ShardedStates {
         self.shard(key).remove(key)
     }
 
-    /// Whether a state is currently retained for `key`.
-    pub(crate) fn contains(&self, key: &GroupKey) -> bool {
-        self.shard(key).contains_key(key)
-    }
-
     /// Returns a state to the map for later reuse.
     pub(crate) fn store(&self, key: GroupKey, state: GroupState) {
         self.shard(&key).insert(key, state);
@@ -358,71 +339,6 @@ impl ShardedStates {
                 .expect("state shard poisoned")
                 .retain(|k, _| f(k));
         }
-    }
-}
-
-/// A deterministic pool of learnt clauses shared across
-/// **fingerprint-identical** solvers, owned by a
-/// [`crate::DetectionEngine`] and outliving any one
-/// [`crate::DetectSession`].
-///
-/// Two [`PairSolver`]s built for the same group ground the same
-/// [`InstanceModel`] and emit the same base encoding over the same
-/// variable numbering, so lemmas one of them derived over **base variables
-/// only** (see `atropos_sat::Solver::retained_learnts` for the soundness
-/// argument) are valid verbatim in the other. The first solve of a
-/// `GroupKey::pool` key *publishes* its retained clauses here — at the
-/// engine's serial-order merge point, and only when the solve started from
-/// a fresh state and was the group's only solve of the batch, so the
-/// published set is byte-identical at any thread count. Later solvers
-/// built for the same key *seed* from the published set before their first
-/// query instead of re-deriving the lemmas (duplicated programs in a
-/// corpus, scratch-reference passes, ablation sweeps re-grounding the same
-/// shapes).
-///
-/// The pool is frozen while a batch's workers run — publication happens
-/// strictly between batches — so whether a worker sees a key published is
-/// a plan-time fact, not a race.
-#[derive(Default)]
-pub struct LearntPool {
-    sets: Mutex<HashMap<GroupKey, Arc<Vec<Vec<Lit>>>>>,
-}
-
-impl LearntPool {
-    /// An empty pool.
-    pub fn new() -> LearntPool {
-        LearntPool::default()
-    }
-
-    fn sets(&self) -> std::sync::MutexGuard<'_, HashMap<GroupKey, Arc<Vec<Vec<Lit>>>>> {
-        self.sets.lock().expect("learnt pool poisoned")
-    }
-
-    /// Published clause sets (pair plus triple keys) — for reporting.
-    pub fn published(&self) -> usize {
-        self.sets().len()
-    }
-
-    /// Total clauses across every published set — for reporting.
-    pub fn published_clauses(&self) -> usize {
-        self.sets().values().map(|c| c.len()).sum()
-    }
-
-    pub(crate) fn has(&self, key: &GroupKey) -> bool {
-        self.sets().contains_key(&key.pool())
-    }
-
-    pub(crate) fn seed(&self, key: &GroupKey) -> Option<Arc<Vec<Vec<Lit>>>> {
-        self.sets().get(&key.pool()).cloned()
-    }
-
-    /// Publish-once: the first set wins, later calls are ignored (the
-    /// caller's plan-time [`LearntPool::has`] check makes them unreachable
-    /// in the engine anyway).
-    pub(crate) fn publish(&self, key: &GroupKey, clauses: Vec<Vec<Lit>>) {
-        self.sets()
-            .entry(key.pool())
-            .or_insert_with(|| Arc::new(clauses));
     }
 }
 
@@ -451,16 +367,14 @@ mod tests {
     use atropos_dsl::{parse, Program};
     use std::collections::BTreeSet;
 
-    /// One pair-mode pass of the serial, pool-less engine: the oracle the
-    /// repair loop re-invokes after every step.
+    /// One pair-mode pass of the serial engine: the oracle the repair
+    /// loop re-invokes after every step.
     fn detect(
         p: &Program,
         level: ConsistencyLevel,
         session: &mut DetectSession,
     ) -> (Vec<AccessPair>, DetectStats) {
-        DetectionEngine::serial()
-            .with_learnt_pool(false)
-            .detect_with_mode(p, level, DetectMode::Pairs, session)
+        DetectionEngine::serial().detect_with_mode(p, level, DetectMode::Pairs, session)
     }
 
     fn summaries(src: &str) -> Vec<TxnSummary> {
@@ -779,7 +693,7 @@ mod tests {
         )
         .unwrap();
 
-        let engine = DetectionEngine::serial().with_learnt_pool(false);
+        let engine = DetectionEngine::serial();
         let detect = |program: &Program, session: &mut DetectSession| {
             engine
                 .detect_with_mode(program, ec, DetectMode::Triples, session)

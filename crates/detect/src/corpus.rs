@@ -705,7 +705,7 @@ pub struct CorpusStats {
     /// Unique dirty triple keys actually solved.
     pub unique_triples: u64,
     /// Solver-side statistics of the global solve phase (the counters
-    /// `queries` through `learnt_seeded`).
+    /// `queries` through `decisions`).
     pub solve: DetectStats,
     /// Wall-clock seconds of the whole pass (plan + solve + answer).
     pub seconds: f64,

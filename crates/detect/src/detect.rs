@@ -27,7 +27,7 @@
 //! consistency level, and each query travels as an assumption set. The
 //! group solve frame (`solve_group`) is driven by the
 //! [`crate::DetectionEngine`]; [`detect_anomalies`] is that engine,
-//! serial and pool-less, over a fresh session. The fresh-solver reference
+//! serial, over a fresh session. The fresh-solver reference
 //! oracle ([`detect_anomalies_fresh`]) and the CLOTHO-style differential
 //! runner ([`detect_differential`]) guard the equivalence of the two
 //! solving paths.
@@ -142,11 +142,9 @@ pub struct DetectStats {
     pub propagations: u64,
     /// Solver decisions across all queries.
     pub decisions: u64,
-    /// Learnt clauses seeded into freshly built solvers from the engine's
-    /// [`crate::LearntPool`] — lemmas published by an earlier
-    /// fingerprint-identical solve and offered to this pass's solvers at
-    /// construction (clauses the sibling already holds as root facts are
-    /// absorbed for free during import).
+    /// Always 0: solvers share no learnt clauses, so none is seeded. An
+    /// inert field, kept only because the pipeline benchmark still reads
+    /// it.
     pub learnt_seeded: u64,
     /// Wall-clock seconds spent in detection.
     pub seconds: f64,
@@ -181,7 +179,6 @@ impl std::ops::AddAssign for DetectStats {
         self.conflicts += o.conflicts;
         self.propagations += o.propagations;
         self.decisions += o.decisions;
-        self.learnt_seeded += o.learnt_seeded;
         self.seconds += o.seconds;
     }
 }
@@ -257,8 +254,8 @@ impl Finding {
 }
 
 /// Detects every anomalous access pair of `program` under `level`: one
-/// pair-mode pass of a serial [`DetectionEngine`] without a learnt pool,
-/// over a fresh [`DetectSession`]. Callers that detect repeatedly, in
+/// pair-mode pass of a serial [`DetectionEngine`] over a fresh
+/// [`DetectSession`]. Callers that detect repeatedly, in
 /// triple mode, in parallel or with proofs drive an engine and a session
 /// of their own.
 ///
@@ -282,7 +279,6 @@ impl Finding {
 /// ```
 pub fn detect_anomalies(program: &Program, level: ConsistencyLevel) -> Vec<AccessPair> {
     DetectionEngine::serial()
-        .with_learnt_pool(false)
         .detect_with_mode(program, level, DetectMode::Pairs, &mut DetectSession::new())
         .0
 }
@@ -337,17 +333,9 @@ fn pair_query(
     level: ConsistencyLevel,
     reqs: &[VisRequirement],
     stats: &mut DetectStats,
-    seed: Option<&[Vec<atropos_sat::Lit>]>,
     proofs: bool,
 ) -> bool {
-    let ps = solver.get_or_insert_with(|| {
-        let mut ps = PairSolver::with_proofs(model, proofs);
-        if let Some(seed) = seed {
-            ps.seed_learnts(seed);
-            stats.learnt_seeded += seed.len() as u64;
-        }
-        ps
-    });
+    let ps = solver.get_or_insert_with(|| PairSolver::with_proofs(model, proofs));
     let r = ps.satisfiable(model, level, reqs);
     stats.clauses_fresh_equivalent += ps.fresh_equivalent_clauses(level) as u64;
     r
@@ -393,7 +381,6 @@ fn detect_core(
                                 level,
                                 reqs,
                                 &mut stats,
-                                None,
                                 false,
                             );
                             let (fresh, _, _) = fresh_query(&model, level, reqs);
@@ -469,7 +456,7 @@ pub(crate) fn accumulate(per_level: &mut BTreeMap<PairKey, AccessPair>, pairs: V
 /// group's [`DetectStats`] delta, and the certificates of its UNSAT
 /// queries. `ts` and `fps` are the group's members in key orientation.
 /// This is the one solving frame of every bound — query memo, lazily
-/// built (and pool-seeded) solver, retained-solver statistics delta — and
+/// built solver, retained-solver statistics delta — and
 /// only the [`candidates`] stream depends on the member count.
 pub(crate) fn solve_group(
     ts: &[&TxnSummary],
@@ -477,7 +464,6 @@ pub(crate) fn solve_group(
     symmetric: bool,
     level: ConsistencyLevel,
     state: &mut GroupState,
-    seed: Option<&[Vec<atropos_sat::Lit>]>,
     proofs: bool,
 ) -> (Vec<Finding>, DetectStats, Vec<Vec<u8>>) {
     let mut stats = DetectStats::default();
@@ -494,7 +480,7 @@ pub(crate) fn solve_group(
                 return r;
             }
             stats.queries += 1;
-            let r = pair_query(solver, model, level, reqs, &mut stats, seed, proofs);
+            let r = pair_query(solver, model, level, reqs, &mut stats, proofs);
             if r {
                 stats.sat_queries += 1;
             }

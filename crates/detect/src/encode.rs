@@ -653,12 +653,6 @@ pub struct PairSolver {
     /// Clauses in the shared encoding: base skeleton plus built groups.
     base_clauses: usize,
     level_clauses: [usize; 4],
-    /// Variables of the level-independent base encoding — the prefix of
-    /// the numbering shared by every solver grounded from an equal-
-    /// fingerprint model. Guards and level-group Tseitin variables are
-    /// allocated above it, so learnt clauses entirely below `base_vars`
-    /// transfer verbatim between such solvers.
-    base_vars: usize,
     /// Certificates of UNSAT queries since the last
     /// [`PairSolver::take_certificates`], in query order. Each blob is the
     /// core the solver names for the query plus the failed-core trailer,
@@ -698,7 +692,6 @@ impl PairSolver {
         // there instead of each simplifying again.
         solver.simplify();
         let base_clauses = solver.num_clauses();
-        let base_vars = solver.num_vars();
         PairSolver {
             solver,
             enc,
@@ -706,7 +699,6 @@ impl PairSolver {
             built: [false; 4],
             base_clauses,
             level_clauses: [0usize; 4],
-            base_vars,
             pending: Vec::new(),
         }
     }
@@ -731,25 +723,6 @@ impl PairSolver {
             self.pending.push(blob);
         }
         result
-    }
-
-    /// Imports lemmas a fingerprint-identical solver published (see
-    /// [`crate::cache::LearntPool`]), returning how many were installed.
-    /// Sound only for clauses exported by [`PairSolver::export_learnts`]
-    /// from a solver grounded on an equal-fingerprint model — the variable
-    /// numbering must line up.
-    pub(crate) fn seed_learnts(&mut self, clauses: &[Vec<Lit>]) -> usize {
-        self.solver
-            .import_learnts(clauses.iter().map(Vec::as_slice))
-    }
-
-    /// Exports the lemmas this solver derived over base-encoding variables
-    /// only — the clauses [`PairSolver::seed_learnts`] can install into a
-    /// fingerprint-identical sibling. Guards and level-group variables sit
-    /// above `base_vars`, so the filter keeps exactly the level-blind,
-    /// assumption-independent deductions.
-    pub(crate) fn export_learnts(&self) -> Vec<Vec<Lit>> {
-        self.solver.retained_learnts(self.base_vars)
     }
 
     /// Installs `level`'s guarded axiom group if it is not present yet

@@ -37,17 +37,18 @@
 //!
 //! With one thread the scope is skipped and phase 2 runs inline. This
 //! driver is the only way detection runs: [`crate::detect_anomalies`] is
-//! a serial, pool-less engine over a fresh session, and the repair loop's
+//! a serial engine over a fresh session, and the repair loop's
 //! from-scratch reference is the same engine with a fresh session per pass.
+//! The engine itself keeps nothing between passes: whatever one pass
+//! leaves for the next lives in the session.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use atropos_dsl::Program;
 
-use crate::cache::{txn_fingerprint, GroupKey, GroupState, LearntPool, MAX_K};
+use crate::cache::{txn_fingerprint, GroupKey, GroupState, MAX_K};
 use crate::corpus::CorpusStats;
 use crate::detect::{accumulate, solve_group, AccessPair, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
@@ -80,15 +81,11 @@ impl std::fmt::Display for DetectMode {
     }
 }
 
-/// Parallelism policy for cached detection passes, plus the engine-scoped
-/// [`LearntPool`]: lemmas published by the first solve of each instance
-/// group at each level, seeded into every later solver built for the same
-/// group — across sessions sharing this engine (clones share the pool).
-/// Cheap to construct and `Clone`-light (a `usize` and an `Arc`); callers
-/// typically build **one engine per sweep** and share it — the per-run
-/// state (verdicts, retained solvers) lives in the [`DetectSession`], not
-/// here. The pool is on by default;
-/// [`DetectionEngine::with_learnt_pool`]`(false)` disables it.
+/// Policy for cached detection passes: the worker count and whether UNSAT
+/// verdicts carry proof certificates. Two plain fields and no state:
+/// callers typically build **one engine per sweep** and share it, and
+/// everything a pass leaves behind (verdicts, retained solvers) lives in
+/// the [`DetectSession`].
 ///
 /// # Examples
 ///
@@ -112,48 +109,28 @@ impl std::fmt::Display for DetectMode {
 /// assert_eq!(again, first);
 /// assert_eq!(stats.queries, 0);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct DetectionEngine {
     threads: usize,
-    /// `None` when learnt-clause sharing is disabled.
-    pool: Option<Arc<LearntPool>>,
     /// Whether UNSAT verdicts capture proof certificates.
     proofs: bool,
-}
-
-impl std::fmt::Debug for DetectionEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DetectionEngine")
-            .field("threads", &self.threads)
-            .field("learnt_pool", &self.pool.is_some())
-            .field("proofs", &self.proofs)
-            .finish()
-    }
 }
 
 impl DetectionEngine {
     /// An engine solving dirty groups on `threads` workers (clamped to at
     /// least 1), with proof capture off. Thread count never affects
-    /// results, only wall-clock — and neither does the learnt pool
-    /// (enabled here): seeded lemmas change how fast a verdict is reached,
-    /// never which verdict.
+    /// results, only wall-clock.
     pub fn new(threads: usize) -> DetectionEngine {
         DetectionEngine {
             threads: threads.max(1),
-            pool: Some(Arc::new(LearntPool::new())),
             proofs: false,
         }
     }
 
-    /// Enables or disables learnt-clause sharing on this engine (on by
-    /// default). Disabling drops any published lemmas; enabling an
-    /// already-enabled engine keeps them.
-    pub fn with_learnt_pool(mut self, enabled: bool) -> DetectionEngine {
-        if !enabled {
-            self.pool = None;
-        } else if self.pool.is_none() {
-            self.pool = Some(Arc::new(LearntPool::new()));
-        }
+    /// Returns the engine unchanged. An inert shim, kept only because the
+    /// pipeline benchmark still calls it: solvers share no learnt clauses,
+    /// so there is nothing to switch.
+    pub fn with_learnt_pool(self, _: bool) -> DetectionEngine {
         self
     }
 
@@ -161,8 +138,8 @@ impl DetectionEngine {
     /// for a new engine); this is the only switch. With proofs on, every
     /// UNSAT query behind a verdict is logged and certified; the blobs are
     /// stored alongside the verdict entries in the session (see
-    /// [`DetectSession::proof_blobs`]). Like the thread count and the
-    /// learnt pool, certificates never change verdicts.
+    /// [`DetectSession::proof_blobs`]). Like the thread count,
+    /// certificates never change verdicts.
     pub fn with_proofs(mut self, enabled: bool) -> DetectionEngine {
         self.proofs = enabled;
         self
@@ -171,11 +148,6 @@ impl DetectionEngine {
     /// Whether this engine captures proof certificates.
     pub fn proofs_enabled(&self) -> bool {
         self.proofs
-    }
-
-    /// The engine's learnt-clause pool, when sharing is enabled.
-    pub fn learnt_pool(&self) -> Option<&LearntPool> {
-        self.pool.as_deref()
     }
 
     /// The strictly serial engine (`threads = 1`).
@@ -326,53 +298,6 @@ fn run_pool<T: Sync>(
         .collect()
 }
 
-/// Decides, at plan time, which misses may publish their retained lemmas
-/// to the engine's [`LearntPool`] at the merge point. Publication must be
-/// thread-count blind, so a miss qualifies only when the exported clause
-/// set is a pure function of the plan: the pool does not hold the key yet,
-/// no retained state existed when the batch was planned (a retained
-/// solver's lemmas depend on its whole query history), and the state key
-/// is solved exactly once in this batch (sibling misses sharing a state —
-/// the symmetric and asymmetric orientations of one pair of transactions
-/// declared in different orders by two programs, or duplicate
-/// fingerprints inside one program — race on take/store, so whichever
-/// solver survives is a scheduling accident).
-fn publishable_flags(
-    misses: &[(usize, Slot)],
-    session: &DetectSession,
-    pool: Option<&LearntPool>,
-) -> Vec<bool> {
-    let Some(pool) = pool else {
-        return vec![false; misses.len()];
-    };
-    let mut count: HashMap<GroupKey, u32> = HashMap::new();
-    for (_, m) in misses {
-        *count.entry(m.key.state()).or_insert(0) += 1;
-    }
-    misses
-        .iter()
-        .map(|(_, m)| {
-            let state = m.key.state();
-            count[&state] == 1 && !session.states().contains(&state) && !pool.has(&m.key)
-        })
-        .collect()
-}
-
-/// Publishes the lemmas retained by one group's solver (if it built one)
-/// to the engine's pool — called at the serial merge point, after the
-/// batch's workers have all returned their states.
-fn publish_state(session: &DetectSession, pool: &LearntPool, key: &GroupKey) {
-    if let Some(state) = session.states().take(&key.state()) {
-        if let Some(solver) = &state.solver {
-            let exported = solver.export_learnts();
-            if !exported.is_empty() {
-                pool.publish(key, exported);
-            }
-        }
-        session.states().store(key.state(), state);
-    }
-}
-
 /// Every slot of one program in plan order: each ordered pair (the
 /// symmetric template runs for `i <= j`), then — in triple mode — each
 /// unordered triple of distinct transactions, its members reordered into
@@ -424,7 +349,6 @@ pub(crate) fn detect_batch(
     session: &mut DetectSession,
 ) -> (Vec<(Vec<AccessPair>, DetectStats)>, CorpusStats) {
     let started = Instant::now();
-    let pool = engine.learnt_pool();
     let mut batch = CorpusStats {
         programs: programs.len(),
         ..CorpusStats::default()
@@ -475,10 +399,6 @@ pub(crate) fn detect_batch(
     batch.unique_pairs = misses.iter().filter(|(_, m)| m.key.k() == 2).count() as u64;
     batch.unique_triples = misses.len() as u64 - batch.unique_pairs;
 
-    // Which misses may publish lemmas at the merge point — a plan-time
-    // fact, so the pool's evolution is byte-identical at any thread count.
-    let publish = publishable_flags(&misses, session, pool);
-
     // Solve (parallel): each unique key exactly once, against the shared
     // retained-state shards.
     let outcomes = run_pool(engine.threads(), &misses, |(prog, m)| {
@@ -488,20 +408,12 @@ pub(crate) fn detect_batch(
             .take(&m.key.state())
             .unwrap_or_else(|| GroupState::new(&ts));
         let solver_reused = state.solver.is_some();
-        // A state without a solver seeds published lemmas at its (lazy)
-        // solver construction; the pool is frozen while the batch runs,
-        // so the seed is the same whichever worker claims this item.
-        let seed = match state.solver {
-            Some(_) => None,
-            None => pool.and_then(|p| p.seed(&m.key)),
-        };
         let (findings, stats, proofs) = solve_group(
             &ts,
             m.key.fps(),
             m.key.symmetric,
             level,
             &mut state,
-            seed.as_deref().map(Vec::as_slice),
             engine.proofs_enabled(),
         );
         states.store(m.key.state(), state);
@@ -513,15 +425,11 @@ pub(crate) fn detect_batch(
         }
     });
 
-    // Merge (serial, plan order): insert verdicts and publish lemmas in
-    // the serial work order, whatever order the workers finished in.
-    for (((prog, m), o), publish) in misses.iter().zip(outcomes).zip(publish) {
+    // Merge (serial, plan order): insert verdicts in the serial work
+    // order, whatever order the workers finished in.
+    for ((prog, m), o) in misses.iter().zip(outcomes) {
         session.stats_mut().solver_reuses += u64::from(o.solver_reused);
-        session.stats_mut().learnt_seeded += o.stats.learnt_seeded;
         batch.solve += o.stats;
-        if let (true, Some(pool)) = (publish, pool) {
-            publish_state(session, pool, &m.key);
-        }
         session.insert(m.key, &m.members(&sums[*prog]), o.findings, o.proofs);
     }
     for (prog, m) in settled {

@@ -27,8 +27,7 @@
 //! * [`triple`] — the three-instance chain templates of
 //!   [`DetectMode::Triples`];
 //! * [`cache`] — transaction fingerprinting and what a session caches:
-//!   verdicts, retained solvers and the [`LearntPool`], keyed by one
-//!   instance-group key;
+//!   verdicts and retained solvers, keyed by one instance-group key;
 //! * [`engine`] — the [`DetectionEngine`] and the one detection driver:
 //!   plan a batch of programs against the session, solve the deduplicated
 //!   misses on a scoped-thread worker pool (`ATROPOS_THREADS`-controlled),
@@ -84,7 +83,7 @@ pub mod replay;
 pub mod session;
 pub mod triple;
 
-pub use cache::{cmd_fingerprint, txn_fingerprint, CacheStats, LearntPool, VerdictAudit};
+pub use cache::{cmd_fingerprint, txn_fingerprint, CacheStats, VerdictAudit};
 pub use corpus::{
     analyse_corpus, CompactionReport, CorpusStats, CorpusStore, CorpusVerdict, EvictionPolicy,
 };

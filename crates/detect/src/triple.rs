@@ -438,7 +438,7 @@ mod tests {
     fn solve(ts: &[TxnSummary], level: ConsistencyLevel) -> Vec<AccessPair> {
         let trio = [&ts[0], &ts[1], &ts[2]];
         let mut state = GroupState::new(&trio);
-        let (findings, _, _) = solve_group(&trio, &fps(ts), false, level, &mut state, None, false);
+        let (findings, _, _) = solve_group(&trio, &fps(ts), false, level, &mut state, false);
         findings.iter().filter_map(|f| f.emit(&trio)).collect()
     }
 

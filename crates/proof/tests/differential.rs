@@ -14,7 +14,7 @@
 //! the only shared vocabulary is the `i32` literal convention.
 
 use atropos_proof::{check, check_blob, proof_hash, Proof, Step};
-use atropos_sat::{reference, Lit, ProofEvent, SolveResult, Solver, Var};
+use atropos_sat::{reference, Lit, ProofEvent, Solver, Var};
 use proptest::prelude::*;
 
 fn to_dimacs_lit(l: Lit) -> i32 {
@@ -209,53 +209,6 @@ proptest! {
                 prop_assert!(check_blob(&proof.encode()).is_ok(), "{} blob rejected", name);
                 assert_mutations_rejected(proof);
             }
-        }
-    }
-
-    /// Pool-style lemma import keeps certificates valid: clauses retained
-    /// by one implementation, imported into the other (which RUP-gates and
-    /// logs them), never break a subsequent refutation's certificate.
-    #[test]
-    fn imported_learnts_keep_certificates_valid(
-        num_vars in 2usize..10,
-        raw in prop::collection::vec(
-            prop::collection::vec((0u32..10, any::<bool>()), 2..4),
-            5..30,
-        ),
-        probe in prop::collection::vec((0u32..10, any::<bool>()), 1..4),
-    ) {
-        let clauses = to_clauses(&raw, num_vars);
-        let probe: Vec<Lit> = probe
-            .iter()
-            .map(|(v, pos)| Lit::new(Var(v % num_vars as u32), *pos))
-            .collect();
-        let mut donor = arena_solver(num_vars, &clauses);
-        let donor_sat = donor.solve_with_assumptions(&probe).is_sat();
-        let lemmas = donor.retained_learnts(num_vars);
-
-        let mut seeded = arena_solver(num_vars, &clauses);
-        seeded.import_learnts(lemmas.iter().map(Vec::as_slice));
-        let s = seeded.solve_with_assumptions(&probe);
-        prop_assert_eq!(s.is_sat(), donor_sat, "seeding changed the verdict");
-        if !s.is_sat() {
-            let core = seeded.refutation();
-            prop_assert!(inputs_were_given(&core, &clauses), "core names an ungiven input");
-            let proof = certificate(&core, seeded.failed_assumptions());
-            let report = check(&proof);
-            prop_assert!(report.is_ok(), "seeded proof rejected: {:?}", report);
-        }
-
-        let mut seeded_ref = reference_solver(num_vars, &clauses);
-        seeded_ref.import_learnts(lemmas.iter().map(Vec::as_slice));
-        let s = seeded_ref.solve_with_assumptions(&probe);
-        prop_assert_eq!(s.is_sat(), donor_sat, "seeding changed the verdict");
-        if let SolveResult::Unsat = s {
-            let proof = certificate(
-                seeded_ref.proof_events(),
-                seeded_ref.failed_assumptions(),
-            );
-            let report = check(&proof);
-            prop_assert!(report.is_ok(), "seeded reference proof rejected: {:?}", report);
         }
     }
 }

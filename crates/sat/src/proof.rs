@@ -7,11 +7,9 @@
 //!   (sorted, deduplicated, tautologies dropped), *before* root-level
 //!   simplification strips falsified literals, so a certificate's inputs
 //!   are clauses of the problem formula, not of its current residue.
-//! * [`ProofEvent::Add`] — a deduced clause: a first-UIP learnt clause,
-//!   or an imported pool lemma that passed the in-solver reverse-unit-
-//!   propagation gate (see `import_learnts`). Every added clause is RUP
-//!   with respect to the clauses before it, which is exactly what an
-//!   independent checker re-verifies.
+//! * [`ProofEvent::Add`] — a deduced clause: a first-UIP learnt clause.
+//!   Every added clause is RUP with respect to the clauses before it,
+//!   which is exactly what an independent checker re-verifies.
 //! * [`ProofEvent::Delete`] — a clause leaving the database. Only the
 //!   retained reference solver logs deletions (its cumulative log is the
 //!   differential oracle); a core never needs them.

@@ -302,93 +302,6 @@ impl Solver {
         &self.failed
     }
 
-    /// Imports learnt clauses exported by a fingerprint-identical solver
-    /// (see [`Solver::retained_learnts`]); mirrors the arena solver's API
-    /// so the differential suites can transfer lemmas between the two.
-    pub fn import_learnts<'a, I>(&mut self, clauses: I) -> usize
-    where
-        I: IntoIterator<Item = &'a [Lit]>,
-    {
-        debug_assert!(self.trail_lim.is_empty(), "import happens at the root");
-        let mut installed = 0usize;
-        for clause in clauses {
-            if self.unsat {
-                break;
-            }
-            let mut lits: Vec<Lit> = clause.to_vec();
-            for l in &lits {
-                assert!(l.var().index() < self.num_vars(), "unallocated variable");
-            }
-            lits.retain(|&l| self.value(l) != LBool::False);
-            if lits.iter().any(|&l| self.value(l) == LBool::True) {
-                continue;
-            }
-            // Same RUP gate as the arena solver: with proofs on, a pool
-            // lemma is only installed (and logged) when reverse unit
-            // propagation re-derives it against this solver's database.
-            if self.proof.is_some() {
-                if !self.seed_is_rup(&lits) {
-                    continue;
-                }
-                self.log_proof(|| ProofEvent::Add(lits.clone()));
-            }
-            match lits.len() {
-                0 => self.unsat = true,
-                1 => {
-                    installed += 1;
-                    if !self.enqueue(lits[0], None) || self.propagate().is_some() {
-                        self.unsat = true;
-                    }
-                }
-                _ => {
-                    installed += 1;
-                    self.attach(lits, true);
-                }
-            }
-        }
-        installed
-    }
-
-    /// Reverse-unit-propagation check of one candidate clause; see the
-    /// arena solver's `seed_is_rup` — identical semantics.
-    fn seed_is_rup(&mut self, lits: &[Lit]) -> bool {
-        debug_assert!(self.trail_lim.is_empty(), "RUP gate runs at the root");
-        self.trail_lim.push(self.trail.len());
-        let mut proved = false;
-        for &l in lits {
-            if !self.enqueue(!l, None) {
-                proved = true;
-                break;
-            }
-        }
-        if !proved {
-            proved = self.propagate().is_some();
-        }
-        self.backtrack(0);
-        proved
-    }
-
-    /// Exports root facts and learnt clauses over the first `below_vars`
-    /// variables — the baseline counterpart of the arena solver's
-    /// [`crate::solver::Solver::retained_learnts`] (same soundness
-    /// argument: base-projected consequences of the guarded extension are
-    /// consequences of the base formula alone).
-    pub fn retained_learnts(&self, below_vars: usize) -> Vec<Vec<Lit>> {
-        debug_assert!(self.trail_lim.is_empty(), "export happens at the root");
-        let mut out = Vec::new();
-        for &l in &self.trail {
-            if l.var().index() < below_vars {
-                out.push(vec![l]);
-            }
-        }
-        for c in &self.clauses {
-            if c.learnt && c.lits.iter().all(|l| l.var().index() < below_vars) {
-                out.push(c.lits.clone());
-            }
-        }
-        out
-    }
-
     /// Exports the stored problem (root facts as units, then every
     /// original clause) — the baseline counterpart of the arena solver's
     /// [`crate::solver::Solver::problem_clauses`].

@@ -25,7 +25,8 @@
 //! record ([`crate::proof`]): each clause it attaches carries the id of
 //! the input or lemma it came from in the unused bits of its arena header,
 //! and every UNSAT answer names the clauses its refutation reaches
-//! ([`Solver::refutation`]).
+//! ([`Solver::refutation`]). Every lemma comes from this solver's own
+//! conflict analysis: it takes in no clause learnt elsewhere.
 
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::{clause_code, ClauseCode, CoreLog, ProofEvent, NO_CLAUSE};
@@ -541,15 +542,10 @@ impl Solver {
             Some(log) => log.push_input(&lits),
             None => 0,
         };
+        // Of the residue, an empty one refutes the formula, a unit becomes
+        // a root fact, and anything longer is attached.
         lits.retain(|&l| self.value(l) != LBool::False);
-        self.install(&lits, false, id);
-    }
-
-    /// Installs a clause whose root-falsified literals are already gone:
-    /// an empty one refutes the formula, a unit becomes a root fact, and
-    /// anything longer is attached. `id` names it in the core record.
-    fn install(&mut self, lits: &[Lit], learnt: bool, id: u32) {
-        let code = clause_code(id, learnt);
+        let code = clause_code(id, false);
         match lits.len() {
             0 => self.refute_at_root(code),
             1 => {
@@ -566,7 +562,7 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach(lits, learnt, id);
+                self.attach(&lits, false, id);
             }
         }
     }
@@ -580,120 +576,6 @@ impl Solver {
         }
         self.unsat = true;
         self.name_refutation(Seed::Clause(code));
-    }
-
-    /// Imports clauses a fingerprint-identical solver learnt over the same
-    /// variable numbering (see [`Solver::retained_learnts`]). Each clause
-    /// is attached as a *learnt* clause — it is deduced knowledge, so it
-    /// neither counts against the original-clause budget that paces
-    /// learnt-DB reduction nor inflates [`Solver::num_clauses`]'s original
-    /// half. Returns how many clauses were installed (root-satisfied
-    /// imports are dropped, unit imports become root facts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a literal references an unallocated variable.
-    pub fn import_learnts<'a, I>(&mut self, clauses: I) -> usize
-    where
-        I: IntoIterator<Item = &'a [Lit]>,
-    {
-        debug_assert!(self.trail_lim.is_empty(), "import happens at the root");
-        let mut installed = 0usize;
-        for clause in clauses {
-            if self.unsat {
-                break;
-            }
-            let mut lits: Vec<Lit> = clause.to_vec();
-            for l in &lits {
-                assert!(l.var().index() < self.num_vars(), "unallocated variable");
-            }
-            lits.retain(|&l| self.value(l) != LBool::False);
-            if lits.iter().any(|&l| self.value(l) == LBool::True) {
-                continue;
-            }
-            // With proofs on, every imported lemma must be re-derivable
-            // from this solver's own clauses. Pool lemmas were learnt by a
-            // *different* solver, so each one is re-verified by reverse
-            // unit propagation against this solver's live database, which
-            // also yields its antecedents; seeds that fail the gate are
-            // skipped — always sound, since a seed is only ever a hint.
-            let mut id = 0;
-            if self.proof.is_some() {
-                let Some((ante, roots)) = self.rup_antecedents(&lits) else {
-                    continue;
-                };
-                let log = self.proof.as_mut().expect("proofs are on");
-                id = log.push_lemma(&lits, &ante, &roots);
-            }
-            if !lits.is_empty() {
-                installed += 1;
-            }
-            self.install(&lits, true, id);
-        }
-        installed
-    }
-
-    /// Reverse-unit-propagation check of one candidate clause against the
-    /// live database: open a scratch decision level, assert the negation
-    /// of every literal, and propagate. A conflict (or an unenqueueable
-    /// negation — the clause is a tautology) proves the clause; the
-    /// antecedents of that proof (the clauses reached walking back from
-    /// the conflict, and the root facts they rest on) are returned. The
-    /// scratch level is always rolled back.
-    fn rup_antecedents(&mut self, lits: &[Lit]) -> Option<(Vec<ClauseCode>, Vec<Var>)> {
-        debug_assert!(self.trail_lim.is_empty(), "RUP gate runs at the root");
-        self.trail_lim.push(self.trail.len());
-        let mut seed = None;
-        for &l in lits {
-            if !self.enqueue(!l, None) {
-                seed = Some(Seed::Lit(l));
-                break;
-            }
-        }
-        if seed.is_none() {
-            seed = self
-                .propagate()
-                .map(|conflict| Seed::Clause(self.arena.code(conflict)));
-        }
-        let proved = seed.map(|seed| {
-            let (mut ante, mut roots) = (Vec::new(), Vec::new());
-            let log = self.proof.take().expect("proofs are on");
-            self.walk_above_root(&log, seed, &mut ante, &mut roots);
-            self.proof = Some(log);
-            for v in &roots {
-                self.seen[v.index()] = false;
-            }
-            (ante, roots)
-        });
-        self.backtrack(0);
-        proved
-    }
-
-    /// Exports the deduced knowledge another solver with the *same* clause
-    /// set over the first `below_vars` variables may soundly import: root
-    /// facts and live learnt clauses mentioning only variables below
-    /// `below_vars`. Guarded extension clauses (activation literals and
-    /// their Tseitin auxiliaries all live at `>= below_vars`) never leak
-    /// into the export: any base-projected consequence of the extended
-    /// formula is already a consequence of the base formula alone, because
-    /// every base model extends to the full variable set (set all guards
-    /// false, evaluate the auxiliary definitions bottom-up).
-    pub fn retained_learnts(&self, below_vars: usize) -> Vec<Vec<Lit>> {
-        debug_assert!(self.trail_lim.is_empty(), "export happens at the root");
-        let mut out = Vec::new();
-        for &l in &self.trail {
-            if l.var().index() < below_vars {
-                out.push(vec![l]);
-            }
-        }
-        for &cref in &self.learnts {
-            let len = self.arena.len(cref);
-            let lits: Vec<Lit> = (0..len).map(|i| self.arena.lit(cref, i)).collect();
-            if lits.iter().all(|l| l.var().index() < below_vars) {
-                out.push(lits);
-            }
-        }
-        out
     }
 
     /// Exports the stored problem: root facts as unit clauses, then every
@@ -1154,8 +1036,8 @@ impl Solver {
     /// Walks the implication graph back from `seed` through the levels
     /// above the root, as [`Solver::analyze_final`] does: every reason
     /// clause met goes onto `ante`, every root fact met stays marked in
-    /// `seen` and goes onto `roots`. Decisions — assumptions, or the
-    /// negated literals of a RUP check — end their branch.
+    /// `seen` and goes onto `roots`. Decisions (the assumptions) end their
+    /// branch.
     fn walk_above_root(
         &mut self,
         log: &CoreLog,
@@ -1370,8 +1252,7 @@ impl Solver {
 /// Where a core walk starts.
 #[derive(Debug, Clone, Copy)]
 enum Seed {
-    /// An assigned literal to explain: a failed assumption, or the
-    /// literal a RUP check found already forced.
+    /// An assigned literal to explain: a failed assumption.
     Lit(Lit),
     /// A clause whose every literal is false.
     Clause(ClauseCode),
@@ -1678,62 +1559,6 @@ mod tests {
         assert!(s.solve_with_assumptions(&[act.negative()]).is_sat());
         // The same verdicts hold on a re-query (watch lists stayed exact).
         assert!(!s.solve_with_assumptions(&[act.positive()]).is_sat());
-    }
-
-    /// Learnt-clause export/import: lemmas over the shared variable prefix
-    /// transfer to a fingerprint-identical solver and shortcut its search.
-    #[test]
-    fn exported_learnts_seed_identical_solver() {
-        let build = || {
-            let mut s = Solver::new();
-            let at: Vec<Vec<Var>> = (0..5)
-                .map(|_| (0..4).map(|_| s.new_var()).collect())
-                .collect();
-            let base_vars = s.num_vars();
-            // An extension guard above the base prefix, MiniSat-style.
-            let guard = s.new_var();
-            for row in &at {
-                s.add_clause(row.iter().map(|v| v.positive()));
-            }
-            for h in 0..4 {
-                for p1 in 0..5 {
-                    for p2 in (p1 + 1)..5 {
-                        s.add_clause([at[p1][h].negative(), at[p2][h].negative()]);
-                    }
-                }
-            }
-            // A guarded extension clause keeps the guard var live.
-            s.add_clause([guard.negative(), at[0][0].positive()]);
-            (s, base_vars, guard)
-        };
-        let (mut donor, base_vars, guard) = build();
-        assert_eq!(
-            donor.solve_with_assumptions(&[guard.negative()]),
-            SolveResult::Unsat
-        );
-        let learnts = donor.retained_learnts(base_vars);
-        assert!(!learnts.is_empty(), "refutation must retain lemmas");
-        // No guard variable leaks through the export filter.
-        for c in &learnts {
-            assert!(c.iter().all(|l| l.var().index() < base_vars), "{c:?}");
-        }
-
-        let fresh_conflicts = {
-            let (mut fresh, _, g) = build();
-            assert!(!fresh.solve_with_assumptions(&[g.negative()]).is_sat());
-            fresh.stats().conflicts
-        };
-        let (mut seeded, _, seeded_guard) = build();
-        let installed = seeded.import_learnts(learnts.iter().map(Vec::as_slice));
-        assert!(installed > 0);
-        assert!(!seeded
-            .solve_with_assumptions(&[seeded_guard.negative()])
-            .is_sat());
-        assert!(
-            seeded.stats().conflicts < fresh_conflicts,
-            "seeding must shortcut the refutation ({} vs {fresh_conflicts})",
-            seeded.stats().conflicts
-        );
     }
 
     /// Exhaustive check against brute force on all 3-CNF formulas over a

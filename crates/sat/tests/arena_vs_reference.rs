@@ -132,38 +132,4 @@ proptest! {
             }
         }
     }
-
-    /// Lemma exchange is sound across implementations: clauses the arena
-    /// solver retains after a refutation, imported into a fresh *reference*
-    /// solver over the same variable numbering (and vice versa), never
-    /// change any verdict.
-    #[test]
-    fn exported_learnts_transfer_across_implementations(
-        num_vars in 2usize..10,
-        raw in prop::collection::vec(
-            prop::collection::vec((0u32..10, any::<bool>()), 2..4),
-            5..30,
-        ),
-        probe in prop::collection::vec((0u32..10, any::<bool>()), 1..4),
-    ) {
-        let clauses = to_clauses(&raw, num_vars);
-        let probe: Vec<Lit> = probe
-            .iter()
-            .map(|(v, pos)| Lit::new(Var(v % num_vars as u32), *pos))
-            .collect();
-        let mut arena = arena_solver(num_vars, &clauses);
-        let mut refr = reference_solver(num_vars, &clauses);
-        let a0 = arena.solve_with_assumptions(&probe).is_sat();
-        let r0 = refr.solve_with_assumptions(&probe).is_sat();
-        prop_assert_eq!(a0, r0);
-        // Cross-seed and re-ask: verdicts must be unchanged.
-        let from_arena = arena.retained_learnts(num_vars);
-        let from_ref = refr.retained_learnts(num_vars);
-        let mut seeded_ref = reference_solver(num_vars, &clauses);
-        seeded_ref.import_learnts(from_arena.iter().map(Vec::as_slice));
-        let mut seeded_arena = arena_solver(num_vars, &clauses);
-        seeded_arena.import_learnts(from_ref.iter().map(Vec::as_slice));
-        prop_assert_eq!(seeded_ref.solve_with_assumptions(&probe).is_sat(), a0);
-        prop_assert_eq!(seeded_arena.solve_with_assumptions(&probe).is_sat(), a0);
-    }
 }

@@ -3,51 +3,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema STUDENT { st_id: int key, st_name: string, st_em_id: int, st_co_id: int, st_reg: bool }
-schema COURSE  { co_id: int key, co_avail: bool, co_st_cnt: int }
-schema EMAIL   { em_id: int key, em_addr: string }
-
-// Fetch a student's record, email address, and course availability.
-txn getSt(id: int) {
-    @S1 x := select * from STUDENT where st_id = id;
-    @S2 y := select em_addr from EMAIL where em_id = x.st_em_id;
-    @S3 z := select co_avail from COURSE where co_id = x.st_co_id;
-    return count(y.em_addr) + count(z.co_avail);
-}
-
-// Update a student's name and email address.
-txn setSt(id: int, name: string, email: string) {
-    @S4 x := select st_em_id from STUDENT where st_id = id;
-    @U1 update STUDENT set st_name = name where st_id = id;
-    @U2 update EMAIL set em_addr = email where em_id = x.st_em_id;
-    return 0;
-}
-
-// Register a student for a course.
-txn regSt(id: int, course: int) {
-    @U3 update STUDENT set st_co_id = course, st_reg = true where st_id = id;
-    @S5 x := select co_st_cnt from COURSE where co_id = course;
-    @U4 update COURSE set co_st_cnt = x.co_st_cnt + 1, co_avail = true where co_id = course;
-    return 0;
-}
-
-// Drop a student from their course.
-txn unregSt(id: int, course: int) {
-    @U5 update STUDENT set st_reg = false where st_id = id;
-    @S6 x := select co_st_cnt from COURSE where co_id = course;
-    @U6 update COURSE set co_st_cnt = x.co_st_cnt - 1 where co_id = course;
-    return 0;
-}
-
-// Check whether a course is open and how full it is.
-txn checkAvail(course: int) {
-    @S7 a := select co_avail from COURSE where co_id = course;
-    @S8 c := select co_st_cnt from COURSE where co_id = course;
-    return c.co_st_cnt + count(a.co_avail);
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/courseware.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/courseware.dsl");
 
 /// Parses the benchmark program.
 ///

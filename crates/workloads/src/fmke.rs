@@ -3,58 +3,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema PATIENT      { pt_id: int key, pt_name: string }
-schema PHARMACY     { ph_id: int key, ph_name: string, ph_processed: int }
-schema FACILITY     { fc_id: int key, fc_name: string }
-schema STAFF        { stf_id: int key, stf_name: string, stf_fc_id: int }
-schema PRESCRIPTION { pr_id: int key, pr_pat_id: int, pr_ph_id: int, pr_processed: bool }
-schema TREATMENT    { tr_id: int key, tr_pat_id: int, tr_done: bool }
-schema MEDICATION   { md_id: int key, md_name: string, md_stock: int }
-
-// File a new prescription and bump the pharmacy's counter.
-txn createPrescription(prid: int, pat: int, ph: int) {
-    @C1 insert into PRESCRIPTION values (pr_id = prid, pr_pat_id = pat, pr_ph_id = ph, pr_processed = false);
-    @C2 pc := select ph_processed from PHARMACY where ph_id = ph;
-    @C3 update PHARMACY set ph_processed = pc.ph_processed + 1 where ph_id = ph;
-    return 0;
-}
-
-// Mark a prescription processed and take the drug from stock.
-txn processPrescription(prid: int, md: int) {
-    @X1 update PRESCRIPTION set pr_processed = true where pr_id = prid;
-    @X2 ms := select md_stock from MEDICATION where md_id = md;
-    @X3 update MEDICATION set md_stock = ms.md_stock - 1 where md_id = md;
-    return 0;
-}
-
-// Point reads.
-txn getPrescription(prid: int) {
-    @Q1 p := select pr_pat_id, pr_processed from PRESCRIPTION where pr_id = prid;
-    return p.pr_pat_id;
-}
-txn getPatient(pat: int) {
-    @Q2 p := select pt_name from PATIENT where pt_id = pat;
-    return count(p.pt_name);
-}
-txn getPharmacy(ph: int) {
-    @Q3 p := select ph_name from PHARMACY where ph_id = ph;
-    @Q4 c := select ph_processed from PHARMACY where ph_id = ph;
-    return c.ph_processed;
-}
-txn getFacilityStaff(fc: int, stf: int) {
-    @Q5 f := select fc_name from FACILITY where fc_id = fc;
-    @Q6 s := select stf_name from STAFF where stf_id = stf;
-    return count(f.fc_name) + count(s.stf_name);
-}
-
-// Close out a treatment.
-txn completeTreatment(tr: int) {
-    @W1 update TREATMENT set tr_done = true where tr_id = tr;
-    return 0;
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/fmke.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/fmke.dsl");
 
 /// Parses the benchmark program.
 ///

@@ -3,52 +3,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema CHATUSER { cu_id: int key, cu_name: string, cu_rooms: int }
-schema ROOM     { rm_id: int key, rm_name: string, rm_participants: int, rm_msgcount: int }
-schema MESSAGE  { ms_id: uuid key, ms_room: int, ms_text: string }
-
-// Open a new room (counters start at their defaults).
-txn createRoom(rid: int, name: string) {
-    @K1 insert into ROOM values (rm_id = rid, rm_name = name);
-    return 0;
-}
-
-// Join a room: bump the room's participant count and the user's room count.
-txn joinRoom(uid: int, rid: int) {
-    @J1 rp := select rm_participants from ROOM where rm_id = rid;
-    @J2 update ROOM set rm_participants = rp.rm_participants + 1 where rm_id = rid;
-    @J3 ur := select cu_rooms from CHATUSER where cu_id = uid;
-    @J4 update CHATUSER set cu_rooms = ur.cu_rooms + 1 where cu_id = uid;
-    return 0;
-}
-
-// Leave a room.
-txn leaveRoom(uid: int, rid: int) {
-    @L1 rp := select rm_participants from ROOM where rm_id = rid;
-    @L2 update ROOM set rm_participants = rp.rm_participants - 1 where rm_id = rid;
-    @L3 ur := select cu_rooms from CHATUSER where cu_id = uid;
-    @L4 update CHATUSER set cu_rooms = ur.cu_rooms - 1 where cu_id = uid;
-    return 0;
-}
-
-// Post a message and bump the room's message counter.
-txn postMessage(rid: int, text: string) {
-    @M1 insert into MESSAGE values (ms_id = uuid(), ms_room = rid, ms_text = text);
-    @M2 mc := select rm_msgcount from ROOM where rm_id = rid;
-    @M3 update ROOM set rm_msgcount = mc.rm_msgcount + 1 where rm_id = rid;
-    return 0;
-}
-
-// Read a room's header and its message count.
-txn readRoom(rid: int) {
-    @V1 r := select rm_name from ROOM where rm_id = rid;
-    @V2 c := select rm_msgcount from ROOM where rm_id = rid;
-    @V3 m := select ms_text from MESSAGE where ms_room = rid;
-    return c.rm_msgcount + count(m.ms_text) + count(r.rm_name);
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/killrchat.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/killrchat.dsl");
 
 /// Parses the benchmark program.
 ///

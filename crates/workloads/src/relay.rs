@@ -19,31 +19,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the scenario.
-pub const SOURCE: &str = r#"
-schema MSG  { m_id: int key, m_body: int }
-schema FEED { f_id: int key, f_body: int }
-
-// Publish (or edit) the canonical message row.
-txn post(m: int, body: int) {
-    @W1 update MSG set m_body = body where m_id = m;
-    return 0;
-}
-
-// Fan the message out into one follower's feed row.
-txn relay(m: int, f: int) {
-    @R2 x := select m_body from MSG where m_id = m;
-    @W2 update FEED set f_body = x.m_body where f_id = f;
-    return 0;
-}
-
-// Read the feed, then backfill from the canonical table.
-txn timeline(f: int, m: int) {
-    @R3 y := select f_body from FEED where f_id = f;
-    @R4 z := select m_body from MSG where m_id = m;
-    return y.f_body + z.m_body;
-}
-"#;
+/// DSL source of the scenario, the committed `examples/corpus/relay.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/relay.dsl");
 
 /// Parses the scenario program.
 ///

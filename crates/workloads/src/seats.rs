@@ -2,73 +2,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema FLIGHT         { f_id: int key, f_status: int, f_base_price: int, f_seats_left: int }
-schema SCUSTOMER      { c2_id: int key, c2_name: string, c2_balance: int, c2_iattr: int }
-schema RESERVATION    { r_f_id: int key, r_c_id: int key, r_seat: int, r_price: int, r_active: bool }
-schema AIRPORT        { ap_id: int key, ap_code: string }
-schema AIRLINE        { al_id: int key, al_name: string }
-schema FREQUENT_FLYER { ff_c_id: int key, ff_al_id: int key, ff_miles: int }
-schema CONFIG         { cf_id: int key, cf_val: int }
-schema AIRPORT_DIST   { ad_id: int key, ad_dist: int }
-
-// Browse flights: read-only fan-out over the static tables.
-txn findFlights(fid: int, ap: int, al: int, cf: int) {
-    @F1 f := select f_status, f_base_price from FLIGHT where f_id = fid;
-    @F2 a := select ap_code from AIRPORT where ap_id = ap;
-    @F3 n := select al_name from AIRLINE where al_id = al;
-    @F4 g := select cf_val from CONFIG where cf_id = cf;
-    @F5 d := select ad_dist from AIRPORT_DIST where ad_id = ap;
-    return f.f_base_price + d.ad_dist + count(a.ap_code) + count(n.al_name) + g.cf_val;
-}
-
-// How many seats remain on a flight?
-txn findOpenSeats(fid: int) {
-    @S1 s := select f_seats_left, f_base_price from FLIGHT where f_id = fid;
-    return s.f_seats_left;
-}
-
-// Book a seat: take a seat from the flight, record the reservation, credit
-// frequent-flyer miles.
-txn newReservation(fid: int, cid: int, al: int, seat: int) {
-    @R1 sl := select f_seats_left from FLIGHT where f_id = fid;
-    @R2 update FLIGHT set f_seats_left = sl.f_seats_left - 1 where f_id = fid;
-    @R3 insert into RESERVATION values (r_f_id = fid, r_c_id = cid, r_seat = seat,
-                                        r_price = 100, r_active = true);
-    @R4 ia := select c2_iattr from SCUSTOMER where c2_id = cid;
-    @R5 update SCUSTOMER set c2_iattr = ia.c2_iattr + 1 where c2_id = cid;
-    @R6 fm := select ff_miles from FREQUENT_FLYER where ff_c_id = cid && ff_al_id = al;
-    @R7 update FREQUENT_FLYER set ff_miles = fm.ff_miles + 500 where ff_c_id = cid && ff_al_id = al;
-    return 0;
-}
-
-// Update customer attributes (a blind write racing newReservation).
-txn updateCustomer(cid: int, attr: int) {
-    @U1 c := select c2_balance from SCUSTOMER where c2_id = cid;
-    @U2 update SCUSTOMER set c2_iattr = attr where c2_id = cid;
-    return c.c2_balance;
-}
-
-// Move a reservation to a different seat.
-txn updateReservation(fid: int, cid: int, seat: int) {
-    @M1 update RESERVATION set r_seat = seat where r_f_id = fid && r_c_id = cid;
-    return 0;
-}
-
-// Cancel a reservation: free the seat and refund the customer.
-txn deleteReservation(fid: int, cid: int) {
-    @D1 r := select r_price, r_active from RESERVATION where r_f_id = fid && r_c_id = cid;
-    if (r.r_active) {
-        @D2 update RESERVATION set r_active = false where r_f_id = fid && r_c_id = cid;
-        @D3 sl := select f_seats_left from FLIGHT where f_id = fid;
-        @D4 update FLIGHT set f_seats_left = sl.f_seats_left + 1 where f_id = fid;
-        @D5 cb := select c2_balance from SCUSTOMER where c2_id = cid;
-        @D6 update SCUSTOMER set c2_balance = cb.c2_balance + r.r_price where c2_id = cid;
-    }
-    return 0;
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/seats.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/seats.dsl");
 
 /// Parses the benchmark program.
 ///

@@ -3,24 +3,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema SITEM { si_id: int key, si_name: string, si_value: int }
-
-// Read one item.
-txn readItem(k: int) {
-    @R1 n := select si_name from SITEM where si_id = k;
-    @R2 v := select si_value from SITEM where si_id = k;
-    return v.si_value + (count(n.si_name) * 0);
-}
-
-// Increment one item.
-txn updateItem(k: int) {
-    @U1 x := select si_value from SITEM where si_id = k;
-    @U2 update SITEM set si_value = x.si_value + 1 where si_id = k;
-    return 0;
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/sibench.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/sibench.dsl");
 
 /// Parses the benchmark program.
 ///

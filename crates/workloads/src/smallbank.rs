@@ -5,66 +5,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema ACCOUNTS { a_custid: int key, a_name: string }
-schema SAVINGS  { s_custid: int key, s_bal: int }
-schema CHECKING { c_custid: int key, c_bal: int }
-
-// Read both balances of one customer (plus the account header).
-txn balance(custid: int) {
-    @B0 a := select a_name from ACCOUNTS where a_custid = custid;
-    @B1 sv := select s_bal from SAVINGS where s_custid = custid;
-    @B2 ck := select c_bal from CHECKING where c_custid = custid;
-    return sv.s_bal + ck.c_bal + (count(a.a_name) * 0);
-}
-
-// Deposit into checking.
-txn depositChecking(custid: int, amount: int) {
-    @D1 ck := select c_bal from CHECKING where c_custid = custid;
-    @D2 update CHECKING set c_bal = ck.c_bal + amount where c_custid = custid;
-    return 0;
-}
-
-// Deposit into (or withdraw from) savings.
-txn transactSavings(custid: int, amount: int) {
-    @T1 sv := select s_bal from SAVINGS where s_custid = custid;
-    @T2 update SAVINGS set s_bal = sv.s_bal + amount where s_custid = custid;
-    return 0;
-}
-
-// Move all funds of custid1 into custid2's checking account.
-txn amalgamate(custid1: int, custid2: int) {
-    @A1 sv := select s_bal from SAVINGS where s_custid = custid1;
-    @A2 ck := select c_bal from CHECKING where c_custid = custid1;
-    @A3 update SAVINGS set s_bal = sv.s_bal - sv.s_bal where s_custid = custid1;
-    @A4 update CHECKING set c_bal = ck.c_bal - ck.c_bal where c_custid = custid1;
-    @A5 ck2 := select c_bal from CHECKING where c_custid = custid2;
-    @A6 update CHECKING set c_bal = ck2.c_bal + 1 where c_custid = custid2;
-    return 0;
-}
-
-// Cash a check if the combined balance covers it.
-txn writeCheck(custid: int, amount: int) {
-    @W1 sv := select s_bal from SAVINGS where s_custid = custid;
-    @W2 ck := select c_bal from CHECKING where c_custid = custid;
-    if (sv.s_bal + ck.c_bal >= amount) {
-        @W3 update CHECKING set c_bal = ck.c_bal - amount where c_custid = custid;
-    }
-    return sv.s_bal + ck.c_bal;
-}
-
-// Transfer between two checking accounts if funds suffice.
-txn sendPayment(custid1: int, custid2: int, amount: int) {
-    @P1 ck1 := select c_bal from CHECKING where c_custid = custid1;
-    if (ck1.c_bal >= amount) {
-        @P2 update CHECKING set c_bal = ck1.c_bal - amount where c_custid = custid1;
-        @P3 ck2 := select c_bal from CHECKING where c_custid = custid2;
-        @P4 update CHECKING set c_bal = ck2.c_bal + amount where c_custid = custid2;
-    }
-    return 0;
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/smallbank.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/smallbank.dsl");
 
 /// Parses the benchmark program.
 ///

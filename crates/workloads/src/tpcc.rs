@@ -4,91 +4,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema WAREHOUSE  { w_id: int key, w_name: string, w_ytd: int }
-schema DISTRICT   { d_id: int key, d_name: string, d_ytd: int, d_next_o_id: int }
-schema CUSTOMER   { c_id: int key, c_name: string, c_balance: int,
-                    c_ytd_payment: int, c_payment_cnt: int, c_delivery_cnt: int }
-schema ORDERS     { o_id: int key, o_c_id: int, o_carrier_id: int, o_ol_cnt: int }
-schema NEW_ORDER  { no_o_id: int key, no_d_id: int, no_pending: bool }
-schema ORDER_LINE { ol_o_id: int key, ol_number: int key, ol_i_id: int, ol_qty: int, ol_amount: int }
-schema ITEM       { i_id: int key, i_name: string, i_price: int }
-schema STOCK      { s_i_id: int key, s_quantity: int, s_ytd: int, s_order_cnt: int }
-schema HISTORY    { h_id: uuid key, h_c_id: int, h_amount: int }
-
-// Enter a two-line order: advance the district sequence, decrement stock.
-txn newOrder(did: int, cid: int, i1: int, q1: int, i2: int, q2: int) {
-    @N1 d := select d_next_o_id from DISTRICT where d_id = did;
-    @N2 update DISTRICT set d_next_o_id = d.d_next_o_id + 1 where d_id = did;
-    @N3 p1 := select i_price from ITEM where i_id = i1;
-    @N4 p2 := select i_price from ITEM where i_id = i2;
-    @N5 insert into ORDERS values (o_id = d.d_next_o_id, o_c_id = cid, o_carrier_id = 0, o_ol_cnt = 2);
-    @N6 insert into NEW_ORDER values (no_o_id = d.d_next_o_id, no_d_id = did, no_pending = true);
-    @N7 s1 := select s_quantity from STOCK where s_i_id = i1;
-    @N8 update STOCK set s_quantity = s1.s_quantity - q1 where s_i_id = i1;
-    @N9 y1 := select s_ytd from STOCK where s_i_id = i1;
-    @N10 update STOCK set s_ytd = y1.s_ytd + q1 where s_i_id = i1;
-    @N11 oc1 := select s_order_cnt from STOCK where s_i_id = i1;
-    @N12 update STOCK set s_order_cnt = oc1.s_order_cnt + 1 where s_i_id = i1;
-    @N13 insert into ORDER_LINE values (ol_o_id = d.d_next_o_id, ol_number = 1,
-                                        ol_i_id = i1, ol_qty = q1, ol_amount = q1 * p1.i_price);
-    @N14 s2 := select s_quantity from STOCK where s_i_id = i2;
-    @N15 update STOCK set s_quantity = s2.s_quantity - q2 where s_i_id = i2;
-    @N16 y2 := select s_ytd from STOCK where s_i_id = i2;
-    @N17 update STOCK set s_ytd = y2.s_ytd + q2 where s_i_id = i2;
-    @N18 insert into ORDER_LINE values (ol_o_id = d.d_next_o_id, ol_number = 2,
-                                        ol_i_id = i2, ol_qty = q2, ol_amount = q2 * p2.i_price);
-    return d.d_next_o_id;
-}
-
-// Record a customer payment against warehouse, district, and customer.
-txn payment(wid: int, did: int, cid: int, amount: int) {
-    @P1 w := select w_ytd from WAREHOUSE where w_id = wid;
-    @P2 update WAREHOUSE set w_ytd = w.w_ytd + amount where w_id = wid;
-    @P3 dd := select d_ytd from DISTRICT where d_id = did;
-    @P4 update DISTRICT set d_ytd = dd.d_ytd + amount where d_id = did;
-    @P5 cb := select c_balance from CUSTOMER where c_id = cid;
-    @P6 update CUSTOMER set c_balance = cb.c_balance - amount where c_id = cid;
-    @P7 cy := select c_ytd_payment from CUSTOMER where c_id = cid;
-    @P8 update CUSTOMER set c_ytd_payment = cy.c_ytd_payment + amount where c_id = cid;
-    @P9 cp := select c_payment_cnt from CUSTOMER where c_id = cid;
-    @P10 update CUSTOMER set c_payment_cnt = cp.c_payment_cnt + 1 where c_id = cid;
-    @P11 insert into HISTORY values (h_id = uuid(), h_c_id = cid, h_amount = amount);
-    return 0;
-}
-
-// Report the status of a customer's latest order.
-txn orderStatus(cid: int, oid: int) {
-    @O1 c := select c_name, c_balance from CUSTOMER where c_id = cid;
-    @O2 o := select o_carrier_id, o_ol_cnt from ORDERS where o_id = oid;
-    @O3 l1 := select ol_qty, ol_amount from ORDER_LINE where ol_o_id = oid && ol_number = 1;
-    @O4 l2 := select ol_qty, ol_amount from ORDER_LINE where ol_o_id = oid && ol_number = 2;
-    return l1.ol_amount + l2.ol_amount + c.c_balance + o.o_ol_cnt;
-}
-
-// Deliver a pending order and credit the customer.
-txn delivery(oid: int, cid: int) {
-    @V1 n := select no_pending from NEW_ORDER where no_o_id = oid;
-    if (n.no_pending) {
-        @V2 delete from NEW_ORDER where no_o_id = oid;
-        @V3 update ORDERS set o_carrier_id = 5 where o_id = oid;
-        @V4 l := select ol_amount from ORDER_LINE where ol_o_id = oid && ol_number = 1;
-        @V5 cb := select c_balance from CUSTOMER where c_id = cid;
-        @V6 update CUSTOMER set c_balance = cb.c_balance + l.ol_amount where c_id = cid;
-        @V7 dc := select c_delivery_cnt from CUSTOMER where c_id = cid;
-        @V8 update CUSTOMER set c_delivery_cnt = dc.c_delivery_cnt + 1 where c_id = cid;
-    }
-    return 0;
-}
-
-// Check stock against the district's order horizon.
-txn stockLevel(did: int, i1: int, threshold: int) {
-    @L1 d := select d_next_o_id from DISTRICT where d_id = did;
-    @L2 s := select s_quantity from STOCK where s_i_id = i1;
-    return (d.d_next_o_id * 0) + s.s_quantity - threshold;
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/tpcc.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/tpcc.dsl");
 
 /// Parses the benchmark program.
 ///

@@ -3,51 +3,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema TUSER   { u_id: int key, u_name: string }
-schema TWEET   { tw_id: uuid key, tw_u_id: int, tw_text: string }
-schema FOLLOWS { fl_follower: int key, fl_followee: int key, fl_active: bool }
-schema STATS   { stt_u_id: int key, stt_followers: int, stt_tweets: int }
-
-// Read a tweet.
-txn getTweet(tid: uuid) {
-    @G1 t := select tw_text from TWEET where tw_id = tid;
-    return t.tw_text;
-}
-
-// Read a user's profile: counts plus one edge of the follower graph.
-txn getUserProfile(uid: int, target: int) {
-    @G2 u := select u_name from TUSER where u_id = uid;
-    @G3 s := select stt_followers, stt_tweets from STATS where stt_u_id = uid;
-    @G4 f := select fl_active from FOLLOWS where fl_follower = uid && fl_followee = target;
-    return s.stt_followers + count(f.fl_active) + count(u.u_name);
-}
-
-// Post a tweet and bump the author's tweet count.
-txn postTweet(uid: int, text: string) {
-    @P1 insert into TWEET values (tw_id = uuid(), tw_u_id = uid, tw_text = text);
-    @P2 tc := select stt_tweets from STATS where stt_u_id = uid;
-    @P3 update STATS set stt_tweets = tc.stt_tweets + 1 where stt_u_id = uid;
-    return 0;
-}
-
-// Follow a user and bump their follower count.
-txn follow(uid: int, target: int) {
-    @F1 insert into FOLLOWS values (fl_follower = uid, fl_followee = target, fl_active = true);
-    @F2 fc := select stt_followers from STATS where stt_u_id = target;
-    @F3 update STATS set stt_followers = fc.stt_followers + 1 where stt_u_id = target;
-    return 0;
-}
-
-// Unfollow a user.
-txn unfollow(uid: int, target: int) {
-    @N1 update FOLLOWS set fl_active = false where fl_follower = uid && fl_followee = target;
-    @N2 fc := select stt_followers from STATS where stt_u_id = target;
-    @N3 update STATS set stt_followers = fc.stt_followers - 1 where stt_u_id = target;
-    return 0;
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/twitter.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/twitter.dsl");
 
 /// Parses the benchmark program.
 ///

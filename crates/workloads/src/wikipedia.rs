@@ -3,66 +3,8 @@
 
 use atropos_dsl::{parse, Program};
 
-/// DSL source of the benchmark.
-pub const SOURCE: &str = r#"
-schema PAGE          { pg_id: int key, pg_title: string, pg_latest: int, pg_len: int }
-schema REVISION      { rv_id: uuid key, rv_page: int, rv_text: int }
-schema PAGETEXT      { tx_id: int key, tx_content: string }
-schema WIKIUSER      { wu_id: int key, wu_name: string, wu_editcount: int }
-schema WATCHLIST     { wl_u: int key, wl_page: int key, wl_active: bool }
-schema LOGGING       { lg_id: uuid key, lg_page: int, lg_action: string }
-schema RECENTCHANGES { rc_id: uuid key, rc_page: int }
-schema IPBLOCKS      { ipb_id: int key, ipb_active: bool }
-schema USERGROUPS    { ug_u: int key, ug_group: string }
-schema PAGERESTRICT  { ps_page: int key, ps_level: int }
-schema CATEGORY      { ct_id: int key, ct_name: string }
-schema SITESTATS     { ss_id: int key, ss_edits: int }
-
-// Anonymous page view.
-txn getPageAnonymous(pid: int, ipb: int) {
-    @A1 p := select pg_title, pg_latest from PAGE where pg_id = pid;
-    @A2 t := select tx_content from PAGETEXT where tx_id = p.pg_latest;
-    @A3 b := select ipb_active from IPBLOCKS where ipb_id = ipb;
-    @A4 r := select ps_level from PAGERESTRICT where ps_page = pid;
-    return count(t.tx_content) + r.ps_level + count(b.ipb_active);
-}
-
-// Authenticated page view.
-txn getPageAuthenticated(pid: int, uid: int) {
-    @B1 u := select wu_name from WIKIUSER where wu_id = uid;
-    @B2 g := select ug_group from USERGROUPS where ug_u = uid;
-    @B3 p := select pg_latest from PAGE where pg_id = pid;
-    @B4 t := select tx_content from PAGETEXT where tx_id = p.pg_latest;
-    return count(t.tx_content) + count(g.ug_group) + count(u.wu_name);
-}
-
-// Watch a page.
-txn addToWatchlist(uid: int, pid: int) {
-    @W1 update WATCHLIST set wl_active = true where wl_u = uid && wl_page = pid;
-    @W2 c := select ct_name from CATEGORY where ct_id = pid;
-    return count(c.ct_name);
-}
-
-// Unwatch a page.
-txn removeFromWatchlist(uid: int, pid: int) {
-    @X1 update WATCHLIST set wl_active = false where wl_u = uid && wl_page = pid;
-    return 0;
-}
-
-// Edit a page: store the new text, advance the page pointer, log the edit.
-txn updatePage(pid: int, uid: int, newtid: int, content: string) {
-    @E1 insert into PAGETEXT values (tx_id = newtid, tx_content = content);
-    @E2 insert into REVISION values (rv_id = uuid(), rv_page = pid, rv_text = newtid);
-    @E3 update PAGE set pg_latest = newtid where pg_id = pid;
-    @E4 ec := select wu_editcount from WIKIUSER where wu_id = uid;
-    @E5 update WIKIUSER set wu_editcount = ec.wu_editcount + 1 where wu_id = uid;
-    @E6 ss := select ss_edits from SITESTATS where ss_id = 1;
-    @E7 update SITESTATS set ss_edits = ss.ss_edits + 1 where ss_id = 1;
-    @E8 insert into LOGGING values (lg_id = uuid(), lg_page = pid, lg_action = "edit");
-    @E9 insert into RECENTCHANGES values (rc_id = uuid(), rc_page = pid);
-    return 0;
-}
-"#;
+/// DSL source of the benchmark, the committed `examples/corpus/wikipedia.dsl`.
+pub const SOURCE: &str = include_str!("../../../examples/corpus/wikipedia.dsl");
 
 /// Parses the benchmark program.
 ///
