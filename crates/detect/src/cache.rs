@@ -7,38 +7,67 @@
 //! level above the SAT layer: the verdicts of every **instance group** the
 //! oracle analyses — an ordered transaction pair, or in
 //! [`crate::DetectMode::Triples`] an unordered triple — are memoized under
-//! a **canonical fingerprint** of the members' command summaries, so
-//! re-detection after a step only re-encodes and re-solves the groups
+//! a **canonical fingerprint** of what the group's model is grounded over,
+//! so re-detection after a step only re-encodes and re-solves the groups
 //! whose fingerprints changed.
 //!
 //! # The fingerprint
 //!
 //! [`txn_fingerprint`] hashes everything the bounded encoding and the
 //! violation templates can observe about a transaction: its name and, per
-//! command in program order, the kind, schema, read/write field sets, key
-//! specification, bound variable, and used variables. Command **labels are
-//! deliberately excluded** — a pure relabeling preserves verdicts, so a
-//! relabeled program keeps hitting. Cached verdicts therefore store no
-//! labels either: each finding names its commands by (member, command
-//! index), and every hit is labelled from the program it answers. Anything
-//! else a rewrite can change (field sets, filters, schemas, command order)
-//! lands in the fingerprint, so a stale hit is impossible as long as the
-//! fingerprint is *sound*: any mutation that changes a command's access
-//! behaviour must change it. That soundness obligation is pinned by the
-//! property suite in `crates/detect/tests/fingerprint_prop.rs`, not by the
-//! end-to-end tests.
+//! command in program order, the kind, schema, position, read/write field
+//! sets, key specification, bound variable, and used variables. Command
+//! **labels are deliberately excluded** — a pure relabeling preserves
+//! verdicts, so a relabeled program keeps hitting. Cached verdicts
+//! therefore store no labels either: each finding names its commands by
+//! (member, command index), and every hit is labelled from the program it
+//! answers. Anything else a rewrite can change (field sets, filters,
+//! schemas, command order) lands in the fingerprint, so a stale hit is
+//! impossible as long as the fingerprint is *sound*: any mutation that
+//! changes a command's access behaviour must change it. That soundness
+//! obligation is pinned by the property suite in
+//! `crates/detect/tests/fingerprint_prop.rs`, not by the end-to-end tests.
+//!
+//! # Conflict slices
+//!
+//! A pair's model needs only each member's commands on tables the other
+//! member accesses, its **conflict slice**. The paper reports every
+//! anomaly as an access pair of conflicting commands, and a command on a
+//! table the partner never touches conflicts with nothing in the other
+//! instance. Any model of the sliced encoding extends to the full one:
+//! place each dropped command by program order; under CC, a foreign
+//! command sees a dropped command's effects exactly when it sees a later
+//! kept effect of the same session, which already carries every causal
+//! relay the dropped one could make; RR and SER constrain only commands
+//! that share a record. So a pair is grounded over its two slices (each
+//! command's `prog_index` renumbered within the slice), its findings name
+//! commands by slice position, and a hit maps them back through the
+//! slice's kept indices. A self-pair's slices keep every command.
+//!
+//! [`slice_fingerprint`] folds what [`txn_fingerprint`] folds, restricted
+//! to the kept commands, with each command's position made relative to
+//! the slice, so a slice that keeps every command carries the transaction
+//! fingerprint. An edit to a command on a table the partner never touches
+//! leaves the slice, and so the pair's key, unchanged: logging
+//! `STOCK.s_ytd` in TPC-C's `newOrder` re-keys no pair with `payment`.
+//! The engine computes slices once per (transaction, partner table set)
+//! from each command's fingerprint input, recorded once per transaction
+//! (`ProgramKeys`).
 //!
 //! # The group key
 //!
 //! One `GroupKey` keys verdicts, retained solvers and the persistent
-//! store's records: the member fingerprints in **key
-//! orientation** — ordered for a pair (the templates are asymmetric),
-//! sorted for a triple (every role permutation is analysed inside one
-//! entry, so the verdict is independent of which orientation grounded it)
+//! store's records: the member fingerprints in **key orientation** — a
+//! pair's two slice fingerprints in order (the templates are asymmetric),
+//! a triple's three transaction fingerprints sorted (every role
+//! permutation is analysed inside one entry, so the verdict is
+//! independent of which orientation grounded it; triples are not sliced)
 //! — plus, for a pair, whether the symmetric (lost-update) template ran,
 //! and the consistency level. Retained solvers serve every flag and level
 //! of their group, so the retention map uses the key with those parts
-//! normalized (`GroupKey::state`).
+//! normalized (`GroupKey::state`). The session's liveness set holds every
+//! slice fingerprint of the programs it has seen, transaction
+//! fingerprints included.
 //!
 //! # Solver retention
 //!
@@ -46,15 +75,16 @@
 //! by the members' fingerprints), so a group that is re-queried — e.g. at
 //! another consistency level, or after its verdict entry was evicted while
 //! its fingerprints survived — reuses the already-encoded
-//! ordering/visibility matrix and every learnt clause instead of
-//! re-encoding from scratch. Retained states live in a **sharded map**
-//! (`ShardedStates`): independent mutex-guarded shards, so the parallel
-//! detection engine's workers can take and return solvers concurrently
-//! without a global lock (retained solvers migrate freely between workers
-//! — `GroupState` is `Send`).
+//! ordering/visibility matrix, its installed level groups and the last
+//! model it found instead of re-encoding from scratch. Retained states
+//! live in a **sharded map** (`ShardedStates`): independent mutex-guarded
+//! shards, so the parallel detection engine's workers can take and return
+//! solvers concurrently without a global lock (retained solvers migrate
+//! freely between workers — `GroupState` is `Send`).
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
@@ -63,7 +93,9 @@ use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver};
 use crate::model::{CmdSummary, KeySpec, TxnSummary};
 
 /// Canonical fingerprint of one transaction's command summaries: the exact
-/// information the pair encoding and the violation templates consume.
+/// information the pair encoding and the violation templates consume. It
+/// is the fingerprint of the transaction's identity slice, the fold of
+/// [`slice_fingerprint`] over every command.
 ///
 /// Two summaries with equal fingerprints produce identical detection
 /// verdicts when paired with equal-fingerprint partners (up to command
@@ -72,28 +104,45 @@ use crate::model::{CmdSummary, KeySpec, TxnSummary};
 /// principle but vanishingly unlikely at repair-loop cache sizes
 /// (tens of entries).
 pub fn txn_fingerprint(txn: &TxnSummary) -> u64 {
-    let mut h = DefaultHasher::new();
-    txn.name.hash(&mut h);
-    txn.commands.len().hash(&mut h);
-    for c in &txn.commands {
-        hash_cmd(c, &mut h);
-    }
-    h.finish()
+    Slice::of(txn, &CmdBytes::of(txn), |_| true).fp
+}
+
+/// The fingerprint of `txn`'s **conflict slice** against `partner`: the
+/// commands of `txn` on tables `partner` accesses, which are all a pair
+/// model of the two needs (see the module docs). It hashes the
+/// transaction's name, the number of commands kept and, per kept command
+/// in program order, its detector-visible fields with its position
+/// relative to the slice in place of its own: its `prog_index` less the
+/// commands the slice drops before it. A command on a table `partner`
+/// never touches does not reach it, and a slice that keeps every command
+/// has the [`txn_fingerprint`].
+pub fn slice_fingerprint(txn: &TxnSummary, partner: &TxnSummary) -> u64 {
+    let tables: BTreeSet<&str> = partner.commands.iter().map(|c| c.schema.as_str()).collect();
+    Slice::of(txn, &CmdBytes::of(txn), |c| {
+        tables.contains(c.schema.as_str())
+    })
+    .fp
 }
 
 /// Canonical fingerprint of one command summary: the same detector-visible
 /// fields [`txn_fingerprint`] folds per command, label excluded.
 pub fn cmd_fingerprint(c: &CmdSummary) -> u64 {
     let mut h = DefaultHasher::new();
-    hash_cmd(c, &mut h);
+    hash_head(c, &mut h);
+    c.prog_index.hash(&mut h);
+    hash_tail(c, &mut h);
     h.finish()
 }
 
-fn hash_cmd(c: &CmdSummary, h: &mut impl Hasher) {
+/// The fields a fingerprint hashes before a command's position.
+fn hash_head(c: &CmdSummary, h: &mut impl Hasher) {
     // NOT hashed: c.label — cached findings are labelled on every hit.
     (c.kind as u8).hash(h);
     c.schema.hash(h);
-    c.prog_index.hash(h);
+}
+
+/// The fields a fingerprint hashes after a command's position.
+fn hash_tail(c: &CmdSummary, h: &mut impl Hasher) {
     c.reads.hash(h);
     c.writes.hash(h);
     c.bound_var.hash(h);
@@ -109,6 +158,206 @@ fn hash_cmd(c: &CmdSummary, h: &mut impl Hasher) {
     }
 }
 
+/// Collects the bytes `Hash` impls feed a hasher instead of hashing them.
+#[derive(Default)]
+struct Recorder(Vec<u8>);
+
+impl Hasher for Recorder {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("a recorder is replayed into a real hasher, never finished")
+    }
+}
+
+/// Every command's fingerprint input, recorded once per transaction and
+/// split around its position, so each slice hashes the recorded bytes with
+/// its own relative position in between instead of walking the command's
+/// field sets again. The hasher is a byte stream, so a replay hashes
+/// exactly what hashing the fields directly would.
+struct CmdBytes {
+    bytes: Vec<u8>,
+    /// Per command: where its head ends and where its tail ends.
+    cuts: Vec<[usize; 2]>,
+}
+
+impl CmdBytes {
+    fn of(txn: &TxnSummary) -> CmdBytes {
+        let mut rec = Recorder::default();
+        let cuts = txn
+            .commands
+            .iter()
+            .map(|c| {
+                hash_head(c, &mut rec);
+                let head = rec.0.len();
+                hash_tail(c, &mut rec);
+                [head, rec.0.len()]
+            })
+            .collect();
+        CmdBytes { bytes: rec.0, cuts }
+    }
+
+    /// Command `i`'s head and tail bytes.
+    fn parts(&self, i: usize) -> [&[u8]; 2] {
+        let start = if i == 0 { 0 } else { self.cuts[i - 1][1] };
+        let [head, end] = self.cuts[i];
+        [&self.bytes[start..head], &self.bytes[head..end]]
+    }
+}
+
+/// One transaction restricted to some of its commands, in program order:
+/// a pair member cut down to the tables its partner accesses, or a whole
+/// transaction (its identity slice).
+#[derive(Debug, Clone)]
+pub(crate) struct Slice {
+    /// The slice fingerprint (see [`slice_fingerprint`]).
+    pub(crate) fp: u64,
+    /// The transaction's command indices the slice keeps, ascending.
+    pub(crate) kept: Vec<usize>,
+}
+
+impl Slice {
+    /// The slice of `txn` keeping the commands `keep` accepts; `bytes` are
+    /// its commands' recorded fingerprint input.
+    fn of(txn: &TxnSummary, bytes: &CmdBytes, keep: impl Fn(&CmdSummary) -> bool) -> Slice {
+        let kept: Vec<usize> = (0..txn.commands.len())
+            .filter(|&i| keep(&txn.commands[i]))
+            .collect();
+        let mut h = DefaultHasher::new();
+        txn.name.hash(&mut h);
+        kept.len().hash(&mut h);
+        for (k, &i) in kept.iter().enumerate() {
+            let [head, tail] = bytes.parts(i);
+            h.write(head);
+            relative_position(&txn.commands[i], i - k).hash(&mut h);
+            h.write(tail);
+        }
+        Slice {
+            fp: h.finish(),
+            kept,
+        }
+    }
+
+    /// The summary a pair model grounds: the kept commands, each with
+    /// its `prog_index` made relative to the slice. Equal slice
+    /// fingerprints therefore mean equal sliced summaries up to labels.
+    /// An identity slice borrows `txn` unchanged.
+    pub(crate) fn summary<'a>(&self, txn: &'a TxnSummary) -> Cow<'a, TxnSummary> {
+        if self.kept.len() == txn.commands.len() {
+            return Cow::Borrowed(txn);
+        }
+        let commands = self
+            .kept
+            .iter()
+            .enumerate()
+            .map(|(k, &i)| CmdSummary {
+                prog_index: relative_position(&txn.commands[i], i - k),
+                ..txn.commands[i].clone()
+            })
+            .collect();
+        Cow::Owned(TxnSummary {
+            name: txn.name.clone(),
+            commands,
+        })
+    }
+}
+
+/// A kept command's position relative to its slice, `dropped` being the
+/// commands the slice drops before it: its index within the slice for a
+/// summarized program, where `prog_index` is the command's position.
+/// Wrapping, because a hand-built summary may number its commands
+/// arbitrarily; the fingerprint and the sliced summary only need to
+/// agree.
+fn relative_position(c: &CmdSummary, dropped: usize) -> usize {
+    c.prog_index.wrapping_sub(dropped)
+}
+
+/// How one program's transactions key their instance groups: each
+/// transaction's identity slice (its fingerprint keys its triples) and,
+/// per ordered pair, each member's slice against the other's tables.
+/// Slices are memoized per (transaction, table set), so a pass computes
+/// one slice per distinct partner table set, not one per pair.
+pub(crate) struct ProgramKeys {
+    /// The distinct slices.
+    slices: Vec<Slice>,
+    /// Per ordered pair `(i, j)`, at `i * n + j`: the ids of `i`'s slice
+    /// against `j`'s tables and of `j`'s slice against `i`'s tables.
+    pairs: Vec<[usize; 2]>,
+    /// The number of transactions.
+    n: usize,
+}
+
+impl ProgramKeys {
+    /// The keys of the transactions `sums` of one program.
+    pub(crate) fn new(sums: &[TxnSummary]) -> ProgramKeys {
+        let n = sums.len();
+        // Each transaction's table set, and a class id per distinct set.
+        let tables: Vec<BTreeSet<&str>> = sums
+            .iter()
+            .map(|t| t.commands.iter().map(|c| c.schema.as_str()).collect())
+            .collect();
+        let mut interned: HashMap<&BTreeSet<&str>, usize> = HashMap::new();
+        let class: Vec<usize> = tables
+            .iter()
+            .map(|t| {
+                let next = interned.len();
+                *interned.entry(t).or_insert(next)
+            })
+            .collect();
+        let bytes: Vec<CmdBytes> = sums.iter().map(CmdBytes::of).collect();
+        let mut memo: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut slices = Vec::new();
+        let mut slice = |i: usize, j: usize| {
+            *memo.entry((i, class[j])).or_insert_with(|| {
+                let keep = |c: &CmdSummary| tables[j].contains(c.schema.as_str());
+                slices.push(Slice::of(&sums[i], &bytes[i], keep));
+                slices.len() - 1
+            })
+        };
+        let mut pairs = Vec::with_capacity(n * n);
+        for i in 0..n {
+            for j in 0..n {
+                pairs.push([slice(i, j), slice(j, i)]);
+            }
+        }
+        ProgramKeys { slices, pairs, n }
+    }
+
+    /// The number of transactions.
+    pub(crate) fn transactions(&self) -> usize {
+        self.n
+    }
+
+    /// The ids of the two member slices of the ordered pair `(i, j)`.
+    pub(crate) fn pair(&self, i: usize, j: usize) -> [usize; 2] {
+        self.pairs[i * self.n + j]
+    }
+
+    /// The id of transaction `i`'s identity slice: a self-pair's members
+    /// each keep every command.
+    pub(crate) fn identity(&self, i: usize) -> usize {
+        self.pair(i, i)[0]
+    }
+
+    /// The slice with id `id`.
+    pub(crate) fn slice(&self, id: usize) -> &Slice {
+        &self.slices[id]
+    }
+
+    /// Transaction `i`'s fingerprint.
+    pub(crate) fn fp(&self, i: usize) -> u64 {
+        self.slice(self.identity(i)).fp
+    }
+
+    /// Every slice fingerprint a group key of this program can name: the
+    /// liveness the session sweeps against.
+    pub(crate) fn live(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slices.iter().map(|s| s.fp)
+    }
+}
+
 /// Counters describing how much oracle work a [`crate::DetectSession`]
 /// saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,8 +368,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to re-analyse the pair.
     pub misses: u64,
-    /// Misses that nevertheless reused a retained [`PairSolver`] (and its
-    /// encoded clauses and learnt clauses) instead of re-encoding.
+    /// Misses that nevertheless reused a retained [`PairSolver`] (its
+    /// encoded clauses, installed level groups and last model) instead of
+    /// re-encoding.
     pub solver_reuses: u64,
     /// Entries evicted — by the fingerprint-liveness sweep each detection
     /// pass runs (stranded by program edits), or by an explicit
@@ -399,6 +649,25 @@ mod tests {
         // …while touching the key spec / access set changes it.
         let scanned = summaries(&COUNTER.replace("select v from T where id = k", "select v from T"));
         assert_ne!(txn_fingerprint(&a[0]), txn_fingerprint(&scanned[0]));
+    }
+
+    /// The fingerprint hashes recorded command bytes; that must equal
+    /// hashing each command's fields straight into the hasher, which is
+    /// how every transaction fingerprint was computed before slices, so a
+    /// self-pair and a triple keep their keys and key orientation.
+    #[test]
+    fn recorded_fingerprint_equals_the_direct_field_stream() {
+        for t in summaries(TWO_WRITES).iter().chain(&summaries(COUNTER)) {
+            let mut h = DefaultHasher::new();
+            t.name.hash(&mut h);
+            t.commands.len().hash(&mut h);
+            for c in &t.commands {
+                hash_head(c, &mut h);
+                c.prog_index.hash(&mut h);
+                hash_tail(c, &mut h);
+            }
+            assert_eq!(txn_fingerprint(t), h.finish(), "{}", t.name);
+        }
     }
 
     const EC: ConsistencyLevel = ConsistencyLevel::EventualConsistency;

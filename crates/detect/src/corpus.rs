@@ -86,7 +86,11 @@ const SHARD_MAGIC: &[u8; 8] = b"ATRVC\x02\0\0";
 /// `0xA750_0004`: the base encoding emits program order before
 /// transitivity. Certificates keep the same `Input` clauses, in a new
 /// order, and root simplification no longer adds `Delete` steps.
-pub(crate) const ENCODER_REVISION: u32 = 0xA750_0004;
+/// `0xA750_0005`: a pair is keyed by, and grounded over, its members'
+/// conflict slices, so its findings name commands by slice position and
+/// its certificates refute the sliced encoding. Command fingerprints no
+/// longer hash the command's position; the slice folds it in instead.
+pub(crate) const ENCODER_REVISION: u32 = 0xA750_0005;
 
 /// How long a writer waits for a shard lock before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);

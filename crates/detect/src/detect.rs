@@ -241,14 +241,26 @@ impl Finding {
     /// `None` when it names a command the members lack, which only a
     /// corrupt or forged store record can.
     pub(crate) fn emit(&self, members: &[&TxnSummary]) -> Option<AccessPair> {
+        self.emit_at(members, |_, c| Some(c))
+    }
+
+    /// [`Finding::emit`] for a finding whose command indices are positions
+    /// in its members' slices: `at(member, position)` names the member's
+    /// command there, or `None` past the slice.
+    pub(crate) fn emit_at(
+        &self,
+        members: &[&TxnSummary],
+        at: impl Fn(usize, usize) -> Option<usize>,
+    ) -> Option<AccessPair> {
         let [(m1, c1), (m2, c2)] = self.cmds;
         let (t1, t2) = (*members.get(m1)?, *members.get(m2)?);
-        let [f1, f2] = self.fields.clone();
         let witnesses = match self.witness {
             Some(w) => BTreeSet::from([members.get(w)?.name.clone()]),
             None => BTreeSet::new(),
         };
-        let (cmd1, cmd2) = (t1.commands.get(c1)?, t2.commands.get(c2)?);
+        let cmd1 = t1.commands.get(at(m1, c1)?)?;
+        let cmd2 = t2.commands.get(at(m2, c2)?)?;
+        let [f1, f2] = self.fields.clone();
         Some(make_pair(t1, cmd1, f1, t2, cmd2, f2, witnesses, self.kind))
     }
 }
@@ -985,8 +997,13 @@ mod tests {
         let stats = session.cache_stats();
         assert!(stats.solver_reuses > 0, "{stats:?}");
 
-        // Editing one transaction re-solves only the pairs that touch it:
-        // 4 of the 9 ordered pairs (setSt × regSt combinations) still hit.
+        // Editing one transaction re-solves only the pairs whose slices it
+        // changes: 6 of the 9 ordered pairs still hit. The 4 setSt × regSt
+        // combinations never name getSt, and both getSt × setSt slices are
+        // unchanged: dropping getSt's COURSE read leaves getSt's slice
+        // against setSt's tables (STUDENT, EMAIL) as it was, and setSt,
+        // which never touches COURSE, keeps every command against both
+        // table sets.
         let edited = parse(&COURSEWARE.replace(
             "@S3 z := select co_avail from COURSE where co_id = x.st_co_id;",
             "",
@@ -996,8 +1013,8 @@ mod tests {
         let (after_edit, _) = engine.detect_with_mode(&edited, ec, DetectMode::Pairs, &mut session);
         assert_eq!(after_edit, detect_anomalies(&edited, ec));
         let delta = session.cache_stats().since(&before);
-        assert_eq!(delta.hits, 4, "{delta:?}");
-        assert_eq!(delta.misses, 5, "{delta:?}");
+        assert_eq!(delta.hits, 6, "{delta:?}");
+        assert_eq!(delta.misses, 3, "{delta:?}");
     }
 
     #[test]

@@ -27,6 +27,18 @@
 //!   group, and every anomaly query is dispatched via
 //!   `solve_with_assumptions` (the guard plus the requirement literals),
 //!   retaining learnt clauses across queries.
+//!
+//! Successive queries of one pair differ in a few assumption literals, and
+//! most are satisfiable. So a [`PairSolver`] keeps the last satisfying
+//! assignment it found and answers a query SAT without a search when that
+//! assignment, with the query's assumption literals forced onto it, still
+//! satisfies every root fact and stored clause
+//! ([`atropos_sat::Solver::satisfied_by`]). Such a total assignment is a
+//! model of the query, so the answer is sound. Only SAT answers are
+//! carried over: every UNSAT answer, and so every certificate, comes from
+//! the solver. [`PairSolver::witness`] always searches and never reads the
+//! kept assignment. The witness decoder runs it on clones of never-queried
+//! solvers, so replay's schedules stay those of a one-shot decode.
 
 use std::collections::HashMap;
 
@@ -658,6 +670,9 @@ pub struct PairSolver {
     /// core the solver names for the query plus the failed-core trailer,
     /// encoded in the `atropos_proof` binary format.
     pending: Vec<Vec<u8>>,
+    /// The last satisfying assignment [`PairSolver::satisfiable`] found
+    /// or carried over, one value per solver variable at the time.
+    carried: Option<Vec<bool>>,
 }
 
 // Retained pair solvers travel between the detection engine's workers via
@@ -700,6 +715,7 @@ impl PairSolver {
             base_clauses,
             level_clauses: [0usize; 4],
             pending: Vec::new(),
+            carried: None,
         }
     }
 
@@ -749,6 +765,11 @@ impl PairSolver {
     /// groups are satisfied by unit propagation, not search), plus the
     /// requirement literals.
     ///
+    /// A query the last satisfying assignment already answers is not
+    /// searched (see `carry_over`). Every other query, and so every UNSAT
+    /// answer and its certificate, comes from the solver, and a model it
+    /// finds is kept.
+    ///
     /// `model` must be the very [`InstanceModel`] this solver was built
     /// from ([`PairSolver::new`]); it is consulted only when `level`'s
     /// axiom group is installed for the first time.
@@ -760,7 +781,46 @@ impl PairSolver {
     ) -> bool {
         self.ensure_level(model, level);
         let assumptions = self.assumptions(level, requirements);
-        self.solve(&assumptions).is_sat()
+        if self.carry_over(&assumptions) {
+            return true;
+        }
+        match self.solve(&assumptions) {
+            atropos_sat::SolveResult::Sat(m) => {
+                self.carried = Some(m);
+                true
+            }
+            atropos_sat::SolveResult::Unsat => false,
+        }
+    }
+
+    /// Whether the assignment in hand answers a query under `assumptions`
+    /// SAT without a search. Either it already satisfies every assumption
+    /// literal and no axiom group was installed since it was found (every
+    /// installed group adds a variable, so its length tells), or forcing
+    /// the assumption literals onto a copy of it, new variables false,
+    /// yields a model of the whole clause set
+    /// ([`atropos_sat::Solver::satisfied_by`]); that copy is kept instead.
+    /// Either way the answer is sound: a total assignment that satisfies
+    /// the clauses and the assumptions is a model of the query.
+    fn carry_over(&mut self, assumptions: &[Lit]) -> bool {
+        let Some(kept) = self.carried.as_mut() else {
+            return false;
+        };
+        let vars = self.solver.num_vars();
+        let holds = |m: &[bool], l: Lit| m[l.var().index()] == l.is_positive();
+        if kept.len() == vars && assumptions.iter().all(|&l| holds(kept, l)) {
+            return true;
+        }
+        let mut forced = kept.clone();
+        forced.resize(vars, false);
+        for &l in assumptions {
+            forced[l.var().index()] = l.is_positive();
+        }
+        if !self.solver.satisfied_by(&forced) {
+            return false;
+        }
+        *kept = forced;
+        true
     }
 
     /// The assumption vector of one pattern query: the queried level's
@@ -790,6 +850,10 @@ impl PairSolver {
     /// [`WitnessTruth`] — every `ord` and `vis` literal evaluated under the
     /// satisfying assignment. Returns `None` on UNSAT. The solver is
     /// deterministic, so identical queries decode identical witnesses.
+    /// It always searches, and it neither reads nor keeps the assignment
+    /// [`PairSolver::satisfiable`] carries over. The witness decoder runs
+    /// it on clones of never-queried solvers, so its schedules equal those
+    /// of a one-shot decode.
     pub fn witness(
         &mut self,
         model: &InstanceModel,

@@ -14,22 +14,26 @@
 //! ([`crate::analyse_corpus`]), runs the same three phases:
 //!
 //! 1. **Plan** (serial): summarize every program, fingerprint every
-//!    transaction, sweep the cache's liveness union, and look every slot —
-//!    each ordered pair and, in triple mode, each unordered triple of
-//!    distinct transactions — up in the verdict cache under its
-//!    `GroupKey`. A miss becomes a work item unless an earlier slot (of
-//!    any program in the batch) already planned its key; statically
-//!    template-free triples are settled with an empty verdict without
-//!    ever grounding a model.
+//!    transaction and cut every ordered pair into its two conflict slices
+//!    (each member's commands on tables the other accesses, see
+//!    [`crate::cache`]), sweep the cache's liveness union, and look every
+//!    slot — each ordered pair, keyed by its slices, and, in triple mode,
+//!    each unordered triple of distinct transactions — up in the verdict
+//!    cache under its `GroupKey`. A miss becomes a work item unless an
+//!    earlier slot (of any program in the batch) already planned its key;
+//!    statically template-free triples are settled with an empty verdict
+//!    without ever grounding a model.
 //! 2. **Solve** (parallel): `std::thread::scope` workers drain the work
 //!    list through an atomic cursor. Each worker takes the item's retained
 //!    `GroupState` from the sharded retention map (states migrate freely
-//!    between workers — they are `Send`), solves it with the one solve
-//!    frame every bound shares, and returns the state to its shard.
+//!    between workers — they are `Send`) or grounds a new one over the
+//!    slot's slices, solves it with the one solve frame every bound
+//!    shares, and returns the state to its shard.
 //! 3. **Merge** (serial, deterministic): verdicts are inserted into the
 //!    cache **in plan order**, not in completion order, and every slot is
-//!    then answered from the cache, labelled by its own program. The
-//!    output — verdicts, the entire [`DetectStats`] except wall-clock
+//!    then answered from the cache, its findings mapped from slice
+//!    positions to its members' commands and labelled by its own program.
+//!    The output — verdicts, the entire [`DetectStats`] except wall-clock
 //!    seconds, and every downstream repair decision — is byte-identical at
 //!    any thread count (pinned by `tests/parallel_determinism.rs` and
 //!    `tests/triple_vs_pair.rs` on all nine workloads) and for a program
@@ -42,13 +46,14 @@
 //! The engine itself keeps nothing between passes: whatever one pass
 //! leaves for the next lives in the session.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use atropos_dsl::Program;
 
-use crate::cache::{txn_fingerprint, GroupKey, GroupState, MAX_K};
+use crate::cache::{GroupKey, GroupState, ProgramKeys, MAX_K};
 use crate::corpus::CorpusStats;
 use crate::detect::{accumulate, solve_group, AccessPair, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
@@ -214,10 +219,13 @@ fn default_threads() -> usize {
 }
 
 /// One planned slot of a pass: the transactions of its program that fill
-/// the group's members, in key orientation, and the group's key.
+/// the group's members, in key orientation, the ids of their slices in
+/// the program's [`ProgramKeys`], and the group's key. A pair's members
+/// are its two conflict slices; a triple's are whole transactions.
 #[derive(Clone, Copy)]
 struct Slot {
     members: [usize; MAX_K],
+    slices: [usize; MAX_K],
     key: GroupKey,
 }
 
@@ -230,13 +238,29 @@ impl Slot {
             .collect()
     }
 
-    /// The slot's raw verdicts: its group's `findings` labelled by the
+    /// The slot's members as its group's model grounds them: each cut to
+    /// its slice.
+    fn grounded<'a>(&self, sums: &'a [TxnSummary], keys: &ProgramKeys) -> Vec<Cow<'a, TxnSummary>> {
+        (0..self.key.k())
+            .map(|m| keys.slice(self.slices[m]).summary(&sums[self.members[m]]))
+            .collect()
+    }
+
+    /// The slot's raw verdicts: its group's `findings`, whose commands are
+    /// slice positions, mapped through the slices and labelled by the
     /// slot's own program.
-    fn answer(&self, findings: &[Finding], sums: &[TxnSummary]) -> Vec<AccessPair> {
+    fn answer(
+        &self,
+        findings: &[Finding],
+        sums: &[TxnSummary],
+        keys: &ProgramKeys,
+    ) -> Vec<AccessPair> {
         let ts = self.members.map(|i| &sums[i]);
+        let kept = self.slices.map(|s| keys.slice(s).kept.as_slice());
+        let at = |m: usize, c: usize| kept[m].get(c).copied();
         findings
             .iter()
-            .filter_map(|f| f.emit(&ts[..self.key.k()]))
+            .filter_map(|f| f.emit_at(&ts[..self.key.k()], at))
             .collect()
     }
 }
@@ -299,21 +323,24 @@ fn run_pool<T: Sync>(
 }
 
 /// Every slot of one program in plan order: each ordered pair (the
-/// symmetric template runs for `i <= j`), then — in triple mode — each
-/// unordered triple of distinct transactions, its members reordered into
-/// key orientation (ascending fingerprint; ties, only possible between
-/// identical summaries, broken by index). Everything downstream — the
-/// cache key, the static prefilter, the grounded model, retained states —
-/// works in that one orientation, so a state keyed here can never be
-/// replayed against members in a different order.
-fn plan_slots(fps: &[u64], level: ConsistencyLevel, mode: DetectMode) -> Vec<Slot> {
-    let n = fps.len();
+/// symmetric template runs for `i <= j`), keyed by its members' conflict
+/// slices, then — in triple mode — each unordered triple of distinct
+/// transactions, its members reordered into key orientation (ascending
+/// fingerprint; ties, only possible between identical summaries, broken
+/// by index). Everything downstream — the cache key, the static
+/// prefilter, the grounded model, retained states — works in that one
+/// orientation, so a state keyed here can never be replayed against
+/// members in a different order.
+fn plan_slots(keys: &ProgramKeys, level: ConsistencyLevel, mode: DetectMode) -> Vec<Slot> {
+    let n = keys.transactions();
     let mut slots = Vec::with_capacity(n * n);
     for i in 0..n {
         for j in 0..n {
-            let key = GroupKey::new(&[fps[i], fps[j]], i <= j, level);
+            let [a, b] = keys.pair(i, j);
+            let key = GroupKey::new(&[keys.slice(a).fp, keys.slice(b).fp], i <= j, level);
             slots.push(Slot {
                 members: [i, j, 0],
+                slices: [a, b, 0],
                 key,
             });
         }
@@ -323,9 +350,13 @@ fn plan_slots(fps: &[u64], level: ConsistencyLevel, mode: DetectMode) -> Vec<Slo
             for j in (i + 1)..n {
                 for k in (j + 1)..n {
                     let mut idx = [i, j, k];
-                    idx.sort_unstable_by_key(|&x| (fps[x], x));
-                    let key = GroupKey::new(&idx.map(|x| fps[x]), false, level);
-                    slots.push(Slot { members: idx, key });
+                    idx.sort_unstable_by_key(|&x| (keys.fp(x), x));
+                    let key = GroupKey::new(&idx.map(|x| keys.fp(x)), false, level);
+                    slots.push(Slot {
+                        members: idx,
+                        slices: idx.map(|x| keys.identity(x)),
+                        key,
+                    });
                 }
             }
         }
@@ -360,11 +391,8 @@ pub(crate) fn detect_batch(
     // hit below. Then one lookup per slot: a hit is answered on the spot,
     // a miss once its key is solved (each key is planned once).
     let sums: Vec<Vec<TxnSummary>> = programs.iter().map(|p| summarize_program(p)).collect();
-    let fps: Vec<Vec<u64>> = sums
-        .iter()
-        .map(|s| s.iter().map(txn_fingerprint).collect())
-        .collect();
-    session.sweep_live(&fps.concat());
+    let keys: Vec<ProgramKeys> = sums.iter().map(|s| ProgramKeys::new(s)).collect();
+    session.sweep_live(keys.iter().flat_map(ProgramKeys::live));
     let mut planned: HashSet<GroupKey> = HashSet::new();
     // The first slot (with its program) of every planned key.
     let mut misses: Vec<(usize, Slot)> = Vec::new();
@@ -372,12 +400,12 @@ pub(crate) fn detect_batch(
     let mut settled: Vec<(usize, Slot)> = Vec::new();
     // Per program, every slot with its answer if it hit.
     let mut slots: Vec<Vec<(Slot, Option<Vec<AccessPair>>)>> = Vec::with_capacity(programs.len());
-    for (prog, pfps) in fps.iter().enumerate() {
+    for (prog, pkeys) in keys.iter().enumerate() {
         let mut plan = Vec::new();
-        for slot in plan_slots(pfps, level, mode) {
+        for slot in plan_slots(pkeys, level, mode) {
             let hit = session
                 .lookup(&slot.key)
-                .map(|e| slot.answer(&e.findings, &sums[prog]));
+                .map(|e| slot.answer(&e.findings, &sums[prog], pkeys));
             let first_miss = hit.is_none() && planned.insert(slot.key);
             plan.push((slot, hit));
             if !first_miss {
@@ -402,7 +430,8 @@ pub(crate) fn detect_batch(
     // Solve (parallel): each unique key exactly once, against the shared
     // retained-state shards.
     let outcomes = run_pool(engine.threads(), &misses, |(prog, m)| {
-        let ts = m.members(&sums[*prog]);
+        let grounded = m.grounded(&sums[*prog], &keys[*prog]);
+        let ts: Vec<&TxnSummary> = grounded.iter().map(|t| t.as_ref()).collect();
         let states = session.states();
         let mut state = states
             .take(&m.key.state())
@@ -456,7 +485,7 @@ pub(crate) fn detect_batch(
                     let e = session
                         .entry(&slot.key)
                         .expect("every missed key was solved");
-                    slot.answer(&e.findings, &sums[prog])
+                    slot.answer(&e.findings, &sums[prog], &keys[prog])
                 });
                 accumulate(&mut found, pairs);
             }
@@ -505,6 +534,82 @@ mod tests {
                 assert_eq!(again, reference);
                 assert_eq!(warm.queries, 0);
             }
+        }
+    }
+
+    /// The causal-consistency argument for slicing, pinned: each session
+    /// has a command its partner's slice drops (`logB`, `peekC`: tables
+    /// the partner never touches) between two commands it keeps. A model
+    /// of the sliced pair extends to the full pair by placing the dropped
+    /// command by program order, and a foreign command sees it exactly
+    /// when it sees the kept command after it. So the engine, which
+    /// grounds the slices, must agree with the fresh oracle, which grounds
+    /// whole transactions, at every level. It must also stay warm when
+    /// only a dropped command changes.
+    #[test]
+    fn sliced_pairs_match_the_fresh_oracle_around_dropped_commands() {
+        let src = "schema A { id: int key, x: int, y: int }
+             schema B { id: int key, w: int }
+             schema C { id: int key, z: int }
+             txn writer(k: int) {
+                 @W1 update A set x = 1 where id = k;
+                 @logB update B set w = 1 where id = k;
+                 @W2 update A set y = 2 where id = k;
+                 return 0;
+             }
+             txn reader(k: int) {
+                 @R1 a := select x, y from A where id = k;
+                 @peekC c := select z from C where id = k;
+                 @R2 b := select x, y from A where id = k;
+                 return a.x + b.y + c.z;
+             }";
+        let p = parse(src).unwrap();
+        let sums = summarize_program(&p);
+        let keys = ProgramKeys::new(&sums);
+        let [w, r] = keys.pair(0, 1);
+        assert_eq!(
+            keys.slice(w).kept,
+            [0, 2],
+            "logB is dropped from writer × reader"
+        );
+        assert_eq!(
+            keys.slice(r).kept,
+            [0, 2],
+            "peekC is dropped from reader × writer"
+        );
+        let ec = ConsistencyLevel::EventualConsistency;
+        let cc = ConsistencyLevel::CausalConsistency;
+        let (at_ec, at_cc) = (
+            detect_anomalies_fresh(&p, ec).0,
+            detect_anomalies_fresh(&p, cc).0,
+        );
+        let nmr = |a: &AccessPair| a.kind == AnomalyKind::NonMonotonicRead;
+        assert!(
+            at_ec.iter().any(nmr) && !at_cc.iter().any(nmr),
+            "CC must rule out a reading that EC allows: EC {at_ec:?}, CC {at_cc:?}"
+        );
+        let engine = DetectionEngine::serial();
+        let mut session = DetectSession::new();
+        for level in ConsistencyLevel::ALL {
+            let (got, _) = engine.detect_with_mode(&p, level, DetectMode::Pairs, &mut session);
+            assert_eq!(got, detect_anomalies_fresh(&p, level).0, "{level}");
+        }
+        // Widening the dropped commands re-keys both self-pairs but neither
+        // cross slice: the cross pairs hit, and the verdicts still equal
+        // the fresh oracle.
+        let edited = parse(
+            &src.replace("w: int }", "w: int, v: int }")
+                .replace("set w = 1", "set w = 1, v = 2")
+                .replace("z: int }", "z: int, q: int }")
+                .replace("select z from C", "select z, q from C"),
+        )
+        .unwrap();
+        for level in ConsistencyLevel::ALL {
+            let before = session.cache_stats();
+            let (got, _) = engine.detect_with_mode(&edited, level, DetectMode::Pairs, &mut session);
+            assert_eq!(got, detect_anomalies_fresh(&edited, level).0, "{level}");
+            let delta = session.cache_stats().since(&before);
+            assert_eq!((delta.hits, delta.misses), (2, 2), "{level}: {delta:?}");
         }
     }
 

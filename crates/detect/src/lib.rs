@@ -26,8 +26,9 @@
 //!   and [`DetectStats`];
 //! * [`triple`] — the three-instance chain templates of
 //!   [`DetectMode::Triples`];
-//! * [`cache`] — transaction fingerprinting and what a session caches:
-//!   verdicts and retained solvers, keyed by one instance-group key;
+//! * [`cache`] — transaction and conflict-slice fingerprinting and what a
+//!   session caches: verdicts and retained solvers, keyed by one
+//!   instance-group key (a pair by its members' conflict slices);
 //! * [`engine`] — the [`DetectionEngine`] and the one detection driver:
 //!   plan a batch of programs against the session, solve the deduplicated
 //!   misses on a scoped-thread worker pool (`ATROPOS_THREADS`-controlled),
@@ -83,7 +84,7 @@ pub mod replay;
 pub mod session;
 pub mod triple;
 
-pub use cache::{cmd_fingerprint, txn_fingerprint, CacheStats, VerdictAudit};
+pub use cache::{cmd_fingerprint, slice_fingerprint, txn_fingerprint, CacheStats, VerdictAudit};
 pub use corpus::{
     analyse_corpus, CompactionReport, CorpusStats, CorpusStore, CorpusVerdict, EvictionPolicy,
 };

@@ -36,9 +36,7 @@ use std::path::Path;
 
 use atropos_dsl::Program;
 
-use crate::cache::{
-    txn_fingerprint, CacheStats, GroupKey, ShardedStates, VerdictAudit, VerdictEntry,
-};
+use crate::cache::{CacheStats, GroupKey, ProgramKeys, ShardedStates, VerdictAudit, VerdictEntry};
 use crate::corpus::CorpusStore;
 use crate::detect::Finding;
 use crate::model::{summarize_program, TxnSummary};
@@ -80,9 +78,10 @@ pub struct DetectSession {
     verdicts: HashMap<GroupKey, VerdictEntry>,
     states: ShardedStates,
     stats: CacheStats,
-    /// Union of every live transaction fingerprint seen since construction
-    /// or the last explicit sweep: the liveness set the per-pass garbage
-    /// sweep checks entries against.
+    /// Union of every live slice fingerprint seen since construction or
+    /// the last explicit sweep (a transaction's fingerprint is that of its
+    /// identity slice): the liveness set the per-pass garbage sweep checks
+    /// entries against.
     live: BTreeSet<u64>,
     /// Current run number; 0 until [`DetectSession::begin_run`] is called.
     run: u64,
@@ -192,9 +191,8 @@ impl DetectSession {
         self.live = programs
             .into_iter()
             .flat_map(|p| {
-                summarize_program(p)
-                    .iter()
-                    .map(txn_fingerprint)
+                ProgramKeys::new(&summarize_program(p))
+                    .live()
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -212,13 +210,14 @@ impl DetectSession {
         &mut self.stats
     }
 
-    /// The per-pass sweep: folds the pass's live transaction fingerprints
-    /// into the liveness union, then garbage-collects entries outside the
-    /// union. The detection driver calls this at the start of every pass
-    /// with the fingerprints it computes anyway. Within a single-program
-    /// lifetime this degenerates to the precise per-program sweep.
-    pub(crate) fn sweep_live(&mut self, fps: &[u64]) -> usize {
-        self.live.extend(fps.iter().copied());
+    /// The per-pass sweep: folds the pass's live slice fingerprints
+    /// (every transaction's and every pair member's) into the liveness
+    /// union, then garbage-collects entries outside the union. The
+    /// detection driver calls this at the start of every pass with the
+    /// fingerprints it computes anyway. Within a single-program lifetime
+    /// this degenerates to the precise per-program sweep.
+    pub(crate) fn sweep_live(&mut self, fps: impl IntoIterator<Item = u64>) -> usize {
+        self.live.extend(fps);
         self.retain_live()
     }
 

@@ -9,11 +9,19 @@
 //! replacing byte drawn from that same file, so mutants stay ASCII and
 //! close to the DSL. Floors on how many mutants parse and type-check keep
 //! the generator from silently degrading into noise the lexer rejects.
+//!
+//! The type-checked mutants double as a detection differential: programs
+//! the ten hand-written ones only resemble, on which the engine (conflict
+//! slices, retained solvers, carried-over models) must return the fresh
+//! oracle's verdicts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use atropos_detect::{summarize_program, txn_fingerprint};
-use atropos_dsl::{check_program, parse};
+use atropos_detect::{
+    detect_anomalies_fresh, summarize_program, txn_fingerprint, ConsistencyLevel, DetectMode,
+    DetectSession, DetectionEngine,
+};
+use atropos_dsl::{check_program, parse, Program};
 
 const MUTANTS: usize = 4_000;
 
@@ -74,16 +82,26 @@ fn mutate(src: &[u8], rng: &mut XorShift) -> Vec<u8> {
     out
 }
 
-#[test]
-fn dsl_byte_mutants_never_panic() {
+/// The fixed mutants, in generation order: each one's corpus file and
+/// text.
+fn mutants() -> Vec<(String, String)> {
     let files = corpus();
     assert_eq!(files.len(), 10, "the ten corpus programs");
     let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+    (0..MUTANTS)
+        .map(|i| {
+            let (name, src) = &files[i % files.len()];
+            let text = String::from_utf8(mutate(src, &mut rng)).expect("ASCII in, ASCII out");
+            (name.clone(), text)
+        })
+        .collect()
+}
+
+#[test]
+fn dsl_byte_mutants_never_panic() {
     let (mut parsed, mut checked) = (0usize, 0usize);
     let mut panics = Vec::new();
-    for i in 0..MUTANTS {
-        let (name, src) = &files[i % files.len()];
-        let text = String::from_utf8(mutate(src, &mut rng)).expect("ASCII in, ASCII out");
+    for (i, (name, text)) in mutants().into_iter().enumerate() {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let Ok(program) = parse(&text) else {
                 return (false, false);
@@ -113,5 +131,48 @@ fn dsl_byte_mutants_never_panic() {
     assert!(
         parsed >= 1_000 && checked >= 300,
         "the generator degraded: {parsed} of {MUTANTS} mutants parsed, {checked} type-checked"
+    );
+}
+
+/// Every type-checked mutant goes through the engine and through the fresh
+/// oracle ([`detect_anomalies_fresh`]) at all four levels, and the verdicts
+/// must be equal. One session serves a program's four passes, so later
+/// levels reuse retained pair solvers and the models they carry over. In
+/// release the test runs all of them (401 programs); a debug build runs
+/// every eighth (the 1st, 9th, 17th, … in generation order, 51
+/// programs), so an unoptimized `cargo test` stays quick.
+#[test]
+fn engine_matches_the_fresh_oracle_on_checked_mutants() {
+    let stride = if cfg!(debug_assertions) { 8 } else { 1 };
+    let programs: Vec<(String, Program)> = mutants()
+        .into_iter()
+        .filter_map(|(name, text)| {
+            let program = parse(&text).ok()?;
+            check_program(&program).ok()?;
+            Some((name, program))
+        })
+        .step_by(stride)
+        .collect();
+    assert!(
+        programs.len() * stride >= 300,
+        "{} checked mutants",
+        programs.len()
+    );
+    let engine = DetectionEngine::serial();
+    let mut mismatches = Vec::new();
+    for (i, (name, program)) in programs.iter().enumerate() {
+        let mut session = DetectSession::new();
+        for level in ConsistencyLevel::ALL {
+            let (got, _) = engine.detect_with_mode(program, level, DetectMode::Pairs, &mut session);
+            if got != detect_anomalies_fresh(program, level).0 {
+                mismatches.push(format!("checked mutant {} of {name} @ {level}", i * stride));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} mismatches:\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
     );
 }

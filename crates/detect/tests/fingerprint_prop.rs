@@ -8,10 +8,18 @@
 //! An unsound fingerprint — one blind to some summary field — must fail
 //! *here*, at the definition, not as an unexplained verdict divergence in
 //! the end-to-end `repair_incremental_vs_scratch` suite.
+//!
+//! A pair is keyed by its members' conflict slices, so the slice
+//! fingerprint has the same obligation restricted to the commands a slice
+//! keeps: it must move with every kept command and ignore every command
+//! on a table the partner never touches, and a slice that keeps every
+//! command must carry the transaction fingerprint.
 
 use std::collections::BTreeSet;
 
-use atropos_detect::{txn_fingerprint, CmdKind, CmdSummary, KeySpec, TxnSummary};
+use atropos_detect::{
+    slice_fingerprint, txn_fingerprint, CmdKind, CmdSummary, KeySpec, TxnSummary,
+};
 use proptest::prelude::*;
 
 const FIELDS: [&str; 5] = ["f0", "f1", "f2", "f3", "f4"];
@@ -196,6 +204,69 @@ proptest! {
         let t1_mutated = apply(&t1, which, target);
         prop_assert_ne!(txn_fingerprint(&t1_mutated), fp1);
         prop_assert_eq!(txn_fingerprint(&t2), fp2);
+    }
+
+    /// Slice frame rule: mutating a command on a table outside the
+    /// partner's set (the slice drops it) keeps the slice fingerprint.
+    /// A schema rename keeps the command outside, and shifting its
+    /// position moves no kept command relative to the slice. The partner
+    /// touches only `A` and `B`; the mutated command is moved to `C`.
+    #[test]
+    fn dropped_command_mutations_keep_the_slice_fingerprint(
+        raw in prop::collection::vec(raw_cmd(), 1..6),
+        partner in prop::collection::vec(raw_cmd(), 1..4),
+        which in 0usize..8,
+        target in 0usize..16,
+    ) {
+        let at = target % raw.len();
+        let mut raw = raw;
+        raw[at].1 = 2;
+        let txn = build_txn("t", &raw);
+        let partner: Vec<RawCmd> = partner
+            .into_iter()
+            .map(|(kind, schema, r, w, key, bound, uses)| (kind, schema % 2, r, w, key, bound, uses))
+            .collect();
+        let partner = build_txn("p", &partner);
+        let mutated = apply(&txn, which, at);
+        prop_assert_ne!(txn_fingerprint(&mutated), txn_fingerprint(&txn));
+        prop_assert_eq!(slice_fingerprint(&mutated, &partner), slice_fingerprint(&txn, &partner));
+    }
+
+    /// Slice soundness: every summary-changing mutation of a command the
+    /// slice keeps changes the slice fingerprint (a schema rename moves
+    /// the command out of the slice, which changes it too). The mutated
+    /// command is moved onto a table the partner touches.
+    #[test]
+    fn kept_command_mutations_change_the_slice_fingerprint(
+        raw in prop::collection::vec(raw_cmd(), 1..6),
+        partner in prop::collection::vec(raw_cmd(), 1..4),
+        which in 0usize..8,
+        target in 0usize..16,
+    ) {
+        let at = target % raw.len();
+        let mut raw = raw;
+        raw[at].1 = partner[0].1;
+        let txn = build_txn("t", &raw);
+        let partner = build_txn("p", &partner);
+        let mutated = apply(&txn, which, at);
+        prop_assert_ne!(slice_fingerprint(&mutated, &partner), slice_fingerprint(&txn, &partner));
+    }
+
+    /// A slice that keeps every command (its partner touches every table
+    /// it does, as in a self-pair) carries the transaction fingerprint, so
+    /// a self-pair keeps the key it has always had.
+    #[test]
+    fn identity_slices_carry_the_transaction_fingerprint(
+        raw in prop::collection::vec(raw_cmd(), 1..6),
+        extra in prop::collection::vec(raw_cmd(), 0..3),
+    ) {
+        let txn = build_txn("t", &raw);
+        prop_assert_eq!(slice_fingerprint(&txn, &txn), txn_fingerprint(&txn));
+        // A partner touching every table of `txn` and maybe more.
+        let mut wider = raw.clone();
+        wider.extend(extra);
+        let partner = build_txn("p", &wider);
+        prop_assert_eq!(slice_fingerprint(&txn, &partner), txn_fingerprint(&txn));
     }
 
     /// Label blindness: a pure relabeling keeps the fingerprint, so

@@ -11,6 +11,12 @@
 //! The solver is deliberately deterministic: identical inputs yield
 //! identical models.
 //!
+//! [`Solver::satisfied_by`] checks, without searching, whether a total
+//! assignment is a model: every root fact holds and every stored problem
+//! clause has a true literal. Callers that already hold a model can
+//! answer a satisfiable query from it. The detector forces a new query's
+//! assumption literals onto its last model and asks this check first.
+//!
 //! Clause storage is a flat arena: every clause lives contiguously in one
 //! `Vec<u32>` as `[header | len | lits... | activity?]`, and a `ClauseRef`
 //! is an offset into that buffer. Propagation therefore walks linear
@@ -596,6 +602,28 @@ impl Solver {
             out.push((0..len).map(|i| self.arena.lit(cref, i)).collect());
         }
         out
+    }
+
+    /// Whether `assignment` (one value per variable, indexed like a
+    /// [`SolveResult::Sat`] model) is a model of the formula: every root
+    /// fact holds and every stored problem clause has a true literal.
+    /// Nothing else needs checking. Learnt clauses are implied by the
+    /// problem clauses. A clause that was never stored, or that
+    /// [`Solver::simplify`] deleted, is satisfied by a root fact. A stored
+    /// clause lost only root-falsified literals. An assignment of the
+    /// wrong length, or any assignment once the formula is refuted, is
+    /// rejected.
+    pub fn satisfied_by(&self, assignment: &[bool]) -> bool {
+        debug_assert!(self.trail_lim.is_empty(), "checked between solves");
+        if self.unsat || assignment.len() != self.num_vars() {
+            return false;
+        }
+        let holds = |l: Lit| assignment[l.var().index()] == l.is_positive();
+        self.trail.iter().all(|&l| holds(l))
+            && self
+                .clauses
+                .iter()
+                .all(|&cref| (0..self.arena.len(cref)).any(|i| holds(self.arena.lit(cref, i))))
     }
 
     /// Attaches a clause of two or more literals; `id` is its input or
@@ -1482,6 +1510,30 @@ mod tests {
             SolveResult::Unsat
         );
         assert!(!s.failed_assumptions().is_empty());
+    }
+
+    /// `satisfied_by` accepts the solver's own model and rejects an
+    /// assignment that breaks a stored clause, one that contradicts a root
+    /// fact, and one that does not cover every variable.
+    #[test]
+    fn satisfied_by_checks_root_facts_clauses_and_length() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 3);
+        s.add_clause([v[0].positive()]);
+        s.add_clause([v[1].positive(), v[2].positive()]);
+        s.add_clause([v[1].negative(), v[2].negative()]);
+        let model = s.solve().model().unwrap().to_vec();
+        assert!(s.satisfied_by(&model));
+        // Both of v1, v2 true breaks the stored clause (¬v1 ∨ ¬v2).
+        assert!(!s.satisfied_by(&[true, true, true]));
+        // The other stored clauses hold, but the root fact v0 does not.
+        assert!(!s.satisfied_by(&[false, true, false]));
+        assert!(s.satisfied_by(&[true, false, true]));
+        // Too short: the assignment must cover every variable.
+        assert!(!s.satisfied_by(&[true, false]));
+        // Nothing satisfies a refuted formula.
+        s.add_clause([v[0].negative()]);
+        assert!(!s.satisfied_by(&[true, false, true]));
     }
 
     #[test]

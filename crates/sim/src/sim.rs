@@ -1,7 +1,8 @@
 //! The discrete-event simulation: closed-loop clients against a replicated
 //! document store, under weak (EC) or coordinated (SC) execution.
 //!
-//! Model (documented as substitutions in `DESIGN.md`):
+//! Model (the crate docs, [`crate`], say what it stands in for and what it
+//! does not claim):
 //!
 //! * each replica is a FIFO CPU server; an operation occupies it for
 //!   `base + per_field · fields` milliseconds (× `scan_factor` for
