@@ -11,7 +11,7 @@
 //!
 //! The paper's invariant 1 (non-negative balances) is a write-skew property
 //! that schema refactoring cannot restore and that last-writer-wins masking
-//! hides in the original program; `EXPERIMENTS.md` discusses the deviation.
+//! hides in the original program, so this experiment leaves it out.
 
 use atropos_bench::{write_csv, Table};
 use atropos_core::repair_program;

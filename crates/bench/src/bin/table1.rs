@@ -21,16 +21,14 @@
 //! `ATROPOS_THREADS`, default: available parallelism) serves the whole
 //! sweep; sessions are scoped per measurement so every timed run starts
 //! from a cold cache and timings stay comparable across thread counts.
-//! The exception is the pair-vs-triple table's session, which opts into
-//! cross-process persistence when `ATROPOS_CACHE_FILE` names a verdict
-//! store directory (conventionally `experiments/verdict_cache.v2`): it
-//! loads warm, and is saved back after the sweep.
+//! The exception is the pair-vs-triple table, whose one session serves
+//! every benchmark's pair and triple passes.
 
 use atropos_bench::reporting::{
     detect_stats_header, detect_stats_row, repair_stats_header, repair_stats_row,
     replay_stats_header, replay_stats_row, triple_stats_header, triple_stats_row,
 };
-use atropos_bench::{engine_from_args, persist_session_from_env, session_from_env, write_csv, Table};
+use atropos_bench::{engine_from_args, write_csv, Table};
 use atropos_core::{
     ablation_sweep, repair_with_config_scratch, repair_with_engine, DetectMode, RepairConfig,
     RepairReport,
@@ -182,10 +180,9 @@ fn main() {
     // Pair-vs-triple detection at EC: all nine benchmarks plus the chain
     // scenarios, through one session — so the triple pass's time is the
     // *marginal* cost of the wider bound (its pair phase replays the pair
-    // pass's warm verdicts), and the whole session can warm-start across
-    // processes via ATROPOS_CACHE_FILE (experiments/verdict_cache.v2).
+    // pass's warm verdicts).
     let mut triple_table = Table::new(triple_stats_header());
-    let mut triple_session = session_from_env();
+    let mut triple_session = DetectSession::new();
     let ec = ConsistencyLevel::EventualConsistency;
     let mut chain_extras = 0usize;
     for b in all_benchmarks().into_iter().chain(chain_scenarios()) {
@@ -202,7 +199,7 @@ fn main() {
         // (pair rules plus the `.T` chain rules) eliminates. On its own
         // cold session — `repair_with_engine` sweeps its session to the
         // input program, which would evict the other benchmarks' warm
-        // verdicts from the shared (persistable) triple session.
+        // verdicts from the shared triple session.
         let triple_config = RepairConfig {
             mode: DetectMode::Triples,
             ..RepairConfig::default()
@@ -233,7 +230,6 @@ fn main() {
         "Triple mode found {chain_extras} chain anomalies beyond the pair bound \
          (observer chains, write-skew cycles, fractured-read chains)"
     );
-    persist_session_from_env(&triple_session);
 
     println!("\nWitness replay (dirty verdicts decoded to concrete schedules on the sim):");
     println!("{}", replay_table.render());

@@ -299,53 +299,6 @@ pub fn triple_stats_row(
     ]
 }
 
-/// Header of the corpus-throughput table emitted by the `corpus` bin
-/// (`experiments/corpus_stats.csv`): per corpus configuration, how far
-/// corpus-wide fingerprint dedup collapses the pair work list, and the
-/// headline programs/sec of a corpus pass against the cold
-/// program-at-a-time baseline.
-pub fn corpus_stats_header() -> Vec<String> {
-    [
-        "Benchmark",
-        "Programs",
-        "Pair slots",
-        "Unique pairs",
-        "Verdicts",
-        "Cold (s)",
-        "Warm (s)",
-        "Cold prog/s",
-        "Warm prog/s",
-        "Speedup",
-    ]
-    .map(str::to_owned)
-    .to_vec()
-}
-
-/// One row of the corpus-throughput table, from one
-/// [`atropos_detect::CorpusStats`] plus the cold baseline's wall time
-/// over the same corpus.
-pub fn corpus_stats_row(
-    name: &str,
-    stats: &atropos_detect::CorpusStats,
-    verdicts: usize,
-    cold_seconds: f64,
-) -> Vec<String> {
-    let warm_seconds = stats.seconds;
-    let programs = stats.programs as f64;
-    vec![
-        name.to_owned(),
-        format!("{}", stats.programs),
-        format!("{}", stats.pair_slots),
-        format!("{}", stats.unique_pairs),
-        format!("{verdicts}"),
-        format!("{cold_seconds:.3}"),
-        format!("{warm_seconds:.3}"),
-        format!("{:.1}", programs / cold_seconds.max(1e-9)),
-        format!("{:.1}", programs / warm_seconds.max(1e-9)),
-        format!("{:.1}x", cold_seconds / warm_seconds.max(1e-9)),
-    ]
-}
-
 /// Header of the solver-throughput table emitted by `solver_stats`
 /// (`experiments/solver_stats.csv`): per benchmark, the detection pass's
 /// raw solver rates and the arena-vs-baseline replay of the *same*

@@ -37,7 +37,7 @@ use std::collections::BTreeSet;
 use atropos_detect::{AccessPair, AnomalyKind};
 use atropos_dsl::{
     check_program, CmdLabel, Expr, FieldDecl, Program, Schema, SelectCmd, Stmt, Transaction,
-    UpdateCmd, Where,
+    UpdateCmd,
 };
 use atropos_semantics::{Aggregator, ThetaMap, ValueCorrespondence};
 
@@ -58,39 +58,15 @@ fn select_reads(c: &SelectCmd, schema: &Schema) -> BTreeSet<String> {
     }
 }
 
-fn expr_uses_var(e: &Expr, var: &str) -> bool {
-    match e {
-        Expr::At(i, v, _) => v == var || expr_uses_var(i, var),
-        Expr::Agg(_, v, _) => v == var,
-        Expr::Bin(_, l, r) | Expr::Cmp(_, l, r) | Expr::Bool(_, l, r) => {
-            expr_uses_var(l, var) || expr_uses_var(r, var)
-        }
-        Expr::Not(x) => expr_uses_var(x, var),
-        _ => false,
-    }
-}
-
-fn where_uses_var(w: &Where, var: &str) -> bool {
-    match w {
-        Where::True => false,
-        Where::Cmp { expr, .. } => expr_uses_var(expr, var),
-        Where::And(l, r) | Where::Or(l, r) => where_uses_var(l, var) || where_uses_var(r, var),
-    }
-}
-
 fn stmt_uses_var(s: &Stmt, var: &str) -> bool {
     match s {
-        Stmt::Select(c) => where_uses_var(&c.where_, var),
-        Stmt::Update(c) => {
-            where_uses_var(&c.where_, var) || c.assigns.iter().any(|(_, e)| expr_uses_var(e, var))
-        }
-        Stmt::Insert(c) => c.values.iter().any(|(_, e)| expr_uses_var(e, var)),
-        Stmt::Delete(c) => where_uses_var(&c.where_, var),
-        Stmt::If { cond, body } => {
-            expr_uses_var(cond, var) || body.iter().any(|s| stmt_uses_var(s, var))
-        }
+        Stmt::Select(c) => c.where_.uses_var(var),
+        Stmt::Update(c) => c.where_.uses_var(var) || c.assigns.iter().any(|(_, e)| e.uses_var(var)),
+        Stmt::Insert(c) => c.values.iter().any(|(_, e)| e.uses_var(var)),
+        Stmt::Delete(c) => c.where_.uses_var(var),
+        Stmt::If { cond, body } => cond.uses_var(var) || body.iter().any(|s| stmt_uses_var(s, var)),
         Stmt::Iterate { count, body } => {
-            expr_uses_var(count, var) || body.iter().any(|s| stmt_uses_var(s, var))
+            count.uses_var(var) || body.iter().any(|s| stmt_uses_var(s, var))
         }
     }
 }
@@ -213,7 +189,7 @@ fn materialize_via(
             let Stmt::Update(w2) = s2 else { continue };
             if w2.schema != s_schema.name
                 && w2.assigns.len() == 1
-                && expr_uses_var(&w2.assigns[0].1, &r2.var)
+                && w2.assigns[0].1.uses_var(&r2.var)
             {
                 hop = Some((r2, w2));
                 break 'outer;
@@ -375,7 +351,7 @@ pub fn chain_cut(program: &Program, pair: &AccessPair) -> Option<ChainOutcome> {
         let wb = &relay.body[1];
         if !matches!(wb, Stmt::Update(_) | Stmt::Insert(_) | Stmt::Delete(_))
             || !stmt_uses_var(wb, &rb.var)
-            || expr_uses_var(&relay.ret, &rb.var)
+            || relay.ret.uses_var(&rb.var)
         {
             continue;
         }

@@ -58,9 +58,8 @@ pub use dce::{post_process, PostProcessReport};
 pub use merge::try_merging;
 pub use random_search::{random_refactor, random_refactor_with_session, RandomSearchOutcome};
 pub use repair::{
-    ablation_sweep, repair_corpus, repair_program, repair_with_config,
-    repair_with_config_scratch, repair_with_engine, RepairConfig, RepairIteration, RepairReport,
-    RepairStats, RepairStep,
+    ablation_sweep, repair_program, repair_with_config, repair_with_config_scratch,
+    repair_with_engine, RepairConfig, RepairIteration, RepairReport, RepairStats, RepairStep,
 };
 
 // The detection bound is part of the repair configuration surface

@@ -477,62 +477,6 @@ pub fn ablation_sweep(
         .collect()
 }
 
-/// Repairs a whole corpus of programs through **one shared engine and
-/// session** — the repair-side analogue of
-/// [`atropos_detect::analyse_corpus`]: the session is swept once to the
-/// union of every corpus program (so no program's run strands another's
-/// warm entries), then each program repairs in corpus order, answering
-/// every transaction shape the corpus shares from warm verdicts. Returns
-/// one report per program, in input order.
-///
-/// # Examples
-///
-/// ```
-/// use atropos_core::{repair_corpus, RepairConfig};
-/// use atropos_detect::{DetectSession, DetectionEngine};
-///
-/// let p = atropos_dsl::parse(
-///     "schema C { id: int key, cnt: int }
-///      txn bump(k: int) {
-///          x := select cnt from C where id = k;
-///          update C set cnt = x.cnt + 1 where id = k;
-///          return 0;
-///      }",
-/// ).unwrap();
-/// let corpus = vec![("a".to_string(), p.clone()), ("b".to_string(), p)];
-/// let engine = DetectionEngine::serial();
-/// let mut session = DetectSession::new();
-/// let reports = repair_corpus(&corpus, &RepairConfig::default(), &engine, &mut session);
-/// assert_eq!(reports.len(), 2);
-/// assert!(reports.iter().all(|(_, r)| r.remaining.is_empty()));
-/// // The duplicate program's initial detection replays entirely warm.
-/// assert_eq!(reports[1].1.stats.cache.misses, 0);
-/// ```
-///
-/// # Panics
-///
-/// Panics if any input program fails to type check.
-pub fn repair_corpus(
-    programs: &[(String, Program)],
-    config: &RepairConfig,
-    engine: &DetectionEngine,
-    session: &mut DetectSession,
-) -> Vec<(String, RepairReport)> {
-    session.sweep_corpus(programs.iter().map(|(_, p)| p));
-    programs
-        .iter()
-        .map(|(name, program)| {
-            session.begin_run();
-            let before = session.cache_stats();
-            let mut report =
-                repair_core(program, config, &mut Oracle::Engine { engine, session });
-            report.stats.cache = session.cache_stats().since(&before);
-            replay_initial_verdicts(program, config, &mut report);
-            (name.clone(), report)
-        })
-        .collect()
-}
-
 /// How a repair run discharges its detection passes.
 enum Oracle<'e, 's> {
     /// The Fig. 10 reference: a full fresh oracle pass every time.
@@ -1434,13 +1378,14 @@ mod tests {
         );
     }
 
-    /// A relabeled twin in one corpus: the twin's fingerprints all match
-    /// the first program's (labels are not hashed), so its detections are
-    /// answered from warm entries the first program's run cached — and
-    /// must still name the twin's own commands, so it repairs exactly like
-    /// an isolated run.
+    /// A relabeled twin repaired after the original on one session: the
+    /// twin's fingerprints all match the original's (labels are not
+    /// hashed), so its first detection pass is answered from the entries
+    /// the original's run cached and solves no pair — and it must still
+    /// name the twin's own commands, so it repairs exactly like an
+    /// isolated run.
     #[test]
-    fn repair_corpus_relabeled_twin_repairs_like_isolation() {
+    fn relabeled_twin_repairs_warm_like_isolation() {
         let counter = "schema C { id: int key, cnt: int }
              txn bump(k: int) {
                  @RA x := select cnt from C where id = k;
@@ -1448,15 +1393,14 @@ mod tests {
                  return 0;
              }";
         let twin = parse(&counter.replace("@RA", "@RB").replace("@WA", "@WB")).unwrap();
-        let corpus = vec![
-            ("a".to_string(), parse(counter).unwrap()),
-            ("b".to_string(), twin.clone()),
-        ];
         let config = RepairConfig::default();
         let engine = DetectionEngine::serial();
-        let reports = repair_corpus(&corpus, &config, &engine, &mut DetectSession::new());
-        let shared = &reports[1].1;
-        assert_eq!(shared.stats.cache.misses, 0, "the twin must start warm");
+        let mut session = DetectSession::new();
+        repair_with_engine(&parse(counter).unwrap(), &config, &engine, &mut session);
+        let shared = repair_with_engine(&twin, &config, &engine, &mut session);
+        let first = &shared.stats.iterations[0];
+        assert!(first.pairs > 0, "{first:?}");
+        assert_eq!(first.pairs_solved, 0, "the twin must start warm: {first:?}");
         let isolated = repair_with_engine(&twin, &config, &engine, &mut DetectSession::new());
         assert_eq!(shared.initial, isolated.initial);
         assert_eq!(shared.steps, isolated.steps);

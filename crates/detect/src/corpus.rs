@@ -1,32 +1,29 @@
-//! Fleet-scale detection: the sharded `verdict_cache.v2` store and
-//! [`analyse_corpus`], the detection driver over a whole corpus.
+//! Fleet-scale detection: the sharded `verdict_cache.v2` store behind
+//! [`crate::DetectSession::save_to`] and [`crate::DetectSession::load_from`],
+//! and [`analyse_corpus`], the detection driver over a whole corpus.
 //!
 //! # The v2 store
 //!
-//! A session's verdicts persist in a [`CorpusStore`]: a **directory** of
-//! [`SHARD_COUNT`] shard files keyed by fingerprint prefix (the high
-//! nibble of the entry's first canonical fingerprint picks the shard), so
-//! concurrent sessions merge instead of clobbering one snapshot file:
+//! A saved session is a **directory** of `SHARD_COUNT` shard files keyed
+//! by fingerprint prefix (the high nibble of the entry's first canonical
+//! fingerprint picks the shard), so concurrent sessions merge instead of
+//! clobbering one snapshot file:
 //!
 //! * every shard is a record log — a magic/revision header followed by
-//!   length-prefixed records, each carrying an FNV-1a checksum, a
-//!   coarse unix-seconds stamp (the eviction clock), and one verdict
-//!   entry (see `encode_payload`);
+//!   length-prefixed records, each carrying an FNV-1a checksum and one
+//!   verdict entry (see `encode_payload`);
 //! * shards are written via sibling tempfile + atomic rename, so a crash
 //!   at any point leaves either the old shard or the new one — never a
 //!   truncated hybrid;
 //! * a per-shard advisory lock file (`shard-NN.lock`, acquired with
-//!   `O_EXCL`-style `create_new`) serializes writers: a merge reads the
+//!   `O_EXCL`-style `create_new`) serializes writers: a save reads the
 //!   current shard under the lock, unions its entries in, and rewrites —
 //!   so two concurrent sessions **merge instead of clobber** (the union
-//!   of their verdicts survives, proven by the concurrency tests);
-//! * [`CorpusStore::compact`] rewrites every shard under all locks,
-//!   applying an [`EvictionPolicy`] (max age, max entry count —
-//!   oldest-stamped entries go first).
+//!   of their verdicts survives, proven by the concurrency tests).
 //!
-//! [`crate::DetectSession::save_to`] (a union-merge) and
-//! [`crate::DetectSession::load_from`] speak this store; both refuse a
-//! path that is a regular file.
+//! A persisted verdict is only a cache entry: a shard written under
+//! another encoder revision reads as empty and its verdicts are re-solved.
+//! Both ends refuse a path that is a regular file.
 //!
 //! # Corpus passes
 //!
@@ -43,12 +40,12 @@
 //! `tests/corpus_differential.rs` at 1/2/8 threads): a corpus pass only
 //! changes how often the solver runs, never what it concludes.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use atropos_dsl::Program;
 
@@ -61,23 +58,25 @@ use crate::session::DetectSession;
 /// Number of shard files a v2 store spreads its entries over. An entry's
 /// shard is the high nibble of its first canonical fingerprint, so the
 /// assignment is stable across processes and store generations.
-pub const SHARD_COUNT: usize = 16;
+pub(crate) const SHARD_COUNT: usize = 16;
 
-/// Magic + version header of one v2 shard file.
+/// Magic + version header of one v2 shard file. The magic names the shard
+/// header only: the record layout is covered by [`ENCODER_REVISION`], so
+/// the magic stays `v2` when the records change.
 const SHARD_MAGIC: &[u8; 8] = b"ATRVC\x02\0\0";
 
 /// Revision of the *encoder* that produced a shard, written right after
-/// the magic. The format version (`v2`, in the magic) names the byte
-/// layout; the encoder revision names the semantics of what the verdicts
-/// *mean* — bump it whenever the fingerprint function, the violation
-/// templates, the encoding, or the anomaly vocabulary changes. A shard
-/// written under another revision reads as empty
-/// ([`CorpusStore::read_shard`]): its verdicts are re-solved, and the next
-/// merge rewrites the shard under this revision. Not even a certified
-/// clean verdict survives, because a certificate refutes the clauses its
-/// own solver logged, not the queries the current encoder issues for the
-/// group. The value is high-entropy on purpose, so it cannot collide with
-/// a small count.
+/// the magic. The format version (`v2`, in the magic) names the header
+/// layout; the encoder revision names the record layout and the semantics
+/// of what the verdicts *mean* — bump it whenever the record encoding, the
+/// fingerprint function, the violation templates, the encoding, or the
+/// anomaly vocabulary changes. A shard written under another revision
+/// reads as empty ([`CorpusStore::read_shard`]): its verdicts are
+/// re-solved, and the next merge rewrites the shard under this revision.
+/// Not even a certified clean verdict survives, because a certificate
+/// refutes the clauses its own solver logged, not the queries the current
+/// encoder issues for the group. The value is high-entropy on purpose, so
+/// it cannot collide with a small count.
 ///
 /// `0xA750_0002`: verdict entries gained an embedded proof-blob
 /// section.
@@ -90,7 +89,11 @@ const SHARD_MAGIC: &[u8; 8] = b"ATRVC\x02\0\0";
 /// conflict slices, so its findings name commands by slice position and
 /// its certificates refute the sliced encoding. Command fingerprints no
 /// longer hash the command's position; the slice folds it in instead.
-pub(crate) const ENCODER_REVISION: u32 = 0xA750_0005;
+/// `0xA750_0006`: records no longer carry a unix-seconds stamp (the store
+/// no longer evicts), so the tag is followed directly by the member
+/// fingerprints. Verdicts mean what they meant under `0xA750_0005`; a
+/// shard in the older layout reads as empty and is re-solved.
+pub(crate) const ENCODER_REVISION: u32 = 0xA750_0006;
 
 /// How long a writer waits for a shard lock before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
@@ -114,15 +117,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Coarse wall-clock stamp (unix seconds) for new records — the eviction
-/// clock, not an ordering primitive.
-fn now_secs() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -211,12 +205,11 @@ fn shard_of(key: &GroupKey) -> usize {
 /// One record's payload. Every integer is little-endian; strings are UTF-8
 /// with a `u32` length prefix; string sets are a `u32` count followed by
 /// the strings in set order. The layout: a tag (`k - 2`: 0 for a pair, 1
-/// for a triple), the stamp, the `k` member fingerprints, the symmetric
-/// flag (pairs only), the level, the `k` member names, the findings, and
-/// the proof blobs.
-fn encode_payload(stamp: u64, key: &GroupKey, e: &VerdictEntry) -> Vec<u8> {
+/// for a triple), the `k` member fingerprints, the symmetric flag (pairs
+/// only), the level, the `k` member names, the findings, and the proof
+/// blobs.
+fn encode_payload(key: &GroupKey, e: &VerdictEntry) -> Vec<u8> {
     let mut out = vec![(key.k() - 2) as u8];
-    put_u64(&mut out, stamp);
     for &fp in key.fps() {
         put_u64(&mut out, fp);
     }
@@ -236,13 +229,12 @@ fn encode_payload(stamp: u64, key: &GroupKey, e: &VerdictEntry) -> Vec<u8> {
     out
 }
 
-fn decode_payload(payload: &[u8]) -> io::Result<(u64, GroupKey, VerdictEntry)> {
+fn decode_payload(payload: &[u8]) -> io::Result<(GroupKey, VerdictEntry)> {
     let mut r = Reader::new(payload);
     let k = match r.u8()? {
         tag @ 0..=1 => tag as usize + 2,
         t => return Err(bad(&format!("unknown record tag {t}"))),
     };
-    let stamp = r.u64()?;
     let fps = (0..k).map(|_| r.u64()).collect::<io::Result<Vec<u64>>>()?;
     let symmetric = k == 2 && r.u8()? != 0;
     let level = ConsistencyLevel::from_index(r.u8()? as usize)
@@ -258,7 +250,7 @@ fn decode_payload(payload: &[u8]) -> io::Result<(u64, GroupKey, VerdictEntry)> {
         findings,
         proofs,
     };
-    Ok((stamp, GroupKey::new(&fps, symmetric, level), entry))
+    Ok((GroupKey::new(&fps, symmetric, level), entry))
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -407,34 +399,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Which records a [`CorpusStore::compact`] pass drops. The default
-/// evicts nothing (compaction then only rewrites shards, dropping
-/// duplicate generations).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvictionPolicy {
-    /// Evict records whose stamp is older than this many seconds.
-    pub max_age_secs: Option<u64>,
-    /// Keep at most this many records store-wide; oldest stamps evicted
-    /// first (ties broken by record key, so the cut is deterministic).
-    pub max_entries: Option<usize>,
-}
-
-/// What one [`CorpusStore::compact`] pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Records surviving in the rewritten store.
-    pub kept: usize,
-    /// Records dropped by the eviction policy.
-    pub evicted: usize,
-}
-
-/// The keyed records of a store (or one shard), each with its stamp.
-type Records = BTreeMap<GroupKey, (u64, VerdictEntry)>;
+/// The keyed records of a store (or one shard).
+type Records = BTreeMap<GroupKey, VerdictEntry>;
 
 /// A sharded, concurrently mergeable on-disk verdict store — the
 /// `verdict_cache.v2` format (see the [module docs](self) for the
 /// layout and locking story).
-pub struct CorpusStore {
+pub(crate) struct CorpusStore {
     dir: PathBuf,
 }
 
@@ -446,7 +417,7 @@ impl CorpusStore {
     /// Propagates I/O errors; a `path` that exists but is not a directory
     /// (say, a single-file cache of an older build) is refused with
     /// [`io::ErrorKind::NotADirectory`].
-    pub fn open(path: impl AsRef<Path>) -> io::Result<CorpusStore> {
+    pub(crate) fn open(path: impl AsRef<Path>) -> io::Result<CorpusStore> {
         let path = path.as_ref();
         if path.exists() && !path.is_dir() {
             return Err(io::Error::new(
@@ -463,19 +434,13 @@ impl CorpusStore {
         })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn shard_path(&self, shard: usize) -> PathBuf {
         self.dir.join(format!("shard-{shard:02}.v2"))
     }
 
-    /// Reads and validates one shard file into `into` (keyed records,
-    /// newest stamp wins). A missing shard is an empty shard, and so is a
-    /// shard written by a different encoder revision (see
-    /// [`ENCODER_REVISION`]).
+    /// Reads and validates one shard file into `into`. A missing shard is
+    /// an empty shard, and so is a shard written by a different encoder
+    /// revision (see [`ENCODER_REVISION`]).
     fn read_shard(&self, shard: usize, into: &mut Records) -> io::Result<()> {
         let bytes = match fs::read(self.shard_path(shard)) {
             Ok(b) => b,
@@ -516,13 +481,8 @@ impl CorpusStore {
             if fnv1a(payload) != sum {
                 return Err(bad("record checksum mismatch (corrupt shard)"));
             }
-            let (stamp, key, entry) = decode_payload(payload)?;
-            match into.get(&key) {
-                Some((existing, _)) if *existing >= stamp => {}
-                _ => {
-                    into.insert(key, (stamp, entry));
-                }
-            }
+            let (key, entry) = decode_payload(payload)?;
+            into.insert(key, entry);
         }
         Ok(())
     }
@@ -534,8 +494,8 @@ impl CorpusStore {
         put_u32(&mut out, ENCODER_REVISION);
         put_u32(&mut out, shard as u32);
         put_u32(&mut out, SHARD_COUNT as u32);
-        for (key, (stamp, entry)) in records {
-            let payload = encode_payload(*stamp, key, entry);
+        for (key, entry) in records {
+            let payload = encode_payload(key, entry);
             put_u32(&mut out, payload.len() as u32);
             put_u64(&mut out, fnv1a(&payload));
             out.extend_from_slice(&payload);
@@ -543,12 +503,12 @@ impl CorpusStore {
         write_atomic(&self.shard_path(shard), &out)
     }
 
-    /// Union-merges every verdict entry of `session` into the store,
-    /// stamping new records with the current wall clock. Each touched
-    /// shard is read, merged, and atomically rewritten under its
+    /// Union-merges every verdict entry of `session` into the store. Each
+    /// touched shard is read, merged, and atomically rewritten under its
     /// advisory lock, so concurrent sessions merging into one store
-    /// produce the union of their verdicts — never a clobber. Returns
-    /// the number of records that were new to the store.
+    /// produce the union of their verdicts — never a clobber. Under a key
+    /// the store already holds, the session's entry replaces the stored
+    /// one: the encoder revision pins what a key's verdict means.
     ///
     /// # Errors
     ///
@@ -556,46 +516,23 @@ impl CorpusStore {
     /// `InvalidData` (nothing is overwritten). A revision-stale shard
     /// reads as empty, so the merge rewrites it under the current
     /// revision with only this session's verdicts.
-    pub fn merge_cache(&self, session: &DetectSession) -> io::Result<usize> {
-        self.merge_cache_stamped(session, now_secs())
-    }
-
-    /// [`CorpusStore::merge_cache`] with an explicit stamp — the
-    /// deterministic variant the eviction tests drive the clock with.
-    pub fn merge_cache_stamped(&self, session: &DetectSession, stamp: u64) -> io::Result<usize> {
+    pub(crate) fn merge_cache(&self, session: &DetectSession) -> io::Result<()> {
         // Bucket the session's entries by shard first, so each lock is
         // held exactly once.
-        let mut by_shard: BTreeMap<usize, Vec<(GroupKey, VerdictEntry)>> = BTreeMap::new();
+        let mut by_shard: BTreeMap<usize, Vec<(&GroupKey, &VerdictEntry)>> = BTreeMap::new();
         for (k, e) in session.entries() {
-            by_shard
-                .entry(shard_of(k))
-                .or_default()
-                .push((*k, e.clone()));
+            by_shard.entry(shard_of(k)).or_default().push((k, e));
         }
-        let mut added = 0;
         for (shard, entries) in by_shard {
             let _lock = ShardLock::acquire(&self.dir, shard)?;
             let mut records = Records::new();
             self.read_shard(shard, &mut records)?;
             for (key, entry) in entries {
-                match records.get(&key) {
-                    Some((existing, _)) => {
-                        // Same key ⇒ semantically the same verdict (the
-                        // encoder revision pins the semantics); refresh
-                        // the stamp so a re-merged entry stays young.
-                        if stamp > *existing {
-                            records.insert(key, (stamp, entry));
-                        }
-                    }
-                    None => {
-                        records.insert(key, (stamp, entry));
-                        added += 1;
-                    }
-                }
+                records.insert(*key, entry.clone());
             }
             self.write_shard(shard, &records)?;
         }
-        Ok(added)
+        Ok(())
     }
 
     /// Loads every shard into a fresh [`DetectSession`]: entries land in
@@ -606,88 +543,16 @@ impl CorpusStore {
     /// Propagates I/O errors; a corrupt record (checksum mismatch,
     /// truncation, unknown tag) is refused with `InvalidData`. A
     /// revision-stale shard reads as empty.
-    pub fn load_cache(&self) -> io::Result<DetectSession> {
+    pub(crate) fn load_cache(&self) -> io::Result<DetectSession> {
         let mut records = Records::new();
         for shard in 0..SHARD_COUNT {
             self.read_shard(shard, &mut records)?;
         }
         let mut session = DetectSession::new();
-        for (key, (_, entry)) in records {
+        for (key, entry) in records {
             session.absorb(key, entry);
         }
         Ok(session)
-    }
-
-    /// Number of records currently in the store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`CorpusStore::load_cache`].
-    pub fn entry_count(&self) -> io::Result<usize> {
-        let mut records = Records::new();
-        for shard in 0..SHARD_COUNT {
-            self.read_shard(shard, &mut records)?;
-        }
-        Ok(records.len())
-    }
-
-    /// Compacts the store under `policy`: every shard is read and
-    /// rewritten under its lock (locks taken in shard order, so
-    /// concurrent compactions cannot deadlock), dropping records older
-    /// than `max_age_secs` and then the oldest records beyond
-    /// `max_entries`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`CorpusStore::load_cache`].
-    pub fn compact(&self, policy: &EvictionPolicy) -> io::Result<CompactionReport> {
-        self.compact_at(policy, now_secs())
-    }
-
-    /// [`CorpusStore::compact`] with an explicit "now" — the
-    /// deterministic variant the eviction tests drive the clock with.
-    pub fn compact_at(&self, policy: &EvictionPolicy, now: u64) -> io::Result<CompactionReport> {
-        let _locks: Vec<ShardLock> = (0..SHARD_COUNT)
-            .map(|s| ShardLock::acquire(&self.dir, s))
-            .collect::<io::Result<_>>()?;
-        let mut records = Records::new();
-        for shard in 0..SHARD_COUNT {
-            self.read_shard(shard, &mut records)?;
-        }
-        let total = records.len();
-        if let Some(max_age) = policy.max_age_secs {
-            records.retain(|_, (stamp, _)| now.saturating_sub(*stamp) <= max_age);
-        }
-        if let Some(max_entries) = policy.max_entries {
-            if records.len() > max_entries {
-                // Oldest stamps go first; ties broken by key order so the
-                // cut is deterministic.
-                let mut order: Vec<(u64, GroupKey)> =
-                    records.iter().map(|(k, (stamp, _))| (*stamp, *k)).collect();
-                order.sort();
-                let doomed: HashSet<GroupKey> = order[..records.len() - max_entries]
-                    .iter()
-                    .map(|&(_, k)| k)
-                    .collect();
-                records.retain(|k, _| !doomed.contains(k));
-            }
-        }
-        let kept = records.len();
-        let mut by_shard: BTreeMap<usize, Records> =
-            (0..SHARD_COUNT).map(|s| (s, Records::new())).collect();
-        for (key, rec) in records {
-            by_shard
-                .get_mut(&shard_of(&key))
-                .expect("all shards present")
-                .insert(key, rec);
-        }
-        for (shard, recs) in by_shard {
-            self.write_shard(shard, &recs)?;
-        }
-        Ok(CompactionReport {
-            kept,
-            evicted: total - kept,
-        })
     }
 }
 
@@ -796,6 +661,8 @@ mod tests {
         }
     }
 
+    /// A saved session loads back entry for entry, and saving the same
+    /// entries again rewrites the same bytes: a re-save adds no record.
     #[test]
     fn corpus_store_roundtrips_and_counts() {
         let p = parse(COUNTER).unwrap();
@@ -811,13 +678,18 @@ mod tests {
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
+        assert_eq!(session.save_to(&dir).expect("save"), 1);
         let store = CorpusStore::open(&dir).expect("open");
-        assert_eq!(store.entry_count().unwrap(), 0);
-        let added = store.merge_cache(&session).expect("merge");
-        assert_eq!(added, 1);
-        // Re-merging the same entries adds nothing (stamp refresh only).
-        assert_eq!(store.merge_cache(&session).unwrap(), 0);
-        let loaded = store.load_cache().expect("load");
+        let shards = || -> Vec<Option<Vec<u8>>> {
+            (0..SHARD_COUNT)
+                .map(|i| fs::read(store.shard_path(i)).ok())
+                .collect()
+        };
+        let saved = shards();
+        assert_eq!(saved.iter().flatten().count(), 1, "one entry, one shard");
+        session.save_to(&dir).expect("re-save");
+        assert_eq!(shards(), saved);
+        let loaded = DetectSession::load_from(&dir).expect("load");
         assert_eq!(loaded.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -910,7 +782,7 @@ mod tests {
             let sum = fnv1a(&bytes[payload]);
             bytes[at + 4..at + 12].copy_from_slice(&sum.to_le_bytes());
             fs::write(path, &bytes).expect("write mutant");
-            match store.load_cache() {
+            match DetectSession::load_from(&dir) {
                 Ok(mut session) => {
                     loaded += 1;
                     for mode in [DetectMode::Pairs, DetectMode::Triples] {

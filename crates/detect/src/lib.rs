@@ -36,12 +36,13 @@
 //! * [`session`] — the [`DetectSession`], the only cache handle: verdicts,
 //!   retained solvers, counters and liveness with a session lifetime,
 //!   shared across repair runs so common transaction shapes hit warm
-//!   verdicts (cross-run counters in [`CacheStats`]), persisted to and
-//!   loaded from a store directory;
-//! * [`corpus`] — fleet scale: the sharded `verdict_cache.v2` store
-//!   (per-shard advisory locks, checksummed record logs, union merge,
-//!   compaction/eviction) and [`analyse_corpus`], the driver over a whole
-//!   corpus of programs at once;
+//!   verdicts (cross-run counters in [`CacheStats`]); its
+//!   [`DetectSession::save_to`] and [`DetectSession::load_from`] are the
+//!   only way to persist verdicts;
+//! * [`corpus`] — fleet scale: the sharded `verdict_cache.v2` store behind
+//!   those two calls (per-shard advisory locks, checksummed record logs,
+//!   union merge) and [`analyse_corpus`], the driver over a whole corpus
+//!   of programs at once;
 //! * [`replay`] — witness replay: the satisfying assignment behind a dirty
 //!   verdict is decoded ([`decode_witness`]) into a concrete
 //!   [`atropos_sim::ConcreteSchedule`] and executed deterministically on
@@ -85,9 +86,7 @@ pub mod session;
 pub mod triple;
 
 pub use cache::{cmd_fingerprint, slice_fingerprint, txn_fingerprint, CacheStats, VerdictAudit};
-pub use corpus::{
-    analyse_corpus, CompactionReport, CorpusStats, CorpusStore, CorpusVerdict, EvictionPolicy,
-};
+pub use corpus::{analyse_corpus, CorpusStats, CorpusVerdict};
 pub use engine::{DetectMode, DetectionEngine};
 pub use session::DetectSession;
 pub use detect::{

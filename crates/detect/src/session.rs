@@ -319,14 +319,12 @@ impl DetectSession {
     }
 
     /// Persists every pair and triple verdict entry into the sharded
-    /// `verdict_cache.v2` store at `dir` ([`crate::corpus::CorpusStore`]),
-    /// creating the directory if it is missing. This session's verdicts
-    /// are **union-merged** in under per-shard advisory locks, so
-    /// concurrent sessions saving to one store combine instead of
-    /// clobbering each other, and every shard lands via a sibling
-    /// tempfile and an atomic rename, so a crash mid-save leaves the
-    /// previous shard intact. The bench bins wire this behind the
-    /// `ATROPOS_CACHE_FILE` environment variable.
+    /// `verdict_cache.v2` store at `dir` (see [`crate::corpus`]), creating
+    /// the directory if it is missing. This session's verdicts are
+    /// **union-merged** in under per-shard advisory locks, so concurrent
+    /// sessions saving to one store combine instead of clobbering each
+    /// other, and every shard lands via a sibling tempfile and an atomic
+    /// rename, so a crash mid-save leaves the previous shard intact.
     ///
     /// Retained solvers are transient and not persisted — a loaded
     /// session re-encodes on its first miss but never re-solves a
@@ -463,9 +461,9 @@ mod tests {
     }
 
     /// A zero-length regular file where the store should be (a crash
-    /// before the first write, or an `ATROPOS_CACHE_FILE` created by
-    /// `touch`) must be refused with a typed error by both ends, not
-    /// misread as an empty store or clobbered.
+    /// before the first write, or a store path created by `touch`) must
+    /// be refused with a typed error by both ends, not misread as an empty
+    /// store or clobbered.
     #[test]
     fn zero_length_cache_file_is_refused() {
         let path = scratch("zero_length");
@@ -584,8 +582,10 @@ mod tests {
 
     /// A store persisted by a different encoder revision must not be
     /// silently trusted: its verdicts may not mean what this build thinks
-    /// (stale-verdict replay would bypass re-detection entirely), so its
-    /// uncertified records are refused and re-solved.
+    /// (stale-verdict replay would bypass re-detection entirely), so the
+    /// whole store reads as empty and every verdict is re-solved. This
+    /// store holds no certificates; `tests/corpus_store.rs` shows that a
+    /// certified stale record is refused too.
     #[test]
     fn stale_encoder_revision_is_refused() {
         let (dir, verdicts) = saved_store("stale_revision");

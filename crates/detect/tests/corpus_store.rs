@@ -1,12 +1,12 @@
-//! Integration coverage for the sharded `verdict_cache.v2` store: two
-//! concurrent sessions union-merge (no lost verdicts), corrupt shards
-//! are refused by byte surgery, revision-stale shards degrade to
-//! per-record salvage (only certified clean verdicts survive), and the
-//! compaction pass enforces the eviction policy.
+//! Integration coverage for the sharded `verdict_cache.v2` store, driven
+//! through `DetectSession::save_to` and `DetectSession::load_from`: two
+//! concurrent sessions union-merge (no lost verdicts), corrupt and
+//! truncated shards are refused by byte surgery, and a revision-stale
+//! shard reads as empty, so every verdict is re-solved whether or not it
+//! carries a certificate.
 
 use std::path::{Path, PathBuf};
 
-use atropos_detect::corpus::{CorpusStore, EvictionPolicy};
 use atropos_detect::{ConsistencyLevel, DetectMode, DetectSession, DetectionEngine};
 use atropos_dsl::Program;
 
@@ -75,18 +75,17 @@ fn concurrent_sessions_union_merge_without_losing_verdicts() {
     std::thread::scope(|s| {
         for cache in [&a, &b] {
             s.spawn(|| {
-                let store = CorpusStore::open(&dir).expect("open store");
-                // Merge repeatedly to force lock contention and
+                // Save repeatedly to force lock contention and
                 // read-modify-write interleavings.
                 for _ in 0..8 {
-                    store.merge_cache(cache).expect("merge");
+                    cache.save_to(&dir).expect("save");
                 }
             });
         }
     });
 
-    let store = CorpusStore::open(&dir).expect("reopen");
-    assert_eq!(store.entry_count().expect("count"), expect, "no lost verdicts");
+    let mut loaded = DetectSession::load_from(&dir).expect("load");
+    assert_eq!(loaded.len() + loaded.triple_len(), expect, "no lost verdicts");
     // No lock debris survives the merges.
     assert!(
         std::fs::read_dir(&dir)
@@ -96,7 +95,6 @@ fn concurrent_sessions_union_merge_without_losing_verdicts() {
     );
 
     // The union answers both programs entirely warm.
-    let mut loaded = store.load_cache().expect("load");
     for src in [COUNTER, BANK] {
         let p = atropos_dsl::parse(src).unwrap();
         let before = loaded.cache_stats();
@@ -116,15 +114,14 @@ fn concurrent_sessions_union_merge_without_losing_verdicts() {
 #[test]
 fn corrupt_shard_byte_is_refused_by_checksum() {
     let dir = scratch("corrupt");
-    let store = CorpusStore::open(&dir).expect("open");
-    store.merge_cache(&warm_cache(BANK)).expect("merge");
+    warm_cache(BANK).save_to(&dir).expect("save");
 
     let shard = shard_files(&dir).pop().expect("at least one shard");
     let mut bytes = std::fs::read(&shard).expect("read shard");
     *bytes.last_mut().expect("non-empty") ^= 0xFF; // inside the final record's payload
     std::fs::write(&shard, &bytes).expect("write corrupted shard");
 
-    let err = match store.load_cache() {
+    let err = match DetectSession::load_from(&dir) {
         Err(e) => e,
         Ok(_) => panic!("corrupt shard accepted"),
     };
@@ -138,14 +135,13 @@ fn corrupt_shard_byte_is_refused_by_checksum() {
 #[test]
 fn truncated_shard_is_refused() {
     let dir = scratch("truncated");
-    let store = CorpusStore::open(&dir).expect("open");
-    store.merge_cache(&warm_cache(BANK)).expect("merge");
+    warm_cache(BANK).save_to(&dir).expect("save");
 
     let shard = shard_files(&dir).pop().expect("at least one shard");
     let bytes = std::fs::read(&shard).expect("read shard");
     for cut in [bytes.len() - 3, 0] {
         std::fs::write(&shard, &bytes[..cut]).expect("truncate shard");
-        let err = match store.load_cache() {
+        let err = match DetectSession::load_from(&dir) {
             Err(e) => e,
             Ok(_) => panic!("shard truncated to {cut} bytes accepted"),
         };
@@ -172,15 +168,13 @@ fn stale_all_shards(dir: &Path) {
 #[test]
 fn stale_shard_without_proofs_is_dropped_wholesale() {
     let dir = scratch("stale");
-    let store = CorpusStore::open(&dir).expect("open");
-    store.merge_cache(&warm_cache(COUNTER)).expect("merge");
-    assert!(store.entry_count().expect("count") > 0);
+    assert!(warm_cache(COUNTER).save_to(&dir).expect("save") > 0);
 
     stale_all_shards(&dir);
 
-    let salvaged = store.load_cache().expect("stale store salvages, not errors");
+    let stale = DetectSession::load_from(&dir).expect("a stale store loads, not errors");
     assert_eq!(
-        salvaged.len() + salvaged.triple_len(),
+        stale.len() + stale.triple_len(),
         0,
         "proofless stale records must not be trusted"
     );
@@ -196,7 +190,6 @@ fn stale_shard_without_proofs_is_dropped_wholesale() {
 fn stale_certified_shard_is_re_solved_and_rewritten() {
     const SER: ConsistencyLevel = ConsistencyLevel::Serializable;
     let dir = scratch("stale_certified");
-    let _ = CorpusStore::open(&dir).expect("create store");
     // Warm BANK with proof capture on, at two levels: under SER every
     // candidate anomaly is refuted, so the write-touching pairs are clean
     // *with* checking certificates; under EC the deposit pairs are dirty
@@ -212,11 +205,7 @@ fn stale_certified_shard_is_re_solved_and_rewritten() {
         .filter(|a| a.anomalies == 0 && !a.proofs.is_empty())
         .count();
     assert!(certified > 0, "at least one clean verdict is certified");
-    session.save_to(&dir).expect("merge into store");
-    let total = CorpusStore::open(&dir)
-        .expect("reopen")
-        .entry_count()
-        .expect("count");
+    let total = session.save_to(&dir).expect("save");
 
     stale_all_shards(&dir);
 
@@ -240,53 +229,5 @@ fn stale_certified_shard_is_re_solved_and_rewritten() {
     reloaded.save_to(&dir).expect("merge over the stale store");
     let again = DetectSession::load_from(&dir).expect("reload");
     assert_eq!(again.len() + again.triple_len(), total);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Compaction enforces the eviction policy deterministically: age evicts
-/// everything older than the horizon, and the size cap drops the
-/// oldest-stamped records first.
-#[test]
-fn compaction_applies_age_and_size_eviction() {
-    let dir = scratch("evict");
-    let store = CorpusStore::open(&dir).expect("open");
-    let old = warm_cache(COUNTER);
-    let new = warm_cache(BANK);
-    store.merge_cache_stamped(&old, 100).expect("merge old");
-    store.merge_cache_stamped(&new, 200).expect("merge new");
-    let total = old.len() + new.len();
-    assert_eq!(store.entry_count().expect("count"), total);
-
-    // A no-op policy only rewrites.
-    let report = store
-        .compact_at(&EvictionPolicy::default(), 250)
-        .expect("noop compact");
-    assert_eq!((report.kept, report.evicted), (total, 0));
-
-    // Age horizon: everything stamped 100 is older than 80s at t=250.
-    let report = store
-        .compact_at(
-            &EvictionPolicy {
-                max_age_secs: Some(80),
-                max_entries: None,
-            },
-            250,
-        )
-        .expect("age compact");
-    assert_eq!((report.kept, report.evicted), (new.len(), old.len()));
-
-    // Size cap: keep one record (the stamps now tie, so the cut falls
-    // back on key order — deterministic either way).
-    let report = store
-        .compact_at(
-            &EvictionPolicy {
-                max_age_secs: None,
-                max_entries: Some(1),
-            },
-            250,
-        )
-        .expect("size compact");
-    assert_eq!((report.kept, report.evicted), (1, new.len() - 1));
-    assert_eq!(store.entry_count().expect("count"), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

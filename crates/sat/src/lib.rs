@@ -1,6 +1,6 @@
 //! # atropos-sat
 //!
-//! A from-scratch CDCL SAT solver plus CNF construction utilities.
+//! A from-scratch CDCL SAT solver.
 //!
 //! The paper discharges its serializability-anomaly queries with Z3; this
 //! workspace grounds the same bounded first-order formulas to propositional
@@ -12,8 +12,6 @@
 //!   solving under assumptions (`solve_with_assumptions`) with
 //!   failed-assumption cores — the detector keeps one solver per
 //!   transaction pair and dispatches every anomaly query via assumptions;
-//! * [`CnfBuilder`] — fresh variables, raw clauses, Tseitin gates
-//!   (`and`/`or`/`iff`/`implies`) and cardinality constraints;
 //! * [`dimacs`] — DIMACS CNF import/export plus a textual DRAT dump of a
 //!   refutation for cross-checking with external tools;
 //! * [`proof`] — the DRAT-style [`ProofEvent`]s of a refutation. A solver
@@ -31,28 +29,29 @@
 //! # Examples
 //!
 //! ```
-//! use atropos_sat::{CnfBuilder};
+//! use atropos_sat::Solver;
 //!
 //! // (a ∨ b) ∧ (¬a ∨ b) is satisfied only with b = true.
-//! let mut f = CnfBuilder::new();
-//! let a = f.fresh();
-//! let b = f.fresh();
-//! f.clause([a, b]);
-//! f.clause([!a, b]);
-//! let model = f.solve().model().unwrap().to_vec();
-//! assert!(model[b.var().index()]);
+//! let mut s = Solver::new();
+//! let a = s.new_var();
+//! let b = s.new_var();
+//! s.add_clause([a.positive(), b.positive()]);
+//! s.add_clause([a.negative(), b.positive()]);
+//! let model = s.solve().model().unwrap().to_vec();
+//! assert!(model[b.index()]);
+//! // Assuming ¬b refutes it for one call; the solver stays reusable.
+//! assert!(!s.solve_with_assumptions(&[b.negative()]).is_sat());
+//! assert!(s.solve().is_sat());
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod cnf;
 pub mod dimacs;
 pub mod lit;
 pub mod proof;
 pub mod reference;
 pub mod solver;
 
-pub use cnf::CnfBuilder;
 pub use lit::{LBool, Lit, Var};
 pub use proof::ProofEvent;
 pub use solver::{SolveResult, Solver, SolverStats};

@@ -1,7 +1,7 @@
 //! Deterministic unit tests for the CDCL solver on small canonical
 //! instances — complementing the randomized property tests in `prop.rs`.
 
-use atropos_sat::{CnfBuilder, Lit, ProofEvent, SolveResult, Solver, SolverStats, Var};
+use atropos_sat::{Lit, ProofEvent, SolveResult, Solver, SolverStats, Var};
 
 /// Builds the pigeonhole instance PHP(p, h): p pigeons, h holes, each pigeon
 /// in some hole, no two pigeons sharing a hole. UNSAT iff p > h.
@@ -165,41 +165,6 @@ fn model_satisfies_every_clause_on_mixed_instance() {
             "model violates {c:?}"
         );
     }
-}
-
-#[test]
-fn cnf_builder_gates_behave() {
-    // AND gate: out ↔ a ∧ b, assert out, forces both inputs.
-    let mut f = CnfBuilder::new();
-    let a = f.fresh();
-    let b = f.fresh();
-    let out = f.and([a, b]);
-    f.assert_lit(out);
-    let result = f.solve();
-    let model = result.model().expect("sat");
-    assert!(model[a.var().index()] && model[b.var().index()]);
-
-    // EXACTLY-ONE over three: a or b or c, pairwise exclusive.
-    let mut f = CnfBuilder::new();
-    let lits = [f.fresh(), f.fresh(), f.fresh()];
-    f.assert_exactly_one(&lits);
-    let result = f.solve();
-    let model = result.model().expect("sat");
-    let set = lits
-        .iter()
-        .filter(|l| model[l.var().index()] == l.is_positive())
-        .count();
-    assert_eq!(set, 1);
-
-    // IFF with forced disagreement is UNSAT.
-    let mut f = CnfBuilder::new();
-    let a = f.fresh();
-    let b = f.fresh();
-    let eq = f.iff(a, b);
-    f.assert_lit(eq);
-    f.assert_lit(a);
-    f.assert_lit(!b);
-    assert!(!f.solve().is_sat());
 }
 
 #[test]
