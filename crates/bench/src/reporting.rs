@@ -232,12 +232,13 @@ pub fn repair_stats_row(
     scratch_seconds: f64,
 ) -> Vec<String> {
     let s = &cached.stats;
+    let detections = s.iterations.len() as u64;
     vec![
         name.to_owned(),
         format!("{threads}"),
         format!("{mode}"),
-        format!("{}", s.detections + s.detections_skipped),
-        format!("{}", s.detections),
+        format!("{}", detections + s.detections_skipped),
+        format!("{detections}"),
         format!("{}", s.detections_skipped),
         format!("{}", s.pairs_reused()),
         format!("{}", s.pairs_solved()),

@@ -55,9 +55,9 @@ pub fn random_refactor_with_session(
     session: &mut DetectSession,
 ) -> RandomSearchOutcome {
     let (current, applied) = random_moves(program, seed, moves);
-    // Reset session liveness to the shared base program between rounds:
-    // the previous round's mutated shapes are evicted, the base shapes —
-    // the source of cross-round reuse — stay warm.
+    // Sweep the session to the shared base program between rounds: the
+    // previous round's mutated shapes are evicted, the base shapes — the
+    // source of cross-round reuse — stay warm.
     session.sweep(program);
     session.begin_run();
     let ec = ConsistencyLevel::EventualConsistency;

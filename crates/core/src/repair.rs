@@ -198,10 +198,8 @@ pub struct RepairIteration {
 pub struct RepairStats {
     /// One entry per detection pass actually run, in order (the initial
     /// pass, each loop re-detection, and the post-processing re-detection
-    /// when needed).
+    /// when needed); its length is the number of passes run.
     pub iterations: Vec<RepairIteration>,
-    /// Detection passes run.
-    pub detections: u64,
     /// Detection passes avoided by reusing the previous pass's verdicts
     /// (the program had not changed since).
     pub detections_skipped: u64,
@@ -243,11 +241,6 @@ impl RepairStats {
     /// Fraction of pair analyses answered from the cache (0 on scratch).
     pub fn hit_ratio(&self) -> f64 {
         self.cache.hit_ratio()
-    }
-
-    /// Total wall-clock seconds spent in detection passes.
-    pub fn detect_seconds(&self) -> f64 {
-        self.iterations.iter().map(|i| i.seconds).sum()
     }
 }
 
@@ -376,12 +369,12 @@ pub fn repair_with_engine(
     engine: &DetectionEngine,
     session: &mut DetectSession,
 ) -> RepairReport {
-    // Bound the session at each run boundary: reset liveness to this run's
-    // input program, evicting entries stranded by the previous run's
+    // Bound the session at each run boundary: sweep it to this run's input
+    // program, evicting entries stranded by the previous run's
     // intermediate refactoring states while keeping every shape of the
     // (typically shared) input program warm — which is exactly where
-    // cross-run reuse comes from. Within the run, liveness then grows by
-    // union as the program is refactored (see `atropos_detect::cache`).
+    // cross-run reuse comes from. Within the run no pass evicts anything
+    // (see `atropos_detect::session`).
     session.sweep(program);
     session.begin_run();
     let before = session.cache_stats();
@@ -504,7 +497,6 @@ fn run_detection(
     oracle: &mut Oracle<'_, '_>,
     stats: &mut RepairStats,
 ) -> Vec<AccessPair> {
-    stats.detections += 1;
     match oracle {
         Oracle::Engine { engine, session } => {
             let before = session.cache_stats();
@@ -1340,12 +1332,12 @@ mod tests {
         let cached = repair_program(&p, ConsistencyLevel::EventualConsistency);
         assert!(cached.initial.is_empty());
         assert!(cached.remaining.is_empty());
-        assert_eq!(cached.stats.detections, 1, "{:?}", cached.stats);
+        assert_eq!(cached.stats.iterations.len(), 1, "{:?}", cached.stats);
         assert_eq!(cached.stats.detections_skipped, 2, "{:?}", cached.stats);
         // The Fig. 10 reference pays all three passes on the same input.
         let scratch = repair_with_config_scratch(&p, &RepairConfig::default());
         assert!(scratch.remaining.is_empty());
-        assert_eq!(scratch.stats.detections, 3, "{:?}", scratch.stats);
+        assert_eq!(scratch.stats.iterations.len(), 3, "{:?}", scratch.stats);
         assert_eq!(scratch.stats.detections_skipped, 0, "{:?}", scratch.stats);
     }
 
@@ -1373,8 +1365,8 @@ mod tests {
         assert_eq!(scratch.stats.cache, atropos_detect::CacheStats::default());
         // Both record the same number of oracle passes (run or skipped).
         assert_eq!(
-            cached.stats.detections + cached.stats.detections_skipped,
-            scratch.stats.detections + scratch.stats.detections_skipped
+            cached.stats.iterations.len() as u64 + cached.stats.detections_skipped,
+            scratch.stats.iterations.len() as u64 + scratch.stats.detections_skipped
         );
     }
 

@@ -64,10 +64,8 @@
 //! independent of which orientation grounded it; triples are not sliced)
 //! — plus, for a pair, whether the symmetric (lost-update) template ran,
 //! and the consistency level. Retained solvers serve every flag and level
-//! of their group, so the retention map uses the key with those parts
-//! normalized (`GroupKey::state`). The session's liveness set holds every
-//! slice fingerprint of the programs it has seen, transaction
-//! fingerprints included.
+//! of their group, so they are keyed with those parts normalized
+//! (`GroupKey::state`).
 //!
 //! # Solver retention
 //!
@@ -76,17 +74,16 @@
 //! another consistency level, or after its verdict entry was evicted while
 //! its fingerprints survived — reuses the already-encoded
 //! ordering/visibility matrix, its installed level groups and the last
-//! model it found instead of re-encoding from scratch. Retained states
-//! live in a **sharded map** (`ShardedStates`): independent mutex-guarded
-//! shards, so the parallel detection engine's workers can take and return
-//! solvers concurrently without a global lock (retained solvers migrate
-//! freely between workers — `GroupState` is `Send`).
+//! model it found instead of re-encoding from scratch. Only the engine's
+//! coordinating thread touches the retained states: after planning it
+//! hands each dirty group's state to the one work item that solves it,
+//! and the merge puts it back, so a state moves to a worker thread and
+//! back (`GroupState` is `Send`) but no two workers ever share one.
 
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 
 use crate::detect::Finding;
 use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver};
@@ -122,16 +119,6 @@ pub fn slice_fingerprint(txn: &TxnSummary, partner: &TxnSummary) -> u64 {
         tables.contains(c.schema.as_str())
     })
     .fp
-}
-
-/// Canonical fingerprint of one command summary: the same detector-visible
-/// fields [`txn_fingerprint`] folds per command, label excluded.
-pub fn cmd_fingerprint(c: &CmdSummary) -> u64 {
-    let mut h = DefaultHasher::new();
-    hash_head(c, &mut h);
-    c.prog_index.hash(&mut h);
-    hash_tail(c, &mut h);
-    h.finish()
 }
 
 /// The fields a fingerprint hashes before a command's position.
@@ -372,10 +359,8 @@ pub struct CacheStats {
     /// encoded clauses, installed level groups and last model) instead of
     /// re-encoding.
     pub solver_reuses: u64,
-    /// Entries evicted — by the fingerprint-liveness sweep each detection
-    /// pass runs (stranded by program edits), or by an explicit
-    /// [`crate::DetectSession::sweep`] /
-    /// [`crate::DetectSession::sweep_corpus`] call.
+    /// Verdict entries evicted by [`crate::DetectSession::sweep`]: those
+    /// naming a fingerprint the swept program does not have.
     pub invalidated: u64,
     /// Lookups performed in any run after the session's first (see
     /// [`crate::DetectSession::begin_run`]); zero when the session never
@@ -512,9 +497,9 @@ pub(crate) struct VerdictEntry {
 /// once a query was issued, the incremental solver built on it.
 ///
 /// `GroupState` is `Send` (a compile-time guarantee pinned below): the
-/// parallel detection engine hands retained states to whichever worker
-/// claims the group, so a solver built on one thread freely migrates to
-/// another between passes.
+/// parallel detection engine moves a retained state into the work item
+/// that solves its group, on whichever worker claims it, and back into
+/// the session at the merge.
 pub(crate) struct GroupState {
     pub(crate) model: InstanceModel,
     pub(crate) solver: Option<PairSolver>,
@@ -538,59 +523,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<GroupState>();
 };
-
-/// How many independently locked shards [`ShardedStates`] spreads its
-/// retained states over. Sixteen comfortably exceeds the engine's worker
-/// cap, so two workers rarely contend on one mutex.
-const STATE_SHARDS: usize = 16;
-
-/// The solver-retention map: retained [`GroupState`]s keyed by
-/// [`GroupKey::state`], split over [`STATE_SHARDS`] mutex-guarded shards
-/// so parallel workers can `take`/`store` concurrently through a shared
-/// reference. Serial callers go through the same API (an uncontended
-/// mutex lock is a few nanoseconds), keeping one code path.
-pub(crate) struct ShardedStates {
-    shards: Vec<Mutex<HashMap<GroupKey, GroupState>>>,
-}
-
-impl ShardedStates {
-    pub(crate) fn new() -> ShardedStates {
-        ShardedStates {
-            shards: (0..STATE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, key: &GroupKey) -> std::sync::MutexGuard<'_, HashMap<GroupKey, GroupState>> {
-        // The keys carry high-entropy fingerprints; one SipHash round over
-        // them is deterministic and distribution enough.
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        self.shards[(h.finish() % STATE_SHARDS as u64) as usize]
-            .lock()
-            .expect("state shard poisoned")
-    }
-
-    /// Removes and returns the retained state for a key, if any.
-    pub(crate) fn take(&self, key: &GroupKey) -> Option<GroupState> {
-        self.shard(key).remove(key)
-    }
-
-    /// Returns a state to the map for later reuse.
-    pub(crate) fn store(&self, key: GroupKey, state: GroupState) {
-        self.shard(&key).insert(key, state);
-    }
-
-    /// Keeps only the states whose key satisfies `f` (exclusive access, no
-    /// locking).
-    pub(crate) fn retain(&mut self, mut f: impl FnMut(&GroupKey) -> bool) {
-        for shard in &mut self.shards {
-            shard
-                .get_mut()
-                .expect("state shard poisoned")
-                .retain(|k, _| f(k));
-        }
-    }
-}
 
 /// One auditable verdict of a session: the transactions, the
 /// consistency level it was decided under, the anomaly count, and the
@@ -778,11 +710,10 @@ mod tests {
         assert!(got.is_empty(), "{got:?}");
     }
 
-    /// Satellite regression for multi-run cache lifetimes: a detection pass
-    /// over program B must not strand or prematurely drop warm entries of a
-    /// previously seen program A — liveness is the union of programs seen —
-    /// while the explicit [`DetectSession::sweep`] resets liveness to one
-    /// program and evicts the rest.
+    /// Multi-run cache lifetimes: a detection pass over program B must not
+    /// strand or prematurely drop warm entries of a previously seen
+    /// program A — a pass evicts nothing — while the explicit
+    /// [`DetectSession::sweep`] to one program evicts the rest.
     #[test]
     fn per_pass_sweep_keeps_warm_entries_of_earlier_runs() {
         let prog_a = atropos_dsl::parse(COUNTER).unwrap();
@@ -815,8 +746,8 @@ mod tests {
         assert!(delta.cross_run_hits > 0, "{delta:?}");
         assert!(session.cache_stats().cross_run_hit_ratio() > 0.0);
 
-        // The explicit between-runs sweep resets liveness to one program:
-        // A's entries go, B's stay warm.
+        // The explicit between-runs sweep to one program: A's entries go,
+        // B's stay warm.
         let evicted = session.sweep(&prog_b);
         assert!(evicted > 0);
         let before = session.cache_stats();
@@ -832,28 +763,6 @@ mod tests {
             session.cache_stats().since(&before).misses > 0,
             "A was swept"
         );
-    }
-
-    #[test]
-    fn sharded_state_map_takes_and_stores_through_shared_refs() {
-        let ts = summaries(COUNTER);
-        let t = &ts[0];
-        let (a, b) = (
-            GroupKey::new(&[1, 2], true, EC),
-            GroupKey::new(&[3, 4], true, EC),
-        );
-        let map = ShardedStates::new();
-        assert!(map.take(&a).is_none());
-        map.store(a, GroupState::new(&[t, t]));
-        map.store(b, GroupState::new(&[t, t]));
-        // Concurrent take/store from scoped workers — the engine's pattern.
-        std::thread::scope(|scope| {
-            let h1 = scope.spawn(|| map.take(&a).is_some());
-            let h2 = scope.spawn(|| map.take(&b).is_some());
-            assert!(h1.join().unwrap());
-            assert!(h2.join().unwrap());
-        });
-        assert!(map.take(&a).is_none());
     }
 
     /// Satellite pin: with zero cross-run lookups the ratio is *defined*
@@ -880,8 +789,8 @@ mod tests {
     /// A pure relabeling keeps every fingerprint, so its warm entries stay
     /// and answer the relabeled program under its own labels: a warm
     /// re-detection equals a cold oracle without re-solving. A
-    /// summary-changing edit misses the cache instead, and the liveness
-    /// sweep evicts the entry it stranded.
+    /// summary-changing edit misses the cache instead, and a sweep to the
+    /// edited program evicts the entry it stranded.
     #[test]
     fn precise_invalidation_keeps_rename_only_entries() {
         let ec = ConsistencyLevel::EventualConsistency;

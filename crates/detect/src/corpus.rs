@@ -1,27 +1,26 @@
-//! Fleet-scale detection: the sharded `verdict_cache.v2` store behind
+//! Fleet-scale detection: the `verdict_cache.v3` store behind
 //! [`crate::DetectSession::save_to`] and [`crate::DetectSession::load_from`],
 //! and [`analyse_corpus`], the detection driver over a whole corpus.
 //!
-//! # The v2 store
+//! # The v3 store
 //!
-//! A saved session is a **directory** of `SHARD_COUNT` shard files keyed
-//! by fingerprint prefix (the high nibble of the entry's first canonical
-//! fingerprint picks the shard), so concurrent sessions merge instead of
-//! clobbering one snapshot file:
+//! A saved session is a **directory** holding one record file, so
+//! concurrent sessions merge instead of clobbering one snapshot file:
 //!
-//! * every shard is a record log — a magic/revision header followed by
+//! * the file is a record log — a magic/revision header followed by
 //!   length-prefixed records, each carrying an FNV-1a checksum and one
 //!   verdict entry (see `encode_payload`);
-//! * shards are written via sibling tempfile + atomic rename, so a crash
-//!   at any point leaves either the old shard or the new one — never a
+//! * the file is written via sibling tempfile + atomic rename, so a crash
+//!   at any point leaves either the old file or the new one — never a
 //!   truncated hybrid;
-//! * a per-shard advisory lock file (`shard-NN.lock`, acquired with
-//!   `O_EXCL`-style `create_new`) serializes writers: a save reads the
-//!   current shard under the lock, unions its entries in, and rewrites —
-//!   so two concurrent sessions **merge instead of clobber** (the union
-//!   of their verdicts survives, proven by the concurrency tests).
+//! * an advisory lock file (`verdicts.lock`, acquired with
+//!   `O_EXCL`-style `create_new`, present only while a save runs)
+//!   serializes writers: a save reads the current file under the lock,
+//!   unions its entries in, and rewrites — so two concurrent sessions
+//!   **merge instead of clobber** (the union of their verdicts survives,
+//!   proven by the concurrency tests).
 //!
-//! A persisted verdict is only a cache entry: a shard written under
+//! A persisted verdict is only a cache entry: a file written under
 //! another encoder revision reads as empty and its verdicts are re-solved.
 //! Both ends refuse a path that is a regular file.
 //!
@@ -55,24 +54,27 @@ use crate::encode::ConsistencyLevel;
 use crate::engine::{detect_batch, DetectMode, DetectionEngine};
 use crate::session::DetectSession;
 
-/// Number of shard files a v2 store spreads its entries over. An entry's
-/// shard is the high nibble of its first canonical fingerprint, so the
-/// assignment is stable across processes and store generations.
-pub(crate) const SHARD_COUNT: usize = 16;
+/// Magic + version header of the store's record file. The magic names
+/// the header layout only: the record layout is covered by
+/// [`ENCODER_REVISION`], so the magic stays `v3` when the records change.
+/// A `v2` store (sixteen shard files, each with a longer header) is
+/// named differently, so it reads as an empty store.
+const STORE_MAGIC: &[u8; 8] = b"ATRVC\x03\0\0";
 
-/// Magic + version header of one v2 shard file. The magic names the shard
-/// header only: the record layout is covered by [`ENCODER_REVISION`], so
-/// the magic stays `v2` when the records change.
-const SHARD_MAGIC: &[u8; 8] = b"ATRVC\x02\0\0";
+/// The record file inside a store directory.
+pub(crate) const STORE_FILE: &str = "verdicts.v3";
 
-/// Revision of the *encoder* that produced a shard, written right after
-/// the magic. The format version (`v2`, in the magic) names the header
+/// The advisory lock file a save holds inside a store directory.
+const LOCK_FILE: &str = "verdicts.lock";
+
+/// Revision of the *encoder* that produced a store, written right after
+/// the magic. The format version (`v3`, in the magic) names the header
 /// layout; the encoder revision names the record layout and the semantics
 /// of what the verdicts *mean* — bump it whenever the record encoding, the
 /// fingerprint function, the violation templates, the encoding, or the
-/// anomaly vocabulary changes. A shard written under another revision
-/// reads as empty ([`CorpusStore::read_shard`]): its verdicts are
-/// re-solved, and the next merge rewrites the shard under this revision.
+/// anomaly vocabulary changes. A store written under another revision
+/// reads as empty ([`CorpusStore::read_records`]): its verdicts are
+/// re-solved, and the next merge rewrites the file under this revision.
 /// Not even a certified clean verdict survives, because a certificate
 /// refutes the clauses its own solver logged, not the queries the current
 /// encoder issues for the group. The value is high-entropy on purpose, so
@@ -92,10 +94,12 @@ const SHARD_MAGIC: &[u8; 8] = b"ATRVC\x02\0\0";
 /// `0xA750_0006`: records no longer carry a unix-seconds stamp (the store
 /// no longer evicts), so the tag is followed directly by the member
 /// fingerprints. Verdicts mean what they meant under `0xA750_0005`; a
-/// shard in the older layout reads as empty and is re-solved.
+/// store in the older layout reads as empty and is re-solved. (The move
+/// from sixteen `v2` shard files to one `v3` file changed only the
+/// header, so it kept this revision.)
 pub(crate) const ENCODER_REVISION: u32 = 0xA750_0006;
 
-/// How long a writer waits for a shard lock before giving up.
+/// How long a writer waits for the store lock before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Age after which a lock file is presumed abandoned (a crashed holder)
@@ -103,7 +107,7 @@ const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
 const LOCK_STALE_AFTER: Duration = Duration::from_secs(30);
 
 fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("verdict_cache.v2: {msg}"))
+    io::Error::new(io::ErrorKind::InvalidData, format!("verdict_cache.v3: {msg}"))
 }
 
 /// FNV-1a 64-bit over `bytes`: the per-record checksum. Chosen over the
@@ -149,21 +153,21 @@ pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(format!(".{name}.tmp.{}.{seq}", std::process::id()))
 }
 
-/// RAII advisory lock on one shard: a `shard-NN.lock` file created with
+/// RAII advisory lock on a store: a [`LOCK_FILE`] created with
 /// `create_new` (fails if it exists), deleted on drop. Waiters poll; a
 /// lock older than [`LOCK_STALE_AFTER`] is presumed abandoned by a
 /// crashed holder and removed.
-struct ShardLock {
+struct StoreLock {
     path: PathBuf,
 }
 
-impl ShardLock {
-    fn acquire(dir: &Path, shard: usize) -> io::Result<ShardLock> {
-        let path = dir.join(format!("shard-{shard:02}.lock"));
+impl StoreLock {
+    fn acquire(dir: &Path) -> io::Result<StoreLock> {
+        let path = dir.join(LOCK_FILE);
         let started = Instant::now();
         loop {
             match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(_) => return Ok(ShardLock { path }),
+                Ok(_) => return Ok(StoreLock { path }),
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                     let stale = fs::metadata(&path)
                         .and_then(|m| m.modified())
@@ -179,7 +183,7 @@ impl ShardLock {
                     if started.elapsed() > LOCK_TIMEOUT {
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
-                            format!("timed out waiting for shard lock {}", path.display()),
+                            format!("timed out waiting for store lock {}", path.display()),
                         ));
                     }
                     std::thread::sleep(Duration::from_millis(2));
@@ -190,16 +194,10 @@ impl ShardLock {
     }
 }
 
-impl Drop for ShardLock {
+impl Drop for StoreLock {
     fn drop(&mut self) {
         let _ = fs::remove_file(&self.path);
     }
-}
-
-/// The shard an entry lives in: the high nibble of its first canonical
-/// fingerprint.
-fn shard_of(key: &GroupKey) -> usize {
-    ((key.fps()[0] >> 60) as usize) % SHARD_COUNT
 }
 
 /// One record's payload. Every integer is little-endian; strings are UTF-8
@@ -399,12 +397,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The keyed records of a store (or one shard).
+/// The keyed records of a store.
 type Records = BTreeMap<GroupKey, VerdictEntry>;
 
-/// A sharded, concurrently mergeable on-disk verdict store — the
-/// `verdict_cache.v2` format (see the [module docs](self) for the
-/// layout and locking story).
+/// A concurrently mergeable on-disk verdict store — the
+/// `verdict_cache.v3` format (see the [module docs](self) for the layout
+/// and locking story).
 pub(crate) struct CorpusStore {
     dir: PathBuf,
 }
@@ -423,7 +421,7 @@ impl CorpusStore {
             return Err(io::Error::new(
                 io::ErrorKind::NotADirectory,
                 format!(
-                    "verdict_cache.v2: {} is not a store directory",
+                    "verdict_cache.v3: {} is not a store directory",
                     path.display()
                 ),
             ));
@@ -434,37 +432,31 @@ impl CorpusStore {
         })
     }
 
-    fn shard_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard-{shard:02}.v2"))
+    fn path(&self) -> PathBuf {
+        self.dir.join(STORE_FILE)
     }
 
-    /// Reads and validates one shard file into `into`. A missing shard is
-    /// an empty shard, and so is a shard written by a different encoder
-    /// revision (see [`ENCODER_REVISION`]).
-    fn read_shard(&self, shard: usize, into: &mut Records) -> io::Result<()> {
-        let bytes = match fs::read(self.shard_path(shard)) {
+    /// Reads and validates the record file. A missing file is an empty
+    /// store, and so is a file written by a different encoder revision
+    /// (see [`ENCODER_REVISION`]).
+    fn read_records(&self) -> io::Result<Records> {
+        let mut records = Records::new();
+        let bytes = match fs::read(self.path()) {
             Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(records),
             Err(e) => return Err(e),
         };
-        if bytes.len() < SHARD_MAGIC.len() + 12 {
-            return Err(bad("truncated shard header"));
+        if bytes.len() < STORE_MAGIC.len() + 4 {
+            return Err(bad("truncated store header"));
         }
-        if &bytes[..8] != SHARD_MAGIC {
-            return Err(bad("bad shard magic (not a v2 shard, or a future version)"));
+        if &bytes[..8] != STORE_MAGIC {
+            return Err(bad("bad store magic (not a v3 store, or a future version)"));
         }
         let revision = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         if revision != ENCODER_REVISION {
-            return Ok(());
+            return Ok(records);
         }
-        let idx = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        let count = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
-        if idx != shard || count != SHARD_COUNT {
-            return Err(bad(&format!(
-                "shard header names shard {idx}/{count}, expected {shard}/{SHARD_COUNT}"
-            )));
-        }
-        let mut pos = 20;
+        let mut pos = 12;
         while pos < bytes.len() {
             if bytes.len() - pos < 12 {
                 return Err(bad("truncated record header"));
@@ -479,77 +471,61 @@ impl CorpusStore {
             let payload = &bytes[pos..pos + len];
             pos += len;
             if fnv1a(payload) != sum {
-                return Err(bad("record checksum mismatch (corrupt shard)"));
+                return Err(bad("record checksum mismatch (corrupt store)"));
             }
             let (key, entry) = decode_payload(payload)?;
-            into.insert(key, entry);
+            records.insert(key, entry);
         }
-        Ok(())
+        Ok(records)
     }
 
-    /// Rewrites one shard file (atomically) from its keyed records.
-    fn write_shard(&self, shard: usize, records: &Records) -> io::Result<()> {
+    /// Rewrites the record file (atomically) from its keyed records.
+    fn write_records(&self, records: &Records) -> io::Result<()> {
         let mut out = Vec::new();
-        out.extend_from_slice(SHARD_MAGIC);
+        out.extend_from_slice(STORE_MAGIC);
         put_u32(&mut out, ENCODER_REVISION);
-        put_u32(&mut out, shard as u32);
-        put_u32(&mut out, SHARD_COUNT as u32);
         for (key, entry) in records {
             let payload = encode_payload(key, entry);
             put_u32(&mut out, payload.len() as u32);
             put_u64(&mut out, fnv1a(&payload));
             out.extend_from_slice(&payload);
         }
-        write_atomic(&self.shard_path(shard), &out)
+        write_atomic(&self.path(), &out)
     }
 
-    /// Union-merges every verdict entry of `session` into the store. Each
-    /// touched shard is read, merged, and atomically rewritten under its
-    /// advisory lock, so concurrent sessions merging into one store
-    /// produce the union of their verdicts — never a clobber. Under a key
-    /// the store already holds, the session's entry replaces the stored
-    /// one: the encoder revision pins what a key's verdict means.
+    /// Union-merges every verdict entry of `session` into the store: the
+    /// record file is read, merged, and atomically rewritten under the
+    /// store's advisory lock, so concurrent sessions merging into one
+    /// store produce the union of their verdicts — never a clobber. Under
+    /// a key the store already holds, the session's entry replaces the
+    /// stored one: the encoder revision pins what a key's verdict means.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; a corrupt shard fails the merge with
-    /// `InvalidData` (nothing is overwritten). A revision-stale shard
-    /// reads as empty, so the merge rewrites it under the current
-    /// revision with only this session's verdicts.
+    /// Propagates I/O errors; a corrupt file fails the merge with
+    /// `InvalidData` (nothing is overwritten). A revision-stale file reads
+    /// as empty, so the merge rewrites it under the current revision with
+    /// only this session's verdicts.
     pub(crate) fn merge_cache(&self, session: &DetectSession) -> io::Result<()> {
-        // Bucket the session's entries by shard first, so each lock is
-        // held exactly once.
-        let mut by_shard: BTreeMap<usize, Vec<(&GroupKey, &VerdictEntry)>> = BTreeMap::new();
-        for (k, e) in session.entries() {
-            by_shard.entry(shard_of(k)).or_default().push((k, e));
+        let _lock = StoreLock::acquire(&self.dir)?;
+        let mut records = self.read_records()?;
+        for (key, entry) in session.entries() {
+            records.insert(*key, entry.clone());
         }
-        for (shard, entries) in by_shard {
-            let _lock = ShardLock::acquire(&self.dir, shard)?;
-            let mut records = Records::new();
-            self.read_shard(shard, &mut records)?;
-            for (key, entry) in entries {
-                records.insert(*key, entry.clone());
-            }
-            self.write_shard(shard, &records)?;
-        }
-        Ok(())
+        self.write_records(&records)
     }
 
-    /// Loads every shard into a fresh [`DetectSession`]: entries land in
-    /// run 0 (warm for every following run) and seed the liveness union.
+    /// Loads the record file into a fresh [`DetectSession`]: entries land
+    /// in run 0, warm for every following run.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; a corrupt record (checksum mismatch,
     /// truncation, unknown tag) is refused with `InvalidData`. A
-    /// revision-stale shard reads as empty.
+    /// revision-stale file reads as empty.
     pub(crate) fn load_cache(&self) -> io::Result<DetectSession> {
-        let mut records = Records::new();
-        for shard in 0..SHARD_COUNT {
-            self.read_shard(shard, &mut records)?;
-        }
         let mut session = DetectSession::new();
-        for (key, entry) in records {
+        for (key, entry) in self.read_records()? {
             session.absorb(key, entry);
         }
         Ok(session)
@@ -560,8 +536,6 @@ impl CorpusStore {
 /// work the corpus-wide fingerprint dedup avoided.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorpusStats {
-    /// Programs analysed.
-    pub programs: usize,
     /// Ordered transaction pairs planned across the whole corpus (what a
     /// program-at-a-time driver would have looked up).
     pub pair_slots: u64,
@@ -652,7 +626,7 @@ mod tests {
             DetectMode::Pairs,
             &mut session,
         );
-        assert_eq!(stats.programs, 8);
+        assert_eq!(verdicts.len(), 8);
         assert_eq!(stats.pair_slots, 8, "one ordered self-pair per copy");
         assert_eq!(stats.unique_pairs, 1, "fingerprint dedup across the corpus");
         for v in &verdicts {
@@ -679,16 +653,20 @@ mod tests {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         assert_eq!(session.save_to(&dir).expect("save"), 1);
-        let store = CorpusStore::open(&dir).expect("open");
-        let shards = || -> Vec<Option<Vec<u8>>> {
-            (0..SHARD_COUNT)
-                .map(|i| fs::read(store.shard_path(i)).ok())
-                .collect()
+        let files = || -> Vec<(PathBuf, Vec<u8>)> {
+            let mut files: Vec<_> = fs::read_dir(&dir)
+                .expect("read store dir")
+                .map(|e| e.expect("dir entry").path())
+                .map(|f| (f.clone(), fs::read(&f).expect("read file")))
+                .collect();
+            files.sort();
+            files
         };
-        let saved = shards();
-        assert_eq!(saved.iter().flatten().count(), 1, "one entry, one shard");
+        let saved = files();
+        assert_eq!(saved.len(), 1, "one entry, one file");
+        assert_eq!(saved[0].0, dir.join(STORE_FILE));
         session.save_to(&dir).expect("re-save");
-        assert_eq!(shards(), saved);
+        assert_eq!(files(), saved);
         let loaded = DetectSession::load_from(&dir).expect("load");
         assert_eq!(loaded.len(), 1);
         let _ = fs::remove_dir_all(&dir);
@@ -718,7 +696,7 @@ mod tests {
              return 0;
          }";
 
-    /// Shard records are outside input. Byte mutations inside one record,
+    /// Store records are outside input. Byte mutations inside one record,
     /// re-sealed with a recomputed checksum so they reach the payload
     /// decoder, must load or fail with `InvalidData`, never panic; a
     /// loaded session must answer detection passes in both modes.
@@ -749,31 +727,23 @@ mod tests {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         session.save_to(&dir).expect("save");
-        let store = CorpusStore::open(&dir).expect("open");
-        let shards: Vec<(PathBuf, Vec<u8>)> = (0..SHARD_COUNT)
-            .filter_map(|i| {
-                fs::read(store.shard_path(i))
-                    .ok()
-                    .map(|b| (store.shard_path(i), b))
-            })
-            .collect();
-        // Every record as (shard, offset of its length prefix, payload length).
+        let path = dir.join(STORE_FILE);
+        let pristine = fs::read(&path).expect("read store");
+        // Every record as (offset of its length prefix, payload length); the
+        // records start after the 12-byte magic + revision header.
         let mut records = Vec::new();
-        for (s, (_, bytes)) in shards.iter().enumerate() {
-            let mut pos = 20;
-            while pos < bytes.len() {
-                let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-                records.push((s, pos, len));
-                pos += 12 + len;
-            }
+        let mut pos = STORE_MAGIC.len() + 4;
+        while pos < pristine.len() {
+            let len = u32::from_le_bytes(pristine[pos..pos + 4].try_into().unwrap()) as usize;
+            records.push((pos, len));
+            pos += 12 + len;
         }
 
         let engine = DetectionEngine::serial();
         let mut rng = proptest::rng::TestRng::seed_from_u64(0xA7_5707);
         let (mut loaded, mut refused) = (0, 0);
         for case in 0..2000 {
-            let (s, at, len) = records[rng.below(records.len() as u64) as usize];
-            let (path, pristine) = &shards[s];
+            let (at, len) = records[rng.below(records.len() as u64) as usize];
             let mut bytes = pristine.clone();
             let payload = at + 12..at + 12 + len;
             for _ in 0..=rng.below(3) {
@@ -781,7 +751,7 @@ mod tests {
             }
             let sum = fnv1a(&bytes[payload]);
             bytes[at + 4..at + 12].copy_from_slice(&sum.to_le_bytes());
-            fs::write(path, &bytes).expect("write mutant");
+            fs::write(&path, &bytes).expect("write mutant");
             match DetectSession::load_from(&dir) {
                 Ok(mut session) => {
                     loaded += 1;
@@ -795,7 +765,7 @@ mod tests {
                     refused += 1;
                 }
             }
-            fs::write(path, pristine).expect("restore shard");
+            fs::write(&path, &pristine).expect("restore store");
         }
         assert!(
             loaded > 500 && refused > 100,

@@ -72,7 +72,7 @@ pub enum AnomalyKind {
 }
 
 impl AnomalyKind {
-    /// Stable serialization tag (the `verdict_cache.v2` record format).
+    /// Stable serialization tag (the `verdict_cache.v3` record format).
     pub(crate) fn tag(self) -> u8 {
         match self {
             AnomalyKind::LostUpdate => 0,

@@ -72,7 +72,7 @@ impl ConsistencyLevel {
     ];
 
     /// Dense index (position in [`ConsistencyLevel::ALL`]) — also the
-    /// stable serialization tag of the `verdict_cache.v2` format.
+    /// stable serialization tag of the `verdict_cache.v3` format.
     pub(crate) fn index(self) -> usize {
         match self {
             ConsistencyLevel::EventualConsistency => 0,
@@ -675,9 +675,10 @@ pub struct PairSolver {
     carried: Option<Vec<bool>>,
 }
 
-// Retained pair solvers travel between the detection engine's workers via
-// the sharded retention map; `PairSolver` (and the model it is grounded
-// from) must therefore stay `Send`.
+// A retained pair solver travels from the session to the detection
+// engine's worker inside its group's work item and back at the merge;
+// `PairSolver` (and the model it is grounded from) must therefore stay
+// `Send`.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<PairSolver>();

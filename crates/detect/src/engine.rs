@@ -16,28 +16,31 @@
 //! 1. **Plan** (serial): summarize every program, fingerprint every
 //!    transaction and cut every ordered pair into its two conflict slices
 //!    (each member's commands on tables the other accesses, see
-//!    [`crate::cache`]), sweep the cache's liveness union, and look every
-//!    slot — each ordered pair, keyed by its slices, and, in triple mode,
-//!    each unordered triple of distinct transactions — up in the verdict
-//!    cache under its `GroupKey`. A miss becomes a work item unless an
-//!    earlier slot (of any program in the batch) already planned its key;
-//!    statically template-free triples are settled with an empty verdict
-//!    without ever grounding a model.
-//! 2. **Solve** (parallel): `std::thread::scope` workers drain the work
-//!    list through an atomic cursor. Each worker takes the item's retained
-//!    `GroupState` from the sharded retention map (states migrate freely
-//!    between workers — they are `Send`) or grounds a new one over the
-//!    slot's slices, solves it with the one solve frame every bound
-//!    shares, and returns the state to its shard.
+//!    [`crate::cache`]), and look every slot — each ordered pair, keyed by
+//!    its slices, and, in triple mode, each unordered triple of distinct
+//!    transactions — up in the verdict cache under its `GroupKey`. A miss
+//!    becomes a work item unless an earlier slot (of any program in the
+//!    batch) already planned its key; statically template-free triples are
+//!    settled with an empty verdict without ever grounding a model. Then,
+//!    in plan order, each work item takes its group's retained
+//!    `GroupState` out of the session. Keys that differ only in the
+//!    symmetric flag or the level share one state: the first such item
+//!    gets it, and a later one grounds a fresh model.
+//! 2. **Solve** (parallel): `std::thread::scope` workers drain the owned
+//!    work items from a queue, each item to exactly one worker. A worker
+//!    solves its item's state, or a new one grounded over the slot's
+//!    slices, with the one solve frame every bound shares, and returns the
+//!    state in its outcome. No worker touches the session.
 //! 3. **Merge** (serial, deterministic): verdicts are inserted into the
-//!    cache **in plan order**, not in completion order, and every slot is
-//!    then answered from the cache, its findings mapped from slice
-//!    positions to its members' commands and labelled by its own program.
-//!    The output — verdicts, the entire [`DetectStats`] except wall-clock
-//!    seconds, and every downstream repair decision — is byte-identical at
-//!    any thread count (pinned by `tests/parallel_determinism.rs` and
-//!    `tests/triple_vs_pair.rs` on all nine workloads) and for a program
-//!    alone or inside any corpus (`tests/corpus_differential.rs`).
+//!    cache and states returned to it **in plan order**, not in completion
+//!    order, and every slot is then answered from the cache, its findings
+//!    mapped from slice positions to its members' commands and labelled by
+//!    its own program. The output — verdicts, the entire [`DetectStats`]
+//!    and [`crate::CacheStats`] except wall-clock seconds, and every
+//!    downstream repair decision — is byte-identical at any thread count
+//!    (pinned by `tests/parallel_determinism.rs`, `tests/triple_vs_pair.rs`
+//!    and `tests/corpus_differential.rs`) and for a program alone or
+//!    inside any corpus (`tests/corpus_differential.rs`).
 //!
 //! With one thread the scope is skipped and phase 2 runs inline. This
 //! driver is the only way detection runs: [`crate::detect_anomalies`] is
@@ -48,7 +51,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use atropos_dsl::Program;
@@ -265,6 +268,14 @@ impl Slot {
     }
 }
 
+/// One dirty work item: the first slot (with its program) of a planned
+/// key, and its group's retained state if the session held one.
+struct Work {
+    prog: usize,
+    slot: Slot,
+    state: Option<GroupState>,
+}
+
 /// The outcome of solving one dirty work item, produced on whatever worker
 /// claimed it and merged on the coordinating thread.
 struct Outcome {
@@ -274,38 +285,44 @@ struct Outcome {
     /// Proof certificates of this item's UNSAT queries (empty when proof
     /// capture is off), stored with the verdict at the merge point.
     proofs: Vec<Vec<u8>>,
+    /// The group's state after the solve, returned to the session at the
+    /// merge.
+    state: GroupState,
 }
 
-/// Drains `items` through an atomic work cursor on up to `threads` scoped
-/// workers (inline when the batch is too small to feed more than one —
-/// incremental repair's later passes dirty a handful of items, and paying
-/// a spawn/join round-trip for them would hand the serial driver a
-/// regression). Returns the outcomes indexed like `items`, never in
-/// completion order.
-fn run_pool<T: Sync>(
+/// Drains the owned `items` on up to `threads` scoped workers, each item
+/// claimed by exactly one worker (inline when the batch is too small to
+/// feed more than one — incremental repair's later passes dirty a handful
+/// of items, and paying a spawn/join round-trip for them would hand the
+/// serial driver a regression). Returns the outcomes indexed like
+/// `items`, never in completion order.
+fn run_pool<T: Send>(
     threads: usize,
-    items: &[T],
-    solve: impl Fn(&T) -> Outcome + Sync,
+    items: Vec<T>,
+    solve: impl Fn(T) -> Outcome + Sync,
 ) -> Vec<Outcome> {
-    let workers = threads.min(items.len() / MIN_PAIRS_PER_WORKER).max(1);
+    let n = items.len();
+    let workers = threads.min(n / MIN_PAIRS_PER_WORKER).max(1);
     if workers <= 1 {
-        return items.iter().map(solve).collect();
+        return items.into_iter().map(solve).collect();
     }
-    let next = AtomicUsize::new(0);
-    let (solve, next) = (&solve, &next);
-    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(items.len());
-    outcomes.resize_with(items.len(), || None);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (solve, queue) = (&solve, &queue);
+    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(n);
+    outcomes.resize_with(n, || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= items.len() {
+                        // A statement of its own, so the guard is dropped
+                        // before the solve, not held through it.
+                        let next = queue.lock().expect("work queue poisoned").next();
+                        let Some((k, item)) = next else {
                             return out;
-                        }
-                        out.push((k, solve(&items[k])));
+                        };
+                        out.push((k, solve(item)));
                     }
                 })
             })
@@ -380,19 +397,13 @@ pub(crate) fn detect_batch(
     session: &mut DetectSession,
 ) -> (Vec<(Vec<AccessPair>, DetectStats)>, CorpusStats) {
     let started = Instant::now();
-    let mut batch = CorpusStats {
-        programs: programs.len(),
-        ..CorpusStats::default()
-    };
+    let mut batch = CorpusStats::default();
 
-    // Plan (serial): summarize and fingerprint everything and fold the
-    // whole batch into the liveness union *first* (so no program's slots
-    // sweep another's entries) — an entry the sweep keeps is guaranteed to
-    // hit below. Then one lookup per slot: a hit is answered on the spot,
-    // a miss once its key is solved (each key is planned once).
+    // Plan (serial): summarize and fingerprint everything, then one lookup
+    // per slot: a hit is answered on the spot, a miss once its key is
+    // solved (each key is planned once).
     let sums: Vec<Vec<TxnSummary>> = programs.iter().map(|p| summarize_program(p)).collect();
     let keys: Vec<ProgramKeys> = sums.iter().map(|s| ProgramKeys::new(s)).collect();
-    session.sweep_live(keys.iter().flat_map(ProgramKeys::live));
     let mut planned: HashSet<GroupKey> = HashSet::new();
     // The first slot (with its program) of every planned key.
     let mut misses: Vec<(usize, Slot)> = Vec::new();
@@ -427,37 +438,46 @@ pub(crate) fn detect_batch(
     batch.unique_pairs = misses.iter().filter(|(_, m)| m.key.k() == 2).count() as u64;
     batch.unique_triples = misses.len() as u64 - batch.unique_pairs;
 
-    // Solve (parallel): each unique key exactly once, against the shared
-    // retained-state shards.
-    let outcomes = run_pool(engine.threads(), &misses, |(prog, m)| {
-        let grounded = m.grounded(&sums[*prog], &keys[*prog]);
+    // Each work item carries its group's retained state, taken out in plan
+    // order: of two keys sharing one state, the first gets it.
+    let work: Vec<Work> = misses
+        .iter()
+        .map(|&(prog, slot)| Work {
+            prog,
+            slot,
+            state: session.states_mut().remove(&slot.key.state()),
+        })
+        .collect();
+
+    // Solve (parallel): each unique key exactly once, each on the one
+    // worker that claims its item.
+    let outcomes = run_pool(engine.threads(), work, |Work { prog, slot, state }| {
+        let grounded = slot.grounded(&sums[prog], &keys[prog]);
         let ts: Vec<&TxnSummary> = grounded.iter().map(|t| t.as_ref()).collect();
-        let states = session.states();
-        let mut state = states
-            .take(&m.key.state())
-            .unwrap_or_else(|| GroupState::new(&ts));
+        let mut state = state.unwrap_or_else(|| GroupState::new(&ts));
         let solver_reused = state.solver.is_some();
         let (findings, stats, proofs) = solve_group(
             &ts,
-            m.key.fps(),
-            m.key.symmetric,
+            slot.key.fps(),
+            slot.key.symmetric,
             level,
             &mut state,
             engine.proofs_enabled(),
         );
-        states.store(m.key.state(), state);
         Outcome {
             findings,
             stats,
             solver_reused,
             proofs,
+            state,
         }
     });
 
-    // Merge (serial, plan order): insert verdicts in the serial work
-    // order, whatever order the workers finished in.
+    // Merge (serial, plan order): insert verdicts and return states in the
+    // serial work order, whatever order the workers finished in.
     for ((prog, m), o) in misses.iter().zip(outcomes) {
         session.stats_mut().solver_reuses += u64::from(o.solver_reused);
+        session.states_mut().insert(m.key.state(), o.state);
         batch.solve += o.stats;
         session.insert(m.key, &m.members(&sums[*prog]), o.findings, o.proofs);
     }

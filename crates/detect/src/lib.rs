@@ -32,17 +32,18 @@
 //! * [`engine`] — the [`DetectionEngine`] and the one detection driver:
 //!   plan a batch of programs against the session, solve the deduplicated
 //!   misses on a scoped-thread worker pool (`ATROPOS_THREADS`-controlled),
-//!   and merge deterministically;
+//!   each work item carrying its own retained solver, and merge
+//!   deterministically;
 //! * [`session`] — the [`DetectSession`], the only cache handle: verdicts,
-//!   retained solvers, counters and liveness with a session lifetime,
-//!   shared across repair runs so common transaction shapes hit warm
-//!   verdicts (cross-run counters in [`CacheStats`]); its
-//!   [`DetectSession::save_to`] and [`DetectSession::load_from`] are the
-//!   only way to persist verdicts;
-//! * [`corpus`] — fleet scale: the sharded `verdict_cache.v2` store behind
-//!   those two calls (per-shard advisory locks, checksummed record logs,
-//!   union merge) and [`analyse_corpus`], the driver over a whole corpus
-//!   of programs at once;
+//!   retained solvers and counters with a session lifetime, touched only
+//!   by the coordinating thread and shared across repair runs so common
+//!   transaction shapes hit warm verdicts (cross-run counters in
+//!   [`CacheStats`]); its [`DetectSession::save_to`] and
+//!   [`DetectSession::load_from`] are the only way to persist verdicts;
+//! * [`corpus`] — fleet scale: the `verdict_cache.v3` store behind those
+//!   two calls (one checksummed record file per store directory, one
+//!   advisory lock, union merge) and [`analyse_corpus`], the driver over a
+//!   whole corpus of programs at once;
 //! * [`replay`] — witness replay: the satisfying assignment behind a dirty
 //!   verdict is decoded ([`decode_witness`]) into a concrete
 //!   [`atropos_sim::ConcreteSchedule`] and executed deterministically on
@@ -85,7 +86,7 @@ pub mod replay;
 pub mod session;
 pub mod triple;
 
-pub use cache::{cmd_fingerprint, slice_fingerprint, txn_fingerprint, CacheStats, VerdictAudit};
+pub use cache::{slice_fingerprint, txn_fingerprint, CacheStats, VerdictAudit};
 pub use corpus::{analyse_corpus, CorpusStats, CorpusVerdict};
 pub use engine::{DetectMode, DetectionEngine};
 pub use session::DetectSession;

@@ -1,7 +1,6 @@
 //! The verdict cache with a session lifetime: one [`DetectSession`] holds
-//! every cached verdict, the retained solvers, the cache counters and the
-//! liveness union, and is shared across many detection passes *and many
-//! repair runs*.
+//! every cached verdict, the retained solvers and the cache counters, and
+//! is shared across many detection passes *and many repair runs*.
 //!
 //! An ablation sweep, a random-search baseline, or a whole benchmark suite
 //! constructs one session and hands it to every run, so transaction shapes
@@ -15,28 +14,27 @@
 //!
 //! Verdicts are keyed by member fingerprints, so an edited group simply
 //! misses and a stale entry can never answer (see the fingerprint in
-//! [`crate::cache`]). Nothing is invalidated explicitly: the liveness
-//! sweep every detection pass runs evicts the entries a program edit
-//! stranded.
+//! [`crate::cache`]). Nothing is invalidated explicitly, and a detection
+//! pass evicts nothing, so a pass over one program never drops another
+//! program's warm entries. Entries a program edit stranded stay until a
+//! caller that wants memory bounded between runs calls
+//! [`DetectSession::sweep`], which keeps exactly the entries one program
+//! can still hit.
 //!
-//! # Multi-run lifetimes
+//! # One owner
 //!
-//! Liveness for the per-pass garbage sweep is computed against the **union
-//! of all programs seen** since construction (or since the last explicit
-//! [`DetectSession::sweep`]), so warm entries from a prior run are neither
-//! stranded behind a narrower program nor prematurely dropped before that
-//! run's program comes back. Callers that want memory bounded between runs
-//! call [`DetectSession::sweep`] (one program) or
-//! [`DetectSession::sweep_corpus`] (a corpus) explicitly, which resets
-//! liveness.
+//! A session is plain data that only the engine's coordinating thread
+//! touches: it holds no lock, and no worker borrows it. Each dirty group's
+//! retained solver travels to the worker that solves it inside the group's
+//! work item and comes back at the merge (see [`crate::engine`]).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
 
 use atropos_dsl::Program;
 
-use crate::cache::{CacheStats, GroupKey, ProgramKeys, ShardedStates, VerdictAudit, VerdictEntry};
+use crate::cache::{CacheStats, GroupKey, GroupState, ProgramKeys, VerdictAudit, VerdictEntry};
 use crate::corpus::CorpusStore;
 use crate::detect::Finding;
 use crate::model::{summarize_program, TxnSummary};
@@ -47,9 +45,9 @@ use crate::model::{summarize_program, TxnSummary};
 /// reads and refreshes one; the repair driver owns one per run or, across
 /// runs, one per whole benchmark sweep.
 ///
-/// See the [module docs](self) for why nothing is invalidated and for the
-/// multi-run liveness contract, and [`crate::cache`] for the fingerprint
-/// and the group key.
+/// See the [module docs](self) for why nothing is invalidated and when
+/// entries are evicted, and [`crate::cache`] for the fingerprint and the
+/// group key.
 ///
 /// # Examples
 ///
@@ -76,13 +74,9 @@ use crate::model::{summarize_program, TxnSummary};
 /// ```
 pub struct DetectSession {
     verdicts: HashMap<GroupKey, VerdictEntry>,
-    states: ShardedStates,
+    /// Retained solvers, keyed by [`GroupKey::state`].
+    states: HashMap<GroupKey, GroupState>,
     stats: CacheStats,
-    /// Union of every live slice fingerprint seen since construction or
-    /// the last explicit sweep (a transaction's fingerprint is that of its
-    /// identity slice): the liveness set the per-pass garbage sweep checks
-    /// entries against.
-    live: BTreeSet<u64>,
     /// Current run number; 0 until [`DetectSession::begin_run`] is called.
     run: u64,
 }
@@ -98,9 +92,8 @@ impl DetectSession {
     pub fn new() -> DetectSession {
         DetectSession {
             verdicts: HashMap::new(),
-            states: ShardedStates::new(),
+            states: HashMap::new(),
             stats: CacheStats::default(),
-            live: BTreeSet::new(),
             run: 0,
         }
     }
@@ -170,73 +163,36 @@ impl DetectSession {
             .collect()
     }
 
-    /// Explicit between-runs sweep: **resets** liveness to exactly
-    /// `program` and garbage-collects every verdict and retained solver
-    /// whose fingerprints do not occur in it. The per-pass sweep only ever
-    /// checks against the *union* of programs seen, so this is the call
-    /// that bounds memory once a run's entries are genuinely dead. An
-    /// entry the sweep keeps is guaranteed to hit again on the next pass
-    /// over `program` (its transactions' summaries are unchanged). Returns
-    /// the number of verdict entries evicted.
-    pub fn sweep(&mut self, program: &Program) -> usize {
-        self.sweep_corpus([program])
-    }
-
-    /// [`DetectSession::sweep`] for corpus drivers: resets liveness to the
-    /// **union** of every program in `programs`, evicting entries stranded
-    /// by intermediate refactoring states while keeping every corpus
-    /// program's shapes warm. Returns the number of verdict entries
+    /// Explicit between-runs sweep: evicts every verdict and retained
+    /// solver naming a fingerprint that does not occur in `program` (no
+    /// detection pass evicts anything), which bounds memory once a run's
+    /// entries are genuinely dead. An entry the sweep keeps is guaranteed
+    /// to hit again on the next pass over `program` (its transactions'
+    /// summaries are unchanged). Returns the number of verdict entries
     /// evicted.
-    pub fn sweep_corpus<'a>(&mut self, programs: impl IntoIterator<Item = &'a Program>) -> usize {
-        self.live = programs
-            .into_iter()
-            .flat_map(|p| {
-                ProgramKeys::new(&summarize_program(p))
-                    .live()
-                    .collect::<Vec<_>>()
-            })
+    pub fn sweep(&mut self, program: &Program) -> usize {
+        let live: HashSet<u64> = ProgramKeys::new(&summarize_program(program))
+            .live()
             .collect();
-        self.retain_live()
+        let keep = |k: &GroupKey| k.fps().iter().all(|fp| live.contains(fp));
+        let before = self.verdicts.len();
+        self.verdicts.retain(|k, _| keep(k));
+        self.states.retain(|k, _| keep(k));
+        let evicted = before - self.verdicts.len();
+        self.stats.invalidated += evicted as u64;
+        evicted
     }
 
-    /// Shared handle to the sharded solver-retention map, for the engine's
-    /// workers.
-    pub(crate) fn states(&self) -> &ShardedStates {
-        &self.states
+    /// The retained solvers, for the engine's coordinating thread: it takes
+    /// each dirty group's state out before the solve and puts it back at
+    /// the merge.
+    pub(crate) fn states_mut(&mut self) -> &mut HashMap<GroupKey, GroupState> {
+        &mut self.states
     }
 
     /// Mutable access to the lifetime counters, for the engine's merge.
     pub(crate) fn stats_mut(&mut self) -> &mut CacheStats {
         &mut self.stats
-    }
-
-    /// The per-pass sweep: folds the pass's live slice fingerprints
-    /// (every transaction's and every pair member's) into the liveness
-    /// union, then garbage-collects entries outside the union. The
-    /// detection driver calls this at the start of every pass with the
-    /// fingerprints it computes anyway. Within a single-program lifetime
-    /// this degenerates to the precise per-program sweep.
-    pub(crate) fn sweep_live(&mut self, fps: impl IntoIterator<Item = u64>) -> usize {
-        self.live.extend(fps);
-        self.retain_live()
-    }
-
-    fn retain_live(&mut self) -> usize {
-        let live = std::mem::take(&mut self.live);
-        let evicted = self.retain_groups(|k| k.fps().iter().all(|fp| live.contains(fp)));
-        self.live = live;
-        evicted
-    }
-
-    /// Keeps exactly the verdicts and retained solvers whose group
-    /// satisfies `keep`, counting the evicted verdict entries.
-    fn retain_groups(&mut self, keep: impl Fn(&GroupKey) -> bool) -> usize {
-        let before = self.verdicts.len();
-        self.verdicts.retain(|k, _| keep(k));
-        self.states.retain(&keep);
-        let evicted = before - self.verdicts.len();
-        self.stats.invalidated += evicted as u64;
-        evicted
     }
 
     /// Looks up the cached verdict of one group, bumping the hit/miss
@@ -309,22 +265,19 @@ impl DetectSession {
         out
     }
 
-    /// Installs an entry loaded from a persistent store into run 0, seeding
-    /// the liveness union with its fingerprints, so a later pass over
-    /// *any* of the programs the entries came from answers warm instead of
-    /// sweeping the rest away first.
+    /// Installs an entry loaded from a persistent store; loaded entries
+    /// carry run 0, so they are warm for every following run.
     pub(crate) fn absorb(&mut self, key: GroupKey, entry: VerdictEntry) {
-        self.live.extend(key.fps().iter().copied());
         self.verdicts.insert(key, entry);
     }
 
-    /// Persists every pair and triple verdict entry into the sharded
-    /// `verdict_cache.v2` store at `dir` (see [`crate::corpus`]), creating
+    /// Persists every pair and triple verdict entry into the
+    /// `verdict_cache.v3` store at `dir` (see [`crate::corpus`]), creating
     /// the directory if it is missing. This session's verdicts are
-    /// **union-merged** in under per-shard advisory locks, so concurrent
+    /// **union-merged** in under the store's advisory lock, so concurrent
     /// sessions saving to one store combine instead of clobbering each
-    /// other, and every shard lands via a sibling tempfile and an atomic
-    /// rename, so a crash mid-save leaves the previous shard intact.
+    /// other, and the record file lands via a sibling tempfile and an
+    /// atomic rename, so a crash mid-save leaves the previous file intact.
     ///
     /// Retained solvers are transient and not persisted — a loaded
     /// session re-encodes on its first miss but never re-solves a
@@ -342,9 +295,7 @@ impl DetectSession {
 
     /// Reconstructs a session from a [`DetectSession::save_to`] store
     /// directory. All entries load into run 0 (warm for every following
-    /// run), and the liveness union is seeded with every persisted
-    /// fingerprint so a pass over one program does not sweep away another
-    /// program's entries.
+    /// run).
     ///
     /// # Errors
     ///
@@ -357,7 +308,7 @@ impl DetectSession {
         if !dir.exists() {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
-                format!("verdict_cache.v2: no store at {}", dir.display()),
+                format!("verdict_cache.v3: no store at {}", dir.display()),
             ));
         }
         CorpusStore::open(dir)?.load_cache()
@@ -407,15 +358,11 @@ mod tests {
         path
     }
 
-    /// The store's shard files, sorted.
-    fn shards(dir: &Path) -> Vec<PathBuf> {
-        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-            .expect("read store dir")
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.extension().is_some_and(|e| e == "v2"))
-            .collect();
-        files.sort();
-        files
+    /// The store's record file, which a save must have written.
+    fn store_file(dir: &Path) -> PathBuf {
+        let file = dir.join(crate::corpus::STORE_FILE);
+        assert!(file.is_file(), "no record file in {}", dir.display());
+        file
     }
 
     /// A store holding the Relay program's EC pair verdicts.
@@ -453,9 +400,7 @@ mod tests {
         assert_eq!(delta.misses + delta.triple_misses, 0, "{delta:?}");
 
         // Corrupt data is refused, not misread.
-        for shard in shards(&dir) {
-            std::fs::write(&shard, b"not a verdict cache").expect("overwrite");
-        }
+        std::fs::write(store_file(&dir), b"not a verdict cache").expect("overwrite");
         assert!(DetectSession::load_from(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -482,24 +427,25 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A shard cut off *inside* a length-prefixed record — valid magic,
-    /// valid revision, clean EOF mid-record (a partial write or copy) —
-    /// must be refused with a clear `InvalidData` error rather than
-    /// loading a silently incomplete session.
+    /// A record file cut off *inside* a length-prefixed record — valid
+    /// magic, valid revision, clean EOF mid-record (a partial write or
+    /// copy) — must be refused with a clear `InvalidData` error rather
+    /// than loading a silently incomplete session.
     #[test]
     fn mid_record_truncation_is_refused() {
         let (dir, _) = saved_store("truncated");
-        let shard = shards(&dir).pop().expect("at least one shard");
-        let bytes = std::fs::read(&shard).expect("read");
+        let file = store_file(&dir);
+        let bytes = std::fs::read(&file).expect("read");
         // Cut off mid-record at several depths: inside the first record
-        // header, inside its payload, and a few bytes short of the end
-        // (EOF inside the final record).
-        for cut in [24, 40, bytes.len() - 5, bytes.len() - 1] {
+        // header (bytes 12..24, after the 12-byte file header), inside its
+        // payload, and a few bytes short of the end (EOF inside the final
+        // record).
+        for cut in [18, 40, bytes.len() - 5, bytes.len() - 1] {
             assert!(cut < bytes.len(), "fixture large enough");
-            std::fs::write(&shard, &bytes[..cut]).expect("write");
+            std::fs::write(&file, &bytes[..cut]).expect("write");
             let err = match DetectSession::load_from(&dir) {
                 Err(e) => e,
-                Ok(_) => panic!("shard truncated at {cut} accepted"),
+                Ok(_) => panic!("store truncated at {cut} accepted"),
             };
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
             assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
@@ -508,7 +454,7 @@ mod tests {
     }
 
     /// A crash mid-`save_to` must never damage the previously saved
-    /// shard: the write stages into a sibling tempfile and lands via
+    /// file: the write stages into a sibling tempfile and lands via
     /// atomic rename. The test replays the kill by planting exactly the
     /// partial bytes a writer killed partway would leave at the staging
     /// path — the store must still load, byte-for-byte warm.
@@ -517,28 +463,28 @@ mod tests {
         let p = atropos_dsl::parse(RELAY).unwrap();
         let engine = DetectionEngine::serial();
         let (dir, verdicts) = saved_store("crash_save");
-        let shard = shards(&dir).pop().expect("at least one shard");
-        let good = std::fs::read(&shard).expect("read saved shard");
+        let file = store_file(&dir);
+        let good = std::fs::read(&file).expect("read saved file");
 
         // "Kill" a second save partway: the staging sibling holds a
         // truncated prefix, but no rename ever happens.
-        let staged = crate::corpus::tmp_sibling(&shard);
+        let staged = crate::corpus::tmp_sibling(&file);
         std::fs::write(&staged, &good[..good.len() / 2]).expect("partial write");
 
-        // The real shard is untouched and still loads to the same verdicts.
-        assert_eq!(std::fs::read(&shard).expect("reread"), good);
+        // The real file is untouched and still loads to the same verdicts.
+        assert_eq!(std::fs::read(&file).expect("reread"), good);
         let mut reloaded = DetectSession::load_from(&dir).expect("load survives the crash");
         let (again, stats) = pairs(&engine, &p, &mut reloaded);
         assert_eq!(again, verdicts);
         assert_eq!(stats.queries, 0, "reloaded verdicts replay warm");
 
-        // And a completed save atomically replaces the shard, leaving no
-        // staging debris or locks of its own behind.
+        // And a completed save atomically replaces the file, leaving no
+        // staging debris or lock of its own behind.
         reloaded.save_to(&dir).expect("second save");
         let mut left: Vec<PathBuf> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
-            .filter(|f| f != &staged && f.extension().is_none_or(|e| e != "v2"))
+            .filter(|f| f != &staged && f != &file)
             .collect();
         left.sort();
         assert!(left.is_empty(), "debris: {left:?}");
@@ -589,14 +535,13 @@ mod tests {
     #[test]
     fn stale_encoder_revision_is_refused() {
         let (dir, verdicts) = saved_store("stale_revision");
-        // Rewind every shard's encoder-revision field (the 4 bytes after
-        // the magic) to a foreign value, leaving everything else
+        // Rewind the file's encoder-revision field (the 4 bytes after the
+        // magic) to a foreign value, leaving everything else
         // byte-identical.
-        for shard in shards(&dir) {
-            let mut bytes = std::fs::read(&shard).expect("read");
-            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-            std::fs::write(&shard, &bytes).expect("write");
-        }
+        let file = store_file(&dir);
+        let mut bytes = std::fs::read(&file).expect("read");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&file, &bytes).expect("write");
 
         let mut session = DetectSession::load_from(&dir).expect("stale store loads");
         assert!(

@@ -1,9 +1,9 @@
-//! Integration coverage for the sharded `verdict_cache.v2` store, driven
-//! through `DetectSession::save_to` and `DetectSession::load_from`: two
-//! concurrent sessions union-merge (no lost verdicts), corrupt and
-//! truncated shards are refused by byte surgery, and a revision-stale
-//! shard reads as empty, so every verdict is re-solved whether or not it
-//! carries a certificate.
+//! Integration coverage for the `verdict_cache.v3` store, driven through
+//! `DetectSession::save_to` and `DetectSession::load_from`: two concurrent
+//! sessions union-merge under the store's one lock (no lost verdicts),
+//! corrupt and truncated record files are refused by byte surgery, and a
+//! revision-stale store reads as empty, so every verdict is re-solved
+//! whether or not it carries a certificate.
 
 use std::path::{Path, PathBuf};
 
@@ -51,15 +51,15 @@ fn warm_cache(src: &str) -> DetectSession {
     session
 }
 
-/// Every shard file currently in a store directory.
-fn shard_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+/// The record file of a store directory: the only file a store holds
+/// once no save is running.
+fn store_file(dir: &Path) -> PathBuf {
+    let files: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("read store dir")
         .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "v2"))
         .collect();
-    files.sort();
-    files
+    assert_eq!(files.len(), 1, "one record file: {files:?}");
+    files.into_iter().next().expect("one file")
 }
 
 /// Two sessions merging concurrently into one store must produce the
@@ -90,8 +90,8 @@ fn concurrent_sessions_union_merge_without_losing_verdicts() {
     assert!(
         std::fs::read_dir(&dir)
             .unwrap()
-            .all(|e| e.unwrap().path().extension().is_some_and(|x| x == "v2")),
-        "only shard files remain"
+            .all(|e| e.unwrap().path().extension().is_some_and(|x| x == "v3")),
+        "only the record file remains"
     );
 
     // The union answers both programs entirely warm.
@@ -116,34 +116,34 @@ fn corrupt_shard_byte_is_refused_by_checksum() {
     let dir = scratch("corrupt");
     warm_cache(BANK).save_to(&dir).expect("save");
 
-    let shard = shard_files(&dir).pop().expect("at least one shard");
-    let mut bytes = std::fs::read(&shard).expect("read shard");
+    let file = store_file(&dir);
+    let mut bytes = std::fs::read(&file).expect("read store");
     *bytes.last_mut().expect("non-empty") ^= 0xFF; // inside the final record's payload
-    std::fs::write(&shard, &bytes).expect("write corrupted shard");
+    std::fs::write(&file, &bytes).expect("write corrupted store");
 
     let err = match DetectSession::load_from(&dir) {
         Err(e) => e,
-        Ok(_) => panic!("corrupt shard accepted"),
+        Ok(_) => panic!("corrupt store accepted"),
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("checksum"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A shard cut off mid-record — or left zero-length by a crash before its
-/// first write — is refused as truncated.
+/// A record file cut off mid-record — or left zero-length by a crash
+/// before its first write — is refused as truncated.
 #[test]
 fn truncated_shard_is_refused() {
     let dir = scratch("truncated");
     warm_cache(BANK).save_to(&dir).expect("save");
 
-    let shard = shard_files(&dir).pop().expect("at least one shard");
-    let bytes = std::fs::read(&shard).expect("read shard");
+    let file = store_file(&dir);
+    let bytes = std::fs::read(&file).expect("read store");
     for cut in [bytes.len() - 3, 0] {
-        std::fs::write(&shard, &bytes[..cut]).expect("truncate shard");
+        std::fs::write(&file, &bytes[..cut]).expect("truncate store");
         let err = match DetectSession::load_from(&dir) {
             Err(e) => e,
-            Ok(_) => panic!("shard truncated to {cut} bytes accepted"),
+            Ok(_) => panic!("store truncated to {cut} bytes accepted"),
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut at {cut}");
         assert!(err.to_string().contains("truncated"), "cut at {cut}: {err}");
@@ -151,18 +151,17 @@ fn truncated_shard_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Rewrites every shard's encoder-revision field (bytes 8..12, right
+/// Rewrites the record file's encoder-revision field (bytes 8..12, right
 /// after the magic), leaving everything else byte-identical — the surgery
 /// simulating a store written by an older build.
-fn stale_all_shards(dir: &Path) {
-    for shard in shard_files(dir) {
-        let mut bytes = std::fs::read(&shard).expect("read shard");
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&shard, &bytes).expect("write stale shard");
-    }
+fn stale_store(dir: &Path) {
+    let file = store_file(dir);
+    let mut bytes = std::fs::read(&file).expect("read store");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&file, &bytes).expect("write stale store");
 }
 
-/// A revision-stale shard whose records carry no proof certificates must
+/// A revision-stale store whose records carry no proof certificates must
 /// be dropped wholesale: without certificates its verdicts may not mean
 /// what this build thinks, so everything is re-solved.
 #[test]
@@ -170,7 +169,7 @@ fn stale_shard_without_proofs_is_dropped_wholesale() {
     let dir = scratch("stale");
     assert!(warm_cache(COUNTER).save_to(&dir).expect("save") > 0);
 
-    stale_all_shards(&dir);
+    stale_store(&dir);
 
     let stale = DetectSession::load_from(&dir).expect("a stale store loads, not errors");
     assert_eq!(
@@ -181,7 +180,7 @@ fn stale_shard_without_proofs_is_dropped_wholesale() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A revision-stale shard reads as empty even when its clean verdicts
+/// A revision-stale store reads as empty even when its clean verdicts
 /// carry certificates that still check: a certificate refutes the clauses
 /// its own solver logged, not the queries the current encoder issues. So
 /// every verdict is re-solved, and saving rewrites the store under the
@@ -207,7 +206,7 @@ fn stale_certified_shard_is_re_solved_and_rewritten() {
     assert!(certified > 0, "at least one clean verdict is certified");
     let total = session.save_to(&dir).expect("save");
 
-    stale_all_shards(&dir);
+    stale_store(&dir);
 
     let mut reloaded = DetectSession::load_from(&dir).expect("a stale store loads, not errors");
     assert_eq!(
@@ -225,7 +224,7 @@ fn stale_certified_shard_is_re_solved_and_rewritten() {
     let (pairs, _) = engine.detect_with_mode(&p, EC, DetectMode::Pairs, &mut reloaded);
     assert!(!pairs.is_empty(), "the lost update is re-found");
 
-    // Saving rewrites the stale shards under the current revision.
+    // Saving rewrites the stale store under the current revision.
     reloaded.save_to(&dir).expect("merge over the stale store");
     let again = DetectSession::load_from(&dir).expect("reload");
     assert_eq!(again.len() + again.triple_len(), total);

@@ -9,7 +9,8 @@
 //! that a single program is exactly a corpus of one.
 
 use atropos::detect::{
-    analyse_corpus, ConsistencyLevel, DetectMode, DetectSession, DetectStats, DetectionEngine,
+    analyse_corpus, ConsistencyLevel, CorpusStats, DetectMode, DetectSession, DetectStats,
+    DetectionEngine,
 };
 use atropos::workloads::{all_benchmarks, chain_scenarios};
 use atropos_dsl::{parse, print_program, Program, Stmt};
@@ -273,6 +274,76 @@ fn a_program_is_a_corpus_of_one() {
                 (stats.pairs, stats.triples),
                 "{name} ({mode:?})"
             );
+        }
+    }
+}
+
+/// `p` with its transactions declared in reverse order: every slice
+/// fingerprint survives, but each ordered pair of distinct transactions
+/// runs the symmetric template in one copy and not in the other, so the
+/// two copies plan distinct keys that share one retained solver.
+fn reversed(p: &Program) -> Program {
+    let mut p = p.clone();
+    p.transactions.reverse();
+    p
+}
+
+/// Every Table 1 workload in a corpus with its transaction-reversed twin,
+/// through EC, CC and RR pair passes on one session, rendered with the
+/// wall-clock seconds zeroed: each pass's verdicts, its `CorpusStats` and
+/// the session's `CacheStats` after it.
+fn reordered_twin_passes(threads: usize) -> Vec<String> {
+    let engine = DetectionEngine::new(threads);
+    let mut out = Vec::new();
+    for b in all_benchmarks() {
+        let programs = [
+            (b.name.to_string(), b.program.clone()),
+            (format!("{}+reversed", b.name), reversed(&b.program)),
+        ];
+        let mut session = DetectSession::new();
+        for level in [
+            ConsistencyLevel::EventualConsistency,
+            ConsistencyLevel::CausalConsistency,
+            ConsistencyLevel::RepeatableRead,
+        ] {
+            let (verdicts, stats) =
+                analyse_corpus(&engine, &programs, level, DetectMode::Pairs, &mut session);
+            let stats = CorpusStats {
+                seconds: 0.0,
+                solve: DetectStats {
+                    seconds: 0.0,
+                    ..stats.solve
+                },
+                ..stats
+            };
+            let rendered: Vec<String> = verdicts
+                .iter()
+                .map(|v| format!("{}: {:?}", v.name, v.verdicts))
+                .collect();
+            out.push(format!(
+                "{} @ {level:?}: {rendered:?} {stats:?} {:?}",
+                b.name,
+                session.cache_stats()
+            ));
+        }
+    }
+    out
+}
+
+/// Two planned keys that differ only in the symmetric flag share one
+/// retained solver, which goes to the first in plan order while the
+/// second grounds its own. So the solve counters, not only the verdicts,
+/// are byte-identical at every thread count, pass after pass.
+#[test]
+fn reordered_twins_are_thread_count_invariant() {
+    let reference = reordered_twin_passes(1);
+    for threads in THREAD_COUNTS {
+        for rep in 0..3 {
+            let got = reordered_twin_passes(threads);
+            for (want, got) in reference.iter().zip(&got) {
+                assert_eq!(got, want, "{threads} threads, repetition {rep}");
+            }
+            assert_eq!(got.len(), reference.len());
         }
     }
 }
