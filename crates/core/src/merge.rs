@@ -92,71 +92,74 @@ fn touches_schema(s: &Stmt, schema: &str) -> bool {
 /// the same kind, on the same schema, with syntactically equal filters, and
 /// adjacent up to commands on other schemas. On success the merged command
 /// keeps `l1`'s label and position.
+///
+/// The merge is first looked for on the borrowed program: most probes
+/// merge nothing, and only one that merges copies the program and
+/// type-checks the copy.
 pub fn try_merging(program: &Program, l1: &CmdLabel, l2: &CmdLabel) -> Option<Program> {
     if l1 == l2 {
         return None;
     }
+    let (t, path, block, rename) =
+        program
+            .transactions
+            .iter()
+            .enumerate()
+            .find_map(|(t, txn)| {
+                let mut path = Vec::new();
+                let (block, rename) = find_merge(txn, &txn.body, l1, l2, &mut path)?;
+                Some((t, path, block, rename))
+            })?;
     let mut out = program.clone();
-    let mut merged = false;
-
-    for t in out.transactions.iter_mut() {
-        // Both labels must live in the same statement block.
-        let bindings = select_bindings(t);
-        let mut done = false;
-        let mut rename: Option<(String, String)> = None;
-        visit_block(&mut t.body, l1, l2, &mut done, &mut rename, &bindings);
-        if done {
-            // Variable renames apply to the whole transaction, including
-            // the return expression.
-            if let Some((from, to)) = rename {
-                rename_var_in_txn(t, &from, &to);
-            }
-            merged = true;
-            break;
-        }
+    let txn = &mut out.transactions[t];
+    *block_at(&mut txn.body, &path) = block;
+    // Variable renames apply to the whole transaction, including the
+    // return expression.
+    if let Some((from, to)) = rename {
+        rename_var_in_txn(txn, &from, &to);
     }
-    if !merged {
-        return None;
-    }
-    if check_program(&out).is_err() {
-        return None;
-    }
+    check_program(&out).ok()?;
     Some(out)
 }
 
-fn visit_block(
-    body: &mut Vec<Stmt>,
+/// Finds the merge of `l1` and `l2` in `body`, a block of `txn`, without
+/// changing anything. Both labels must live in one block: `body` itself,
+/// or else a block nested in it, searched in statement order. Returns the
+/// merged block and the variable rename `merge_in_block` asks for, and
+/// leaves in `path` the statement indices that lead from `body` to it.
+fn find_merge(
+    txn: &Transaction,
+    body: &[Stmt],
     l1: &CmdLabel,
     l2: &CmdLabel,
-    done: &mut bool,
-    rename: &mut Option<(String, String)>,
-    bindings: &[(String, String, String)],
-) {
-    if *done {
-        return;
-    }
+    path: &mut Vec<usize>,
+) -> Option<(Vec<Stmt>, Option<(String, String)>)> {
     let pos1 = body.iter().position(|s| s.label() == Some(l1));
     let pos2 = body.iter().position(|s| s.label() == Some(l2));
-    if let (Some(mut i), Some(mut j)) = (pos1, pos2) {
-        let mut labels = (l1.clone(), l2.clone());
-        if i > j {
-            std::mem::swap(&mut i, &mut j);
-            labels = (l2.clone(), l1.clone());
-        }
-        if let Some((new_body, rn)) = merge_in_block(body, i, j, &labels.0, bindings) {
-            *body = new_body;
-            *rename = rn;
-            *done = true;
-        }
-        return;
+    if let (Some(i), Some(j)) = (pos1, pos2) {
+        let (i, j, keep) = if i < j { (i, j, l1) } else { (j, i, l2) };
+        return merge_in_block(body, i, j, keep, &select_bindings(txn));
     }
-    for s in body.iter_mut() {
+    for (k, s) in body.iter().enumerate() {
         if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
-            visit_block(body, l1, l2, done, rename, bindings);
-            if *done {
-                return;
+            path.push(k);
+            if let Some(found) = find_merge(txn, body, l1, l2, path) {
+                return Some(found);
             }
+            path.pop();
         }
+    }
+    None
+}
+
+/// The block `path` leads to from `body` (see [`find_merge`]).
+fn block_at<'a>(body: &'a mut Vec<Stmt>, path: &[usize]) -> &'a mut Vec<Stmt> {
+    let Some((&k, rest)) = path.split_first() else {
+        return body;
+    };
+    match &mut body[k] {
+        Stmt::If { body, .. } | Stmt::Iterate { body, .. } => block_at(body, rest),
+        _ => unreachable!("a merge path runs through nested blocks only"),
     }
 }
 
@@ -340,6 +343,201 @@ pub fn rename_var_in_txn(txn: &mut atropos_dsl::Transaction, from: &str, to: &st
 mod tests {
     use super::*;
     use atropos_dsl::{parse, print_program};
+
+    /// The clone-first `try_merging`: copy the program, merge in the copy,
+    /// type-check it. The differential tests below hold the borrowing
+    /// version to it.
+    fn try_merging_on_a_clone(program: &Program, l1: &CmdLabel, l2: &CmdLabel) -> Option<Program> {
+        if l1 == l2 {
+            return None;
+        }
+        let mut out = program.clone();
+        let mut merged = false;
+        for t in out.transactions.iter_mut() {
+            let bindings = select_bindings(t);
+            let mut done = false;
+            let mut rename: Option<(String, String)> = None;
+            visit_block(&mut t.body, l1, l2, &mut done, &mut rename, &bindings);
+            if done {
+                if let Some((from, to)) = rename {
+                    rename_var_in_txn(t, &from, &to);
+                }
+                merged = true;
+                break;
+            }
+        }
+        if !merged || check_program(&out).is_err() {
+            return None;
+        }
+        Some(out)
+    }
+
+    fn visit_block(
+        body: &mut Vec<Stmt>,
+        l1: &CmdLabel,
+        l2: &CmdLabel,
+        done: &mut bool,
+        rename: &mut Option<(String, String)>,
+        bindings: &[(String, String, String)],
+    ) {
+        if *done {
+            return;
+        }
+        let pos1 = body.iter().position(|s| s.label() == Some(l1));
+        let pos2 = body.iter().position(|s| s.label() == Some(l2));
+        if let (Some(mut i), Some(mut j)) = (pos1, pos2) {
+            let mut labels = (l1.clone(), l2.clone());
+            if i > j {
+                std::mem::swap(&mut i, &mut j);
+                labels = (l2.clone(), l1.clone());
+            }
+            if let Some((new_body, rn)) = merge_in_block(body, i, j, &labels.0, bindings) {
+                *body = new_body;
+                *rename = rn;
+                *done = true;
+            }
+            return;
+        }
+        for s in body.iter_mut() {
+            if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
+                visit_block(body, l1, l2, done, rename, bindings);
+                if *done {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Every command label of `program`, in transaction and statement
+    /// order (nested blocks included).
+    fn labels(program: &Program) -> Vec<CmdLabel> {
+        fn walk(body: &[Stmt], out: &mut Vec<CmdLabel>) {
+            for s in body {
+                out.extend(s.label().cloned());
+                if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
+                    walk(body, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for t in &program.transactions {
+            walk(&t.body, &mut out);
+        }
+        out
+    }
+
+    /// Probes every ordered pair of `program`'s labels (a label with
+    /// itself included) with both versions, asserts equal results and
+    /// returns the number of pairs probed and merged.
+    fn merge_differential(program: &Program) -> (usize, usize) {
+        let labels = labels(program);
+        let mut merges = 0;
+        for l1 in &labels {
+            for l2 in &labels {
+                let got = try_merging(program, l1, l2);
+                assert_eq!(
+                    got,
+                    try_merging_on_a_clone(program, l1, l2),
+                    "{l1:?} {l2:?}"
+                );
+                merges += usize::from(got.is_some());
+            }
+        }
+        (labels.len() * labels.len(), merges)
+    }
+
+    /// The borrowing `try_merging` agrees with the clone-first one on
+    /// every label pair of the ten corpus programs and of their repairs.
+    #[test]
+    fn merge_probe_agrees_with_the_clone_first_merge_on_the_corpus() {
+        use crate::{repair_with_engine, RepairConfig};
+        use atropos_detect::{DetectSession, DetectionEngine};
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/corpus");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("the corpus directory")
+            .map(|e| e.expect("a corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "dsl"))
+            .collect();
+        paths.sort();
+        assert_eq!(paths.len(), 10);
+        let (mut pairs, mut merges) = (0, 0);
+        for path in &paths {
+            let program = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            let repaired = repair_with_engine(
+                &program,
+                &RepairConfig::default(),
+                &DetectionEngine::serial(),
+                &mut DetectSession::new(),
+            )
+            .repaired;
+            for p in [&program, &repaired] {
+                let (n, m) = merge_differential(p);
+                pairs += n;
+                merges += m;
+            }
+        }
+        // Four mergeable pairs, each in both orders, all in the originals:
+        // repair's post-processing already merged them in the repairs.
+        assert_eq!((pairs, merges), (6196, 8));
+    }
+
+    /// Labels in nested `if` and `iterate` blocks, in sibling blocks and in
+    /// blocks at different depths: the borrowing `try_merging` finds the
+    /// same merges as the clone-first one, at any depth.
+    #[test]
+    fn merge_probe_agrees_with_the_clone_first_merge_in_nested_blocks() {
+        let p = parse(
+            "schema T { id: int key, a: int, b: int }
+             schema U { id: int key, z: int }
+             txn nested(k: int) {
+                 @S0 w := select a from T where id = k;
+                 if (k > 0) {
+                     @S1 x := select a from T where id = k;
+                     iterate (2) {
+                         @V1 update U set z = 1 where id = k;
+                         @V2 update U set z = 2 where id = k;
+                     }
+                     @S2 y := select b from T where id = k;
+                     @S3 v := select b from T where id = x.a;
+                 }
+                 if (k > 1) {
+                     @U1 update T set a = 1 where id = k;
+                     @U2 update T set b = 2 where id = k;
+                 }
+                 iterate (3) {
+                     @U3 update T set a = 3 where id = k;
+                     @U4 update T set b = 4 where id = k;
+                 }
+                 return w.a + y.b;
+             }
+             txn siblings(k: int) {
+                 if (k > 0) {
+                     @O1 p := select a from T where id = k;
+                 }
+                 if (k > 0) {
+                     @O2 q := select a from T where id = k;
+                 }
+                 return 0;
+             }",
+        )
+        .unwrap();
+        let (pairs, merges) = merge_differential(&p);
+        assert_eq!(pairs, 12 * 12);
+        let merged = |l1: &str, l2: &str| try_merging(&p, &l1.into(), &l2.into());
+        for (l1, l2) in [("S1", "S2"), ("V1", "V2"), ("U1", "U2"), ("U3", "U4")] {
+            let out = merged(l1, l2).unwrap_or_else(|| panic!("{l1} and {l2} merge"));
+            assert_eq!(out.command_count(), p.command_count() - 1);
+            assert!(merged(l2, l1).is_some());
+        }
+        assert_eq!(merges, 8);
+        // Different blocks never merge: siblings, or one block and a block
+        // nested in it.
+        assert!(merged("O1", "O2").is_none());
+        assert!(merged("S0", "S1").is_none());
+        // The later select re-renders through the surviving variable.
+        let text = print_program(&merged("S1", "S2").unwrap());
+        assert!(text.contains("return w.a + x.b"), "{text}");
+    }
 
     #[test]
     fn merges_two_selects_with_equal_filters() {

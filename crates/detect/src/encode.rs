@@ -37,8 +37,9 @@
 //! model of the query, so the answer is sound. Only SAT answers are
 //! carried over: every UNSAT answer, and so every certificate, comes from
 //! the solver. [`PairSolver::witness`] always searches and never reads the
-//! kept assignment. The witness decoder runs it on clones of never-queried
-//! solvers, so replay's schedules stay those of a one-shot decode.
+//! kept assignment. The witness decoder runs it on copies of never-queried
+//! solvers (a scratch solver refreshed with `clone_from`), so replay's
+//! schedules stay those of a one-shot decode.
 
 use std::collections::HashMap;
 
@@ -343,13 +344,27 @@ impl WitnessTruth {
 }
 
 /// The ord/vis literal layout produced by [`encode_base`].
-#[derive(Clone)]
+#[derive(Default)]
 struct PairEncoding {
     /// `ord[i][j]`: "command i is arbitrated before command j" (None on the
     /// diagonal).
     ord: Vec<Vec<Option<Lit>>>,
     /// `vis[a][c]`: "atom a is visible to command c".
     vis: Vec<Vec<Lit>>,
+}
+
+impl Clone for PairEncoding {
+    fn clone(&self) -> PairEncoding {
+        let mut enc = PairEncoding::default();
+        enc.clone_from(self);
+        enc
+    }
+
+    fn clone_from(&mut self, source: &PairEncoding) {
+        let PairEncoding { ord, vis } = self;
+        ord.clone_from(&source.ord);
+        vis.clone_from(&source.vis);
+    }
 }
 
 impl PairEncoding {
@@ -651,10 +666,10 @@ pub(crate) fn fresh_query(
 /// same model back into [`PairSolver::satisfiable`], which needs it only
 /// when a consistency level's axiom group is installed on first query.
 ///
-/// A clone is an independent solver in the identical state; the
-/// [`crate::replay::WitnessDecoder`] encodes a tuple once and runs each
-/// witness search on a clone.
-#[derive(Clone)]
+/// A clone is an independent solver in the identical state, and
+/// `clone_from` makes that copy into an existing solver's buffers: the
+/// [`crate::replay::WitnessDecoder`] encodes a tuple once and refreshes one
+/// scratch solver from it before each witness search.
 pub struct PairSolver {
     solver: Solver,
     enc: PairEncoding,
@@ -673,6 +688,54 @@ pub struct PairSolver {
     /// The last satisfying assignment [`PairSolver::satisfiable`] found
     /// or carried over, one value per solver variable at the time.
     carried: Option<Vec<bool>>,
+}
+
+impl Clone for PairSolver {
+    fn clone(&self) -> PairSolver {
+        let PairSolver {
+            solver,
+            enc,
+            guards,
+            built,
+            base_clauses,
+            level_clauses,
+            pending,
+            carried,
+        } = self;
+        PairSolver {
+            solver: solver.clone(),
+            enc: enc.clone(),
+            guards: *guards,
+            built: *built,
+            base_clauses: *base_clauses,
+            level_clauses: *level_clauses,
+            pending: pending.clone(),
+            carried: carried.clone(),
+        }
+    }
+
+    /// Copies field by field into `self`'s buffers. The destructuring
+    /// names every field, so a field added later must be copied here too.
+    fn clone_from(&mut self, source: &PairSolver) {
+        let PairSolver {
+            solver,
+            enc,
+            guards,
+            built,
+            base_clauses,
+            level_clauses,
+            pending,
+            carried,
+        } = self;
+        solver.clone_from(&source.solver);
+        enc.clone_from(&source.enc);
+        *guards = source.guards;
+        *built = source.built;
+        *base_clauses = source.base_clauses;
+        *level_clauses = source.level_clauses;
+        pending.clone_from(&source.pending);
+        carried.clone_from(&source.carried);
+    }
 }
 
 // A retained pair solver travels from the session to the detection
@@ -704,7 +767,7 @@ impl PairSolver {
             Solver::new()
         };
         let enc = encode_base(&mut solver, model);
-        // Reach the root state the first solve would, so clones start
+        // Reach the root state the first solve would, so copies start
         // there instead of each simplifying again.
         solver.simplify();
         let base_clauses = solver.num_clauses();
@@ -743,8 +806,8 @@ impl PairSolver {
     }
 
     /// Installs `level`'s guarded axiom group if it is not present yet
-    /// (a query does so itself; the witness decoder installs it before
-    /// cloning, so its clones skip the encoding).
+    /// (a query does so itself; the witness decoder installs it on its
+    /// pristine solver, so the copies it searches on skip the encoding).
     pub(crate) fn ensure_level(&mut self, model: &InstanceModel, level: ConsistencyLevel) {
         let idx = level.index();
         if self.built[idx] {
@@ -853,7 +916,7 @@ impl PairSolver {
     /// deterministic, so identical queries decode identical witnesses.
     /// It always searches, and it neither reads nor keeps the assignment
     /// [`PairSolver::satisfiable`] carries over. The witness decoder runs
-    /// it on clones of never-queried solvers, so its schedules equal those
+    /// it on copies of never-queried solvers, so its schedules equal those
     /// of a one-shot decode.
     pub fn witness(
         &mut self,
@@ -1116,6 +1179,63 @@ mod tests {
                     "{} instances: stored clause {c:?} mentions a root-assigned variable",
                     model.instances()
                 );
+            }
+        }
+    }
+
+    /// `clone_from` into a pair solver that held another pair's encoding,
+    /// over more or fewer variables and with the other proof setting,
+    /// leaves it answering exactly as a fresh clone of the source:
+    /// answers, witnesses, certificates (with their failed cores), solver
+    /// statistics and clause counts.
+    #[test]
+    fn clone_from_answers_exactly_like_a_fresh_clone() {
+        use ConsistencyLevel::*;
+        let m = model_for(TWO_WRITES, "wr", "rd");
+        let (ra, rb) = (m.cmds[2].records[0], m.cmds[3].records[0]);
+        let (a_w1, a_w2) = (m.atom(0, ra).unwrap(), m.atom(1, rb).unwrap());
+        let later_missing = [(a_w1, 2, true), (a_w2, 3, false)];
+        let earlier_missing = [(a_w2, 3, true), (a_w1, 2, false)];
+        // The warm-up's satisfiable query first: the carried assignment
+        // answers it without a search.
+        let mut queries = vec![(RepeatableRead, &earlier_missing)];
+        for level in [CausalConsistency, Serializable, EventualConsistency] {
+            queries.extend([(level, &later_missing), (level, &earlier_missing)]);
+        }
+        let run = |s: &mut PairSolver| {
+            let mut out = Vec::new();
+            for &(level, reqs) in &queries {
+                let sat = s.satisfiable(&m, level, reqs);
+                let stats = s.solver_stats();
+                let witness = s.witness(&m, level, reqs);
+                let certs = s.take_certificates();
+                out.push((sat, stats, witness, certs, s.solver_stats(), s.encoded_clauses()));
+            }
+            out
+        };
+        for proofs in [false, true] {
+            // A warm source: one level installed, an assignment carried
+            // and a certificate pending.
+            let mut source = PairSolver::with_proofs(&m, proofs);
+            assert!(source.satisfiable(&m, RepeatableRead, &earlier_missing));
+            assert!(!source.satisfiable(&m, Serializable, &later_missing));
+            let expected = run(&mut source.clone());
+            assert!(expected.iter().any(|(sat, ..)| *sat));
+            assert!(expected.iter().any(|(sat, ..)| !*sat));
+            assert_eq!(expected.iter().any(|(.., c, _, _)| !c.is_empty()), proofs);
+            assert_eq!(expected[0].1, source.solver_stats(), "carried over");
+
+            let counter = model_for(COUNTER, "bump", "bump");
+            let mut smaller = PairSolver::with_proofs(&counter, !proofs);
+            assert!(smaller.satisfiable(&counter, CausalConsistency, &[]));
+            let sums = summarize_program(&parse(TWO_WRITES).unwrap());
+            let triple = InstanceModel::new_multi(&[&sums[0], &sums[1], &sums[0]]);
+            let mut larger = PairSolver::with_proofs(&triple, proofs);
+            assert!(larger.witness(&triple, Serializable, &[]).is_some());
+            for mut target in [smaller, larger] {
+                assert_ne!(target.encoded_clauses(), source.encoded_clauses());
+                target.clone_from(&source);
+                assert_eq!(run(&mut target), expected, "proofs {proofs}");
             }
         }
     }

@@ -28,11 +28,13 @@
 //! A [`WitnessDecoder`] decodes many verdicts of one program for the cost
 //! of few. It summarizes the program once, grounds and encodes each tuple
 //! once into a pristine [`InstanceModel`] and [`PairSolver`], enumerates
-//! each tuple's candidates once for every kind, and runs every search on a
-//! clone of the pristine solver. A clone is a fresh solver in the identical
-//! state, and the solver is deterministic, so a verdict decodes to the
-//! byte-identical schedule whatever the decoder decoded before it. The
-//! decoder keeps at most one grounded tuple live; decoding verdicts in
+//! each tuple's candidates once for every kind, and runs every search on
+//! one scratch solver per tuple, refreshed from the pristine one with
+//! `clone_from` before the search. The refreshed solver is in the state a
+//! fresh clone would be, reusing the scratch solver's buffers, and the
+//! solver is deterministic, so a verdict decodes to the byte-identical
+//! schedule whatever the decoder decoded before it. The decoder keeps at
+//! most one grounded tuple live; decoding verdicts in
 //! [`WitnessDecoder::visit_order`] grounds each tuple once.
 //! [`decode_witness`], [`decode_witness_marked`] and [`replay_verdict`]
 //! are decoders of one.
@@ -74,14 +76,16 @@ type Tuple = Vec<usize>;
 /// The tuple a decoder keeps grounded: its model, every template
 /// candidate of the tuple in detection order (the [`pair_key`]s of the
 /// verdicts it reports and its queries, the first satisfiable one
-/// winning), and its pristine solver per queried level — the base
-/// encoding plus that level's axiom group, encoded at the tuple's first
-/// query under it.
+/// winning), its pristine solver per queried level — the base encoding
+/// plus that level's axiom group, encoded at the tuple's first query under
+/// it and never queried — and the scratch solver every search of the
+/// tuple refreshes from one of them and queries.
 struct Grounded {
     tuple: Tuple,
     model: InstanceModel,
     candidates: Vec<(Vec<PairKey>, Vec<Vec<VisRequirement>>)>,
     pristine: BTreeMap<ConsistencyLevel, PairSolver>,
+    scratch: Option<PairSolver>,
 }
 
 /// Decodes the verdicts of one program into concrete schedules (see the
@@ -252,10 +256,11 @@ impl WitnessDecoder {
     }
 
     /// Searches one tuple for a witness of `verdict` under `level`: every
-    /// anchored candidate's queries, in order, on one clone of the tuple's
-    /// pristine solver — the very queries, from the very state, of a
-    /// solver built for this search alone. Grounds the tuple first,
-    /// evicting the previously live one.
+    /// anchored candidate's queries, in order, on the tuple's scratch
+    /// solver, refreshed from the level's pristine solver before the first
+    /// query — the very queries, from the very state, of a solver built
+    /// for this search alone. Grounds the tuple first, evicting the
+    /// previously live one.
     fn search(
         &mut self,
         tuple: &[usize],
@@ -283,18 +288,20 @@ impl WitnessDecoder {
                 model,
                 candidates: cands,
                 pristine: BTreeMap::new(),
+                scratch: None,
             });
         }
         let Grounded {
             model,
             pristine,
             candidates: cands,
+            scratch,
             ..
         } = self.live.as_mut().expect("grounded above");
         // The anchor: the verdict's exact key when strict, its kind when
         // loose.
         let anchor = pair_key(verdict);
-        let mut solver: Option<PairSolver> = None;
+        let mut refreshed = false;
         for (keys, queries) in cands.iter() {
             if !keys.iter().any(|k| {
                 if strict {
@@ -306,14 +313,19 @@ impl WitnessDecoder {
                 continue;
             }
             for reqs in queries {
-                let solver = solver.get_or_insert_with(|| {
+                if !refreshed {
                     let pristine = pristine.entry(level).or_insert_with(|| {
                         let mut s = PairSolver::new(model);
                         s.ensure_level(model, level);
                         s
                     });
-                    pristine.clone()
-                });
+                    match scratch {
+                        Some(s) => s.clone_from(pristine),
+                        None => *scratch = Some(pristine.clone()),
+                    }
+                    refreshed = true;
+                }
+                let solver = scratch.as_mut().expect("refreshed above");
                 if let Some(truth) = solver.witness(model, level, reqs) {
                     return Some(build_schedule(model, &ts, reqs, &truth, verdict.kind));
                 }

@@ -926,8 +926,8 @@ mod tests {
     }
 
     /// A solver built on one thread keeps working (same verdicts, retained
-    /// learnt clauses) after moving to another — the migration pattern the
-    /// detection engine's sharded solver-retention map performs.
+    /// learnt clauses) after moving to another — the migration a retained
+    /// detection solver makes inside its work item, to a worker and back.
     #[test]
     fn solver_migrates_between_threads() {
         let mut s = Solver::new();

@@ -79,11 +79,25 @@ const TAG_SHIFT: u32 = 3;
 /// packed back to back in one `u32` buffer. Literals are stored as their
 /// [`Lit::index`] encoding, which is already a dense `u32`; learnt
 /// clauses carry one trailing word holding their activity as `f32` bits.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Arena {
     data: Vec<u32>,
     /// Words occupied by marked (deleted) records.
     wasted: usize,
+}
+
+impl Clone for Arena {
+    fn clone(&self) -> Arena {
+        let mut a = Arena::default();
+        a.clone_from(self);
+        a
+    }
+
+    fn clone_from(&mut self, source: &Arena) {
+        let Arena { data, wasted } = self;
+        data.clone_from(&source.data);
+        *wasted = source.wasted;
+    }
 }
 
 impl Arena {
@@ -199,11 +213,17 @@ struct Watcher {
 /// difference matters once pair solvers are retained across a whole repair
 /// run and answer thousands of queries each.
 ///
-/// Removal is lazy: variables stay in the heap when assigned and are simply
-/// skipped (and dropped) at [`OrderHeap::pop_max`] time; backtracking
-/// re-inserts the unassigned ones. Ties in activity break towards the lower
-/// variable index, keeping decisions fully deterministic.
-#[derive(Debug, Default, Clone)]
+/// Removal is lazy: variables stay in the heap when assigned, and
+/// backtracking re-inserts the unassigned ones, so every unassigned
+/// variable is always in it. `pick_branch` skips (and drops) assigned ones
+/// at [`OrderHeap::pop_max`] time, or all at once with
+/// [`OrderHeap::retain`] once they outnumber the unassigned ones: a solver
+/// cloned from a never-searched one holds every root fact in its heap.
+/// Ties in activity break towards the lower variable index, so the order
+/// is strict and total: the unassigned variables pop in the same order
+/// whichever assigned ones are still in the heap, and decisions are fully
+/// deterministic.
+#[derive(Debug, Default)]
 struct OrderHeap {
     heap: Vec<Var>,
     /// `pos[v]` is the index of `v` in `heap`, or `ABSENT`.
@@ -227,6 +247,30 @@ impl OrderHeap {
 
     fn contains(&self, v: Var) -> bool {
         self.pos[v.index()] != Self::ABSENT
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Drops every variable `keep` rejects and restores the heap property
+    /// bottom-up: one O(n) pass instead of one O(log n) pop per dropped
+    /// variable.
+    fn retain(&mut self, keep: impl Fn(Var) -> bool, activity: &[f64]) {
+        let OrderHeap { heap, pos } = self;
+        heap.retain(|&v| {
+            let kept = keep(v);
+            if !kept {
+                pos[v.index()] = Self::ABSENT;
+            }
+            kept
+        });
+        for (i, v) in heap.iter().enumerate() {
+            pos[v.index()] = i;
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
     }
 
     fn insert(&mut self, v: Var, activity: &[f64]) {
@@ -295,6 +339,20 @@ impl OrderHeap {
     }
 }
 
+impl Clone for OrderHeap {
+    fn clone(&self) -> OrderHeap {
+        let mut h = OrderHeap::default();
+        h.clone_from(self);
+        h
+    }
+
+    fn clone_from(&mut self, source: &OrderHeap) {
+        let OrderHeap { heap, pos } = self;
+        heap.clone_from(&source.heap);
+        pos.clone_from(&source.pos);
+    }
+}
+
 /// Statistics accumulated during solving.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverStats {
@@ -323,7 +381,10 @@ pub struct SolverStats {
 /// Cloning copies the whole search state (clause database, learnt
 /// clauses, activities, saved phases and statistics), so a clone answers
 /// every later query exactly as its original would: encode once, then
-/// search many times from the same state.
+/// search many times from the same state. `clone_from` makes the same
+/// copy into the buffers of a solver that is no longer needed, whatever
+/// formula it held, so refreshing one scratch solver from a pristine one
+/// reuses its allocations instead of making new ones.
 ///
 /// # Examples
 ///
@@ -338,7 +399,7 @@ pub struct SolverStats {
 /// let model = s.solve().model().unwrap().to_vec();
 /// assert!(!model[a.index()] && model[b.index()]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Solver {
     arena: Arena,
     /// Live original clauses, in insertion order.
@@ -356,7 +417,7 @@ pub struct Solver {
     var_inc: f64,
     cla_inc: f32,
     phase: Vec<bool>,
-    order: OrderHeap, // VSIDS order heap (lazy removal of assigned vars)
+    order: OrderHeap, // VSIDS order heap (assigned vars leave it lazily)
     unsat: bool,
     stats: SolverStats,
     seen: Vec<bool>,
@@ -391,6 +452,67 @@ const COMPACT_WASTE: f64 = 0.25;
 impl Default for Solver {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Clone for Solver {
+    fn clone(&self) -> Solver {
+        let mut s = Solver::new();
+        s.clone_from(self);
+        s
+    }
+
+    /// Copies field by field into `self`'s buffers. The destructuring
+    /// names every field, so a field added later must be copied here too.
+    fn clone_from(&mut self, source: &Solver) {
+        let Solver {
+            arena,
+            clauses,
+            learnts,
+            watches,
+            assign,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            prop_head,
+            activity,
+            var_inc,
+            cla_inc,
+            phase,
+            order,
+            unsat,
+            stats,
+            seen,
+            failed,
+            simplified_at,
+            analyze_scratch,
+            ante_scratch,
+            proof,
+        } = self;
+        arena.clone_from(&source.arena);
+        clauses.clone_from(&source.clauses);
+        learnts.clone_from(&source.learnts);
+        watches.clone_from(&source.watches);
+        assign.clone_from(&source.assign);
+        level.clone_from(&source.level);
+        reason.clone_from(&source.reason);
+        trail.clone_from(&source.trail);
+        trail_lim.clone_from(&source.trail_lim);
+        *prop_head = source.prop_head;
+        activity.clone_from(&source.activity);
+        *var_inc = source.var_inc;
+        *cla_inc = source.cla_inc;
+        phase.clone_from(&source.phase);
+        order.clone_from(&source.order);
+        *unsat = source.unsat;
+        *stats = source.stats;
+        seen.clone_from(&source.seen);
+        failed.clone_from(&source.failed);
+        *simplified_at = source.simplified_at;
+        analyze_scratch.clone_from(&source.analyze_scratch);
+        ante_scratch.clone_from(&source.ante_scratch);
+        proof.clone_from(&source.proof);
     }
 }
 
@@ -861,6 +983,14 @@ impl Solver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
+        // Every unassigned variable is in the heap; shed the assigned ones
+        // in one pass once they are the majority.
+        let unassigned = self.num_vars() - self.trail.len();
+        if self.order.len() > 2 * unassigned {
+            let assign = &self.assign;
+            self.order
+                .retain(|v| assign[v.index()] == LBool::Undef, &self.activity);
+        }
         while let Some(v) = self.order.pop_max(&self.activity) {
             if self.assign[v.index()] == LBool::Undef {
                 return Some(Lit::new(v, self.phase[v.index()]));
@@ -1484,6 +1614,41 @@ mod tests {
         assert_eq!(h.pop_max(&activity), Some(Var(0)));
         assert_eq!(h.pop_max(&activity), Some(Var(1)));
         assert_eq!(h.pop_max(&activity), None);
+    }
+
+    /// Shedding keeps the strict order: after `retain`, the kept variables
+    /// pop in the order an untouched heap pops them, skipping the dropped
+    /// ones.
+    #[test]
+    fn order_heap_pops_the_kept_set_in_order_after_retain() {
+        let activity = [2.0, 7.0, 7.0, 0.0, 5.0, 2.0, 9.0, 1.0, 5.0, 3.0, 0.0, 7.0];
+        let filled = || {
+            let mut h = OrderHeap::default();
+            for i in 0..activity.len() as u32 {
+                h.push_var();
+                h.insert(Var(i), &activity);
+            }
+            h
+        };
+        let mut untouched = filled();
+        let order: Vec<Var> = std::iter::from_fn(|| untouched.pop_max(&activity)).collect();
+        for dropped in [
+            0b0000_0000_0000u32,
+            0b1010_0101_1010,
+            0b0111_1111_1110,
+            0b1111_1111_1111,
+        ] {
+            let keep = |v: Var| dropped & (1 << v.0) == 0;
+            let mut h = filled();
+            h.retain(keep, &activity);
+            assert_eq!(h.len(), order.iter().filter(|&&v| keep(v)).count());
+            for v in 0..activity.len() as u32 {
+                assert_eq!(h.contains(Var(v)), keep(Var(v)));
+            }
+            let popped: Vec<Var> = std::iter::from_fn(|| h.pop_max(&activity)).collect();
+            let expected: Vec<Var> = order.iter().copied().filter(|&v| keep(v)).collect();
+            assert_eq!(popped, expected, "dropped {dropped:#b}");
+        }
     }
 
     /// A solver built on one thread keeps working (same verdicts, retained

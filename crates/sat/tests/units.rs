@@ -407,3 +407,71 @@ fn clones_answer_assumptions_exactly_like_their_original() {
     // A clone is independent: querying it left its source untouched.
     assert_eq!(answer(&mut pristine.clone(), &queries[..4]), head);
 }
+
+/// `clone_from` into a solver that held another formula, over more or
+/// fewer variables and with the other proof setting, leaves it answering
+/// exactly as a fresh clone of the source: answers, models, failed cores,
+/// statistics and refutations.
+#[test]
+fn clone_from_answers_exactly_like_a_fresh_clone() {
+    for proofs in [false, true] {
+        let solver = |proofs: bool| {
+            if proofs {
+                Solver::with_proofs()
+            } else {
+                Solver::new()
+            }
+        };
+        let mut source = solver(proofs);
+        let (warm, hard, easy) = (source.new_var(), source.new_var(), source.new_var());
+        guarded_pigeonhole(&mut source, warm, 5, 4);
+        guarded_pigeonhole(&mut source, hard, 5, 4);
+        let at = guarded_pigeonhole(&mut source, easy, 4, 4);
+        let queries: Vec<Vec<Lit>> = vec![
+            vec![easy.positive(), at[0][1].positive(), at[1][1].positive()],
+            vec![hard.negative(), easy.positive(), at[2][0].positive()],
+            vec![hard.positive(), easy.positive()],
+            vec![easy.positive(), at[3][3].negative()],
+        ];
+        // Warm the source: learnt clauses, bumped activities, a grown
+        // activity increment, saved phases.
+        answer(&mut source, &[vec![warm.positive()]]);
+        let warmed = source.stats().conflicts;
+        assert!(warmed > 0);
+        let run = |s: &mut Solver| {
+            let answers: Vec<_> = queries
+                .iter()
+                .map(|q| {
+                    let result = s.solve_with_assumptions(q);
+                    let core = s.failed_assumptions().to_vec();
+                    (result, core, s.stats(), s.refutation())
+                })
+                .collect();
+            (answers, s.num_vars(), s.num_clauses())
+        };
+        let expected = run(&mut source.clone());
+        assert!(expected.0.iter().any(|(r, ..)| r.is_sat()));
+        assert!(expected.0.iter().any(|(r, ..)| !r.is_sat()));
+        // The queries conflict too, so every part of the search state the
+        // refresh copies steers them.
+        assert!(expected.0.last().unwrap().2.conflicts > warmed);
+
+        // A larger formula with the other proof setting, already searched.
+        let mut larger = solver(!proofs);
+        let act = larger.new_var();
+        guarded_pigeonhole(&mut larger, act, 6, 5);
+        answer(&mut larger, &[vec![act.positive()], vec![act.negative()]]);
+        // A smaller one, refuted at the root.
+        let mut smaller = solver(proofs);
+        let v = smaller.new_var();
+        smaller.add_clause([v.positive()]);
+        smaller.add_clause([v.negative()]);
+        assert!(!smaller.solve().is_sat());
+        for mut target in [larger, smaller] {
+            assert_ne!(target.num_vars(), source.num_vars());
+            target.clone_from(&source);
+            assert_eq!(target.proof_logging(), proofs);
+            assert_eq!(run(&mut target), expected, "proofs {proofs}");
+        }
+    }
+}
