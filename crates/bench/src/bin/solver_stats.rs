@@ -4,16 +4,17 @@
 //!
 //! Two measurements per benchmark:
 //!
-//! 1. **Detection rates** — a full pair-mode detection pass through a
-//!    `DetectionEngine`, reporting propagations/sec and conflicts/sec of
-//!    the real oracle.
-//! 2. **Arena vs. baseline** — the benchmark's *actual* pair (and, in
-//!    full mode, triple) detection CNFs are exported with
-//!    `problem_clauses` and replayed through the arena solver and the
-//!    retained pre-arena baseline (`atropos_sat::reference`) under
-//!    identical deterministic assumption schedules, so the two memory
-//!    layouts are compared on equal work. The `Speedup` column is the
-//!    propagation-throughput ratio `csv_smoke.rs` pins at ≥ 1.5×.
+//! 1. **Detection rates** — a full pass of the fresh-solver reference
+//!    oracle (`detect_anomalies_fresh`), reporting propagations/sec and
+//!    conflicts/sec of the SAT encoding's solvers. The engine decides by
+//!    closure and does no solver work to measure.
+//! 2. **Arena vs. baseline** — the benchmark's *actual* pair and triple
+//!    base encodings are exported with `base_cnf` and replayed through
+//!    the arena solver and the retained pre-arena baseline
+//!    (`atropos_sat::reference`) under identical deterministic assumption
+//!    schedules, so the two memory layouts are compared on equal work.
+//!    The `Speedup` column is the propagation-throughput ratio
+//!    `csv_smoke.rs` pins at ≥ 1.5×.
 //!
 //! `ATROPOS_THIN=1` shrinks the replay round count (CI smoke); the
 //! benchmark set is unchanged so the TPC-C floor stays checkable.
@@ -21,9 +22,9 @@
 use std::time::Instant;
 
 use atropos_bench::reporting::{solver_stats_header, solver_stats_row};
-use atropos_bench::{engine_from_args, thin_slice, write_csv, Table};
+use atropos_bench::{thin_slice, write_csv, Table};
 use atropos_detect::{
-    summarize_program, ConsistencyLevel, DetectMode, DetectSession, InstanceModel, PairSolver,
+    base_cnf, detect_anomalies_fresh, summarize_program, ConsistencyLevel, InstanceModel,
 };
 use atropos_sat::Lit;
 use atropos_workloads::all_benchmarks;
@@ -99,8 +100,7 @@ fn detection_cnfs(program: &atropos_dsl::Program, triples: bool) -> Vec<Vec<Vec<
     let mut cnfs = Vec::new();
     for i in 0..sums.len() {
         for j in i..sums.len() {
-            let model = InstanceModel::new(&sums[i], &sums[j]);
-            cnfs.push(PairSolver::new(&model).problem_clauses());
+            cnfs.push(base_cnf(&InstanceModel::new(&sums[i], &sums[j])));
         }
     }
     if triples {
@@ -108,7 +108,7 @@ fn detection_cnfs(program: &atropos_dsl::Program, triples: bool) -> Vec<Vec<Vec<
             for j in i..sums.len() {
                 for k in j..sums.len() {
                     let model = InstanceModel::new_multi(&[&sums[i], &sums[j], &sums[k]]);
-                    cnfs.push(PairSolver::new(&model).problem_clauses());
+                    cnfs.push(base_cnf(&model));
                 }
             }
         }
@@ -117,7 +117,6 @@ fn detection_cnfs(program: &atropos_dsl::Program, triples: bool) -> Vec<Vec<Vec<
 }
 
 fn main() {
-    let engine = engine_from_args();
     let thin = thin_slice();
     let level = ConsistencyLevel::EventualConsistency;
     let rounds: usize = if thin { 40 } else { 400 };
@@ -127,22 +126,16 @@ fn main() {
         .filter(|b| ["TPC-C", "SmallBank"].contains(&b.name))
         .collect();
     println!(
-        "solver_stats: {} benchmarks, {} replay rounds ({} threads{})",
+        "solver_stats: {} benchmarks, {} replay rounds{}",
         benchmarks.len(),
         rounds,
-        engine.threads(),
-        if thin { ", thin" } else { "" },
+        if thin { " (thin)" } else { "" },
     );
 
     let mut table = Table::new(solver_stats_header());
     for b in &benchmarks {
-        // Detection rates of one cold pass.
-        let (_, detect) = engine.detect_with_mode(
-            &b.program,
-            level,
-            DetectMode::Pairs,
-            &mut DetectSession::new(),
-        );
+        // Solver rates of one reference pass.
+        let (_, detect) = detect_anomalies_fresh(&b.program, level);
 
         // Identical CNF streams, identical assumption schedules, two
         // memory layouts. Triple encodings stay in thin mode: they are

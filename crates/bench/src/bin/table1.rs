@@ -1,7 +1,7 @@
 //! Regenerates **Table 1**: statically identified anomalous access pairs in
 //! the original (EC / CC / RR) and refactored (AT) benchmark programs, plus
 //! analysis + repair time — a second table of detector statistics comparing
-//! the incremental per-pair solver against the fresh-solver reference path
+//! the closure-deciding engine against the fresh-solver reference path
 //! ([`atropos_detect::detect_anomalies_fresh`]) — and a third table of
 //! repair-loop statistics written to `experiments/repair_stats.csv`: the
 //! parallel verdict-cached driver ([`atropos_core::repair_with_engine`])
@@ -78,17 +78,17 @@ fn main() {
     let mut total_ec = 0usize;
     let mut total_fixed = 0usize;
     let mut cc_below_ec = 0usize;
-    let (mut incr_total, mut fresh_total) = (0.0f64, 0.0f64);
+    let (mut engine_total, mut fresh_total) = (0.0f64, 0.0f64);
     let (mut repair_cached_total, mut repair_scratch_total) = (0.0f64, 0.0f64);
     let mut tpcc_repair_speedup = 0.0f64;
     let mut tpcc_scratch_seconds = f64::INFINITY;
     let mut cross_run_ratios: Vec<(String, f64)> = Vec::new();
-    // The incremental side of the detector-statistics table: serial, like
-    // the fresh-solver reference it is timed against.
+    // The engine side of the detector-statistics table: serial, like the
+    // fresh-solver reference it is timed against.
     let oracle = DetectionEngine::serial();
     for b in all_benchmarks() {
         // Three passes over one session produce the three consistency
-        // columns; the later levels reuse the first pass's retained solvers.
+        // columns.
         let mut session = DetectSession::new();
         let mut stats = DetectStats::default();
         let [ec, cc, rr] = levels.map(|level| {
@@ -104,7 +104,7 @@ fn main() {
                 .iter()
                 .map(|&l| detect_anomalies_fresh(&b.program, l).1.seconds)
                 .sum();
-            incr_total += stats.seconds;
+            engine_total += stats.seconds;
             fresh_total += fresh_seconds;
             stats_table.row(detect_stats_row(b.name, &stats, fresh_seconds));
         }
@@ -242,12 +242,12 @@ fn main() {
     if thin {
         println!("(thin slice: fresh-solver and from-scratch-repair reference runs skipped)");
     } else {
-        println!("\nDetector statistics (incremental vs fresh-solver-per-query):");
+        println!("\nDetector statistics (engine vs fresh-solver-per-query):");
         println!("{}", stats_table.render());
         println!(
-            "Detection total: incremental {incr_total:.3}s vs fresh {fresh_total:.3}s \
+            "Detection total: engine {engine_total:.3}s vs fresh {fresh_total:.3}s \
              ({:.1}x speedup)",
-            fresh_total / incr_total.max(1e-9)
+            fresh_total / engine_total.max(1e-9)
         );
 
         // Threads-vs-speedup: TPC-C repaired at 1/2/4/8 workers (best of

@@ -156,13 +156,8 @@ pub fn detect_stats_header() -> Vec<String> {
     [
         "Benchmark",
         "Queries",
-        "Memo hits",
         "SAT",
-        "Conflicts",
-        "Clauses",
-        "Fresh-equiv clauses",
-        "Reuse",
-        "Incr (s)",
+        "Engine (s)",
         "Fresh (s)",
         "Speedup",
     ]
@@ -170,18 +165,13 @@ pub fn detect_stats_header() -> Vec<String> {
     .to_vec()
 }
 
-/// One row of the detector-statistics table: the incremental run's
+/// One row of the detector-statistics table: the engine run's
 /// [`DetectStats`] plus the wall time of the fresh-solver reference run.
 pub fn detect_stats_row(name: &str, stats: &DetectStats, fresh_seconds: f64) -> Vec<String> {
     vec![
         name.to_owned(),
         format!("{}", stats.queries),
-        format!("{}", stats.memo_hits),
         format!("{}", stats.sat_queries),
-        format!("{}", stats.conflicts),
-        format!("{}", stats.clauses_encoded),
-        format!("{}", stats.clauses_fresh_equivalent),
-        format!("{:.2}", stats.reused_clause_ratio()),
         format!("{:.3}", stats.seconds),
         format!("{:.3}", fresh_seconds),
         format!("{:.1}x", fresh_seconds / stats.seconds.max(1e-9)),
@@ -301,9 +291,10 @@ pub fn triple_stats_row(
 }
 
 /// Header of the solver-throughput table emitted by `solver_stats`
-/// (`experiments/solver_stats.csv`): per benchmark, the detection pass's
-/// raw solver rates and the arena-vs-baseline replay of the *same*
-/// detection CNF under identical assumption schedules.
+/// (`experiments/solver_stats.csv`): per benchmark, the raw solver rates
+/// of the fresh-solver reference detection pass and the arena-vs-baseline
+/// replay of the *same* detection CNF under identical assumption
+/// schedules.
 pub fn solver_stats_header() -> Vec<String> {
     [
         "Benchmark",
@@ -319,9 +310,10 @@ pub fn solver_stats_header() -> Vec<String> {
     .to_vec()
 }
 
-/// One row of the solver-throughput table. `detect` is the detection
-/// pass's [`DetectStats`]; the remaining pair the raw propagation
-/// throughputs of the arena and baseline solvers on the replayed CNF.
+/// One row of the solver-throughput table. `detect` is the reference
+/// detection pass's [`DetectStats`]; the remaining pair the raw
+/// propagation throughputs of the arena and baseline solvers on the
+/// replayed CNF.
 pub fn solver_stats_row(
     name: &str,
     detect: &DetectStats,

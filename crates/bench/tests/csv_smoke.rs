@@ -43,9 +43,7 @@ fn detect_stats_rows_match_their_header() {
         triples: 0,
         queries: 310,
         sat_queries: 120,
-        memo_hits: 40,
         clauses_encoded: 100_000,
-        clauses_fresh_equivalent: 4_000_000,
         conflicts: 900,
         propagations: 1_000_000,
         decisions: 40_000,

@@ -353,8 +353,7 @@ pub fn repair_with_config(program: &Program, config: &RepairConfig) -> RepairRep
 }
 
 /// [`repair_with_config`] against a caller-owned engine and session: the
-/// session's verdict cache (and its retained pair solvers) survives the
-/// call, so a following run over a program sharing transaction shapes —
+/// session's verdict cache survives the call, so a following run over a program sharing transaction shapes —
 /// the same benchmark under another rule ablation, the next iteration of a
 /// parameter sweep — answers those pairs from warm verdicts. The run's
 /// [`RepairStats::cache`] reports only this run's share of the session's

@@ -56,29 +56,18 @@
 //!
 //! # The group key
 //!
-//! One `GroupKey` keys verdicts, retained solvers and the persistent
-//! store's records: the member fingerprints in **key orientation** — a
-//! pair's two slice fingerprints in order (the templates are asymmetric),
-//! a triple's three transaction fingerprints sorted (every role
-//! permutation is analysed inside one entry, so the verdict is
-//! independent of which orientation grounded it; triples are not sliced)
-//! — plus, for a pair, whether the symmetric (lost-update) template ran,
-//! and the consistency level. Retained solvers serve every flag and level
-//! of their group, so they are keyed with those parts normalized
-//! (`GroupKey::state`).
+//! One `GroupKey` keys verdicts and the persistent store's records: the
+//! member fingerprints in **key orientation** — a pair's two slice
+//! fingerprints in order (the templates are asymmetric), a triple's three
+//! transaction fingerprints sorted (every role permutation is analysed
+//! inside one entry, so the verdict is independent of which orientation
+//! grounded it; triples are not sliced) — plus, for a pair, whether the
+//! symmetric (lost-update) template ran, and the consistency level.
 //!
-//! # Solver retention
-//!
-//! Besides verdicts, a session retains each group's [`PairSolver`] (keyed
-//! by the members' fingerprints), so a group that is re-queried — e.g. at
-//! another consistency level, or after its verdict entry was evicted while
-//! its fingerprints survived — reuses the already-encoded
-//! ordering/visibility matrix, its installed level groups and the last
-//! model it found instead of re-encoding from scratch. Only the engine's
-//! coordinating thread touches the retained states: after planning it
-//! hands each dirty group's state to the one work item that solves it,
-//! and the merge puts it back, so a state moves to a worker thread and
-//! back (`GroupState` is `Send`) but no two workers ever share one.
+//! A session caches verdicts only. A miss grounds its group's model and
+//! decides its queries by closure ([`crate::closure`]), which keeps
+//! nothing worth retaining between passes: its index is built in the
+//! time the grounding takes.
 
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
@@ -86,7 +75,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 use crate::detect::Finding;
-use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver};
+use crate::encode::ConsistencyLevel;
 use crate::model::{CmdSummary, KeySpec, TxnSummary};
 
 /// Canonical fingerprint of one transaction's command summaries: the exact
@@ -355,10 +344,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to re-analyse the pair.
     pub misses: u64,
-    /// Misses that nevertheless reused a retained [`PairSolver`] (its
-    /// encoded clauses, installed level groups and last model) instead of
-    /// re-encoding.
-    pub solver_reuses: u64,
     /// Verdict entries evicted by [`crate::DetectSession::sweep`]: those
     /// naming a fingerprint the swept program does not have.
     pub invalidated: u64,
@@ -408,7 +393,6 @@ impl CacheStats {
             lookups: self.lookups - earlier.lookups,
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
-            solver_reuses: self.solver_reuses - earlier.solver_reuses,
             invalidated: self.invalidated - earlier.invalidated,
             cross_run_lookups: self.cross_run_lookups - earlier.cross_run_lookups,
             cross_run_hits: self.cross_run_hits - earlier.cross_run_hits,
@@ -465,16 +449,6 @@ impl GroupKey {
     pub(crate) fn k(&self) -> usize {
         self.k as usize
     }
-
-    /// The key a retained solver is stored under: the members alone, since
-    /// one grounded model serves every flag and level of its group.
-    pub(crate) fn state(&self) -> GroupKey {
-        GroupKey {
-            symmetric: false,
-            level: ConsistencyLevel::EventualConsistency,
-            ..*self
-        }
-    }
 }
 
 /// One cached verdict: the raw template findings of one instance group.
@@ -492,37 +466,6 @@ pub(crate) struct VerdictEntry {
     /// proof capture on.
     pub(crate) proofs: Vec<Vec<u8>>,
 }
-
-/// Retained per-group analysis state: the grounded bounded model and,
-/// once a query was issued, the incremental solver built on it.
-///
-/// `GroupState` is `Send` (a compile-time guarantee pinned below): the
-/// parallel detection engine moves a retained state into the work item
-/// that solves its group, on whichever worker claims it, and back into
-/// the session at the merge.
-pub(crate) struct GroupState {
-    pub(crate) model: InstanceModel,
-    pub(crate) solver: Option<PairSolver>,
-}
-
-impl GroupState {
-    /// Grounds a fresh analysis state over the members `ts`, in key
-    /// orientation.
-    pub(crate) fn new(ts: &[&TxnSummary]) -> GroupState {
-        GroupState {
-            model: InstanceModel::new_multi(ts),
-            solver: None,
-        }
-    }
-}
-
-// The whole retained-state payload must be able to migrate between the
-// engine's workers; a non-Send field sneaking into the solver stack should
-// fail compilation here, not at every use site.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<GroupState>();
-};
 
 /// One auditable verdict of a session: the transactions, the
 /// consistency level it was decided under, the anomaly count, and the
@@ -663,9 +606,10 @@ mod tests {
         assert_eq!(dirty.fields1, BTreeSet::from(["b".to_owned()]));
     }
 
-    /// A retained solver grounded under one program's labels and
-    /// re-queried (here at another level) for a relabeled program reports
-    /// the *current* labels, not the ones it was grounded with.
+    /// A group grounded under one program's labels and re-analysed (here
+    /// at another level) for a relabeled program on the same session
+    /// reports the *current* labels, not the ones it was first grounded
+    /// with.
     #[test]
     fn renames_reach_retained_pair_models() {
         use crate::detect_anomalies;
@@ -674,8 +618,6 @@ mod tests {
         let relabeled = parse(&TWO_WRITES.replace("@W1 ", "@W9 ")).unwrap();
         let cc = ConsistencyLevel::CausalConsistency;
         let (got, _) = detect(&relabeled, cc, &mut session);
-        let stats = session.cache_stats();
-        assert!(stats.solver_reuses > 0, "{stats:?}");
         assert_eq!(got, detect_anomalies(&relabeled, cc));
         assert!(
             got.iter()

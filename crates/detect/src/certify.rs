@@ -1,18 +1,17 @@
-//! Bridging solver refutations into checkable certificates.
+//! Bridging refutations into checkable certificates.
 //!
 //! The checker crate (`atropos_proof`) deliberately shares no code with the
 //! solver stack — its only vocabulary is the DIMACS `i32` literal
-//! convention. This module owns the translation: the core a
-//! [`PairSolver`]'s solver names for one UNSAT query
-//! ([`atropos_sat::Solver::refutation`]) plus the query's failed
-//! assumptions become an encoded certificate blob whose acceptance by
-//! [`atropos_proof::check_blob`] is independent evidence for the verdict.
+//! convention. This module owns the translation: the refutation of one
+//! UNSAT query (the clause instances of the reference encoding a
+//! [`crate::closure::Closure`] names, or the core a solver names) plus the
+//! query's assumptions become an encoded certificate blob whose
+//! acceptance by [`atropos_proof::check_blob`] is independent evidence for
+//! the verdict.
 //!
 //! Variables are renumbered densely, keeping their order: a core names a
 //! handful of a formula's thousands of variables, and the checker rejects
 //! any variable larger than the blob's payload length in bytes.
-//!
-//! [`PairSolver`]: crate::encode::PairSolver
 
 use atropos_proof::{Proof, Step};
 use atropos_sat::{Lit, ProofEvent};
@@ -53,8 +52,8 @@ impl Dimacs {
 
 /// Assembles the certificate for one UNSAT answer and encodes it: the
 /// refutation's core, then the trailer — `Add(¬core)` justified by the
-/// core, one `Assume` per failed assumption, and the empty clause. A root
-/// refutation (empty assumption core) needs only the empty clause.
+/// core, one `Assume` per assumption of `core`, and the empty clause. A
+/// root refutation (no assumptions) needs only the empty clause.
 pub(crate) fn certificate_blob(refutation: &[ProofEvent], core: &[Lit]) -> Vec<u8> {
     let dimacs = Dimacs::new(refutation.iter().flat_map(ProofEvent::lits).chain(core));
     let mut steps = Vec::with_capacity(refutation.len() + core.len() + 2);

@@ -22,25 +22,22 @@
 //! witness replay ([`crate::replay`]) all read that stream, so a template
 //! is defined once.
 //!
-//! Queries are discharged incrementally: one [`PairSolver`] per instance
-//! group carries the ordering/visibility encoding across every pattern and
-//! consistency level, and each query travels as an assumption set. The
-//! group solve frame (`solve_group`) is driven by the
-//! [`crate::DetectionEngine`]; [`detect_anomalies`] is that engine,
-//! serial, over a fresh session. The fresh-solver reference
-//! oracle ([`detect_anomalies_fresh`]) and the CLOTHO-style differential
-//! runner ([`detect_differential`]) guard the equivalence of the two
-//! solving paths.
+//! Queries are decided by closure: a group's [`Closure`] indexes its
+//! grounded model once per level and answers, certifies and witnesses
+//! every query from its least model, without a search. The group solve
+//! frame (`solve_group`) is driven by the [`crate::DetectionEngine`];
+//! [`detect_anomalies`] is that engine, serial, over a fresh session. The
+//! fresh-solver reference oracle ([`detect_anomalies_fresh`]) and the
+//! CLOTHO-style differential runner ([`detect_differential`]) hold the
+//! closure to the SAT encoding.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use atropos_dsl::{CmdLabel, Program};
 
-use crate::cache::GroupState;
-use crate::encode::{
-    fresh_query, ConsistencyLevel, InstanceModel, PairSolver, VisRequirement,
-};
+use crate::closure::Closure;
+use crate::encode::{fresh_query, ConsistencyLevel, InstanceModel, VisRequirement};
 use crate::engine::{DetectMode, DetectionEngine};
 use crate::model::{summarize_program, CmdKind, TxnSummary};
 use crate::session::DetectSession;
@@ -115,8 +112,8 @@ impl std::fmt::Display for AnomalyKind {
     }
 }
 
-/// Instrumentation of one detection run: how much SAT work the oracle did
-/// and how much encoding the incremental path avoided re-emitting.
+/// Instrumentation of one detection run: the groups analysed, the
+/// queries asked and, on the fresh reference path, the SAT work.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DetectStats {
     /// Ordered transaction pairs analysed.
@@ -124,23 +121,20 @@ pub struct DetectStats {
     /// Unordered transaction triples analysed (zero outside
     /// [`crate::DetectMode::Triples`] passes).
     pub triples: u64,
-    /// Satisfiability queries issued (post-memoization).
+    /// Satisfiability queries issued.
     pub queries: u64,
     /// Queries answered SAT (a realizable anomaly witness).
     pub sat_queries: u64,
-    /// Queries answered from the per-pair memo without touching a solver.
-    pub memo_hits: u64,
-    /// Clauses the solvers store. A clause the root facts (program order,
-    /// session visibility) already satisfy is never stored, so it is not
-    /// counted.
+    /// Clauses the fresh reference solvers stored. Always 0 from the
+    /// engine, which decides by closure; kept because the pipeline
+    /// benchmark still reads it.
     pub clauses_encoded: u64,
-    /// Clauses a fresh-solver-per-query strategy would have encoded.
-    pub clauses_fresh_equivalent: u64,
-    /// Solver conflicts across all queries.
+    /// Solver conflicts of the fresh reference path (0 from the engine).
     pub conflicts: u64,
-    /// Solver propagations across all queries.
+    /// Solver propagations of the fresh reference path (0 from the
+    /// engine).
     pub propagations: u64,
-    /// Solver decisions across all queries.
+    /// Solver decisions of the fresh reference path (0 from the engine).
     pub decisions: u64,
     /// Always 0: solvers share no learnt clauses, so none is seeded. An
     /// inert field, kept only because the pipeline benchmark still reads
@@ -148,21 +142,6 @@ pub struct DetectStats {
     pub learnt_seeded: u64,
     /// Wall-clock seconds spent in detection.
     pub seconds: f64,
-}
-
-impl DetectStats {
-    /// Fraction of the fresh-equivalent clause volume the run did *not*
-    /// have to encode thanks to per-pair solver reuse (0 when nothing was
-    /// saved, approaching 1 as reuse grows).
-    pub fn reused_clause_ratio(&self) -> f64 {
-        if self.clauses_fresh_equivalent == 0 {
-            return 0.0;
-        }
-        let saved = self
-            .clauses_fresh_equivalent
-            .saturating_sub(self.clauses_encoded);
-        saved as f64 / self.clauses_fresh_equivalent as f64
-    }
 }
 
 /// Counter-wise sum, wall-clock seconds included: the statistics of two
@@ -173,9 +152,7 @@ impl std::ops::AddAssign for DetectStats {
         self.triples += o.triples;
         self.queries += o.queries;
         self.sat_queries += o.sat_queries;
-        self.memo_hits += o.memo_hits;
         self.clauses_encoded += o.clauses_encoded;
-        self.clauses_fresh_equivalent += o.clauses_fresh_equivalent;
         self.conflicts += o.conflicts;
         self.propagations += o.propagations;
         self.decisions += o.decisions;
@@ -295,9 +272,10 @@ pub fn detect_anomalies(program: &Program, level: ConsistencyLevel) -> Vec<Acces
         .0
 }
 
-/// The reference oracle: identical templates, but every query goes to a
-/// freshly constructed solver ([`crate::pattern_satisfiable`]). Slow;
-/// kept for differential testing and speedup accounting.
+/// The reference oracle: identical templates over whole-transaction
+/// models, but every query goes to a freshly constructed solver
+/// ([`crate::pattern_satisfiable`]). Slow; kept for differential testing
+/// and speedup accounting.
 pub fn detect_anomalies_fresh(
     program: &Program,
     level: ConsistencyLevel,
@@ -313,15 +291,16 @@ pub struct DifferentialReport {
     pub by_level: BTreeMap<ConsistencyLevel, Vec<AccessPair>>,
     /// Detection statistics of the paired run.
     pub stats: DetectStats,
-    /// Human-readable descriptions of every query where the incremental
-    /// and fresh paths disagreed. Empty means the paths are equivalent on
-    /// this program.
+    /// Human-readable descriptions of every query where the closure and
+    /// the fresh solver disagreed. Empty means the two agree on this
+    /// program.
     pub mismatches: Vec<String>,
 }
 
 /// CLOTHO-style differential detection: every query is answered by *both*
-/// the incremental [`PairSolver`] and a fresh solver, and any disagreement
-/// is recorded. The returned anomalies use the incremental verdicts.
+/// the closure and a fresh solver ([`crate::pattern_satisfiable`]), and
+/// any disagreement is recorded. The returned anomalies use the closure's
+/// verdicts.
 pub fn detect_differential(
     program: &Program,
     levels: &[ConsistencyLevel],
@@ -335,30 +314,12 @@ pub fn detect_differential(
     }
 }
 
-/// One incremental pattern query against a (lazily created) [`PairSolver`]:
-/// the solver-creation and fresh-equivalent clause accounting shared by the
-/// differential oracle ([`detect_core`]) and the engine's solve frame
-/// ([`solve_group`]), so the two cannot drift apart.
-fn pair_query(
-    solver: &mut Option<PairSolver>,
-    model: &InstanceModel,
-    level: ConsistencyLevel,
-    reqs: &[VisRequirement],
-    stats: &mut DetectStats,
-    proofs: bool,
-) -> bool {
-    let ps = solver.get_or_insert_with(|| PairSolver::with_proofs(model, proofs));
-    let r = ps.satisfiable(model, level, reqs);
-    stats.clauses_fresh_equivalent += ps.fresh_equivalent_clauses(level) as u64;
-    r
-}
-
 /// The reference oracle behind [`detect_anomalies_fresh`] and
-/// [`detect_differential`]: every ordered pair is analysed at each of
-/// `levels`, every query on a fresh solver. With `mismatches`, each query
-/// is also answered by the pair's incremental [`PairSolver`] (shared
-/// across the levels); its verdict and statistics are the ones reported,
-/// and every disagreement is logged.
+/// [`detect_differential`]: every ordered pair is grounded over whole
+/// transactions and analysed at each of `levels`, every query on a fresh
+/// solver, whose work the statistics count. With `mismatches`, each query
+/// is also answered by the pair's closure at that level; its verdict is
+/// the one reported, and every disagreement is logged.
 fn detect_core(
     program: &Program,
     levels: &[ConsistencyLevel],
@@ -374,51 +335,32 @@ fn detect_core(
         for (j, t2) in summaries.iter().enumerate() {
             let model = InstanceModel::new(t1, t2);
             stats.pairs += 1;
-            // Built lazily, so the fresh path never pays.
-            let mut pair_solver: Option<PairSolver> = None;
             for &level in levels {
-                // Memoize SAT calls on their requirement signature.
-                let mut memo: HashMap<Vec<VisRequirement>, bool> = HashMap::new();
+                let mut closure = mismatches.is_some().then(|| Closure::new(&model, level));
                 let mut sat = |reqs: &[VisRequirement]| -> bool {
-                    if let Some(&r) = memo.get(reqs) {
-                        stats.memo_hits += 1;
-                        return r;
-                    }
                     stats.queries += 1;
-                    let r = match mismatches.as_deref_mut() {
-                        Some(log) => {
-                            let incremental = pair_query(
-                                &mut pair_solver,
-                                &model,
-                                level,
-                                reqs,
-                                &mut stats,
-                                false,
-                            );
-                            let (fresh, _, _) = fresh_query(&model, level, reqs);
-                            if incremental != fresh {
+                    let (fresh, s, clauses) = fresh_query(&model, level, reqs);
+                    stats.conflicts += s.conflicts;
+                    stats.propagations += s.propagations;
+                    stats.decisions += s.decisions;
+                    stats.clauses_encoded += clauses as u64;
+                    let r = match (closure.as_mut(), mismatches.as_deref_mut()) {
+                        (Some(closure), Some(log)) => {
+                            let closed = closure.satisfiable(reqs);
+                            if closed != fresh {
                                 log.push(format!(
                                     "{} × {} @ {level}: reqs {reqs:?}: \
-                                     incremental={incremental} fresh={fresh}",
+                                     closure={closed} fresh={fresh}",
                                     t1.name, t2.name
                                 ));
                             }
-                            incremental
+                            closed
                         }
-                        None => {
-                            let (r, s, clauses) = fresh_query(&model, level, reqs);
-                            stats.conflicts += s.conflicts;
-                            stats.propagations += s.propagations;
-                            stats.decisions += s.decisions;
-                            stats.clauses_encoded += clauses as u64;
-                            stats.clauses_fresh_equivalent += clauses as u64;
-                            r
-                        }
+                        _ => fresh,
                     };
                     if r {
                         stats.sat_queries += 1;
                     }
-                    memo.insert(reqs.to_vec(), r);
                     r
                 };
                 let pairs = realized(&[t1, t2], &[], i <= j, &model, &mut sat)
@@ -426,13 +368,6 @@ fn detect_core(
                     .map(|f| f.emit(&[t1, t2]).expect("a finding names its own members"))
                     .collect();
                 accumulate(found.get_mut(&level).expect("level registered"), pairs);
-            }
-            if let Some(ps) = &pair_solver {
-                let s = ps.solver_stats();
-                stats.conflicts += s.conflicts;
-                stats.propagations += s.propagations;
-                stats.decisions += s.decisions;
-                stats.clauses_encoded += ps.encoded_clauses() as u64;
             }
         }
     }
@@ -463,56 +398,34 @@ pub(crate) fn accumulate(per_level: &mut BTreeMap<PairKey, AccessPair>, pairs: V
     }
 }
 
-/// Analyses one dirty (cache-missed) instance group against its retained
-/// (or freshly grounded) [`GroupState`], returning the raw findings, this
-/// group's [`DetectStats`] delta, and the certificates of its UNSAT
-/// queries. `ts` and `fps` are the group's members in key orientation.
-/// This is the one solving frame of every bound — query memo, lazily
-/// built solver, retained-solver statistics delta — and
-/// only the [`candidates`] stream depends on the member count.
+/// Analyses one dirty (cache-missed) instance group, returning the raw
+/// findings, this group's [`DetectStats`] delta, and the certificates of
+/// its UNSAT queries (empty unless `proofs`). `ts` and `fps` are the
+/// group's members in key orientation. This is the one solving frame of
+/// every bound: it grounds the members' model, indexes it for `level`
+/// once, and asks the [`Closure`] every query of the [`candidates`]
+/// stream, the only part that depends on the member count.
 pub(crate) fn solve_group(
     ts: &[&TxnSummary],
     fps: &[u64],
     symmetric: bool,
     level: ConsistencyLevel,
-    state: &mut GroupState,
     proofs: bool,
 ) -> (Vec<Finding>, DetectStats, Vec<Vec<u8>>) {
+    let model = InstanceModel::new_multi(ts);
+    let mut closure = Closure::new(&model, level);
     let mut stats = DetectStats::default();
-    let clauses_before = state
-        .solver
-        .as_ref()
-        .map(|s| (s.encoded_clauses(), s.solver_stats()));
-    let findings = {
-        let (model, solver) = (&state.model, &mut state.solver);
-        let mut memo: HashMap<Vec<VisRequirement>, bool> = HashMap::new();
-        let mut sat = |reqs: &[VisRequirement]| -> bool {
-            if let Some(&r) = memo.get(reqs) {
-                stats.memo_hits += 1;
-                return r;
-            }
-            stats.queries += 1;
-            let r = pair_query(solver, model, level, reqs, &mut stats, proofs);
-            if r {
-                stats.sat_queries += 1;
-            }
-            memo.insert(reqs.to_vec(), r);
-            r
-        };
-        realized(ts, fps, symmetric, model, &mut sat)
-    };
     let mut certs = Vec::new();
-    if let Some(ps) = &mut state.solver {
-        // A retained solver's counters are cumulative across calls;
-        // charge this pass only with the delta it caused.
-        let (c0, s0) = clauses_before.unwrap_or_default();
-        let s = ps.solver_stats();
-        stats.conflicts += s.conflicts - s0.conflicts;
-        stats.propagations += s.propagations - s0.propagations;
-        stats.decisions += s.decisions - s0.decisions;
-        stats.clauses_encoded += (ps.encoded_clauses() - c0) as u64;
-        certs = ps.take_certificates();
-    }
+    let findings = realized(ts, fps, symmetric, &model, &mut |reqs| {
+        stats.queries += 1;
+        let sat = closure.satisfiable(reqs);
+        if sat {
+            stats.sat_queries += 1;
+        } else if proofs {
+            certs.extend(closure.certificate(reqs));
+        }
+        sat
+    });
     (findings, stats, certs)
 }
 
@@ -575,6 +488,26 @@ pub(crate) fn make_pair(
 pub(crate) struct Candidate {
     pub(crate) findings: Vec<Finding>,
     pub(crate) queries: Vec<Vec<VisRequirement>>,
+}
+
+/// Every query the templates can ask of the instance group `members`
+/// (two or three transactions, in instance order) over `model`, their
+/// grounded skeleton: each candidate of every template, unbounded, in
+/// detection order. The closure ≡ SAT differential asks them all.
+pub fn candidate_queries(
+    members: &[&TxnSummary],
+    model: &InstanceModel,
+) -> Vec<Vec<VisRequirement>> {
+    let fps: Vec<u64> = members
+        .iter()
+        .map(|t| crate::cache::txn_fingerprint(t))
+        .collect();
+    let mut out = Vec::new();
+    candidates(members, &fps, true, model, &mut |c| {
+        out.extend(c.queries);
+        false
+    });
+    out
 }
 
 /// Detection's reading of the candidate stream: each candidate's queries
@@ -962,7 +895,7 @@ mod tests {
         let report = detect_differential(&p, &ConsistencyLevel::ALL);
         assert!(
             report.mismatches.is_empty(),
-            "incremental vs fresh mismatches: {:?}",
+            "closure vs fresh mismatches: {:?}",
             report.mismatches
         );
         let (fresh_ec, _) = detect_anomalies_fresh(&p, ConsistencyLevel::EventualConsistency);
@@ -989,13 +922,10 @@ mod tests {
         assert_eq!(s2.queries, 0);
         assert_eq!(session.cache_stats().hits, 9);
 
-        // Another level misses the verdict cache but reuses the retained
-        // pair solvers (no re-grounding, no base re-encoding).
+        // Another level misses the verdict cache and is solved afresh.
         let cc = ConsistencyLevel::CausalConsistency;
         let (got, _) = engine.detect_with_mode(&p, cc, DetectMode::Pairs, &mut session);
         assert_eq!(got, detect_anomalies(&p, cc));
-        let stats = session.cache_stats();
-        assert!(stats.solver_reuses > 0, "{stats:?}");
 
         // Editing one transaction re-solves only the pairs whose slices it
         // changes: 6 of the 9 ordered pairs still hit. The 4 setSt × regSt

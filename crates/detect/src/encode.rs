@@ -7,43 +7,24 @@
 //! relation `vis` between atoms (command × record event groups) and
 //! commands. The consistency level contributes its axioms; a pattern query
 //! then asserts a serializability violation restricted to a specific pair of
-//! commands, and the CDCL solver decides satisfiability — exactly the role
-//! Z3 plays in the paper.
+//! commands, and a SAT solver decides satisfiability — exactly the role Z3
+//! plays in the paper.
+//!
+//! This encoding is the reference: [`pattern_satisfiable`] decides one
+//! query on a fresh solver, with only the queried level's axioms and the
+//! requirements asserted as unit clauses. Detection and witness replay ask
+//! the closure ([`crate::closure`]) instead, which decides the same
+//! queries without a search, and whose certificates cite clause instances
+//! of this encoding: every clause family is written down once, in
+//! `Layout`, over the variable numbering `encode_base` allocates.
 //!
 //! The encoder emits program order as root facts before the transitivity
 //! clauses they decide, on purpose: a solver then stores only what the root
-//! assignment leaves open, and no clone of a never-solved solver deletes
-//! those clauses again (see `encode_base`).
-//!
-//! Two solving paths share one encoder so their clause streams cannot
-//! diverge:
-//!
-//! * [`pattern_satisfiable`] — the reference path: a fresh solver per
-//!   query, with only the queried level's axioms, requirements asserted as
-//!   unit clauses;
-//! * [`PairSolver`] — the incremental path: the ordering/visibility matrix
-//!   is encoded **once per transaction pair**, each non-trivial consistency
-//!   level's axioms are installed as an activation-literal-guarded clause
-//!   group, and every anomaly query is dispatched via
-//!   `solve_with_assumptions` (the guard plus the requirement literals),
-//!   retaining learnt clauses across queries.
-//!
-//! Successive queries of one pair differ in a few assumption literals, and
-//! most are satisfiable. So a [`PairSolver`] keeps the last satisfying
-//! assignment it found and answers a query SAT without a search when that
-//! assignment, with the query's assumption literals forced onto it, still
-//! satisfies every root fact and stored clause
-//! ([`atropos_sat::Solver::satisfied_by`]). Such a total assignment is a
-//! model of the query, so the answer is sound. Only SAT answers are
-//! carried over: every UNSAT answer, and so every certificate, comes from
-//! the solver. [`PairSolver::witness`] always searches and never reads the
-//! kept assignment. The witness decoder runs it on copies of never-queried
-//! solvers (a scratch solver refreshed with `clone_from`), so replay's
-//! schedules stay those of a one-shot decode.
+//! assignment leaves open (see `encode_base`).
 
 use std::collections::HashMap;
 
-use atropos_sat::{Lit, Solver, SolverStats};
+use atropos_sat::{Lit, Solver, SolverStats, Var};
 
 use crate::model::{CmdSummary, KeySpec, TxnSummary};
 
@@ -305,7 +286,7 @@ impl InstanceModel {
         !(ra.constant && rb.constant && ra.class != rb.class)
     }
 
-    fn same_instance(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn same_instance(&self, a: usize, b: usize) -> bool {
         self.cmds[a].instance == self.cmds[b].instance
     }
 
@@ -313,7 +294,7 @@ impl InstanceModel {
         self.same_instance(a, b) && self.cmds[a].summary.prog_index < self.cmds[b].summary.prog_index
     }
 
-    fn touches(&self, cmd: usize, record: usize) -> bool {
+    pub(crate) fn touches(&self, cmd: usize, record: usize) -> bool {
         self.cmds[cmd].records.contains(&record)
     }
 }
@@ -322,10 +303,11 @@ impl InstanceModel {
 /// and required polarity.
 pub type VisRequirement = (usize, usize, bool);
 
-/// The decoded truth assignment of one satisfying anomaly witness: the
-/// complete arbitration order and visibility relation the solver's model
-/// assigns to a dirty query. This is the static schedule the replay
-/// pipeline ([`crate::replay`]) turns into a concrete simulator run.
+/// The truth assignment of one satisfying anomaly witness: the complete
+/// arbitration order and visibility relation of a model of a dirty query
+/// (the closure's least model, [`crate::closure::Closure::witness`]).
+/// This is the static schedule the replay pipeline ([`crate::replay`])
+/// turns into a concrete simulator run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessTruth {
     /// `ord[i][j]`: command instance `i` is arbitrated before `j` (the
@@ -343,49 +325,148 @@ impl WitnessTruth {
     }
 }
 
-/// The ord/vis literal layout produced by [`encode_base`].
-#[derive(Default)]
-struct PairEncoding {
-    /// `ord[i][j]`: "command i is arbitrated before command j" (None on the
-    /// diagonal).
-    ord: Vec<Vec<Option<Lit>>>,
-    /// `vis[a][c]`: "atom a is visible to command c".
-    vis: Vec<Vec<Lit>>,
+/// The variable numbering of [`encode_base`]: each `ord` literal of an
+/// unordered command pair `i < j`, in that order, then each `vis` literal,
+/// atom by atom; the SER axioms number their block literals after them.
+/// It is arithmetic, so the closure's certificates ([`crate::closure`])
+/// name the very variables the reference encoding allocates without
+/// building it.
+///
+/// Each clause family the encoder emits is written down once, as a
+/// method here: [`encode_base`] and [`encode_level`] emit its instances,
+/// and a certificate cites the instances its refutation uses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    /// Command instances.
+    n: usize,
+    /// Atoms.
+    na: usize,
+    /// Transaction instances.
+    k: usize,
 }
 
-impl Clone for PairEncoding {
-    fn clone(&self) -> PairEncoding {
-        let mut enc = PairEncoding::default();
-        enc.clone_from(self);
-        enc
+impl Layout {
+    pub(crate) fn new(model: &InstanceModel) -> Layout {
+        Layout {
+            n: model.cmds.len(),
+            na: model.atoms.len(),
+            k: model.instances(),
+        }
     }
 
-    fn clone_from(&mut self, source: &PairEncoding) {
-        let PairEncoding { ord, vis } = self;
-        ord.clone_from(&source.ord);
-        vis.clone_from(&source.vis);
+    /// Variables of the `ord` literals.
+    fn ord_vars(&self) -> usize {
+        self.n * self.n.saturating_sub(1) / 2
     }
-}
 
-impl PairEncoding {
-    fn ord(&self, i: usize, j: usize) -> Lit {
-        self.ord[i][j].expect("i != j")
+    /// Variables [`encode_base`] allocates.
+    fn vars(&self) -> usize {
+        self.ord_vars() + self.na * self.n
     }
-}
 
-fn fresh(s: &mut Solver) -> Lit {
-    s.new_var().positive()
-}
+    /// "Command `i` is arbitrated before command `j`" (`i != j`): one
+    /// variable per unordered pair, so `ord(j, i)` is `¬ord(i, j)`.
+    pub(crate) fn ord(&self, i: usize, j: usize) -> Lit {
+        debug_assert!(i != j);
+        let (lo, hi) = (i.min(j), i.max(j));
+        let v = lo * self.n - lo * (lo + 1) / 2 + (hi - lo - 1);
+        Lit::new(Var(v as u32), i < j)
+    }
 
-/// Adds `lits` as a clause, weakened by `¬guard` when a guard is present —
-/// so the clause only bites while the guard literal is assumed.
-fn emit(s: &mut Solver, guard: Option<Lit>, lits: impl IntoIterator<Item = Lit>) {
-    match guard {
-        None => s.add_clause(lits),
-        Some(g) => {
-            let mut c: Vec<Lit> = lits.into_iter().collect();
-            c.push(!g);
-            s.add_clause(c);
+    /// "Atom `a` is visible to command `c`".
+    pub(crate) fn vis(&self, a: usize, c: usize) -> Lit {
+        Var((self.ord_vars() + a * self.n + c) as u32).positive()
+    }
+
+    /// "Instance `x` runs entirely before instance `y`" (`x < y`), the
+    /// SER axioms' block literal.
+    fn blk(&self, x: usize, y: usize) -> Lit {
+        debug_assert!(x < y);
+        let v = self.vars() + x * self.k - x * (x + 1) / 2 + (y - x - 1);
+        Var(v as u32).positive()
+    }
+
+    /// Program order: `i` precedes `j` in their instance.
+    pub(crate) fn program_order(&self, i: usize, j: usize) -> [Lit; 1] {
+        [self.ord(i, j)]
+    }
+
+    /// Transitivity of `ord` over one unordered triple `i < j < k`: one
+    /// clause per forbidden 3-cycle orientation, `i → j → k → i` first.
+    pub(crate) fn transitivity(&self, i: usize, j: usize, k: usize) -> [[Lit; 3]; 2] {
+        let (ij, jk, ik) = (self.ord(i, j), self.ord(j, k), self.ord(i, k));
+        [[!ij, !jk, ik], [ij, jk, !ik]]
+    }
+
+    /// The session fact on `vis(a, c)` when `c` is in the instance of
+    /// `a`'s producer: a command's view predates its own events, and a
+    /// transaction sees its own earlier effects. `None` across instances.
+    pub(crate) fn session_fact(&self, model: &InstanceModel, a: usize, c: usize) -> Option<Lit> {
+        let producer = model.atoms[a].cmd;
+        let l = self.vis(a, c);
+        if !model.same_instance(producer, c) {
+            None
+        } else if model.prog_before(producer, c) {
+            Some(l)
+        } else {
+            Some(!l)
+        }
+    }
+
+    /// Visibility implies arbitration, across instances.
+    pub(crate) fn vis_ord(&self, model: &InstanceModel, a: usize, c: usize) -> [Lit; 2] {
+        [!self.vis(a, c), self.ord(model.atoms[a].cmd, c)]
+    }
+
+    /// CC observer chain: `vis(b, cp) ∧ vis(a, c) ⇒ vis(b, c)` for an atom
+    /// `a` that `cp` produces.
+    pub(crate) fn observer_chain(&self, b: usize, cp: usize, a: usize, c: usize) -> [Lit; 3] {
+        [!self.vis(b, cp), !self.vis(a, c), self.vis(b, c)]
+    }
+
+    /// CC writer session: `vis(a, c) ⇒ vis(b, c)` when `b`'s producer
+    /// precedes `a`'s in one instance.
+    pub(crate) fn writer_session(&self, a: usize, b: usize, c: usize) -> [Lit; 2] {
+        [!self.vis(a, c), self.vis(b, c)]
+    }
+
+    /// CC monotonic reads: `vis(a, c1) ⇒ vis(a, c2)` for `c1` preceding
+    /// `c2` in one instance.
+    pub(crate) fn monotonic_read(&self, a: usize, c1: usize, c2: usize) -> [Lit; 2] {
+        [!self.vis(a, c1), self.vis(a, c2)]
+    }
+
+    /// RR read stability for `c1` preceding `c2`, `c1` touching `a`'s
+    /// record: no new visibility (`vis(a, c2) ⇒ vis(a, c1)`), then no
+    /// retraction (`vis(a, c1) ⇒ vis(a, c2)`).
+    pub(crate) fn read_stability(&self, a: usize, c1: usize, c2: usize) -> [[Lit; 2]; 2] {
+        let (v1, v2) = (self.vis(a, c1), self.vis(a, c2));
+        [[!v2, v1], [!v1, v2]]
+    }
+
+    /// SER: the block literal of `i`'s and `j`'s instances (`i`'s first)
+    /// is `ord(i, j)`.
+    pub(crate) fn block_order(&self, model: &InstanceModel, i: usize, j: usize) -> [[Lit; 2]; 2] {
+        let (x, y) = (
+            model.cmds[i].instance as usize,
+            model.cmds[j].instance as usize,
+        );
+        let (g, l) = (self.blk(x, y), self.ord(i, j));
+        [[!g, l], [g, !l]]
+    }
+
+    /// SER: `vis(a, c)` across instances holds exactly when the producer's
+    /// instance runs first.
+    pub(crate) fn block_vis(&self, model: &InstanceModel, a: usize, c: usize) -> [[Lit; 2]; 2] {
+        let x = model.cmds[model.atoms[a].cmd].instance as usize;
+        let y = model.cmds[c].instance as usize;
+        let l = self.vis(a, c);
+        if x < y {
+            let g = self.blk(x, y);
+            [[!g, l], [g, !l]]
+        } else {
+            let g = self.blk(y, x);
+            [[!g, !l], [g, l]]
         }
     }
 }
@@ -399,27 +480,19 @@ fn emit(s: &mut Solver, guard: Option<Lit>, lits: impl IntoIterator<Item = Lit>)
 /// clauses, so the solver never stores a clause those facts satisfy nor a
 /// literal they falsify. Every clause the solver keeps mentions only
 /// variables the root assignment leaves open, and root simplification
-/// has nothing left to delete. A certificate's core still names every
-/// clause as given.
-fn encode_base(s: &mut Solver, model: &InstanceModel) -> PairEncoding {
-    let n = model.cmds.len();
-    // ord[i][j] (i < j): literal meaning "i is arbitrated before j".
-    let mut ord: Vec<Vec<Option<Lit>>> = vec![vec![None; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let l = fresh(s);
-            ord[i][j] = Some(l);
-            ord[j][i] = Some(!l);
-        }
+/// has nothing left to delete.
+fn encode_base(s: &mut Solver, model: &InstanceModel) -> Layout {
+    let enc = Layout::new(model);
+    let n = enc.n;
+    for _ in 0..enc.vars() {
+        s.new_var();
     }
-    let ord_lit = |i: usize, j: usize| ord[i][j].expect("i != j");
-
     // Program order within each instance: root facts, first on purpose
     // (see above).
     for i in 0..n {
         for j in 0..n {
             if i != j && model.prog_before(i, j) {
-                s.add_clause([ord_lit(i, j)]);
+                s.add_clause(enc.program_order(i, j));
             }
         }
     }
@@ -434,47 +507,27 @@ fn encode_base(s: &mut Solver, model: &InstanceModel) -> PairEncoding {
     for i in 0..n {
         for j in (i + 1)..n {
             for k in (j + 1)..n {
-                s.add_clause([!ord_lit(i, j), !ord_lit(j, k), ord_lit(i, k)]);
-                s.add_clause([ord_lit(i, j), ord_lit(j, k), !ord_lit(i, k)]);
-            }
-        }
-    }
-
-    // vis[a][c] variables.
-    let mut vis = vec![Vec::with_capacity(n); model.atoms.len()];
-    for (ai, atom) in model.atoms.iter().enumerate() {
-        for c in 0..n {
-            let l = fresh(s);
-            vis[ai].push(l);
-            let producer = atom.cmd;
-            if producer == c {
-                // A command's view predates its own events.
-                s.add_clause([!l]);
-            } else if model.same_instance(producer, c) {
-                // Session guarantee: a transaction sees its own effects.
-                if model.prog_before(producer, c) {
-                    s.add_clause([l]);
-                } else {
-                    s.add_clause([!l]);
+                for c in enc.transitivity(i, j, k) {
+                    s.add_clause(c);
                 }
-            } else {
-                // Visibility implies arbitration order.
-                s.add_clause([!l, ord_lit(producer, c)]);
             }
         }
     }
-    PairEncoding { ord, vis }
+    // vis[a][c]: a session fact inside the producer's instance,
+    // visibility-implies-arbitration across instances.
+    for a in 0..enc.na {
+        for c in 0..n {
+            match enc.session_fact(model, a, c) {
+                Some(l) => s.add_clause([l]),
+                None => s.add_clause(enc.vis_ord(model, a, c)),
+            }
+        }
+    }
+    enc
 }
 
-/// Encodes the axioms of one consistency level on top of [`encode_base`],
-/// optionally guarded by an activation literal (the incremental path).
-fn encode_level(
-    s: &mut Solver,
-    model: &InstanceModel,
-    enc: &PairEncoding,
-    level: ConsistencyLevel,
-    guard: Option<Lit>,
-) {
+/// Encodes the axioms of one consistency level on top of [`encode_base`].
+fn encode_level(s: &mut Solver, model: &InstanceModel, enc: &Layout, level: ConsistencyLevel) {
     let n = model.cmds.len();
     let na = model.atoms.len();
     match level {
@@ -495,11 +548,7 @@ fn encode_level(
                             if c == cp || model.atoms[bi].cmd == c {
                                 continue;
                             }
-                            emit(
-                                s,
-                                guard,
-                                [!enc.vis[bi][cp], !enc.vis[ai][c], enc.vis[bi][c]],
-                            );
+                            s.add_clause(enc.observer_chain(bi, cp, ai, c));
                         }
                     }
                 }
@@ -518,7 +567,7 @@ fn encode_level(
                         if model.same_instance(pa, c) {
                             continue;
                         }
-                        emit(s, guard, [!enc.vis[ai][c], enc.vis[bi][c]]);
+                        s.add_clause(enc.writer_session(ai, bi, c));
                     }
                 }
             }
@@ -533,7 +582,7 @@ fn encode_level(
                         if c2 == c1 || !model.prog_before(c1, c2) {
                             continue;
                         }
-                        emit(s, guard, [!enc.vis[ai][c1], enc.vis[ai][c2]]);
+                        s.add_clause(enc.monotonic_read(ai, c1, c2));
                     }
                 }
             }
@@ -556,8 +605,9 @@ fn encode_level(
                         if c2 == c1 || !model.prog_before(c1, c2) {
                             continue;
                         }
-                        emit(s, guard, [!enc.vis[ai][c2], enc.vis[ai][c1]]);
-                        emit(s, guard, [!enc.vis[ai][c1], enc.vis[ai][c2]]);
+                        for c in enc.read_stability(ai, c1, c2) {
+                            s.add_clause(c);
+                        }
                     }
                 }
             }
@@ -569,50 +619,29 @@ fn encode_level(
             // order of the instances (a cyclic assignment of the blk
             // literals forces a cyclic ord triangle, which is
             // unsatisfiable), so for two instances this degenerates to the
-            // single "instance 0 runs first" literal of the pair encoding —
-            // same variable count, same clause stream.
+            // single "instance 0 runs first" literal.
             let k = model.instances();
-            let mut blk = vec![vec![None; k]; k];
-            for a in 0..k {
-                for b in (a + 1)..k {
-                    blk[a][b] = Some(fresh(s));
-                }
+            for _ in 0..k * k.saturating_sub(1) / 2 {
+                s.new_var();
             }
             for i in 0..n {
                 for j in 0..n {
                     if i == j || model.same_instance(i, j) {
                         continue;
                     }
-                    let (a, b) = (
-                        model.cmds[i].instance as usize,
-                        model.cmds[j].instance as usize,
-                    );
-                    if a < b {
-                        let g = blk[a][b].expect("a < b");
-                        let l = enc.ord(i, j);
-                        emit(s, guard, [!g, l]);
-                        emit(s, guard, [g, !l]);
+                    if model.cmds[i].instance < model.cmds[j].instance {
+                        for c in enc.block_order(model, i, j) {
+                            s.add_clause(c);
+                        }
                     }
                 }
             }
-            for (ai, atom) in model.atoms.iter().enumerate() {
+            for ai in 0..na {
                 for c in 0..n {
-                    if model.same_instance(atom.cmd, c) {
-                        continue;
-                    }
-                    let l = enc.vis[ai][c];
-                    let (pa, pc) = (
-                        model.cmds[atom.cmd].instance as usize,
-                        model.cmds[c].instance as usize,
-                    );
-                    if pa < pc {
-                        let g = blk[pa][pc].expect("pa < pc");
-                        emit(s, guard, [!g, l]);
-                        emit(s, guard, [g, !l]);
-                    } else {
-                        let g = blk[pc][pa].expect("pc < pa");
-                        emit(s, guard, [!g, !l]);
-                        emit(s, guard, [g, l]);
+                    if !model.same_instance(model.atoms[ai].cmd, c) {
+                        for cl in enc.block_vis(model, ai, c) {
+                            s.add_clause(cl);
+                        }
                     }
                 }
             }
@@ -623,9 +652,11 @@ fn encode_level(
 /// Decides whether an execution satisfying `requirements` exists under the
 /// axioms of `level` — i.e., whether the candidate anomaly is realizable.
 ///
-/// This is the reference path: it constructs a fresh solver per query. The
-/// production detector uses [`PairSolver`], which must return identical
-/// verdicts (enforced by the `incremental_vs_fresh` differential suite).
+/// This is the reference path: it constructs a fresh solver per query,
+/// with only the queried level's axioms and the requirements as unit
+/// clauses. Detection asks the closure ([`crate::closure::Closure`]),
+/// which must return identical answers (enforced by
+/// [`crate::detect_differential`] and the mutant differential).
 pub fn pattern_satisfiable(
     model: &InstanceModel,
     level: ConsistencyLevel,
@@ -643,331 +674,23 @@ pub(crate) fn fresh_query(
 ) -> (bool, SolverStats, usize) {
     let mut s = Solver::new();
     let enc = encode_base(&mut s, model);
-    encode_level(&mut s, model, &enc, level, None);
+    encode_level(&mut s, model, &enc, level);
     for &(a, c, polarity) in requirements {
-        let l = enc.vis[a][c];
+        let l = enc.vis(a, c);
         s.add_clause([if polarity { l } else { !l }]);
     }
     let sat = s.solve().is_sat();
     (sat, s.stats(), s.num_clauses())
 }
 
-/// An incremental anomaly oracle for one transaction pair.
-///
-/// The base ordering/visibility encoding is built once; the axioms of each
-/// non-trivial consistency level form an activation-literal-guarded clause
-/// group. A query assumes the queried level's guard plus the requirement
-/// literals, so the solver retains its clause database (including learnt
-/// clauses) across all patterns and levels.
-///
-/// The solver does **not** retain its [`InstanceModel`] — callers that keep
-/// a `PairSolver` alive (a [`crate::DetectSession`] retains
-/// them across refactoring steps) keep the model alongside it and pass the
-/// same model back into [`PairSolver::satisfiable`], which needs it only
-/// when a consistency level's axiom group is installed on first query.
-///
-/// A clone is an independent solver in the identical state, and
-/// `clone_from` makes that copy into an existing solver's buffers: the
-/// [`crate::replay::WitnessDecoder`] encodes a tuple once and refreshes one
-/// scratch solver from it before each witness search.
-pub struct PairSolver {
-    solver: Solver,
-    enc: PairEncoding,
-    /// Activation literal per level group, allocated when the level is
-    /// first queried (None for EC, which adds no axioms).
-    guards: [Option<Lit>; 4],
-    built: [bool; 4],
-    /// Clauses in the shared encoding: base skeleton plus built groups.
-    base_clauses: usize,
-    level_clauses: [usize; 4],
-    /// Certificates of UNSAT queries since the last
-    /// [`PairSolver::take_certificates`], in query order. Each blob is the
-    /// core the solver names for the query plus the failed-core trailer,
-    /// encoded in the `atropos_proof` binary format.
-    pending: Vec<Vec<u8>>,
-    /// The last satisfying assignment [`PairSolver::satisfiable`] found
-    /// or carried over, one value per solver variable at the time.
-    carried: Option<Vec<bool>>,
-}
-
-impl Clone for PairSolver {
-    fn clone(&self) -> PairSolver {
-        let PairSolver {
-            solver,
-            enc,
-            guards,
-            built,
-            base_clauses,
-            level_clauses,
-            pending,
-            carried,
-        } = self;
-        PairSolver {
-            solver: solver.clone(),
-            enc: enc.clone(),
-            guards: *guards,
-            built: *built,
-            base_clauses: *base_clauses,
-            level_clauses: *level_clauses,
-            pending: pending.clone(),
-            carried: carried.clone(),
-        }
-    }
-
-    /// Copies field by field into `self`'s buffers. The destructuring
-    /// names every field, so a field added later must be copied here too.
-    fn clone_from(&mut self, source: &PairSolver) {
-        let PairSolver {
-            solver,
-            enc,
-            guards,
-            built,
-            base_clauses,
-            level_clauses,
-            pending,
-            carried,
-        } = self;
-        solver.clone_from(&source.solver);
-        enc.clone_from(&source.enc);
-        *guards = source.guards;
-        *built = source.built;
-        *base_clauses = source.base_clauses;
-        *level_clauses = source.level_clauses;
-        pending.clone_from(&source.pending);
-        carried.clone_from(&source.carried);
-    }
-}
-
-// A retained pair solver travels from the session to the detection
-// engine's worker inside its group's work item and back at the merge;
-// `PairSolver` (and the model it is grounded from) must therefore stay
-// `Send`.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<PairSolver>();
-    assert_send::<InstanceModel>();
-};
-
-impl PairSolver {
-    /// Builds the level-independent encoding for `model`; each level's
-    /// axiom group is added lazily on first query.
-    pub fn new(model: &InstanceModel) -> PairSolver {
-        PairSolver::with_proofs(model, false)
-    }
-
-    /// Like [`PairSolver::new`], but with `proofs` on the solver keeps a
-    /// core record and each UNSAT query yields a certificate blob
-    /// (collected via [`PairSolver::take_certificates`]) that the
-    /// independent `atropos_proof` checker accepts: the input clauses and
-    /// lemmas its refutation reaches, plus the failed-core trailer.
-    pub fn with_proofs(model: &InstanceModel, proofs: bool) -> PairSolver {
-        let mut solver = if proofs {
-            Solver::with_proofs()
-        } else {
-            Solver::new()
-        };
-        let enc = encode_base(&mut solver, model);
-        // Reach the root state the first solve would, so copies start
-        // there instead of each simplifying again.
-        solver.simplify();
-        let base_clauses = solver.num_clauses();
-        PairSolver {
-            solver,
-            enc,
-            guards: [None; 4],
-            built: [false; 4],
-            base_clauses,
-            level_clauses: [0usize; 4],
-            pending: Vec::new(),
-            carried: None,
-        }
-    }
-
-    /// Drains the certificates captured since the last call, in query
-    /// order. Empty unless the solver was built via
-    /// [`PairSolver::with_proofs`] and answered at least one query UNSAT.
-    pub fn take_certificates(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Dispatches one assumption query, capturing a certificate on UNSAT
-    /// when proof logging is on — the single solve path shared by
-    /// [`PairSolver::satisfiable`] and [`PairSolver::witness`].
-    fn solve(&mut self, assumptions: &[Lit]) -> atropos_sat::SolveResult {
-        let result = self.solver.solve_with_assumptions(assumptions);
-        if self.solver.proof_logging() && !result.is_sat() {
-            let blob = crate::certify::certificate_blob(
-                &self.solver.refutation(),
-                self.solver.failed_assumptions(),
-            );
-            self.pending.push(blob);
-        }
-        result
-    }
-
-    /// Installs `level`'s guarded axiom group if it is not present yet
-    /// (a query does so itself; the witness decoder installs it on its
-    /// pristine solver, so the copies it searches on skip the encoding).
-    pub(crate) fn ensure_level(&mut self, model: &InstanceModel, level: ConsistencyLevel) {
-        let idx = level.index();
-        if self.built[idx] {
-            return;
-        }
-        self.built[idx] = true;
-        if level == ConsistencyLevel::EventualConsistency {
-            return;
-        }
-        let before = self.solver.num_clauses();
-        let g = fresh(&mut self.solver);
-        encode_level(&mut self.solver, model, &self.enc, level, Some(g));
-        self.guards[idx] = Some(g);
-        self.level_clauses[idx] = self.solver.num_clauses() - before;
-    }
-
-    /// Decides one pattern query under `level` via assumptions: the
-    /// level's guard on, every other installed guard off (so inactive
-    /// groups are satisfied by unit propagation, not search), plus the
-    /// requirement literals.
-    ///
-    /// A query the last satisfying assignment already answers is not
-    /// searched (see `carry_over`). Every other query, and so every UNSAT
-    /// answer and its certificate, comes from the solver, and a model it
-    /// finds is kept.
-    ///
-    /// `model` must be the very [`InstanceModel`] this solver was built
-    /// from ([`PairSolver::new`]); it is consulted only when `level`'s
-    /// axiom group is installed for the first time.
-    pub fn satisfiable(
-        &mut self,
-        model: &InstanceModel,
-        level: ConsistencyLevel,
-        requirements: &[VisRequirement],
-    ) -> bool {
-        self.ensure_level(model, level);
-        let assumptions = self.assumptions(level, requirements);
-        if self.carry_over(&assumptions) {
-            return true;
-        }
-        match self.solve(&assumptions) {
-            atropos_sat::SolveResult::Sat(m) => {
-                self.carried = Some(m);
-                true
-            }
-            atropos_sat::SolveResult::Unsat => false,
-        }
-    }
-
-    /// Whether the assignment in hand answers a query under `assumptions`
-    /// SAT without a search. Either it already satisfies every assumption
-    /// literal and no axiom group was installed since it was found (every
-    /// installed group adds a variable, so its length tells), or forcing
-    /// the assumption literals onto a copy of it, new variables false,
-    /// yields a model of the whole clause set
-    /// ([`atropos_sat::Solver::satisfied_by`]); that copy is kept instead.
-    /// Either way the answer is sound: a total assignment that satisfies
-    /// the clauses and the assumptions is a model of the query.
-    fn carry_over(&mut self, assumptions: &[Lit]) -> bool {
-        let Some(kept) = self.carried.as_mut() else {
-            return false;
-        };
-        let vars = self.solver.num_vars();
-        let holds = |m: &[bool], l: Lit| m[l.var().index()] == l.is_positive();
-        if kept.len() == vars && assumptions.iter().all(|&l| holds(kept, l)) {
-            return true;
-        }
-        let mut forced = kept.clone();
-        forced.resize(vars, false);
-        for &l in assumptions {
-            forced[l.var().index()] = l.is_positive();
-        }
-        if !self.solver.satisfied_by(&forced) {
-            return false;
-        }
-        *kept = forced;
-        true
-    }
-
-    /// The assumption vector of one pattern query: the queried level's
-    /// guard on, every other installed guard off, then the requirement
-    /// literals — shared verbatim by [`PairSolver::satisfiable`] and
-    /// [`PairSolver::witness`] so both decide the exact same query.
-    fn assumptions(
-        &self,
-        level: ConsistencyLevel,
-        requirements: &[VisRequirement],
-    ) -> Vec<Lit> {
-        let mut assumptions = Vec::with_capacity(requirements.len() + 4);
-        for other in ConsistencyLevel::ALL {
-            if let Some(g) = self.guards[other.index()] {
-                assumptions.push(if other == level { g } else { !g });
-            }
-        }
-        for &(a, c, polarity) in requirements {
-            let l = self.enc.vis[a][c];
-            assumptions.push(if polarity { l } else { !l });
-        }
-        assumptions
-    }
-
-    /// Decides the same query as [`PairSolver::satisfiable`] but, when it
-    /// is satisfiable, decodes the solver's model into the full
-    /// [`WitnessTruth`] — every `ord` and `vis` literal evaluated under the
-    /// satisfying assignment. Returns `None` on UNSAT. The solver is
-    /// deterministic, so identical queries decode identical witnesses.
-    /// It always searches, and it neither reads nor keeps the assignment
-    /// [`PairSolver::satisfiable`] carries over. The witness decoder runs
-    /// it on copies of never-queried solvers, so its schedules equal those
-    /// of a one-shot decode.
-    pub fn witness(
-        &mut self,
-        model: &InstanceModel,
-        level: ConsistencyLevel,
-        requirements: &[VisRequirement],
-    ) -> Option<WitnessTruth> {
-        self.ensure_level(model, level);
-        let assumptions = self.assumptions(level, requirements);
-        let result = self.solve(&assumptions);
-        let m = result.model()?;
-        let value = |l: Lit| m[l.var().index()] == l.is_positive();
-        let n = self.enc.ord.len();
-        let ord = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| self.enc.ord[i][j].map(&value).unwrap_or(false))
-                    .collect()
-            })
-            .collect();
-        let vis = self
-            .enc
-            .vis
-            .iter()
-            .map(|row| row.iter().map(|&l| value(l)).collect())
-            .collect();
-        Some(WitnessTruth { ord, vis })
-    }
-
-    /// Clauses this pair's shared encoding holds (excluding learnt ones).
-    pub fn encoded_clauses(&self) -> usize {
-        self.base_clauses + self.level_clauses.iter().sum::<usize>()
-    }
-
-    /// Clauses a fresh per-query encoding would have emitted for `level`.
-    pub fn fresh_equivalent_clauses(&self, level: ConsistencyLevel) -> usize {
-        self.base_clauses + self.level_clauses[level.index()]
-    }
-
-    /// Cumulative statistics of the underlying solver.
-    pub fn solver_stats(&self) -> SolverStats {
-        self.solver.stats()
-    }
-
-    /// The pair's stored CNF (root facts as units, then the encoded
-    /// clauses), for replaying the *real* detection formula through raw
-    /// solvers — the `solver_stats` microbench's arena-vs-baseline
-    /// comparison input.
-    pub fn problem_clauses(&self) -> Vec<Vec<Lit>> {
-        self.solver.problem_clauses()
-    }
+/// `model`'s base encoding as a solver stores it once root-simplified:
+/// root facts as units, then the stored clauses. The `solver_stats`
+/// microbench replays these real detection CNFs through its two solvers.
+pub fn base_cnf(model: &InstanceModel) -> Vec<Vec<Lit>> {
+    let mut s = Solver::new();
+    encode_base(&mut s, model);
+    s.simplify();
+    s.problem_clauses()
 }
 
 #[cfg(test)]
@@ -1112,35 +835,49 @@ mod tests {
 
     #[test]
     fn witness_decodes_a_consistent_model() {
+        use crate::closure::Closure;
         let m = model_for(COUNTER, "bump", "bump");
         let r = 0;
         let a_w1 = m.atom(1, r).unwrap();
         let a_w2 = m.atom(3, r).unwrap();
         let reqs = [(a_w2, 0, false), (a_w1, 2, false)];
-        let mut s = PairSolver::new(&m);
-        let w = s
-            .witness(&m, ConsistencyLevel::EventualConsistency, &reqs)
+        let mut closure = Closure::new(&m, ConsistencyLevel::EventualConsistency);
+        let w = closure
+            .witness(&reqs)
             .expect("lost update is EC-satisfiable");
-        // The decoded vis honours the query's requirements…
+        // The witness honours the query's requirements…
         assert!(!w.vis[a_w2][0]);
         assert!(!w.vis[a_w1][2]);
-        // …and the decoded ord is a valid total order: the arbitration
-        // positions form a permutation and agree with program order.
+        // …and its ord is a valid total order: the arbitration positions
+        // form a permutation and agree with program order.
         let mut pos: Vec<usize> = (0..m.cmds.len())
             .map(|c| w.arbitration_position(c))
             .collect();
         assert!(w.ord[0][1] && w.ord[2][3], "program order embedded");
         pos.sort_unstable();
         assert_eq!(pos, vec![0, 1, 2, 3]);
-        // Decoding twice yields the same witness (solver determinism), and
-        // the same solver still answers plain queries afterwards.
-        let again = s.witness(&m, ConsistencyLevel::EventualConsistency, &reqs);
-        assert_eq!(again.as_ref(), Some(&w));
-        assert!(s.satisfiable(&m, ConsistencyLevel::EventualConsistency, &reqs));
-        // UNSAT queries decode to no witness.
-        assert!(s.witness(&m, ConsistencyLevel::Serializable, &reqs).is_none());
+        // It is the least model: nothing crosses the instances, so ord is
+        // the smallest-index-first order of program order.
+        assert!(w.vis.iter().enumerate().all(|(a, row)| row
+            .iter()
+            .enumerate()
+            .all(|(c, &v)| v == m.prog_before(m.atoms[a].cmd, c))));
+        assert!(w.ord[1][2]);
+        // Asking twice yields the same witness, the full assignment is a
+        // model of the reference encoding, and UNSAT queries have none.
+        assert_eq!(closure.witness(&reqs).as_ref(), Some(&w));
+        let full: Vec<VisRequirement> = (0..m.atoms.len())
+            .flat_map(|a| (0..m.cmds.len()).map(move |c| (a, c)))
+            .map(|(a, c)| (a, c, w.vis[a][c]))
+            .collect();
+        assert!(pattern_satisfiable(&m, ConsistencyLevel::EventualConsistency, &full));
+        let mut ser = Closure::new(&m, ConsistencyLevel::Serializable);
+        assert!(ser.witness(&reqs).is_none());
     }
 
+    /// Every clause a root-simplified fresh solver stores, at every level,
+    /// leaves the root facts' variables alone: program order and session
+    /// visibility are emitted before the clauses they decide.
     #[test]
     fn no_stored_clause_mentions_a_root_assigned_variable() {
         let src = "schema T { id: int key, v: int }
@@ -1165,77 +902,24 @@ mod tests {
             InstanceModel::new_multi(&[mv, peek, mv]),
         ] {
             assert_eq!(model.cmds.len(), 3 * model.instances());
-            let mut s = PairSolver::new(&model);
             for level in ConsistencyLevel::ALL {
-                s.ensure_level(&model, level);
-            }
-            let clauses = s.problem_clauses();
-            let (units, stored): (Vec<_>, Vec<_>) = clauses.iter().partition(|c| c.len() == 1);
-            let root: std::collections::HashSet<_> = units.iter().map(|c| c[0].var()).collect();
-            assert!(!root.is_empty() && !stored.is_empty());
-            for c in stored {
-                assert!(
-                    c.iter().all(|l| !root.contains(&l.var())),
-                    "{} instances: stored clause {c:?} mentions a root-assigned variable",
-                    model.instances()
-                );
-            }
-        }
-    }
-
-    /// `clone_from` into a pair solver that held another pair's encoding,
-    /// over more or fewer variables and with the other proof setting,
-    /// leaves it answering exactly as a fresh clone of the source:
-    /// answers, witnesses, certificates (with their failed cores), solver
-    /// statistics and clause counts.
-    #[test]
-    fn clone_from_answers_exactly_like_a_fresh_clone() {
-        use ConsistencyLevel::*;
-        let m = model_for(TWO_WRITES, "wr", "rd");
-        let (ra, rb) = (m.cmds[2].records[0], m.cmds[3].records[0]);
-        let (a_w1, a_w2) = (m.atom(0, ra).unwrap(), m.atom(1, rb).unwrap());
-        let later_missing = [(a_w1, 2, true), (a_w2, 3, false)];
-        let earlier_missing = [(a_w2, 3, true), (a_w1, 2, false)];
-        // The warm-up's satisfiable query first: the carried assignment
-        // answers it without a search.
-        let mut queries = vec![(RepeatableRead, &earlier_missing)];
-        for level in [CausalConsistency, Serializable, EventualConsistency] {
-            queries.extend([(level, &later_missing), (level, &earlier_missing)]);
-        }
-        let run = |s: &mut PairSolver| {
-            let mut out = Vec::new();
-            for &(level, reqs) in &queries {
-                let sat = s.satisfiable(&m, level, reqs);
-                let stats = s.solver_stats();
-                let witness = s.witness(&m, level, reqs);
-                let certs = s.take_certificates();
-                out.push((sat, stats, witness, certs, s.solver_stats(), s.encoded_clauses()));
-            }
-            out
-        };
-        for proofs in [false, true] {
-            // A warm source: one level installed, an assignment carried
-            // and a certificate pending.
-            let mut source = PairSolver::with_proofs(&m, proofs);
-            assert!(source.satisfiable(&m, RepeatableRead, &earlier_missing));
-            assert!(!source.satisfiable(&m, Serializable, &later_missing));
-            let expected = run(&mut source.clone());
-            assert!(expected.iter().any(|(sat, ..)| *sat));
-            assert!(expected.iter().any(|(sat, ..)| !*sat));
-            assert_eq!(expected.iter().any(|(.., c, _, _)| !c.is_empty()), proofs);
-            assert_eq!(expected[0].1, source.solver_stats(), "carried over");
-
-            let counter = model_for(COUNTER, "bump", "bump");
-            let mut smaller = PairSolver::with_proofs(&counter, !proofs);
-            assert!(smaller.satisfiable(&counter, CausalConsistency, &[]));
-            let sums = summarize_program(&parse(TWO_WRITES).unwrap());
-            let triple = InstanceModel::new_multi(&[&sums[0], &sums[1], &sums[0]]);
-            let mut larger = PairSolver::with_proofs(&triple, proofs);
-            assert!(larger.witness(&triple, Serializable, &[]).is_some());
-            for mut target in [smaller, larger] {
-                assert_ne!(target.encoded_clauses(), source.encoded_clauses());
-                target.clone_from(&source);
-                assert_eq!(run(&mut target), expected, "proofs {proofs}");
+                let mut s = Solver::new();
+                let enc = encode_base(&mut s, &model);
+                encode_level(&mut s, &model, &enc, level);
+                s.simplify();
+                let clauses = s.problem_clauses();
+                let (units, stored): (Vec<_>, Vec<_>) =
+                    clauses.iter().partition(|c| c.len() == 1);
+                let root: std::collections::HashSet<_> =
+                    units.iter().map(|c| c[0].var()).collect();
+                assert!(!root.is_empty() && !stored.is_empty());
+                for c in stored {
+                    assert!(
+                        c.iter().all(|l| !root.contains(&l.var())),
+                        "{} instances @ {level}: stored clause {c:?} mentions a root-assigned variable",
+                        model.instances()
+                    );
+                }
             }
         }
     }

@@ -21,19 +21,15 @@
 //!    transactions — up in the verdict cache under its `GroupKey`. A miss
 //!    becomes a work item unless an earlier slot (of any program in the
 //!    batch) already planned its key; statically template-free triples are
-//!    settled with an empty verdict without ever grounding a model. Then,
-//!    in plan order, each work item takes its group's retained
-//!    `GroupState` out of the session. Keys that differ only in the
-//!    symmetric flag or the level share one state: the first such item
-//!    gets it, and a later one grounds a fresh model.
-//! 2. **Solve** (parallel): `std::thread::scope` workers drain the owned
-//!    work items from a queue, each item to exactly one worker. A worker
-//!    solves its item's state, or a new one grounded over the slot's
-//!    slices, with the one solve frame every bound shares, and returns the
-//!    state in its outcome. No worker touches the session.
+//!    settled with an empty verdict without ever grounding a model.
+//! 2. **Solve** (parallel): `std::thread::scope` workers drain the work
+//!    items from a queue, each item to exactly one worker. A worker grounds
+//!    the item's model over the slot's slices and decides its queries by
+//!    closure with the one solve frame every bound shares. No worker
+//!    touches the session.
 //! 3. **Merge** (serial, deterministic): verdicts are inserted into the
-//!    cache and states returned to it **in plan order**, not in completion
-//!    order, and every slot is then answered from the cache, its findings
+//!    cache **in plan order**, not in completion order, and every slot is
+//!    then answered from the cache, its findings
 //!    mapped from slice positions to its members' commands and labelled by
 //!    its own program. The output — verdicts, the entire [`DetectStats`]
 //!    and [`crate::CacheStats`] except wall-clock seconds, and every
@@ -56,7 +52,7 @@ use std::time::Instant;
 
 use atropos_dsl::Program;
 
-use crate::cache::{GroupKey, GroupState, ProgramKeys, MAX_K};
+use crate::cache::{GroupKey, ProgramKeys, MAX_K};
 use crate::corpus::CorpusStats;
 use crate::detect::{accumulate, solve_group, AccessPair, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
@@ -92,8 +88,8 @@ impl std::fmt::Display for DetectMode {
 /// Policy for cached detection passes: the worker count and whether UNSAT
 /// verdicts carry proof certificates. Two plain fields and no state:
 /// callers typically build **one engine per sweep** and share it, and
-/// everything a pass leaves behind (verdicts, retained solvers) lives in
-/// the [`DetectSession`].
+/// everything a pass leaves behind (its verdicts) lives in the
+/// [`DetectSession`].
 ///
 /// # Examples
 ///
@@ -268,47 +264,25 @@ impl Slot {
     }
 }
 
-/// One dirty work item: the first slot (with its program) of a planned
-/// key, and its group's retained state if the session held one.
-struct Work {
-    prog: usize,
-    slot: Slot,
-    state: Option<GroupState>,
-}
-
-/// The outcome of solving one dirty work item, produced on whatever worker
-/// claimed it and merged on the coordinating thread.
-struct Outcome {
-    findings: Vec<Finding>,
-    stats: DetectStats,
-    solver_reused: bool,
-    /// Proof certificates of this item's UNSAT queries (empty when proof
-    /// capture is off), stored with the verdict at the merge point.
-    proofs: Vec<Vec<u8>>,
-    /// The group's state after the solve, returned to the session at the
-    /// merge.
-    state: GroupState,
-}
-
-/// Drains the owned `items` on up to `threads` scoped workers, each item
-/// claimed by exactly one worker (inline when the batch is too small to
-/// feed more than one — incremental repair's later passes dirty a handful
-/// of items, and paying a spawn/join round-trip for them would hand the
-/// serial driver a regression). Returns the outcomes indexed like
-/// `items`, never in completion order.
-fn run_pool<T: Send>(
+/// Solves `items` on up to `threads` scoped workers, each item claimed
+/// by exactly one worker (inline when the batch is too small to feed more
+/// than one — incremental repair's later passes dirty a handful of items,
+/// and paying a spawn/join round-trip for them would hand the serial
+/// driver a regression). Returns the outcomes indexed like `items`, never
+/// in completion order.
+fn run_pool<T: Sync, O: Send>(
     threads: usize,
-    items: Vec<T>,
-    solve: impl Fn(T) -> Outcome + Sync,
-) -> Vec<Outcome> {
+    items: &[T],
+    solve: impl Fn(&T) -> O + Sync,
+) -> Vec<O> {
     let n = items.len();
     let workers = threads.min(n / MIN_PAIRS_PER_WORKER).max(1);
     if workers <= 1 {
-        return items.into_iter().map(solve).collect();
+        return items.iter().map(solve).collect();
     }
-    let queue = Mutex::new(items.into_iter().enumerate());
+    let queue = Mutex::new(items.iter().enumerate());
     let (solve, queue) = (&solve, &queue);
-    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(n);
+    let mut outcomes: Vec<Option<O>> = Vec::with_capacity(n);
     outcomes.resize_with(n, || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -345,9 +319,9 @@ fn run_pool<T: Send>(
 /// transactions, its members reordered into key orientation (ascending
 /// fingerprint; ties, only possible between identical summaries, broken
 /// by index). Everything downstream — the cache key, the static
-/// prefilter, the grounded model, retained states — works in that one
-/// orientation, so a state keyed here can never be replayed against
-/// members in a different order.
+/// prefilter, the grounded model — works in that one orientation, so a
+/// verdict keyed here can never be replayed against members in a
+/// different order.
 fn plan_slots(keys: &ProgramKeys, level: ConsistencyLevel, mode: DetectMode) -> Vec<Slot> {
     let n = keys.transactions();
     let mut slots = Vec::with_capacity(n * n);
@@ -438,48 +412,21 @@ pub(crate) fn detect_batch(
     batch.unique_pairs = misses.iter().filter(|(_, m)| m.key.k() == 2).count() as u64;
     batch.unique_triples = misses.len() as u64 - batch.unique_pairs;
 
-    // Each work item carries its group's retained state, taken out in plan
-    // order: of two keys sharing one state, the first gets it.
-    let work: Vec<Work> = misses
-        .iter()
-        .map(|&(prog, slot)| Work {
-            prog,
-            slot,
-            state: session.states_mut().remove(&slot.key.state()),
-        })
-        .collect();
-
     // Solve (parallel): each unique key exactly once, each on the one
-    // worker that claims its item.
-    let outcomes = run_pool(engine.threads(), work, |Work { prog, slot, state }| {
+    // worker that claims its item. An outcome holds the group's findings,
+    // its solve counters and the certificates of its UNSAT queries.
+    let outcomes = run_pool(engine.threads(), &misses, |&(prog, slot)| {
         let grounded = slot.grounded(&sums[prog], &keys[prog]);
         let ts: Vec<&TxnSummary> = grounded.iter().map(|t| t.as_ref()).collect();
-        let mut state = state.unwrap_or_else(|| GroupState::new(&ts));
-        let solver_reused = state.solver.is_some();
-        let (findings, stats, proofs) = solve_group(
-            &ts,
-            slot.key.fps(),
-            slot.key.symmetric,
-            level,
-            &mut state,
-            engine.proofs_enabled(),
-        );
-        Outcome {
-            findings,
-            stats,
-            solver_reused,
-            proofs,
-            state,
-        }
+        let (fps, symmetric) = (slot.key.fps(), slot.key.symmetric);
+        solve_group(&ts, fps, symmetric, level, engine.proofs_enabled())
     });
 
-    // Merge (serial, plan order): insert verdicts and return states in the
-    // serial work order, whatever order the workers finished in.
-    for ((prog, m), o) in misses.iter().zip(outcomes) {
-        session.stats_mut().solver_reuses += u64::from(o.solver_reused);
-        session.states_mut().insert(m.key.state(), o.state);
-        batch.solve += o.stats;
-        session.insert(m.key, &m.members(&sums[*prog]), o.findings, o.proofs);
+    // Merge (serial, plan order): insert verdicts in the serial work order,
+    // whatever order the workers finished in.
+    for ((prog, m), (findings, stats, proofs)) in misses.iter().zip(outcomes) {
+        batch.solve += stats;
+        session.insert(m.key, &m.members(&sums[*prog]), findings, proofs);
     }
     for (prog, m) in settled {
         session.insert(m.key, &m.members(&sums[prog]), Vec::new(), Vec::new());
@@ -683,10 +630,10 @@ mod tests {
         assert!(session.cache_stats().triple_hits > 0);
     }
 
-    /// A retained triple `GroupState` is keyed (and grounded) in the canonical
+    /// A triple verdict is keyed (and grounded) in the canonical
     /// fingerprint orientation, so a session shared across two programs
     /// that declare the same three transactions in *different order* must
-    /// replay the state correctly — not against reshuffled instance spans.
+    /// replay it correctly — not against reshuffled instance spans.
     #[test]
     fn retained_triple_states_survive_transaction_reordering() {
         let forward = parse(RELAY).unwrap();
@@ -695,12 +642,12 @@ mod tests {
         reversed.transactions.reverse();
         let engine = DetectionEngine::serial();
         let mut session = DetectSession::new();
-        // Prime retained triple state via the forward program at EC…
+        // Prime the session via the forward program at EC…
         let (ec_fwd, _) =
             engine.detect_with_mode(&forward, ConsistencyLevel::EventualConsistency,
                 DetectMode::Triples, &mut session);
         // …then query the reversed program at another level: the verdict
-        // cache misses (different level) and the retained state is reused.
+        // cache misses (different level) and the triple is solved afresh.
         let (cc_rev, _) = engine.detect_with_mode(&reversed,
             ConsistencyLevel::CausalConsistency, DetectMode::Triples, &mut session);
         let mut fresh = DetectSession::new();

@@ -7,16 +7,21 @@
 //! formula over transactional dependencies, visibility, and global
 //! timestamps, discharged with Z3. This crate grounds the same queries over
 //! a bounded execution skeleton of two (or, in triple mode, three)
-//! transaction instances and decides them with the workspace's own CDCL
-//! solver (`atropos-sat`):
+//! transaction instances. Every level axiom of that grounding is a Horn
+//! implication over visibility, so detection decides each query by
+//! closure, without a search; the CNF encoding and the workspace's own
+//! CDCL solver (`atropos-sat`) stay as the reference oracle:
 //!
 //! * [`model`] — static command summaries (read/write sets, key specs);
-//! * [`encode`] — witness records, atoms, and the CNF encoding of `ord`,
-//!   `vis`, and the per-level axioms (EC / CC / RR / SC) over any number
-//!   of instances, shared by the fresh reference path
-//!   ([`pattern_satisfiable`]) and the incremental [`PairSolver`] (one
-//!   solver per instance group, level axioms as activation-literal-guarded
-//!   groups, queries via assumptions);
+//! * [`encode`] — witness records, atoms, and the reference CNF encoding
+//!   of `ord`, `vis`, and the per-level axioms (EC / CC / RR / SC) over any
+//!   number of instances, with [`pattern_satisfiable`], a fresh solver per
+//!   query;
+//! * [`closure`] — the [`closure::Closure`] every pipeline query asks: the
+//!   least `vis` set a query forces, closed under the level's
+//!   implications, decides it, certifies an UNSAT answer with clause
+//!   instances of the reference encoding, and is the witness of a SAT
+//!   answer;
 //! * [`detect`] — the one template table: a candidate stream per
 //!   instance group (the four pair templates here, the chain templates of
 //!   [`triple`] for three members) that detection, the fresh-solver
@@ -27,16 +32,15 @@
 //! * [`triple`] — the three-instance chain templates of
 //!   [`DetectMode::Triples`];
 //! * [`cache`] — transaction and conflict-slice fingerprinting and what a
-//!   session caches: verdicts and retained solvers, keyed by one
-//!   instance-group key (a pair by its members' conflict slices);
+//!   session caches: verdicts, keyed by one instance-group key (a pair by
+//!   its members' conflict slices);
 //! * [`engine`] — the [`DetectionEngine`] and the one detection driver:
 //!   plan a batch of programs against the session, solve the deduplicated
-//!   misses on a scoped-thread worker pool (`ATROPOS_THREADS`-controlled),
-//!   each work item carrying its own retained solver, and merge
-//!   deterministically;
-//! * [`session`] — the [`DetectSession`], the only cache handle: verdicts,
-//!   retained solvers and counters with a session lifetime, touched only
-//!   by the coordinating thread and shared across repair runs so common
+//!   misses on a scoped-thread worker pool (`ATROPOS_THREADS`-controlled)
+//!   and merge deterministically;
+//! * [`session`] — the [`DetectSession`], the only cache handle: verdicts
+//!   and counters with a session lifetime, touched only by the
+//!   coordinating thread and shared across repair runs so common
 //!   transaction shapes hit warm verdicts (cross-run counters in
 //!   [`CacheStats`]); its [`DetectSession::save_to`] and
 //!   [`DetectSession::load_from`] are the only way to persist verdicts;
@@ -44,12 +48,12 @@
 //!   two calls (one checksummed record file per store directory, one
 //!   advisory lock, union merge) and [`analyse_corpus`], the driver over a
 //!   whole corpus of programs at once;
-//! * [`replay`] — witness replay: the satisfying assignment behind a dirty
-//!   verdict is decoded ([`decode_witness`]) into a concrete
+//! * [`replay`] — witness replay: the least model behind a dirty verdict
+//!   is decoded ([`decode_witness`]) into a concrete
 //!   [`atropos_sim::ConcreteSchedule`] and executed deterministically on
 //!   the simulated cluster, proving the anomaly observable (and, after
 //!   repair, suppressed). The decoder reads detection's own candidate
-//!   stream. A [`WitnessDecoder`] decodes a whole report, encoding each
+//!   stream. A [`WitnessDecoder`] decodes a whole report, grounding each
 //!   transaction tuple once, byte-identically.
 //!
 //! Detection runs three ways: [`DetectionEngine::detect_with_mode`] over
@@ -77,6 +81,7 @@
 
 pub mod cache;
 pub(crate) mod certify;
+pub mod closure;
 pub mod corpus;
 pub mod detect;
 pub mod encode;
@@ -91,9 +96,9 @@ pub use corpus::{analyse_corpus, CorpusStats, CorpusVerdict};
 pub use engine::{DetectMode, DetectionEngine};
 pub use session::DetectSession;
 pub use detect::{
-    detect_anomalies, detect_anomalies_fresh, detect_differential, AccessPair, AnomalyKind,
-    DetectStats, DifferentialReport,
+    candidate_queries, detect_anomalies, detect_anomalies_fresh, detect_differential, AccessPair,
+    AnomalyKind, DetectStats, DifferentialReport,
 };
-pub use encode::{pattern_satisfiable, ConsistencyLevel, InstanceModel, PairSolver, WitnessTruth};
+pub use encode::{base_cnf, pattern_satisfiable, ConsistencyLevel, InstanceModel, WitnessTruth};
 pub use replay::{decode_witness, decode_witness_marked, replay_verdict, WitnessDecoder};
 pub use model::{summarize_program, summarize_txn, CmdKind, CmdSummary, KeySpec, TxnSummary};

@@ -2,18 +2,20 @@
 //!
 //! The detector reports an anomaly as an [`AccessPair`] — two command
 //! labels, a template, and the witnessing transactions — established by a
-//! satisfiable pattern query. The satisfying assignment behind that verdict
-//! is a full bounded execution (an arbitration order over every command
-//! instance and a visibility relation over every atom), which this module
-//! extracts ([`PairSolver::witness`], for pairs and triples alike) and
-//! decodes into an [`atropos_sim::ConcreteSchedule`]: a total order of
-//! per-instance commands with session and replica placement, explicit
-//! replication steps realizing the model's read-from edges, and the
-//! anomaly's observable predicate as visibility checks. Running the
-//! schedule on the simulator ([`atropos_sim::run_schedule`]) then *proves*
-//! the verdict: the anomaly manifests as concrete reads observing (or
-//! missing) concrete writes on a cluster whose executor enforces honest
-//! weak-store semantics.
+//! satisfiable pattern query. Its witness is a full bounded execution (an
+//! arbitration order over every command instance and a visibility
+//! relation over every atom): the query's least model
+//! ([`Closure::witness`], for pairs and triples alike), in which nothing is
+//! visible that the query does not force. This module decodes it into an
+//! [`atropos_sim::ConcreteSchedule`]: a total order of per-instance
+//! commands with session and replica placement, explicit replication
+//! steps realizing the model's read-from edges, and the anomaly's
+//! observable predicate as visibility checks. Running the schedule on the
+//! simulator ([`atropos_sim::run_schedule`]) then *proves* the verdict:
+//! the anomaly manifests as concrete reads observing (or missing)
+//! concrete writes on a cluster whose executor enforces honest weak-store
+//! semantics. CLOTHO turns solver-found anomalous executions into directed
+//! tests in the same way; a least witness is the smallest such test.
 //!
 //! Verdicts do not store their requirement vectors (they travel through
 //! the verdict cache and across processes), so the decoder re-derives
@@ -22,19 +24,16 @@
 //! detector's own candidate stream ([`crate::detect`]'s `candidates`,
 //! which `solve_group` reads too) with no candidate realized, so it sees
 //! every candidate of every template unbounded. It keeps those whose
-//! reported pair matches the verdict's anchor and asks the solver for a
-//! witness of the first realizable one.
+//! reported pair matches the verdict's anchor and takes the witness of
+//! the first realizable one.
 //!
 //! A [`WitnessDecoder`] decodes many verdicts of one program for the cost
-//! of few. It summarizes the program once, grounds and encodes each tuple
-//! once into a pristine [`InstanceModel`] and [`PairSolver`], enumerates
-//! each tuple's candidates once for every kind, and runs every search on
-//! one scratch solver per tuple, refreshed from the pristine one with
-//! `clone_from` before the search. The refreshed solver is in the state a
-//! fresh clone would be, reusing the scratch solver's buffers, and the
-//! solver is deterministic, so a verdict decodes to the byte-identical
-//! schedule whatever the decoder decoded before it. The decoder keeps at
-//! most one grounded tuple live; decoding verdicts in
+//! of few. It summarizes the program once, grounds each tuple once into
+//! an [`InstanceModel`], and enumerates each tuple's candidates once for
+//! every kind; each search indexes the model for its level. A least model
+//! depends only on the model and the query, so a verdict decodes to the
+//! byte-identical schedule whatever the decoder decoded before it. The
+//! decoder keeps at most one grounded tuple live; decoding verdicts in
 //! [`WitnessDecoder::visit_order`] grounds each tuple once.
 //! [`decode_witness`], [`decode_witness_marked`] and [`replay_verdict`]
 //! are decoders of one.
@@ -64,8 +63,9 @@ use atropos_sim::{
 };
 
 use crate::cache::txn_fingerprint;
+use crate::closure::Closure;
 use crate::detect::{candidates, pair_key, AccessPair, AnomalyKind, PairKey};
-use crate::encode::{ConsistencyLevel, InstanceModel, PairSolver, VisRequirement, WitnessTruth};
+use crate::encode::{ConsistencyLevel, InstanceModel, VisRequirement, WitnessTruth};
 use crate::model::{summarize_program, CmdKind, TxnSummary};
 
 /// Transaction instances a verdict may be witnessed on: indices into the
@@ -73,19 +73,14 @@ use crate::model::{summarize_program, CmdKind, TxnSummary};
 /// of a trio.
 type Tuple = Vec<usize>;
 
-/// The tuple a decoder keeps grounded: its model, every template
+/// The tuple a decoder keeps grounded: its model, and every template
 /// candidate of the tuple in detection order (the [`pair_key`]s of the
 /// verdicts it reports and its queries, the first satisfiable one
-/// winning), its pristine solver per queried level — the base encoding
-/// plus that level's axiom group, encoded at the tuple's first query under
-/// it and never queried — and the scratch solver every search of the
-/// tuple refreshes from one of them and queries.
+/// winning).
 struct Grounded {
     tuple: Tuple,
     model: InstanceModel,
     candidates: Vec<(Vec<PairKey>, Vec<Vec<VisRequirement>>)>,
-    pristine: BTreeMap<ConsistencyLevel, PairSolver>,
-    scratch: Option<PairSolver>,
 }
 
 /// Decodes the verdicts of one program into concrete schedules (see the
@@ -256,11 +251,8 @@ impl WitnessDecoder {
     }
 
     /// Searches one tuple for a witness of `verdict` under `level`: every
-    /// anchored candidate's queries, in order, on the tuple's scratch
-    /// solver, refreshed from the level's pristine solver before the first
-    /// query — the very queries, from the very state, of a solver built
-    /// for this search alone. Grounds the tuple first, evicting the
-    /// previously live one.
+    /// anchored candidate's queries, in order, until one has a least
+    /// model. Grounds the tuple first, evicting the previously live one.
     fn search(
         &mut self,
         tuple: &[usize],
@@ -287,22 +279,18 @@ impl WitnessDecoder {
                 tuple: tuple.to_vec(),
                 model,
                 candidates: cands,
-                pristine: BTreeMap::new(),
-                scratch: None,
             });
         }
         let Grounded {
             model,
-            pristine,
             candidates: cands,
-            scratch,
             ..
-        } = self.live.as_mut().expect("grounded above");
+        } = self.live.as_ref().expect("grounded above");
         // The anchor: the verdict's exact key when strict, its kind when
         // loose.
         let anchor = pair_key(verdict);
-        let mut refreshed = false;
-        for (keys, queries) in cands.iter() {
+        let mut closure: Option<Closure> = None;
+        for (keys, queries) in cands {
             if !keys.iter().any(|k| {
                 if strict {
                     *k == anchor
@@ -313,20 +301,8 @@ impl WitnessDecoder {
                 continue;
             }
             for reqs in queries {
-                if !refreshed {
-                    let pristine = pristine.entry(level).or_insert_with(|| {
-                        let mut s = PairSolver::new(model);
-                        s.ensure_level(model, level);
-                        s
-                    });
-                    match scratch {
-                        Some(s) => s.clone_from(pristine),
-                        None => *scratch = Some(pristine.clone()),
-                    }
-                    refreshed = true;
-                }
-                let solver = scratch.as_mut().expect("refreshed above");
-                if let Some(truth) = solver.witness(model, level, reqs) {
+                let closure = closure.get_or_insert_with(|| Closure::new(model, level));
+                if let Some(truth) = closure.witness(reqs) {
                     return Some(build_schedule(model, &ts, reqs, &truth, verdict.kind));
                 }
             }

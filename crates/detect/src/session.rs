@@ -1,6 +1,6 @@
 //! The verdict cache with a session lifetime: one [`DetectSession`] holds
-//! every cached verdict, the retained solvers and the cache counters, and
-//! is shared across many detection passes *and many repair runs*.
+//! every cached verdict, the cache counters and its run number, and is
+//! shared across many detection passes *and many repair runs*.
 //!
 //! An ablation sweep, a random-search baseline, or a whole benchmark suite
 //! constructs one session and hands it to every run, so transaction shapes
@@ -24,9 +24,9 @@
 //! # One owner
 //!
 //! A session is plain data that only the engine's coordinating thread
-//! touches: it holds no lock, and no worker borrows it. Each dirty group's
-//! retained solver travels to the worker that solves it inside the group's
-//! work item and comes back at the merge (see [`crate::engine`]).
+//! touches: it holds no lock, and no worker borrows it. Workers solve
+//! their groups from the summaries alone and hand the verdicts back for
+//! the merge (see [`crate::engine`]).
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -34,13 +34,13 @@ use std::path::Path;
 
 use atropos_dsl::Program;
 
-use crate::cache::{CacheStats, GroupKey, GroupState, ProgramKeys, VerdictAudit, VerdictEntry};
+use crate::cache::{CacheStats, GroupKey, ProgramKeys, VerdictAudit, VerdictEntry};
 use crate::corpus::CorpusStore;
 use crate::detect::Finding;
 use crate::model::{summarize_program, TxnSummary};
 
-/// Per-group anomaly verdicts and retained solvers, keyed by transaction
-/// fingerprints, with a session lifetime. Every
+/// Per-group anomaly verdicts, keyed by transaction fingerprints, with a
+/// session lifetime. Every
 /// [`crate::DetectionEngine`] pass and [`crate::analyse_corpus`] batch
 /// reads and refreshes one; the repair driver owns one per run or, across
 /// runs, one per whole benchmark sweep.
@@ -74,8 +74,6 @@ use crate::model::{summarize_program, TxnSummary};
 /// ```
 pub struct DetectSession {
     verdicts: HashMap<GroupKey, VerdictEntry>,
-    /// Retained solvers, keyed by [`GroupKey::state`].
-    states: HashMap<GroupKey, GroupState>,
     stats: CacheStats,
     /// Current run number; 0 until [`DetectSession::begin_run`] is called.
     run: u64,
@@ -92,7 +90,6 @@ impl DetectSession {
     pub fn new() -> DetectSession {
         DetectSession {
             verdicts: HashMap::new(),
-            states: HashMap::new(),
             stats: CacheStats::default(),
             run: 0,
         }
@@ -163,8 +160,8 @@ impl DetectSession {
             .collect()
     }
 
-    /// Explicit between-runs sweep: evicts every verdict and retained
-    /// solver naming a fingerprint that does not occur in `program` (no
+    /// Explicit between-runs sweep: evicts every verdict naming a
+    /// fingerprint that does not occur in `program` (no
     /// detection pass evicts anything), which bounds memory once a run's
     /// entries are genuinely dead. An entry the sweep keeps is guaranteed
     /// to hit again on the next pass over `program` (its transactions'
@@ -177,22 +174,9 @@ impl DetectSession {
         let keep = |k: &GroupKey| k.fps().iter().all(|fp| live.contains(fp));
         let before = self.verdicts.len();
         self.verdicts.retain(|k, _| keep(k));
-        self.states.retain(|k, _| keep(k));
         let evicted = before - self.verdicts.len();
         self.stats.invalidated += evicted as u64;
         evicted
-    }
-
-    /// The retained solvers, for the engine's coordinating thread: it takes
-    /// each dirty group's state out before the solve and puts it back at
-    /// the merge.
-    pub(crate) fn states_mut(&mut self) -> &mut HashMap<GroupKey, GroupState> {
-        &mut self.states
-    }
-
-    /// Mutable access to the lifetime counters, for the engine's merge.
-    pub(crate) fn stats_mut(&mut self) -> &mut CacheStats {
-        &mut self.stats
     }
 
     /// Looks up the cached verdict of one group, bumping the hit/miss
@@ -279,10 +263,9 @@ impl DetectSession {
     /// other, and the record file lands via a sibling tempfile and an
     /// atomic rename, so a crash mid-save leaves the previous file intact.
     ///
-    /// Retained solvers are transient and not persisted — a loaded
-    /// session re-encodes on its first miss but never re-solves a
-    /// persisted verdict. Returns the number of entries this session
-    /// contributed (merged or already present).
+    /// A loaded session never re-solves a persisted verdict. Returns the
+    /// number of entries this session contributed (merged or already
+    /// present).
     ///
     /// # Errors
     ///

@@ -11,8 +11,8 @@
 //! * the three-instance execution skeleton is the pair model's
 //!   instance-count-generic builder ([`InstanceModel::new_multi`]) over
 //!   the trio, so `ord`/`vis` and every per-level axiom group generalize
-//!   without a second encoder, and it is solved by the same incremental
-//!   [`crate::PairSolver`] in the same solve frame as a pair
+//!   without a second encoder, and its queries are decided by the same
+//!   closure ([`crate::closure`]) in the same solve frame as a pair
 //!   (`detect::solve_group`) — this module contributes only the
 //!   triple part of the candidate stream (`detect::candidates`) that
 //!   detection, the fresh reference oracle and witness replay all read;
@@ -417,7 +417,6 @@ pub(crate) fn candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::GroupState;
     use crate::detect::{solve_group, AccessPair};
     use crate::encode::ConsistencyLevel;
     use crate::model::summarize_program;
@@ -437,8 +436,7 @@ mod tests {
 
     fn solve(ts: &[TxnSummary], level: ConsistencyLevel) -> Vec<AccessPair> {
         let trio = [&ts[0], &ts[1], &ts[2]];
-        let mut state = GroupState::new(&trio);
-        let (findings, _, _) = solve_group(&trio, &fps(ts), false, level, &mut state, false);
+        let (findings, _, _) = solve_group(&trio, &fps(ts), false, level, false);
         findings.iter().filter_map(|f| f.emit(&trio)).collect()
     }
 

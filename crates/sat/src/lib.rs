@@ -4,14 +4,14 @@
 //!
 //! The paper discharges its serializability-anomaly queries with Z3; this
 //! workspace grounds the same bounded first-order formulas to propositional
-//! logic and decides them with this solver (see `atropos-detect`). The crate
+//! logic, and this solver decides them on the reference path that the
+//! detector's closure is checked against (see `atropos-detect`). The crate
 //! is self-contained and usable independently:
 //!
 //! * [`Solver`] — two-watched-literal CDCL with first-UIP learning, VSIDS,
 //!   phase saving, Luby restarts, learnt-clause deletion, and incremental
 //!   solving under assumptions (`solve_with_assumptions`) with
-//!   failed-assumption cores — the detector keeps one solver per
-//!   transaction pair and dispatches every anomaly query via assumptions;
+//!   failed-assumption cores;
 //! * [`dimacs`] — DIMACS CNF import/export plus a textual DRAT dump of a
 //!   refutation for cross-checking with external tools;
 //! * [`proof`] — the DRAT-style [`ProofEvent`]s of a refutation. A solver

@@ -137,10 +137,9 @@ impl OrderHeap {
 /// A CDCL SAT solver.
 ///
 /// The solver owns all of its state (no shared-memory interior), so it is
-/// `Send` — a compile-time guarantee pinned below that the detection
-/// engine relies on to migrate retained pair solvers between its workers.
-/// It is *not* concurrency-safe (`&mut` access only); parallelism is the
-/// callers' business, one solver per worker at a time. It is `Clone` like
+/// `Send` (pinned below), like the arena solver. It is *not*
+/// concurrency-safe (`&mut` access only); parallelism is the callers'
+/// business, one solver per worker at a time. It is `Clone` like
 /// the arena solver.
 ///
 /// # Examples
@@ -181,8 +180,8 @@ pub struct Solver {
     proof: Option<Vec<ProofEvent>>,
 }
 
-// A retained solver must be able to migrate between detection workers; any
-// non-Send field added to the solver stack should fail compilation here.
+// Any non-Send field added to the solver stack should fail compilation
+// here.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Solver>();

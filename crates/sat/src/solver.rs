@@ -11,12 +11,6 @@
 //! The solver is deliberately deterministic: identical inputs yield
 //! identical models.
 //!
-//! [`Solver::satisfied_by`] checks, without searching, whether a total
-//! assignment is a model: every root fact holds and every stored problem
-//! clause has a true literal. Callers that already hold a model can
-//! answer a satisfiable query from it. The detector forces a new query's
-//! assumption literals onto its last model and asks this check first.
-//!
 //! Clause storage is a flat arena: every clause lives contiguously in one
 //! `Vec<u32>` as `[header | len | lits... | activity?]`, and a `ClauseRef`
 //! is an offset into that buffer. Propagation therefore walks linear
@@ -79,25 +73,11 @@ const TAG_SHIFT: u32 = 3;
 /// packed back to back in one `u32` buffer. Literals are stored as their
 /// [`Lit::index`] encoding, which is already a dense `u32`; learnt
 /// clauses carry one trailing word holding their activity as `f32` bits.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Arena {
     data: Vec<u32>,
     /// Words occupied by marked (deleted) records.
     wasted: usize,
-}
-
-impl Clone for Arena {
-    fn clone(&self) -> Arena {
-        let mut a = Arena::default();
-        a.clone_from(self);
-        a
-    }
-
-    fn clone_from(&mut self, source: &Arena) {
-        let Arena { data, wasted } = self;
-        data.clone_from(&source.data);
-        *wasted = source.wasted;
-    }
 }
 
 impl Arena {
@@ -210,20 +190,20 @@ struct Watcher {
 /// A binary max-heap over variables ordered by VSIDS activity, with a
 /// position index for O(log n) re-heapification when an activity is bumped.
 /// Replaces the former O(vars) scan per decision in `pick_branch` — the
-/// difference matters once pair solvers are retained across a whole repair
-/// run and answer thousands of queries each.
+/// difference matters once one solver answers thousands of queries.
 ///
 /// Removal is lazy: variables stay in the heap when assigned, and
 /// backtracking re-inserts the unassigned ones, so every unassigned
 /// variable is always in it. `pick_branch` skips (and drops) assigned ones
 /// at [`OrderHeap::pop_max`] time, or all at once with
 /// [`OrderHeap::retain`] once they outnumber the unassigned ones: a solver
-/// cloned from a never-searched one holds every root fact in its heap.
+/// whose root facts were set before its first search holds every one of
+/// them in its heap.
 /// Ties in activity break towards the lower variable index, so the order
 /// is strict and total: the unassigned variables pop in the same order
 /// whichever assigned ones are still in the heap, and decisions are fully
 /// deterministic.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct OrderHeap {
     heap: Vec<Var>,
     /// `pos[v]` is the index of `v` in `heap`, or `ABSENT`.
@@ -339,20 +319,6 @@ impl OrderHeap {
     }
 }
 
-impl Clone for OrderHeap {
-    fn clone(&self) -> OrderHeap {
-        let mut h = OrderHeap::default();
-        h.clone_from(self);
-        h
-    }
-
-    fn clone_from(&mut self, source: &OrderHeap) {
-        let OrderHeap { heap, pos } = self;
-        heap.clone_from(&source.heap);
-        pos.clone_from(&source.pos);
-    }
-}
-
 /// Statistics accumulated during solving.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverStats {
@@ -373,18 +339,13 @@ pub struct SolverStats {
 /// A CDCL SAT solver.
 ///
 /// The solver owns all of its state (no shared-memory interior), so it is
-/// `Send` — a compile-time guarantee pinned below that the detection
-/// engine relies on to migrate retained pair solvers between its workers.
-/// It is *not* concurrency-safe (`&mut` access only); parallelism is the
-/// callers' business, one solver per worker at a time.
+/// `Send` (pinned below): it can be built on one thread and solved on
+/// another. It is *not* concurrency-safe (`&mut` access only); parallelism
+/// is the callers' business, one solver per worker at a time.
 ///
 /// Cloning copies the whole search state (clause database, learnt
 /// clauses, activities, saved phases and statistics), so a clone answers
-/// every later query exactly as its original would: encode once, then
-/// search many times from the same state. `clone_from` makes the same
-/// copy into the buffers of a solver that is no longer needed, whatever
-/// formula it held, so refreshing one scratch solver from a pristine one
-/// reuses its allocations instead of making new ones.
+/// every later query exactly as its original would.
 ///
 /// # Examples
 ///
@@ -399,7 +360,7 @@ pub struct SolverStats {
 /// let model = s.solve().model().unwrap().to_vec();
 /// assert!(!model[a.index()] && model[b.index()]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Solver {
     arena: Arena,
     /// Live original clauses, in insertion order.
@@ -432,8 +393,8 @@ pub struct Solver {
     proof: Option<Box<CoreLog>>,
 }
 
-// A retained solver must be able to migrate between detection workers; any
-// non-Send field added to the solver stack should fail compilation here.
+// Any non-Send field added to the solver stack should fail compilation
+// here, not at a caller that moves a solver between threads.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Solver>();
@@ -452,67 +413,6 @@ const COMPACT_WASTE: f64 = 0.25;
 impl Default for Solver {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for Solver {
-    fn clone(&self) -> Solver {
-        let mut s = Solver::new();
-        s.clone_from(self);
-        s
-    }
-
-    /// Copies field by field into `self`'s buffers. The destructuring
-    /// names every field, so a field added later must be copied here too.
-    fn clone_from(&mut self, source: &Solver) {
-        let Solver {
-            arena,
-            clauses,
-            learnts,
-            watches,
-            assign,
-            level,
-            reason,
-            trail,
-            trail_lim,
-            prop_head,
-            activity,
-            var_inc,
-            cla_inc,
-            phase,
-            order,
-            unsat,
-            stats,
-            seen,
-            failed,
-            simplified_at,
-            analyze_scratch,
-            ante_scratch,
-            proof,
-        } = self;
-        arena.clone_from(&source.arena);
-        clauses.clone_from(&source.clauses);
-        learnts.clone_from(&source.learnts);
-        watches.clone_from(&source.watches);
-        assign.clone_from(&source.assign);
-        level.clone_from(&source.level);
-        reason.clone_from(&source.reason);
-        trail.clone_from(&source.trail);
-        trail_lim.clone_from(&source.trail_lim);
-        *prop_head = source.prop_head;
-        activity.clone_from(&source.activity);
-        *var_inc = source.var_inc;
-        *cla_inc = source.cla_inc;
-        phase.clone_from(&source.phase);
-        order.clone_from(&source.order);
-        *unsat = source.unsat;
-        *stats = source.stats;
-        seen.clone_from(&source.seen);
-        failed.clone_from(&source.failed);
-        *simplified_at = source.simplified_at;
-        analyze_scratch.clone_from(&source.analyze_scratch);
-        ante_scratch.clone_from(&source.ante_scratch);
-        proof.clone_from(&source.proof);
     }
 }
 
@@ -724,28 +624,6 @@ impl Solver {
             out.push((0..len).map(|i| self.arena.lit(cref, i)).collect());
         }
         out
-    }
-
-    /// Whether `assignment` (one value per variable, indexed like a
-    /// [`SolveResult::Sat`] model) is a model of the formula: every root
-    /// fact holds and every stored problem clause has a true literal.
-    /// Nothing else needs checking. Learnt clauses are implied by the
-    /// problem clauses. A clause that was never stored, or that
-    /// [`Solver::simplify`] deleted, is satisfied by a root fact. A stored
-    /// clause lost only root-falsified literals. An assignment of the
-    /// wrong length, or any assignment once the formula is refuted, is
-    /// rejected.
-    pub fn satisfied_by(&self, assignment: &[bool]) -> bool {
-        debug_assert!(self.trail_lim.is_empty(), "checked between solves");
-        if self.unsat || assignment.len() != self.num_vars() {
-            return false;
-        }
-        let holds = |l: Lit| assignment[l.var().index()] == l.is_positive();
-        self.trail.iter().all(|&l| holds(l))
-            && self
-                .clauses
-                .iter()
-                .all(|&cref| (0..self.arena.len(cref)).any(|i| holds(self.arena.lit(cref, i))))
     }
 
     /// Attaches a clause of two or more literals; `id` is its input or
@@ -1652,8 +1530,7 @@ mod tests {
     }
 
     /// A solver built on one thread keeps working (same verdicts, retained
-    /// learnt clauses) after moving to another — the migration a retained
-    /// detection solver makes inside its work item, to a worker and back.
+    /// learnt clauses) after moving to another and back.
     #[test]
     fn solver_migrates_between_threads() {
         let mut s = Solver::new();
@@ -1675,30 +1552,6 @@ mod tests {
             SolveResult::Unsat
         );
         assert!(!s.failed_assumptions().is_empty());
-    }
-
-    /// `satisfied_by` accepts the solver's own model and rejects an
-    /// assignment that breaks a stored clause, one that contradicts a root
-    /// fact, and one that does not cover every variable.
-    #[test]
-    fn satisfied_by_checks_root_facts_clauses_and_length() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 3);
-        s.add_clause([v[0].positive()]);
-        s.add_clause([v[1].positive(), v[2].positive()]);
-        s.add_clause([v[1].negative(), v[2].negative()]);
-        let model = s.solve().model().unwrap().to_vec();
-        assert!(s.satisfied_by(&model));
-        // Both of v1, v2 true breaks the stored clause (¬v1 ∨ ¬v2).
-        assert!(!s.satisfied_by(&[true, true, true]));
-        // The other stored clauses hold, but the root fact v0 does not.
-        assert!(!s.satisfied_by(&[false, true, false]));
-        assert!(s.satisfied_by(&[true, false, true]));
-        // Too short: the assignment must cover every variable.
-        assert!(!s.satisfied_by(&[true, false]));
-        // Nothing satisfies a refuted formula.
-        s.add_clause([v[0].negative()]);
-        assert!(!s.satisfied_by(&[true, false, true]));
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! A committed golden of the anomaly oracle's observable output on the ten
 //! `examples/corpus` programs, so a change to the templates, the encoder or
-//! the solver cannot slip past unnoticed. The differential harnesses
+//! the closure cannot slip past unnoticed. The differential harnesses
 //! compare detection, the fresh reference oracle and witness replay with
 //! each other, and all three read one template candidate stream, so only a
 //! table fixed across commits can catch a change that moves them together.
 //!
 //! One line per program and pass (pairs at EC, CC, RR and SC; triples at
 //! EC and CC) holds the verdict count, an FNV-1a digest of the verdicts'
-//! `Debug` rendering, the `queries`, `sat_queries` and `memo_hits`
-//! counters and, at every level with dirty verdicts (all but SC), a digest
-//! of every verdict's strict [`WitnessDecoder`] schedule in
+//! `Debug` rendering, the `queries` and `sat_queries` counters and, at
+//! every level with dirty verdicts (all but SC), a digest of every
+//! verdict's strict [`WitnessDecoder`] schedule in
 //! [`WitnessDecoder::visit_order`]. Each pass runs on a fresh session, and
 //! these counters do not depend on the engine's thread count.
 //!
-//! A template or solver change may legitimately move this table. When it
-//! does, replace `tests/golden/oracle.txt` with the table the failing
-//! assertion prints, and say in CHANGES.md which lines moved and why.
+//! A template, decision-procedure or witness change may legitimately move
+//! this table. When it does, replace `tests/golden/oracle.txt` with the
+//! table the failing assertion prints, and say in CHANGES.md which lines
+//! moved and why.
 
 use atropos::detect::{
     ConsistencyLevel, DetectMode, DetectSession, DetectionEngine, WitnessDecoder,
@@ -59,11 +60,10 @@ fn table() -> String {
             let (verdicts, stats) = engine.detect_with_mode(&program, level, mode, &mut session);
             let digest = proof_hash(format!("{verdicts:?}").as_bytes());
             out += &format!(
-                "{file} {mode} {level}: verdicts={} digest={digest:016x} queries={} sat={} memo={}",
+                "{file} {mode} {level}: verdicts={} digest={digest:016x} queries={} sat={}",
                 verdicts.len(),
                 stats.queries,
-                stats.sat_queries,
-                stats.memo_hits
+                stats.sat_queries
             );
             if level != ConsistencyLevel::Serializable {
                 let mut decoder = WitnessDecoder::new(&program);

@@ -9,8 +9,8 @@
 //! repaired program.
 //!
 //! This is the repair-level sibling of `tests/incremental_vs_fresh.rs`: the
-//! detection-level suite proves the assumption-based pair solvers equal the
-//! fresh solvers on one program, while this suite proves the pair-verdict
+//! detection-level suite proves the closure's answers equal the fresh
+//! solvers' on one program, while this suite proves the pair-verdict
 //! cache equals re-running the full oracle across a whole *sequence* of
 //! refactored programs.
 
