@@ -22,12 +22,12 @@
 //! The timed sweep is the certificate harness's scope: pair mode at EC
 //! and CC, triple mode at EC. The reports additionally run pairs at SER
 //! (see [`REPORT_SWEEP`]). `ATROPOS_THIN=1` is accepted for CI symmetry
-//! with the other bins but thins nothing: the timed sweep is a fraction
-//! of the bin's runtime, and the TPC-C ceiling needs the full best-of-N
-//! to be pinnable against wall-clock noise.
+//! with the other bins but thins nothing: the TPC-C ceiling needs the
+//! full best-of-N over windows of at least [`WINDOW`] to be pinnable
+//! against wall-clock noise.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use atropos_bench::reporting::{
     anomaly_report_markdown, proof_stats_header, proof_stats_row, write_report, ProofCert,
@@ -62,6 +62,11 @@ const REPORT_SWEEP: [(ConsistencyLevel, DetectMode); 4] = [
     (ConsistencyLevel::Serializable, DetectMode::Pairs),
     (ConsistencyLevel::EventualConsistency, DetectMode::Triples),
 ];
+
+/// The shortest timed window of one measurement: a sweep takes a few
+/// milliseconds, so back-to-back sweeps fill the window until one
+/// scheduler burst moves their mean by a few percent at most.
+const WINDOW: Duration = Duration::from_millis(200);
 
 fn level_name(level: ConsistencyLevel) -> &'static str {
     match level {
@@ -143,6 +148,21 @@ fn sweep(
         queries,
         unsat,
         seconds,
+    }
+}
+
+/// The mean wall time of one timed sweep over back-to-back sweeps that
+/// fill at least [`WINDOW`], with the last sweep's outcome.
+fn timed_window(b: &Benchmark, threads: usize, proofs: bool) -> (f64, SweepOutcome) {
+    let started = Instant::now();
+    let (mut seconds, mut sweeps) = (0.0, 0u32);
+    loop {
+        let outcome = sweep(b, threads, proofs, &TIMED_SWEEP);
+        seconds += outcome.seconds;
+        sweeps += 1;
+        if started.elapsed() >= WINDOW {
+            return (seconds / f64::from(sweeps), outcome);
+        }
     }
 }
 
@@ -263,8 +283,7 @@ fn main() {
     let threads = engine_from_args().threads();
     // Best-of-5 regardless of ATROPOS_THIN: the overhead ratio gates
     // csv_smoke's 1.5x ceiling and fewer repetitions are too noisy to
-    // pin against, while the timed sweep is a fraction of the report
-    // sweep's cost anyway.
+    // pin against.
     let thin = thin_slice();
     let reps = 5;
     let generated = utc_stamp();
@@ -274,31 +293,30 @@ fn main() {
         .chain(chain_scenarios())
         .collect();
     println!(
-        "proof_stats: {} benchmarks, best-of-{reps} timing ({threads} threads{})",
+        "proof_stats: {} benchmarks, best-of-{reps} timing over windows of at least {} ms \
+         ({threads} threads{})",
         benchmarks.len(),
+        WINDOW.as_millis(),
         if thin { ", thin" } else { "" },
     );
 
     let mut table = Table::new(proof_stats_header());
     for b in &benchmarks {
-        // Best-of-N wall time per logging mode; fresh engine and session
-        // each repetition so both modes do identical (cold) work. Each
-        // measurement is three back-to-back sweeps: the single-sweep
-        // window (~50ms on TPC-C) is short enough for one scheduler
-        // burst to swing the overhead ratio past its pinned ceiling.
+        // Best-of-N mean sweep time per logging mode, the modes
+        // interleaved; fresh engine and session each sweep so both modes
+        // do identical (cold) work. Each measurement fills a window of
+        // at least WINDOW: a sweep of a few milliseconds is short enough
+        // for one scheduler burst to swing the overhead ratio past its
+        // pinned ceiling.
         let mut off_seconds = f64::INFINITY;
         let mut on_seconds = f64::INFINITY;
         let mut last = None;
         for _ in 0..reps {
-            let off: f64 = (0..3).map(|_| sweep(b, threads, false, &TIMED_SWEEP).seconds).sum();
-            off_seconds = off_seconds.min(off / 3.0);
-            let mut on_total = 0.0;
-            for _ in 0..3 {
-                let on = sweep(b, threads, true, &TIMED_SWEEP);
-                on_total += on.seconds;
-                last = Some(on);
-            }
-            on_seconds = on_seconds.min(on_total / 3.0);
+            let (off, _) = timed_window(b, threads, false);
+            off_seconds = off_seconds.min(off);
+            let (on, outcome) = timed_window(b, threads, true);
+            on_seconds = on_seconds.min(on);
+            last = Some(outcome);
         }
         let on = last.expect("at least one repetition");
 

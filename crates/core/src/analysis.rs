@@ -194,10 +194,27 @@ pub fn rewrite_exprs(txn: &mut Transaction, f: &impl Fn(&Expr) -> Option<Expr>) 
     go_expr(&mut txn.ret, f);
 }
 
-/// What one repair step changed in detection's view of a program — each
-/// transaction's name mapped to its [`atropos_detect::txn_fingerprint`]
-/// and its command labels: the transactions whose fingerprint changed, or
-/// that appeared or vanished, and whether the view changed at all.
+/// Detection's view of a program: each transaction's name mapped to its
+/// [`atropos_detect::txn_fingerprint`] and its command labels.
+pub(crate) type View = BTreeMap<String, (u64, Vec<String>)>;
+
+/// Detection's [`View`] of `program`, from one summary of it. The repair
+/// loop computes it once per program state and keeps the current one.
+pub(crate) fn view(program: &Program) -> View {
+    atropos_detect::summarize_program(program)
+        .into_iter()
+        .map(|t| {
+            let labels = t.commands.iter().map(|c| c.label.0.clone()).collect();
+            let fp = atropos_detect::txn_fingerprint(&t);
+            (t.name, (fp, labels))
+        })
+        .collect()
+}
+
+/// What one repair step changed in detection's view of a program, given
+/// the [`View`]s before and after it: the transactions whose fingerprint
+/// changed, or that appeared or vanished, and whether the view changed
+/// at all.
 ///
 /// The repair loop re-detects only after a step that changed the view.
 /// A pure relabeling changes it without changing a fingerprint, so the
@@ -205,28 +222,15 @@ pub fn rewrite_exprs(txn: &mut Transaction, f: &impl Fn(&Expr) -> Option<Expr>) 
 /// labels. An edit the detector cannot see (a rewritten assignment
 /// expression with unchanged field and variable sets) or a dropped table
 /// no command accesses leaves the view, and so every verdict, unchanged.
-pub(crate) fn view_change(before: &Program, after: &Program) -> (BTreeSet<String>, bool) {
-    let view = |p: &Program| -> BTreeMap<String, (u64, Vec<String>)> {
-        atropos_detect::summarize_program(p)
-            .into_iter()
-            .map(|t| {
-                let labels = t.commands.iter().map(|c| c.label.0.clone()).collect();
-                (
-                    t.name.clone(),
-                    (atropos_detect::txn_fingerprint(&t), labels),
-                )
-            })
-            .collect()
-    };
-    let (vb, va) = (view(before), view(after));
-    let fp = |v: &BTreeMap<String, (u64, Vec<String>)>, name: &String| v.get(name).map(|e| e.0);
-    let txns = vb
+pub(crate) fn view_change(before: &View, after: &View) -> (BTreeSet<String>, bool) {
+    let fp = |v: &View, name: &String| v.get(name).map(|e| e.0);
+    let txns = before
         .keys()
-        .chain(va.keys())
-        .filter(|name| fp(&vb, name) != fp(&va, name))
+        .chain(after.keys())
+        .filter(|name| fp(before, name) != fp(after, name))
         .cloned()
         .collect();
-    (txns, vb != va)
+    (txns, before != after)
 }
 
 /// True if any command of the program accesses `schema`.
@@ -389,26 +393,29 @@ mod tests {
     #[test]
     fn view_change_reports_changed_txns() {
         let before = parse(SRC).unwrap();
-        assert_eq!(view_change(&before, &before), (BTreeSet::new(), false));
+        assert_eq!(
+            view_change(&view(&before), &view(&before)),
+            (BTreeSet::new(), false)
+        );
 
         // Touch one command's write set: its transaction is dirty.
         let after = parse(&SRC.replace("set z = x.v", "set z = x.v, id = k")).unwrap();
         assert_eq!(
-            view_change(&before, &after),
+            view_change(&view(&before), &view(&after)),
             (BTreeSet::from(["t".to_owned()]), true)
         );
 
         // Removing a command dirties its transaction too.
         let removed = parse(&SRC.replace("@S2 y := select w from T where id = k;", "")).unwrap();
         assert_eq!(
-            view_change(&before, &removed),
+            view_change(&view(&before), &view(&removed)),
             (BTreeSet::from(["t".to_owned()]), true)
         );
 
         // So does a transaction that appears or vanishes.
         let renamed = parse(&SRC.replace("txn t(", "txn t2(")).unwrap();
         let both = BTreeSet::from(["t".to_owned(), "t2".to_owned()]);
-        assert_eq!(view_change(&before, &renamed), (both, true));
+        assert_eq!(view_change(&view(&before), &view(&renamed)), (both, true));
     }
 
     #[test]
@@ -418,7 +425,10 @@ mod tests {
         // runs and answers every group from the cache under the new label.
         let before = parse(SRC).unwrap();
         let after = parse(&SRC.replace("@U1", "@U9")).unwrap();
-        assert_eq!(view_change(&before, &after), (BTreeSet::new(), true));
+        assert_eq!(
+            view_change(&view(&before), &view(&after)),
+            (BTreeSet::new(), true)
+        );
     }
 
     #[test]
@@ -427,7 +437,10 @@ mod tests {
         // variable set cannot affect a verdict, so the view is unchanged.
         let before = parse(SRC).unwrap();
         let after = parse(&SRC.replace("set z = x.v", "set z = x.v + 1")).unwrap();
-        assert_eq!(view_change(&before, &after), (BTreeSet::new(), false));
+        assert_eq!(
+            view_change(&view(&before), &view(&after)),
+            (BTreeSet::new(), false)
+        );
     }
 
     #[test]
@@ -447,7 +460,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            view_change(&before, &after),
+            view_change(&view(&before), &view(&after)),
             (BTreeSet::from(["t".to_owned()]), true)
         );
     }

@@ -12,7 +12,9 @@ use atropos_detect::{
 use atropos_dsl::{check_program, CmdLabel, Expr, Program, Stmt, Transaction, UpdateCmd};
 use atropos_semantics::{ThetaMap, ValueCorrespondence};
 
-use crate::analysis::{commands_of, splice_after, var_bindings, view_change, visit_stmts_mut};
+use crate::analysis::{
+    commands_of, splice_after, var_bindings, view, view_change, visit_stmts_mut,
+};
 use crate::dce::{post_process, PostProcessReport};
 use crate::merge::try_merging;
 use crate::rewrite::{apply_logging, apply_redirect, find_command};
@@ -109,7 +111,7 @@ pub struct RepairConfig {
     /// three-instance chain templates, so the repair loop also sees (and
     /// reports as `remaining` / [`RepairReport::unsafe_transactions`])
     /// observer-chain violations no pair can witness. Opt-in: triple
-    /// detection costs extra solver work per pass.
+    /// detection grounds and decides every trio on each pass.
     pub mode: DetectMode,
     /// Enable command splitting in preprocessing.
     pub enable_split: bool,
@@ -178,7 +180,7 @@ pub struct RepairIteration {
     pub pairs_reused: u64,
     /// Pairs re-encoded and re-solved.
     pub pairs_solved: u64,
-    /// SAT queries issued by the re-solved pairs.
+    /// Pattern queries the re-solved pairs asked of the closure.
     pub queries: u64,
     /// Transactions dirtied by the step applied on the strength of this
     /// pass's verdicts: those whose detector fingerprint the step changed,
@@ -542,6 +544,8 @@ fn repair_core(
     let initial = run_detection(program, config.level, config.mode, oracle, &mut stats);
 
     let mut current = program.clone();
+    // Detection's view of `current`, computed once per program state.
+    let mut current_view = view(&current);
     let mut steps: Vec<RepairStep> = Vec::new();
     let mut vcs: Vec<ValueCorrespondence> = Vec::new();
     // The verdicts valid for `current` right now, carried forward by the
@@ -552,11 +556,12 @@ fn repair_core(
     let mut last_verdict: Option<Vec<AccessPair>> = cached.then(|| initial.clone());
 
     if config.enable_split {
-        let before = current.clone();
         pre_process(&mut current, &initial, &mut steps);
-        if view_change(&before, &current).1 {
+        let split_view = view(&current);
+        if view_change(&current_view, &split_view).1 {
             last_verdict = None;
         }
+        current_view = split_view;
     }
 
     let mut failed: BTreeSet<(String, String, AnomalyKind)> = BTreeSet::new();
@@ -582,10 +587,13 @@ fn repair_core(
             }
             match try_repair(&current, pair, config) {
                 Some((next, new_vcs, new_steps)) => {
+                    let next_view = view(&next);
                     if let Some(it) = stats.iterations.last_mut() {
-                        it.dirtied_txns = view_change(&current, &next).0.into_iter().collect();
+                        let dirtied = view_change(&current_view, &next_view).0;
+                        it.dirtied_txns = dirtied.into_iter().collect();
                     }
                     current = next;
+                    current_view = next_view;
                     vcs.extend(new_vcs);
                     steps.extend(new_steps);
                     progress = true;
@@ -604,9 +612,8 @@ fn repair_core(
     }
 
     let post = if config.enable_postprocess {
-        let before = current.clone();
         let report = post_process(&mut current);
-        if view_change(&before, &current).1 {
+        if view_change(&current_view, &view(&current)).1 {
             last_verdict = None;
         }
         report

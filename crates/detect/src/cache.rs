@@ -340,7 +340,7 @@ impl ProgramKeys {
 pub struct CacheStats {
     /// Verdict lookups performed (one per ordered pair per detection pass).
     pub lookups: u64,
-    /// Lookups answered from the cache without touching a solver.
+    /// Lookups answered from the cache without grounding the pair.
     pub hits: u64,
     /// Lookups that had to re-analyse the pair.
     pub misses: u64,
@@ -357,7 +357,8 @@ pub struct CacheStats {
     /// Triple-verdict lookups performed (one per unordered transaction
     /// triple per [`crate::DetectMode::Triples`] detection pass).
     pub triple_lookups: u64,
-    /// Triple lookups answered from the cache without touching a solver.
+    /// Triple lookups answered from the cache without grounding the
+    /// triple.
     pub triple_hits: u64,
     /// Triple lookups that had to re-analyse the triple.
     pub triple_misses: u64,

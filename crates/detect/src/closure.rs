@@ -26,9 +26,19 @@
 //! A template or axiom that is not Horn over `vis` breaks this argument;
 //! [`crate::detect_differential`] and the mutant differential of
 //! `crates/detect/tests/dsl_mutants.rs` hold the closure to
-//! [`crate::pattern_satisfiable`] query by query. [`Closure::new`] indexes
-//! a model for a level once per instance group; a query derives each fact
-//! once, so its work is bounded by the model's size.
+//! [`crate::pattern_satisfiable`] query by query.
+//!
+//! # The cost of a query
+//!
+//! [`Closure::new`] indexes a model for a level once per instance group,
+//! and keeps program order as one chain per instance: each command's
+//! successor is the next command of its instance. A query derives each
+//! fact of `V` once, then walks the chains and `V`'s cross-instance edges
+//! once to look for a cycle, smallest index first: time linear in the
+//! commands and `V`, times a heap's logarithm, where the transitive edge
+//! list of program order alone is quadratic in the commands. Chains and
+//! that list have the same transitive closure, so the walk finds a cycle
+//! exactly when the list has one, and places commands in the same order.
 //!
 //! # Certificates and witnesses
 //!
@@ -88,21 +98,21 @@ enum Conflict {
 /// The closure decider of one grounded model at one consistency level:
 /// the per-(model, level) index, built once per instance group, plus the
 /// scratch state of one query at a time. A fact `vis(a, c)` is indexed
-/// `a * n + c`.
-pub struct Closure<'m> {
-    model: &'m InstanceModel,
+/// `a * n + c`. It holds no reference to the model: each query takes the
+/// model it was indexed for, so an owner can keep the model and its
+/// closures side by side.
+pub struct Closure {
     level: ConsistencyLevel,
     enc: Layout,
     /// Command instances.
     n: usize,
     /// Per command: the atoms it produces.
     atoms_of: Vec<Vec<usize>>,
-    /// Per command: the commands it precedes in program order.
+    /// Per command: the commands it precedes in program order, nearest
+    /// first. The first is its successor in its instance's chain.
     later: Vec<Vec<usize>>,
     /// Per command: the commands preceding it in program order.
     earlier: Vec<Vec<usize>>,
-    /// Program order as edges.
-    program_order: Vec<(usize, usize)>,
     /// Per fact: derived into `V` this query (session facts never are).
     in_v: Vec<bool>,
     /// Per fact: negated by a requirement this query.
@@ -119,32 +129,42 @@ pub struct Closure<'m> {
     reasons: Option<Vec<Rule>>,
 }
 
-impl<'m> Closure<'m> {
-    /// Indexes `model` for queries at `level`.
-    pub fn new(model: &'m InstanceModel, level: ConsistencyLevel) -> Closure<'m> {
+impl Closure {
+    /// Indexes `model` for queries at `level`. Every query must pass the
+    /// same model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two commands of one instance share a `prog_index`:
+    /// summaries number commands by position and slices renumber them
+    /// relatively, so program order is a chain per instance.
+    pub fn new(model: &InstanceModel, level: ConsistencyLevel) -> Closure {
         let (n, na) = (model.cmds.len(), model.atoms.len());
         let mut atoms_of = vec![Vec::new(); n];
         for (a, atom) in model.atoms.iter().enumerate() {
             atoms_of[atom.cmd].push(a);
         }
-        let program_order: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (0..n).map(move |j| (i, j)))
-            .filter(|&(i, j)| i != j && model.prog_before(i, j))
-            .collect();
+        let position = |c: usize| model.cmds[c].summary.prog_index;
         let (mut later, mut earlier) = (vec![Vec::new(); n], vec![Vec::new(); n]);
-        for &(i, j) in &program_order {
-            later[i].push(j);
-            earlier[j].push(i);
+        for x in 0..model.instances() {
+            let mut chain: Vec<usize> = (model.starts[x]..model.starts[x + 1]).collect();
+            chain.sort_by_key(|&c| position(c));
+            assert!(
+                chain.windows(2).all(|l| position(l[0]) < position(l[1])),
+                "two commands of instance {x} share a program position"
+            );
+            for (k, &c) in chain.iter().enumerate() {
+                earlier[c] = chain[..k].to_vec();
+                later[c] = chain[k + 1..].to_vec();
+            }
         }
         Closure {
-            model,
             level,
             enc: Layout::new(model),
             n,
             atoms_of,
             later,
             earlier,
-            program_order,
             in_v: vec![false; na * n],
             banned: vec![false; na * n],
             negated: Vec::new(),
@@ -157,29 +177,42 @@ impl<'m> Closure<'m> {
 
     /// Whether some execution satisfies `requirements` under this
     /// closure's level: the answer [`crate::pattern_satisfiable`] gives.
-    pub fn satisfiable(&mut self, requirements: &[VisRequirement]) -> bool {
+    pub fn satisfiable(&mut self, model: &InstanceModel, requirements: &[VisRequirement]) -> bool {
         if self.level == ConsistencyLevel::Serializable {
-            return self.blocks(requirements).is_some();
+            return self.blocks(model, requirements).is_some();
         }
-        self.close(requirements).is_ok()
+        self.close(model, requirements).is_ok()
     }
 
     /// The least model of a satisfiable query (see the module docs), or
     /// `None` when the query is UNSAT.
-    pub fn witness(&mut self, requirements: &[VisRequirement]) -> Option<WitnessTruth> {
-        let (model, n) = (self.model, self.n);
+    pub fn witness(
+        &mut self,
+        model: &InstanceModel,
+        requirements: &[VisRequirement],
+    ) -> Option<WitnessTruth> {
+        let n = self.n;
         // At SER, each instance's place in the first order that fixes the
         // requirements.
         let mut block = Vec::new();
         if self.level == ConsistencyLevel::Serializable {
             block = vec![0; model.instances()];
-            for (p, x) in self.blocks(requirements)?.into_iter().enumerate() {
+            for (p, x) in self.blocks(model, requirements)?.into_iter().enumerate() {
                 block[x] = p;
             }
         } else {
-            self.close(requirements).ok()?;
+            self.close(model, requirements).ok()?;
         }
         let at = |c: usize| block[model.cmds[c].instance as usize];
+        let order = if block.is_empty() {
+            self.walk()
+        } else {
+            let mut edges = self.edges(model);
+            let pairs = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+            edges.extend(pairs.filter(|&(i, j)| at(i) < at(j)));
+            topological(n, edges)
+        };
+        let order = order.expect("a satisfiable query's edges are acyclic");
         let holds = |a: usize, c: usize| match self.enc.session_fact(model, a, c) {
             Some(l) => l.is_positive(),
             None if block.is_empty() => self.in_v[a * n + c],
@@ -188,12 +221,6 @@ impl<'m> Closure<'m> {
         let vis = (0..model.atoms.len())
             .map(|a| (0..n).map(|c| holds(a, c)).collect())
             .collect();
-        let mut edges = self.edges();
-        if !block.is_empty() {
-            let pairs = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
-            edges.extend(pairs.filter(|&(i, j)| at(i) < at(j)));
-        }
-        let order = topological(n, edges).expect("a satisfiable query's edges are acyclic");
         let mut pos = vec![0; n];
         for (p, &c) in order.iter().enumerate() {
             pos[c] = p;
@@ -208,20 +235,26 @@ impl<'m> Closure<'m> {
     /// inputs are clause instances of the reference encoding and whose
     /// assumptions are the requirement literals. `None` when the query is
     /// satisfiable.
-    pub fn certificate(&mut self, requirements: &[VisRequirement]) -> Option<Vec<u8>> {
+    pub fn certificate(
+        &mut self,
+        model: &InstanceModel,
+        requirements: &[VisRequirement],
+    ) -> Option<Vec<u8>> {
         let assumptions: Vec<Lit> = requirements
             .iter()
             .map(|&(a, c, polarity)| Lit::new(self.enc.vis(a, c).var(), polarity))
             .collect();
         let inputs = if self.level == ConsistencyLevel::Serializable {
-            if self.blocks(requirements).is_some() {
+            if self.blocks(model, requirements).is_some() {
                 return None;
             }
-            self.block_refutation(requirements, &assumptions)
+            self.block_refutation(model, requirements, &assumptions)
         } else {
             self.reasons = Some(vec![Rule::Required; self.in_v.len()]);
-            let closed = self.close(requirements);
-            let inputs = closed.err().map(|conflict| self.refutation(conflict));
+            let closed = self.close(model, requirements);
+            let inputs = closed
+                .err()
+                .map(|conflict| self.refutation(model, conflict));
             self.reasons = None;
             inputs?
         };
@@ -229,7 +262,16 @@ impl<'m> Closure<'m> {
     }
 
     /// Computes `V` for one query below SER into the scratch state.
-    fn close(&mut self, requirements: &[VisRequirement]) -> Result<(), Conflict> {
+    fn close(
+        &mut self,
+        model: &InstanceModel,
+        requirements: &[VisRequirement],
+    ) -> Result<(), Conflict> {
+        debug_assert_eq!(
+            (model.cmds.len(), model.atoms.len()),
+            (self.n, self.observers.len()),
+            "the model this closure indexed"
+        );
         let n = self.n;
         for f in self.derived.drain(..) {
             self.in_v[f] = false;
@@ -240,50 +282,88 @@ impl<'m> Closure<'m> {
             self.banned[f] = false;
         }
         for &(a, c, _) in requirements.iter().filter(|r| !r.2) {
-            if self.model.prog_before(self.model.atoms[a].cmd, c) {
+            if model.prog_before(model.atoms[a].cmd, c) {
                 return Err(Conflict::Negated(a * n + c));
             }
             self.banned[a * n + c] = true;
             self.negated.push(a * n + c);
         }
         for &(a, c, _) in requirements.iter().filter(|r| r.2) {
-            self.add(a, c, Rule::Required)?;
+            self.add(model, a, c, Rule::Required)?;
         }
         let mut next = 0;
         while let Some(&f) = self.derived.get(next) {
             next += 1;
-            self.fire(f / n, f % n)?;
+            self.fire(model, f / n, f % n)?;
         }
-        if !self.derived.is_empty() && topological(n, self.edges()).is_none() {
+        if !self.derived.is_empty() && self.walk().is_none() {
             return Err(Conflict::Cycle);
         }
         Ok(())
     }
 
-    /// Program order plus the cross-instance edges of the derived facts.
-    fn edges(&self) -> Vec<(usize, usize)> {
+    /// The smallest-index-first topological order of program order plus
+    /// the derived facts' cross-instance edges, or `None` when they have a
+    /// cycle. Program order is walked as its per-instance chains, whose
+    /// transitive closure it is, so the order is the one [`topological`]
+    /// gives over [`Closure::edges`] without building the transitive
+    /// edges: a node is ready once every predecessor is placed, and the
+    /// placed nodes are closed under predecessors either way.
+    fn walk(&self) -> Option<Vec<usize>> {
         let n = self.n;
-        let mut edges = self.program_order.clone();
-        edges.extend(
-            self.derived
-                .iter()
-                .map(|&f| (self.model.atoms[f / n].cmd, f % n)),
-        );
-        edges
+        // A command waits for its chain predecessor and for the producer
+        // of each atom derived visible to it.
+        let mut indegree: Vec<usize> = (0..n)
+            .map(|c| usize::from(!self.earlier[c].is_empty()) + self.seen_by[c].len())
+            .collect();
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&c| indegree[c] == 0).map(Reverse).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse(u)) = ready.pop() {
+            order.push(u);
+            let successor = self.later[u].first();
+            let observers = self.atoms_of[u].iter().flat_map(|&a| &self.observers[a]);
+            for &c in successor.into_iter().chain(observers) {
+                indegree[c] -= 1;
+                if indegree[c] == 0 {
+                    ready.push(Reverse(c));
+                }
+            }
+        }
+        (order.len() == n).then_some(order)
+    }
+
+    /// Program order plus the cross-instance edges of the derived facts,
+    /// as an edge list: what SER's witness orders and a cycle's
+    /// certificate cites.
+    fn edges(&self, model: &InstanceModel) -> Vec<(usize, usize)> {
+        let n = self.n;
+        let program_order = (0..n).flat_map(|i| self.later[i].iter().map(move |&j| (i, j)));
+        let derived = self
+            .derived
+            .iter()
+            .map(|&f| (model.atoms[f / n].cmd, f % n));
+        program_order.chain(derived).collect()
     }
 
     /// Puts `vis(a, c)` into `V` by `rule`, failing on a fact the session
     /// or a requirement negates.
-    fn add(&mut self, a: usize, c: usize, rule: Rule) -> Result<(), Conflict> {
+    fn add(
+        &mut self,
+        model: &InstanceModel,
+        a: usize,
+        c: usize,
+        rule: Rule,
+    ) -> Result<(), Conflict> {
         let f = a * self.n + c;
-        let producer = self.model.atoms[a].cmd;
-        if self.model.prog_before(producer, c) || self.in_v[f] {
+        let producer = model.atoms[a].cmd;
+        if model.prog_before(producer, c) || self.in_v[f] {
             return Ok(());
         }
         if let Some(reasons) = self.reasons.as_mut() {
             reasons[f] = rule;
         }
-        if self.model.same_instance(producer, c) {
+        if model.same_instance(producer, c) {
             return Err(Conflict::Negated(f));
         }
         self.in_v[f] = true;
@@ -298,20 +378,20 @@ impl<'m> Closure<'m> {
 
     /// Derives what the level's implications derive from the new
     /// cross-instance fact `vis(x, y)` and the facts already in `V`.
-    fn fire(&mut self, x: usize, y: usize) -> Result<(), Conflict> {
-        let px = self.model.atoms[x].cmd;
+    fn fire(&mut self, model: &InstanceModel, x: usize, y: usize) -> Result<(), Conflict> {
+        let px = model.atoms[x].cmd;
         match self.level {
             ConsistencyLevel::CausalConsistency => {
                 // Writer session: the atoms produced before `x`.
                 for i in 0..self.earlier[px].len() {
                     let p = self.earlier[px][i];
                     for k in 0..self.atoms_of[p].len() {
-                        self.add(self.atoms_of[p][k], y, Rule::Writer { a: x })?;
+                        self.add(model, self.atoms_of[p][k], y, Rule::Writer { a: x })?;
                     }
                 }
                 // Monotonic reads: the commands after `y`.
                 for i in 0..self.later[y].len() {
-                    self.add(x, self.later[y][i], Rule::Monotonic { c1: y })?;
+                    self.add(model, x, self.later[y][i], Rule::Monotonic { c1: y })?;
                 }
                 // Observer chain, `vis(x, y)` as `vis(b, c')`: each derived
                 // observer of an atom of `y`. Its session observers follow
@@ -322,7 +402,7 @@ impl<'m> Closure<'m> {
                     while let Some(&c) = self.observers[a].get(k) {
                         k += 1;
                         if c != px {
-                            self.add(x, c, Rule::Chain { cp: y, a })?;
+                            self.add(model, x, c, Rule::Chain { cp: y, a })?;
                         }
                     }
                 }
@@ -332,22 +412,22 @@ impl<'m> Closure<'m> {
                 let mut k = 0;
                 while let Some(&b) = self.seen_by[px].get(k) {
                     k += 1;
-                    if self.model.atoms[b].cmd != y {
-                        self.add(b, y, Rule::Chain { cp: px, a: x })?;
+                    if model.atoms[b].cmd != y {
+                        self.add(model, b, y, Rule::Chain { cp: px, a: x })?;
                     }
                 }
             }
             ConsistencyLevel::RepeatableRead => {
-                let record = self.model.atoms[x].record;
-                if self.model.touches(y, record) {
+                let record = model.atoms[x].record;
+                if model.touches(y, record) {
                     for i in 0..self.later[y].len() {
-                        self.add(x, self.later[y][i], Rule::Retain { c1: y })?;
+                        self.add(model, x, self.later[y][i], Rule::Retain { c1: y })?;
                     }
                 }
                 for i in 0..self.earlier[y].len() {
                     let c1 = self.earlier[y][i];
-                    if self.model.touches(c1, record) {
-                        self.add(x, c1, Rule::Stable { c2: y })?;
+                    if model.touches(c1, record) {
+                        self.add(model, x, c1, Rule::Stable { c2: y })?;
                     }
                 }
             }
@@ -358,8 +438,7 @@ impl<'m> Closure<'m> {
 
     /// SER: the first instance order (smallest index first) that fixes
     /// every requirement, or `None` when none does.
-    fn blocks(&self, requirements: &[VisRequirement]) -> Option<Vec<usize>> {
-        let model = self.model;
+    fn blocks(&self, model: &InstanceModel, requirements: &[VisRequirement]) -> Option<Vec<usize>> {
         let instance = |c: usize| model.cmds[c].instance as usize;
         let mut forced = Vec::new();
         for &(a, c, polarity) in requirements {
@@ -376,9 +455,11 @@ impl<'m> Closure<'m> {
     }
 
     /// The clause instances behind a contradiction below SER, with the
-    /// derivations of the facts it rests on.
-    fn refutation(&self, conflict: Conflict) -> Vec<Vec<Lit>> {
-        let (enc, model, n) = (&self.enc, self.model, self.n);
+    /// derivations of the facts it rests on. A cycle is cited as a
+    /// shortest one over the full edge list: a shortest cycle over the
+    /// chains alone would cite other transitivity instances.
+    fn refutation(&self, model: &InstanceModel, conflict: Conflict) -> Vec<Vec<Lit>> {
+        let (enc, n) = (&self.enc, self.n);
         let mut inputs = Vec::new();
         let mut facts = Vec::new();
         match conflict {
@@ -388,7 +469,8 @@ impl<'m> Closure<'m> {
                 facts.push(f);
             }
             Conflict::Cycle => {
-                let cycle = shortest_cycle(n, self.edges()).expect("a cyclic query has a cycle");
+                let cycle =
+                    shortest_cycle(n, self.edges(model)).expect("a cyclic query has a cycle");
                 for (i, &from) in cycle.iter().enumerate() {
                     let to = cycle[(i + 1) % cycle.len()];
                     let edge = |f: &&usize| **f % n == to && model.atoms[**f / n].cmd == from;
@@ -403,13 +485,13 @@ impl<'m> Closure<'m> {
                 inputs.extend(closing_transitivity(enc, &cycle));
             }
         }
-        self.support(facts, &mut inputs);
+        self.support(model, facts, &mut inputs);
         inputs
     }
 
     /// Appends the clause instances that derive `facts` from the
     /// requirements: each fact's rule, then its premises', once each.
-    fn support(&self, mut facts: Vec<usize>, inputs: &mut Vec<Vec<Lit>>) {
+    fn support(&self, model: &InstanceModel, mut facts: Vec<usize>, inputs: &mut Vec<Vec<Lit>>) {
         let (enc, n) = (&self.enc, self.n);
         let reasons = self.reasons.as_ref().expect("derived with reasons");
         let mut visited = HashSet::new();
@@ -418,7 +500,7 @@ impl<'m> Closure<'m> {
             if !visited.insert(f) {
                 continue;
             }
-            if self.model.prog_before(self.model.atoms[x].cmd, y) {
+            if model.prog_before(model.atoms[x].cmd, y) {
                 inputs.push(vec![enc.vis(x, y)]);
                 continue;
             }
@@ -445,10 +527,11 @@ impl<'m> Closure<'m> {
     /// transitivity. Minimizing keeps what the refutation uses.
     fn block_refutation(
         &self,
+        model: &InstanceModel,
         requirements: &[VisRequirement],
         assumptions: &[Lit],
     ) -> Vec<Vec<Lit>> {
-        let (enc, model) = (&self.enc, self.model);
+        let enc = &self.enc;
         let mut inputs = Vec::new();
         for (&(a, c, _), &l) in requirements.iter().zip(assumptions) {
             match enc.session_fact(model, a, c) {
@@ -593,7 +676,7 @@ mod tests {
     use super::*;
     use crate::detect::candidate_queries;
     use crate::encode::pattern_satisfiable;
-    use crate::model::summarize_program;
+    use crate::model::{summarize_program, TxnSummary};
     use atropos_proof::{check, Proof, Step};
 
     /// The model of `names` (two or three transactions) of `src`.
@@ -610,11 +693,11 @@ mod tests {
     /// inputs makes the checker reject it.
     fn assert_certified(m: &InstanceModel, level: ConsistencyLevel, reqs: &[VisRequirement]) {
         let mut closure = Closure::new(m, level);
-        assert!(!closure.satisfiable(reqs), "{level}: {reqs:?}");
+        assert!(!closure.satisfiable(m, reqs), "{level}: {reqs:?}");
         assert!(!pattern_satisfiable(m, level, reqs), "{level}: {reqs:?}");
-        assert!(closure.witness(reqs).is_none());
+        assert!(closure.witness(m, reqs).is_none());
         let blob = closure
-            .certificate(reqs)
+            .certificate(m, reqs)
             .expect("UNSAT queries are certified");
         check_blob(&blob).unwrap_or_else(|e| panic!("{level} {reqs:?}: {e}"));
         let proof = Proof::decode(&blob).unwrap();
@@ -704,5 +787,79 @@ mod tests {
         for reqs in &queries {
             assert_certified(&m, Serializable, reqs);
         }
+    }
+
+    /// The chain walk decides and orders exactly like [`topological`] over
+    /// the full edge list, on every query the templates ask of every
+    /// ordered pair of the ten corpus programs and of every fourth
+    /// program's trios, at EC, CC and RR: the same cycle verdict and, when
+    /// acyclic, the same smallest-index-first order. No template query
+    /// closes a cycle on the corpus, so each group also gets one cyclic
+    /// probe per ordered pair of instances: the last atom of each made
+    /// visible to the other's first command.
+    #[test]
+    fn chain_walk_orders_like_the_transitive_edge_list() {
+        use ConsistencyLevel::*;
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/corpus");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("the corpus directory")
+            .map(|e| e.expect("a corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "dsl"))
+            .collect();
+        paths.sort();
+        assert_eq!(paths.len(), 10);
+        let (mut queries, mut cyclic, mut crossing) = (0, 0, 0);
+        for (p, path) in paths.iter().enumerate() {
+            let text = std::fs::read_to_string(path).expect("a corpus file");
+            let sums = summarize_program(&atropos_dsl::parse(&text).expect("corpus parses"));
+            let t = sums.len();
+            let mut groups: Vec<Vec<&TxnSummary>> = Vec::new();
+            for i in 0..t {
+                for j in 0..t {
+                    groups.push(vec![&sums[i], &sums[j]]);
+                }
+            }
+            if p % 4 == 0 {
+                for i in 0..t {
+                    for j in i + 1..t {
+                        for k in j + 1..t {
+                            groups.push(vec![&sums[i], &sums[j], &sums[k]]);
+                        }
+                    }
+                }
+            }
+            for members in &groups {
+                let m = InstanceModel::new_multi(members);
+                let mut all = candidate_queries(members, &m);
+                let last_atom = |x: usize| {
+                    let cmds = m.starts[x]..m.starts[x + 1];
+                    m.atoms.iter().rposition(|a| cmds.contains(&a.cmd))
+                };
+                for x in 0..m.instances() {
+                    for y in (0..m.instances()).filter(|&y| y != x) {
+                        if let (Some(a), Some(b)) = (last_atom(x), last_atom(y)) {
+                            all.push(vec![(a, m.starts[y], true), (b, m.starts[x], true)]);
+                        }
+                    }
+                }
+                for level in [EventualConsistency, CausalConsistency, RepeatableRead] {
+                    let mut closure = Closure::new(&m, level);
+                    for reqs in &all {
+                        queries += 1;
+                        let closed = closure.close(&m, reqs);
+                        let walked = closure.walk();
+                        let listed = topological(m.cmds.len(), closure.edges(&m));
+                        assert_eq!(walked, listed, "{path:?} @ {level}: {reqs:?}");
+                        cyclic += usize::from(matches!(closed, Err(Conflict::Cycle)));
+                        crossing += usize::from(closed.is_ok() && !closure.derived.is_empty());
+                    }
+                }
+            }
+        }
+        assert!(queries > 1_000, "{queries} queries");
+        assert!(
+            cyclic > 0 && crossing > 0,
+            "{cyclic} cyclic, {crossing} crossing"
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! The anomaly oracle `O(P)`: enumerating candidate access pairs and
-//! discharging them with the SAT backend.
+//! deciding their queries by closure, with the SAT encoding as the
+//! reference.
 //!
 //! Four violation templates cover the anomalies of §2 (the general FOL
 //! condition of §3.2 restricted to the events of a command pair):
@@ -346,7 +347,7 @@ fn detect_core(
                     stats.clauses_encoded += clauses as u64;
                     let r = match (closure.as_mut(), mismatches.as_deref_mut()) {
                         (Some(closure), Some(log)) => {
-                            let closed = closure.satisfiable(reqs);
+                            let closed = closure.satisfiable(&model, reqs);
                             if closed != fresh {
                                 log.push(format!(
                                     "{} × {} @ {level}: reqs {reqs:?}: \
@@ -418,11 +419,11 @@ pub(crate) fn solve_group(
     let mut certs = Vec::new();
     let findings = realized(ts, fps, symmetric, &model, &mut |reqs| {
         stats.queries += 1;
-        let sat = closure.satisfiable(reqs);
+        let sat = closure.satisfiable(&model, reqs);
         if sat {
             stats.sat_queries += 1;
         } else if proofs {
-            certs.extend(closure.certificate(reqs));
+            certs.extend(closure.certificate(&model, reqs));
         }
         sat
     });
@@ -434,8 +435,8 @@ pub(crate) fn solve_group(
 pub(crate) type PairKey = (String, String, AnomalyKind);
 
 /// The [`PairKey`] of one verdict. The replay pipeline ([`crate::replay`])
-/// anchors its targeted witness searches on this key, so it must stay in
-/// lock-step with [`accumulate`]'s merging.
+/// anchors a strict witness search on a finding's labels in this sorted
+/// order, so both must stay in lock-step with [`accumulate`]'s merging.
 pub(crate) fn pair_key(p: &AccessPair) -> PairKey {
     let (a, b) = if p.cmd1.0 <= p.cmd2.0 {
         (p.cmd1.0.clone(), p.cmd2.0.clone())
@@ -790,7 +791,7 @@ pub(crate) fn candidates(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use atropos_dsl::parse;
 

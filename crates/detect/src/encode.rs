@@ -156,7 +156,8 @@ impl InstanceModel {
         // instances, a scan placeholder per schema that is only scanned, and
         // one fresh record per fresh-keyed insert instance.
         let mut records: Vec<WitnessRecord> = Vec::new();
-        let mut record_idx = HashMap::new();
+        // Keyed by (schema, key class), borrowed from the summaries.
+        let mut record_idx: HashMap<(&str, &str), usize> = HashMap::new();
         let mut raw: Vec<(u8, CmdSummary)> = Vec::new();
         let mut starts = Vec::with_capacity(ts.len() + 1);
         for (inst, t) in ts.iter().enumerate() {
@@ -164,16 +165,15 @@ impl InstanceModel {
             raw.extend(t.commands.iter().cloned().map(|s| (inst as u8, s)));
         }
         starts.push(raw.len());
+        let summaries = || ts.iter().flat_map(|t| &t.commands);
 
-        for (_, c) in &raw {
+        for c in summaries() {
             if let KeySpec::Keyed { key: k, constant } = &c.key {
-                let key = (c.schema.clone(), k.clone());
-                let constant = *constant;
-                record_idx.entry(key.clone()).or_insert_with(|| {
+                record_idx.entry((&c.schema, k)).or_insert_with(|| {
                     records.push(WitnessRecord {
-                        schema: key.0.clone(),
-                        class: key.1.clone(),
-                        constant,
+                        schema: c.schema.clone(),
+                        class: k.clone(),
+                        constant: *constant,
                         fresh: false,
                     });
                     records.len() - 1
@@ -181,23 +181,21 @@ impl InstanceModel {
             }
         }
         // Scan placeholder for schemas with no keyed class.
-        for (_, c) in &raw {
-            if c.key == KeySpec::Scan {
-                let key = (c.schema.clone(), "*".to_owned());
-                if !records
+        for c in summaries() {
+            if c.key == KeySpec::Scan
+                && !records
                     .iter()
                     .any(|r| r.schema == c.schema && r.class != "fresh")
-                {
-                    record_idx.entry(key.clone()).or_insert_with(|| {
-                        records.push(WitnessRecord {
-                            schema: key.0.clone(),
-                            class: "*".to_owned(),
-                            constant: false,
-                            fresh: false,
-                        });
-                        records.len() - 1
+            {
+                record_idx.entry((&c.schema, "*")).or_insert_with(|| {
+                    records.push(WitnessRecord {
+                        schema: c.schema.clone(),
+                        class: "*".to_owned(),
+                        constant: false,
+                        fresh: false,
                     });
-                }
+                    records.len() - 1
+                });
             }
         }
         // Fresh records per fresh insert instance.
@@ -219,7 +217,7 @@ impl InstanceModel {
         for (i, (instance, summary)) in raw.into_iter().enumerate() {
             let recs: Vec<usize> = match &summary.key {
                 KeySpec::Keyed { key: k, .. } => {
-                    vec![record_idx[&(summary.schema.clone(), k.clone())]]
+                    vec![record_idx[&(summary.schema.as_str(), k.as_str())]]
                 }
                 KeySpec::Fresh => vec![fresh_of[&i]],
                 KeySpec::Scan => records
@@ -843,7 +841,7 @@ mod tests {
         let reqs = [(a_w2, 0, false), (a_w1, 2, false)];
         let mut closure = Closure::new(&m, ConsistencyLevel::EventualConsistency);
         let w = closure
-            .witness(&reqs)
+            .witness(&m, &reqs)
             .expect("lost update is EC-satisfiable");
         // The witness honours the query's requirements…
         assert!(!w.vis[a_w2][0]);
@@ -865,14 +863,14 @@ mod tests {
         assert!(w.ord[1][2]);
         // Asking twice yields the same witness, the full assignment is a
         // model of the reference encoding, and UNSAT queries have none.
-        assert_eq!(closure.witness(&reqs).as_ref(), Some(&w));
+        assert_eq!(closure.witness(&m, &reqs).as_ref(), Some(&w));
         let full: Vec<VisRequirement> = (0..m.atoms.len())
             .flat_map(|a| (0..m.cmds.len()).map(move |c| (a, c)))
             .map(|(a, c)| (a, c, w.vis[a][c]))
             .collect();
         assert!(pattern_satisfiable(&m, ConsistencyLevel::EventualConsistency, &full));
         let mut ser = Closure::new(&m, ConsistencyLevel::Serializable);
-        assert!(ser.witness(&reqs).is_none());
+        assert!(ser.witness(&m, &reqs).is_none());
     }
 
     /// Every clause a root-simplified fresh solver stores, at every level,

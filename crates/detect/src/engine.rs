@@ -204,8 +204,8 @@ impl DetectionEngine {
 }
 
 /// Smallest dirty-item batch worth one worker thread: below this, the
-/// spawn/join overhead rivals the SAT work itself and the pass runs
-/// inline. Thread count never affects verdicts, so this is purely a
+/// spawn/join overhead rivals the grounding and closure work itself and
+/// the pass runs inline. Thread count never affects verdicts, so this is purely a
 /// scheduling knob.
 const MIN_PAIRS_PER_WORKER: usize = 4;
 

@@ -30,11 +30,13 @@
 //! A [`WitnessDecoder`] decodes many verdicts of one program for the cost
 //! of few. It summarizes the program once, grounds each tuple once into
 //! an [`InstanceModel`], and enumerates each tuple's candidates once for
-//! every kind; each search indexes the model for its level. A least model
-//! depends only on the model and the query, so a verdict decodes to the
-//! byte-identical schedule whatever the decoder decoded before it. The
-//! decoder keeps at most one grounded tuple live; decoding verdicts in
-//! [`WitnessDecoder::visit_order`] grounds each tuple once.
+//! every kind. The grounded tuple indexes its model once per level a
+//! search asks it at, and keeps that [`Closure`] until the tuple is
+//! evicted. A least model depends only on the model and the query, so a
+//! verdict decodes to the byte-identical schedule whatever the decoder
+//! decoded before it. The decoder keeps at most one grounded tuple live;
+//! decoding verdicts in [`WitnessDecoder::visit_order`] grounds each tuple
+//! once.
 //! [`decode_witness`], [`decode_witness_marked`] and [`replay_verdict`]
 //! are decoders of one.
 //!
@@ -64,7 +66,7 @@ use atropos_sim::{
 
 use crate::cache::txn_fingerprint;
 use crate::closure::Closure;
-use crate::detect::{candidates, pair_key, AccessPair, AnomalyKind, PairKey};
+use crate::detect::{candidates, AccessPair, AnomalyKind};
 use crate::encode::{ConsistencyLevel, InstanceModel, VisRequirement, WitnessTruth};
 use crate::model::{summarize_program, CmdKind, TxnSummary};
 
@@ -73,14 +75,20 @@ use crate::model::{summarize_program, CmdKind, TxnSummary};
 /// of a trio.
 type Tuple = Vec<usize>;
 
-/// The tuple a decoder keeps grounded: its model, and every template
-/// candidate of the tuple in detection order (the [`pair_key`]s of the
-/// verdicts it reports and its queries, the first satisfiable one
-/// winning).
+/// One finding of a candidate, as a search anchors on it: its two anchor
+/// commands as (member, command index) within the tuple, and its kind.
+type Anchor = ([(usize, usize); 2], AnomalyKind);
+
+/// The tuple a decoder keeps grounded: its model, every template
+/// candidate of the tuple in detection order (the anchors of the findings
+/// it reports and its queries, the first satisfiable one winning), and
+/// the model's closure at each level a search has asked, by
+/// [`ConsistencyLevel::index`].
 struct Grounded {
     tuple: Tuple,
     model: InstanceModel,
-    candidates: Vec<(Vec<PairKey>, Vec<Vec<VisRequirement>>)>,
+    candidates: Vec<(Vec<Anchor>, Vec<Vec<VisRequirement>>)>,
+    closures: [Option<Closure>; 4],
 }
 
 /// Decodes the verdicts of one program into concrete schedules (see the
@@ -252,7 +260,8 @@ impl WitnessDecoder {
 
     /// Searches one tuple for a witness of `verdict` under `level`: every
     /// anchored candidate's queries, in order, until one has a least
-    /// model. Grounds the tuple first, evicting the previously live one.
+    /// model. Grounds the tuple first, evicting the previously live one
+    /// with its closures.
     fn search(
         &mut self,
         tuple: &[usize],
@@ -268,41 +277,43 @@ impl WitnessDecoder {
             // candidate of every template, unbounded.
             let mut cands = Vec::new();
             candidates(&ts, &fps, true, &model, &mut |c| {
-                let keys = c
-                    .findings
-                    .iter()
-                    .filter_map(|f| Some(pair_key(&f.emit(&ts)?)));
-                cands.push((keys.collect(), c.queries));
+                let anchors = c.findings.iter().map(|f| (f.cmds, f.kind)).collect();
+                cands.push((anchors, c.queries));
                 false
             });
             self.live = Some(Grounded {
                 tuple: tuple.to_vec(),
                 model,
                 candidates: cands,
+                closures: Default::default(),
             });
         }
         let Grounded {
             model,
             candidates: cands,
+            closures,
             ..
-        } = self.live.as_ref().expect("grounded above");
-        // The anchor: the verdict's exact key when strict, its kind when
-        // loose.
-        let anchor = pair_key(verdict);
-        let mut closure: Option<Closure> = None;
-        for (keys, queries) in cands {
-            if !keys.iter().any(|k| {
-                if strict {
-                    *k == anchor
-                } else {
-                    k.2 == anchor.2
-                }
-            }) {
+        } = self.live.as_mut().expect("grounded above");
+        // The anchor: the verdict's kind, and when strict its two labels in
+        // the sorted order detection keys its verdicts by.
+        let (lo, hi) = if verdict.cmd1 <= verdict.cmd2 {
+            (&verdict.cmd1, &verdict.cmd2)
+        } else {
+            (&verdict.cmd2, &verdict.cmd1)
+        };
+        let anchored = |&([a, b], kind): &Anchor| {
+            let label = |(m, c): (usize, usize)| &ts[m].commands[c].label;
+            let (x, y) = (label(a), label(b));
+            kind == verdict.kind && (!strict || (x.min(y), x.max(y)) == (lo, hi))
+        };
+        for (anchors, queries) in cands.iter() {
+            if !anchors.iter().any(anchored) {
                 continue;
             }
             for reqs in queries {
-                let closure = closure.get_or_insert_with(|| Closure::new(model, level));
-                if let Some(truth) = closure.witness(reqs) {
+                let closure =
+                    closures[level.index()].get_or_insert_with(|| Closure::new(model, level));
+                if let Some(truth) = closure.witness(model, reqs) {
                     return Some(build_schedule(model, &ts, reqs, &truth, verdict.kind));
                 }
             }
@@ -513,8 +524,9 @@ fn build_schedule(
         }
     }
 
+    let position: Vec<usize> = (0..n).map(|c| truth.arbitration_position(c)).collect();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&c| truth.arbitration_position(c));
+    order.sort_by_key(|&c| position[c]);
 
     let mut events = Vec::new();
     for &c in &order {
@@ -759,5 +771,58 @@ mod tests {
         let all = BTreeSet::from(["bump".to_owned()]);
         assert_eq!(d.decode_marked(lost[1], ec, &all), None);
         assert_eq!(d.loose.len(), 2);
+    }
+
+    /// Two transactions of different shapes, each racing with itself: a
+    /// two-command and a three-command read-modify-write.
+    const SHAPES: &str = "schema T { id: int key, v: int }
+         schema U { id: int key, w: int }
+         txn bump(k: int) {
+             @R x := select v from T where id = k;
+             @W update T set v = x.v + 1 where id = k;
+             return 0;
+         }
+         txn move(k: int) {
+             @RU y := select w from U where id = k;
+             @WU update U set w = y.w + 1 where id = k;
+             @WT update T set v = 0 where id = k;
+             return 0;
+         }";
+
+    /// One decoder asked at every level, strict and loose, with and
+    /// without marks, interleaved over the verdicts in report order and
+    /// then in reverse, answers every call as a fresh one-shot decode
+    /// does: a closure kept under the wrong level, or past its tuple's
+    /// eviction, shows here. Courseware's and MIXED's tuples share one
+    /// shape per program, so SHAPES adds tuples that do not.
+    #[test]
+    fn one_decoder_answers_every_level_like_a_fresh_one() {
+        use ConsistencyLevel::*;
+        for src in [crate::detect::tests::COURSEWARE, MIXED, SHAPES] {
+            let p = parse(src).unwrap();
+            let verdicts = detect_anomalies(&p, EventualConsistency);
+            assert!(!verdicts.is_empty());
+            let mut d = WitnessDecoder::new(&p);
+            let mut decoded = BTreeMap::new();
+            for v in verdicts.iter().chain(verdicts.iter().rev()) {
+                let marks = [BTreeSet::new(), BTreeSet::from([v.txn1.clone()])];
+                for level in ConsistencyLevel::ALL {
+                    let fresh = decode_witness(&p, v, level);
+                    assert_eq!(d.decode(v, level), fresh, "{v} strict @ {level}");
+                    *decoded.entry(level).or_insert(0) += usize::from(fresh.is_some());
+                }
+                for level in [EventualConsistency, Serializable] {
+                    for marked in &marks {
+                        let fresh = decode_witness_marked(&p, v, level, marked);
+                        let got = d.decode_marked(v, level, marked);
+                        assert_eq!(got, fresh, "{v} loose @ {level}, marked {marked:?}");
+                    }
+                }
+            }
+            // Every verdict decodes strictly at the level that found it,
+            // and serializability refutes every one of them.
+            assert_eq!(decoded[&EventualConsistency], 2 * verdicts.len());
+            assert_eq!(decoded[&Serializable], 0);
+        }
     }
 }

@@ -203,17 +203,17 @@ fn check_case(
     closure: &mut Closure,
     reqs: &[VisRequirement],
 ) -> Result<(), String> {
-    let sat = closure.satisfiable(reqs);
+    let sat = closure.satisfiable(model, reqs);
     if sat != pattern_satisfiable(model, level, reqs) {
         return Err(format!("closure={sat}, SAT reference={}", !sat));
     }
     if !sat {
-        let blob = closure.certificate(reqs).ok_or("no certificate")?;
+        let blob = closure.certificate(model, reqs).ok_or("no certificate")?;
         return atropos_proof::check_blob(&blob)
             .map(|_| ())
             .map_err(|e| format!("certificate rejected: {e}"));
     }
-    let w = closure.witness(reqs).ok_or("no witness")?;
+    let w = closure.witness(model, reqs).ok_or("no witness")?;
     let n = model.cmds.len();
     let mut positions: Vec<usize> = (0..n).map(|c| w.arbitration_position(c)).collect();
     for i in 0..n {
