@@ -290,51 +290,6 @@ pub fn triple_stats_row(
     ]
 }
 
-/// Header of the solver-throughput table emitted by `solver_stats`
-/// (`experiments/solver_stats.csv`): per benchmark, the raw solver rates
-/// of the fresh-solver reference detection pass and the arena-vs-baseline
-/// replay of the *same* detection CNF under identical assumption
-/// schedules.
-pub fn solver_stats_header() -> Vec<String> {
-    [
-        "Benchmark",
-        "Queries",
-        "Propagations",
-        "Props/s",
-        "Conflicts/s",
-        "Arena props/s",
-        "Baseline props/s",
-        "Speedup",
-    ]
-    .map(str::to_owned)
-    .to_vec()
-}
-
-/// One row of the solver-throughput table. `detect` is the reference
-/// detection pass's [`DetectStats`]; the remaining pair the raw
-/// propagation throughputs of the arena and baseline solvers on the
-/// replayed CNF.
-pub fn solver_stats_row(
-    name: &str,
-    detect: &DetectStats,
-    arena_props_per_sec: f64,
-    baseline_props_per_sec: f64,
-) -> Vec<String> {
-    vec![
-        name.to_owned(),
-        format!("{}", detect.queries),
-        format!("{}", detect.propagations),
-        format!("{:.0}", detect.propagations as f64 / detect.seconds.max(1e-9)),
-        format!("{:.2}", detect.conflicts as f64 / detect.seconds.max(1e-9)),
-        format!("{arena_props_per_sec:.0}"),
-        format!("{baseline_props_per_sec:.0}"),
-        format!(
-            "{:.2}x",
-            arena_props_per_sec / baseline_props_per_sec.max(1e-9)
-        ),
-    ]
-}
-
 /// Header of the proof-certificate table emitted by `proof_stats`
 /// (`experiments/proof_stats.csv`): per benchmark, the detection sweep's
 /// query and refutation counts, how many UNSAT verdicts carry

@@ -6,7 +6,7 @@
 use atropos_bench::reporting::{
     detect_stats_header, detect_stats_row, parse_csv, proof_stats_header, proof_stats_row,
     repair_stats_header, repair_stats_row, replay_stats_header, replay_stats_row,
-    solver_stats_header, solver_stats_row, triple_stats_header, triple_stats_row,
+    triple_stats_header, triple_stats_row,
 };
 use atropos_bench::Table;
 use atropos_detect::DetectStats;
@@ -55,52 +55,6 @@ fn detect_stats_rows_match_their_header() {
     assert_csv_shape(&parsed, "detect-stats CSV");
     assert_eq!(parsed[1][1], "310");
     assert_eq!(parsed[1].last().unwrap(), "7.3x");
-}
-
-#[test]
-fn solver_stats_rows_match_their_header() {
-    let mut t = Table::new(solver_stats_header());
-    let stats = DetectStats {
-        queries: 101,
-        propagations: 69_000,
-        conflicts: 0,
-        seconds: 0.02,
-        ..DetectStats::default()
-    };
-    t.row(solver_stats_row("TPC-C", &stats, 9.0e6, 4.5e6));
-    let parsed = parse_csv(&t.to_csv());
-    assert_csv_shape(&parsed, "solver-stats CSV");
-    assert_eq!(parsed[1][1], "101");
-    assert_eq!(parsed[1].last().unwrap(), "2.00x");
-
-    // The generated artifact, when present (CI runs the `solver_stats`
-    // bin first): shape, plus the tentpole's acceptance floor — the
-    // arena solver must hold ≥ 1.5× the baseline's propagation
-    // throughput on the replayed TPC-C detection CNFs.
-    for candidate in [
-        "../../experiments/solver_stats.csv",
-        "experiments/solver_stats.csv",
-    ] {
-        if let Ok(text) = std::fs::read_to_string(candidate) {
-            let parsed = parse_csv(&text);
-            assert_csv_shape(&parsed, candidate);
-            let tpcc = parsed
-                .iter()
-                .skip(1)
-                .find(|r| r[0] == "TPC-C")
-                .unwrap_or_else(|| panic!("{candidate}: no TPC-C row"));
-            let speedup: f64 = tpcc
-                .last()
-                .unwrap()
-                .trim_end_matches('x')
-                .parse()
-                .unwrap_or_else(|e| panic!("{candidate}: bad Speedup cell: {e}"));
-            assert!(
-                speedup >= 1.5,
-                "{candidate}: TPC-C arena speedup {speedup}x is under the 1.5x floor"
-            );
-        }
-    }
 }
 
 #[test]

@@ -5,18 +5,18 @@
 //! their events: boolean variables encode the arbitration order `ord` over
 //! command instances (total, antisymmetric, transitive) and the visibility
 //! relation `vis` between atoms (command × record event groups) and
-//! commands. The consistency level contributes its axioms; a pattern query
-//! then asserts a serializability violation restricted to a specific pair of
-//! commands, and a SAT solver decides satisfiability — exactly the role Z3
-//! plays in the paper.
+//! commands. The consistency level contributes its axioms, and a pattern
+//! query asserts a serializability violation restricted to a specific pair
+//! of commands. The paper hands that formula to Z3.
 //!
-//! This encoding is the reference: [`pattern_satisfiable`] decides one
-//! query on a fresh solver, with only the queried level's axioms and the
-//! requirements asserted as unit clauses. Detection and witness replay ask
-//! the closure ([`crate::closure`]) instead, which decides the same
-//! queries without a search, and whose certificates cite clause instances
-//! of this encoding: every clause family is written down once, in
-//! `Layout`, over the variable numbering `encode_base` allocates.
+//! Here the encoding is the reference the pipeline is held to:
+//! [`pattern_satisfiable`] decides one query with the workspace's CDCL
+//! solver on a fresh instance, with only the queried level's axioms and
+//! the requirements asserted as unit clauses. Detection, certificates and
+//! witness replay ask the closure ([`crate::closure`]) instead, which
+//! decides the same queries without a search, and whose certificates cite
+//! clause instances of this encoding: every clause family is written down
+//! once, in `Layout`, over the variable numbering `encode_base` allocates.
 //!
 //! The encoder emits program order as root facts before the transitivity
 //! clauses they decide, on purpose: a solver then stores only what the root
@@ -679,16 +679,6 @@ pub(crate) fn fresh_query(
     }
     let sat = s.solve().is_sat();
     (sat, s.stats(), s.num_clauses())
-}
-
-/// `model`'s base encoding as a solver stores it once root-simplified:
-/// root facts as units, then the stored clauses. The `solver_stats`
-/// microbench replays these real detection CNFs through its two solvers.
-pub fn base_cnf(model: &InstanceModel) -> Vec<Vec<Lit>> {
-    let mut s = Solver::new();
-    encode_base(&mut s, model);
-    s.simplify();
-    s.problem_clauses()
 }
 
 #[cfg(test)]

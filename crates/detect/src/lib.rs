@@ -99,6 +99,6 @@ pub use detect::{
     candidate_queries, detect_anomalies, detect_anomalies_fresh, detect_differential, AccessPair,
     AnomalyKind, DetectStats, DifferentialReport,
 };
-pub use encode::{base_cnf, pattern_satisfiable, ConsistencyLevel, InstanceModel, WitnessTruth};
+pub use encode::{pattern_satisfiable, ConsistencyLevel, InstanceModel, WitnessTruth};
 pub use replay::{decode_witness, decode_witness_marked, replay_verdict, WitnessDecoder};
 pub use model::{summarize_program, summarize_txn, CmdKind, CmdSummary, KeySpec, TxnSummary};

@@ -1,11 +1,12 @@
 //! Differential fuzz of the certificate pipeline: random CNFs are solved
-//! by both the arena solver and the retained reference implementation with
-//! proof logging on; every UNSAT verdict must yield a certificate this
-//! crate's independent checker accepts — from the arena solver's core
-//! ([`Solver::refutation`]), whose every `Input` must be a clause the
-//! solver was given, and from the reference solver's cumulative log — and
-//! mutated certificates (corrupted bytes, a dropped final empty clause, a
-//! reordered empty clause) must be rejected.
+//! with proof logging on, and every answer is checked by something that
+//! shares no code with the solver. Every SAT model must satisfy every
+//! clause and every assumption. Every UNSAT verdict must yield a
+//! certificate this crate's independent checker accepts, built from the
+//! solver's core ([`Solver::refutation`]), whose every `Input` must be a
+//! clause the solver was given; and mutated certificates (corrupted
+//! bytes, a dropped final empty clause, a reordered empty clause) must be
+//! rejected.
 //!
 //! [`Solver::refutation`]: atropos_sat::Solver::refutation
 //!
@@ -14,7 +15,7 @@
 //! the only shared vocabulary is the `i32` literal convention.
 
 use atropos_proof::{check, check_blob, proof_hash, Proof, Step};
-use atropos_sat::{reference, Lit, ProofEvent, Solver, Var};
+use atropos_sat::{Lit, ProofEvent, SolveResult, Solver, Var};
 use proptest::prelude::*;
 
 fn to_dimacs_lit(l: Lit) -> i32 {
@@ -37,8 +38,8 @@ fn to_steps(events: &[ProofEvent]) -> Vec<Step> {
         .collect()
 }
 
-/// Assembles the full certificate for an UNSAT answer: the core (or the
-/// cumulative event log), then the trailer — `Add(¬core)` justified by the final
+/// Assembles the full certificate for an UNSAT answer: the core, then the
+/// trailer — `Add(¬core)` justified by the final
 /// conflict analysis, one `Assume` per failed assumption, and the empty
 /// clause. A root refutation (empty core) needs only the empty clause.
 fn certificate(events: &[ProofEvent], core: &[Lit]) -> Proof {
@@ -65,7 +66,7 @@ fn to_clauses(raw: &[Vec<(u32, bool)>], num_vars: usize) -> Vec<Vec<Lit>> {
         .collect()
 }
 
-/// Whether every `Input` of an arena core is one of `clauses` as the
+/// Whether every `Input` of a core is one of `clauses` as the
 /// solver stores a given clause: sorted and deduplicated.
 fn inputs_were_given(core: &[ProofEvent], clauses: &[Vec<Lit>]) -> bool {
     let given: Vec<Vec<Lit>> = clauses
@@ -83,20 +84,14 @@ fn inputs_were_given(core: &[ProofEvent], clauses: &[Vec<Lit>]) -> bool {
     })
 }
 
-fn arena_solver(num_vars: usize, clauses: &[Vec<Lit>]) -> Solver {
-    let mut s = Solver::with_proofs();
-    for _ in 0..num_vars {
-        s.new_var();
-    }
-    for c in clauses {
-        s.add_clause(c.iter().copied());
-    }
-    s
+/// Whether `model` satisfies every clause and every assumption.
+fn model_satisfies(model: &[bool], clauses: &[Vec<Lit>], assumptions: &[Lit]) -> bool {
+    let holds = |l: &Lit| model[l.var().index()] == l.is_positive();
+    clauses.iter().all(|c| c.iter().any(holds)) && assumptions.iter().all(holds)
 }
 
-fn reference_solver(num_vars: usize, clauses: &[Vec<Lit>]) -> reference::Solver {
-    let mut s = reference::Solver::new();
-    s.set_proof_logging(true);
+fn proof_solver(num_vars: usize, clauses: &[Vec<Lit>]) -> Solver {
+    let mut s = Solver::with_proofs();
     for _ in 0..num_vars {
         s.new_var();
     }
@@ -137,9 +132,9 @@ fn assert_mutations_rejected(proof: &Proof) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Root-level solving: every UNSAT verdict from either solver yields
-    /// a certificate the checker accepts — and that survives the binary
-    /// round-trip but not mutation.
+    /// Root-level solving: every SAT model satisfies the formula, and
+    /// every UNSAT verdict yields a certificate the checker accepts — and
+    /// that survives the binary round-trip but not mutation.
     #[test]
     fn root_refutations_certify(
         num_vars in 1usize..12,
@@ -149,29 +144,26 @@ proptest! {
         ),
     ) {
         let clauses = to_clauses(&raw, num_vars);
-        let mut arena = arena_solver(num_vars, &clauses);
-        let mut refr = reference_solver(num_vars, &clauses);
-        let a = arena.solve();
-        let r = refr.solve();
-        prop_assert_eq!(a.is_sat(), r.is_sat(), "verdicts diverge");
-        if !a.is_sat() {
-            let core = arena.refutation();
+        let mut solver = proof_solver(num_vars, &clauses);
+        if let SolveResult::Sat(model) = solver.solve() {
+            prop_assert!(model_satisfies(&model, &clauses, &[]), "model violates the formula");
+        } else {
+            let core = solver.refutation();
             prop_assert!(inputs_were_given(&core, &clauses), "core names an ungiven input");
-            for (name, events) in [("arena", &core[..]), ("reference", refr.proof_events())] {
-                let proof = certificate(events, &[]);
-                let report = check(&proof);
-                prop_assert!(report.is_ok(), "{} proof rejected: {:?}", name, report);
-                let blob = proof.encode();
-                prop_assert!(check_blob(&blob).is_ok(), "{} blob rejected", name);
-                prop_assert_eq!(&Proof::decode(&blob).unwrap(), &proof);
-                assert_mutations_rejected(&proof);
-            }
+            let proof = certificate(&core, &[]);
+            let report = check(&proof);
+            prop_assert!(report.is_ok(), "proof rejected: {:?}", report);
+            let blob = proof.encode();
+            prop_assert!(check_blob(&blob).is_ok(), "blob rejected");
+            prop_assert_eq!(&Proof::decode(&blob).unwrap(), &proof);
+            assert_mutations_rejected(&proof);
         }
     }
 
-    /// Incremental solving under assumption sequences: each UNSAT call's
-    /// core (arena) or cumulative log (reference) plus the failed-core
-    /// trailer certifies, across retained learnts and re-entrant solves.
+    /// Incremental solving under assumption sequences: each SAT call's
+    /// model satisfies the formula and the assumptions, and each UNSAT
+    /// call's core plus the failed-core trailer certifies, across retained
+    /// learnts and re-entrant solves.
     #[test]
     fn assumption_refutations_certify(
         num_vars in 1usize..10,
@@ -185,30 +177,26 @@ proptest! {
         ),
     ) {
         let clauses = to_clauses(&raw, num_vars);
-        let mut arena = arena_solver(num_vars, &clauses);
-        let mut refr = reference_solver(num_vars, &clauses);
+        let mut solver = proof_solver(num_vars, &clauses);
         for set in &raw_assumption_sets {
             let assumptions: Vec<Lit> = set
                 .iter()
                 .map(|(v, pos)| Lit::new(Var(v % num_vars as u32), *pos))
                 .collect();
-            let a = arena.solve_with_assumptions(&assumptions);
-            let r = refr.solve_with_assumptions(&assumptions);
-            prop_assert_eq!(a.is_sat(), r.is_sat(), "verdicts diverge");
-            if a.is_sat() {
+            if let SolveResult::Sat(model) = solver.solve_with_assumptions(&assumptions) {
+                prop_assert!(
+                    model_satisfies(&model, &clauses, &assumptions),
+                    "model violates the formula or {:?}", assumptions
+                );
                 continue;
             }
-            let core = arena.refutation();
+            let core = solver.refutation();
             prop_assert!(inputs_were_given(&core, &clauses), "core names an ungiven input");
-            let arena_proof = certificate(&core, arena.failed_assumptions());
-            let ref_proof =
-                certificate(refr.proof_events(), refr.failed_assumptions());
-            for (name, proof) in [("arena", &arena_proof), ("reference", &ref_proof)] {
-                let report = check(proof);
-                prop_assert!(report.is_ok(), "{} proof rejected: {:?}", name, report);
-                prop_assert!(check_blob(&proof.encode()).is_ok(), "{} blob rejected", name);
-                assert_mutations_rejected(proof);
-            }
+            let proof = certificate(&core, solver.failed_assumptions());
+            let report = check(&proof);
+            prop_assert!(report.is_ok(), "proof rejected: {:?}", report);
+            prop_assert!(check_blob(&proof.encode()).is_ok(), "blob rejected");
+            assert_mutations_rejected(&proof);
         }
     }
 }

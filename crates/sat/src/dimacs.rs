@@ -10,6 +10,10 @@ use crate::lit::{Lit, Var};
 use crate::proof::ProofEvent;
 use crate::solver::Solver;
 
+/// Variables a [`Lit`] can encode: [`Lit::new`] shifts the variable left
+/// by one bit in a `u32`.
+const MAX_VARS: u64 = 1 << 31;
+
 /// Renders a clause list in DIMACS CNF format.
 pub fn to_dimacs(num_vars: usize, clauses: &[Vec<Lit>]) -> String {
     let mut out = String::new();
@@ -80,7 +84,11 @@ pub fn parse_drat(text: &str) -> Result<Vec<ProofEvent>, String> {
             if n == 0 {
                 closed = true;
             } else {
-                lits.push(Lit::new(Var((n.unsigned_abs() - 1) as u32), n > 0));
+                let v = n.unsigned_abs() - 1;
+                if v >= MAX_VARS {
+                    return Err(format!("literal {n} is beyond {MAX_VARS} variables"));
+                }
+                lits.push(Lit::new(Var(v as u32), n > 0));
             }
         }
         if !closed {
@@ -117,7 +125,7 @@ pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Solver, Stri
     } else {
         Solver::new()
     };
-    let mut declared_vars: Option<usize> = None;
+    let mut declared_vars: Option<u64> = None;
     let mut clause: Vec<Lit> = Vec::new();
     for line in text.lines() {
         let line = line.trim();
@@ -126,11 +134,14 @@ pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Solver, Stri
         }
         if let Some(rest) = line.strip_prefix("p cnf") {
             let mut it = rest.split_whitespace();
-            let nv: usize = it
+            let nv: u64 = it
                 .next()
                 .ok_or("missing var count")?
                 .parse()
                 .map_err(|e| format!("bad var count: {e}"))?;
+            if nv > MAX_VARS {
+                return Err(format!("var count {nv} is beyond {MAX_VARS}"));
+            }
             declared_vars = Some(nv);
             for _ in 0..nv {
                 solver.new_var();
@@ -142,11 +153,11 @@ pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Solver, Stri
             if n == 0 {
                 solver.add_clause(clause.drain(..));
             } else {
-                let v = (n.unsigned_abs() - 1) as u32;
-                if declared_vars.is_none_or(|nv| v as usize >= nv) {
+                let v = n.unsigned_abs() - 1;
+                if declared_vars.is_none_or(|nv| v >= nv) {
                     return Err(format!("literal {n} out of declared range"));
                 }
-                clause.push(Lit::new(Var(v), n > 0));
+                clause.push(Lit::new(Var(v as u32), n > 0));
             }
         }
     }
@@ -191,6 +202,12 @@ mod tests {
     #[test]
     fn rejects_out_of_range_literal() {
         assert!(parse_dimacs("p cnf 1 1\n2 0\n").is_err());
+        // Magnitudes that truncate to a declared variable as `u32`.
+        assert!(parse_dimacs("p cnf 1 1\n4294967297 0\n").is_err());
+        assert!(parse_dimacs("p cnf 1 1\n-4294967297 0\n").is_err());
+        // More variables than a literal can encode, rejected before any
+        // is allocated.
+        assert!(parse_dimacs("p cnf 2147483649 1\n1 0\n").is_err());
     }
 
     #[test]
@@ -219,6 +236,15 @@ mod tests {
         assert!(parse_drat("1 2").is_err(), "unterminated");
         assert!(parse_drat("1 0 2 0").is_err(), "trailing literals");
         assert!(parse_drat("x 0").is_err(), "non-numeric");
+        // Variables a literal cannot encode, which `Lit::new` would alias
+        // onto another variable.
+        assert!(parse_drat("2147483649 0\n").is_err(), "variable 2^31");
+        assert!(parse_drat("-4294967297 0\n").is_err(), "variable 2^32");
+        assert_eq!(
+            parse_drat("-2147483648 0\n").unwrap(),
+            vec![ProofEvent::Add(vec![Lit::new(Var((1 << 31) - 1), false)])],
+            "the largest variable a literal can encode"
+        );
     }
 
     #[test]

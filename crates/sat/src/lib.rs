@@ -4,9 +4,10 @@
 //!
 //! The paper discharges its serializability-anomaly queries with Z3; this
 //! workspace grounds the same bounded first-order formulas to propositional
-//! logic, and this solver decides them on the reference path that the
-//! detector's closure is checked against (see `atropos-detect`). The crate
-//! is self-contained and usable independently:
+//! logic. The detector decides them by least-model closure, and this
+//! solver decides the SAT encoding that the closure is held to (see
+//! `atropos-detect`). The crate is self-contained and usable
+//! independently:
 //!
 //! * [`Solver`] — two-watched-literal CDCL with first-UIP learning, VSIDS,
 //!   phase saving, Luby restarts, learnt-clause deletion, and incremental
@@ -22,9 +23,10 @@
 //!
 //! [`Solver`] stores clauses in a flat arena (`[header | len | lits...]`
 //! records in one `u32` buffer) and propagates over blocker-literal
-//! watcher lists; [`mod@reference`] retains the previous `Vec<Clause>`
-//! implementation, with its cumulative proof log, as a
-//! differential-testing oracle and throughput baseline.
+//! watcher lists. It is checked by oracles that share none of its code:
+//! brute force on small formulas, evaluation of every model against its
+//! clauses and assumptions, and the `atropos_proof` RUP checker on every
+//! refutation core.
 //!
 //! # Examples
 //!
@@ -49,7 +51,6 @@
 pub mod dimacs;
 pub mod lit;
 pub mod proof;
-pub mod reference;
 pub mod solver;
 
 pub use lit::{LBool, Lit, Var};

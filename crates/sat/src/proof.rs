@@ -10,12 +10,12 @@
 //! * [`ProofEvent::Add`] — a deduced clause: a first-UIP learnt clause.
 //!   Every added clause is RUP with respect to the clauses before it,
 //!   which is exactly what an independent checker re-verifies.
-//! * [`ProofEvent::Delete`] — a clause leaving the database. Only the
-//!   retained reference solver logs deletions (its cumulative log is the
-//!   differential oracle); a core never needs them.
+//! * [`ProofEvent::Delete`] — a clause leaving the database. A core never
+//!   needs one, so the solver emits none; the variant carries the `d`
+//!   lines of textual DRAT ([`crate::dimacs::parse_drat`]).
 //!
-//! The arena solver built by [`crate::Solver::with_proofs`] does not keep
-//! a cumulative log. It keeps a core record: every input as given, every
+//! The solver built by [`crate::Solver::with_proofs`] does not keep a
+//! cumulative log. It keeps a core record: every input as given, every
 //! lemma with its antecedents, and the clause behind each root fact. On
 //! UNSAT it walks back from the final conflict and
 //! [`crate::Solver::refutation`] returns only what the walk reached — the

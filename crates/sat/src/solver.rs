@@ -189,20 +189,13 @@ struct Watcher {
 
 /// A binary max-heap over variables ordered by VSIDS activity, with a
 /// position index for O(log n) re-heapification when an activity is bumped.
-/// Replaces the former O(vars) scan per decision in `pick_branch` — the
-/// difference matters once one solver answers thousands of queries.
 ///
 /// Removal is lazy: variables stay in the heap when assigned, and
 /// backtracking re-inserts the unassigned ones, so every unassigned
 /// variable is always in it. `pick_branch` skips (and drops) assigned ones
-/// at [`OrderHeap::pop_max`] time, or all at once with
-/// [`OrderHeap::retain`] once they outnumber the unassigned ones: a solver
-/// whose root facts were set before its first search holds every one of
-/// them in its heap.
+/// at [`OrderHeap::pop_max`] time.
 /// Ties in activity break towards the lower variable index, so the order
-/// is strict and total: the unassigned variables pop in the same order
-/// whichever assigned ones are still in the heap, and decisions are fully
-/// deterministic.
+/// is strict and total, and decisions are fully deterministic.
 #[derive(Debug, Clone, Default)]
 struct OrderHeap {
     heap: Vec<Var>,
@@ -227,30 +220,6 @@ impl OrderHeap {
 
     fn contains(&self, v: Var) -> bool {
         self.pos[v.index()] != Self::ABSENT
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Drops every variable `keep` rejects and restores the heap property
-    /// bottom-up: one O(n) pass instead of one O(log n) pop per dropped
-    /// variable.
-    fn retain(&mut self, keep: impl Fn(Var) -> bool, activity: &[f64]) {
-        let OrderHeap { heap, pos } = self;
-        heap.retain(|&v| {
-            let kept = keep(v);
-            if !kept {
-                pos[v.index()] = Self::ABSENT;
-            }
-            kept
-        });
-        for (i, v) in heap.iter().enumerate() {
-            pos[v.index()] = i;
-        }
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i, activity);
-        }
     }
 
     fn insert(&mut self, v: Var, activity: &[f64]) {
@@ -609,10 +578,9 @@ impl Solver {
     /// Exports the stored problem: root facts as unit clauses, then every
     /// original (non-learnt) clause as currently simplified. Replaying the
     /// export into a fresh solver over the same variable allocation yields
-    /// an equisatisfiable formula; the `solver_stats` microbench uses it to
-    /// run identical clause streams through this solver and the baseline
-    /// [`crate::reference::Solver`] so the two layouts are compared on
-    /// equal work.
+    /// an equisatisfiable formula. Tests read it to see what the solver
+    /// keeps: which literals a root unit strips from a clause, and that an
+    /// encoding's root facts leave no stored clause mentioning them.
     pub fn problem_clauses(&self) -> Vec<Vec<Lit>> {
         debug_assert!(self.trail_lim.is_empty(), "export happens at the root");
         let mut out = Vec::new();
@@ -861,14 +829,6 @@ impl Solver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        // Every unassigned variable is in the heap; shed the assigned ones
-        // in one pass once they are the majority.
-        let unassigned = self.num_vars() - self.trail.len();
-        if self.order.len() > 2 * unassigned {
-            let assign = &self.assign;
-            self.order
-                .retain(|v| assign[v.index()] == LBool::Undef, &self.activity);
-        }
         while let Some(v) = self.order.pop_max(&self.activity) {
             if self.assign[v.index()] == LBool::Undef {
                 return Some(Lit::new(v, self.phase[v.index()]));
@@ -1492,41 +1452,6 @@ mod tests {
         assert_eq!(h.pop_max(&activity), Some(Var(0)));
         assert_eq!(h.pop_max(&activity), Some(Var(1)));
         assert_eq!(h.pop_max(&activity), None);
-    }
-
-    /// Shedding keeps the strict order: after `retain`, the kept variables
-    /// pop in the order an untouched heap pops them, skipping the dropped
-    /// ones.
-    #[test]
-    fn order_heap_pops_the_kept_set_in_order_after_retain() {
-        let activity = [2.0, 7.0, 7.0, 0.0, 5.0, 2.0, 9.0, 1.0, 5.0, 3.0, 0.0, 7.0];
-        let filled = || {
-            let mut h = OrderHeap::default();
-            for i in 0..activity.len() as u32 {
-                h.push_var();
-                h.insert(Var(i), &activity);
-            }
-            h
-        };
-        let mut untouched = filled();
-        let order: Vec<Var> = std::iter::from_fn(|| untouched.pop_max(&activity)).collect();
-        for dropped in [
-            0b0000_0000_0000u32,
-            0b1010_0101_1010,
-            0b0111_1111_1110,
-            0b1111_1111_1111,
-        ] {
-            let keep = |v: Var| dropped & (1 << v.0) == 0;
-            let mut h = filled();
-            h.retain(keep, &activity);
-            assert_eq!(h.len(), order.iter().filter(|&&v| keep(v)).count());
-            for v in 0..activity.len() as u32 {
-                assert_eq!(h.contains(Var(v)), keep(Var(v)));
-            }
-            let popped: Vec<Var> = std::iter::from_fn(|| h.pop_max(&activity)).collect();
-            let expected: Vec<Var> = order.iter().copied().filter(|&v| keep(v)).collect();
-            assert_eq!(popped, expected, "dropped {dropped:#b}");
-        }
     }
 
     /// A solver built on one thread keeps working (same verdicts, retained

@@ -8,10 +8,11 @@
 //! solver's cumulative statistics. A change to branching, propagation,
 //! conflict analysis, restarts or learnt-clause deletion moves some row.
 //!
-//! The table was recorded while the order heap still dropped assigned
-//! variables one pop at a time, so it also pins that shedding them in one
-//! pass changes no decision. On a mismatch the assertion prints the table
-//! the solver produced, in this file's syntax.
+//! Both a plain solver and a proof-logging one ([`Solver::with_proofs`])
+//! must produce the table, so proof logging changes no search step: the
+//! refutations the certificate checker accepts come from the same search
+//! the detector's SAT reference runs with proofs off. On a mismatch the
+//! assertion prints the table the solver produced, in this file's syntax.
 
 use atropos_sat::{Lit, SolveResult, Solver, Var};
 
@@ -65,12 +66,13 @@ fn digest(tag: u8, bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// Runs every instance's query sequence and returns one row per query.
-fn search_table() -> Vec<Row> {
+/// Runs every instance's query sequence on solvers `new_solver` builds
+/// and returns one row per query.
+fn search_table(new_solver: fn() -> Solver) -> Vec<Row> {
     let mut rows = Vec::new();
     for (inst, &(vars, clauses)) in INSTANCES.iter().enumerate() {
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (inst as u64 + 1).wrapping_mul(0xA24B_AED4));
-        let mut s = Solver::new();
+        let mut s = new_solver();
         for _ in 0..vars {
             s.new_var();
         }
@@ -184,19 +186,24 @@ const GOLDEN: &[Row] = &[
 
 #[test]
 fn search_steps_match_the_recorded_table() {
-    let rows = search_table();
-    // The fixture must exercise what it claims to pin.
-    let last: Vec<&Row> = rows.iter().filter(|r| r.1 == QUERIES - 1).collect();
-    assert!(last.iter().all(|r| r.6 > 0), "every instance conflicts");
-    assert!(last.iter().any(|r| r.7 > 0), "some instance restarts");
-    assert!(
-        last.iter().any(|r| r.8 > 0),
-        "some instance deletes learnt clauses"
-    );
-    assert!(rows.iter().any(|r| r.2) && rows.iter().any(|r| !r.2));
-    let table: String = rows.iter().map(|r| format!("    {r:?},\n")).collect();
-    assert!(
-        rows == GOLDEN,
-        "the search moved; the solver now produces:\n{table}"
-    );
+    for (name, new_solver) in [
+        ("plain", Solver::new as fn() -> Solver),
+        ("proof-logging", Solver::with_proofs),
+    ] {
+        let rows = search_table(new_solver);
+        // The fixture must exercise what it claims to pin.
+        let last: Vec<&Row> = rows.iter().filter(|r| r.1 == QUERIES - 1).collect();
+        assert!(last.iter().all(|r| r.6 > 0), "every instance conflicts");
+        assert!(last.iter().any(|r| r.7 > 0), "some instance restarts");
+        assert!(
+            last.iter().any(|r| r.8 > 0),
+            "some instance deletes learnt clauses"
+        );
+        assert!(rows.iter().any(|r| r.2) && rows.iter().any(|r| !r.2));
+        let table: String = rows.iter().map(|r| format!("    {r:?},\n")).collect();
+        assert!(
+            rows == GOLDEN,
+            "the {name} search moved; the solver now produces:\n{table}"
+        );
+    }
 }
