@@ -5,6 +5,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use atropos_detect::ProgramSummary;
 use atropos_dsl::{CmdLabel, Expr, Program, Stmt, Transaction, Where};
 
 /// Applies `f` to every statement (commands and control statements) of a
@@ -198,15 +199,18 @@ pub fn rewrite_exprs(txn: &mut Transaction, f: &impl Fn(&Expr) -> Option<Expr>) 
 /// [`atropos_detect::txn_fingerprint`] and its command labels.
 pub(crate) type View = BTreeMap<String, (u64, Vec<String>)>;
 
-/// Detection's [`View`] of `program`, from one summary of it. The repair
-/// loop computes it once per program state and keeps the current one.
-pub(crate) fn view(program: &Program) -> View {
-    atropos_detect::summarize_program(program)
-        .into_iter()
-        .map(|t| {
+/// Detection's [`View`] of the program `summary` summarizes, with each
+/// fingerprint read from the summary's keys. The repair loop builds one
+/// summary per program state, takes its view once and keeps the current
+/// one.
+pub(crate) fn view(summary: &ProgramSummary) -> View {
+    summary
+        .txns()
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
             let labels = t.commands.iter().map(|c| c.label.0.clone()).collect();
-            let fp = atropos_detect::txn_fingerprint(&t);
-            (t.name, (fp, labels))
+            (t.name.clone(), (summary.fingerprint(i), labels))
         })
         .collect()
 }
@@ -308,9 +312,14 @@ pub fn var_bindings(txn: &Transaction) -> Vec<(String, String)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use atropos_dsl::parse;
+
+    /// The [`View`] of `program`, summarized afresh.
+    pub(crate) fn view_of(program: &Program) -> View {
+        view(&ProgramSummary::of(program))
+    }
 
     const SRC: &str = "schema T { id: int key, v: int, w: int }
          schema U { id: int key, z: int }
@@ -394,28 +403,31 @@ mod tests {
     fn view_change_reports_changed_txns() {
         let before = parse(SRC).unwrap();
         assert_eq!(
-            view_change(&view(&before), &view(&before)),
+            view_change(&view_of(&before), &view_of(&before)),
             (BTreeSet::new(), false)
         );
 
         // Touch one command's write set: its transaction is dirty.
         let after = parse(&SRC.replace("set z = x.v", "set z = x.v, id = k")).unwrap();
         assert_eq!(
-            view_change(&view(&before), &view(&after)),
+            view_change(&view_of(&before), &view_of(&after)),
             (BTreeSet::from(["t".to_owned()]), true)
         );
 
         // Removing a command dirties its transaction too.
         let removed = parse(&SRC.replace("@S2 y := select w from T where id = k;", "")).unwrap();
         assert_eq!(
-            view_change(&view(&before), &view(&removed)),
+            view_change(&view_of(&before), &view_of(&removed)),
             (BTreeSet::from(["t".to_owned()]), true)
         );
 
         // So does a transaction that appears or vanishes.
         let renamed = parse(&SRC.replace("txn t(", "txn t2(")).unwrap();
         let both = BTreeSet::from(["t".to_owned(), "t2".to_owned()]);
-        assert_eq!(view_change(&view(&before), &view(&renamed)), (both, true));
+        assert_eq!(
+            view_change(&view_of(&before), &view_of(&renamed)),
+            (both, true)
+        );
     }
 
     #[test]
@@ -426,7 +438,7 @@ mod tests {
         let before = parse(SRC).unwrap();
         let after = parse(&SRC.replace("@U1", "@U9")).unwrap();
         assert_eq!(
-            view_change(&view(&before), &view(&after)),
+            view_change(&view_of(&before), &view_of(&after)),
             (BTreeSet::new(), true)
         );
     }
@@ -438,7 +450,7 @@ mod tests {
         let before = parse(SRC).unwrap();
         let after = parse(&SRC.replace("set z = x.v", "set z = x.v + 1")).unwrap();
         assert_eq!(
-            view_change(&view(&before), &view(&after)),
+            view_change(&view_of(&before), &view_of(&after)),
             (BTreeSet::new(), false)
         );
     }
@@ -460,7 +472,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            view_change(&view(&before), &view(&after)),
+            view_change(&view_of(&before), &view_of(&after)),
             (BTreeSet::from(["t".to_owned()]), true)
         );
     }

@@ -495,7 +495,8 @@ fn fuse_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{view, view_change};
+    use crate::analysis::tests::view_of;
+    use crate::analysis::view_change;
     use atropos_detect::{
         detect_anomalies, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
     };
@@ -565,7 +566,7 @@ mod tests {
         assert_eq!(vcs[0].dst_schema, "MSG");
         assert_eq!(vcs[0].dst_field, "m_f_body");
         // All three chain transactions were rewritten or re-addressed.
-        let (dirty, _) = view_change(&view(&p), &view(&out));
+        let (dirty, _) = view_change(&view_of(&p), &view_of(&out));
         assert!(
             dirty.contains("relay") && dirty.contains("timeline"),
             "{dirty:?}"
@@ -660,7 +661,7 @@ mod tests {
         assert!(matches!(steps[0], RepairStep::ChainCut { .. }));
         assert_eq!(vcs[0].src_field, "a_v");
         assert_eq!(vcs[0].dst_field, "c_v");
-        let (dirty, _) = view_change(&view(&p), &view(&out));
+        let (dirty, _) = view_change(&view_of(&p), &view_of(&out));
         assert!(
             dirty.contains("writer") && dirty.contains("relay"),
             "{dirty:?}"

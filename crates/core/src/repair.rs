@@ -2,12 +2,13 @@
 //! anomalous access pairs by command splitting, merging, redirecting, and
 //! logging.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use atropos_detect::{
     AccessPair, AnomalyKind, CacheStats, ConsistencyLevel, DetectMode, DetectSession,
-    DetectionEngine, WitnessDecoder,
+    DetectionEngine, ProgramSummary, WitnessDecoder,
 };
 use atropos_dsl::{check_program, CmdLabel, Expr, Program, Stmt, Transaction, UpdateCmd};
 use atropos_semantics::{ThetaMap, ValueCorrespondence};
@@ -361,6 +362,13 @@ pub fn repair_with_config(program: &Program, config: &RepairConfig) -> RepairRep
 /// [`RepairStats::cache`] reports only this run's share of the session's
 /// counters.
 ///
+/// Each program state the run inspects is summarized once, into one
+/// [`ProgramSummary`] that everything reading that state shares: the input
+/// program's serves the session sweep, the first detection pass, the
+/// loop's view of it and the strict witness decoder; each later state's
+/// serves the loop's view, its detection pass and, for the repaired
+/// program, the loose decoder.
+///
 /// # Panics
 ///
 /// Panics if the input program fails to type check.
@@ -376,7 +384,8 @@ pub fn repair_with_engine(
     // (typically shared) input program warm — which is exactly where
     // cross-run reuse comes from. Within the run no pass evicts anything
     // (see `atropos_detect::session`).
-    session.sweep(program);
+    let summary = ProgramSummary::of(program);
+    session.sweep_summary(&summary);
     session.begin_run();
     let before = session.cache_stats();
     let certs_before = if engine.proofs_enabled() {
@@ -384,12 +393,13 @@ pub fn repair_with_engine(
     } else {
         0
     };
-    let mut report = repair_core(program, config, &mut Oracle::Engine { engine, session });
+    let oracle = &mut Oracle::Engine { engine, session };
+    let (mut report, repaired) = repair_core(program, &summary, config, oracle);
     report.stats.cache = session.cache_stats().since(&before);
     if engine.proofs_enabled() {
         report.stats.proof_certs = session.proof_count().saturating_sub(certs_before) as u64;
     }
-    replay_initial_verdicts(program, config, &mut report);
+    replay_initial_verdicts(&summary, &repaired, config, &mut report);
     report
 }
 
@@ -404,16 +414,22 @@ pub fn repair_with_engine(
 /// since repair rewrites command labels, and with
 /// [`RepairReport::unsafe_transactions`] as the AT-SC marked set
 /// (counting [`RepairStats::replay_suppressed`] /
-/// [`RepairStats::replay_surviving`]). Each program gets one decoder, the
+/// [`RepairStats::replay_surviving`]). Each program gets one decoder over
+/// the summary the loop built of it (`original`, `repaired`), the
 /// original's dropped before the repaired one's is built, and each visits
 /// the verdicts grouped by first tuple, so a tuple is grounded once per
 /// program and at most one grounded tuple is live. Every schedule is
 /// byte-identical to a one-shot decode of its verdict, and replay is
 /// deterministic, so these counters are independent of the engine's
 /// thread count.
-fn replay_initial_verdicts(program: &Program, config: &RepairConfig, report: &mut RepairReport) {
+fn replay_initial_verdicts(
+    original: &ProgramSummary,
+    repaired: &ProgramSummary,
+    config: &RepairConfig,
+    report: &mut RepairReport,
+) {
     let verdicts = &report.initial;
-    let mut decoder = WitnessDecoder::new(program);
+    let mut decoder = WitnessDecoder::from_summary(original);
     for i in decoder.visit_order(verdicts) {
         match decoder.decode(&verdicts[i], config.level) {
             Some(s) if atropos_sim::run_schedule(&s).manifested => {
@@ -424,7 +440,7 @@ fn replay_initial_verdicts(program: &Program, config: &RepairConfig, report: &mu
     }
     drop(decoder);
     let marked = report.unsafe_transactions();
-    let mut decoder = WitnessDecoder::new(&report.repaired);
+    let mut decoder = WitnessDecoder::from_summary(repaired);
     for i in decoder.visit_order(verdicts) {
         let surviving = decoder
             .decode_marked(&verdicts[i], config.level, &marked)
@@ -439,15 +455,18 @@ fn replay_initial_verdicts(program: &Program, config: &RepairConfig, report: &mu
 
 /// The from-scratch reference driver, verbatim Fig. 10: the full anomaly
 /// oracle re-runs after every refactoring step *and* on the final program,
-/// with no verdict cache and no carried-forward verdicts. Slow; kept for
-/// differential testing and for the incremental-vs-scratch speedup
+/// with no verdict cache and no carried-forward verdicts, and each pass
+/// summarizes its program from the text rather than reading the loop's
+/// summary, so the differential suite checks that summary too. Slow; kept
+/// for differential testing and for the incremental-vs-scratch speedup
 /// accounting in the benchmark binaries.
 ///
 /// # Panics
 ///
 /// Panics if the input program fails to type check.
 pub fn repair_with_config_scratch(program: &Program, config: &RepairConfig) -> RepairReport {
-    repair_core(program, config, &mut Oracle::Scratch)
+    let summary = ProgramSummary::of(program);
+    repair_core(program, &summary, config, &mut Oracle::Scratch).0
 }
 
 /// Repairs `program` under every configuration of
@@ -489,19 +508,22 @@ impl Oracle<'_, '_> {
     }
 }
 
-/// Runs one detection pass (cached or scratch) at the configuration's
-/// detection mode and records its [`RepairIteration`] in `stats`.
+/// Runs one detection pass (cached or scratch) over `program`, whose
+/// summary is `summary`, at the configuration's level and detection mode
+/// and records its [`RepairIteration`] in `stats`. The engine reads
+/// `summary`; the scratch reference summarizes `program` afresh.
 fn run_detection(
     program: &Program,
-    level: ConsistencyLevel,
-    mode: DetectMode,
+    summary: &ProgramSummary,
+    config: &RepairConfig,
     oracle: &mut Oracle<'_, '_>,
     stats: &mut RepairStats,
 ) -> Vec<AccessPair> {
+    let (level, mode) = (config.level, config.mode);
     match oracle {
         Oracle::Engine { engine, session } => {
             let before = session.cache_stats();
-            let (pairs, d) = engine.detect_with_mode(program, level, mode, session);
+            let (pairs, d) = engine.detect_summary(summary, level, mode, session);
             let after = session.cache_stats();
             stats.iterations.push(RepairIteration {
                 pairs: d.pairs,
@@ -515,7 +537,8 @@ fn run_detection(
         }
         Oracle::Scratch => {
             // The Fig. 10 reference pays a full cold oracle every pass: a
-            // serial engine over a fresh session.
+            // serial engine over a fresh session, summarizing the program
+            // text instead of reading the loop's summary.
             let (pairs, d) = DetectionEngine::serial()
                 .detect_with_mode(program, level, mode, &mut DetectSession::new());
             stats.iterations.push(RepairIteration {
@@ -531,21 +554,28 @@ fn run_detection(
     }
 }
 
-fn repair_core(
+/// The repair loop over `program`, whose summary is `summary`. Returns the
+/// report and the summary of the repaired program: each program state the
+/// loop inspects is summarized once, and the repaired program is the last
+/// of them.
+fn repair_core<'s>(
     program: &Program,
+    summary: &'s ProgramSummary,
     config: &RepairConfig,
     oracle: &mut Oracle<'_, '_>,
-) -> RepairReport {
+) -> (RepairReport, Cow<'s, ProgramSummary>) {
     check_program(program).expect("repair requires a well-typed program");
     let start = Instant::now();
     let cached = oracle.is_cached();
     let mut stats = RepairStats::default();
 
-    let initial = run_detection(program, config.level, config.mode, oracle, &mut stats);
+    let initial = run_detection(program, summary, config, oracle, &mut stats);
 
     let mut current = program.clone();
-    // Detection's view of `current`, computed once per program state.
-    let mut current_view = view(&current);
+    // `current`'s summary and detection's view of it, each built once per
+    // program state.
+    let mut current_summary = Cow::Borrowed(summary);
+    let mut current_view = view(summary);
     let mut steps: Vec<RepairStep> = Vec::new();
     let mut vcs: Vec<ValueCorrespondence> = Vec::new();
     // The verdicts valid for `current` right now, carried forward by the
@@ -555,13 +585,19 @@ fn repair_core(
     // of its redundant passes stay measurable.
     let mut last_verdict: Option<Vec<AccessPair>> = cached.then(|| initial.clone());
 
+    // Every split is a step, so a preprocessing pass that logged none
+    // left the program as it was.
     if config.enable_split {
         pre_process(&mut current, &initial, &mut steps);
-        let split_view = view(&current);
-        if view_change(&current_view, &split_view).1 {
-            last_verdict = None;
+        if !steps.is_empty() {
+            let split = ProgramSummary::of(&current);
+            let split_view = view(&split);
+            if view_change(&current_view, &split_view).1 {
+                last_verdict = None;
+            }
+            current_summary = Cow::Owned(split);
+            current_view = split_view;
         }
-        current_view = split_view;
     }
 
     let mut failed: BTreeSet<(String, String, AnomalyKind)> = BTreeSet::new();
@@ -571,7 +607,7 @@ fn repair_core(
                 stats.detections_skipped += 1;
                 p
             }
-            None => run_detection(&current, config.level, config.mode, oracle, &mut stats),
+            None => run_detection(&current, &current_summary, config, oracle, &mut stats),
         };
         // Repair lost updates (logging) before dirty/non-repeatable pairs
         // (merging): merging first would fuse updates into multi-assignment
@@ -587,12 +623,14 @@ fn repair_core(
             }
             match try_repair(&current, pair, config) {
                 Some((next, new_vcs, new_steps)) => {
-                    let next_view = view(&next);
+                    let next_summary = ProgramSummary::of(&next);
+                    let next_view = view(&next_summary);
                     if let Some(it) = stats.iterations.last_mut() {
                         let dirtied = view_change(&current_view, &next_view).0;
                         it.dirtied_txns = dirtied.into_iter().collect();
                     }
                     current = next;
+                    current_summary = Cow::Owned(next_summary);
                     current_view = next_view;
                     vcs.extend(new_vcs);
                     steps.extend(new_steps);
@@ -611,10 +649,16 @@ fn repair_core(
         }
     }
 
+    // Post-processing reports every edit it makes, so an empty report
+    // left the program as it was.
     let post = if config.enable_postprocess {
         let report = post_process(&mut current);
-        if view_change(&current_view, &view(&current)).1 {
-            last_verdict = None;
+        if report != PostProcessReport::default() {
+            let post = ProgramSummary::of(&current);
+            if view_change(&current_view, &view(&post)).1 {
+                last_verdict = None;
+            }
+            current_summary = Cow::Owned(post);
         }
         report
     } else {
@@ -625,7 +669,7 @@ fn repair_core(
             stats.detections_skipped += 1;
             p
         }
-        None => run_detection(&current, config.level, config.mode, oracle, &mut stats),
+        None => run_detection(&current, &current_summary, config, oracle, &mut stats),
     };
     // Canonical order: the carried-forward verdicts arrive in repair-rule
     // order while a fresh detection arrives in witness order, and the two
@@ -633,7 +677,7 @@ fn repair_core(
     remaining.sort();
     // The cached driver's share of the session cache counters is filled in
     // by `repair_with_engine` (the session may be older than this run).
-    RepairReport {
+    let report = RepairReport {
         original: program.clone(),
         repaired: current,
         initial,
@@ -643,7 +687,8 @@ fn repair_core(
         post,
         stats,
         seconds: start.elapsed().as_secs_f64(),
-    }
+    };
+    (report, current_summary)
 }
 
 /// Preprocessing: splits every update that participates in several anomalies

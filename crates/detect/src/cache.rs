@@ -50,9 +50,12 @@
 //! fingerprint. An edit to a command on a table the partner never touches
 //! leaves the slice, and so the pair's key, unchanged: logging
 //! `STOCK.s_ytd` in TPC-C's `newOrder` re-keys no pair with `payment`.
-//! The engine computes slices once per (transaction, partner table set)
-//! from each command's fingerprint input, recorded once per transaction
-//! (`ProgramKeys`).
+//! Slices are computed once per (transaction, partner table set) from
+//! each command's fingerprint input, recorded once per transaction
+//! (`ProgramKeys`). A program state's keys are built once, with its
+//! summaries, into a [`crate::ProgramSummary`]: every detection pass,
+//! sweep and witness decoder of that state reads them there, and the
+//! transaction fingerprints with them.
 //!
 //! # The group key
 //!
@@ -255,6 +258,7 @@ fn relative_position(c: &CmdSummary, dropped: usize) -> usize {
 /// per ordered pair, each member's slice against the other's tables.
 /// Slices are memoized per (transaction, table set), so a pass computes
 /// one slice per distinct partner table set, not one per pair.
+#[derive(Clone)]
 pub(crate) struct ProgramKeys {
     /// The distinct slices.
     slices: Vec<Slice>,

@@ -144,7 +144,7 @@ impl Closure {
         for (a, atom) in model.atoms.iter().enumerate() {
             atoms_of[atom.cmd].push(a);
         }
-        let position = |c: usize| model.cmds[c].summary.prog_index;
+        let position = |c: usize| model.cmds[c].prog_index;
         let (mut later, mut earlier) = (vec![Vec::new(); n], vec![Vec::new(); n]);
         for x in 0..model.instances() {
             let mut chain: Vec<usize> = (model.starts[x]..model.starts[x + 1]).collect();

@@ -52,6 +52,7 @@ use crate::cache::{GroupKey, VerdictEntry};
 use crate::detect::{AccessPair, AnomalyKind, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
 use crate::engine::{detect_batch, DetectMode, DetectionEngine};
+use crate::model::ProgramSummary;
 use crate::session::DetectSession;
 
 /// Magic + version header of the store's record file. The magic names
@@ -550,7 +551,8 @@ pub struct CorpusStats {
     /// Solver-side statistics of the global solve phase (the counters
     /// `queries` through `decisions`).
     pub solve: DetectStats,
-    /// Wall-clock seconds of the whole pass (plan + solve + answer).
+    /// Wall-clock seconds of the whole pass (plan + solve + answer), not
+    /// counting summarizing the programs.
     pub seconds: f64,
 }
 
@@ -586,7 +588,11 @@ pub fn analyse_corpus(
     mode: DetectMode,
     session: &mut DetectSession,
 ) -> (Vec<CorpusVerdict>, CorpusStats) {
-    let batch: Vec<&Program> = programs.iter().map(|(_, p)| p).collect();
+    let summaries: Vec<ProgramSummary> = programs
+        .iter()
+        .map(|(_, p)| ProgramSummary::of(p))
+        .collect();
+    let batch: Vec<&ProgramSummary> = summaries.iter().collect();
     let (verdicts, stats) = detect_batch(engine, &batch, level, mode, session);
     let verdicts = programs
         .iter()

@@ -141,7 +141,9 @@ pub struct DetectStats {
     /// inert field, kept only because the pipeline benchmark still reads
     /// it.
     pub learnt_seeded: u64,
-    /// Wall-clock seconds spent in detection.
+    /// Wall-clock seconds spent in detection. An engine pass counts its
+    /// plan, solve and merge, not summarizing its program; the reference
+    /// oracle's count includes its summarizing.
     pub seconds: f64,
 }
 
@@ -570,11 +572,10 @@ pub(crate) fn candidates(
         };
         range
             .filter(|&c| {
-                let s = &model.cmds[c].summary;
                 if selects {
-                    s.kind == CmdKind::Select
+                    model.cmds[c].kind == CmdKind::Select
                 } else {
-                    !s.writes.is_empty()
+                    !model.command(ts, c).writes.is_empty()
                 }
             })
             .flat_map(|c| model.cmds[c].records.iter().map(move |&r| (c, r)))
@@ -582,10 +583,10 @@ pub(crate) fn candidates(
     };
     // The fields command `r` reads of those command `w` writes.
     let shared = |w: usize, r: usize| -> BTreeSet<String> {
-        model.cmds[w]
-            .summary
+        model
+            .command(ts, w)
             .writes
-            .intersection(&model.cmds[r].summary.reads)
+            .intersection(&model.command(ts, r).reads)
             .cloned()
             .collect()
     };

@@ -21,12 +21,19 @@
 //! The encoder emits program order as root facts before the transitivity
 //! clauses they decide, on purpose: a solver then stores only what the root
 //! assignment leaves open (see `encode_base`).
+//!
+//! A grounded [`InstanceModel`] copies no command summary. Each of its
+//! commands ([`InstCmd`]) names the member command it instantiates and
+//! carries only the kind and program position the closure reads; the
+//! template stream, witness replay's schedules and any other reader hold
+//! the members the model was grounded over and read the rest of a command
+//! through them ([`InstanceModel::command`]).
 
 use std::collections::HashMap;
 
 use atropos_sat::{Lit, Solver, SolverStats, Var};
 
-use crate::model::{CmdSummary, KeySpec, TxnSummary};
+use crate::model::{CmdKind, CmdSummary, KeySpec, TxnSummary};
 
 /// The consistency level whose axioms constrain candidate executions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,14 +103,20 @@ pub struct WitnessRecord {
     pub fresh: bool,
 }
 
-/// A command instance inside the bounded multi-instance model.
+/// A command instance inside the bounded multi-instance model: the member
+/// command it instantiates, by position, with the kind and program
+/// position the closure reads (see the module docs).
 #[derive(Debug, Clone)]
 pub struct InstCmd {
     /// Index of the transaction instance this command belongs to (0 and 1
     /// in the pair skeleton, 0–2 in the triple skeleton).
     pub instance: u8,
-    /// The underlying static summary.
-    pub summary: CmdSummary,
+    /// Index of the command in its instance's member summary.
+    pub index: usize,
+    /// The command's kind.
+    pub kind: CmdKind,
+    /// The command's program position: its summary's `prog_index`.
+    pub prog_index: usize,
     /// Indices of witness records this command may touch.
     pub records: Vec<usize>,
 }
@@ -119,7 +132,8 @@ pub struct InstAtom {
 
 /// The grounded bounded execution skeleton for a tuple of transaction
 /// instances: two in the pair oracle ([`InstanceModel::new`]), three in the
-/// triple oracle ([`InstanceModel::new_multi`]).
+/// triple oracle ([`InstanceModel::new_multi`]). Its commands name their
+/// members' commands, so its reader keeps the members alongside it.
 #[derive(Debug, Clone)]
 pub struct InstanceModel {
     /// Command instances: instance 0's commands, then instance 1's, …
@@ -158,13 +172,13 @@ impl InstanceModel {
         let mut records: Vec<WitnessRecord> = Vec::new();
         // Keyed by (schema, key class), borrowed from the summaries.
         let mut record_idx: HashMap<(&str, &str), usize> = HashMap::new();
-        let mut raw: Vec<(u8, CmdSummary)> = Vec::new();
         let mut starts = Vec::with_capacity(ts.len() + 1);
-        for (inst, t) in ts.iter().enumerate() {
-            starts.push(raw.len());
-            raw.extend(t.commands.iter().cloned().map(|s| (inst as u8, s)));
+        let mut total = 0;
+        for t in ts {
+            starts.push(total);
+            total += t.commands.len();
         }
-        starts.push(raw.len());
+        starts.push(total);
         let summaries = || ts.iter().flat_map(|t| &t.commands);
 
         for c in summaries() {
@@ -200,7 +214,7 @@ impl InstanceModel {
         }
         // Fresh records per fresh insert instance.
         let mut fresh_of: HashMap<usize, usize> = HashMap::new();
-        for (i, (_, c)) in raw.iter().enumerate() {
+        for (i, c) in summaries().enumerate() {
             if c.key == KeySpec::Fresh {
                 records.push(WitnessRecord {
                     schema: c.schema.clone(),
@@ -212,24 +226,32 @@ impl InstanceModel {
             }
         }
 
-        let n1 = starts.get(1).copied().unwrap_or(raw.len());
-        let mut cmds = Vec::with_capacity(raw.len());
-        for (i, (instance, summary)) in raw.into_iter().enumerate() {
-            let recs: Vec<usize> = match &summary.key {
+        let n1 = starts[1];
+        let mut cmds = Vec::with_capacity(total);
+        let members = ts.iter().enumerate().flat_map(|(inst, t)| {
+            t.commands
+                .iter()
+                .enumerate()
+                .map(move |(index, c)| (inst, index, c))
+        });
+        for (i, (inst, index, c)) in members.enumerate() {
+            let recs: Vec<usize> = match &c.key {
                 KeySpec::Keyed { key: k, .. } => {
-                    vec![record_idx[&(summary.schema.as_str(), k.as_str())]]
+                    vec![record_idx[&(c.schema.as_str(), k.as_str())]]
                 }
                 KeySpec::Fresh => vec![fresh_of[&i]],
                 KeySpec::Scan => records
                     .iter()
                     .enumerate()
-                    .filter(|(_, r)| r.schema == summary.schema)
+                    .filter(|(_, r)| r.schema == c.schema)
                     .map(|(ri, _)| ri)
                     .collect(),
             };
             cmds.push(InstCmd {
-                instance,
-                summary,
+                instance: inst as u8,
+                index,
+                kind: c.kind,
+                prog_index: c.prog_index,
                 records: recs,
             });
         }
@@ -263,6 +285,13 @@ impl InstanceModel {
         self.starts[inst] + local
     }
 
+    /// The summary of command `cmd`, read from `members`: the transactions
+    /// this model was grounded over, in instance order.
+    pub fn command<'t>(&self, members: &[&'t TxnSummary], cmd: usize) -> &'t CmdSummary {
+        let c = &self.cmds[cmd];
+        &members[c.instance as usize].commands[c.index]
+    }
+
     /// Index of the atom for command `cmd` on record `record`, if the
     /// command touches that record.
     pub fn atom(&self, cmd: usize, record: usize) -> Option<usize> {
@@ -289,7 +318,7 @@ impl InstanceModel {
     }
 
     pub(crate) fn prog_before(&self, a: usize, b: usize) -> bool {
-        self.same_instance(a, b) && self.cmds[a].summary.prog_index < self.cmds[b].summary.prog_index
+        self.same_instance(a, b) && self.cmds[a].prog_index < self.cmds[b].prog_index
     }
 
     pub(crate) fn touches(&self, cmd: usize, record: usize) -> bool {
@@ -701,6 +730,63 @@ mod tests {
              @W update T set v = x.v + 1 where id = k;
              return 0;
          }";
+
+    /// A model copies no summary: each command names its member command
+    /// by (instance, command index) and carries only that command's kind
+    /// and program position. Pinned over a sliced pair, a self-pair and a
+    /// triple of TPC-C transactions, with every atom indexed under its own
+    /// command and record.
+    #[test]
+    fn model_commands_name_their_members_commands() {
+        use crate::model::ProgramSummary;
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/corpus/tpcc.dsl"
+        );
+        let text = std::fs::read_to_string(path).expect("the TPC-C corpus file");
+        let summary = ProgramSummary::of(&parse(&text).expect("TPC-C parses"));
+        let (txns, keys) = (summary.txns(), &summary.keys);
+        let n = txns.len();
+        let (i, j) = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .find(|&(i, j)| {
+                let [a, b] = keys.pair(i, j);
+                keys.slice(a).kept.len() < txns[i].commands.len()
+                    && keys.slice(b).kept.len() < txns[j].commands.len()
+            })
+            .expect("a pair whose slices both drop commands");
+        let [a, b] = keys.pair(i, j);
+        let sliced = [
+            keys.slice(a).summary(&txns[i]),
+            keys.slice(b).summary(&txns[j]),
+        ];
+        let groups: [Vec<&TxnSummary>; 3] = [
+            vec![&sliced[0], &sliced[1]],
+            vec![&txns[0], &txns[0]],
+            vec![&txns[0], &txns[1], &txns[2]],
+        ];
+        for members in &groups {
+            let m = InstanceModel::new_multi(members);
+            let total: usize = members.iter().map(|t| t.commands.len()).sum();
+            assert_eq!(m.cmds.len(), total);
+            for (c, cmd) in m.cmds.iter().enumerate() {
+                let (inst, named) = (cmd.instance as usize, m.command(members, c));
+                assert!(std::ptr::eq(named, &members[inst].commands[cmd.index]));
+                assert_eq!(m.cmd_index(inst, cmd.index), c);
+                assert_eq!((cmd.kind, cmd.prog_index), (named.kind, named.prog_index));
+            }
+            for c in 0..m.cmds.len() {
+                for r in 0..m.records.len() {
+                    let expected = m
+                        .atoms
+                        .iter()
+                        .position(|&x| x == InstAtom { cmd: c, record: r });
+                    assert_eq!(m.atom(c, r), expected, "command {c}, record {r}");
+                    assert_eq!(expected.is_some(), m.touches(c, r));
+                }
+            }
+        }
+    }
 
     #[test]
     fn witness_records_unify_equal_keys() {

@@ -13,15 +13,17 @@
 //! program ([`DetectionEngine::detect_with_mode`]) or a whole corpus
 //! ([`crate::analyse_corpus`]), runs the same three phases:
 //!
-//! 1. **Plan** (serial): summarize every program, fingerprint every
-//!    transaction and cut every ordered pair into its two conflict slices
-//!    (each member's commands on tables the other accesses, see
-//!    [`crate::cache`]), and look every slot — each ordered pair, keyed by
-//!    its slices, and, in triple mode, each unordered triple of distinct
-//!    transactions — up in the verdict cache under its `GroupKey`. A miss
-//!    becomes a work item unless an earlier slot (of any program in the
-//!    batch) already planned its key; statically template-free triples are
-//!    settled with an empty verdict without ever grounding a model.
+//! 1. **Plan** (serial): look every slot — each ordered pair, keyed by
+//!    its two conflict slices (each member's commands on tables the other
+//!    accesses, see [`crate::cache`]), and, in triple mode, each unordered
+//!    triple of distinct transactions — up in the verdict cache under its
+//!    `GroupKey`, read off its program's [`ProgramSummary`]: summaries,
+//!    fingerprints and slices built once per program state, by the caller
+//!    of [`DetectionEngine::detect_summary`] or by the entry that takes the
+//!    program's text. A miss becomes a work item unless an earlier slot
+//!    (of any program in the batch) already planned its key; statically
+//!    template-free triples are settled with an empty verdict without ever
+//!    grounding a model.
 //! 2. **Solve** (parallel): `std::thread::scope` workers drain the work
 //!    items from a queue, each item to exactly one worker. A worker grounds
 //!    the item's model over the slot's slices and decides its queries by
@@ -56,7 +58,7 @@ use crate::cache::{GroupKey, ProgramKeys, MAX_K};
 use crate::corpus::CorpusStats;
 use crate::detect::{accumulate, solve_group, AccessPair, DetectStats, Finding};
 use crate::encode::ConsistencyLevel;
-use crate::model::{summarize_program, TxnSummary};
+use crate::model::{ProgramSummary, TxnSummary};
 use crate::session::DetectSession;
 use crate::triple::has_candidates;
 
@@ -195,7 +197,21 @@ impl DetectionEngine {
         mode: DetectMode,
         session: &mut DetectSession,
     ) -> (Vec<AccessPair>, DetectStats) {
-        let (mut out, batch) = detect_batch(self, &[program], level, mode, session);
+        self.detect_summary(&ProgramSummary::of(program), level, mode, session)
+    }
+
+    /// [`DetectionEngine::detect_with_mode`] over a program already
+    /// summarized: the pass reads `summary` in place, so a caller that
+    /// holds one program state's summary pays for it once however many
+    /// passes, sweeps and decoders read it.
+    pub fn detect_summary(
+        &self,
+        summary: &ProgramSummary,
+        level: ConsistencyLevel,
+        mode: DetectMode,
+        session: &mut DetectSession,
+    ) -> (Vec<AccessPair>, DetectStats) {
+        let (mut out, batch) = detect_batch(self, &[summary], level, mode, session);
         let (verdicts, mut stats) = out.pop().expect("one program in, one verdict out");
         stats += batch.solve;
         stats.seconds = batch.seconds;
@@ -219,8 +235,8 @@ fn default_threads() -> usize {
 
 /// One planned slot of a pass: the transactions of its program that fill
 /// the group's members, in key orientation, the ids of their slices in
-/// the program's [`ProgramKeys`], and the group's key. A pair's members
-/// are its two conflict slices; a triple's are whole transactions.
+/// the program's keys, and the group's key. A pair's members are its two
+/// conflict slices; a triple's are whole transactions.
 #[derive(Clone, Copy)]
 struct Slot {
     members: [usize; MAX_K],
@@ -230,32 +246,30 @@ struct Slot {
 
 impl Slot {
     /// The slot's members as summaries of its program, in key orientation.
-    fn members<'a>(&self, sums: &'a [TxnSummary]) -> Vec<&'a TxnSummary> {
+    fn members<'a>(&self, program: &'a ProgramSummary) -> Vec<&'a TxnSummary> {
         self.members[..self.key.k()]
             .iter()
-            .map(|&i| &sums[i])
+            .map(|&i| &program.txns()[i])
             .collect()
     }
 
     /// The slot's members as its group's model grounds them: each cut to
     /// its slice.
-    fn grounded<'a>(&self, sums: &'a [TxnSummary], keys: &ProgramKeys) -> Vec<Cow<'a, TxnSummary>> {
+    fn grounded<'a>(&self, program: &'a ProgramSummary) -> Vec<Cow<'a, TxnSummary>> {
         (0..self.key.k())
-            .map(|m| keys.slice(self.slices[m]).summary(&sums[self.members[m]]))
+            .map(|m| {
+                let slice = program.keys.slice(self.slices[m]);
+                slice.summary(&program.txns()[self.members[m]])
+            })
             .collect()
     }
 
     /// The slot's raw verdicts: its group's `findings`, whose commands are
     /// slice positions, mapped through the slices and labelled by the
     /// slot's own program.
-    fn answer(
-        &self,
-        findings: &[Finding],
-        sums: &[TxnSummary],
-        keys: &ProgramKeys,
-    ) -> Vec<AccessPair> {
-        let ts = self.members.map(|i| &sums[i]);
-        let kept = self.slices.map(|s| keys.slice(s).kept.as_slice());
+    fn answer(&self, findings: &[Finding], program: &ProgramSummary) -> Vec<AccessPair> {
+        let ts = self.members.map(|i| &program.txns()[i]);
+        let kept = self.slices.map(|s| program.keys.slice(s).kept.as_slice());
         let at = |m: usize, c: usize| kept[m].get(c).copied();
         findings
             .iter()
@@ -365,7 +379,7 @@ fn plan_slots(keys: &ProgramKeys, level: ConsistencyLevel, mode: DetectMode) -> 
 /// solve counters of the whole batch.
 pub(crate) fn detect_batch(
     engine: &DetectionEngine,
-    programs: &[&Program],
+    programs: &[&ProgramSummary],
     level: ConsistencyLevel,
     mode: DetectMode,
     session: &mut DetectSession,
@@ -373,11 +387,9 @@ pub(crate) fn detect_batch(
     let started = Instant::now();
     let mut batch = CorpusStats::default();
 
-    // Plan (serial): summarize and fingerprint everything, then one lookup
-    // per slot: a hit is answered on the spot, a miss once its key is
-    // solved (each key is planned once).
-    let sums: Vec<Vec<TxnSummary>> = programs.iter().map(|p| summarize_program(p)).collect();
-    let keys: Vec<ProgramKeys> = sums.iter().map(|s| ProgramKeys::new(s)).collect();
+    // Plan (serial): one lookup per slot of every program, each keyed by
+    // its program's summary: a hit is answered on the spot, a miss once its
+    // key is solved (each key is planned once).
     let mut planned: HashSet<GroupKey> = HashSet::new();
     // The first slot (with its program) of every planned key.
     let mut misses: Vec<(usize, Slot)> = Vec::new();
@@ -385,19 +397,19 @@ pub(crate) fn detect_batch(
     let mut settled: Vec<(usize, Slot)> = Vec::new();
     // Per program, every slot with its answer if it hit.
     let mut slots: Vec<Vec<(Slot, Option<Vec<AccessPair>>)>> = Vec::with_capacity(programs.len());
-    for (prog, pkeys) in keys.iter().enumerate() {
+    for (prog, summary) in programs.iter().enumerate() {
         let mut plan = Vec::new();
-        for slot in plan_slots(pkeys, level, mode) {
+        for slot in plan_slots(&summary.keys, level, mode) {
             let hit = session
                 .lookup(&slot.key)
-                .map(|e| slot.answer(&e.findings, &sums[prog], pkeys));
+                .map(|e| slot.answer(&e.findings, summary));
             let first_miss = hit.is_none() && planned.insert(slot.key);
             plan.push((slot, hit));
             if !first_miss {
                 continue;
             }
             let free = slot.key.k() == 3 && {
-                let ts = slot.members(&sums[prog]);
+                let ts = slot.members(summary);
                 let f = slot.key.fps();
                 !has_candidates([ts[0], ts[1], ts[2]], [f[0], f[1], f[2]])
             };
@@ -416,7 +428,7 @@ pub(crate) fn detect_batch(
     // worker that claims its item. An outcome holds the group's findings,
     // its solve counters and the certificates of its UNSAT queries.
     let outcomes = run_pool(engine.threads(), &misses, |&(prog, slot)| {
-        let grounded = slot.grounded(&sums[prog], &keys[prog]);
+        let grounded = slot.grounded(programs[prog]);
         let ts: Vec<&TxnSummary> = grounded.iter().map(|t| t.as_ref()).collect();
         let (fps, symmetric) = (slot.key.fps(), slot.key.symmetric);
         solve_group(&ts, fps, symmetric, level, engine.proofs_enabled())
@@ -426,10 +438,10 @@ pub(crate) fn detect_batch(
     // whatever order the workers finished in.
     for ((prog, m), (findings, stats, proofs)) in misses.iter().zip(outcomes) {
         batch.solve += stats;
-        session.insert(m.key, &m.members(&sums[*prog]), findings, proofs);
+        session.insert(m.key, &m.members(programs[*prog]), findings, proofs);
     }
     for (prog, m) in settled {
-        session.insert(m.key, &m.members(&sums[prog]), Vec::new(), Vec::new());
+        session.insert(m.key, &m.members(programs[prog]), Vec::new(), Vec::new());
     }
 
     // Answer (serial): the missed slots from the merged session, each
@@ -452,7 +464,7 @@ pub(crate) fn detect_batch(
                     let e = session
                         .entry(&slot.key)
                         .expect("every missed key was solved");
-                    slot.answer(&e.findings, &sums[prog], &keys[prog])
+                    slot.answer(&e.findings, programs[prog])
                 });
                 accumulate(&mut found, pairs);
             }
@@ -531,8 +543,7 @@ mod tests {
                  return a.x + b.y + c.z;
              }";
         let p = parse(src).unwrap();
-        let sums = summarize_program(&p);
-        let keys = ProgramKeys::new(&sums);
+        let keys = ProgramSummary::of(&p).keys;
         let [w, r] = keys.pair(0, 1);
         assert_eq!(
             keys.slice(w).kept,

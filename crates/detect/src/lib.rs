@@ -12,7 +12,10 @@
 //! closure, without a search; the CNF encoding and the workspace's own
 //! CDCL solver (`atropos-sat`) stay as the reference oracle:
 //!
-//! * [`model`] — static command summaries (read/write sets, key specs);
+//! * [`model`] — static command summaries (read/write sets, key specs),
+//!   and the [`ProgramSummary`] of one program state: its summaries and
+//!   instance-group keys, built once and read in place by every pass,
+//!   sweep and decoder of that state;
 //! * [`encode`] — witness records, atoms, and the reference CNF encoding
 //!   of `ord`, `vis`, and the per-level axioms (EC / CC / RR / SC) over any
 //!   number of instances, with [`pattern_satisfiable`], a fresh solver per
@@ -57,7 +60,8 @@
 //!   transaction tuple once, byte-identically.
 //!
 //! Detection runs three ways: [`DetectionEngine::detect_with_mode`] over
-//! one program, [`analyse_corpus`] over a corpus, and [`detect_anomalies`]
+//! one program ([`DetectionEngine::detect_summary`] over one already
+//! summarized), [`analyse_corpus`] over a corpus, and [`detect_anomalies`]
 //! as a one-shot serial pass.
 //!
 //! # Examples
@@ -101,4 +105,6 @@ pub use detect::{
 };
 pub use encode::{pattern_satisfiable, ConsistencyLevel, InstanceModel, WitnessTruth};
 pub use replay::{decode_witness, decode_witness_marked, replay_verdict, WitnessDecoder};
-pub use model::{summarize_program, summarize_txn, CmdKind, CmdSummary, KeySpec, TxnSummary};
+pub use model::{
+    summarize_program, summarize_txn, CmdKind, CmdSummary, KeySpec, ProgramSummary, TxnSummary,
+};

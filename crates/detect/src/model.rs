@@ -10,6 +10,8 @@ use std::collections::BTreeSet;
 
 use atropos_dsl::{CmdLabel, Expr, Program, Stmt, Transaction, Where, ALIVE_FIELD};
 
+use crate::cache::ProgramKeys;
+
 /// Which records a command may access, derived from its `WHERE` clause
 /// (or `VALUES` for inserts).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -302,6 +304,37 @@ pub fn summarize_program(program: &Program) -> Vec<TxnSummary> {
         .iter()
         .map(|t| summarize_txn(program, t))
         .collect()
+}
+
+/// One program state as detection reads it: every transaction's summary
+/// plus the keys of its instance groups (each transaction's fingerprint
+/// and each ordered pair's conflict slices, see [`crate::cache`]), built
+/// once by [`ProgramSummary::of`]. A caller that sweeps, detects and
+/// decodes one program state builds one and hands it to each; every entry
+/// that takes a `&Program` instead summarizes it afresh.
+#[derive(Clone)]
+pub struct ProgramSummary {
+    txns: Vec<TxnSummary>,
+    pub(crate) keys: ProgramKeys,
+}
+
+impl ProgramSummary {
+    /// Summarizes and keys every transaction of `program`.
+    pub fn of(program: &Program) -> ProgramSummary {
+        let txns = summarize_program(program);
+        let keys = ProgramKeys::new(&txns);
+        ProgramSummary { txns, keys }
+    }
+
+    /// Every transaction's summary, in program order.
+    pub fn txns(&self) -> &[TxnSummary] {
+        &self.txns
+    }
+
+    /// Transaction `i`'s [`crate::txn_fingerprint`], read from the keys.
+    pub fn fingerprint(&self, i: usize) -> u64 {
+        self.keys.fp(i)
+    }
 }
 
 #[cfg(test)]

@@ -28,15 +28,20 @@
 //! the first realizable one.
 //!
 //! A [`WitnessDecoder`] decodes many verdicts of one program for the cost
-//! of few. It summarizes the program once, grounds each tuple once into
-//! an [`InstanceModel`], and enumerates each tuple's candidates once for
-//! every kind. The grounded tuple indexes its model once per level a
-//! search asks it at, and keeps that [`Closure`] until the tuple is
-//! evicted. A least model depends only on the model and the query, so a
-//! verdict decodes to the byte-identical schedule whatever the decoder
-//! decoded before it. The decoder keeps at most one grounded tuple live;
-//! decoding verdicts in [`WitnessDecoder::visit_order`] grounds each tuple
-//! once.
+//! of few. It reads one [`ProgramSummary`] of the program, its own
+//! ([`WitnessDecoder::new`]) or one the caller already holds
+//! ([`WitnessDecoder::from_summary`]: the repair driver hands it the
+//! summaries its loop built), and takes each tuple's fingerprints, which
+//! only the triple templates read, from the summary's keys. It grounds
+//! each tuple once into an [`InstanceModel`], which points into the
+//! tuple's summaries instead of copying them, and enumerates each tuple's
+//! candidates once for every kind. The grounded tuple indexes its model
+//! once per level a search asks it at, and keeps that [`Closure`] until
+//! the tuple is evicted. A least model depends only on the model and the
+//! query, so a verdict decodes to the byte-identical schedule whatever the
+//! decoder decoded before it. The decoder keeps at most one grounded
+//! tuple live; decoding verdicts in [`WitnessDecoder::visit_order`]
+//! grounds each tuple once.
 //! [`decode_witness`], [`decode_witness_marked`] and [`replay_verdict`]
 //! are decoders of one.
 //!
@@ -56,6 +61,7 @@
 //!   A loose search reads only the verdict's kind, the tuple and the
 //!   effective level, so its result is memoized per such triple.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use atropos_dsl::Program;
@@ -64,11 +70,10 @@ use atropos_sim::{
     VisibilityCheck,
 };
 
-use crate::cache::txn_fingerprint;
 use crate::closure::Closure;
 use crate::detect::{candidates, AccessPair, AnomalyKind};
 use crate::encode::{ConsistencyLevel, InstanceModel, VisRequirement, WitnessTruth};
-use crate::model::{summarize_program, CmdKind, TxnSummary};
+use crate::model::{CmdKind, ProgramSummary, TxnSummary};
 
 /// Transaction instances a verdict may be witnessed on: indices into the
 /// decoder's summaries in instance order — a pair ordering or a rotation
@@ -118,17 +123,29 @@ struct Grounded {
 ///     assert_eq!(schedule, decode_witness(&p, &verdicts[i], ec));
 /// }
 /// ```
-pub struct WitnessDecoder {
-    summaries: Vec<TxnSummary>,
+pub struct WitnessDecoder<'s> {
+    summary: Cow<'s, ProgramSummary>,
     live: Option<Grounded>,
     loose: BTreeMap<(AnomalyKind, Tuple, ConsistencyLevel), Option<ConcreteSchedule>>,
 }
 
-impl WitnessDecoder {
-    /// A decoder for the verdicts of `program`.
-    pub fn new(program: &Program) -> WitnessDecoder {
+impl WitnessDecoder<'static> {
+    /// A decoder for the verdicts of `program`, summarized afresh.
+    pub fn new(program: &Program) -> WitnessDecoder<'static> {
+        WitnessDecoder::with(Cow::Owned(ProgramSummary::of(program)))
+    }
+}
+
+impl<'s> WitnessDecoder<'s> {
+    /// A decoder for the verdicts of the program `summary` summarizes,
+    /// reading the summary in place.
+    pub fn from_summary(summary: &'s ProgramSummary) -> WitnessDecoder<'s> {
+        WitnessDecoder::with(Cow::Borrowed(summary))
+    }
+
+    fn with(summary: Cow<'s, ProgramSummary>) -> WitnessDecoder<'s> {
         WitnessDecoder {
-            summaries: summarize_program(program),
+            summary,
             live: None,
             loose: BTreeMap::new(),
         }
@@ -169,7 +186,7 @@ impl WitnessDecoder {
             let eff = effective_level(
                 level,
                 marked,
-                tuple.iter().map(|&i| &self.summaries[i].name),
+                tuple.iter().map(|&i| &self.summary.txns()[i].name),
             );
             let key = (verdict.kind, tuple, eff);
             if let Some(hit) = self.loose.get(&key) {
@@ -209,7 +226,8 @@ impl WitnessDecoder {
     ///   rotating gives every transaction a turn at instance 0, so the
     ///   anchor can match whatever orientation produced the verdict.
     fn tuples(&self, verdict: &AccessPair) -> Vec<Tuple> {
-        let by_name = |n: &str| self.summaries.iter().position(|s| s.name == n);
+        let txns = self.summary.txns();
+        let by_name = |n: &str| txns.iter().position(|s| s.name == n);
         match verdict.kind {
             AnomalyKind::LostUpdate => {
                 let (Some(a), Some(b)) = (by_name(&verdict.txn1), by_name(&verdict.txn2)) else {
@@ -243,8 +261,8 @@ impl WitnessDecoder {
                     if names.len() != 3 {
                         continue;
                     }
-                    let trio: Vec<usize> = (0..self.summaries.len())
-                        .filter(|&i| names.contains(self.summaries[i].name.as_str()))
+                    let trio: Vec<usize> = (0..txns.len())
+                        .filter(|&i| names.contains(txns[i].name.as_str()))
                         .collect();
                     if trio.len() != 3 {
                         continue;
@@ -269,10 +287,11 @@ impl WitnessDecoder {
         level: ConsistencyLevel,
         strict: bool,
     ) -> Option<ConcreteSchedule> {
-        let ts: Vec<&TxnSummary> = tuple.iter().map(|&i| &self.summaries[i]).collect();
+        let summary = &*self.summary;
+        let ts: Vec<&TxnSummary> = tuple.iter().map(|&i| &summary.txns()[i]).collect();
         if self.live.as_ref().is_none_or(|g| g.tuple != tuple) {
             let model = InstanceModel::new_multi(&ts);
-            let fps: Vec<u64> = ts.iter().map(|t| txn_fingerprint(t)).collect();
+            let fps: Vec<u64> = tuple.iter().map(|&i| summary.fingerprint(i)).collect();
             // Detection's own stream with no candidate realized: every
             // candidate of every template, unbounded.
             let mut cands = Vec::new();
@@ -428,7 +447,8 @@ impl RecordUnion {
 
 /// Decodes one found witness — the satisfied requirement vector `reqs`
 /// and its truth assignment over the model of the tuple `ts` — into a
-/// concrete schedule.
+/// concrete schedule. Each op reads its command's label and fields
+/// through `ts`, the members the model points into.
 ///
 /// * **Sessions**: one per transaction instance; a session's commands are
 ///   its ops in program order (the `cmds` vector is already grouped that
@@ -480,8 +500,9 @@ fn build_schedule(
 
     let mut ops = Vec::with_capacity(n);
     let mut read_count = 0usize;
-    for cmd in &model.cmds {
-        let is_write = cmd.summary.kind != CmdKind::Select;
+    for (c, cmd) in model.cmds.iter().enumerate() {
+        let summary = model.command(ts, c);
+        let is_write = cmd.kind != CmdKind::Select;
         let replica = if is_write {
             cmd.instance as usize
         } else {
@@ -490,9 +511,9 @@ fn build_schedule(
             r
         };
         let fields = if is_write {
-            &cmd.summary.writes
+            &summary.writes
         } else {
-            &cmd.summary.reads
+            &summary.reads
         };
         let accesses = cmd
             .records
@@ -506,7 +527,7 @@ fn build_schedule(
         ops.push(ScheduledOp {
             session: cmd.instance as usize,
             txn: ts[cmd.instance as usize].name.clone(),
-            label: cmd.summary.label.0.clone(),
+            label: summary.label.0.clone(),
             is_write,
             replica,
             accesses,

@@ -34,10 +34,10 @@ use std::path::Path;
 
 use atropos_dsl::Program;
 
-use crate::cache::{CacheStats, GroupKey, ProgramKeys, VerdictAudit, VerdictEntry};
+use crate::cache::{CacheStats, GroupKey, VerdictAudit, VerdictEntry};
 use crate::corpus::CorpusStore;
 use crate::detect::Finding;
-use crate::model::{summarize_program, TxnSummary};
+use crate::model::{ProgramSummary, TxnSummary};
 
 /// Per-group anomaly verdicts, keyed by transaction fingerprints, with a
 /// session lifetime. Every
@@ -168,9 +168,13 @@ impl DetectSession {
     /// summaries are unchanged). Returns the number of verdict entries
     /// evicted.
     pub fn sweep(&mut self, program: &Program) -> usize {
-        let live: HashSet<u64> = ProgramKeys::new(&summarize_program(program))
-            .live()
-            .collect();
+        self.sweep_summary(&ProgramSummary::of(program))
+    }
+
+    /// [`DetectSession::sweep`] to a program already summarized: the sweep
+    /// reads the liveness off `summary`'s keys.
+    pub fn sweep_summary(&mut self, summary: &ProgramSummary) -> usize {
+        let live: HashSet<u64> = summary.keys.live().collect();
         let keep = |k: &GroupKey| k.fps().iter().all(|fp| live.contains(fp));
         let before = self.verdicts.len();
         self.verdicts.retain(|k, _| keep(k));

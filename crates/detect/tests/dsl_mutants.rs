@@ -188,7 +188,7 @@ fn engine_matches_the_fresh_oracle_on_checked_mutants() {
 /// Whether `a` precedes `b` in one instance of `model`.
 fn prog_before(model: &InstanceModel, a: usize, b: usize) -> bool {
     let (x, y) = (&model.cmds[a], &model.cmds[b]);
-    x.instance == y.instance && x.summary.prog_index < y.summary.prog_index
+    x.instance == y.instance && x.prog_index < y.prog_index
 }
 
 /// One closure ≡ SAT case: the closure's answer must be the reference

@@ -116,6 +116,12 @@ pub fn parse_dimacs(text: &str) -> Result<Solver, String> {
 /// ([`Solver::with_proofs`]) — the entry point of the `solve_dimacs`
 /// example harness's `--proof-out` flag.
 ///
+/// Variables are allocated as literals name them, never from the header's
+/// count, so the solver has as many variables as the highest one a clause
+/// names. A literal whose variable index exceeds the input's length in
+/// bytes is refused, the bound `atropos_proof` applies to certificate
+/// blobs, so memory stays bounded by the input.
+///
 /// # Errors
 ///
 /// Returns a description of the first malformed line.
@@ -143,9 +149,6 @@ pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Solver, Stri
                 return Err(format!("var count {nv} is beyond {MAX_VARS}"));
             }
             declared_vars = Some(nv);
-            for _ in 0..nv {
-                solver.new_var();
-            }
             continue;
         }
         for tok in line.split_whitespace() {
@@ -156,6 +159,15 @@ pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Solver, Stri
                 let v = n.unsigned_abs() - 1;
                 if declared_vars.is_none_or(|nv| v >= nv) {
                     return Err(format!("literal {n} out of declared range"));
+                }
+                if v > text.len() as u64 {
+                    return Err(format!(
+                        "literal {n} is beyond the input's {} bytes",
+                        text.len()
+                    ));
+                }
+                while solver.num_vars() as u64 <= v {
+                    solver.new_var();
                 }
                 clause.push(Lit::new(Var(v as u32), n > 0));
             }
@@ -208,6 +220,16 @@ mod tests {
         // More variables than a literal can encode, rejected before any
         // is allocated.
         assert!(parse_dimacs("p cnf 2147483649 1\n1 0\n").is_err());
+    }
+
+    /// The header sizes nothing: variables are allocated as literals name
+    /// them, and a literal naming a variable beyond the input's length in
+    /// bytes is refused, so memory stays bounded by the input.
+    #[test]
+    fn memory_is_bounded_by_the_input_not_the_header() {
+        let s = parse_dimacs("p cnf 1000000 1\n1 0\n").unwrap();
+        assert_eq!(s.num_vars(), 1);
+        assert!(parse_dimacs("p cnf 2147483648 1\n2147483648 0\n").is_err());
     }
 
     #[test]

@@ -161,7 +161,7 @@ fn orders(decoder: &WitnessDecoder, verdicts: &[AccessPair]) -> [Vec<usize>; 3] 
 fn assert_decoder_matches(
     what: &str,
     expected: &[Option<ConcreteSchedule>],
-    new_decoder: impl Fn() -> WitnessDecoder,
+    new_decoder: impl Fn() -> WitnessDecoder<'static>,
     verdicts: &[AccessPair],
     mut decode: impl FnMut(&mut WitnessDecoder, &AccessPair) -> Option<ConcreteSchedule>,
 ) {

@@ -20,9 +20,9 @@
 //! each chain-rule ablation — and `Relay` must repair to clean at EC
 //! (the chain subsystem's success metric).
 //!
-//! `ATROPOS_THIN=1` (CI's release rerun with `ATROPOS_THREADS=2`) thins
-//! the level sweep to EC + CC and the repair ablations to the per-rule
-//! rows; the default run — the tier-1 suite — covers all four levels.
+//! The harness has one sweep, all four levels and every repair ablation
+//! row below, in the tier-1 run and in CI's release rerun with
+//! `ATROPOS_THREADS=2` alike.
 
 use atropos::detect::{
     detect_anomalies, AnomalyKind, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
@@ -41,19 +41,6 @@ fn is_chain(kind: AnomalyKind) -> bool {
     )
 }
 
-/// The level sweep: all four by default, EC + CC under `ATROPOS_THIN`.
-fn levels() -> Vec<ConsistencyLevel> {
-    let thin = std::env::var_os("ATROPOS_THIN").is_some_and(|v| v != "0" && !v.is_empty());
-    if thin {
-        vec![
-            ConsistencyLevel::EventualConsistency,
-            ConsistencyLevel::CausalConsistency,
-        ]
-    } else {
-        ConsistencyLevel::ALL.to_vec()
-    }
-}
-
 fn assert_superset_and_thread_invariance(workload: &str) {
     let b = benchmark(workload).expect("registered benchmark");
     let mut reference: Option<Vec<String>> = None;
@@ -61,7 +48,7 @@ fn assert_superset_and_thread_invariance(workload: &str) {
         let engine = DetectionEngine::new(threads);
         let mut session = DetectSession::new();
         let mut projection = Vec::new();
-        for level in levels() {
+        for level in ConsistencyLevel::ALL {
             let (triple, stats) =
                 engine.detect_with_mode(&b.program, level, DetectMode::Triples, &mut session);
             if threads == THREAD_COUNTS[0] {
@@ -130,16 +117,9 @@ triple_vs_pair! {
 
 /// The triple-mode repair ablation rows: the default configuration plus
 /// one row per chain rule (so each rule's absence is individually pinned),
-/// plus `no-merge` — which gates the materialization's collapsing merge —
-/// in the full tier-1 run. `ATROPOS_THIN` keeps the per-rule rows and
-/// drops only the `no-merge` extra.
+/// plus `no-merge`, which gates the materialization's collapsing merge.
 fn triple_repair_ablations() -> Vec<(&'static str, RepairConfig)> {
-    let thin = std::env::var_os("ATROPOS_THIN").is_some_and(|v| v != "0" && !v.is_empty());
-    let rows: &[&str] = if thin {
-        &["default", "no-materialize", "no-chain-cut"]
-    } else {
-        &["default", "no-merge", "no-materialize", "no-chain-cut"]
-    };
+    let rows = ["default", "no-merge", "no-materialize", "no-chain-cut"];
     RepairConfig::ablations()
         .into_iter()
         .filter(|(name, _)| rows.contains(name))
