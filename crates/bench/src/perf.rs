@@ -4,7 +4,7 @@
 use atropos_core::{repair_with_engine, RepairConfig};
 use atropos_detect::{ConsistencyLevel, DetectSession, DetectionEngine};
 use atropos_sim::{run_simulation, ClusterConfig, RunStats, SimConfig, Workload};
-use atropos_workloads::{benchmark, derive_workload, TableSpec};
+use atropos_workloads::{benchmark, derive_workload};
 
 use crate::reporting::Table;
 
@@ -44,26 +44,11 @@ pub struct FigureRun {
     pub table: Table,
 }
 
-/// Runs the full sweep for one benchmark with an engine built from the
-/// environment (`ATROPOS_THREADS`).
-///
-/// # Panics
-///
-/// Panics if the benchmark name is unknown.
-pub fn run_figure(bench_name: &str, client_counts: &[usize], duration_ms: f64) -> FigureRun {
-    run_figure_with_engine(
-        bench_name,
-        client_counts,
-        duration_ms,
-        &DetectionEngine::from_env(),
-    )
-}
-
-/// [`run_figure`] against a caller-owned [`DetectionEngine`] — the figure
-/// bins construct **one** engine (from `--threads` / `ATROPOS_THREADS`)
-/// for their whole sweep and repair through a session, so the repair that
-/// derives the AT-EC/AT-SC workloads solves its dirty pairs on the
-/// engine's workers.
+/// Runs the full sweep for one benchmark against a caller-owned
+/// [`DetectionEngine`] — the figure bins construct **one** engine (from
+/// `--threads` / `ATROPOS_THREADS`) for their whole sweep and repair
+/// through a session, so the repair that derives the AT-EC/AT-SC
+/// workloads solves its dirty pairs on the engine's workers.
 ///
 /// # Panics
 ///
@@ -86,10 +71,8 @@ pub fn run_figure_with_engine(
         &mut session,
     );
     let unsafe_txns: Vec<String> = report.unsafe_transactions().into_iter().collect();
-    let spec = TableSpec::default();
-
-    let original = derive_workload(&bench.program, &bench.mix, &spec);
-    let repaired = derive_workload(&report.repaired, &bench.mix, &spec);
+    let original = derive_workload(&bench.program, &bench.mix);
+    let repaired = derive_workload(&report.repaired, &bench.mix);
 
     let mut table = Table::new(vec![
         "cluster", "config", "clients", "tps", "avg_ms", "p99_ms",

@@ -36,13 +36,12 @@ use std::collections::BTreeSet;
 
 use atropos_detect::{AccessPair, AnomalyKind};
 use atropos_dsl::{
-    check_program, CmdLabel, Expr, FieldDecl, Program, Schema, SelectCmd, Stmt, Transaction,
-    UpdateCmd,
+    check_program, visit_stmts_mut, CmdLabel, Expr, FieldDecl, Program, Schema, SelectCmd, Stmt,
+    Transaction, UpdateCmd,
 };
 use atropos_semantics::{Aggregator, ThetaMap, ValueCorrespondence};
 
-use crate::analysis::{commands_of, rewrite_exprs, used_vars, var_bindings, visit_stmts_mut};
-use crate::merge::{rename_var_in_txn, try_merging};
+use crate::merge::try_merging;
 use crate::repair::RepairStep;
 use crate::rewrite::{fresh_field_name, well_formed_key_filter};
 
@@ -55,35 +54,6 @@ fn select_reads(c: &SelectCmd, schema: &Schema) -> BTreeSet<String> {
     match &c.fields {
         Some(fs) => fs.iter().cloned().collect(),
         None => schema.fields.iter().map(|f| f.name.clone()).collect(),
-    }
-}
-
-fn stmt_uses_var(s: &Stmt, var: &str) -> bool {
-    match s {
-        Stmt::Select(c) => c.where_.uses_var(var),
-        Stmt::Update(c) => c.where_.uses_var(var) || c.assigns.iter().any(|(_, e)| e.uses_var(var)),
-        Stmt::Insert(c) => c.values.iter().any(|(_, e)| e.uses_var(var)),
-        Stmt::Delete(c) => c.where_.uses_var(var),
-        Stmt::If { cond, body } => cond.uses_var(var) || body.iter().any(|s| stmt_uses_var(s, var)),
-        Stmt::Iterate { count, body } => {
-            count.uses_var(var) || body.iter().any(|s| stmt_uses_var(s, var))
-        }
-    }
-}
-
-/// Does this command read, write, or filter on `schema.field`?
-fn touches_field(s: &Stmt, schema: &str, field: &str, decl: &Schema) -> bool {
-    match s {
-        Stmt::Select(c) if c.schema == schema => {
-            select_reads(c, decl).contains(field) || c.where_.fields().iter().any(|f| f == field)
-        }
-        Stmt::Update(c) if c.schema == schema => {
-            c.assigns.iter().any(|(f, _)| f == field)
-                || c.where_.fields().iter().any(|f| f == field)
-        }
-        Stmt::Insert(c) if c.schema == schema => c.values.iter().any(|(f, _)| f == field),
-        Stmt::Delete(c) if c.schema == schema => c.where_.fields().iter().any(|f| f == field),
-        _ => false,
     }
 }
 
@@ -128,8 +98,8 @@ pub fn materialize_relay(
     if pair.kind != AnomalyKind::ObserverChain {
         return None;
     }
-    let (ta, ca) = crate::rewrite::find_command(program, &pair.cmd1)?;
-    let (tb, cb) = crate::rewrite::find_command(program, &pair.cmd2)?;
+    let (ta, ca) = program.command(&pair.cmd1)?;
+    let (tb, cb) = program.command(&pair.cmd2)?;
     // Recover orientation: the pair arrives label-sorted, not role-sorted.
     let ((origin_txn, origin_w), (obs_txn, missing)) = match (ca, cb) {
         (Stmt::Update(_), Stmt::Select(_)) => ((ta, ca), (tb, cb)),
@@ -175,7 +145,7 @@ fn materialize_via(
     merge_enabled: bool,
 ) -> Option<ChainOutcome> {
     // The hop inside the relay: observing read, then derived write.
-    let cmds = commands_of(relay);
+    let cmds = relay.commands();
     let mut hop: Option<(&SelectCmd, &UpdateCmd)> = None;
     'outer: for (i, s) in cmds.iter().enumerate() {
         let Stmt::Select(r2) = s else { continue };
@@ -205,7 +175,7 @@ fn materialize_via(
 
     // The observer's chain read: an earlier select projecting exactly the
     // derived field.
-    let obs_cmds = commands_of(obs_txn);
+    let obs_cmds = obs_txn.commands();
     let r3b_pos = obs_cmds
         .iter()
         .position(|s| s.label() == Some(&r3b.label))?;
@@ -221,11 +191,11 @@ fn materialize_via(
     // Closure: the hop's write and the observer's read must be the derived
     // field's only accessors, or the move would strand a third party.
     for t in &program.transactions {
-        for s in commands_of(t) {
+        for s in t.commands() {
             if s.label() == Some(&w2.label) || s.label() == Some(&r3a.label) {
                 continue;
             }
-            if touches_field(s, &d_schema.name, g, d_schema) {
+            if s.fields_touched(d_schema).contains(g) {
                 return None;
             }
         }
@@ -270,13 +240,12 @@ fn materialize_via(
                     });
                 }
             });
-            let (var, old_f, new_f) = (r3a.var.clone(), g.clone(), new_field.clone());
-            rewrite_exprs(t, &move |e| match e {
-                Expr::At(i, v, f) if v == &var && f == &old_f => {
-                    Some(Expr::At(i.clone(), v.clone(), new_f.clone()))
+            t.rewrite_exprs(&mut |e| match e {
+                Expr::At(i, v, f) if *v == r3a.var && f == g => {
+                    Some(Expr::At(i.clone(), v.clone(), new_field.clone()))
                 }
-                Expr::Agg(op, v, f) if v == &var && f == &old_f => {
-                    Some(Expr::Agg(*op, v.clone(), new_f.clone()))
+                Expr::Agg(op, v, f) if *v == r3a.var && f == g => {
+                    Some(Expr::Agg(*op, v.clone(), new_field.clone()))
                 }
                 _ => None,
             });
@@ -350,7 +319,7 @@ pub fn chain_cut(program: &Program, pair: &AccessPair) -> Option<ChainOutcome> {
         };
         let wb = &relay.body[1];
         if !matches!(wb, Stmt::Update(_) | Stmt::Insert(_) | Stmt::Delete(_))
-            || !stmt_uses_var(wb, &rb.var)
+            || !wb.uses_var(&rb.var)
             || relay.ret.uses_var(&rb.var)
         {
             continue;
@@ -367,7 +336,7 @@ pub fn chain_cut(program: &Program, pair: &AccessPair) -> Option<ChainOutcome> {
             let Some(host) = program.transaction(host_name) else {
                 continue;
             };
-            let feeds = commands_of(host).iter().any(|s| match s {
+            let feeds = host.commands().iter().any(|s| match s {
                 Stmt::Update(u) => {
                     u.schema == rb.schema && u.assigns.iter().any(|(f, _)| rb_reads.contains(f))
                 }
@@ -409,18 +378,18 @@ fn fuse_hop(
 
     // The hop's binding must not capture anything in the host.
     let mut moved = relay.clone();
-    let mut host_vars: BTreeSet<String> =
-        var_bindings(host).into_iter().map(|(v, _)| v).collect();
-    host_vars.extend(used_vars(host));
-    if host_vars.contains(&rb.var) {
+    let host_cmds = host.commands();
+    let binds = |s: &&Stmt, var: &str| matches!(s, Stmt::Select(c) if c.var == var);
+    let taken = |var: &str| host.uses_var(var) || host_cmds.iter().any(|s| binds(s, var));
+    if taken(&rb.var) {
         let mut fresh = format!("{}_t", rb.var);
         let mut n = 2;
-        while host_vars.contains(&fresh) {
+        while taken(&fresh) {
             fresh = format!("{}_t{n}", rb.var);
             n += 1;
         }
-        // `rename_var_in_txn` renames uses; the binding site is ours.
-        rename_var_in_txn(&mut moved, &rb.var, &fresh);
+        // `rename_var` renames uses; the binding site is ours.
+        moved.rename_var(&rb.var, &fresh);
         if let Stmt::Select(c) = &mut moved.body[0] {
             c.var = fresh;
         }
@@ -495,8 +464,8 @@ fn fuse_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::tests::view_of;
-    use crate::analysis::view_change;
+    use crate::repair::tests::view_of;
+    use crate::repair::view_change;
     use atropos_detect::{
         detect_anomalies, ConsistencyLevel, DetectMode, DetectSession, DetectionEngine,
     };
@@ -585,7 +554,7 @@ mod tests {
         let (out, _, steps) = materialize_relay(&p, &pair, false).unwrap();
         assert!(steps.iter().all(|s| !matches!(s, RepairStep::Merge { .. })));
         let timeline = out.transaction("timeline").unwrap();
-        assert_eq!(commands_of(timeline).len(), 2);
+        assert_eq!(timeline.commands().len(), 2);
     }
 
     #[test]
@@ -653,11 +622,11 @@ mod tests {
         assert!(text.contains("@RB.T"), "{text}");
         assert!(text.contains("@WC.T"), "{text}");
         let writer = out.transaction("writer").unwrap();
-        assert_eq!(commands_of(writer).len(), 4);
+        assert_eq!(writer.commands().len(), 4);
         assert!(writer.params.iter().any(|p| p.name == "c"), "{text}");
         // …and the relay is an empty shell.
         let relay = out.transaction("relay").unwrap();
-        assert!(commands_of(relay).is_empty());
+        assert!(relay.commands().is_empty());
         assert!(matches!(steps[0], RepairStep::ChainCut { .. }));
         assert_eq!(vcs[0].src_field, "a_v");
         assert_eq!(vcs[0].dst_field, "c_v");

@@ -3,7 +3,6 @@
 
 use atropos_dsl::{Program, Stmt};
 
-use crate::analysis::{commands_of, retain_commands, schema_accessed, used_vars};
 use crate::merge::try_merging;
 
 /// Removes selects whose bound variable is never read, iterating to a fixed
@@ -14,19 +13,16 @@ pub fn eliminate_dead_selects(program: &mut Program) -> Vec<String> {
     loop {
         let mut progress = false;
         for t in program.transactions.iter_mut() {
-            let used = used_vars(t);
             let mut dead: Vec<String> = Vec::new();
-            for s in commands_of(t) {
+            for s in t.commands() {
                 if let Stmt::Select(c) = s {
-                    if !used.contains(&c.var) {
+                    if !t.uses_var(&c.var) {
                         dead.push(c.label.0.clone());
                     }
                 }
             }
             if !dead.is_empty() {
-                retain_commands(&mut t.body, &|s| {
-                    s.label().is_none_or(|l| !dead.contains(&l.0))
-                });
+                t.retain_commands(|s| s.label().is_none_or(|l| !dead.contains(&l.0)));
                 removed.extend(dead);
                 progress = true;
             }
@@ -39,10 +35,14 @@ pub fn eliminate_dead_selects(program: &mut Program) -> Vec<String> {
 
 /// Drops schemas no command accesses (obsolete tables). Returns their names.
 pub fn drop_obsolete_tables(program: &mut Program) -> Vec<String> {
+    let accessed = |name: &str| {
+        let mut commands = program.transactions.iter().flat_map(|t| t.commands());
+        commands.any(|s| s.schema() == Some(name))
+    };
     let obsolete: Vec<String> = program
         .schemas
         .iter()
-        .filter(|s| !schema_accessed(program, &s.name))
+        .filter(|s| !accessed(&s.name))
         .map(|s| s.name.clone())
         .collect();
     program.schemas.retain(|s| !obsolete.contains(&s.name));
@@ -56,7 +56,7 @@ pub fn merge_all(program: &mut Program) -> Vec<(String, String)> {
     loop {
         let mut progress = false;
         'outer: for t in &program.transactions {
-            let cmds = commands_of(t);
+            let cmds = t.commands();
             for i in 0..cmds.len() {
                 for j in (i + 1)..cmds.len() {
                     let (Some(l1), Some(l2)) = (cmds[i].label(), cmds[j].label()) else {
@@ -152,6 +152,27 @@ mod tests {
         let dropped = drop_obsolete_tables(&mut p);
         assert_eq!(dropped, vec!["DEADTBL".to_owned()]);
         assert_eq!(p.schemas.len(), 1);
+    }
+
+    #[test]
+    fn schema_accessed_detects_usage() {
+        // U is accessed only inside an `if`; V by nothing.
+        let mut p = parse(
+            "schema T { id: int key, v: int, w: int }
+             schema U { id: int key, z: int }
+             schema V { id: int key }
+             txn t(k: int) {
+                 @S1 x := select v from T where id = k;
+                 if (x.v > 0) {
+                     @U1 update U set z = x.v where id = k;
+                 }
+                 return x.v;
+             }",
+        )
+        .unwrap();
+        assert_eq!(drop_obsolete_tables(&mut p), vec!["V".to_owned()]);
+        assert!(p.schema("T").is_some());
+        assert!(p.schema("U").is_some());
     }
 
     #[test]

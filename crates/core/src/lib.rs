@@ -5,8 +5,6 @@
 //! Serializability Bugs in Distributed Database Programs via Automated
 //! Schema Refactoring* (PLDI 2021).
 //!
-//! * [`analysis`] — AST traversal, variable liveness, field-access analysis,
-//!   and the repair loop's check of what a step changed in detection's view;
 //! * [`rewrite`] — the `⟦·⟧_v` rewrite function: the **redirect** and
 //!   **logger** rule instantiations of `intro v`;
 //! * [`merge`] — `try_merging`: fusing commands into single-row atomic ops;
@@ -18,11 +16,16 @@
 //!   preprocessing splits, per-anomaly `try_repair`, post-processing, and
 //!   detection through an [`atropos_detect::DetectionEngine`] against an
 //!   [`atropos_detect::DetectSession`] — so each step only re-solves the
-//!   pairs it dirtied (on the engine's workers), a session shared across
-//!   runs ([`repair_with_engine`], [`ablation_sweep`]) answers common
-//!   transaction shapes from warm verdicts, and the [`RepairReport`]
-//!   carries per-iteration [`RepairStats`];
+//!   pairs it dirtied (on the engine's workers), a pass runs only after a
+//!   step that changed detection's view of the program, a session shared
+//!   across runs ([`repair_with_engine`], [`ablation_sweep`]) answers
+//!   common transaction shapes from warm verdicts, and the
+//!   [`RepairReport`] carries per-iteration [`RepairStats`];
 //! * [`random_search`] — the random-refactoring baseline of Fig. 16.
+//!
+//! The rules walk programs only through `atropos_dsl`'s tree operations
+//! (statement walks, flattened commands, expression visits and rewrites,
+//! variable use and renaming, field sets, label lookup).
 //!
 //! # Examples
 //!
@@ -45,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod chain;
 pub mod dce;
 pub mod merge;

@@ -2,28 +2,12 @@
 //! of one transaction into a single command so their effects become a single
 //! atom, protected by row-level atomicity.
 
-use atropos_dsl::{check_program, CmdLabel, CmpOp, Expr, Program, Stmt, Transaction, Where};
+use atropos_dsl::{
+    check_program, visit_stmts, CmdLabel, CmpOp, Expr, Program, Stmt, Transaction, Where,
+};
 
 fn where_key(w: &Where) -> String {
     atropos_dsl::print_where(w)
-}
-
-/// Select bindings visible in a transaction: `(var, schema, printed where)`.
-fn select_bindings(txn: &Transaction) -> Vec<(String, String, String)> {
-    fn walk(body: &[Stmt], out: &mut Vec<(String, String, String)>) {
-        for s in body {
-            match s {
-                Stmt::Select(c) => {
-                    out.push((c.var.clone(), c.schema.clone(), where_key(&c.where_)))
-                }
-                Stmt::If { body, .. } | Stmt::Iterate { body, .. } => walk(body, out),
-                _ => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(&txn.body, &mut out);
-    out
 }
 
 /// Establishes that `b` (the later command) selects the same records as `a`
@@ -31,13 +15,13 @@ fn select_bindings(txn: &Transaction) -> Vec<(String, String, String)> {
 ///
 /// 1. the filters are syntactically equal;
 /// 2. every conjunct of `b`'s filter has the form `f = x.f` where `x` is
-///    bound by a select on the same schema with `a`'s filter — i.e. `b`
-///    re-selects the record `a` selected, through its own fields;
+///    bound by a select of `txn` on the same schema with `a`'s filter —
+///    i.e. `b` re-selects the record `a` selected, through its own fields;
 /// 3. (updates only) every conjunct of `b`'s filter has the form `f = e`
 ///    where `a` assigns `f = e`: after `a` runs, `a`'s target record
 ///    satisfies `b`'s filter.
 fn same_record_set(
-    bindings: &[(String, String, String)],
+    txn: &Transaction,
     schema: &str,
     a: &Stmt,
     a_where: &Where,
@@ -53,6 +37,7 @@ fn same_record_set(
         return false;
     }
     let a_where_str = where_key(a_where);
+    let selects = txn.commands();
     let a_assigns: Vec<(String, String)> = match a {
         Stmt::Update(c) => c
             .assigns
@@ -69,9 +54,11 @@ fn same_record_set(
         if let Expr::At(idx, v, g) = e {
             if matches!(**idx, Expr::Const(atropos_dsl::Value::Int(0)))
                 && g == f
-                && bindings
-                    .iter()
-                    .any(|(bv, bs, bw)| bv == v && bs == schema && bw == &a_where_str)
+                && selects.iter().any(|s| {
+                    matches!(s, Stmt::Select(c) if &c.var == v
+                        && c.schema == schema
+                        && where_key(&c.where_) == a_where_str)
+                })
             {
                 return true;
             }
@@ -80,12 +67,6 @@ fn same_record_set(
         let printed = atropos_dsl::print_expr(e);
         a_assigns.iter().any(|(af, ae)| af == f && ae == &printed)
     })
-}
-
-/// Fields of the schema a command touches outside its own label (used to
-/// check that no intermediate command interferes with the merge).
-fn touches_schema(s: &Stmt, schema: &str) -> bool {
-    s.schema() == Some(schema)
 }
 
 /// Attempts to merge the commands labelled `l1` and `l2`, which must be of
@@ -116,7 +97,7 @@ pub fn try_merging(program: &Program, l1: &CmdLabel, l2: &CmdLabel) -> Option<Pr
     // Variable renames apply to the whole transaction, including the
     // return expression.
     if let Some((from, to)) = rename {
-        rename_var_in_txn(txn, &from, &to);
+        txn.rename_var(&from, &to);
     }
     check_program(&out).ok()?;
     Some(out)
@@ -138,7 +119,7 @@ fn find_merge(
     let pos2 = body.iter().position(|s| s.label() == Some(l2));
     if let (Some(i), Some(j)) = (pos1, pos2) {
         let (i, j, keep) = if i < j { (i, j, l1) } else { (j, i, l2) };
-        return merge_in_block(body, i, j, keep, &select_bindings(txn));
+        return merge_in_block(body, i, j, keep, txn);
     }
     for (k, s) in body.iter().enumerate() {
         if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
@@ -163,15 +144,16 @@ fn block_at<'a>(body: &'a mut Vec<Stmt>, path: &[usize]) -> &'a mut Vec<Stmt> {
     }
 }
 
-/// Merges commands at block positions `i < j`, keeping the label of the
-/// earlier command. Returns the new block and an optional variable rename
-/// `(removed var, surviving var)` the caller must apply transaction-wide.
+/// Merges commands at block positions `i < j` of `body`, a block of `txn`,
+/// keeping the label of the earlier command. Returns the new block and an
+/// optional variable rename `(removed var, surviving var)` the caller must
+/// apply transaction-wide.
 fn merge_in_block(
     body: &[Stmt],
     i: usize,
     j: usize,
     keep: &CmdLabel,
-    bindings: &[(String, String, String)],
+    txn: &Transaction,
 ) -> Option<(Vec<Stmt>, Option<(String, String)>)> {
     let (a, b) = (&body[i], &body[j]);
     let schema = a.schema()?;
@@ -179,16 +161,16 @@ fn merge_in_block(
         return None;
     }
     // No intermediate statement (at any nesting) may touch the same schema.
-    for s in &body[i + 1..j] {
-        let mut conflict = false;
-        check_nested(s, schema, &mut conflict);
-        if conflict {
-            return None;
-        }
+    let mut conflict = false;
+    visit_stmts(&body[i + 1..j], &mut |s| {
+        conflict |= s.schema() == Some(schema)
+    });
+    if conflict {
+        return None;
     }
     let merged: Stmt = match (a, b) {
         (Stmt::Select(c1), Stmt::Select(c2)) => {
-            if !same_record_set(bindings, schema, a, &c1.where_, &c2.where_) {
+            if !same_record_set(txn, schema, a, &c1.where_, &c2.where_) {
                 return None;
             }
             let fields = match (&c1.fields, &c2.fields) {
@@ -211,7 +193,7 @@ fn merge_in_block(
             Stmt::Select(c)
         }
         (Stmt::Update(c1), Stmt::Update(c2)) => {
-            if !same_record_set(bindings, schema, a, &c1.where_, &c2.where_) {
+            if !same_record_set(txn, schema, a, &c1.where_, &c2.where_) {
                 return None;
             }
             let mut assigns = c1.assigns.clone();
@@ -258,87 +240,6 @@ fn merge_in_block(
     Some((out, rename))
 }
 
-fn check_nested(s: &Stmt, schema: &str, conflict: &mut bool) {
-    if touches_schema(s, schema) {
-        *conflict = true;
-        return;
-    }
-    if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
-        for inner in body {
-            check_nested(inner, schema, conflict);
-        }
-    }
-}
-
-fn rename_var_expr(e: &mut Expr, from: &str, to: &str) {
-    match e {
-        Expr::Agg(_, v, _) | Expr::At(_, v, _) => {
-            if v == from {
-                *v = to.to_owned();
-            }
-            if let Expr::At(i, _, _) = e {
-                rename_var_expr(i, from, to);
-            }
-        }
-        Expr::Bin(_, l, r) | Expr::Cmp(_, l, r) | Expr::Bool(_, l, r) => {
-            rename_var_expr(l, from, to);
-            rename_var_expr(r, from, to);
-        }
-        Expr::Not(x) => rename_var_expr(x, from, to),
-        _ => {}
-    }
-}
-
-fn rename_var_where(w: &mut Where, from: &str, to: &str) {
-    match w {
-        Where::True => {}
-        Where::Cmp { expr, .. } => rename_var_expr(expr, from, to),
-        Where::And(l, r) | Where::Or(l, r) => {
-            rename_var_where(l, from, to);
-            rename_var_where(r, from, to);
-        }
-    }
-}
-
-fn rename_var_stmt(s: &mut Stmt, from: &str, to: &str) {
-    match s {
-        Stmt::Select(c) => rename_var_where(&mut c.where_, from, to),
-        Stmt::Update(c) => {
-            rename_var_where(&mut c.where_, from, to);
-            for (_, e) in c.assigns.iter_mut() {
-                rename_var_expr(e, from, to);
-            }
-        }
-        Stmt::Insert(c) => {
-            for (_, e) in c.values.iter_mut() {
-                rename_var_expr(e, from, to);
-            }
-        }
-        Stmt::Delete(c) => rename_var_where(&mut c.where_, from, to),
-        Stmt::If { cond, body } => {
-            rename_var_expr(cond, from, to);
-            for inner in body {
-                rename_var_stmt(inner, from, to);
-            }
-        }
-        Stmt::Iterate { count, body } => {
-            rename_var_expr(count, from, to);
-            for inner in body {
-                rename_var_stmt(inner, from, to);
-            }
-        }
-    }
-}
-
-/// Renames uses of a select variable in a whole transaction (helper shared
-/// with the repair driver for post-merge cleanup).
-pub fn rename_var_in_txn(txn: &mut atropos_dsl::Transaction, from: &str, to: &str) {
-    for s in &mut txn.body {
-        rename_var_stmt(s, from, to);
-    }
-    rename_var_expr(&mut txn.ret, from, to);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,13 +255,13 @@ mod tests {
         let mut out = program.clone();
         let mut merged = false;
         for t in out.transactions.iter_mut() {
-            let bindings = select_bindings(t);
+            let txn = t.clone();
             let mut done = false;
             let mut rename: Option<(String, String)> = None;
-            visit_block(&mut t.body, l1, l2, &mut done, &mut rename, &bindings);
+            visit_block(&mut t.body, l1, l2, &mut done, &mut rename, &txn);
             if done {
                 if let Some((from, to)) = rename {
-                    rename_var_in_txn(t, &from, &to);
+                    t.rename_var(&from, &to);
                 }
                 merged = true;
                 break;
@@ -378,7 +279,7 @@ mod tests {
         l2: &CmdLabel,
         done: &mut bool,
         rename: &mut Option<(String, String)>,
-        bindings: &[(String, String, String)],
+        txn: &Transaction,
     ) {
         if *done {
             return;
@@ -391,7 +292,7 @@ mod tests {
                 std::mem::swap(&mut i, &mut j);
                 labels = (l2.clone(), l1.clone());
             }
-            if let Some((new_body, rn)) = merge_in_block(body, i, j, &labels.0, bindings) {
+            if let Some((new_body, rn)) = merge_in_block(body, i, j, &labels.0, txn) {
                 *body = new_body;
                 *rename = rn;
                 *done = true;
@@ -400,7 +301,7 @@ mod tests {
         }
         for s in body.iter_mut() {
             if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
-                visit_block(body, l1, l2, done, rename, bindings);
+                visit_block(body, l1, l2, done, rename, txn);
                 if *done {
                     return;
                 }
@@ -411,19 +312,8 @@ mod tests {
     /// Every command label of `program`, in transaction and statement
     /// order (nested blocks included).
     fn labels(program: &Program) -> Vec<CmdLabel> {
-        fn walk(body: &[Stmt], out: &mut Vec<CmdLabel>) {
-            for s in body {
-                out.extend(s.label().cloned());
-                if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
-                    walk(body, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for t in &program.transactions {
-            walk(&t.body, &mut out);
-        }
-        out
+        let commands = program.transactions.iter().flat_map(|t| t.commands());
+        commands.filter_map(|s| s.label().cloned()).collect()
     }
 
     /// Probes every ordered pair of `program`'s labels (a label with

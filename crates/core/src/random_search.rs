@@ -13,7 +13,6 @@ use atropos_detect::{
 use atropos_dsl::Program;
 use atropos_semantics::ThetaMap;
 
-use crate::analysis::commands_of;
 use crate::merge::try_merging;
 use crate::rewrite::{apply_logging, apply_redirect};
 
@@ -93,11 +92,7 @@ fn random_merge(p: &Program, rng: &mut StdRng) -> Option<Program> {
     let labels: Vec<_> = p
         .transactions
         .iter()
-        .flat_map(|t| {
-            commands_of(t)
-                .into_iter()
-                .filter_map(|s| s.label().cloned())
-        })
+        .flat_map(|t| t.commands().into_iter().filter_map(|s| s.label().cloned()))
         .collect();
     if labels.len() < 2 {
         return None;

@@ -10,15 +10,14 @@ use atropos_detect::{
     AccessPair, AnomalyKind, CacheStats, ConsistencyLevel, DetectMode, DetectSession,
     DetectionEngine, ProgramSummary, WitnessDecoder,
 };
-use atropos_dsl::{check_program, CmdLabel, Expr, Program, Stmt, Transaction, UpdateCmd};
+use atropos_dsl::{
+    check_program, visit_stmts_mut, CmdLabel, Expr, Program, Stmt, Transaction, UpdateCmd,
+};
 use atropos_semantics::{ThetaMap, ValueCorrespondence};
 
-use crate::analysis::{
-    commands_of, splice_after, var_bindings, view, view_change, visit_stmts_mut,
-};
 use crate::dce::{post_process, PostProcessReport};
 use crate::merge::try_merging;
-use crate::rewrite::{apply_logging, apply_redirect, find_command};
+use crate::rewrite::{apply_logging, apply_redirect};
 
 /// One applied refactoring, for the repair log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -554,6 +553,48 @@ fn run_detection(
     }
 }
 
+/// Detection's view of a program: each transaction's name mapped to its
+/// [`atropos_detect::txn_fingerprint`] and its command labels.
+pub(crate) type View = BTreeMap<String, (u64, Vec<String>)>;
+
+/// Detection's [`View`] of the program `summary` summarizes, with each
+/// fingerprint read from the summary's keys. The repair loop builds one
+/// summary per program state, takes its view once and keeps the current
+/// one.
+pub(crate) fn view(summary: &ProgramSummary) -> View {
+    summary
+        .txns()
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let labels = t.commands.iter().map(|c| c.label.0.clone()).collect();
+            (t.name.clone(), (summary.fingerprint(i), labels))
+        })
+        .collect()
+}
+
+/// What one repair step changed in detection's view of a program, given
+/// the [`View`]s before and after it: the transactions whose fingerprint
+/// changed, or that appeared or vanished, and whether the view changed
+/// at all.
+///
+/// The repair loop re-detects only after a step that changed the view.
+/// A pure relabeling changes it without changing a fingerprint, so the
+/// next pass runs and answers every group from the cache under the new
+/// labels. An edit the detector cannot see (a rewritten assignment
+/// expression with unchanged field and variable sets) or a dropped table
+/// no command accesses leaves the view, and so every verdict, unchanged.
+pub(crate) fn view_change(before: &View, after: &View) -> (BTreeSet<String>, bool) {
+    let fp = |v: &View, name: &String| v.get(name).map(|e| e.0);
+    let txns = before
+        .keys()
+        .chain(after.keys())
+        .filter(|name| fp(before, name) != fp(after, name))
+        .cloned()
+        .collect();
+    (txns, before != after)
+}
+
 /// The repair loop over `program`, whose summary is `summary`. Returns the
 /// report and the summary of the repaired program: each program state the
 /// loop inspects is summarized once, and the repaired program is the last
@@ -743,7 +784,7 @@ fn pre_process(program: &mut Program, pairs: &[AccessPair], steps: &mut Vec<Repa
             *s = Stmt::Update(fragments[0].clone());
         });
         for (first, rest) in pending {
-            splice_after(&mut t.body, &first, &rest);
+            t.splice_after(&first, &rest);
         }
     }
 }
@@ -791,7 +832,7 @@ fn split_selects_in_txn(
         parts: Vec<BTreeSet<String>>,
     }
     let mut splits: Vec<SelSplit> = Vec::new();
-    for s in commands_of(t) {
+    for s in t.commands() {
         let Stmt::Select(c) = s else { continue };
         let Some(groups) = demand.get(&c.label.0) else { continue };
         let Some(fields) = &c.fields else { continue };
@@ -844,17 +885,15 @@ fn split_selects_in_txn(
         });
         // Splice remaining fragments after the first.
         if let Some(first_label) = fragments[0].label().cloned() {
-            splice_after(&mut t.body, &first_label, &fragments[1..]);
+            t.splice_after(&first_label, &fragments[1..]);
         }
         // Rewrite accesses through the old variable to the fragment vars.
-        let var_map = var_of_field.clone();
-        let old = old_var.clone();
-        crate::analysis::rewrite_exprs(t, &move |e| match e {
-            Expr::At(i, v, f) if *v == old => var_map
+        t.rewrite_exprs(&mut |e| match e {
+            Expr::At(i, v, f) if *v == old_var => var_of_field
                 .iter()
                 .find(|(mf, _)| mf == f)
                 .map(|(_, nv)| Expr::At(i.clone(), nv.clone(), f.clone())),
-            Expr::Agg(op, v, f) if *v == old => var_map
+            Expr::Agg(op, v, f) if *v == old_var => var_of_field
                 .iter()
                 .find(|(mf, _)| mf == f)
                 .map(|(_, nv)| Expr::Agg(*op, nv.clone(), f.clone())),
@@ -883,7 +922,7 @@ fn split_safe(
     parts: &[BTreeSet<String>],
 ) -> bool {
     for t in &program.transactions {
-        for s in commands_of(t) {
+        for s in t.commands() {
             if s.label() == Some(split_label) || s.schema() != Some(schema) {
                 continue;
             }
@@ -935,8 +974,8 @@ fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Op
         return None;
     }
 
-    let (t1, c1) = find_command(program, &pair.cmd1)?;
-    let (t2, c2) = find_command(program, &pair.cmd2)?;
+    let (t1, c1) = program.command(&pair.cmd1)?;
+    let (t2, c2) = program.command(&pair.cmd2)?;
     let same_kind = matches!(
         (c1, c2),
         (Stmt::Select(_), Stmt::Select(_))
@@ -1020,16 +1059,16 @@ fn try_repair(program: &Program, pair: &AccessPair, config: &RepairConfig) -> Op
 /// is no longer used in its transaction. Returns whether it was removed.
 fn remove_if_dead_select(program: &mut Program, label: &CmdLabel) -> bool {
     for t in program.transactions.iter_mut() {
-        let Some(var) = commands_of(t).into_iter().find_map(|s| match s {
+        let Some(var) = t.commands().into_iter().find_map(|s| match s {
             Stmt::Select(c) if &c.label == label => Some(c.var.clone()),
             _ => None,
         }) else {
             continue;
         };
-        if crate::analysis::used_vars(t).contains(&var) {
+        if t.uses_var(&var) {
             return false;
         }
-        crate::analysis::retain_commands(&mut t.body, &|s| s.label() != Some(label));
+        t.retain_commands(|s| s.label() != Some(label));
         return true;
     }
     // The select is already gone (e.g. merged away): vacuously obsolete.
@@ -1113,11 +1152,10 @@ fn discover_theta(
         Stmt::Delete(c) => Some(&c.where_),
         _ => None,
     };
-    let bindings = var_bindings(txn);
     let mut map = Vec::new();
     for k in src.primary_key() {
         let e = where_.eq_expr_for(k)?;
-        let target = theta_target(program, txn, into, e, &bindings)
+        let target = theta_target(program, txn, into, e)
             .or_else(|| theta_from_pair_constraint(program, into, into_where, e))?;
         map.push((k.to_owned(), target));
     }
@@ -1152,18 +1190,19 @@ fn theta_target(
     txn: &Transaction,
     into: &str,
     key_expr: &Expr,
-    bindings: &[(String, String)],
 ) -> Option<String> {
+    let cmds = txn.commands();
     // Case (a): the key expression reads a field of a row of `into`.
     if let Expr::At(_, v, g) = key_expr {
-        if bindings.iter().any(|(bv, bs)| bv == v && bs == into) {
+        let binds = |s: &&Stmt| matches!(s, Stmt::Select(c) if c.var == *v && c.schema == into);
+        if cmds.iter().any(binds) {
             return Some(g.clone());
         }
     }
     // Case (b): some update of `into` in this transaction assigns a field
     // the very same expression.
     let printed = atropos_dsl::print_expr(key_expr);
-    for s in commands_of(txn) {
+    for s in cmds {
         if let Stmt::Update(c) = s {
             if c.schema == into {
                 for (g, e) in &c.assigns {
@@ -1188,9 +1227,14 @@ fn theta_target(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use atropos_dsl::{parse, print_program};
+
+    /// The [`View`] of `program`, summarized afresh.
+    pub(crate) fn view_of(program: &Program) -> View {
+        view(&ProgramSummary::of(program))
+    }
 
     #[test]
     fn engine_with_proofs_banks_checkable_certificates() {
@@ -1270,13 +1314,13 @@ mod tests {
         );
         // getSt collapsed to a single select on STUDENT.
         let get = report.repaired.transaction("getSt").unwrap();
-        assert_eq!(crate::analysis::commands_of(get).len(), 1, "{text}");
+        assert_eq!(get.commands().len(), 1, "{text}");
         // setSt collapsed to a single update.
         let set = report.repaired.transaction("setSt").unwrap();
-        assert_eq!(crate::analysis::commands_of(set).len(), 1, "{text}");
+        assert_eq!(set.commands().len(), 1, "{text}");
         // regSt: one student update + one log insert.
         let reg = report.repaired.transaction("regSt").unwrap();
-        assert_eq!(crate::analysis::commands_of(reg).len(), 2, "{text}");
+        assert_eq!(reg.commands().len(), 2, "{text}");
         assert!(text.contains("insert into COURSE_CO_ST_CNT_LOG"), "{text}");
     }
 
@@ -1611,5 +1655,95 @@ mod tests {
                 && v.src_field == "co_st_cnt"
                 && v.alpha == atropos_semantics::Aggregator::Sum
         }));
+    }
+
+    const VIEW_SRC: &str = "schema T { id: int key, v: int, w: int }
+         schema U { id: int key, z: int }
+         txn t(k: int) {
+             @S1 x := select v from T where id = k;
+             if (x.v > 0) {
+                 @U1 update U set z = x.v where id = k;
+             }
+             @S2 y := select w from T where id = k;
+             return x.v;
+         }";
+
+    #[test]
+    fn view_change_reports_changed_txns() {
+        let before = parse(VIEW_SRC).unwrap();
+        assert_eq!(
+            view_change(&view_of(&before), &view_of(&before)),
+            (BTreeSet::new(), false)
+        );
+
+        // Touch one command's write set: its transaction is dirty.
+        let after = parse(&VIEW_SRC.replace("set z = x.v", "set z = x.v, id = k")).unwrap();
+        assert_eq!(
+            view_change(&view_of(&before), &view_of(&after)),
+            (BTreeSet::from(["t".to_owned()]), true)
+        );
+
+        // Removing a command dirties its transaction too.
+        let removed =
+            parse(&VIEW_SRC.replace("@S2 y := select w from T where id = k;", "")).unwrap();
+        assert_eq!(
+            view_change(&view_of(&before), &view_of(&removed)),
+            (BTreeSet::from(["t".to_owned()]), true)
+        );
+
+        // So does a transaction that appears or vanishes.
+        let renamed = parse(&VIEW_SRC.replace("txn t(", "txn t2(")).unwrap();
+        let both = BTreeSet::from(["t".to_owned(), "t2".to_owned()]);
+        assert_eq!(
+            view_change(&view_of(&before), &view_of(&renamed)),
+            (both, true)
+        );
+    }
+
+    #[test]
+    fn view_change_counts_pure_relabelings() {
+        // A label change on an otherwise untouched command dirties no
+        // transaction, but it changes the view: the next detection pass
+        // runs and answers every group from the cache under the new label.
+        let before = parse(VIEW_SRC).unwrap();
+        let after = parse(&VIEW_SRC.replace("@U1", "@U9")).unwrap();
+        assert_eq!(
+            view_change(&view_of(&before), &view_of(&after)),
+            (BTreeSet::new(), true)
+        );
+    }
+
+    #[test]
+    fn view_change_ignores_detector_invisible_edits() {
+        // Rewriting an assignment expression without changing any field or
+        // variable set cannot affect a verdict, so the view is unchanged.
+        let before = parse(VIEW_SRC).unwrap();
+        let after = parse(&VIEW_SRC.replace("set z = x.v", "set z = x.v + 1")).unwrap();
+        assert_eq!(
+            view_change(&view_of(&before), &view_of(&after)),
+            (BTreeSet::new(), false)
+        );
+    }
+
+    #[test]
+    fn view_change_schema_change_dirties_star_selects() {
+        // `select *` summaries expand through the declaration: adding a
+        // field must dirty the selecting transaction even though its
+        // command text is unchanged.
+        const STAR: &str = "schema T { id: int key, v: int }
+             txn t(k: int) {
+                 @S1 x := select * from T where id = k;
+                 return x.v;
+             }";
+        let before = parse(STAR).unwrap();
+        let after = parse(&STAR.replace(
+            "schema T { id: int key, v: int }",
+            "schema T { id: int key, v: int, extra: int }",
+        ))
+        .unwrap();
+        assert_eq!(
+            view_change(&view_of(&before), &view_of(&after)),
+            (BTreeSet::from(["t".to_owned()]), true)
+        );
     }
 }

@@ -19,12 +19,10 @@
 use std::collections::BTreeSet;
 
 use atropos_dsl::{
-    check_program, BinOp, CmdLabel, CmpOp, Expr, FieldDecl, InsertCmd, Program, Schema, SelectCmd,
-    Stmt, Transaction, Ty, Where,
+    check_program, visit_stmts_mut, BinOp, CmdLabel, CmpOp, Expr, FieldDecl, InsertCmd, Program,
+    Schema, SelectCmd, Stmt, Ty, Where,
 };
 use atropos_semantics::{Aggregator, ThetaMap, ValueCorrespondence};
-
-use crate::analysis::{rewrite_exprs, splice_after, visit_stmts_mut};
 
 /// Mints a field name for `src_field` moved into `dst`: reuses the target
 /// schema's leading prefix (`st` for `st_id`, …) when one exists.
@@ -83,33 +81,6 @@ fn redirect_where(src: &Schema, theta: &ThetaMap, w: &Where) -> Option<Where> {
             None => c,
             Some(prev) => prev.and(c),
         });
-    }
-    out
-}
-
-/// Fields of the source schema accessed by one command (projection, where,
-/// assignments), excluding nothing.
-fn fields_touched(cmd: &Stmt, src: &Schema) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    match cmd {
-        Stmt::Select(c) if c.schema == src.name => {
-            out.extend(c.where_.fields());
-            match &c.fields {
-                Some(fs) => out.extend(fs.iter().cloned()),
-                None => out.extend(src.fields.iter().map(|f| f.name.clone())),
-            }
-        }
-        Stmt::Update(c) if c.schema == src.name => {
-            out.extend(c.where_.fields());
-            out.extend(c.assigns.iter().map(|(f, _)| f.clone()));
-        }
-        Stmt::Insert(c) if c.schema == src.name => {
-            out.extend(c.values.iter().map(|(f, _)| f.clone()));
-        }
-        Stmt::Delete(c) if c.schema == src.name => {
-            out.extend(c.where_.fields());
-        }
-        _ => {}
     }
     out
 }
@@ -181,7 +152,7 @@ pub fn apply_redirect(
             if failed {
                 return;
             }
-            let touched = fields_touched(s, &src);
+            let touched = s.fields_touched(&src);
             if touched.is_empty() {
                 return;
             }
@@ -278,21 +249,21 @@ pub fn apply_redirect(
 
     // Rewrite expressions reading the moved fields (and source key fields)
     // through redirected variables.
-    let redirected_vars2 = redirected_vars.clone();
     for t in out.transactions.iter_mut() {
         let tname = t.name.clone();
-        let renames = renames.clone();
-        let src2 = src.clone();
-        let theta2 = theta.clone();
-        let rv = redirected_vars2.clone();
-        rewrite_exprs(t, &move |e| match e {
+        let redirected = |v: &String| {
+            redirected_vars
+                .iter()
+                .any(|(tn, vn)| *tn == tname && vn == v)
+        };
+        t.rewrite_exprs(&mut |e| match e {
             Expr::Agg(op, v, f) => {
-                if rv.iter().any(|(tn, vn)| tn == &tname && vn == v) {
-                    if let Some((_, n)) = renames.iter().find(|(old, _)| old == f) {
-                        return Some(Expr::Agg(*op, v.clone(), n.clone()));
+                if redirected(v) {
+                    if let Some(n) = rename_of(f) {
+                        return Some(Expr::Agg(*op, v.clone(), n.to_owned()));
                     }
-                    if src2.field(f).is_some_and(|d| d.primary_key) {
-                        if let Some(n) = theta2.target_of(f) {
+                    if src.field(f).is_some_and(|d| d.primary_key) {
+                        if let Some(n) = theta.target_of(f) {
                             return Some(Expr::Agg(*op, v.clone(), n.to_owned()));
                         }
                     }
@@ -300,12 +271,12 @@ pub fn apply_redirect(
                 None
             }
             Expr::At(i, v, f) => {
-                if rv.iter().any(|(tn, vn)| tn == &tname && vn == v) {
-                    if let Some((_, n)) = renames.iter().find(|(old, _)| old == f) {
-                        return Some(Expr::At(i.clone(), v.clone(), n.clone()));
+                if redirected(v) {
+                    if let Some(n) = rename_of(f) {
+                        return Some(Expr::At(i.clone(), v.clone(), n.to_owned()));
                     }
-                    if src2.field(f).is_some_and(|d| d.primary_key) {
-                        if let Some(n) = theta2.target_of(f) {
+                    if src.field(f).is_some_and(|d| d.primary_key) {
+                        if let Some(n) = theta.target_of(f) {
                             return Some(Expr::At(i.clone(), v.clone(), n.to_owned()));
                         }
                     }
@@ -528,26 +499,18 @@ pub fn apply_logging(
             break;
         }
         for (after, stmt) in pending {
-            splice_after(&mut t.body, &after, &[stmt]);
+            t.splice_after(&after, &[stmt]);
         }
         // Accesses through redirected variables become sums over the log;
         // accesses through split variables aggregate the fresh log binding.
-        let vars: BTreeSet<String> = redirected_vars.into_iter().collect();
-        let splits = split_vars;
-        let field_owned = field.to_owned();
-        let log_field2 = log_field.clone();
-        rewrite_exprs(t, &move |e| match e {
-            Expr::At(_, v, f) | Expr::Agg(_, v, f) if f == &field_owned => {
-                if vars.contains(v) {
-                    Some(Expr::Agg(
-                        atropos_dsl::AggOp::Sum,
-                        v.clone(),
-                        log_field2.clone(),
-                    ))
+        let sum = |v: &String| Expr::Agg(atropos_dsl::AggOp::Sum, v.clone(), log_field.clone());
+        t.rewrite_exprs(&mut |e| match e {
+            Expr::At(_, v, f) | Expr::Agg(_, v, f) if f == field => {
+                if redirected_vars.contains(v) {
+                    Some(sum(v))
                 } else {
-                    splits.iter().find(|(old, _)| old == v).map(|(_, nv)| {
-                        Expr::Agg(atropos_dsl::AggOp::Sum, nv.clone(), log_field2.clone())
-                    })
+                    let split = split_vars.iter().find(|(old, _)| old == v);
+                    split.map(|(_, nv)| sum(nv))
                 }
             }
             _ => None,
@@ -574,21 +537,6 @@ pub fn apply_logging(
         alpha: Aggregator::Sum,
     }];
     Some((out, vcs))
-}
-
-/// Looks up the transaction and statement for a command label.
-pub fn find_command<'p>(
-    program: &'p Program,
-    label: &CmdLabel,
-) -> Option<(&'p Transaction, &'p Stmt)> {
-    for t in &program.transactions {
-        for s in crate::analysis::commands_of(t) {
-            if s.label() == Some(label) {
-                return Some((t, s));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

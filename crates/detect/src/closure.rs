@@ -221,14 +221,7 @@ impl Closure {
         let vis = (0..model.atoms.len())
             .map(|a| (0..n).map(|c| holds(a, c)).collect())
             .collect();
-        let mut pos = vec![0; n];
-        for (p, &c) in order.iter().enumerate() {
-            pos[c] = p;
-        }
-        let ord = (0..n)
-            .map(|i| (0..n).map(|j| pos[i] < pos[j]).collect())
-            .collect();
-        Some(WitnessTruth { ord, vis })
+        Some(WitnessTruth { order, vis })
     }
 
     /// The certificate of an UNSAT query: an `atropos_proof` blob whose

@@ -337,19 +337,11 @@ pub type VisRequirement = (usize, usize, bool);
 /// turns into a concrete simulator run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessTruth {
-    /// `ord[i][j]`: command instance `i` is arbitrated before `j` (the
-    /// diagonal reads `false`). Total and transitive by the base encoding.
-    pub ord: Vec<Vec<bool>>,
+    /// The arbitration total order: every command instance once, first
+    /// arbitrated first. It contains program order.
+    pub order: Vec<usize>,
     /// `vis[a][c]`: atom `a` is visible to command `c`.
     pub vis: Vec<Vec<bool>>,
-}
-
-impl WitnessTruth {
-    /// Position of command `c` in the arbitration total order: the number
-    /// of commands arbitrated before it.
-    pub fn arbitration_position(&self, c: usize) -> usize {
-        (0..self.ord.len()).filter(|&j| self.ord[j][c]).count()
-    }
 }
 
 /// The variable numbering of [`encode_base`]: each `ord` literal of an
@@ -922,21 +914,23 @@ mod tests {
         // The witness honours the query's requirements…
         assert!(!w.vis[a_w2][0]);
         assert!(!w.vis[a_w1][2]);
-        // …and its ord is a valid total order: the arbitration positions
-        // form a permutation and agree with program order.
-        let mut pos: Vec<usize> = (0..m.cmds.len())
-            .map(|c| w.arbitration_position(c))
-            .collect();
-        assert!(w.ord[0][1] && w.ord[2][3], "program order embedded");
-        pos.sort_unstable();
-        assert_eq!(pos, vec![0, 1, 2, 3]);
-        // It is the least model: nothing crosses the instances, so ord is
-        // the smallest-index-first order of program order.
+        // …and its order is a valid total order: a permutation of the
+        // commands that agrees with program order.
+        let mut pos = vec![0; m.cmds.len()];
+        for (p, &c) in w.order.iter().enumerate() {
+            pos[c] = p;
+        }
+        assert!(pos[0] < pos[1] && pos[2] < pos[3], "program order embedded");
+        let mut sorted = w.order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, vec![0, 1, 2, 3]);
+        // It is the least model: nothing crosses the instances, so the
+        // order is the smallest-index-first order of program order.
         assert!(w.vis.iter().enumerate().all(|(a, row)| row
             .iter()
             .enumerate()
             .all(|(c, &v)| v == m.prog_before(m.atoms[a].cmd, c))));
-        assert!(w.ord[1][2]);
+        assert!(pos[1] < pos[2]);
         // Asking twice yields the same witness, the full assignment is a
         // model of the reference encoding, and UNSAT queries have none.
         assert_eq!(closure.witness(&m, &reqs).as_ref(), Some(&w));

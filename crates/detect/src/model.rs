@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use atropos_dsl::{CmdLabel, Expr, Program, Stmt, Transaction, Where, ALIVE_FIELD};
+use atropos_dsl::{visit_stmts, CmdLabel, Expr, Program, Stmt, Transaction, Where, ALIVE_FIELD};
 
 use crate::cache::ProgramKeys;
 
@@ -189,108 +189,70 @@ fn key_spec_of_insert(program: &Program, schema: &str, values: &[(String, Expr)]
     }
 }
 
-fn vars_of_exprs<'a>(exprs: impl Iterator<Item = &'a Expr>) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for e in exprs {
-        e.walk(&mut |x| {
-            if let Expr::Agg(_, v, _) | Expr::At(_, v, _) = x {
-                out.insert(v.clone());
-            }
-        });
-    }
-    out
-}
-
-fn vars_of_where(w: &Where) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    w.walk_exprs(&mut |e| {
-        if let Expr::Agg(_, v, _) | Expr::At(_, v, _) = e {
-            out.insert(v.clone());
-        }
-    });
-    out
-}
-
-fn summarize_body(program: &Program, body: &[Stmt], out: &mut Vec<CmdSummary>) {
-    for s in body {
-        match s {
-            Stmt::If { body, .. } | Stmt::Iterate { body, .. } => {
-                summarize_body(program, body, out)
-            }
+/// Summarizes one transaction: each database command in program order,
+/// at its position in the flattened command list.
+pub fn summarize_txn(program: &Program, txn: &Transaction) -> TxnSummary {
+    let mut commands = Vec::new();
+    visit_stmts(&txn.body, &mut |s| {
+        let (kind, reads, writes, key, bound_var) = match s {
             Stmt::Select(c) => {
-                let decl = program.schema(&c.schema);
                 let mut reads: BTreeSet<String> = c.where_.fields().into_iter().collect();
                 match &c.fields {
                     Some(fs) => reads.extend(fs.iter().cloned()),
                     None => {
-                        if let Some(d) = decl {
+                        if let Some(d) = program.schema(&c.schema) {
                             reads.extend(d.fields.iter().map(|f| f.name.clone()));
                         }
                     }
                 }
                 reads.insert(ALIVE_FIELD.to_owned());
-                out.push(CmdSummary {
-                    label: c.label.clone(),
-                    kind: CmdKind::Select,
-                    schema: c.schema.clone(),
-                    reads,
-                    writes: BTreeSet::new(),
-                    key: key_spec_of_where(program, &c.schema, &c.where_),
-                    prog_index: out.len(),
-                    bound_var: Some(c.var.clone()),
-                    uses_vars: vars_of_where(&c.where_),
-                });
+                let key = key_spec_of_where(program, &c.schema, &c.where_);
+                let var = Some(c.var.clone());
+                (CmdKind::Select, reads, BTreeSet::new(), key, var)
             }
-            Stmt::Update(c) => {
-                let mut uses = vars_of_where(&c.where_);
-                uses.extend(vars_of_exprs(c.assigns.iter().map(|(_, e)| e)));
-                out.push(CmdSummary {
-                    label: c.label.clone(),
-                    kind: CmdKind::Update,
-                    schema: c.schema.clone(),
-                    reads: BTreeSet::new(),
-                    writes: c.assigns.iter().map(|(f, _)| f.clone()).collect(),
-                    key: key_spec_of_where(program, &c.schema, &c.where_),
-                    prog_index: out.len(),
-                    bound_var: None,
-                    uses_vars: uses,
-                });
-            }
+            Stmt::Update(c) => (
+                CmdKind::Update,
+                BTreeSet::new(),
+                c.assigns.iter().map(|(f, _)| f.clone()).collect(),
+                key_spec_of_where(program, &c.schema, &c.where_),
+                None,
+            ),
             Stmt::Insert(c) => {
                 let mut writes: BTreeSet<String> =
                     c.values.iter().map(|(f, _)| f.clone()).collect();
                 writes.insert(ALIVE_FIELD.to_owned());
-                out.push(CmdSummary {
-                    label: c.label.clone(),
-                    kind: CmdKind::Insert,
-                    schema: c.schema.clone(),
-                    reads: BTreeSet::new(),
-                    writes,
-                    key: key_spec_of_insert(program, &c.schema, &c.values),
-                    prog_index: out.len(),
-                    bound_var: None,
-                    uses_vars: vars_of_exprs(c.values.iter().map(|(_, e)| e)),
-                });
+                let key = key_spec_of_insert(program, &c.schema, &c.values);
+                (CmdKind::Insert, BTreeSet::new(), writes, key, None)
             }
-            Stmt::Delete(c) => out.push(CmdSummary {
-                label: c.label.clone(),
-                kind: CmdKind::Delete,
-                schema: c.schema.clone(),
-                reads: BTreeSet::new(),
-                writes: BTreeSet::from([ALIVE_FIELD.to_owned()]),
-                key: key_spec_of_where(program, &c.schema, &c.where_),
-                prog_index: out.len(),
-                bound_var: None,
-                uses_vars: vars_of_where(&c.where_),
-            }),
-        }
-    }
-}
-
-/// Summarizes one transaction.
-pub fn summarize_txn(program: &Program, txn: &Transaction) -> TxnSummary {
-    let mut commands = Vec::new();
-    summarize_body(program, &txn.body, &mut commands);
+            Stmt::Delete(c) => (
+                CmdKind::Delete,
+                BTreeSet::new(),
+                BTreeSet::from([ALIVE_FIELD.to_owned()]),
+                key_spec_of_where(program, &c.schema, &c.where_),
+                None,
+            ),
+            Stmt::If { .. } | Stmt::Iterate { .. } => return,
+        };
+        let mut uses_vars = BTreeSet::new();
+        s.exprs(&mut |e| {
+            e.walk(&mut |x| {
+                if let Expr::Agg(_, v, _) | Expr::At(_, v, _) = x {
+                    uses_vars.insert(v.clone());
+                }
+            })
+        });
+        commands.push(CmdSummary {
+            label: s.label().expect("a database command").clone(),
+            kind,
+            schema: s.schema().expect("a database command").to_owned(),
+            reads,
+            writes,
+            key,
+            prog_index: commands.len(),
+            bound_var,
+            uses_vars,
+        });
+    });
     TxnSummary {
         name: txn.name.clone(),
         commands,

@@ -545,12 +545,8 @@ fn build_schedule(
         }
     }
 
-    let position: Vec<usize> = (0..n).map(|c| truth.arbitration_position(c)).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&c| position[c]);
-
     let mut events = Vec::new();
-    for &c in &order {
+    for &c in &truth.order {
         if !ops[c].is_write {
             let ban = banned.get(&c);
             let mut replicated: BTreeSet<usize> = BTreeSet::new();

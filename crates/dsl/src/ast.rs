@@ -7,6 +7,7 @@
 //! semantically as writes to the implicit `alive` field, exactly as in §3 of
 //! the paper.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A scalar value stored in a record field or produced by an expression.
@@ -302,8 +303,35 @@ impl Expr {
                 l.walk(f);
                 r.walk(f);
             }
-            Expr::Not(e) => e.walk(f),
-            Expr::At(idx, _, _) => idx.walk(f),
+            Expr::Not(e) | Expr::At(e, _, _) => e.walk(f),
+            Expr::Const(_) | Expr::Arg(_) | Expr::Iter | Expr::Agg(..) | Expr::Uuid => {}
+        }
+    }
+
+    /// [`Expr::walk`] mutably: each node before its children, and the
+    /// children visited are the ones `f` left in place.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        self.children_mut(&mut |c| c.walk_mut(f));
+    }
+
+    /// Rewrites sub-expressions pre-order: a node for which `f` returns a
+    /// replacement is swapped for it, and the replacement's children are
+    /// not visited.
+    pub fn rewrite(&mut self, f: &mut impl FnMut(&Expr) -> Option<Expr>) {
+        match f(self) {
+            Some(new) => *self = new,
+            None => self.children_mut(&mut |c| c.rewrite(f)),
+        }
+    }
+
+    fn children_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Bin(_, l, r) | Expr::Cmp(_, l, r) | Expr::Bool(_, l, r) => {
+                f(l);
+                f(r);
+            }
+            Expr::Not(e) | Expr::At(e, _, _) => f(e),
             Expr::Const(_) | Expr::Arg(_) | Expr::Iter | Expr::Agg(..) | Expr::Uuid => {}
         }
     }
@@ -326,6 +354,18 @@ impl Expr {
             _ => {}
         });
         found
+    }
+
+    /// Renames variable `from` to `to` in every field access, including
+    /// those inside an `at` index.
+    pub fn rename_var(&mut self, from: &str, to: &str) {
+        self.walk_mut(&mut |e| {
+            if let Expr::Agg(_, v, _) | Expr::At(_, v, _) = e {
+                if v == from {
+                    *v = to.to_owned();
+                }
+            }
+        });
     }
 }
 
@@ -417,29 +457,29 @@ impl Where {
             .map(|(_, _, e)| *e)
     }
 
-    /// Iterates over all right-hand expressions in the filter.
-    pub fn walk_exprs(&self, f: &mut impl FnMut(&Expr)) {
+    /// Applies `f` to each right-hand expression of the filter, left to
+    /// right.
+    pub fn exprs(&self, f: &mut impl FnMut(&Expr)) {
         match self {
             Where::True => {}
-            Where::Cmp { expr, .. } => expr.walk(f),
+            Where::Cmp { expr, .. } => f(expr),
             Where::And(l, r) | Where::Or(l, r) => {
-                l.walk_exprs(f);
-                r.walk_exprs(f);
+                l.exprs(f);
+                r.exprs(f);
             }
         }
     }
 
-    /// True if the filter mentions variable `var` in any right-hand side.
-    pub fn uses_var(&self, var: &str) -> bool {
-        let mut found = false;
-        self.walk_exprs(&mut |e| {
-            if let Expr::Agg(_, v, _) | Expr::At(_, v, _) = e {
-                if v == var {
-                    found = true;
-                }
+    /// [`Where::exprs`] mutably.
+    pub fn exprs_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Where::True => {}
+            Where::Cmp { expr, .. } => f(expr),
+            Where::And(l, r) | Where::Or(l, r) => {
+                l.exprs_mut(f);
+                r.exprs_mut(f);
             }
-        });
-        found
+        }
     }
 }
 
@@ -561,6 +601,94 @@ impl Stmt {
             Stmt::If { .. } | Stmt::Iterate { .. } => None,
         }
     }
+
+    /// Applies `f` to this statement's own expressions, in order: a
+    /// select's or delete's filter; an update's filter, then its assigned
+    /// values; an insert's values; an `if` guard; an `iterate` count. The
+    /// statements nested in a block are not visited (see [`visit_stmts`]).
+    pub fn exprs(&self, f: &mut impl FnMut(&Expr)) {
+        match self {
+            Stmt::Select(c) => c.where_.exprs(f),
+            Stmt::Update(c) => {
+                c.where_.exprs(f);
+                c.assigns.iter().for_each(|(_, e)| f(e));
+            }
+            Stmt::Insert(c) => c.values.iter().for_each(|(_, e)| f(e)),
+            Stmt::Delete(c) => c.where_.exprs(f),
+            Stmt::If { cond: e, .. } | Stmt::Iterate { count: e, .. } => f(e),
+        }
+    }
+
+    /// [`Stmt::exprs`] mutably.
+    pub fn exprs_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        match self {
+            Stmt::Select(c) => c.where_.exprs_mut(f),
+            Stmt::Update(c) => {
+                c.where_.exprs_mut(f);
+                c.assigns.iter_mut().for_each(|(_, e)| f(e));
+            }
+            Stmt::Insert(c) => c.values.iter_mut().for_each(|(_, e)| f(e)),
+            Stmt::Delete(c) => c.where_.exprs_mut(f),
+            Stmt::If { cond: e, .. } | Stmt::Iterate { count: e, .. } => f(e),
+        }
+    }
+
+    /// True if one of this statement's own expressions ([`Stmt::exprs`])
+    /// mentions variable `var`.
+    pub fn uses_var(&self, var: &str) -> bool {
+        let mut found = false;
+        self.exprs(&mut |e| found = found || e.uses_var(var));
+        found
+    }
+
+    /// The fields of `schema` this command touches: a select's filter
+    /// fields and projection (every field for `*`), an update's filter and
+    /// assigned fields, an insert's fields, a delete's filter fields. Empty
+    /// for a command on another schema and for a control statement.
+    pub fn fields_touched(&self, schema: &Schema) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
+        match self {
+            Stmt::Select(c) if c.schema == schema.name => {
+                out.extend(c.where_.fields());
+                match &c.fields {
+                    Some(fs) => out.extend(fs.iter().cloned()),
+                    None => out.extend(schema.fields.iter().map(|f| f.name.clone())),
+                }
+            }
+            Stmt::Update(c) if c.schema == schema.name => {
+                out.extend(c.where_.fields());
+                out.extend(c.assigns.iter().map(|(f, _)| f.clone()));
+            }
+            Stmt::Insert(c) if c.schema == schema.name => {
+                out.extend(c.values.iter().map(|(f, _)| f.clone()));
+            }
+            Stmt::Delete(c) if c.schema == schema.name => out.extend(c.where_.fields()),
+            _ => {}
+        }
+        out
+    }
+}
+
+/// Applies `f` to every statement of `body` in pre-order: each statement
+/// before the statements nested in it.
+pub fn visit_stmts<'a>(body: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+    for s in body {
+        f(s);
+        if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
+            visit_stmts(body, f);
+        }
+    }
+}
+
+/// [`visit_stmts`] mutably: the walk enters a statement's block as `f`
+/// left it.
+pub fn visit_stmts_mut(body: &mut [Stmt], f: &mut impl FnMut(&mut Stmt)) {
+    for s in body {
+        f(s);
+        if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
+            visit_stmts_mut(body, f);
+        }
+    }
 }
 
 /// A named transaction `t(ā) { c; return e }`.
@@ -574,6 +702,80 @@ pub struct Transaction {
     pub body: Vec<Stmt>,
     /// Return expression.
     pub ret: Expr,
+}
+
+impl Transaction {
+    /// The database commands of the body at any depth, in program order.
+    pub fn commands(&self) -> Vec<&Stmt> {
+        let mut out = Vec::new();
+        visit_stmts(&self.body, &mut |s| {
+            if s.label().is_some() {
+                out.push(s);
+            }
+        });
+        out
+    }
+
+    /// True if any statement's own expressions or the return expression
+    /// mention variable `var`.
+    pub fn uses_var(&self, var: &str) -> bool {
+        let mut found = self.ret.uses_var(var);
+        visit_stmts(&self.body, &mut |s| found = found || s.uses_var(var));
+        found
+    }
+
+    /// Applies `f` to every expression of the transaction: each
+    /// statement's own ([`Stmt::exprs`]) in pre-order, then the return
+    /// expression.
+    fn exprs_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        visit_stmts_mut(&mut self.body, &mut |s| s.exprs_mut(f));
+        f(&mut self.ret);
+    }
+
+    /// Renames variable `from` to `to` in every expression
+    /// ([`Expr::rename_var`]). Binding sites are left alone.
+    pub fn rename_var(&mut self, from: &str, to: &str) {
+        self.exprs_mut(&mut |e| e.rename_var(from, to));
+    }
+
+    /// Rewrites every expression of the transaction ([`Expr::rewrite`]),
+    /// statement by statement in pre-order, then the return expression.
+    pub fn rewrite_exprs(&mut self, f: &mut impl FnMut(&Expr) -> Option<Expr>) {
+        self.exprs_mut(&mut |e| e.rewrite(f));
+    }
+
+    /// Removes every database command `keep` rejects, at any depth.
+    /// `if` and `iterate` blocks stay, even when emptied.
+    pub fn retain_commands(&mut self, keep: impl Fn(&Stmt) -> bool) {
+        let keep = |s: &Stmt| s.label().is_none() || keep(s);
+        self.body.retain(keep);
+        visit_stmts_mut(&mut self.body, &mut |s| {
+            if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
+                body.retain(keep);
+            }
+        });
+    }
+
+    /// Inserts `stmts` right after the command labelled `after`, at
+    /// whatever depth it sits.
+    pub fn splice_after(&mut self, after: &CmdLabel, stmts: &[Stmt]) {
+        let mut done = false;
+        let mut splice = |body: &mut Vec<Stmt>| {
+            if done {
+                return;
+            }
+            if let Some(pos) = body.iter().position(|s| s.label() == Some(after)) {
+                body.splice(pos + 1..pos + 1, stmts.iter().cloned());
+                done = true;
+            }
+        };
+        splice(&mut self.body);
+        visit_stmts_mut(&mut self.body, &mut |s| {
+            if let Stmt::If { body, .. } | Stmt::Iterate { body, .. } = s {
+                splice(body);
+            }
+        });
+    }
 }
 
 /// A formal transaction parameter.
@@ -688,38 +890,23 @@ impl Program {
         self.transactions.iter().find(|t| t.name == name)
     }
 
-    /// Iterates over every database command in the program along with the
-    /// name of the transaction containing it.
-    pub fn commands(&self) -> Vec<(&str, &Stmt)> {
-        let mut out = Vec::new();
-        for t in &self.transactions {
-            collect_commands(&t.body, &t.name, &mut out);
-        }
-        out
-    }
-
     /// Finds the database command with the given label, returning the
-    /// containing transaction name and the statement.
-    pub fn command(&self, label: &CmdLabel) -> Option<(&str, &Stmt)> {
-        self.commands()
-            .into_iter()
-            .find(|(_, s)| s.label() == Some(label))
+    /// containing transaction and the statement.
+    pub fn command(&self, label: &CmdLabel) -> Option<(&Transaction, &Stmt)> {
+        self.transactions.iter().find_map(|t| {
+            let mut found = None;
+            visit_stmts(&t.body, &mut |s| {
+                if found.is_none() && s.label() == Some(label) {
+                    found = Some(s);
+                }
+            });
+            found.map(|s| (t, s))
+        })
     }
 
     /// Total number of database commands (not control statements).
     pub fn command_count(&self) -> usize {
-        self.commands().len()
-    }
-}
-
-fn collect_commands<'a>(body: &'a [Stmt], txn: &'a str, out: &mut Vec<(&'a str, &'a Stmt)>) {
-    for s in body {
-        match s {
-            Stmt::If { body, .. } | Stmt::Iterate { body, .. } => {
-                collect_commands(body, txn, out)
-            }
-            _ => out.push((txn, s)),
-        }
+        self.transactions.iter().map(|t| t.commands().len()).sum()
     }
 }
 
@@ -821,7 +1008,178 @@ mod tests {
         };
         assert_eq!(p.command_count(), 1);
         let (txn, stmt) = p.command(&"S1".into()).unwrap();
-        assert_eq!(txn, "t");
+        assert_eq!(txn.name, "t");
         assert_eq!(stmt.schema(), Some("T"));
+    }
+
+    const SRC: &str = "schema T { id: int key, v: int, w: int }
+         schema U { id: int key, z: int }
+         txn t(k: int) {
+             @S1 x := select v from T where id = k;
+             if (x.v > 0) {
+                 @U1 update U set z = x.v where id = k;
+             }
+             @S2 y := select w from T where id = k;
+             return x.v;
+         }";
+
+    fn labels(t: &Transaction) -> Vec<String> {
+        t.commands()
+            .iter()
+            .map(|s| s.label().unwrap().0.clone())
+            .collect()
+    }
+
+    #[test]
+    fn commands_flatten_in_program_order() {
+        let p = crate::parse(SRC).unwrap();
+        assert_eq!(labels(&p.transactions[0]), vec!["S1", "U1", "S2"]);
+    }
+
+    #[test]
+    fn uses_var_sees_guards_and_return() {
+        let p = crate::parse(SRC).unwrap();
+        let t = &p.transactions[0];
+        assert!(t.uses_var("x"));
+        assert!(!t.uses_var("y")); // bound but never read
+    }
+
+    #[test]
+    fn retain_commands_removes_nested() {
+        let p = crate::parse(SRC).unwrap();
+        let mut t = p.transactions[0].clone();
+        t.retain_commands(|s| s.label().map(|l| l.0.as_str()) != Some("U1"));
+        assert_eq!(labels(&t), vec!["S1", "S2"]);
+    }
+
+    #[test]
+    fn rewrite_exprs_replaces_field_accesses() {
+        let p = crate::parse(SRC).unwrap();
+        let mut t = p.transactions[0].clone();
+        t.rewrite_exprs(&mut |e| match e {
+            Expr::At(i, v, f) if v == "x" && f == "v" => {
+                Some(Expr::At(i.clone(), "x".into(), "renamed".into()))
+            }
+            _ => None,
+        });
+        let mut used = BTreeSet::new();
+        t.ret.walk(&mut |e| {
+            if let Expr::At(_, _, f) = e {
+                used.insert(f.clone());
+            }
+        });
+        assert!(used.contains("renamed"));
+    }
+
+    #[test]
+    fn splice_after_inserts_at_any_depth() {
+        let p = crate::parse(SRC).unwrap();
+        let mut t = p.transactions[0].clone();
+        let s2 = t.commands()[2].clone();
+        t.splice_after(&CmdLabel("U1".into()), &[s2.clone(), s2]);
+        assert_eq!(labels(&t), vec!["S1", "U1", "S2", "S2", "S2"]);
+    }
+
+    /// Every command kind nested in `iterate { if { … } }`: the statement
+    /// walk, the expression visits, renaming and field sets all reach
+    /// inside both blocks.
+    #[test]
+    fn walks_reach_inside_iterate_and_if() {
+        let p = crate::parse(
+            "schema T { id: int key, v: int, w: int, z: int }
+             schema U { id: int key }
+             txn t(k: int, n: int) {
+                 @S0 a := select v from T where id = k;
+                 iterate (a.v) {
+                     if (a.w > n) {
+                         @S1 x := select * from T where id = a.v && w = k;
+                         @U1 update T set v = x.v[a.w] + 1, z = 2 where w = x.w;
+                         @I1 insert into T values (id = a.v + 1, v = x.v);
+                         @D1 delete from T where w = a.w;
+                     }
+                 }
+                 return a.v + x.w;
+             }",
+        )
+        .unwrap();
+        let mut t = p.transactions[0].clone();
+
+        // The walk is pre-order and flattening keeps the commands.
+        let mut walked = Vec::new();
+        visit_stmts(&t.body, &mut |s| {
+            walked.push(match (s.label(), s) {
+                (Some(l), _) => l.0.clone(),
+                (None, Stmt::Iterate { .. }) => "iterate".into(),
+                (None, _) => "if".into(),
+            })
+        });
+        assert_eq!(walked, ["S0", "iterate", "if", "S1", "U1", "I1", "D1"]);
+        assert_eq!(labels(&t), ["S0", "S1", "U1", "I1", "D1"]);
+
+        // Each statement's own expressions, in order, then the return.
+        let mut roots = Vec::new();
+        visit_stmts(&t.body, &mut |s| s.exprs(&mut |e| roots.push(e.clone())));
+        roots.push(t.ret.clone());
+        let printed: Vec<String> = roots.iter().map(crate::print_expr).collect();
+        assert_eq!(
+            printed.join(", "),
+            "k, a.v, a.w > n, a.v, k, x.w, x.v[a.w] + 1, 2, a.v + 1, x.v, a.w, a.v + x.w"
+        );
+        // The mutable visit reaches the same expressions, node by node.
+        let mut nodes = Vec::new();
+        for r in &roots {
+            r.walk(&mut |e| nodes.push(e.clone()));
+        }
+        let mut seen = Vec::new();
+        t.rewrite_exprs(&mut |e| {
+            seen.push(e.clone());
+            None
+        });
+        assert_eq!(seen, nodes);
+
+        // Field sets on the command's schema; none on another schema.
+        let (t_decl, u_decl) = (&p.schemas[0], &p.schemas[1]);
+        let fields: Vec<Vec<String>> = t
+            .commands()
+            .iter()
+            .map(|s| s.fields_touched(t_decl).into_iter().collect())
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                vec!["id", "v"],
+                vec!["id", "v", "w", "z"],
+                vec!["v", "w", "z"],
+                vec!["id", "v"],
+                vec!["w"],
+            ]
+        );
+        let mut none = true;
+        visit_stmts(&t.body, &mut |s| {
+            none &= s.fields_touched(u_decl).is_empty()
+        });
+        assert!(none);
+
+        // Renaming reaches every use, the index of an `at` included, and
+        // leaves the binding site alone.
+        assert!(t.commands()[4].uses_var("a"));
+        t.rename_var("a", "b");
+        assert!(!t.uses_var("a") && t.uses_var("b"));
+        let text = crate::print_program(&Program {
+            schemas: p.schemas.clone(),
+            transactions: vec![t],
+        });
+        for part in [
+            "a := select v",
+            "iterate (b.v)",
+            "if (b.w > n)",
+            "where (id = b.v) && (w = k)",
+            "x.v[b.w] + 1",
+            "id = b.v + 1",
+            "where w = b.w",
+            "return b.v + x.w",
+        ] {
+            assert!(text.contains(part), "{part} in\n{text}");
+        }
     }
 }

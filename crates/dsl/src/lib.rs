@@ -9,7 +9,16 @@
 //! `INSERT`, `DELETE`) with bounded control flow (`if`, `iterate`). The crate
 //! provides:
 //!
-//! * the [`ast`] module — the abstract syntax tree;
+//! * the [`ast`] module — the abstract syntax tree and the operations
+//!   every other crate walks it with: pre-order statement walks
+//!   ([`visit_stmts`], [`visit_stmts_mut`]), a transaction's flattened
+//!   commands ([`Transaction::commands`]), each statement's own
+//!   expressions ([`Stmt::exprs`], [`Stmt::exprs_mut`]) and their rewrite
+//!   ([`Transaction::rewrite_exprs`]), variable use and renaming
+//!   ([`Transaction::uses_var`], [`Transaction::rename_var`]), the fields
+//!   a command touches on a schema ([`Stmt::fields_touched`]), label
+//!   lookup ([`Program::command`]) and in-place edits
+//!   ([`Transaction::retain_commands`], [`Transaction::splice_after`]);
 //! * [`parse`] — a recursive-descent parser for the textual surface syntax;
 //! * [`print_program`] — a canonical pretty-printer (round-trips with
 //!   [`parse`]);
@@ -70,8 +79,9 @@ pub mod printer;
 pub mod resolve;
 
 pub use ast::{
-    AggOp, BinOp, BoolOp, CmdLabel, CmpOp, DeleteCmd, Expr, FieldDecl, InsertCmd, Param, Program,
-    Schema, SelectCmd, Stmt, Transaction, Ty, UpdateCmd, Value, Where, ALIVE_FIELD,
+    visit_stmts, visit_stmts_mut, AggOp, BinOp, BoolOp, CmdLabel, CmpOp, DeleteCmd, Expr,
+    FieldDecl, InsertCmd, Param, Program, Schema, SelectCmd, Stmt, Transaction, Ty, UpdateCmd,
+    Value, Where, ALIVE_FIELD,
 };
 pub use error::{DslError, Span};
 pub use parser::parse;

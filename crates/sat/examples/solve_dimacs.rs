@@ -8,13 +8,14 @@
 //!
 //! Prints `SATISFIABLE` or `UNSATISFIABLE`. With `--proof-out`, the
 //! solver runs with proof logging on and, on UNSAT, writes the lemmas its
-//! refutation reaches in DRAT text format, closed with the empty clause,
-//! so `drat-trim problem.cnf problem.drat` verifies it. A SAT answer
-//! writes an empty proof.
+//! refutation reaches in DRAT text format, over the file's own variable
+//! numbers and closed with the empty clause, so
+//! `drat-trim problem.cnf problem.drat` verifies it. A SAT answer writes
+//! an empty proof.
 
 use std::process::ExitCode;
 
-use atropos_sat::dimacs::{parse_dimacs_with_proofs, to_drat};
+use atropos_sat::dimacs::parse_dimacs_with_proofs;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -47,17 +48,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut solver = match parse_dimacs_with_proofs(&text, proof_out.is_some()) {
-        Ok(s) => s,
+    let mut cnf = match parse_dimacs_with_proofs(&text, proof_out.is_some()) {
+        Ok(cnf) => cnf,
         Err(e) => {
             eprintln!("could not parse {cnf_path}: {e}");
             return ExitCode::from(2);
         }
     };
-    let sat = solver.solve().is_sat();
+    let sat = cnf.solver.solve().is_sat();
     println!("{}", if sat { "SATISFIABLE" } else { "UNSATISFIABLE" });
     if let Some(path) = proof_out {
-        let mut drat = to_drat(&solver.refutation());
+        let mut drat = cnf.to_drat(&cnf.solver.refutation());
         if !sat {
             drat.push_str("0\n");
         }

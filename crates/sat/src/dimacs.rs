@@ -4,6 +4,7 @@
 //! [`Solver::refutation`] can be fed straight to external checkers such
 //! as drat-trim.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::lit::{Lit, Var};
@@ -38,6 +39,11 @@ pub fn to_dimacs(num_vars: usize, clauses: &[Vec<Lit>]) -> String {
 /// cross-check one externally, append the failed-assumption core to the
 /// CNF file as unit clauses first.
 pub fn to_drat(events: &[ProofEvent]) -> String {
+    drat(events, |v| u64::from(v.0) + 1)
+}
+
+/// [`to_drat`] with each solver variable written as `name` numbers it.
+fn drat(events: &[ProofEvent], name: impl Fn(Var) -> u64) -> String {
     let mut out = String::new();
     for e in events {
         let lits = match e {
@@ -49,8 +55,8 @@ pub fn to_drat(events: &[ProofEvent]) -> String {
             }
         };
         for &l in lits {
-            let n = l.var().0 as i64 + 1;
-            let _ = write!(out, "{} ", if l.is_positive() { n } else { -n });
+            let sign = if l.is_positive() { "" } else { "-" };
+            let _ = write!(out, "{sign}{} ", name(l.var()));
         }
         out.push_str("0\n");
     }
@@ -103,12 +109,34 @@ pub fn parse_drat(text: &str) -> Result<Vec<ProofEvent>, String> {
     Ok(events)
 }
 
+/// A DIMACS CNF file parsed into a ready-to-solve [`Solver`]
+/// ([`parse_dimacs`]). The solver numbers the file's variables densely,
+/// in order of first appearance, so it has one variable per distinct
+/// variable the clauses name and memory stays bounded by the input;
+/// `names` maps its variables back to the file's. A model is indexed by
+/// solver variable: the file's variable `names[v]` has value `model[v]`.
+#[derive(Debug)]
+pub struct Dimacs {
+    /// The solver holding the file's clauses.
+    pub solver: Solver,
+    /// `names[v]`: the file's (1-based) number of solver variable `v`.
+    pub names: Vec<u32>,
+}
+
+impl Dimacs {
+    /// [`to_drat`] naming the file's variables, so the proof checks
+    /// against the file it was parsed from (e.g. with drat-trim).
+    pub fn to_drat(&self, events: &[ProofEvent]) -> String {
+        drat(events, |v| u64::from(self.names[v.0 as usize]))
+    }
+}
+
 /// Parses DIMACS CNF text into a ready-to-solve [`Solver`].
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed line.
-pub fn parse_dimacs(text: &str) -> Result<Solver, String> {
+pub fn parse_dimacs(text: &str) -> Result<Dimacs, String> {
     parse_dimacs_with_proofs(text, false)
 }
 
@@ -116,21 +144,21 @@ pub fn parse_dimacs(text: &str) -> Result<Solver, String> {
 /// ([`Solver::with_proofs`]) — the entry point of the `solve_dimacs`
 /// example harness's `--proof-out` flag.
 ///
-/// Variables are allocated as literals name them, never from the header's
-/// count, so the solver has as many variables as the highest one a clause
-/// names. A literal whose variable index exceeds the input's length in
-/// bytes is refused, the bound `atropos_proof` applies to certificate
-/// blobs, so memory stays bounded by the input.
+/// The header's count sizes nothing: it bounds the variables a literal may
+/// name and may not exceed 2^31, and the solver allocates a variable when
+/// a clause first names it (see [`Dimacs`]).
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed line.
-pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Solver, String> {
+pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Dimacs, String> {
     let mut solver = if proofs {
         Solver::with_proofs()
     } else {
         Solver::new()
     };
+    let mut names: Vec<u32> = Vec::new();
+    let mut vars: HashMap<u64, Var> = HashMap::new();
     let mut declared_vars: Option<u64> = None;
     let mut clause: Vec<Lit> = Vec::new();
     for line in text.lines() {
@@ -156,27 +184,22 @@ pub fn parse_dimacs_with_proofs(text: &str, proofs: bool) -> Result<Solver, Stri
             if n == 0 {
                 solver.add_clause(clause.drain(..));
             } else {
-                let v = n.unsigned_abs() - 1;
-                if declared_vars.is_none_or(|nv| v >= nv) {
+                let name = n.unsigned_abs();
+                if declared_vars.is_none_or(|nv| name > nv) {
                     return Err(format!("literal {n} out of declared range"));
                 }
-                if v > text.len() as u64 {
-                    return Err(format!(
-                        "literal {n} is beyond the input's {} bytes",
-                        text.len()
-                    ));
-                }
-                while solver.num_vars() as u64 <= v {
-                    solver.new_var();
-                }
-                clause.push(Lit::new(Var(v as u32), n > 0));
+                let var = *vars.entry(name).or_insert_with(|| {
+                    names.push(name as u32);
+                    solver.new_var()
+                });
+                clause.push(Lit::new(var, n > 0));
             }
         }
     }
     if !clause.is_empty() {
         solver.add_clause(clause);
     }
-    Ok(solver)
+    Ok(Dimacs { solver, names })
 }
 
 #[cfg(test)]
@@ -192,7 +215,7 @@ mod tests {
         ];
         let text = to_dimacs(2, &clauses);
         assert!(text.starts_with("p cnf 2 2"));
-        let mut s = parse_dimacs(&text).unwrap();
+        let mut s = parse_dimacs(&text).unwrap().solver;
         let m = s.solve().model().unwrap().to_vec();
         assert!(m[0] && m[1]);
     }
@@ -200,14 +223,14 @@ mod tests {
     #[test]
     fn parses_comments_and_blank_lines() {
         let text = "c a comment\n\np cnf 1 1\n1 0\n";
-        let mut s = parse_dimacs(text).unwrap();
+        let mut s = parse_dimacs(text).unwrap().solver;
         assert!(s.solve().is_sat());
     }
 
     #[test]
     fn detects_unsat_from_text() {
         let text = "p cnf 1 2\n1 0\n-1 0\n";
-        let mut s = parse_dimacs(text).unwrap();
+        let mut s = parse_dimacs(text).unwrap().solver;
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
@@ -222,14 +245,34 @@ mod tests {
         assert!(parse_dimacs("p cnf 2147483649 1\n1 0\n").is_err());
     }
 
-    /// The header sizes nothing: variables are allocated as literals name
-    /// them, and a literal naming a variable beyond the input's length in
-    /// bytes is refused, so memory stays bounded by the input.
+    /// The header sizes nothing: the solver allocates one variable per
+    /// distinct variable the clauses name, so memory stays bounded by the
+    /// input.
     #[test]
     fn memory_is_bounded_by_the_input_not_the_header() {
-        let s = parse_dimacs("p cnf 1000000 1\n1 0\n").unwrap();
-        assert_eq!(s.num_vars(), 1);
-        assert!(parse_dimacs("p cnf 2147483648 1\n2147483648 0\n").is_err());
+        let cnf = parse_dimacs("p cnf 1000000 1\n1 0\n").unwrap();
+        assert_eq!(cnf.solver.num_vars(), 1);
+        let cnf = parse_dimacs("p cnf 2147483648 1\n2147483648 0\n").unwrap();
+        assert_eq!(cnf.solver.num_vars(), 1);
+    }
+
+    /// A file naming a few high variables is numbered densely, in order of
+    /// first appearance, and its model and proof name the file's
+    /// variables through `names`.
+    #[test]
+    fn sparse_variables_are_numbered_densely_and_named_back() {
+        let mut cnf = parse_dimacs("p cnf 1000 1\n1000 0\n").unwrap();
+        assert_eq!((cnf.solver.num_vars(), cnf.names.clone()), (1, vec![1000]));
+        assert_eq!(cnf.solver.solve().model(), Some(&[true][..]));
+
+        // Internally `p cnf 2 4 / 1 2 / 1 -2 / -1 2 / -1 -2`, whose DRAT
+        // is `1 0` then `0`: written back, it names variable 1000.
+        let text = "p cnf 1000 4\n1000 1 0\n1000 -1 0\n-1000 1 0\n-1000 -1 0\n";
+        let mut cnf = parse_dimacs_with_proofs(text, true).unwrap();
+        assert_eq!(cnf.names, vec![1000, 1]);
+        assert_eq!(cnf.solver.solve(), SolveResult::Unsat);
+        let drat = cnf.to_drat(&cnf.solver.refutation()) + "0\n";
+        assert_eq!(drat, "1000 0\n0\n");
     }
 
     #[test]
@@ -274,7 +317,8 @@ mod tests {
         // Pigeonhole-ish root UNSAT: the proof ends in the empty clause
         // and every line parses back.
         let mut s = parse_dimacs_with_proofs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n", true)
-            .unwrap();
+            .unwrap()
+            .solver;
         assert_eq!(s.solve(), SolveResult::Unsat);
         let text = to_drat(&s.refutation());
         let parsed = parse_drat(&text).unwrap();

@@ -320,7 +320,7 @@ fn dimacs_round_trip_solves_identically() {
     ];
     let text = atropos_sat::dimacs::to_dimacs(3, &clauses);
     let mut parsed = atropos_sat::dimacs::parse_dimacs(&text).expect("dimacs parses");
-    let SolveResult::Sat(model) = parsed.solve() else {
+    let SolveResult::Sat(model) = parsed.solver.solve() else {
         panic!("instance is SAT")
     };
     assert!(model[1] && model[2], "b and c are forced");

@@ -39,5 +39,5 @@ pub mod tpcc;
 pub mod twitter;
 pub mod wikipedia;
 
-pub use profiles::{derive_workload, TableSpec};
+pub use profiles::derive_workload;
 pub use registry::{all_benchmarks, benchmark, chain_scenarios, Benchmark};

@@ -15,60 +15,21 @@ use atropos_detect::{summarize_txn, CmdKind, KeySpec};
 use atropos_dsl::Program;
 use atropos_sim::{KeyDist, OpKind, OpProfile, TxnProfile, Workload};
 
-/// Sizing/skew information for the key spaces of a benchmark.
-#[derive(Debug, Clone)]
-pub struct TableSpec {
-    /// Rows per table; tables not listed (e.g. repair-introduced logs) use
-    /// [`TableSpec::default_rows`].
-    pub rows: BTreeMap<String, u64>,
-    /// Default row count for unlisted tables.
-    pub default_rows: u64,
-    /// Probability that a keyed access goes to the hot set.
-    pub hot_prob: f64,
-    /// Fraction of each key space that is hot.
-    pub hot_fraction: f64,
-    /// Read amplification of aggregation scans over log tables.
-    pub log_scan_factor: f64,
-}
+/// Rows in each table's key space.
+const ROWS: u64 = 1_000;
+/// Probability that a keyed access goes to the hot set.
+const HOT_PROB: f64 = 0.5;
+/// Fraction of each key space that is hot.
+const HOT_FRACTION: f64 = 0.1;
+/// Read amplification of aggregation scans over repair-introduced logging
+/// tables (`*_LOG`).
+const LOG_SCAN_FACTOR: f64 = 1.15;
 
-impl Default for TableSpec {
-    fn default() -> Self {
-        TableSpec {
-            rows: BTreeMap::new(),
-            default_rows: 1_000,
-            hot_prob: 0.5,
-            hot_fraction: 0.1,
-            log_scan_factor: 1.15,
-        }
-    }
-}
-
-impl TableSpec {
-    /// Sets the row count of one table.
-    pub fn with_rows(mut self, table: &str, rows: u64) -> TableSpec {
-        self.rows.insert(table.to_owned(), rows);
-        self
-    }
-
-    fn rows_of(&self, table: &str) -> u64 {
-        self.rows.get(table).copied().unwrap_or(self.default_rows)
-    }
-
-    /// Is this a repair-introduced logging table?
-    fn is_log(&self, table: &str) -> bool {
-        table.ends_with("_LOG")
-    }
-}
-
-/// Derives a simulator workload from a program, a transaction mix, and a
-/// table spec. Transactions absent from the mix are skipped; mix entries
-/// without a matching transaction are ignored (they may have been renamed
-/// away by a refactoring — the caller should keep names stable).
-pub fn derive_workload(
-    program: &Program,
-    mix: &[(&str, f64)],
-    spec: &TableSpec,
-) -> Workload {
+/// Derives a simulator workload from a program and a transaction mix.
+/// Transactions absent from the mix are skipped; mix entries without a
+/// matching transaction are ignored (they may have been renamed away by a
+/// refactoring — the caller should keep names stable).
+pub fn derive_workload(program: &Program, mix: &[(&str, f64)]) -> Workload {
     let mut txns = Vec::new();
     for (name, weight) in mix {
         let Some(txn) = program.transaction(name) else {
@@ -93,8 +54,8 @@ pub fn derive_workload(
                 CmdKind::Select => cmd.reads.len().max(1) as u32,
                 _ => cmd.writes.len().max(1) as u32,
             };
-            let scan_factor = if cmd.kind == CmdKind::Select && spec.is_log(&cmd.schema) {
-                spec.log_scan_factor
+            let scan_factor = if cmd.kind == CmdKind::Select && cmd.schema.ends_with("_LOG") {
+                LOG_SCAN_FACTOR
             } else {
                 1.0
             };
@@ -103,16 +64,16 @@ pub fn derive_workload(
                 KeySpec::Scan => {
                     // Partial-key scans (e.g. log aggregations) still target
                     // one logical entity; approximate with a uniform key.
-                    KeyDist::Uniform(spec.rows_of(&cmd.schema))
+                    KeyDist::Uniform(ROWS)
                 }
                 KeySpec::Keyed { key, .. } => match key_of_expr.get(key) {
                     Some(&idx) => KeyDist::SameAs(idx),
                     None => {
                         key_of_expr.insert(key.clone(), ops.len());
                         KeyDist::HotSpot {
-                            n: spec.rows_of(&cmd.schema),
-                            hot_fraction: spec.hot_fraction,
-                            hot_prob: spec.hot_prob,
+                            n: ROWS,
+                            hot_fraction: HOT_FRACTION,
+                            hot_prob: HOT_PROB,
                         }
                     }
                 },
@@ -142,7 +103,7 @@ mod tests {
     #[test]
     fn smallbank_profiles_share_keys_within_txn() {
         let p = crate::smallbank::program();
-        let w = derive_workload(&p, &crate::smallbank::mix(), &TableSpec::default());
+        let w = derive_workload(&p, &crate::smallbank::mix());
         let dep = w
             .txns
             .iter()
@@ -161,11 +122,7 @@ mod tests {
             &p,
             atropos_detect::ConsistencyLevel::EventualConsistency,
         );
-        let w = derive_workload(
-            &report.repaired,
-            &crate::sibench::mix(),
-            &TableSpec::default(),
-        );
+        let w = derive_workload(&report.repaired, &crate::sibench::mix());
         let reader = w.txns.iter().find(|t| t.name == "readItem").unwrap();
         assert!(
             reader.ops.iter().any(|o| o.scan_factor > 1.0),
@@ -176,7 +133,7 @@ mod tests {
     #[test]
     fn fresh_inserts_map_to_insert_fresh() {
         let p = crate::twitter::program();
-        let w = derive_workload(&p, &crate::twitter::mix(), &TableSpec::default());
+        let w = derive_workload(&p, &crate::twitter::mix());
         let post = w.txns.iter().find(|t| t.name == "postTweet").unwrap();
         assert_eq!(post.ops[0].kind, OpKind::InsertFresh);
     }

@@ -6,16 +6,14 @@
 
 use atropos::prelude::*;
 use atropos::sim::{run_simulation, ClusterConfig, SimConfig};
-use atropos::workloads::{derive_workload, TableSpec};
+use atropos::workloads::derive_workload;
 
 fn main() {
     let bench = atropos::workloads::benchmark("SmallBank").unwrap();
     let report = repair_program(&bench.program, ConsistencyLevel::EventualConsistency);
     let unsafe_txns: Vec<String> = report.unsafe_transactions().into_iter().collect();
-    let spec = TableSpec::default();
-
-    let original = derive_workload(&bench.program, &bench.mix, &spec);
-    let repaired = derive_workload(&report.repaired, &bench.mix, &spec);
+    let original = derive_workload(&bench.program, &bench.mix);
+    let repaired = derive_workload(&report.repaired, &bench.mix);
 
     println!("{:<8} {:>10} {:>12} {:>12}", "config", "tps", "avg ms", "p99 ms");
     let mut measured = Vec::new();

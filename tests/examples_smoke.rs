@@ -7,7 +7,7 @@ use atropos::dsl::Value;
 use atropos::prelude::*;
 use atropos::semantics::{Interpreter, Invocation, ViewStrategy};
 use atropos::sim::{run_simulation, ClusterConfig, SimConfig};
-use atropos::workloads::{derive_workload, TableSpec};
+use atropos::workloads::derive_workload;
 
 /// `examples/quickstart.rs`: parse → check → detect → repair on the Fig. 1
 /// source text.
@@ -57,10 +57,8 @@ fn perf_comparison_path() {
     let bench = atropos::workloads::benchmark("SmallBank").unwrap();
     let report = repair_program(&bench.program, ConsistencyLevel::EventualConsistency);
     let unsafe_txns: Vec<String> = report.unsafe_transactions().into_iter().collect();
-    let spec = TableSpec::default();
-
-    let original = derive_workload(&bench.program, &bench.mix, &spec);
-    let repaired = derive_workload(&report.repaired, &bench.mix, &spec);
+    let original = derive_workload(&bench.program, &bench.mix);
+    let repaired = derive_workload(&report.repaired, &bench.mix);
 
     for (label, workload) in [
         ("EC", original.clone()),
