@@ -18,7 +18,7 @@
 //! on the simulated cluster, and how many survived the repair.
 //!
 //! One [`atropos_detect::DetectionEngine`] (from `--threads` /
-//! `ATROPOS_THREADS`, default: available parallelism) serves the whole
+//! `ATROPOS_THREADS`, default: one worker) serves the whole
 //! sweep; sessions are scoped per measurement so every timed run starts
 //! from a cold cache and timings stay comparable across thread counts.
 //! The exception is the pair-vs-triple table, whose one session serves

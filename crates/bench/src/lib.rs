@@ -23,8 +23,8 @@ pub fn thin_slice() -> bool {
 
 /// The one [`atropos_detect::DetectionEngine`] an experiment binary
 /// constructs for its whole sweep: `--threads N` on the command line wins,
-/// then the `ATROPOS_THREADS` environment variable, then the machine's
-/// available parallelism (see [`atropos_detect::DetectionEngine::from_env`]).
+/// then the `ATROPOS_THREADS` environment variable, else one worker (see
+/// [`atropos_detect::DetectionEngine::from_env`]).
 pub fn engine_from_args() -> atropos_detect::DetectionEngine {
     let mut args = std::env::args();
     while let Some(a) = args.next() {

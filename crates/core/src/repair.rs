@@ -332,10 +332,10 @@ pub fn repair_program(program: &Program, level: ConsistencyLevel) -> RepairRepor
 /// Repairs a program under an explicit configuration.
 ///
 /// This is the production, near-incremental driver: it builds a
-/// [`DetectionEngine`] from the environment (`ATROPOS_THREADS`) and a
-/// fresh [`DetectSession`] for the run, so each re-detection after a
-/// refactoring step only re-solves the transaction pairs the step dirtied
-/// (in parallel when the engine has workers to spare), and a detection
+/// [`DetectionEngine`] from the environment (serial unless
+/// `ATROPOS_THREADS` asks for workers) and a fresh [`DetectSession`] for
+/// the run, so each re-detection after a refactoring step only re-solves
+/// the transaction pairs the step dirtied, and a detection
 /// pass is skipped entirely when the program has not changed since the
 /// previous one. Callers that repair many programs (or the same program
 /// under many configurations) should construct the engine and session once

@@ -1,20 +1,19 @@
 //! Bridging refutations into checkable certificates.
 //!
 //! The checker crate (`atropos_proof`) deliberately shares no code with the
-//! solver stack — its only vocabulary is the DIMACS `i32` literal
-//! convention. This module owns the translation: the refutation of one
-//! UNSAT query (the clause instances of the reference encoding a
-//! [`crate::closure::Closure`] names, or the core a solver names) plus the
-//! query's assumptions become an encoded certificate blob whose
-//! acceptance by [`atropos_proof::check_blob`] is independent evidence for
-//! the verdict.
+//! detector — its only vocabulary is the DIMACS `i32` literal convention.
+//! This module owns the translation: the refutation of one UNSAT query
+//! (the clause instances of the reference encoding a
+//! [`crate::closure::Closure`] names) plus the query's assumptions become
+//! an encoded certificate blob whose acceptance by
+//! [`atropos_proof::check_blob`] is independent evidence for the verdict.
 //!
-//! Variables are renumbered densely, keeping their order: a core names a
-//! handful of a formula's thousands of variables, and the checker rejects
-//! any variable larger than the blob's payload length in bytes.
+//! Variables are renumbered densely, keeping their order: a refutation
+//! names a handful of a formula's thousands of variables, and the checker
+//! rejects any variable larger than the blob's payload length in bytes.
 
 use atropos_proof::{Proof, Step};
-use atropos_sat::{Lit, ProofEvent};
+use atropos_sat::Lit;
 
 /// The `Lit` → DIMACS bridge of one certificate: the `i`-th smallest
 /// variable the certificate names becomes `i + 1`, negated literals
@@ -51,20 +50,16 @@ impl Dimacs {
 }
 
 /// Assembles the certificate for one UNSAT answer and encodes it: the
-/// refutation's core, then the trailer — `Add(¬core)` justified by the
-/// core, one `Assume` per assumption of `core`, and the empty clause. A
-/// root refutation (no assumptions) needs only the empty clause.
-pub(crate) fn certificate_blob(refutation: &[ProofEvent], core: &[Lit]) -> Vec<u8> {
-    let dimacs = Dimacs::new(refutation.iter().flat_map(ProofEvent::lits).chain(core));
-    let mut steps = Vec::with_capacity(refutation.len() + core.len() + 2);
-    steps.extend(refutation.iter().map(|e| match e {
-        ProofEvent::Input(l) => Step::Input(dimacs.clause(l)),
-        ProofEvent::Add(l) => Step::Add(dimacs.clause(l)),
-        ProofEvent::Delete(l) => Step::Delete(dimacs.clause(l)),
-    }));
-    if !core.is_empty() {
-        steps.push(Step::Add(core.iter().map(|&l| dimacs.lit(!l)).collect()));
-        steps.extend(core.iter().map(|&l| Step::Assume(dimacs.lit(l))));
+/// refuting clauses as inputs, then the trailer — `Add(¬assumptions)`
+/// justified by the inputs, one `Assume` per assumption, and the empty
+/// clause. A root refutation (no assumptions) needs only the empty clause.
+pub(crate) fn certificate_blob(inputs: &[Vec<Lit>], assumptions: &[Lit]) -> Vec<u8> {
+    let dimacs = Dimacs::new(inputs.iter().flatten().chain(assumptions));
+    let mut steps = Vec::with_capacity(inputs.len() + assumptions.len() + 2);
+    steps.extend(inputs.iter().map(|c| Step::Input(dimacs.clause(c))));
+    if !assumptions.is_empty() {
+        steps.push(Step::Add(assumptions.iter().map(|&l| dimacs.lit(!l)).collect()));
+        steps.extend(assumptions.iter().map(|&l| Step::Assume(dimacs.lit(l))));
     }
     steps.push(Step::Add(vec![]));
     Proof { steps }.encode()
@@ -79,7 +74,7 @@ mod tests {
     fn bridge_matches_dimacs_convention() {
         // Variables 0 and 6 are the only ones named: they become 1 and 2.
         let (a, g) = (Lit::new(Var(0), true), Lit::new(Var(6), true));
-        let blob = certificate_blob(&[ProofEvent::Input(vec![!a, !g])], &[g, a]);
+        let blob = certificate_blob(&[vec![!a, !g]], &[g, a]);
         let proof = atropos_proof::Proof::decode(&blob).unwrap();
         assert_eq!(
             proof.steps,
@@ -98,8 +93,7 @@ mod tests {
         // x ∧ ¬x, refuted at the root: the core alone plus Add([]) must be
         // accepted by the independent checker.
         let x = Lit::new(Var(0), true);
-        let events = vec![ProofEvent::Input(vec![x]), ProofEvent::Input(vec![!x])];
-        let blob = certificate_blob(&events, &[]);
+        let blob = certificate_blob(&[vec![x], vec![!x]], &[]);
         assert!(atropos_proof::check_blob(&blob).is_ok());
     }
 
@@ -109,8 +103,7 @@ mod tests {
         // against the input), assumes the core, and closes with ⊥.
         let a = Lit::new(Var(0), true);
         let b = Lit::new(Var(1), true);
-        let events = vec![ProofEvent::Input(vec![!a, !b])];
-        let blob = certificate_blob(&events, &[a, b]);
+        let blob = certificate_blob(&[vec![!a, !b]], &[a, b]);
         assert!(atropos_proof::check_blob(&blob).is_ok());
     }
 
@@ -119,8 +112,7 @@ mod tests {
         // A variable far beyond this tiny blob's payload length would be
         // rejected as out of range; renumbered it is variable 1.
         let x = Lit::new(Var(1 << 20), true);
-        let events = vec![ProofEvent::Input(vec![x]), ProofEvent::Input(vec![!x])];
-        let blob = certificate_blob(&events, &[]);
+        let blob = certificate_blob(&[vec![x], vec![!x]], &[]);
         assert!(blob.len() < 1 << 20);
         assert!(atropos_proof::check_blob(&blob).is_ok());
     }

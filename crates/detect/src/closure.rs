@@ -63,7 +63,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use atropos_proof::check_blob;
-use atropos_sat::{Lit, ProofEvent};
+use atropos_sat::Lit;
 
 use crate::certify::certificate_blob;
 use crate::encode::{ConsistencyLevel, InstanceModel, Layout, VisRequirement, WitnessTruth};
@@ -649,19 +649,15 @@ fn closing_transitivity(enc: &Layout, cycle: &[usize]) -> Vec<Vec<Lit>> {
 fn minimal_certificate(mut inputs: Vec<Vec<Lit>>, assumptions: &[Lit]) -> Vec<u8> {
     let mut seen = HashSet::new();
     inputs.retain(|c| seen.insert(c.clone()));
-    let blob = |inputs: &[Vec<Lit>]| {
-        let events: Vec<ProofEvent> = inputs.iter().cloned().map(ProofEvent::Input).collect();
-        certificate_blob(&events, assumptions)
-    };
     let mut i = 0;
     while i < inputs.len() {
         let removed = inputs.remove(i);
-        if check_blob(&blob(&inputs)).is_err() {
+        if check_blob(&certificate_blob(&inputs, assumptions)).is_err() {
             inputs.insert(i, removed);
             i += 1;
         }
     }
-    blob(&inputs)
+    certificate_blob(&inputs, assumptions)
 }
 
 #[cfg(test)]

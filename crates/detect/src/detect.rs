@@ -126,16 +126,17 @@ pub struct DetectStats {
     pub queries: u64,
     /// Queries answered SAT (a realizable anomaly witness).
     pub sat_queries: u64,
-    /// Clauses the fresh reference solvers stored. Always 0 from the
-    /// engine, which decides by closure; kept because the pipeline
-    /// benchmark still reads it.
+    /// Clauses the fresh reference solvers stored, counted by the fresh
+    /// oracle ([`detect_anomalies_fresh`], [`detect_differential`]). The
+    /// engine decides by closure and leaves it at 0, as it does the three
+    /// solver counters below.
     pub clauses_encoded: u64,
-    /// Solver conflicts of the fresh reference path (0 from the engine).
+    /// Conflicts the fresh reference solvers met. The encodings are Horn,
+    /// so this reads 0 (`tests/incremental_vs_fresh.rs` pins it).
     pub conflicts: u64,
-    /// Solver propagations of the fresh reference path (0 from the
-    /// engine).
+    /// Literals the fresh reference solvers propagated.
     pub propagations: u64,
-    /// Solver decisions of the fresh reference path (0 from the engine).
+    /// Branching decisions of the fresh reference solvers.
     pub decisions: u64,
     /// Always 0: solvers share no learnt clauses, so none is seeded. An
     /// inert field, kept only because the pipeline benchmark still reads

@@ -10,9 +10,10 @@
 //! of commands. The paper hands that formula to Z3.
 //!
 //! Here the encoding is the reference the pipeline is held to:
-//! [`pattern_satisfiable`] decides one query with the workspace's CDCL
-//! solver on a fresh instance, with only the queried level's axioms and
-//! the requirements asserted as unit clauses. Detection, certificates and
+//! [`pattern_satisfiable`] decides one query with the workspace's
+//! reference solver (`atropos_sat`) on a fresh instance, with only the
+//! queried level's axioms and the requirements asserted as unit clauses;
+//! on these Horn formulas it never backtracks. Detection, certificates and
 //! witness replay ask the closure ([`crate::closure`]) instead, which
 //! decides the same queries without a search, and whose certificates cite
 //! clause instances of this encoding: every clause family is written down
@@ -490,6 +491,23 @@ impl Layout {
     }
 }
 
+/// Where the encoder writes its variables and clauses: the reference
+/// solver, or a test reading the clause stream in emission order.
+trait Cnf {
+    fn new_var(&mut self) -> Var;
+    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>);
+}
+
+impl Cnf for Solver {
+    fn new_var(&mut self) -> Var {
+        Solver::new_var(self)
+    }
+
+    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        Solver::add_clause(self, lits);
+    }
+}
+
 /// Encodes the level-independent skeleton: the total arbitration order
 /// (antisymmetric by construction, containing each instance's program
 /// order, transitive by clauses), the visibility variables with the
@@ -498,9 +516,8 @@ impl Layout {
 /// Program order is emitted as root facts *before* the transitivity
 /// clauses, so the solver never stores a clause those facts satisfy nor a
 /// literal they falsify. Every clause the solver keeps mentions only
-/// variables the root assignment leaves open, and root simplification
-/// has nothing left to delete.
-fn encode_base(s: &mut Solver, model: &InstanceModel) -> Layout {
+/// variables the root assignment leaves open.
+fn encode_base(s: &mut impl Cnf, model: &InstanceModel) -> Layout {
     let enc = Layout::new(model);
     let n = enc.n;
     for _ in 0..enc.vars() {
@@ -546,7 +563,7 @@ fn encode_base(s: &mut Solver, model: &InstanceModel) -> Layout {
 }
 
 /// Encodes the axioms of one consistency level on top of [`encode_base`].
-fn encode_level(s: &mut Solver, model: &InstanceModel, enc: &Layout, level: ConsistencyLevel) {
+fn encode_level(s: &mut impl Cnf, model: &InstanceModel, enc: &Layout, level: ConsistencyLevel) {
     let n = model.cmds.len();
     let na = model.atoms.len();
     match level {
@@ -943,9 +960,28 @@ mod tests {
         assert!(ser.witness(&m, &reqs).is_none());
     }
 
-    /// Every clause a root-simplified fresh solver stores, at every level,
-    /// leaves the root facts' variables alone: program order and session
-    /// visibility are emitted before the clauses they decide.
+    /// The encoder's clause stream in emission order.
+    #[derive(Default)]
+    struct Stream {
+        vars: u32,
+        clauses: Vec<Vec<Lit>>,
+    }
+
+    impl Cnf for Stream {
+        fn new_var(&mut self) -> Var {
+            self.vars += 1;
+            Var(self.vars - 1)
+        }
+
+        fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
+            self.clauses.push(lits.into_iter().collect());
+        }
+    }
+
+    /// At every level, program order and session visibility, the
+    /// encoder's root facts, are emitted before every clause that mentions
+    /// their variables, so a solver stores no clause that mentions a
+    /// root-assigned variable.
     #[test]
     fn no_stored_clause_mentions_a_root_assigned_variable() {
         let src = "schema T { id: int key, v: int }
@@ -971,23 +1007,32 @@ mod tests {
         ] {
             assert_eq!(model.cmds.len(), 3 * model.instances());
             for level in ConsistencyLevel::ALL {
-                let mut s = Solver::new();
+                let mut s = Stream::default();
                 let enc = encode_base(&mut s, &model);
                 encode_level(&mut s, &model, &enc, level);
-                s.simplify();
-                let clauses = s.problem_clauses();
-                let (units, stored): (Vec<_>, Vec<_>) =
-                    clauses.iter().partition(|c| c.len() == 1);
-                let root: std::collections::HashSet<_> =
-                    units.iter().map(|c| c[0].var()).collect();
-                assert!(!root.is_empty() && !stored.is_empty());
-                for c in stored {
-                    assert!(
-                        c.iter().all(|l| !root.contains(&l.var())),
-                        "{} instances @ {level}: stored clause {c:?} mentions a root-assigned variable",
-                        model.instances()
-                    );
+                // Where each root-assigned variable's fact is emitted.
+                let facts: HashMap<Var, usize> = s
+                    .clauses
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.len() == 1)
+                    .map(|(at, c)| (c[0].var(), at))
+                    .collect();
+                let mut decided = 0;
+                for (at, c) in s.clauses.iter().enumerate().filter(|(_, c)| c.len() > 1) {
+                    for l in c {
+                        if let Some(&fact) = facts.get(&l.var()) {
+                            assert!(
+                                fact < at,
+                                "{} instances @ {level}: clause {c:?} precedes the fact on {}",
+                                model.instances(),
+                                l.var()
+                            );
+                            decided += 1;
+                        }
+                    }
                 }
+                assert!(!facts.is_empty() && decided > 0);
             }
         }
     }

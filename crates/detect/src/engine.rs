@@ -8,8 +8,8 @@
 //! embarrassingly parallel — the ordered pairs of the two-instance bound
 //! and the unordered triples of [`DetectMode::Triples`] alike. A
 //! [`DetectionEngine`] owns the parallelism policy — a worker count from
-//! [`DetectionEngine::new`], the `ATROPOS_THREADS` environment variable,
-//! or the machine's available parallelism — and every pass, over one
+//! [`DetectionEngine::new`] or the `ATROPOS_THREADS` environment variable,
+//! serial when neither sets one — and every pass, over one
 //! program ([`DetectionEngine::detect_with_mode`]) or a whole corpus
 //! ([`crate::analyse_corpus`]), runs the same three phases:
 //!
@@ -163,14 +163,14 @@ impl DetectionEngine {
 
     /// An engine honouring the `ATROPOS_THREADS` environment variable
     /// (clamped to at least 1, exactly like [`DetectionEngine::new`] — so
-    /// `ATROPOS_THREADS=0` means serial, not "use the default"), falling
-    /// back to the machine's available parallelism (capped at 8 —
-    /// dirty-pair batches rarely feed more workers than that).
+    /// `ATROPOS_THREADS=0` means serial), and serial when it is unset: a
+    /// pass's dirty groups cost microseconds each, so on the corpus a
+    /// worker pool costs more than it saves.
     pub fn from_env() -> DetectionEngine {
         let configured = std::env::var("ATROPOS_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok());
-        DetectionEngine::new(configured.unwrap_or_else(default_threads))
+        DetectionEngine::new(configured.unwrap_or(1))
     }
 
     /// The configured worker count.
@@ -224,14 +224,6 @@ impl DetectionEngine {
 /// the pass runs inline. Thread count never affects verdicts, so this is purely a
 /// scheduling knob.
 const MIN_PAIRS_PER_WORKER: usize = 4;
-
-/// Default worker count when `ATROPOS_THREADS` is unset.
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
 
 /// One planned slot of a pass: the transactions of its program that fill
 /// the group's members, in key orientation, the ids of their slices in
@@ -596,6 +588,9 @@ mod tests {
         assert_eq!(DetectionEngine::new(0).threads(), 1);
         assert_eq!(DetectionEngine::serial().threads(), 1);
         assert!(DetectionEngine::from_env().threads() >= 1);
+        if std::env::var_os("ATROPOS_THREADS").is_none() {
+            assert_eq!(DetectionEngine::from_env().threads(), 1);
+        }
     }
 
     /// The 3-hop relay program: pair mode reports it clean at EC, triple

@@ -9,8 +9,9 @@
 //! a bounded execution skeleton of two (or, in triple mode, three)
 //! transaction instances. Every level axiom of that grounding is a Horn
 //! implication over visibility, so detection decides each query by
-//! closure, without a search; the CNF encoding and the workspace's own
-//! CDCL solver (`atropos-sat`) stay as the reference oracle:
+//! closure, without a search; the CNF encoding and the workspace's
+//! reference solver (`atropos-sat`), which only propagates and
+//! backtracks, stay as the oracle the tests hold the closure to:
 //!
 //! * [`model`] — static command summaries (read/write sets, key specs),
 //!   and the [`ProgramSummary`] of one program state: its summaries and

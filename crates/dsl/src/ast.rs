@@ -41,14 +41,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Returns the boolean payload, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -334,16 +326,6 @@ impl Expr {
             Expr::Not(e) | Expr::At(e, _, _) => f(e),
             Expr::Const(_) | Expr::Arg(_) | Expr::Iter | Expr::Agg(..) | Expr::Uuid => {}
         }
-    }
-
-    /// Collects every `(var, field)` access made by this expression.
-    pub fn accesses(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| match e {
-            Expr::Agg(_, v, f) | Expr::At(_, v, f) => out.push((v.clone(), f.clone())),
-            _ => {}
-        });
-        out
     }
 
     /// True if the expression mentions variable `var`.
@@ -921,7 +903,6 @@ mod tests {
     fn value_ordering_and_types() {
         assert!(Value::Int(1) < Value::Int(2));
         assert_eq!(Value::Int(4).ty(), Ty::Int);
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Bool(true).as_int(), None);
     }
@@ -935,13 +916,8 @@ mod tests {
     }
 
     #[test]
-    fn expr_accesses_collects_field_reads() {
+    fn expr_uses_var_sees_field_reads() {
         let e = Expr::field("x", "a").add(Expr::sum("y", "b"));
-        let acc = e.accesses();
-        assert_eq!(
-            acc,
-            vec![("x".to_owned(), "a".to_owned()), ("y".to_owned(), "b".to_owned())]
-        );
         assert!(e.uses_var("x"));
         assert!(e.uses_var("y"));
         assert!(!e.uses_var("z"));

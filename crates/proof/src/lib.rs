@@ -3,24 +3,24 @@
 //! An independent RUP/DRAT certificate checker plus a checksummed binary
 //! proof format.
 //!
-//! Every clean verdict the detector emits rests on UNSAT answers from the
-//! workspace's own CDCL solver (`atropos_sat`). This crate closes that
-//! trust gap: on each UNSAT answer the solver names the core of its
-//! refutation (the input clauses and lemmas the final conflict reaches),
-//! the detect layer assembles that core into a self-contained
-//! certificate, and this crate re-verifies each certificate by **reverse
-//! unit propagation** — a deliberately separate implementation that
-//! shares no code (not even the literal type) with the solver. Literals
-//! here are DIMACS-style `i32`s: variable `v` is `v` (positive) or `-v`
-//! (negated), never `0`.
+//! Every clean verdict the detector emits rests on UNSAT answers from its
+//! least-model closure (`atropos_detect`). This crate closes that trust
+//! gap: on each UNSAT answer the closure names the clause instances of
+//! the reference encoding that its refutation used, the detect layer
+//! assembles them into a self-contained certificate, and this crate
+//! re-verifies each certificate by **reverse unit propagation** — a
+//! deliberately separate implementation that shares no code (not even
+//! the literal type) with the detector, and depends on no other crate of
+//! the workspace. Literals here are DIMACS-style `i32`s: variable `v` is
+//! `v` (positive) or `-v` (negated), never `0`.
 //!
 //! A certificate is a sequence of [`Step`]s:
 //!
 //! * [`Step::Input`] — an original problem clause. The inputs embedded in
-//!   the certificate *are* the CNF being refuted — for the solver's
-//!   certificates, only the part of the problem formula the refutation
-//!   needs — making the blob self-contained (checkable without re-running
-//!   the encoder).
+//!   the certificate *are* the CNF being refuted — for the detector's
+//!   certificates, only the clause instances the refutation needs —
+//!   making the blob self-contained (checkable without re-running the
+//!   encoder).
 //! * [`Step::Add`] — a deduced clause. The checker verifies it is RUP:
 //!   asserting the negation of every literal and unit-propagating over
 //!   the live clause database must yield a conflict.
@@ -219,7 +219,7 @@ fn checksum(bytes: &[u8]) -> u64 {
 
 /// Plain byte-wise 64-bit FNV-1a — the hash behind [`proof_hash`]. Kept
 /// dependency-free on purpose: this crate must stay independent of the
-/// solver stack it audits.
+/// detection stack it audits.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -1008,65 +1008,33 @@ mod tests {
         );
     }
 
-    /// Certificates the solver emits: a root refutation of the pigeonhole
-    /// principle (5 pigeons, 4 holes) and a refutation under assumptions
-    /// (an implication chain with its ends assumed apart).
-    fn solver_certificates() -> Vec<Vec<u8>> {
-        use atropos_sat::solver::Solver;
-        use atropos_sat::{Lit, ProofEvent};
-        let dimacs = |l: Lit| {
-            let v = l.var().0 as i32 + 1;
-            if l.is_positive() {
-                v
-            } else {
-                -v
-            }
-        };
-        let certify = |s: &Solver| {
-            let lits = |c: &[Lit]| c.iter().map(|&l| dimacs(l)).collect();
-            let mut steps: Vec<Step> = s
-                .refutation()
-                .iter()
-                .map(|e| match e {
-                    ProofEvent::Input(c) => Step::Input(lits(c)),
-                    ProofEvent::Add(c) => Step::Add(lits(c)),
-                    ProofEvent::Delete(c) => Step::Delete(lits(c)),
-                })
-                .collect();
-            let core = s.failed_assumptions();
-            if !core.is_empty() {
-                steps.push(Step::Add(core.iter().map(|&l| dimacs(!l)).collect()));
-                steps.extend(core.iter().map(|&l| Step::Assume(dimacs(l))));
-            }
-            steps.push(Step::Add(vec![]));
-            Proof { steps }.encode()
-        };
-
-        let (pigeons, holes) = (5, 4);
-        let mut php = Solver::with_proofs();
-        let sits: Vec<Vec<Lit>> = (0..pigeons)
-            .map(|_| (0..holes).map(|_| Lit::new(php.new_var(), true)).collect())
-            .collect();
-        for row in &sits {
-            php.add_clause(row.iter().copied());
+    /// Hand-built certificates that carry lemmas and use every step kind:
+    /// a RUP refutation of the eight clauses over three variables, whose
+    /// lemmas replace the inputs they subsume, and an eight-literal
+    /// implication chain refuted with its two ends assumed apart.
+    fn certificates() -> Vec<Vec<u8>> {
+        let all_eight = (0..8).map(|signs: i32| {
+            let lit = |v: i32| if signs >> (v - 1) & 1 == 1 { -v } else { v };
+            Step::Input(vec![lit(1), lit(2), lit(3)])
+        });
+        let mut cube: Vec<Step> = all_eight.collect();
+        for (a, b) in [(1, 2), (1, -2), (-1, 2), (-1, -2)] {
+            cube.push(Step::Add(vec![a, b]));
+            cube.push(Step::Delete(vec![a, b, 3]));
+            cube.push(Step::Delete(vec![a, b, -3]));
         }
-        for h in 0..holes {
-            for p in 0..pigeons {
-                for q in p + 1..pigeons {
-                    php.add_clause([!sits[p][h], !sits[q][h]]);
-                }
-            }
-        }
-        assert!(!php.solve().is_sat());
-
-        let mut chain = Solver::with_proofs();
-        let xs: Vec<Lit> = (0..8).map(|_| Lit::new(chain.new_var(), true)).collect();
-        for w in xs.windows(2) {
-            chain.add_clause([!w[0], w[1]]);
-        }
-        assert!(!chain.solve_with_assumptions(&[xs[0], !xs[7]]).is_sat());
-
-        vec![certify(&php), certify(&chain)]
+        cube.extend([Step::Add(vec![1]), Step::Add(vec![])]);
+        let mut chain: Vec<Step> = (1..8).map(|v| Step::Input(vec![-v, v + 1])).collect();
+        chain.extend([
+            Step::Add(vec![-1, 8]),
+            Step::Assume(1),
+            Step::Assume(-8),
+            Step::Add(vec![]),
+        ]);
+        [cube, chain]
+            .into_iter()
+            .map(|steps| Proof { steps }.encode())
+            .collect()
     }
 
     /// Byte offset of every literal word in an encoded certificate.
@@ -1083,14 +1051,14 @@ mod tests {
 
     #[test]
     fn resealed_byte_mutations_never_panic() {
-        // Corrupt real certificates and re-seal the checksum, so the
+        // Corrupt valid certificates and re-seal the checksum, so the
         // mutants reach the validator and the checker instead of stopping
         // at the checksum. Half the mutants flip one to three payload
         // bytes; the other half rewrite one to three literals with small
         // ones, which mostly still decode and so exercise the checker.
         let mut rng = proptest::rng::TestRng::seed_from_u64(0xA7_2025);
         let (mut decoded, mut rejected) = (0, 0);
-        for blob in solver_certificates() {
+        for blob in certificates() {
             assert!(check_blob(&blob).is_ok());
             let offsets = literal_offsets(&Proof::decode(&blob).unwrap());
             let payload = &blob[..blob.len() - 8];

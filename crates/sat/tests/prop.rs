@@ -1,7 +1,5 @@
-//! Property tests: the CDCL solver agrees with brute force on random small
-//! formulas, its models really satisfy the input, and solving under
-//! assumptions is equivalent to asserting the assumptions as unit clauses
-//! (with a genuinely inconsistent failed-assumption core on UNSAT).
+//! Property tests: the reference solver agrees with brute force on random
+//! small formulas, and its models really satisfy the input.
 
 use atropos_sat::{Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
@@ -25,7 +23,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn cdcl_agrees_with_brute_force(
+    fn solver_agrees_with_brute_force(
         num_vars in 1usize..12,
         raw in prop::collection::vec(
             prop::collection::vec((0u32..12, any::<bool>()), 1..4),
@@ -55,91 +53,6 @@ proptest! {
                     c.iter().any(|l| model[l.var().index()] == l.is_positive()),
                     "model violates clause {:?}", c
                 );
-            }
-        }
-    }
-
-    /// CLOTHO-style differential check at the solver level: for a random
-    /// CNF and a random assumption set, `solve_with_assumptions` must agree
-    /// with a fresh solver that carries the assumptions as unit clauses —
-    /// and repeated incremental calls on one solver must keep agreeing.
-    #[test]
-    fn assumptions_agree_with_unit_clauses(
-        num_vars in 1usize..10,
-        raw in prop::collection::vec(
-            prop::collection::vec((0u32..10, any::<bool>()), 1..4),
-            0..30,
-        ),
-        raw_assumption_sets in prop::collection::vec(
-            prop::collection::vec((0u32..10, any::<bool>()), 0..5),
-            1..4,
-        ),
-    ) {
-        let clauses: Vec<Vec<Lit>> = raw
-            .iter()
-            .map(|c| {
-                c.iter()
-                    .map(|(v, pos)| Lit::new(Var(v % num_vars as u32), *pos))
-                    .collect()
-            })
-            .collect();
-        let mut incremental = Solver::new();
-        for _ in 0..num_vars {
-            incremental.new_var();
-        }
-        for c in &clauses {
-            incremental.add_clause(c.iter().copied());
-        }
-        for set in &raw_assumption_sets {
-            let assumptions: Vec<Lit> = set
-                .iter()
-                .map(|(v, pos)| Lit::new(Var(v % num_vars as u32), *pos))
-                .collect();
-            // Reference: a throwaway solver with the assumptions as units.
-            let mut fresh = Solver::new();
-            for _ in 0..num_vars {
-                fresh.new_var();
-            }
-            for c in &clauses {
-                fresh.add_clause(c.iter().copied());
-            }
-            for &a in &assumptions {
-                fresh.add_clause([a]);
-            }
-            let want = fresh.solve().is_sat();
-            let got = incremental.solve_with_assumptions(&assumptions);
-            prop_assert_eq!(got.is_sat(), want, "assumptions {:?}", assumptions);
-            if let SolveResult::Sat(model) = &got {
-                for c in &clauses {
-                    prop_assert!(
-                        c.iter().any(|l| model[l.var().index()] == l.is_positive()),
-                        "model violates clause {:?}", c
-                    );
-                }
-                for &a in &assumptions {
-                    prop_assert!(
-                        model[a.var().index()] == a.is_positive(),
-                        "model violates assumption {:?}", a
-                    );
-                }
-            } else {
-                // The failed core is a subset of the assumptions whose
-                // re-assertion refutes the formula outright.
-                let core: Vec<Lit> = incremental.failed_assumptions().to_vec();
-                for l in &core {
-                    prop_assert!(assumptions.contains(l), "core lit {l} not assumed");
-                }
-                let mut check = Solver::new();
-                for _ in 0..num_vars {
-                    check.new_var();
-                }
-                for c in &clauses {
-                    check.add_clause(c.iter().copied());
-                }
-                for &l in &core {
-                    check.add_clause([l]);
-                }
-                prop_assert!(!check.solve().is_sat(), "core {:?} must refute", core);
             }
         }
     }

@@ -7,7 +7,8 @@
 //! This crate re-exports the whole workspace under one roof:
 //!
 //! * [`dsl`] — the database-program language (AST, parser, printer, checker);
-//! * [`sat`] — the CDCL SAT solver used to discharge anomaly queries;
+//! * [`sat`] — the reference SAT solver that the tests decide the anomaly
+//!   encoding with, to hold the detector's closure to it;
 //! * [`semantics`] — the weakly-isolated operational semantics and history
 //!   checker;
 //! * [`detect`] — the static serializability-anomaly detector;
