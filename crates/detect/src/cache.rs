@@ -287,10 +287,13 @@ impl ProgramKeys {
             })
             .collect();
         let bytes: Vec<CmdBytes> = sums.iter().map(CmdBytes::of).collect();
-        let mut memo: HashMap<(usize, usize), usize> = HashMap::new();
+        // The id of transaction `i`'s slice against table-set class `c`,
+        // at `i * classes + c`, once it is made.
+        let classes = interned.len();
+        let mut memo: Vec<Option<usize>> = vec![None; n * classes];
         let mut slices = Vec::new();
         let mut slice = |i: usize, j: usize| {
-            *memo.entry((i, class[j])).or_insert_with(|| {
+            *memo[i * classes + class[j]].get_or_insert_with(|| {
                 let keep = |c: &CmdSummary| tables[j].contains(c.schema.as_str());
                 slices.push(Slice::of(&sums[i], &bytes[i], keep));
                 slices.len() - 1

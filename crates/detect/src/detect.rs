@@ -32,6 +32,8 @@
 //! CLOTHO-style differential runner ([`detect_differential`]) hold the
 //! closure to the SAT encoding.
 
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
@@ -202,8 +204,8 @@ impl std::fmt::Display for AccessPair {
 /// One raw template hit, recorded without labels: each anchor command is
 /// addressed as (member, command index) within the analysed instance
 /// group. Fingerprints deliberately ignore labels, so the programs sharing
-/// a cached verdict need not share them; [`Finding::emit`] labels a
-/// finding from whichever program it answers.
+/// a cached verdict need not share them; a [`Merge`] labels a finding
+/// from whichever program it answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Finding {
     /// The two anchor commands as (member, command index).
@@ -216,33 +218,108 @@ pub(crate) struct Finding {
     pub(crate) kind: AnomalyKind,
 }
 
-impl Finding {
-    /// The access pair this finding reports over `members` (the group's
-    /// transactions in key orientation), under their current labels —
-    /// `None` when it names a command the members lack, which only a
-    /// corrupt or forged store record can.
-    pub(crate) fn emit(&self, members: &[&TxnSummary]) -> Option<AccessPair> {
-        self.emit_at(members, |_, c| Some(c))
+/// The verdicts of one program, merged by reference from its instance
+/// groups' findings and copied out once.
+///
+/// [`Merge::fold`] labels each finding from the program's own summaries
+/// and folds it under its key: its two labels in sorted order and its
+/// template. A key's first finding fixes its orientation (the lower label
+/// first; equal labels keep the finding's order) and its transaction
+/// names. Each later finding of the key adds its field sets, side by
+/// side, and its witness. Merge order is part of the oracle's observable
+/// behaviour, so the engine folds its slots in plan order, whichever
+/// worker solved them, and the fresh oracle folds its pairs in the same
+/// order. [`Merge::verdicts`] then clones each distinct verdict once, in
+/// key order.
+#[derive(Default)]
+pub(crate) struct Merge<'a> {
+    found: BTreeMap<(&'a str, &'a str, AnomalyKind), Merged<'a>>,
+}
+
+/// One verdict being merged: names and field sets borrowed from the
+/// summaries and the findings, a field set copied only once a later
+/// finding widens it.
+struct Merged<'a> {
+    cmds: [&'a CmdLabel; 2],
+    txns: [&'a str; 2],
+    fields: [Cow<'a, BTreeSet<String>>; 2],
+    witnesses: BTreeSet<&'a str>,
+}
+
+impl<'a> Merge<'a> {
+    /// Folds the `findings` of one instance group answered for `members`,
+    /// the group's transactions in key orientation: `at(member, c)` names
+    /// the member's command at a finding's command index `c`, or `None`
+    /// past the member's slice. A finding that names a member or command
+    /// that is not there, which only a corrupt or forged store record can,
+    /// is skipped.
+    pub(crate) fn fold(
+        &mut self,
+        findings: &'a [Finding],
+        members: &[&'a TxnSummary],
+        at: impl Fn(usize, usize) -> Option<usize>,
+    ) {
+        for f in findings {
+            let side = |i: usize| {
+                let (m, c) = f.cmds[i];
+                let t = *members.get(m)?;
+                let cmd = t.commands.get(at(m, c)?)?;
+                Some((&cmd.label, t.name.as_str(), &f.fields[i]))
+            };
+            let (Some(x), Some(y)) = (side(0), side(1)) else {
+                continue;
+            };
+            let witness = match f.witness {
+                None => None,
+                Some(w) => match members.get(w) {
+                    Some(t) => Some(t.name.as_str()),
+                    None => continue,
+                },
+            };
+            let [(l1, t1, f1), (l2, t2, f2)] = if x.0 <= y.0 { [x, y] } else { [y, x] };
+            let e = match self.found.entry((&l1.0, &l2.0, f.kind)) {
+                Entry::Vacant(v) => {
+                    v.insert(Merged {
+                        cmds: [l1, l2],
+                        txns: [t1, t2],
+                        fields: [Cow::Borrowed(f1), Cow::Borrowed(f2)],
+                        witnesses: witness.into_iter().collect(),
+                    });
+                    continue;
+                }
+                Entry::Occupied(o) => o.into_mut(),
+            };
+            for (into, from) in e.fields.iter_mut().zip([f1, f2]) {
+                for field in from {
+                    if !into.contains(field) {
+                        into.to_mut().insert(field.clone());
+                    }
+                }
+            }
+            e.witnesses.extend(witness);
+        }
     }
 
-    /// [`Finding::emit`] for a finding whose command indices are positions
-    /// in its members' slices: `at(member, position)` names the member's
-    /// command there, or `None` past the slice.
-    pub(crate) fn emit_at(
-        &self,
-        members: &[&TxnSummary],
-        at: impl Fn(usize, usize) -> Option<usize>,
-    ) -> Option<AccessPair> {
-        let [(m1, c1), (m2, c2)] = self.cmds;
-        let (t1, t2) = (*members.get(m1)?, *members.get(m2)?);
-        let witnesses = match self.witness {
-            Some(w) => BTreeSet::from([members.get(w)?.name.clone()]),
-            None => BTreeSet::new(),
-        };
-        let cmd1 = t1.commands.get(at(m1, c1)?)?;
-        let cmd2 = t2.commands.get(at(m2, c2)?)?;
-        let [f1, f2] = self.fields.clone();
-        Some(make_pair(t1, cmd1, f1, t2, cmd2, f2, witnesses, self.kind))
+    /// The merged verdicts in key order, each cloned once.
+    pub(crate) fn verdicts(self) -> Vec<AccessPair> {
+        self.found
+            .into_iter()
+            .map(|((_, _, kind), m)| {
+                let [cmd1, cmd2] = m.cmds.map(CmdLabel::clone);
+                let [txn1, txn2] = m.txns.map(str::to_owned);
+                let [fields1, fields2] = m.fields.map(Cow::into_owned);
+                AccessPair {
+                    cmd1,
+                    fields1,
+                    cmd2,
+                    fields2,
+                    txn1,
+                    txn2,
+                    witnesses: m.witnesses.into_iter().map(str::to_owned).collect(),
+                    kind,
+                }
+            })
+            .collect()
     }
 }
 
@@ -331,8 +408,8 @@ fn detect_core(
 ) -> (BTreeMap<ConsistencyLevel, Vec<AccessPair>>, DetectStats) {
     let started = Instant::now();
     let summaries = summarize_program(program);
-    let mut found: BTreeMap<ConsistencyLevel, BTreeMap<PairKey, AccessPair>> =
-        levels.iter().map(|&l| (l, BTreeMap::new())).collect();
+    // Every ordered pair's findings at each level, in pair order.
+    let mut found: Vec<(ConsistencyLevel, [usize; 2], Vec<Finding>)> = Vec::new();
     let mut stats = DetectStats::default();
 
     for (i, t1) in summaries.iter().enumerate() {
@@ -367,39 +444,20 @@ fn detect_core(
                     }
                     r
                 };
-                let pairs = realized(&[t1, t2], &[], i <= j, &model, &mut sat)
-                    .iter()
-                    .map(|f| f.emit(&[t1, t2]).expect("a finding names its own members"))
-                    .collect();
-                accumulate(found.get_mut(&level).expect("level registered"), pairs);
+                let findings = realized(&[t1, t2], &[], i <= j, &model, &mut sat);
+                found.push((level, [i, j], findings));
             }
         }
     }
-    stats.seconds = started.elapsed().as_secs_f64();
-    let by_level = found
-        .into_iter()
-        .map(|(l, m)| (l, m.into_values().collect()))
-        .collect();
-    (by_level, stats)
-}
-
-/// Folds one ordered pair's emitted findings into the per-level result
-/// map, merging field sets and witnesses of duplicate keys exactly like
-/// repeated template hits within one pass would. Merge order is part
-/// of the oracle's observable behaviour (the first entry of a key provides
-/// its base orientation), so the parallel engine replays this fold in the
-/// serial pair order regardless of which worker finished first.
-pub(crate) fn accumulate(per_level: &mut BTreeMap<PairKey, AccessPair>, pairs: Vec<AccessPair>) {
-    for p in pairs {
-        per_level
-            .entry(pair_key(&p))
-            .and_modify(|e| {
-                e.fields1.extend(p.fields1.iter().cloned());
-                e.fields2.extend(p.fields2.iter().cloned());
-                e.witnesses.extend(p.witnesses.iter().cloned());
-            })
-            .or_insert(p);
+    let mut merges: BTreeMap<ConsistencyLevel, Merge> =
+        levels.iter().map(|&l| (l, Merge::default())).collect();
+    for (level, pair, findings) in &found {
+        let merge = merges.get_mut(level).expect("level registered");
+        merge.fold(findings, &pair.map(|t| &summaries[t]), |_, c| Some(c));
     }
+    let by_level = merges.into_iter().map(|(l, m)| (l, m.verdicts())).collect();
+    stats.seconds = started.elapsed().as_secs_f64();
+    (by_level, stats)
 }
 
 /// Analyses one dirty (cache-missed) instance group, returning the raw
@@ -431,59 +489,6 @@ pub(crate) fn solve_group(
         sat
     });
     (findings, stats, certs)
-}
-
-/// Canonical dedup key of one verdict: labels in sorted order plus the
-/// template.
-pub(crate) type PairKey = (String, String, AnomalyKind);
-
-/// The [`PairKey`] of one verdict. The replay pipeline ([`crate::replay`])
-/// anchors a strict witness search on a finding's labels in this sorted
-/// order, so both must stay in lock-step with [`accumulate`]'s merging.
-pub(crate) fn pair_key(p: &AccessPair) -> PairKey {
-    let (a, b) = if p.cmd1.0 <= p.cmd2.0 {
-        (p.cmd1.0.clone(), p.cmd2.0.clone())
-    } else {
-        (p.cmd2.0.clone(), p.cmd1.0.clone())
-    };
-    (a, b, p.kind)
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn make_pair(
-    t1: &TxnSummary,
-    c1: &crate::model::CmdSummary,
-    f1: BTreeSet<String>,
-    t2: &TxnSummary,
-    c2: &crate::model::CmdSummary,
-    f2: BTreeSet<String>,
-    witnesses: BTreeSet<String>,
-    kind: AnomalyKind,
-) -> AccessPair {
-    // Canonical orientation by label for stable dedup.
-    if c1.label.0 <= c2.label.0 {
-        AccessPair {
-            cmd1: c1.label.clone(),
-            fields1: f1,
-            cmd2: c2.label.clone(),
-            fields2: f2,
-            txn1: t1.name.clone(),
-            txn2: t2.name.clone(),
-            witnesses,
-            kind,
-        }
-    } else {
-        AccessPair {
-            cmd1: c2.label.clone(),
-            fields1: f2,
-            cmd2: c1.label.clone(),
-            fields2: f1,
-            txn1: t2.name.clone(),
-            txn2: t1.name.clone(),
-            witnesses,
-            kind,
-        }
-    }
 }
 
 /// One template candidate of an instance group: the findings detection
@@ -1039,6 +1044,142 @@ pub(crate) mod tests {
             .expect("the reads are unstable at EC");
         assert_eq!((nrr.cmd1.0.as_str(), nrr.cmd2.0.as_str()), ("R1", "R2"));
         assert_eq!(nrr.fields1, BTreeSet::from(["v".to_owned()]), "{ec:?}");
+    }
+
+    /// A finding over hand-picked commands and fields.
+    fn finding(
+        cmds: [(usize, usize); 2],
+        fields: [&[&str]; 2],
+        witness: Option<usize>,
+        kind: AnomalyKind,
+    ) -> Finding {
+        Finding {
+            cmds,
+            fields: fields.map(|f| f.iter().map(|s| s.to_string()).collect()),
+            witness,
+            kind,
+        }
+    }
+
+    fn strings(s: &[&str]) -> BTreeSet<String> {
+        s.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Three transactions: `a` holds `A1` and `A2`, `b` holds `B1`, `c`
+    /// holds `C1`. The merge reads labels and names only.
+    const THREE: &str = "schema T { id: int key, v: int, w: int }
+         txn a(k: int) {
+             @A1 x := select v, w from T where id = k;
+             @A2 update T set v = 1 where id = k;
+             return 0;
+         }
+         txn b(k: int) { @B1 update T set w = 2 where id = k; return 0; }
+         txn c(k: int) { @C1 update T set v = 3 where id = k; return 0; }";
+
+    #[test]
+    fn merge_unions_the_fields_and_witnesses_of_duplicate_keys() {
+        let ts = summarize_program(&parse(THREE).unwrap());
+        let (a, b, c) = (&ts[0], &ts[1], &ts[2]);
+        let dirty = AnomalyKind::DirtyRead;
+        let first = [finding([(0, 0), (0, 1)], [&["v"], &["v"]], Some(1), dirty)];
+        // The same key with its anchors the other way round, so its field
+        // sets swap sides: `A1` gains `w`.
+        let again = [finding([(0, 1), (0, 0)], [&["v"], &["w"]], Some(1), dirty)];
+        let mut merge = Merge::default();
+        merge.fold(&first, &[a, b], |_, c| Some(c));
+        merge.fold(&again, &[a, c], |_, c| Some(c));
+        let got = merge.verdicts();
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(
+            (got[0].cmd1.0.as_str(), got[0].cmd2.0.as_str()),
+            ("A1", "A2")
+        );
+        assert_eq!(got[0].fields1, strings(&["v", "w"]));
+        assert_eq!(got[0].fields2, strings(&["v"]));
+        assert_eq!(got[0].witnesses, strings(&["b", "c"]));
+    }
+
+    #[test]
+    fn merge_keeps_the_first_findings_orientation_and_transactions() {
+        // Both transactions label their command `X`: a program the
+        // checker rejects, and the one case where orientation is not
+        // fixed by the labels alone.
+        let p = parse(
+            "schema T { id: int key, v: int }
+             txn a(k: int) { @X x := select v from T where id = k; return 0; }
+             txn b(k: int) { @X update T set v = 1 where id = k; return 0; }",
+        )
+        .unwrap();
+        let ts = summarize_program(&p);
+        let lost = AnomalyKind::LostUpdate;
+        let first = [finding([(0, 0), (1, 0)], [&["p"], &["q"]], None, lost)];
+        let second = [finding([(0, 0), (1, 0)], [&["r"], &["s"]], None, lost)];
+        let mut merge = Merge::default();
+        merge.fold(&first, &[&ts[0], &ts[1]], |_, c| Some(c));
+        merge.fold(&second, &[&ts[1], &ts[0]], |_, c| Some(c));
+        let got = merge.verdicts();
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].txn1.as_str(), got[0].txn2.as_str()), ("a", "b"));
+        assert_eq!(got[0].fields1, strings(&["p", "r"]));
+        assert_eq!(got[0].fields2, strings(&["q", "s"]));
+        assert!(got[0].witnesses.is_empty());
+    }
+
+    #[test]
+    fn merge_sorts_verdicts_by_labels_then_kind() {
+        let ts = summarize_program(&parse(THREE).unwrap());
+        let members = [&ts[0], &ts[1], &ts[2]];
+        let f = |cmds, kind| finding(cmds, [&["v"], &["v"]], None, kind);
+        let findings = [
+            f([(1, 0), (2, 0)], AnomalyKind::LostUpdate),
+            f([(2, 0), (0, 0)], AnomalyKind::DirtyRead),
+            f([(1, 0), (0, 0)], AnomalyKind::NonRepeatableRead),
+            f([(0, 0), (1, 0)], AnomalyKind::LostUpdate),
+        ];
+        let mut merge = Merge::default();
+        merge.fold(&findings, &members, |_, c| Some(c));
+        let got: Vec<(String, String, AnomalyKind)> = merge
+            .verdicts()
+            .into_iter()
+            .map(|v| (v.cmd1.0, v.cmd2.0, v.kind))
+            .collect();
+        let want = [
+            ("A1", "B1", AnomalyKind::LostUpdate),
+            ("A1", "B1", AnomalyKind::NonRepeatableRead),
+            ("A1", "C1", AnomalyKind::DirtyRead),
+            ("B1", "C1", AnomalyKind::LostUpdate),
+        ]
+        .map(|(a, b, k)| (a.to_owned(), b.to_owned(), k));
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn merge_skips_findings_past_a_member_or_its_slice() {
+        let ts = summarize_program(&parse(THREE).unwrap());
+        let lost = AnomalyKind::LostUpdate;
+        let findings = [
+            // Names a third member of a pair.
+            finding([(0, 0), (2, 0)], [&["v"], &["v"]], None, lost),
+            // Names a command past `b`'s one command.
+            finding([(0, 0), (1, 1)], [&["v"], &["v"]], None, lost),
+            // Names a witness past the pair.
+            finding([(0, 0), (1, 0)], [&["v"], &["v"]], Some(2), lost),
+            // Names position 1 of `a`'s one-command slice.
+            finding([(0, 1), (1, 0)], [&["v"], &["v"]], None, lost),
+            // The one finding that names what is there: `A2` and `B1`.
+            finding([(0, 0), (1, 0)], [&["v"], &["w"]], Some(1), lost),
+        ];
+        // `a`'s slice keeps only its update.
+        let kept: [&[usize]; 2] = [&[1], &[0]];
+        let mut merge = Merge::default();
+        merge.fold(&findings, &[&ts[0], &ts[1]], |m, c| kept[m].get(c).copied());
+        let got = merge.verdicts();
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(
+            (got[0].cmd1.0.as_str(), got[0].cmd2.0.as_str()),
+            ("A2", "B1")
+        );
+        assert_eq!(got[0].witnesses, strings(&["b"]));
     }
 
     #[test]

@@ -693,6 +693,11 @@ fn encode_level(s: &mut impl Cnf, model: &InstanceModel, enc: &Layout, level: Co
 /// clauses. Detection asks the closure ([`crate::closure::Closure`]),
 /// which must return identical answers (enforced by
 /// [`crate::detect_differential`] and the mutant differential).
+///
+/// # Panics
+///
+/// Panics when the solver meets more than 1,000 conflicts: the encodings
+/// are Horn, so only a broken solver searches that long.
 pub fn pattern_satisfiable(
     model: &InstanceModel,
     level: ConsistencyLevel,
@@ -701,8 +706,19 @@ pub fn pattern_satisfiable(
     fresh_query(model, level, requirements).0
 }
 
+/// Conflicts one fresh reference query may meet before it panics. The
+/// encodings are Horn, so a sound solver meets none
+/// (`tests/incremental_vs_fresh.rs` pins 0); the budget turns a broken
+/// solver's search into a failure instead of a hang.
+const FRESH_CONFLICT_BUDGET: u64 = 1_000;
+
 /// The fresh path with instrumentation: verdict, this query's solver
 /// statistics, and the number of clauses the fresh encoding emitted.
+///
+/// # Panics
+///
+/// Panics, naming the level and the requirements, when the solver meets
+/// more than `FRESH_CONFLICT_BUDGET` conflicts.
 pub(crate) fn fresh_query(
     model: &InstanceModel,
     level: ConsistencyLevel,
@@ -715,8 +731,13 @@ pub(crate) fn fresh_query(
         let l = enc.vis(a, c);
         s.add_clause([if polarity { l } else { !l }]);
     }
-    let sat = s.solve().is_sat();
-    (sat, s.stats(), s.num_clauses())
+    let result = s.solve_within(FRESH_CONFLICT_BUDGET).unwrap_or_else(|| {
+        panic!(
+            "the fresh reference met over {FRESH_CONFLICT_BUDGET} conflicts \
+             at {level} on requirements {requirements:?}"
+        )
+    });
+    (result.is_sat(), s.stats(), s.num_clauses())
 }
 
 #[cfg(test)]

@@ -30,10 +30,12 @@
 //!    closure with the one solve frame every bound shares. No worker
 //!    touches the session.
 //! 3. **Merge** (serial, deterministic): verdicts are inserted into the
-//!    cache **in plan order**, not in completion order, and every slot is
-//!    then answered from the cache, its findings
-//!    mapped from slice positions to its members' commands and labelled by
-//!    its own program. The output — verdicts, the entire [`DetectStats`]
+//!    cache **in plan order**, not in completion order. Every slot, hit or
+//!    solved, is then answered from the cache: its findings are mapped
+//!    from slice positions to its members' commands and folded by
+//!    reference, in slot order, into one map per program keyed by its own
+//!    labels, and each distinct verdict is cloned out once. The output —
+//!    verdicts, the entire [`DetectStats`]
 //!    and [`crate::CacheStats`] except wall-clock seconds, and every
 //!    downstream repair decision — is byte-identical at any thread count
 //!    (pinned by `tests/parallel_determinism.rs`, `tests/triple_vs_pair.rs`
@@ -48,7 +50,7 @@
 //! leaves for the next lives in the session.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -56,7 +58,7 @@ use atropos_dsl::Program;
 
 use crate::cache::{GroupKey, ProgramKeys, MAX_K};
 use crate::corpus::CorpusStats;
-use crate::detect::{accumulate, solve_group, AccessPair, DetectStats, Finding};
+use crate::detect::{solve_group, AccessPair, DetectStats, Merge};
 use crate::encode::ConsistencyLevel;
 use crate::model::{ProgramSummary, TxnSummary};
 use crate::session::DetectSession;
@@ -255,19 +257,6 @@ impl Slot {
             })
             .collect()
     }
-
-    /// The slot's raw verdicts: its group's `findings`, whose commands are
-    /// slice positions, mapped through the slices and labelled by the
-    /// slot's own program.
-    fn answer(&self, findings: &[Finding], program: &ProgramSummary) -> Vec<AccessPair> {
-        let ts = self.members.map(|i| &program.txns()[i]);
-        let kept = self.slices.map(|s| program.keys.slice(s).kept.as_slice());
-        let at = |m: usize, c: usize| kept[m].get(c).copied();
-        findings
-            .iter()
-            .filter_map(|f| f.emit_at(&ts[..self.key.k()], at))
-            .collect()
-    }
 }
 
 /// Solves `items` on up to `threads` scoped workers, each item claimed
@@ -380,24 +369,20 @@ pub(crate) fn detect_batch(
     let mut batch = CorpusStats::default();
 
     // Plan (serial): one lookup per slot of every program, each keyed by
-    // its program's summary: a hit is answered on the spot, a miss once its
-    // key is solved (each key is planned once).
+    // its program's summary. Each missed key is planned once; every slot
+    // is answered after the merge.
     let mut planned: HashSet<GroupKey> = HashSet::new();
     // The first slot (with its program) of every planned key.
     let mut misses: Vec<(usize, Slot)> = Vec::new();
     // Statically template-free triples: settled empty, never grounded.
     let mut settled: Vec<(usize, Slot)> = Vec::new();
-    // Per program, every slot with its answer if it hit.
-    let mut slots: Vec<Vec<(Slot, Option<Vec<AccessPair>>)>> = Vec::with_capacity(programs.len());
+    // Per program, every slot in plan order.
+    let mut slots: Vec<Vec<Slot>> = Vec::with_capacity(programs.len());
     for (prog, summary) in programs.iter().enumerate() {
-        let mut plan = Vec::new();
-        for slot in plan_slots(&summary.keys, level, mode) {
-            let hit = session
-                .lookup(&slot.key)
-                .map(|e| slot.answer(&e.findings, summary));
-            let first_miss = hit.is_none() && planned.insert(slot.key);
-            plan.push((slot, hit));
-            if !first_miss {
+        let plan = plan_slots(&summary.keys, level, mode);
+        for slot in &plan {
+            let hit = session.lookup(&slot.key).is_some();
+            if hit || !planned.insert(slot.key) {
                 continue;
             }
             let free = slot.key.k() == 3 && {
@@ -406,9 +391,9 @@ pub(crate) fn detect_batch(
                 !has_candidates([ts[0], ts[1], ts[2]], [f[0], f[1], f[2]])
             };
             if free {
-                settled.push((prog, slot));
+                settled.push((prog, *slot));
             } else {
-                misses.push((prog, slot));
+                misses.push((prog, *slot));
             }
         }
         slots.push(plan);
@@ -436,31 +421,32 @@ pub(crate) fn detect_batch(
         session.insert(m.key, &m.members(programs[prog]), Vec::new(), Vec::new());
     }
 
-    // Answer (serial): the missed slots from the merged session, each
-    // labelled by its own program, and every slot folded in slot order —
-    // merge order is part of the oracle's observable behaviour (see
-    // `accumulate`).
+    // Answer (serial): every slot from the merged session, its findings
+    // mapped from slice positions to its members' commands, labelled by
+    // its own program and folded by reference in slot order, since merge
+    // order is part of the oracle's observable behaviour (see `Merge`).
     let verdicts: Vec<(Vec<AccessPair>, DetectStats)> = slots
         .into_iter()
-        .enumerate()
-        .map(|(prog, plan)| {
-            let pairs = plan.iter().filter(|(s, _)| s.key.k() == 2).count() as u64;
+        .zip(programs)
+        .map(|(plan, summary)| {
+            let pairs = plan.iter().filter(|s| s.key.k() == 2).count() as u64;
             let stats = DetectStats {
                 pairs,
                 triples: plan.len() as u64 - pairs,
                 ..DetectStats::default()
             };
-            let mut found = BTreeMap::new();
-            for (slot, hit) in plan {
-                let pairs = hit.unwrap_or_else(|| {
-                    let e = session
-                        .entry(&slot.key)
-                        .expect("every missed key was solved");
-                    slot.answer(&e.findings, programs[prog])
+            let mut merge = Merge::default();
+            for slot in &plan {
+                let e = session
+                    .entry(&slot.key)
+                    .expect("every slot's key is cached by now");
+                let members = slot.members.map(|i| &summary.txns()[i]);
+                let kept = slot.slices.map(|s| summary.keys.slice(s).kept.as_slice());
+                merge.fold(&e.findings, &members[..slot.key.k()], |m, c| {
+                    kept[m].get(c).copied()
                 });
-                accumulate(&mut found, pairs);
             }
-            (found.into_values().collect(), stats)
+            (merge.verdicts(), stats)
         })
         .collect();
     batch.pair_slots = verdicts.iter().map(|(_, s)| s.pairs).sum();

@@ -417,7 +417,7 @@ pub(crate) fn candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::{solve_group, AccessPair};
+    use crate::detect::{solve_group, AccessPair, Merge};
     use crate::encode::ConsistencyLevel;
     use crate::model::summarize_program;
     use atropos_dsl::parse;
@@ -437,7 +437,9 @@ mod tests {
     fn solve(ts: &[TxnSummary], level: ConsistencyLevel) -> Vec<AccessPair> {
         let trio = [&ts[0], &ts[1], &ts[2]];
         let (findings, _, _) = solve_group(&trio, &fps(ts), false, level, false);
-        findings.iter().filter_map(|f| f.emit(&trio)).collect()
+        let mut merge = Merge::default();
+        merge.fold(&findings, &trio, |_, c| Some(c));
+        merge.verdicts()
     }
 
     /// The canonical 3-hop relay: post writes, relay reads-then-derives,
@@ -588,11 +590,15 @@ mod tests {
     #[test]
     fn first_witness_bound_reports_one_chain_per_role() {
         let ts = summaries(RELAY);
-        let ec = solve(&ts, ConsistencyLevel::EventualConsistency);
-        let chains = ec
+        let trio = [&ts[0], &ts[1], &ts[2]];
+        // The raw findings: the merge would fold a second chain of the
+        // same labels into the first.
+        let ec = ConsistencyLevel::EventualConsistency;
+        let (findings, _, _) = solve_group(&trio, &fps(&ts), false, ec, false);
+        let chains = findings
             .iter()
-            .filter(|p| p.kind == AnomalyKind::ObserverChain)
+            .filter(|f| f.kind == AnomalyKind::ObserverChain)
             .count();
-        assert_eq!(chains, 1, "{ec:?}");
+        assert_eq!(chains, 1, "{findings:?}");
     }
 }

@@ -1,24 +1,26 @@
 //! Lexer for the textual database-program DSL.
 //!
 //! Produces a stream of [`Token`]s with byte offsets for error reporting.
-//! Line comments (`//`) are skipped. Keywords are case-insensitive so the
-//! SQL-ish fragments can be written in either case (`SELECT` / `select`).
+//! Identifiers and labels borrow the source text; only a string literal,
+//! whose escapes are decoded, owns its contents. Line comments (`//`) are
+//! skipped. Keywords are case-insensitive so the SQL-ish fragments can be
+//! written in either case (`SELECT` / `select`).
 
 use std::fmt;
 
 use crate::error::{DslError, Span};
 
-/// A lexical token.
+/// A lexical token, borrowing identifiers and labels from the source.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// An identifier or keyword candidate.
-    Ident(String),
+    Ident(&'a str),
     /// An integer literal.
     Int(i64),
     /// A string literal (contents, unescaped).
     Str(String),
-    /// `@label` command label.
-    Label(String),
+    /// `@label` command label (without the `@`).
+    Label(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -71,7 +73,7 @@ pub enum Token {
     Eof,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "`{s}`"),
@@ -109,9 +111,9 @@ impl fmt::Display for Token {
 
 /// A token paired with its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub struct Spanned<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// Byte range in the source.
     pub span: Span,
 }
@@ -122,7 +124,7 @@ pub struct Spanned {
 ///
 /// Returns [`DslError::Lex`] on unterminated strings, malformed numbers, or
 /// unexpected characters.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, DslError> {
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, DslError> {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;
@@ -202,7 +204,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, DslError> {
             }
             '@' => {
                 i += 1;
-                let s = take_label(bytes, &mut i);
+                let s = take_label(src, &mut i);
                 // Labels are dot-separated ident segments; every segment must
                 // be non-empty (rejects `@`, `@.L`, `@S1.`, `@S1..L`).
                 if s.is_empty() || s.split('.').any(str::is_empty) {
@@ -212,28 +214,32 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, DslError> {
             }
             '"' => {
                 i += 1;
+                // The text between escapes is copied as the source's UTF-8:
+                // `"` and `\` are ASCII, so every cut falls on a character
+                // boundary.
                 let mut s = String::new();
+                let mut run = i;
                 loop {
                     match bytes.get(i) {
                         None => return Err(lex_err("unterminated string literal", start)),
                         Some(b'"') => {
+                            s.push_str(&src[run..i]);
                             i += 1;
                             break;
                         }
                         Some(b'\\') => {
-                            match bytes.get(i + 1) {
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
+                            s.push_str(&src[run..i]);
+                            s.push(match bytes.get(i + 1) {
+                                Some(b'n') => '\n',
+                                Some(b't') => '\t',
+                                Some(b'"') => '"',
+                                Some(b'\\') => '\\',
                                 _ => return Err(lex_err("invalid escape sequence", i)),
-                            }
+                            });
                             i += 2;
+                            run = i;
                         }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(_) => i += 1,
                     }
                 }
                 toks.push(spanned(Token::Str(s), start, i));
@@ -250,7 +256,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, DslError> {
                 toks.push(spanned(Token::Int(n), start, i));
             }
             _ if c.is_ascii_alphabetic() || c == '_' => {
-                let s = take_ident(bytes, &mut i);
+                let s = take_ident(src, &mut i);
                 toks.push(spanned(Token::Ident(s), start, i));
             }
             _ => return Err(lex_err(&format!("unexpected character `{c}`"), start)),
@@ -260,16 +266,19 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, DslError> {
     Ok(toks)
 }
 
-fn take_while_bytes(bytes: &[u8], i: &mut usize, accept: impl Fn(u8) -> bool) -> String {
+/// The run of ASCII bytes from `*i` that `accept` takes, advancing `*i`
+/// past it.
+fn take_while_ascii<'a>(src: &'a str, i: &mut usize, accept: impl Fn(u8) -> bool) -> &'a str {
+    let bytes = src.as_bytes();
     let start = *i;
     while *i < bytes.len() && accept(bytes[*i]) {
         *i += 1;
     }
-    String::from_utf8_lossy(&bytes[start..*i]).into_owned()
+    &src[start..*i]
 }
 
-fn take_ident(bytes: &[u8], i: &mut usize) -> String {
-    take_while_bytes(bytes, i, |b| b.is_ascii_alphanumeric() || b == b'_')
+fn take_ident<'a>(src: &'a str, i: &mut usize) -> &'a str {
+    take_while_ascii(src, i, |b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
 /// Like [`take_ident`], but also accepts `.`: labels follow the grammar
@@ -278,16 +287,18 @@ fn take_ident(bytes: &[u8], i: &mut usize) -> String {
 /// engine, which derives `@S1.1`/`@S1.2` for split commands and `@S1.L`
 /// for logging rewrites; such labels must survive a print/parse round
 /// trip. Segment validation happens at the call site in [`lex`].
-fn take_label(bytes: &[u8], i: &mut usize) -> String {
-    take_while_bytes(bytes, i, |b| b.is_ascii_alphanumeric() || b == b'_' || b == b'.')
+fn take_label<'a>(src: &'a str, i: &mut usize) -> &'a str {
+    take_while_ascii(src, i, |b| {
+        b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
+    })
 }
 
-fn push(toks: &mut Vec<Spanned>, t: Token, start: usize, i: &mut usize) {
+fn push<'a>(toks: &mut Vec<Spanned<'a>>, t: Token<'a>, start: usize, i: &mut usize) {
     *i += 1;
     toks.push(spanned(t, start, *i));
 }
 
-fn spanned(token: Token, start: usize, end: usize) -> Spanned {
+fn spanned(token: Token<'_>, start: usize, end: usize) -> Spanned<'_> {
     Spanned {
         token,
         span: Span { start, end },
@@ -308,7 +319,7 @@ fn lex_err(msg: &str, at: usize) -> DslError {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Token> {
+    fn kinds(src: &str) -> Vec<Token<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.token).collect()
     }
 
@@ -351,11 +362,11 @@ mod tests {
         assert_eq!(
             kinds(r#"txn x1 42 "hi\n" @U4_2"#),
             vec![
-                Token::Ident("txn".into()),
-                Token::Ident("x1".into()),
+                Token::Ident("txn"),
+                Token::Ident("x1"),
                 Token::Int(42),
                 Token::Str("hi\n".into()),
-                Token::Label("U4_2".into()),
+                Token::Label("U4_2"),
                 Token::Eof,
             ]
         );
@@ -365,7 +376,7 @@ mod tests {
     fn skips_comments() {
         assert_eq!(
             kinds("a // comment until eol\nb"),
-            vec![Token::Ident("a".into()), Token::Ident("b".into()), Token::Eof]
+            vec![Token::Ident("a"), Token::Ident("b"), Token::Eof]
         );
     }
 
@@ -374,9 +385,9 @@ mod tests {
         assert_eq!(
             kinds("@S1.L @S1.1 @U4.2.L"),
             vec![
-                Token::Label("S1.L".into()),
-                Token::Label("S1.1".into()),
-                Token::Label("U4.2.L".into()),
+                Token::Label("S1.L"),
+                Token::Label("S1.1"),
+                Token::Label("U4.2.L"),
                 Token::Eof,
             ]
         );

@@ -19,10 +19,15 @@
 //!   a command touches on a schema ([`Stmt::fields_touched`]), label
 //!   lookup ([`Program::command`]) and in-place edits
 //!   ([`Transaction::retain_commands`], [`Transaction::splice_after`]);
-//! * [`parse`] — a recursive-descent parser for the textual surface syntax;
+//! * [`parse`] — a recursive-descent parser for the textual surface
+//!   syntax. Its lexer's tokens borrow identifiers and labels from the
+//!   source ([`lexer::Token`]), and the parser moves each token out as it
+//!   consumes it, so a name is copied once, into the tree;
 //! * [`print_program`] — a canonical pretty-printer (round-trips with
-//!   [`parse`]);
-//! * [`check_program`] — name resolution and type checking.
+//!   [`parse`], string literals included);
+//! * [`check_program`] — name resolution and type checking. It returns
+//!   `()` or the first error, keying its scopes by names borrowed from the
+//!   program.
 //!
 //! # Command-label grammar
 //!
@@ -86,4 +91,4 @@ pub use ast::{
 pub use error::{DslError, Span};
 pub use parser::parse;
 pub use printer::{print_expr, print_program, print_where};
-pub use resolve::{check_program, ProgramInfo};
+pub use resolve::check_program;

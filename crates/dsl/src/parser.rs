@@ -71,14 +71,26 @@ struct LabelCounters {
     delete: u32,
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'a> {
+    toks: Vec<Spanned<'a>>,
     pos: usize,
     counters: LabelCounters,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+/// The type names, matched case-insensitively.
+const TYPES: [(&str, Ty); 5] = [
+    ("int", Ty::Int),
+    ("bool", Ty::Bool),
+    ("string", Ty::Str),
+    ("str", Ty::Str),
+    ("uuid", Ty::Uuid),
+];
+
+/// The aggregate names, matched case-insensitively.
+const AGGREGATES: [AggOp; 4] = [AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Count];
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.toks[self.pos].token
     }
 
@@ -86,12 +98,16 @@ impl Parser {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].token.clone();
+    /// Moves the current token out and advances. The parser never looks
+    /// behind itself, so a consumed token is left as [`Token::Eof`]; the
+    /// final end-of-input token stays in place however often it is bumped.
+    fn bump(&mut self) -> Token<'a> {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.toks[self.pos - 1].token, Token::Eof)
+        } else {
+            Token::Eof
         }
-        t
     }
 
     fn err(&self, msg: impl Into<String>) -> DslError {
@@ -101,7 +117,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token) -> Result<(), DslError> {
+    fn expect(&mut self, t: &Token<'_>) -> Result<(), DslError> {
         if self.peek() == t {
             self.bump();
             Ok(())
@@ -124,14 +140,20 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, DslError> {
-        match self.peek().clone() {
+    /// The identifier at the cursor, consumed, borrowed from the source.
+    fn name(&mut self) -> Result<&'a str, DslError> {
+        match *self.peek() {
             Token::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
-            t => Err(self.err(format!("expected identifier, found {t}"))),
+            ref t => Err(self.err(format!("expected identifier, found {t}"))),
         }
+    }
+
+    /// [`Parser::name`], copied into the syntax tree.
+    fn ident(&mut self) -> Result<String, DslError> {
+        self.name().map(str::to_owned)
     }
 
     fn program(&mut self) -> Result<Program, DslError> {
@@ -183,13 +205,10 @@ impl Parser {
     }
 
     fn ty(&mut self) -> Result<Ty, DslError> {
-        let name = self.ident()?;
-        match name.to_ascii_lowercase().as_str() {
-            "int" => Ok(Ty::Int),
-            "bool" => Ok(Ty::Bool),
-            "string" | "str" => Ok(Ty::Str),
-            "uuid" => Ok(Ty::Uuid),
-            other => Err(self.err(format!("unknown type `{other}`"))),
+        let name = self.name()?;
+        match TYPES.iter().find(|(n, _)| name.eq_ignore_ascii_case(n)) {
+            Some(&(_, ty)) => Ok(ty),
+            None => Err(self.err(format!("unknown type `{}`", name.to_ascii_lowercase()))),
         }
     }
 
@@ -230,11 +249,12 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, DslError> {
-        let label = if let Token::Label(l) = self.peek().clone() {
-            self.bump();
-            Some(CmdLabel(l))
-        } else {
-            None
+        let label = match *self.peek() {
+            Token::Label(l) => {
+                self.bump();
+                Some(CmdLabel(l.to_owned()))
+            }
+            _ => None,
         };
         if self.at_kw("if") {
             if label.is_some() {
@@ -524,76 +544,56 @@ impl Parser {
     }
 
     fn expr_prim(&mut self) -> Result<Expr, DslError> {
-        match self.peek().clone() {
-            Token::Int(n) => {
-                self.bump();
-                Ok(Expr::int(n))
-            }
-            Token::Str(s) => {
-                self.bump();
-                Ok(Expr::Const(Value::Str(s)))
-            }
+        let span = self.span();
+        match self.bump() {
+            Token::Int(n) => Ok(Expr::int(n)),
+            Token::Str(s) => Ok(Expr::Const(Value::Str(s))),
             Token::LParen => {
-                self.bump();
                 let e = self.expr()?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
             Token::Ident(id) => {
-                let lower = id.to_ascii_lowercase();
-                match lower.as_str() {
-                    "true" => {
-                        self.bump();
-                        return Ok(Expr::boolean(true));
-                    }
-                    "false" => {
-                        self.bump();
-                        return Ok(Expr::boolean(false));
-                    }
-                    "iter" => {
-                        self.bump();
-                        return Ok(Expr::Iter);
-                    }
-                    "uuid" => {
-                        self.bump();
-                        self.expect(&Token::LParen)?;
-                        self.expect(&Token::RParen)?;
-                        return Ok(Expr::Uuid);
-                    }
-                    "sum" | "min" | "max" | "count" => {
-                        let agg = match lower.as_str() {
-                            "sum" => AggOp::Sum,
-                            "min" => AggOp::Min,
-                            "max" => AggOp::Max,
-                            _ => AggOp::Count,
-                        };
-                        self.bump();
-                        self.expect(&Token::LParen)?;
-                        let var = self.ident()?;
-                        self.expect(&Token::Dot)?;
-                        let field = self.ident()?;
-                        self.expect(&Token::RParen)?;
-                        return Ok(Expr::Agg(agg, var, field));
-                    }
-                    _ => {}
+                let kw = |k: &str| id.eq_ignore_ascii_case(k);
+                if kw("true") || kw("false") {
+                    return Ok(Expr::boolean(kw("true")));
                 }
-                self.bump();
+                if kw("iter") {
+                    return Ok(Expr::Iter);
+                }
+                if kw("uuid") {
+                    self.expect(&Token::LParen)?;
+                    self.expect(&Token::RParen)?;
+                    return Ok(Expr::Uuid);
+                }
+                if let Some(&agg) = AGGREGATES.iter().find(|a| kw(a.name())) {
+                    self.expect(&Token::LParen)?;
+                    let var = self.ident()?;
+                    self.expect(&Token::Dot)?;
+                    let field = self.ident()?;
+                    self.expect(&Token::RParen)?;
+                    return Ok(Expr::Agg(agg, var, field));
+                }
                 if *self.peek() == Token::Dot {
                     self.bump();
                     let field = self.ident()?;
-                    if *self.peek() == Token::LBracket {
+                    let idx = if *self.peek() == Token::LBracket {
                         self.bump();
                         let idx = self.expr()?;
                         self.expect(&Token::RBracket)?;
-                        Ok(Expr::At(Box::new(idx), id, field))
+                        idx
                     } else {
-                        Ok(Expr::At(Box::new(Expr::int(0)), id, field))
-                    }
+                        Expr::int(0)
+                    };
+                    Ok(Expr::At(Box::new(idx), id.to_owned(), field))
                 } else {
-                    Ok(Expr::Arg(id))
+                    Ok(Expr::Arg(id.to_owned()))
                 }
             }
-            t => Err(self.err(format!("expected expression, found {t}"))),
+            t => Err(DslError::Parse {
+                message: format!("expected expression, found {t}"),
+                span,
+            }),
         }
     }
 }

@@ -151,7 +151,7 @@ pub fn print_expr(e: &Expr) -> String {
     match e {
         Expr::Const(Value::Int(n)) => format!("{n}"),
         Expr::Const(Value::Bool(b)) => format!("{b}"),
-        Expr::Const(Value::Str(s)) => format!("{s:?}"),
+        Expr::Const(Value::Str(s)) => quote(s),
         // uuid literals cannot appear in source; render as an opaque call.
         Expr::Const(Value::Uuid(_)) => "uuid()".to_owned(),
         Expr::Arg(a) => a.clone(),
@@ -167,6 +167,24 @@ pub fn print_expr(e: &Expr) -> String {
         },
         Expr::Uuid => "uuid()".to_owned(),
     }
+}
+
+/// A string literal exactly as the lexer reads it back: `"`, `\`,
+/// newline and tab escaped, every other character written raw.
+fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 fn atom(e: &Expr) -> String {
@@ -252,5 +270,31 @@ mod tests {
     fn parenthesizes_nested_operators() {
         let e = Expr::int(1).add(Expr::int(2)).add(Expr::int(3));
         assert_eq!(print_expr(&e), "(1 + 2) + 3");
+    }
+
+    /// A literal keeps its UTF-8 text and decodes its escapes, and the
+    /// printer writes it back in a form the lexer reads.
+    #[test]
+    fn string_literals_keep_their_text_through_print_and_parse() {
+        // (the literal as written between the quotes, the text it denotes)
+        let cases = [
+            ("héllo", "héllo"),
+            ("a→b", "a→b"),
+            ("cr\rhere", "cr\rhere"),
+            ("nul\0here", "nul\0here"),
+            ("q\\\"q", "q\"q"),
+            ("b\\\\s", "b\\s"),
+            ("n\\nl", "n\nl"),
+            ("t\\tb", "t\tb"),
+        ];
+        for (written, text) in cases {
+            let src = format!("schema T {{ id: int key }} txn t() {{ return \"{written}\"; }}");
+            let p = parse(&src).unwrap_or_else(|e| panic!("{written:?}: {e}"));
+            let want = Expr::Const(Value::Str(text.to_owned()));
+            assert_eq!(p.transactions[0].ret, want, "{written:?}");
+            let printed = print_program(&p);
+            let back = parse(&printed).unwrap_or_else(|e| panic!("{written:?}: {e}\n{printed}"));
+            assert_eq!(back, p, "{written:?}");
+        }
     }
 }

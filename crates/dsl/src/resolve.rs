@@ -2,32 +2,17 @@
 //!
 //! [`check_program`] validates every well-formedness rule the rest of the
 //! pipeline relies on: unique schema/field/transaction/label names, declared
-//! primary keys, schema-correct commands, and type-correct expressions. On
-//! success it returns a [`ProgramInfo`] with derived binding information.
+//! primary keys, schema-correct commands, and type-correct expressions. Its
+//! scopes are keyed by names borrowed from the program, and it formats a
+//! description only for the error it reports.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 use crate::ast::*;
 use crate::error::DslError;
 
-/// Derived static information about a checked program.
-#[derive(Debug, Clone, Default)]
-pub struct ProgramInfo {
-    /// Maps `(transaction name, variable)` to the schema the variable's
-    /// `SELECT` targets. A variable binds the same schema at every rebinding.
-    pub var_schema: HashMap<(String, String), String>,
-}
-
-impl ProgramInfo {
-    /// Schema bound to variable `var` in transaction `txn`, if any.
-    pub fn schema_of(&self, txn: &str, var: &str) -> Option<&str> {
-        self.var_schema
-            .get(&(txn.to_owned(), var.to_owned()))
-            .map(String::as_str)
-    }
-}
-
-/// Checks a program and returns binding info.
+/// Checks a program.
 ///
 /// # Errors
 ///
@@ -40,20 +25,22 @@ impl ProgramInfo {
 ///     "schema T { id: int key, v: int }
 ///      txn get(k: int) { x := select v from T where id = k; return x.v; }",
 /// )?;
-/// let info = atropos_dsl::check_program(&p)?;
-/// assert_eq!(info.schema_of("get", "x"), Some("T"));
+/// atropos_dsl::check_program(&p)?;
+/// let bad = atropos_dsl::parse(
+///     "schema T { id: int key, v: int }
+///      txn get(k: int) { x := select v from T where id = k; return x.w; }",
+/// )?;
+/// assert!(atropos_dsl::check_program(&bad).is_err());
 /// # Ok::<(), atropos_dsl::DslError>(())
 /// ```
-pub fn check_program(p: &Program) -> Result<ProgramInfo, DslError> {
-    let mut info = ProgramInfo::default();
-
+pub fn check_program(p: &Program) -> Result<(), DslError> {
     // Schemas: unique names, unique fields, >=1 key field, no reserved names.
-    let mut schema_names = HashMap::new();
+    let mut schema_names = HashSet::new();
     for s in &p.schemas {
-        if schema_names.insert(s.name.clone(), ()).is_some() {
+        if !schema_names.insert(s.name.as_str()) {
             return Err(DslError::semantic(format!("duplicate schema `{}`", s.name)));
         }
-        let mut fields = HashMap::new();
+        let mut fields = HashSet::new();
         for f in &s.fields {
             if f.name == ALIVE_FIELD {
                 return Err(DslError::semantic(format!(
@@ -61,14 +48,14 @@ pub fn check_program(p: &Program) -> Result<ProgramInfo, DslError> {
                     s.name
                 )));
             }
-            if fields.insert(f.name.clone(), ()).is_some() {
+            if !fields.insert(f.name.as_str()) {
                 return Err(DslError::semantic(format!(
                     "duplicate field `{}` in schema `{}`",
                     f.name, s.name
                 )));
             }
         }
-        if s.primary_key().is_empty() {
+        if !s.fields.iter().any(|f| f.primary_key) {
             return Err(DslError::semantic(format!(
                 "schema `{}` has no primary-key field",
                 s.name
@@ -77,10 +64,10 @@ pub fn check_program(p: &Program) -> Result<ProgramInfo, DslError> {
     }
 
     // Transactions: unique names; labels unique program-wide.
-    let mut txn_names = HashMap::new();
-    let mut labels: HashMap<CmdLabel, ()> = HashMap::new();
+    let mut txn_names = HashSet::new();
+    let mut labels = HashSet::new();
     for t in &p.transactions {
-        if txn_names.insert(t.name.clone(), ()).is_some() {
+        if !txn_names.insert(t.name.as_str()) {
             return Err(DslError::semantic(format!(
                 "duplicate transaction `{}`",
                 t.name
@@ -88,7 +75,7 @@ pub fn check_program(p: &Program) -> Result<ProgramInfo, DslError> {
         }
         let mut params = HashMap::new();
         for prm in &t.params {
-            if params.insert(prm.name.clone(), prm.ty).is_some() {
+            if params.insert(prm.name.as_str(), prm.ty).is_some() {
                 return Err(DslError::semantic(format!(
                     "duplicate parameter `{}` in transaction `{}`",
                     prm.name, t.name
@@ -103,28 +90,23 @@ pub fn check_program(p: &Program) -> Result<ProgramInfo, DslError> {
             iter_depth: 0,
         };
         cx.check_body(&t.body, &mut labels)?;
-        let ret_ty = cx.type_of(&t.ret)?;
-        let _ = ret_ty; // any scalar type may be returned
-        for ((var, schema), _) in cx.vars.iter().map(|(v, s)| ((v.clone(), s.clone()), ())) {
-            info.var_schema
-                .insert((t.name.clone(), var), schema.schema.clone());
-        }
+        cx.type_of(&t.ret)?; // any scalar type may be returned
     }
-    Ok(info)
+    Ok(())
 }
 
-#[derive(Clone)]
-struct VarBinding {
-    schema: String,
+/// The schema a variable's `SELECT` binds, and the fields it projects.
+struct VarBinding<'a> {
+    schema: &'a str,
     /// `None` = `*` (every declared field readable).
-    fields: Option<Vec<String>>,
+    fields: Option<&'a [String]>,
 }
 
 struct Checker<'a> {
     program: &'a Program,
     txn: &'a Transaction,
-    params: HashMap<String, Ty>,
-    vars: HashMap<String, VarBinding>,
+    params: HashMap<&'a str, Ty>,
+    vars: HashMap<&'a str, VarBinding<'a>>,
     iter_depth: usize,
 }
 
@@ -140,12 +122,12 @@ impl<'a> Checker<'a> {
 
     fn check_body(
         &mut self,
-        body: &[Stmt],
-        labels: &mut HashMap<CmdLabel, ()>,
+        body: &'a [Stmt],
+        labels: &mut HashSet<&'a str>,
     ) -> Result<(), DslError> {
         for s in body {
             if let Some(l) = s.label() {
-                if labels.insert(l.clone(), ()).is_some() {
+                if !labels.insert(l.0.as_str()) {
                     return Err(DslError::semantic(format!("duplicate command label `{l}`")));
                 }
             }
@@ -155,11 +137,11 @@ impl<'a> Checker<'a> {
                 Stmt::Insert(c) => self.check_insert(c)?,
                 Stmt::Delete(c) => self.check_delete(c)?,
                 Stmt::If { cond, body } => {
-                    self.expect_ty(cond, Ty::Bool, "if guard")?;
+                    self.expect_ty(cond, Ty::Bool, format_args!("if guard"))?;
                     self.check_body(body, labels)?;
                 }
                 Stmt::Iterate { count, body } => {
-                    self.expect_ty(count, Ty::Int, "iterate count")?;
+                    self.expect_ty(count, Ty::Int, format_args!("iterate count"))?;
                     self.iter_depth += 1;
                     self.check_body(body, labels)?;
                     self.iter_depth -= 1;
@@ -202,7 +184,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_select(&mut self, c: &SelectCmd) -> Result<(), DslError> {
+    fn check_select(&mut self, c: &'a SelectCmd) -> Result<(), DslError> {
         let schema = self.schema(&c.schema)?;
         if let Some(fs) = &c.fields {
             for f in fs {
@@ -215,7 +197,7 @@ impl<'a> Checker<'a> {
             }
         }
         self.check_where(schema, &c.where_)?;
-        if let Some(prev) = self.vars.get(&c.var) {
+        if let Some(prev) = self.vars.get(c.var.as_str()) {
             if prev.schema != c.schema {
                 return Err(DslError::semantic(format!(
                     "variable `{}` rebound to a different schema (`{}` then `{}`)",
@@ -224,10 +206,10 @@ impl<'a> Checker<'a> {
             }
         }
         self.vars.insert(
-            c.var.clone(),
+            &c.var,
             VarBinding {
-                schema: c.schema.clone(),
-                fields: c.fields.clone(),
+                schema: &c.schema,
+                fields: c.fields.as_deref(),
             },
         );
         Ok(())
@@ -241,7 +223,7 @@ impl<'a> Checker<'a> {
                 c.label
             )));
         }
-        let mut seen = HashMap::new();
+        let mut seen = HashSet::new();
         for (f, e) in &c.assigns {
             let decl = schema.field(f).ok_or_else(|| {
                 DslError::semantic(format!(
@@ -255,20 +237,20 @@ impl<'a> Checker<'a> {
                     c.label
                 )));
             }
-            if seen.insert(f.clone(), ()).is_some() {
+            if !seen.insert(f.as_str()) {
                 return Err(DslError::semantic(format!(
                     "update `{}` assigns field `{f}` twice",
                     c.label
                 )));
             }
-            self.expect_ty(e, decl.ty, &format!("assignment to `{f}`"))?;
+            self.expect_ty(e, decl.ty, format_args!("assignment to `{f}`"))?;
         }
         self.check_where(schema, &c.where_)
     }
 
     fn check_insert(&mut self, c: &InsertCmd) -> Result<(), DslError> {
         let schema = self.schema(&c.schema)?;
-        let mut seen = HashMap::new();
+        let mut seen = HashSet::new();
         for (f, e) in &c.values {
             let decl = schema.field(f).ok_or_else(|| {
                 DslError::semantic(format!(
@@ -276,19 +258,19 @@ impl<'a> Checker<'a> {
                     c.label, schema.name
                 ))
             })?;
-            if seen.insert(f.clone(), ()).is_some() {
+            if !seen.insert(f.as_str()) {
                 return Err(DslError::semantic(format!(
                     "insert `{}` sets field `{f}` twice",
                     c.label
                 )));
             }
-            self.expect_ty(e, decl.ty, &format!("insert value for `{f}`"))?;
+            self.expect_ty(e, decl.ty, format_args!("insert value for `{f}`"))?;
         }
-        for k in schema.primary_key() {
-            if !seen.contains_key(k) {
+        for k in schema.fields.iter().filter(|f| f.primary_key) {
+            if !seen.contains(k.name.as_str()) {
                 return Err(DslError::semantic(format!(
-                    "insert `{}` misses primary-key field `{k}` of schema `{}`",
-                    c.label, schema.name
+                    "insert `{}` misses primary-key field `{}` of schema `{}`",
+                    c.label, k.name, schema.name
                 )));
             }
         }
@@ -300,7 +282,9 @@ impl<'a> Checker<'a> {
         self.check_where(schema, &c.where_)
     }
 
-    fn expect_ty(&mut self, e: &Expr, want: Ty, what: &str) -> Result<(), DslError> {
+    /// Checks that `e` has type `want`; `what` names `e` in the error,
+    /// and is formatted only then.
+    fn expect_ty(&mut self, e: &Expr, want: Ty, what: fmt::Arguments<'_>) -> Result<(), DslError> {
         let got = self.type_of(e)?;
         if got != want {
             return Err(DslError::semantic(format!(
@@ -314,15 +298,15 @@ impl<'a> Checker<'a> {
     fn type_of(&mut self, e: &Expr) -> Result<Ty, DslError> {
         match e {
             Expr::Const(v) => Ok(v.ty()),
-            Expr::Arg(a) => self.params.get(a).copied().ok_or_else(|| {
+            Expr::Arg(a) => self.params.get(a.as_str()).copied().ok_or_else(|| {
                 DslError::semantic(format!(
                     "unknown argument `{a}` in transaction `{}`",
                     self.txn.name
                 ))
             }),
             Expr::Bin(_, l, r) => {
-                self.expect_ty(l, Ty::Int, "arithmetic operand")?;
-                self.expect_ty(r, Ty::Int, "arithmetic operand")?;
+                self.expect_ty(l, Ty::Int, format_args!("arithmetic operand"))?;
+                self.expect_ty(r, Ty::Int, format_args!("arithmetic operand"))?;
                 Ok(Ty::Int)
             }
             Expr::Cmp(op, l, r) => {
@@ -339,12 +323,12 @@ impl<'a> Checker<'a> {
                 Ok(Ty::Bool)
             }
             Expr::Bool(_, l, r) => {
-                self.expect_ty(l, Ty::Bool, "boolean operand")?;
-                self.expect_ty(r, Ty::Bool, "boolean operand")?;
+                self.expect_ty(l, Ty::Bool, format_args!("boolean operand"))?;
+                self.expect_ty(r, Ty::Bool, format_args!("boolean operand"))?;
                 Ok(Ty::Bool)
             }
             Expr::Not(x) => {
-                self.expect_ty(x, Ty::Bool, "negated expression")?;
+                self.expect_ty(x, Ty::Bool, format_args!("negated expression"))?;
                 Ok(Ty::Bool)
             }
             Expr::Iter => {
@@ -372,7 +356,7 @@ impl<'a> Checker<'a> {
                 }
             }
             Expr::At(idx, var, field) => {
-                self.expect_ty(idx, Ty::Int, "record index")?;
+                self.expect_ty(idx, Ty::Int, format_args!("record index"))?;
                 self.field_access_ty(var, field)
             }
             Expr::Uuid => Ok(Ty::Uuid),
@@ -395,7 +379,7 @@ impl<'a> Checker<'a> {
         }
         let schema = self
             .program
-            .schema(&binding.schema)
+            .schema(binding.schema)
             .expect("binding schema checked at select");
         schema.field(field).map(|f| f.ty).ok_or_else(|| {
             DslError::semantic(format!(
@@ -411,19 +395,17 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn check(src: &str) -> Result<ProgramInfo, DslError> {
+    fn check(src: &str) -> Result<(), DslError> {
         check_program(&parse(src).unwrap())
     }
 
     #[test]
     fn accepts_valid_program() {
-        let info = check(
+        check(
             "schema T { id: int key, v: int }
              txn get(k: int) { x := select v from T where id = k; return x.v; }",
         )
         .unwrap();
-        assert_eq!(info.schema_of("get", "x"), Some("T"));
-        assert_eq!(info.schema_of("get", "y"), None);
     }
 
     #[test]

@@ -7,6 +7,18 @@ use atropos_dsl::{
 };
 use proptest::prelude::*;
 
+/// The characters a generated string literal draws from: letters and a
+/// space, the four the printer escapes, other control characters and
+/// multi-byte UTF-8.
+const STR_CHARS: [char; 12] = [
+    'a', 'z', ' ', '"', '\\', '\n', '\t', '\r', '\0', 'é', '→', '😀',
+];
+
+fn str_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..STR_CHARS.len(), 0..8)
+        .prop_map(|ix| ix.into_iter().map(|i| STR_CHARS[i]).collect())
+}
+
 fn expr_strategy() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (-50i64..50).prop_map(Expr::int),
@@ -15,7 +27,7 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
         Just(Expr::arg("b")),
         Just(Expr::field("x", "v")),
         Just(Expr::sum("x", "v")),
-        "[a-z]{1,6}".prop_map(|s| Expr::Const(Value::Str(s))),
+        str_strategy().prop_map(|s| Expr::Const(Value::Str(s))),
         Just(Expr::Uuid),
     ];
     leaf.prop_recursive(3, 24, 2, |inner| {

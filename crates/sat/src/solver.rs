@@ -240,11 +240,25 @@ impl Solver {
     /// Decides the formula. The solver returns to the root afterwards, so
     /// clauses may be added and the formula solved again.
     pub fn solve(&mut self) -> SolveResult {
+        self.solve_within(u64::MAX)
+            .expect("an unbounded search decides the formula")
+    }
+
+    /// [`Solver::solve`] under a budget: `None` once the search meets more
+    /// than `max_conflicts` conflicts without deciding the formula. Either
+    /// way the solver returns to the root.
+    pub fn solve_within(&mut self, max_conflicts: u64) -> Option<SolveResult> {
+        let mut conflicts = 0;
         // Every variable below the cursor is assigned.
         let mut next = 0;
         while !self.unsat {
             if !self.propagate() {
                 self.stats.conflicts += 1;
+                conflicts += 1;
+                if conflicts > max_conflicts {
+                    self.return_to_root();
+                    return None;
+                }
                 match self.backtrack() {
                     Some(v) => next = v,
                     None => self.unsat = true,
@@ -256,17 +270,22 @@ impl Solver {
             }
             if next == self.num_vars() {
                 let model = self.assign.iter().map(|&a| a == LBool::True).collect();
-                if let Some(&(root_end, _)) = self.levels.first() {
-                    self.undo(root_end);
-                }
-                self.levels.clear();
-                return SolveResult::Sat(model);
+                self.return_to_root();
+                return Some(SolveResult::Sat(model));
             }
             self.stats.decisions += 1;
             self.levels.push((self.trail.len(), false));
             self.enqueue(Var(next as u32).negative());
         }
-        SolveResult::Unsat
+        Some(SolveResult::Unsat)
+    }
+
+    /// Undoes every decision level, keeping the root facts.
+    fn return_to_root(&mut self) {
+        if let Some(&(root_end, _)) = self.levels.first() {
+            self.undo(root_end);
+        }
+        self.levels.clear();
     }
 
     /// Undoes the levels down to the latest one that opened with a

@@ -34,6 +34,26 @@ fn pigeonhole_unsat_when_overfull() {
 }
 
 #[test]
+fn an_exhausted_budget_returns_to_the_root() {
+    // PHP(3,2) is refuted only after conflicts under decisions.
+    let mut s = pigeonhole(3, 2);
+    assert_eq!(s.solve_within(0), None);
+    assert_eq!(s.stats().conflicts, 1);
+    let needed = {
+        let mut fresh = pigeonhole(3, 2);
+        assert_eq!(fresh.solve(), SolveResult::Unsat);
+        fresh.stats().conflicts
+    };
+    assert!(needed > 1, "PHP(3,2) needs {needed} conflicts");
+    assert_eq!(s.solve_within(needed - 1), None);
+    // Back at the root: a clause can be added, and a budget that covers
+    // the search decides the formula as an unbounded solve does.
+    let extra = s.new_var();
+    s.add_clause([extra.positive()]);
+    assert_eq!(s.solve_within(needed), Some(SolveResult::Unsat));
+}
+
+#[test]
 fn pigeonhole_sat_when_room() {
     for (p, h) in [(1, 1), (2, 2), (3, 4), (5, 5)] {
         let result = pigeonhole(p, h).solve();
